@@ -61,8 +61,7 @@ from repro.core import (
 )
 from repro.engine import Campaign, TrialResult, TrialSpec, run_campaign, run_trial
 from repro.processes import ProcessRegistry
-
-__version__ = "1.0.0"
+from repro.store.keys import PACKAGE_VERSION as __version__
 
 __all__ = [
     "ApproxBVCOutcome",

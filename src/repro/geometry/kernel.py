@@ -53,6 +53,7 @@ distinguish genuinely empty safe areas from floating-point infeasibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import ClassVar, Sequence
@@ -80,12 +81,14 @@ __all__ = [
 _SLACK_TOLERANCE = 1e-6
 
 #: Largest cloud (point count) solved through the direct dense path instead of
-#: the cached sparse templates.  At this scale (the E15 ``n <= 9`` regime) a
-#: query is solver-latency bound: the HiGHS call dominates and the template
-#: scatter/permute machinery is pure overhead, so a plain dense ``A_eq``
-#: assembly is faster.  Both assemblies describe the identical equality
-#: system in the identical row/column layout, and HiGHS resolves them to the
-#: same vertex, so the crossover never changes a returned point.
+#: the cached sparse templates.  Both assemblies describe the identical
+#: equality system in the identical row/column layout, and HiGHS resolves
+#: them to the same vertex, so the crossover never changes a returned point.
+#: It was introduced when a query cost ~2.5 ms either way and the dense
+#: assembly was up to 25 % cheaper; with LPs going straight to the HiGHS
+#: binding the template path is at least as fast at every ``n`` measured
+#: (``docs/PERFORMANCE.md``, "Small instances"), so the route now only
+#: awaits pruning (ROADMAP item 2).
 DENSE_POINT_CROSSOVER = 9
 
 
@@ -154,6 +157,12 @@ def _family_1d(cloud: np.ndarray, fault_bound: int) -> tuple[tuple[int, ...], ..
     return (keep_low,) if keep_low == keep_high else (keep_low, keep_high)
 
 
+@lru_cache(maxsize=64)
+def _upper_pairs(point_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(point_count, k=1)``, cached per count (read-only)."""
+    return np.triu_indices(point_count, k=1)
+
+
 def _family_2d(cloud: np.ndarray, fault_bound: int) -> tuple[tuple[int, ...], ...]:
     """Rotating-sweep enumeration of the binding subsets in the plane.
 
@@ -165,8 +174,7 @@ def _family_2d(cloud: np.ndarray, fault_bound: int) -> tuple[tuple[int, ...], ..
     Ties inside an arc can only come from coincident members, and dropping
     either copy yields the same hull, so a fixed index tie-break is exact.
     """
-    point_count = cloud.shape[0]
-    upper_i, upper_j = np.triu_indices(point_count, k=1)
+    upper_i, upper_j = _upper_pairs(cloud.shape[0])
     differences = cloud[upper_j] - cloud[upper_i]
     nonzero = np.any(differences != 0.0, axis=1)
     differences = differences[nonzero]
@@ -179,12 +187,15 @@ def _family_2d(cloud: np.ndarray, fault_bound: int) -> tuple[tuple[int, ...], ..
         midpoints[-1] = (events[-1] + events[0] + 2.0 * np.pi) / 2.0
         directions = np.column_stack([np.cos(midpoints), np.sin(midpoints)])
     projections = cloud @ directions.T
-    tie_break = np.arange(point_count)
-    families: set[tuple[int, ...]] = set()
-    for column in projections.T:
-        order = np.lexsort((tie_break, -column))
-        families.add(tuple(sorted(order[fault_bound:].tolist())))
-    return tuple(sorted(families))
+    # One stable descending sort over all directions at once; stability is the
+    # index tie-break.  Distinct drop sets (f members each) are far cheaper to
+    # tell apart than the kept sets they determine.
+    order = np.argsort(-projections, axis=0, kind="stable")
+    drop_sets = {frozenset(column) for column in order[:fault_bound].T.tolist()}
+    members = range(cloud.shape[0])
+    return tuple(
+        sorted(tuple(index for index in members if index not in drop) for drop in drop_sets)
+    )
 
 
 def _family_dedupe_dominated(
@@ -197,10 +208,15 @@ def _family_dedupe_dominated(
     the intersection.  Only effective when the multiset has duplicate members
     (the general-position case is returned unchanged).
     """
-    point_count = cloud.shape[0]
-    _, value_ids = np.unique(cloud, axis=0, return_inverse=True)
-    if np.unique(value_ids).shape[0] == point_count:
+    # Label members by value through one lexicographic row sort (what
+    # ``np.unique(axis=0)`` computes, without its structured-dtype sort).
+    order = np.lexsort(cloud.T[::-1])
+    ranked = cloud[order]
+    starts_new_value = np.any(ranked[1:] != ranked[:-1], axis=1)
+    if starts_new_value.all():
         return tuple(families)
+    value_ids = np.empty(cloud.shape[0], dtype=np.int64)
+    value_ids[order] = np.concatenate(([0], np.cumsum(starts_new_value)))
     value_sets = [frozenset(int(value_ids[index]) for index in family) for family in families]
     # Smaller value sets first: a set can only be dominated by a strictly
     # smaller (or equal, earlier-kept) one.
@@ -289,7 +305,8 @@ class _ConstraintTemplate:
     coo_rows: np.ndarray  # COO row coordinates (block-diagonal batch stitching)
     coo_cols: np.ndarray  # COO column coordinates
     rhs: np.ndarray
-    bounds: tuple[tuple[float | None, float | None], ...]
+    col_lower: np.ndarray  # -inf for z, 0 for the convex weights
+    col_upper: np.ndarray  # +inf throughout
 
     @property
     def variable_count(self) -> int:
@@ -308,6 +325,13 @@ class _ConstraintTemplate:
         return csc_matrix(
             (data[self.permutation], self.indices, self.indptr), shape=self.shape
         )
+
+
+def _variable_bounds(dimension: int, weight_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column bounds of the Section 2.2 LP: free ``z``, non-negative weights."""
+    lower = np.zeros(dimension + weight_count)
+    lower[:dimension] = -np.inf
+    return lower, np.full(dimension + weight_count, np.inf)
 
 
 def _build_template(block_count: int, block_size: int, dimension: int) -> _ConstraintTemplate:
@@ -361,7 +385,7 @@ def _build_template(block_count: int, block_size: int, dimension: int) -> _Const
     permutation = tracker.data.astype(np.int64)
 
     rhs = np.tile(np.concatenate([np.zeros(dimension), [1.0]]), block_count)
-    bounds = tuple([(None, None)] * dimension + [(0.0, None)] * (block_count * block_size))
+    col_lower, col_upper = _variable_bounds(dimension, block_count * block_size)
     return _ConstraintTemplate(
         block_count=block_count,
         block_size=block_size,
@@ -375,7 +399,8 @@ def _build_template(block_count: int, block_size: int, dimension: int) -> _Const
         coo_rows=rows,
         coo_cols=cols,
         rhs=rhs,
-        bounds=bounds,
+        col_lower=col_lower,
+        col_upper=col_upper,
     )
 
 
@@ -581,7 +606,7 @@ class GammaKernel:
             template = self._template(len(families), block_size, dimension)
             matrix = template.matrix_for(cloud, families_flat)
             rhs = template.rhs
-            bounds = list(template.bounds)
+            bounds = (template.col_lower, template.col_upper)
         objective = np.zeros(matrix.shape[1])
         objective[:dimension] = objective_head
 
@@ -611,14 +636,13 @@ class GammaKernel:
 
     def _dense_equality_system(
         self, cloud: np.ndarray, families_flat: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, list[tuple[float | None, float | None]]]:
+    ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
         """Assemble the Section 2.2 equality system as one dense array.
 
         Identical rows, columns and coefficients to
         :meth:`_ConstraintTemplate.matrix_for` — per block ``d`` rows of
         ``z - Y_T^T alpha = 0`` followed by ``sum(alpha) = 1`` — just without
-        the scatter/permute machinery, which dominates the per-query cost at
-        small point counts.
+        the scatter/permute machinery.
         """
         block_count, block_size = families_flat.shape
         dimension = cloud.shape[1]
@@ -636,10 +660,7 @@ class GammaKernel:
             )
             matrix[row_base + dimension, col_base : col_base + block_size] = 1.0
         rhs = np.tile(np.concatenate([np.zeros(dimension), [1.0]]), block_count)
-        bounds: list[tuple[float | None, float | None]] = (
-            [(None, None)] * dimension + [(0.0, None)] * (block_count * block_size)
-        )
-        return matrix, rhs, bounds
+        return matrix, rhs, _variable_bounds(dimension, block_count * block_size)
 
     # -- batched queries ---------------------------------------------------------
 
@@ -817,7 +838,8 @@ class GammaKernel:
         data_parts: list[np.ndarray] = []
         rhs_parts: list[np.ndarray] = []
         objective_parts: list[np.ndarray] = []
-        bounds: list[tuple[float | None, float | None]] = []
+        lower_parts: list[np.ndarray] = []
+        upper_parts: list[np.ndarray] = []
         query_offsets: list[int] = []
         row_base = 0
         col_base = 0
@@ -833,7 +855,8 @@ class GammaKernel:
             query_objective = np.zeros(template.variable_count)
             query_objective[:dimension] = objective_head
             objective_parts.append(query_objective)
-            bounds.extend(template.bounds)
+            lower_parts.append(template.col_lower)
+            upper_parts.append(template.col_upper)
             query_offsets.append(col_base)
             row_base += template.shape[0]
             col_base += template.variable_count
@@ -852,7 +875,7 @@ class GammaKernel:
                 np.concatenate(objective_parts),
                 equality_matrix=matrix,
                 equality_rhs=np.concatenate(rhs_parts),
-                bounds=bounds,
+                bounds=(np.concatenate(lower_parts), np.concatenate(upper_parts)),
             )
         except LinearProgramError as error:
             # A numerically unclassifiable fused program gets the same
@@ -940,11 +963,8 @@ class GammaKernel:
 
         objective = np.zeros(variable_count)
         objective[slack_column] = 1.0
-        bounds: list[tuple[float | None, float | None]] = (
-            [(None, None)] * dimension
-            + [(0.0, None)] * (block_count * block_size)
-            + [(0.0, None)]
-        )
+        # The slack is one more non-negative column after the weights.
+        bounds = _variable_bounds(dimension, block_count * block_size + 1)
         self.stats.relaxed_solves += 1
         result = solve_linear_program(
             objective,

@@ -38,12 +38,22 @@ from typing import Any
 from repro.engine.spec import TrialSpec, _jsonify
 from repro.exceptions import ConfigurationError
 
-__all__ = ["ENGINE_VERSION", "VOLATILE_SPEC_FIELDS", "canonical_spec_payload", "trial_key"]
+__all__ = [
+    "ENGINE_VERSION",
+    "PACKAGE_VERSION",
+    "VOLATILE_SPEC_FIELDS",
+    "canonical_spec_payload",
+    "trial_key",
+]
+
+#: The package version.  ``pyproject.toml`` reads this literal (statically),
+#: and it is the first half of :data:`ENGINE_VERSION`.
+PACKAGE_VERSION = "1.1.0"
 
 #: Salt folded into every trial key.  Format: ``<package version>/<row schema
 #: revision>``; bump the revision whenever trial semantics or the serialised
 #: row change (see the module docstring for the discipline).
-ENGINE_VERSION = "1.1.0/rows1"
+ENGINE_VERSION = f"{PACKAGE_VERSION}/rows1"
 
 #: Spec fields excluded from the key because they cannot influence the
 #: serialised outcome row (see module docstring).
