@@ -565,10 +565,19 @@ def experiment_kernel_speedup(
         oracle_point = safe_area_point(cloud, fault_bound, objective=objective)
         oracle_seconds = time.perf_counter() - start
 
-        kernel.point(cloud, fault_bound, objective=objective)  # warm the template
+        # Warm the template with a translated copy: the same LP shape, but a
+        # bitwise-different query, so the timed call below is a real solve and
+        # not a hit in the kernel's answer memo.
+        kernel.point(cloud + 1.0, fault_bound, objective=objective)
+        solves_before = kernel.stats.lp_solves
         start = time.perf_counter()
         kernel_point = kernel.point(cloud, fault_bound, objective=objective)
         kernel_seconds = time.perf_counter() - start
+        if kernel.stats.lp_solves != solves_before + 1:
+            raise RuntimeError(
+                f"E15 timed {kernel.stats.lp_solves - solves_before} LP solves at "
+                f"n={process_count}, d={dimension}, f={fault_bound}; expected exactly one"
+            )
 
         batch_clouds = [
             rng.uniform(0.0, 1.0, size=(process_count, dimension)) for _ in range(batch_size)

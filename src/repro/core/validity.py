@@ -87,7 +87,13 @@ def _max_disagreement(cloud: np.ndarray) -> float:
 
 
 def _max_hull_distance(honest_inputs: PointMultiset, cloud: np.ndarray) -> float:
-    return max(distance_to_hull(honest_inputs, row) for row in cloud)
+    """Largest hull distance over the decision rows, one LP per distinct row.
+
+    Bitwise-identical rows (exact consensus makes all of them so) have the
+    same distance, and a maximum is indifferent to repeats.
+    """
+    distinct = {row.tobytes(): row for row in cloud}
+    return max(distance_to_hull(honest_inputs, row) for row in distinct.values())
 
 
 def check_exact_outcome(

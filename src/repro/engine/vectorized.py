@@ -47,8 +47,8 @@ deterministic: a trial's event structure (which process aggregates which
 senders' round-``t`` states, in which order) depends only on the scheduler
 decision sequence, never on the state values, so trials sharing a scheduler
 signature share one recorded event skeleton and replay their own values
-through it (one real scheduler-driven run per signature, memoised ``Gamma``
-choices across the group).
+through it (one real scheduler-driven run per signature; repeated ``Gamma``
+choices are served by the kernel's answer memo).
 
 Eligibility (:func:`vectorization_fallback` names the reason for everything
 that must fall back to ``run_trial``):
@@ -101,7 +101,6 @@ from repro.exceptions import (
     TerminationError,
 )
 from repro.geometry.kernel import default_kernel
-from repro.geometry.multisets import PointMultiset
 from repro.network.async_runtime import AsynchronousRuntime
 from repro.network.message import Message
 from repro.processes.registry import ProcessRegistry
@@ -154,22 +153,27 @@ VECTORIZED_ASYNC_SCHEDULERS = frozenset({"round_robin", "lagging"})
 _MEMO_LIMIT = 200_000
 
 # Process-lifetime caches, shared *across* execution units.  A persistent
-# pool worker runs many units back to back, so choosers, decision memos and
-# Gamma point memos survive from one unit to the next instead of being
-# re-derived per call (the caches only ever reuse the deterministic answer —
-# or re-raise the exact exception — a cold solve would produce, so rows stay
-# byte-identical).  Memo keys carry the fault bound alongside the cloud
-# bytes because the cached answer depends on both.
+# pool worker runs many units back to back, so choosers and the Gamma point
+# memo survive from one unit to the next instead of being re-derived per call
+# (the memo only ever reuses the deterministic answer — or re-raises the exact
+# exception — a cold solve would produce, so rows stay byte-identical).  Memo
+# keys carry the fault bound alongside the cloud bytes because the cached
+# answer depends on both.
+#
+# ``_POINT_MEMO`` is a second-level cache over the kernel's own answer memo
+# (``GammaKernel``), which serves every other repeat — exact decisions, the
+# async replay's choices — on its own.  This one earns its place by being more
+# than a cache: it is the round's batch-assembly dedupe (only its misses are
+# handed to ``resolve_multi``), it memoises failures (``_LoudFailure``), which
+# the kernel never does, and its tallies are the ledger's
+# ``engine.vectorized.memo_hit_ratio``.
 _CHOOSERS: dict[int, SafeAreaCalculator] = {}
-_DECISION_MEMO: dict[tuple, np.ndarray] = {}
 _POINT_MEMO: dict[tuple, "np.ndarray | None | _LoudFailure"] = {}
 
-#: Cumulative memo-cache telemetry for this process (hits avoid a Gamma/LP
-#: solve entirely; evictions count whole-cache flushes at :data:`_MEMO_LIMIT`).
+#: Cumulative memo-cache telemetry for this process (hits avoid a kernel
+#: query entirely; evictions count whole-cache flushes at :data:`_MEMO_LIMIT`).
 #: Published into the metrics registry by delta — see ``vectorized_stats_snapshot``.
 _VEC_STATS: dict[str, int] = {
-    "decision_memo_hits": 0,
-    "decision_memo_misses": 0,
     "point_memo_hits": 0,
     "point_memo_misses": 0,
     "memo_evictions": 0,
@@ -290,33 +294,6 @@ def _error_result(spec: TrialSpec, error: Exception) -> TrialResult:
     return TrialResult(spec=spec, status="error", error=f"{type(error).__name__}: {error}")
 
 
-# ---------------------------------------------------------------------------
-# Outcome verification (deduplicating mirror of core.validity)
-# ---------------------------------------------------------------------------
-
-def _verdict(
-    registry: ProcessRegistry,
-    decisions: dict[int, np.ndarray],
-    epsilon: float | None,
-) -> ValidityReport:
-    """Delegate to ``check_{exact,approximate}_outcome`` on deduplicated rows.
-
-    Both report metrics are maxima/ranges over the decision rows, so rows
-    that are bitwise identical (the common case: honest processes agree)
-    contribute exactly once — one representative per distinct decision gives
-    the same report while the hull-distance LP runs once instead of once per
-    process.
-    """
-    representatives: dict[bytes, int] = {}
-    for process_id in sorted(decisions):
-        key = np.asarray(decisions[process_id], dtype=float).tobytes()
-        representatives.setdefault(key, process_id)
-    reduced = {process_id: decisions[process_id] for process_id in representatives.values()}
-    if epsilon is None:
-        return check_exact_outcome(registry, reduced)
-    return check_approximate_outcome(registry, reduced, epsilon=epsilon)
-
-
 def _result_row(
     spec: TrialSpec,
     registry: ProcessRegistry,
@@ -365,9 +342,6 @@ def _run_broadcast_group(specs: Sequence[TrialSpec]) -> list[TrialResult]:
             results.append(_execute_broadcast_trial(spec, protocol, chooser))
         except Exception as error:  # noqa: BLE001 — failures are campaign data
             results.append(_error_result(spec, error))
-    if len(_DECISION_MEMO) > _MEMO_LIMIT:
-        _DECISION_MEMO.clear()
-        _VEC_STATS["memo_evictions"] += 1
     return results
 
 
@@ -398,19 +372,13 @@ def _execute_broadcast_trial(
     # stacked nominal inputs, in process-id order.
     cloud = np.vstack([registry.input_of(process_id) for process_id in range(n)])
     if protocol == "exact":
-        cloud_key = _memo_key(spec.fault_bound, cloud)
-        if cloud_key not in _DECISION_MEMO:
-            _VEC_STATS["decision_memo_misses"] += 1
-            _DECISION_MEMO[cloud_key] = chooser.choose(cloud)
-        else:
-            _VEC_STATS["decision_memo_hits"] += 1
-        decision = _DECISION_MEMO[cloud_key]
+        decision = chooser.choose(cloud)
     else:
         decision = coordinatewise_decision(cloud)
     decisions = {
         process_id: np.asarray(decision, dtype=float) for process_id in registry.honest_ids
     }
-    report = _verdict(registry, decisions, epsilon=None)
+    report = check_exact_outcome(registry, decisions)
     # Every process bundles its (non-empty, fault-free) relays into one
     # message per recipient per round.
     messages_sent = total_rounds * n * (n - 1)
@@ -810,7 +778,7 @@ def _finish_restricted_trial(trial: _LiveTrial) -> TrialResult:
         for process_id in registry.honest_ids
     }
     try:
-        report = _verdict(registry, decisions, epsilon=trial.spec.epsilon)
+        report = check_approximate_outcome(registry, decisions, epsilon=trial.spec.epsilon)
     except Exception as error:  # noqa: BLE001 — failures are campaign data
         return _error_result(trial.spec, error)
     return _result_row(
@@ -874,51 +842,21 @@ class _RecordingAggregator:
         )
 
 
-class _MemoChooser:
-    """Bitwise-memoising wrapper over a ``SafeAreaCalculator`` (async replay).
-
-    ``choose`` is deterministic per cloud, so the memo only ever reuses the
-    answer — or re-raises the exception — the wrapped chooser produced for a
-    bitwise-identical cloud.
-    """
-
-    def __init__(self, chooser: SafeAreaCalculator, memo: dict) -> None:
-        self._chooser = chooser
-        self._memo = memo
-
-    def choose(self, multiset: PointMultiset) -> np.ndarray:
-        key = (multiset.cloud.shape, multiset.cloud.tobytes())
-        cached = self._memo.get(key)
-        if cached is None:
-            try:
-                cached = self._chooser.choose(multiset)
-            except Exception as error:  # noqa: BLE001 — deterministic re-raise
-                cached = error
-            self._memo[key] = cached
-        if isinstance(cached, Exception):
-            raise cached
-        return cached
-
-
 def _run_async_group(specs: Sequence[TrialSpec]) -> list[TrialResult]:
     """Columnar execution of a deterministic-scheduler restricted-async batch."""
     results: dict[int, TrialResult] = {}
     skeletons: dict[tuple, _AsyncSkeleton | Exception] = {}
-    choose_memo: dict[tuple, np.ndarray | Exception] = {}
     for position, spec in enumerate(specs):
         try:
-            results[position] = _execute_async_trial(spec, skeletons, choose_memo)
+            results[position] = _execute_async_trial(spec, skeletons)
         except Exception as error:  # noqa: BLE001 — failures are campaign data
             results[position] = _error_result(spec, error)
-        if len(choose_memo) > _MEMO_LIMIT:
-            choose_memo.clear()
     return [results[position] for position in range(len(specs))]
 
 
 def _execute_async_trial(
     spec: TrialSpec,
     skeletons: dict[tuple, "_AsyncSkeleton | Exception"],
-    choose_memo: dict,
 ) -> TrialResult:
     """One restricted-async trial: shared skeleton, per-trial value replay.
 
@@ -975,7 +913,6 @@ def _execute_async_trial(
     fault_bound = configuration.fault_bound
     quorum = max(1, configuration.process_count - 3 * fault_bound)
     aggregator = SafeAverageAggregator(fault_bound, quorum)
-    aggregator._chooser = _MemoChooser(aggregator._chooser, choose_memo)
     states: dict[int, list[np.ndarray]] = {
         process_id: [np.asarray(registry.input_of(process_id), dtype=float)]
         for process_id in registry.process_ids
@@ -1001,7 +938,7 @@ def _execute_async_trial(
         process_id: np.asarray(states[process_id][-1], dtype=float)
         for process_id in registry.honest_ids
     }
-    report = _verdict(registry, decisions, epsilon=spec.epsilon)
+    report = check_approximate_outcome(registry, decisions, epsilon=spec.epsilon)
     return _result_row(
         spec,
         registry,
@@ -1073,14 +1010,11 @@ def _register_vectorized_metrics() -> None:
     registry.register_collector(CounterSync(events, vectorized_stats_snapshot))
     sizes = registry.gauge(
         "repro_vectorized_memo_size",
-        "Entries currently held by the cross-round memo caches.",
+        "Entries currently held by the cross-round Gamma point memo.",
         labelnames=("cache",),
     )
     registry.register_collector(
-        lambda: (
-            sizes.labels(cache="decision").set(len(_DECISION_MEMO)),
-            sizes.labels(cache="point").set(len(_POINT_MEMO)),
-        )
+        lambda: sizes.labels(cache="point").set(len(_POINT_MEMO))
     )
 
 

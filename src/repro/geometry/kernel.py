@@ -9,7 +9,7 @@ assembles one dense constraint block per subset, which is both exponential in
 path around that bottleneck; :func:`repro.core.safe_area.safe_area_point`
 remains the unoptimised oracle it is validated against.
 
-Three independent optimisations, composed by :class:`GammaKernel`:
+Four independent optimisations, composed by :class:`GammaKernel`:
 
 * **Subset pruning** (the Appendix F idea applied to the LP itself).
   ``Gamma`` is an intersection of hulls, and most hulls are redundant:
@@ -44,6 +44,13 @@ Three independent optimisations, composed by :class:`GammaKernel`:
   stitched into one block-diagonal sparse LP and solved together, falling
   back to per-query solves only if the fused program is infeasible (i.e.
   some individual ``Gamma`` is empty).
+
+* **Answer memoisation**.  The paper's algorithms have every non-faulty
+  process apply the same deterministic rule to the same multiset, so a
+  literal per-process simulation asks bitwise-identical queries many times
+  over.  A bounded memo keyed on the query's exact bytes returns the answer
+  of the first solve instead of repeating it (contract on
+  :class:`GammaKernel`).
 
 The kernel mirrors the oracle's semantics bit-for-bit where the oracle is
 well-behaved, including the relaxed minimum-slack re-solve used to
@@ -90,6 +97,24 @@ _SLACK_TOLERANCE = 1e-6
 #: (``docs/PERFORMANCE.md``, "Small instances"), so the route now only
 #: awaits pruning (ROADMAP item 2).
 DENSE_POINT_CROSSOVER = 9
+
+#: Bound on the answer memo, in entries (one per distinct ``point`` query or
+#: whole ``points_batch`` call).  The repeats it serves sit inside one trial —
+#: the census in ``docs/PERFORMANCE.md`` ("Repeated queries") found 77 % of
+#: ``exact`` queries, 95 % of ``approx`` batches and 61 % of capped
+#: ``restricted_async`` queries to repeat an earlier one of the same trial —
+#: and the busiest trial shape asks a few hundred distinct queries, so 8192
+#: holds many trials' worth (measured ~0.6 KB per entry at protocol sizes);
+#: a full table is flushed whole rather than aged out.
+_MEMO_LIMIT = 8192
+
+#: Lookup sentinel: ``None`` is a memoised answer (an empty ``Gamma``).
+_MISS = object()
+
+
+def _private_copy(answer: np.ndarray | None) -> np.ndarray | None:
+    """An answer nobody else holds: what the memo stores and what it hands out."""
+    return None if answer is None else answer.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +450,12 @@ class KernelStats:
     template_misses: int = 0
     blocks_assembled: int = 0
     blocks_pruned_away: int = 0
+    #: Queries answered from the answer memo (a whole-batch hit counts every
+    #: query of the batch), so ``memo_hits / (single_queries + batch_queries)``
+    #: is the share of queries that repeated.
+    memo_hits: int = 0
+    #: Whole-table flushes of the answer memo at its bound.
+    memo_evictions: int = 0
 
     #: Every counter field, in exposition order.  ``as_dict``/``snapshot``
     #: and the observability bridge iterate this instead of hard-coding names.
@@ -433,6 +464,7 @@ class KernelStats:
         "multi_queries", "multi_calls", "multi_dedup_hits", "lp_solves",
         "dense_solves", "relaxed_solves", "template_hits",
         "template_misses", "blocks_assembled", "blocks_pruned_away",
+        "memo_hits", "memo_evictions",
     )
 
     def as_dict(self) -> dict[str, int]:
@@ -451,10 +483,36 @@ class KernelStats:
 class GammaKernel:
     """Batched, cached solver for safe-area queries.
 
-    A kernel instance owns a bounded template cache and its own statistics;
-    the module-level :data:`default_kernel` is shared by the protocol code.
-    All methods are deterministic: the same inputs produce the same outputs
-    on every process, which the consensus algorithms require for agreement.
+    A kernel instance owns a bounded template cache, a bounded answer memo
+    and its own statistics; the module-level :data:`default_kernel` is shared
+    by the protocol code.  All methods are deterministic: the same inputs
+    produce the same outputs on every process, which the consensus algorithms
+    require for agreement.
+
+    **Answer memo.**  A query already solved by this kernel is returned, not
+    re-solved, and the memo may only hand back what a cold solve of the same
+    query returns:
+
+    * :meth:`point` is keyed on ``(f, prune, cloud shape, cloud bytes,
+      objective bytes)`` — bitwise, so ``-0.0`` and ``0.0`` are different
+      queries;
+    * :meth:`points_batch` is keyed on the **whole batch** in order, plus
+      ``fused``: a fused vertex depends on its batch-mates, so an entry is
+      only ever the answer to that exact batch;
+    * :meth:`points_multi` inherits both through the calls it makes;
+    * queries with an explicit ``subset_indices`` family bypass the memo;
+    * answers are stored and handed out as copies, an empty ``Gamma``
+      (``None``) is an answer like any other, and a query that raises stores
+      nothing — the next identical query raises again from a fresh solve;
+    * the table holds at most :data:`_MEMO_LIMIT` entries, is flushed whole
+      when full, and is emptied by :meth:`clear_cache`.
+
+    The memo takes no lock: every step is a single atomic dict operation on
+    values nobody mutates, so threads sharing one kernel (the server's
+    campaign threads share :data:`default_kernel`) can at worst both solve a
+    query neither had stored yet, or overshoot the bound by one entry per
+    racing thread — whereas a lock could be inherited held by a pool worker
+    forked mid-store.
 
     Args:
         max_cached_templates: bound on distinct LP shapes kept alive (the
@@ -478,6 +536,7 @@ class GammaKernel:
         self._max_cached_templates = max_cached_templates
         self._dense_crossover = dense_crossover
         self._templates: dict[tuple[int, int, int], _ConstraintTemplate] = {}
+        self._memo: dict[tuple, np.ndarray | None | tuple[np.ndarray | None, ...]] = {}
         self.stats = KernelStats()
 
     def uses_dense_path(self, point_count: int) -> bool:
@@ -506,8 +565,21 @@ class GammaKernel:
         """Number of LP constraint templates currently cached."""
         return len(self._templates)
 
+    @property
+    def memo_size(self) -> int:
+        """Number of answers currently held by the answer memo."""
+        return len(self._memo)
+
     def clear_cache(self) -> None:
         self._templates.clear()
+        self._memo.clear()
+
+    def _memo_store(self, key: tuple, answer: object) -> None:
+        """Remember ``answer`` (already a private copy) as the result of ``key``."""
+        if len(self._memo) >= _MEMO_LIMIT:
+            self._memo.clear()
+            self.stats.memo_evictions += 1
+        self._memo[key] = answer
 
     def _template(self, block_count: int, block_size: int, dimension: int) -> _ConstraintTemplate:
         key = (block_count, block_size, dimension)
@@ -575,8 +647,18 @@ class GammaKernel:
             return None
 
         objective_head = self._objective_head(objective, dimension)
+        key = None
+        if subset_indices is None:
+            key = (fault_bound, prune, cloud.shape, cloud.tobytes(), objective_head.tobytes())
+            cached = self._memo.get(key, _MISS)
+            if cached is not _MISS:
+                self.stats.memo_hits += 1
+                return _private_copy(cached)
         families = self._families_for(cloud, fault_bound, subset_indices, prune)
-        return self._solve_single(cloud, families, objective_head)
+        answer = self._solve_single(cloud, families, objective_head)
+        if key is not None:
+            self._memo_store(key, _private_copy(answer))
+        return answer
 
     def _objective_head(
         self, objective: np.ndarray | Sequence[float] | None, dimension: int
@@ -716,6 +798,20 @@ class GammaKernel:
             return [None] * len(arrays)
 
         objective_head = self._objective_head(objective, dimension)
+        key = None
+        if subset_indices is None:
+            key = (
+                fault_bound,
+                prune,
+                fused,
+                (len(arrays),) + first_shape,
+                b"".join(array.tobytes() for array in arrays),
+                objective_head.tobytes(),
+            )
+            cached = self._memo.get(key, _MISS)
+            if cached is not _MISS:
+                self.stats.memo_hits += len(arrays)
+                return [_private_copy(point) for point in cached]
         per_query_families = [
             self._families_for(
                 array,
@@ -725,20 +821,20 @@ class GammaKernel:
             )
             for index, array in enumerate(arrays)
         ]
-        if not fused:
-            return [
+        answers = None
+        if fused:
+            answers = self._solve_fused(arrays, per_query_families, objective_head)
+        if answers is None:
+            # Unfused by request, or at least one query is (numerically)
+            # infeasible: resolve them individually so each gets the
+            # relaxed-slack treatment.
+            answers = [
                 self._solve_single(array, families, objective_head)
                 for array, families in zip(arrays, per_query_families)
             ]
-        fused_result = self._solve_fused(arrays, per_query_families, objective_head)
-        if fused_result is not None:
-            return fused_result
-        # At least one query is (numerically) infeasible; resolve them
-        # individually so each gets the relaxed-slack treatment.
-        return [
-            self._solve_single(array, families, objective_head)
-            for array, families in zip(arrays, per_query_families)
-        ]
+        if key is not None:
+            self._memo_store(key, tuple(_private_copy(point) for point in answers))
+        return answers
 
     def points_multi(
         self,
@@ -1003,13 +1099,18 @@ def _register_kernel_metrics() -> None:
         labelnames=("kind",),
     )
     registry.register_collector(CounterSync(events, default_kernel.stats_snapshot))
-    registry.gauge(
+    templates = registry.gauge(
         "repro_kernel_template_cache_size",
         "LP constraint templates currently cached by the shared kernel.",
     )
+    memo = registry.gauge(
+        "repro_kernel_memo_size",
+        "Answers currently held by the shared kernel's query memo.",
+    )
     registry.register_collector(
-        lambda: registry.gauge("repro_kernel_template_cache_size").set(
-            default_kernel.template_cache_size
+        lambda: (
+            templates.set(default_kernel.template_cache_size),
+            memo.set(default_kernel.memo_size),
         )
     )
 
