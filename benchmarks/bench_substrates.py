@@ -116,6 +116,7 @@ def _run_witness_round(process_count: int, fault_bound: int) -> None:
             owner_id=pid,
             process_ids=tuple(range(process_count)),
             fault_bound=fault_bound,
+            dimension=2,
             send=lambda recipient, kind, payload, _pid=pid: queue.append((_pid, recipient, kind, payload)),
             on_round_complete=lambda result, _pid=pid: completed.__setitem__(_pid, result),
         )

@@ -33,7 +33,7 @@ Message flow for a single instance:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable
+from typing import Any, Callable, Hashable, NamedTuple
 
 from repro.exceptions import ConfigurationError
 
@@ -43,26 +43,45 @@ BroadcastId = tuple[int, Hashable]
 
 
 def _value_key(value: Any) -> Hashable:
-    """Return a hashable identity for a broadcast value (vectors become tuples)."""
-    if isinstance(value, (list, tuple)):
-        return tuple(_value_key(item) for item in value)
+    """Return a hashable identity for a broadcast value (vectors become tuples).
+
+    A hashable value — a tuple of floats, the protocol's own vector form,
+    included — is its own key; only lists and unhashable leaves are walked.
+    """
     try:
         hash(value)
         return value
     except TypeError:
+        if isinstance(value, (list, tuple)):
+            return tuple(_value_key(item) for item in value)
         return repr(value)
 
 
-@dataclass
+class _Tally(NamedTuple):
+    """Who echoed and who readied one value of one broadcast."""
+
+    value: Any  # the first object seen carrying this value: what gets delivered
+    echo_senders: set[int]
+    ready_senders: set[int]
+
+
+@dataclass(slots=True)
 class _InstanceState:
     """Per-broadcast bookkeeping at one process."""
 
+    broadcast_id: BroadcastId
     echoed: bool = False
     readied: bool = False
     delivered: bool = False
-    echo_senders: dict[Hashable, set[int]] = field(default_factory=dict)
-    ready_senders: dict[Hashable, set[int]] = field(default_factory=dict)
-    value_by_key: dict[Hashable, Any] = field(default_factory=dict)
+    tallies: dict[Hashable, _Tally] = field(default_factory=dict)
+
+    def tally(self, value: Any) -> _Tally:
+        """The tally of ``value``; the one place a message's value is keyed."""
+        key = _value_key(value)
+        tally = self.tallies.get(key)
+        if tally is None:
+            tally = self.tallies[key] = _Tally(value, set(), set())
+        return tally
 
 
 class ReliableBroadcastEngine:
@@ -101,109 +120,91 @@ class ReliableBroadcastEngine:
         self._send = send
         self._deliver = deliver
         self._instances: dict[BroadcastId, _InstanceState] = {}
-
-    # -- thresholds -------------------------------------------------------------
-
-    @property
-    def _echo_threshold(self) -> int:
-        """Echoes needed before sending READY: strictly more than (n + f) / 2."""
-        return (len(self.process_ids) + self.fault_bound) // 2 + 1
-
-    @property
-    def _ready_amplify_threshold(self) -> int:
-        return self.fault_bound + 1
-
-    @property
-    def _deliver_threshold(self) -> int:
-        return 2 * self.fault_bound + 1
+        self._recipients = tuple(pid for pid in self.process_ids if pid != owner_id)
+        # Echoes needed before sending READY: strictly more than (n + f) / 2.
+        self._echo_threshold = (len(self.process_ids) + fault_bound) // 2 + 1
+        self._ready_amplify_threshold = fault_bound + 1
+        self._deliver_threshold = 2 * fault_bound + 1
 
     # -- API ---------------------------------------------------------------------
 
     def broadcast(self, tag: Hashable, value: Any) -> None:
         """Start a reliable broadcast of ``value`` under ``(owner, tag)``."""
         broadcast_id: BroadcastId = (self.owner_id, tag)
-        payload = {"broadcaster": self.owner_id, "tag": tag, "value": value}
-        for recipient in self.process_ids:
-            if recipient != self.owner_id:
-                self._send(recipient, self.KIND_INIT, payload)
+        self._relay(broadcast_id, self.KIND_INIT, value)
         # The broadcaster processes its own INIT locally (a process always
         # "hears" itself immediately).
-        self._on_init(broadcast_id, self.owner_id, value)
+        state = self._instances.get(broadcast_id)
+        if state is None:
+            state = self._instances[broadcast_id] = _InstanceState(broadcast_id)
+        self._on_init(state, value)
 
     def handle(self, sender: int, kind: str, payload: dict[str, Any]) -> None:
         """Process one incoming reliable-broadcast message."""
-        if kind not in self.KINDS:
-            return
-        if not isinstance(payload, dict):
+        if kind not in self.KINDS or not isinstance(payload, dict):
             return
         broadcaster = payload.get("broadcaster")
-        tag = payload.get("tag")
-        if broadcaster not in self.process_ids:
-            return
+        broadcast_id: BroadcastId = (broadcaster, payload.get("tag"))
         try:
-            hash(tag)
+            state = self._instances.get(broadcast_id)
         except TypeError:
+            # An unhashable broadcaster or tag (Byzantine junk) names no broadcast.
             return
-        broadcast_id: BroadcastId = (broadcaster, tag)
+        if kind == self.KIND_INIT and sender != broadcaster:
+            # Only the broadcaster may initiate its own broadcast.
+            return
+        if state is None:
+            if broadcaster not in self.process_ids:
+                return
+            state = self._instances[broadcast_id] = _InstanceState(broadcast_id)
         value = payload.get("value")
         if kind == self.KIND_INIT:
-            self._on_init(broadcast_id, sender, value)
+            self._on_init(state, value)
         elif kind == self.KIND_ECHO:
-            self._on_echo(broadcast_id, sender, value)
+            self._on_echo(state, state.tally(value), sender, value)
         else:
-            self._on_ready(broadcast_id, sender, value)
+            self._on_ready(state, state.tally(value), sender, value)
 
     # -- state transitions ----------------------------------------------------------
-
-    def _state(self, broadcast_id: BroadcastId) -> _InstanceState:
-        return self._instances.setdefault(broadcast_id, _InstanceState())
+    #
+    # ``value`` is the object the current message carries and is what gets
+    # relayed; ``tally.value`` is the first object seen with the same key and
+    # is what gets delivered.
 
     def _relay(self, broadcast_id: BroadcastId, kind: str, value: Any) -> None:
         broadcaster, tag = broadcast_id
         payload = {"broadcaster": broadcaster, "tag": tag, "value": value}
-        for recipient in self.process_ids:
-            if recipient != self.owner_id:
-                self._send(recipient, kind, payload)
+        send = self._send
+        for recipient in self._recipients:
+            send(recipient, kind, payload)
 
-    def _on_init(self, broadcast_id: BroadcastId, sender: int, value: Any) -> None:
-        broadcaster, _ = broadcast_id
-        if sender != broadcaster:
-            # Only the broadcaster may initiate its own broadcast.
-            return
-        state = self._state(broadcast_id)
+    def _on_init(self, state: _InstanceState, value: Any) -> None:
         if state.echoed:
             return
         state.echoed = True
-        self._relay(broadcast_id, self.KIND_ECHO, value)
-        self._on_echo(broadcast_id, self.owner_id, value)
+        self._relay(state.broadcast_id, self.KIND_ECHO, value)
+        self._on_echo(state, state.tally(value), self.owner_id, value)
 
-    def _on_echo(self, broadcast_id: BroadcastId, sender: int, value: Any) -> None:
-        state = self._state(broadcast_id)
-        key = _value_key(value)
-        senders = state.echo_senders.setdefault(key, set())
+    def _on_echo(self, state: _InstanceState, tally: _Tally, sender: int, value: Any) -> None:
+        senders = tally.echo_senders
         if sender in senders:
             return
         senders.add(sender)
-        state.value_by_key.setdefault(key, value)
         if not state.readied and len(senders) >= self._echo_threshold:
             state.readied = True
-            self._relay(broadcast_id, self.KIND_READY, value)
-            self._on_ready(broadcast_id, self.owner_id, value)
+            self._relay(state.broadcast_id, self.KIND_READY, value)
+            self._on_ready(state, tally, self.owner_id, value)
 
-    def _on_ready(self, broadcast_id: BroadcastId, sender: int, value: Any) -> None:
-        state = self._state(broadcast_id)
-        key = _value_key(value)
-        senders = state.ready_senders.setdefault(key, set())
+    def _on_ready(self, state: _InstanceState, tally: _Tally, sender: int, value: Any) -> None:
+        senders = tally.ready_senders
         if sender in senders:
             return
         senders.add(sender)
-        state.value_by_key.setdefault(key, value)
         if not state.readied and len(senders) >= self._ready_amplify_threshold:
             state.readied = True
-            self._relay(broadcast_id, self.KIND_READY, value)
-            self._on_ready(broadcast_id, self.owner_id, value)
-            # Re-fetch: our own READY may have pushed the count over the bar.
-            senders = state.ready_senders.setdefault(key, set())
+            self._relay(state.broadcast_id, self.KIND_READY, value)
+            # Our own READY may push the count over the delivery bar below.
+            self._on_ready(state, tally, self.owner_id, value)
         if not state.delivered and len(senders) >= self._deliver_threshold:
             state.delivered = True
-            self._deliver(broadcast_id, state.value_by_key.get(key, value))
+            self._deliver(state.broadcast_id, tally.value)

@@ -81,6 +81,11 @@ class WitnessExchange:
     ``on_round_complete`` (called exactly once per completed round with a
     :class:`RoundExchangeResult`), starts each round with :meth:`start_round`,
     and forwards every exchange message to :meth:`handle`.
+
+    A reliably delivered value that is not a finite vector of length
+    ``dimension`` is malformed.  Every non-faulty process rejects the same
+    delivered value, so its tuple is in nobody's ``B`` set — as if the
+    broadcaster had stayed silent, which up to ``f`` processes may.
     """
 
     KIND_REPORT = "WITNESS_REPORT"
@@ -91,6 +96,7 @@ class WitnessExchange:
         owner_id: int,
         process_ids: tuple[int, ...],
         fault_bound: int,
+        dimension: int,
         send: Callable[[int, str, dict[str, Any]], None],
         on_round_complete: Callable[[RoundExchangeResult], None],
     ) -> None:
@@ -99,6 +105,10 @@ class WitnessExchange:
         self.owner_id = owner_id
         self.process_ids = tuple(process_ids)
         self.fault_bound = fault_bound
+        #: ``n - f``: tuples needed before reporting, and witnesses needed to finish.
+        self.quorum = len(self.process_ids) - fault_bound
+        self._vector_shape = (dimension,)
+        self._recipients = tuple(pid for pid in self.process_ids if pid != owner_id)
         self._send = send
         self._on_round_complete = on_round_complete
         self._rounds: dict[int, _RoundState] = {}
@@ -111,13 +121,6 @@ class WitnessExchange:
             deliver=self._on_rb_delivery,
         )
 
-    # -- derived sizes -------------------------------------------------------------
-
-    @property
-    def quorum(self) -> int:
-        """``n - f``: tuples needed before reporting, and witnesses needed to finish."""
-        return len(self.process_ids) - self.fault_bound
-
     # -- owner-facing API ------------------------------------------------------------
 
     def start_round(self, round_index: int, state_vector: np.ndarray) -> None:
@@ -128,17 +131,15 @@ class WitnessExchange:
         # Early messages for this round may already satisfy the completion
         # condition (the broadcast above also self-delivers after enough local
         # bookkeeping, but re-check explicitly for robustness).
-        self._maybe_report(round_index)
-        self._reevaluate_witnesses(round_index)
-        self._maybe_complete(round_index)
+        self._advance(round_index, self._round(round_index))
 
     def handle(self, sender: int, kind: str, payload: dict[str, Any]) -> None:
         """Process one incoming exchange message (RB traffic or a witness report)."""
-        if kind in ReliableBroadcastEngine.KINDS:
-            self._reliable_broadcast.handle(sender, kind, payload)
-            return
         if kind == self.KIND_REPORT:
             self._on_report(sender, payload)
+        else:
+            # The engine ignores every kind that is not its own.
+            self._reliable_broadcast.handle(sender, kind, payload)
 
     # -- reliable broadcast plumbing ----------------------------------------------------
 
@@ -160,39 +161,43 @@ class WitnessExchange:
             return
         state.delivered[broadcaster] = vector
         state.arrival_order.append(broadcaster)
-        self._maybe_report(round_index)
-        self._reevaluate_witnesses(round_index)
-        self._maybe_complete(round_index)
+        self._advance(round_index, state)
 
-    @staticmethod
-    def _coerce_vector(value: Any) -> np.ndarray | None:
+    def _coerce_vector(self, value: Any) -> np.ndarray | None:
         try:
             vector = np.asarray(value, dtype=float)
         except (TypeError, ValueError):
             return None
-        if vector.ndim != 1 or vector.size == 0 or not np.all(np.isfinite(vector)):
+        if vector.shape != self._vector_shape or not np.all(np.isfinite(vector)):
             return None
         return vector
 
     # -- reports and witnesses ------------------------------------------------------------
 
     def _round(self, round_index: int) -> _RoundState:
-        return self._rounds.setdefault(round_index, _RoundState())
+        state = self._rounds.get(round_index)
+        if state is None:
+            state = self._rounds[round_index] = _RoundState()
+        return state
 
-    def _maybe_report(self, round_index: int) -> None:
-        state = self._round(round_index)
+    def _advance(self, round_index: int, state: _RoundState) -> None:
+        """Re-check everything new information about ``round_index`` can unblock."""
+        self._maybe_report(round_index, state)
+        self._reevaluate_witnesses(state)
+        self._maybe_complete(round_index, state)
+
+    def _maybe_report(self, round_index: int, state: _RoundState) -> None:
         if state.report_sent or len(state.delivered) < self.quorum:
             return
         state.report_sent = True
         members = tuple(state.arrival_order[: self.quorum])
         payload = {"round": round_index, "members": list(members)}
-        for recipient in self.process_ids:
-            if recipient != self.owner_id:
-                self._send(recipient, self.KIND_REPORT, payload)
+        for recipient in self._recipients:
+            self._send(recipient, self.KIND_REPORT, payload)
         # Record our own report: a process is trivially its own witness.
         state.reports[self.owner_id] = members
-        self._reevaluate_witnesses(round_index)
-        self._maybe_complete(round_index)
+        self._reevaluate_witnesses(state)
+        self._maybe_complete(round_index, state)
 
     def _on_report(self, sender: int, payload: dict[str, Any]) -> None:
         if not isinstance(payload, dict):
@@ -212,22 +217,18 @@ class WitnessExchange:
         if sender in state.reports:
             return
         state.reports[sender] = tuple(member_ids)
-        self._reevaluate_witnesses(round_index)
-        self._maybe_complete(round_index)
+        self._reevaluate_witnesses(state)
+        self._maybe_complete(round_index, state)
 
-    def _reevaluate_witnesses(self, round_index: int) -> None:
-        state = self._round(round_index)
+    def _reevaluate_witnesses(self, state: _RoundState) -> None:
         for reporter, members in state.reports.items():
             if reporter in state.witnesses:
                 continue
             if all(member in state.delivered for member in members):
                 state.witnesses.add(reporter)
 
-    def _maybe_complete(self, round_index: int) -> None:
-        if self._awaited_round != round_index:
-            return
-        state = self._round(round_index)
-        if state.completed:
+    def _maybe_complete(self, round_index: int, state: _RoundState) -> None:
+        if self._awaited_round != round_index or state.completed:
             return
         if len(state.witnesses) < self.quorum or len(state.delivered) < self.quorum:
             return

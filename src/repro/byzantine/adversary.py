@@ -42,6 +42,20 @@ __all__ = [
 STRUCTURAL_KEYS = frozenset({"round", "members", "broadcaster", "tag"})
 
 
+_ATOMIC_TYPES = frozenset({int, float, bool, str, bytes, type(None)})
+
+
+def _detached(value: Any) -> Any:
+    """``copy.deepcopy(value)``, minus the call where it would return ``value`` itself.
+
+    That is the usual case: ids, round numbers, ``("state", r)`` tags.
+    """
+    kind = type(value)
+    if kind in _ATOMIC_TYPES or (kind is tuple and _ATOMIC_TYPES.issuperset(map(type, value))):
+        return value
+    return copy.deepcopy(value)
+
+
 def is_float_like(value: Any) -> bool:
     """True for scalar float leaves (bools are ints in Python, so excluded)."""
     return isinstance(value, (float, np.floating)) and not isinstance(value, bool)
@@ -55,12 +69,12 @@ def replace_payload(message: Message, payload: Any) -> Message:
     attributable to the same (sender, recipient, protocol, round).
     """
     return Message(
-        sender=message.sender,
-        recipient=message.recipient,
-        protocol=message.protocol,
-        kind=message.kind,
-        payload=payload,
-        round_index=message.round_index,
+        message.sender,
+        message.recipient,
+        message.protocol,
+        message.kind,
+        payload,
+        message.round_index,
     )
 
 
@@ -81,7 +95,7 @@ def mutate_numeric_leaves(
     def walk(value: Any) -> Any:
         if isinstance(value, dict):
             return {
-                key: (copy.deepcopy(item) if key in STRUCTURAL_KEYS else walk(item))
+                key: (_detached(item) if key in STRUCTURAL_KEYS else walk(item))
                 for key, item in value.items()
             }
         if isinstance(value, np.ndarray):
@@ -97,7 +111,7 @@ def mutate_numeric_leaves(
             return tuple(walked) if isinstance(value, tuple) else walked
         if is_float_like(value):
             return float(corrupt_scalar(float(value)))
-        return copy.deepcopy(value)
+        return _detached(value)
 
     return walk(payload)
 

@@ -134,6 +134,7 @@ class ApproxBVCProcess(AsyncProcess):
             owner_id=process_id,
             process_ids=tuple(range(configuration.process_count)),
             fault_bound=configuration.fault_bound,
+            dimension=configuration.dimension,
             send=self._send_exchange_message,
             on_round_complete=self._on_round_complete,
         )
@@ -141,15 +142,10 @@ class ApproxBVCProcess(AsyncProcess):
     # -- transport plumbing ----------------------------------------------------------
 
     def _send_exchange_message(self, recipient: int, kind: str, payload: dict[str, Any]) -> None:
-        self.send(
-            Message(
-                sender=self.process_id,
-                recipient=recipient,
-                protocol=self.PROTOCOL,
-                kind=kind,
-                payload=payload,
-                round_index=self._current_round,
-            )
+        # One call per recipient of every echo and ready: positional fields,
+        # straight to the bound transport.
+        self._send(
+            Message(self.process_id, recipient, self.PROTOCOL, kind, payload, self._current_round)
         )
 
     # -- asynchronous process interface -------------------------------------------------
@@ -158,11 +154,10 @@ class ApproxBVCProcess(AsyncProcess):
         self._advance_to_next_round()
 
     def on_message(self, message: Message) -> None:
-        if message.protocol != self.PROTOCOL:
+        payload = message.payload
+        if message.protocol != self.PROTOCOL or not isinstance(payload, dict):
             return
-        if not isinstance(message.payload, dict):
-            return
-        self._exchange.handle(message.sender, message.kind, message.payload)
+        self._exchange.handle(message.sender, message.kind, payload)
 
     def has_decided(self) -> bool:
         return self._decided

@@ -88,27 +88,40 @@ class AsynchronousRuntime:
         """
         core = self._core
         self._start_processes()
+        processes = core.processes
+        network = core.network
+        busy = network.busy_channels()  # live: read, and drawn against, once per delivery
+        choose = self._scheduler.choose
+        budget = self._max_deliveries
+        # A process changes state only in its own on_start/on_message, so after
+        # this poll only the process that just took a step is asked again.
+        undecided = set(core.undecided_honest())
         deliveries = 0
-        while not core.all_honest_decided():
-            busy = core.network.busy_channels()
-            if not busy:
-                raise TerminationError(
-                    "asynchronous run went quiescent with undecided honest processes "
-                    f"{core.undecided_honest()}"
-                )
-            if deliveries >= self._max_deliveries:
-                raise TerminationError(
-                    f"asynchronous run exceeded the {self._max_deliveries}-delivery budget"
-                )
-            sender, recipient = self._scheduler.choose(busy)
-            message = core.network.deliver_from(sender, recipient)
-            deliveries += 1
-            core.processes[recipient].on_message(message)
+        try:
+            while undecided:
+                if not busy:
+                    raise TerminationError(
+                        "asynchronous run went quiescent with undecided honest processes "
+                        f"{core.undecided_honest()}"
+                    )
+                if deliveries >= budget:
+                    raise TerminationError(
+                        f"asynchronous run exceeded the {budget}-delivery budget"
+                    )
+                sender, recipient = choose(busy)
+                message = network.deliver_from(sender, recipient)
+                deliveries += 1
+                process = processes[recipient]
+                process.on_message(message)
+                if recipient in undecided and process.has_decided():
+                    undecided.remove(recipient)
+        finally:
+            core.publish_traffic()
         return AsyncRunResult(
             deliveries=deliveries,
             decisions=core.collect_decisions(),
             traffic=core.traffic(),
-            undelivered=core.network.in_flight_count(),
+            undelivered=network.in_flight_count(),
         )
 
     def _start_processes(self) -> None:

@@ -34,12 +34,15 @@ class FifoChannel:
 
     def send(self, message: Message) -> None:
         """Enqueue a message; it will be delivered eventually, in order."""
+        self._require_route(message)
+        self._queue.append(message)
+
+    def _require_route(self, message: Message) -> None:
         if message.sender != self.sender or message.recipient != self.recipient:
             raise SchedulerError(
                 f"message {message.describe()} does not belong on channel "
                 f"{self.sender} -> {self.recipient}"
             )
-        self._queue.append(message)
 
     def peek(self) -> Message | None:
         """Return the next message to be delivered without removing it."""

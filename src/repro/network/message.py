@@ -14,27 +14,33 @@ arbitrary ``payload`` plus two routing tags the algorithms rely on:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 __all__ = ["Message", "next_message_sequence"]
 
-_sequence_counter = itertools.count()
+#: Return a process-wide monotonically increasing message sequence number.
+#: Used only to give every message a unique identity for logging and for
+#: deterministic tie-breaking inside schedulers; it carries no protocol meaning.
+next_message_sequence = itertools.count().__next__
+_tuple_new = tuple.__new__
 
 
-def next_message_sequence() -> int:
-    """Return a process-wide monotonically increasing message sequence number.
+class _MessageFields(NamedTuple):
+    sender: int
+    recipient: int
+    protocol: str
+    kind: str
+    payload: Any
+    round_index: int | None
+    sequence: int
 
-    Used only to give every message a unique identity for logging and for
-    deterministic tie-breaking inside schedulers; it carries no protocol
-    meaning.
-    """
-    return next(_sequence_counter)
 
-
-@dataclass(frozen=True)
-class Message:
+class Message(_MessageFields):
     """A single point-to-point message.
+
+    Tuple-backed, because the asynchronous algorithms build one per recipient
+    of every echo and ready: fields are read-only, messages are equal when all
+    their fields are, and ``sequence`` numbers grow in construction order.
 
     Attributes:
         sender: process id of the sender.
@@ -44,16 +50,25 @@ class Message:
         payload: arbitrary, treat-as-immutable content.
         round_index: the sender's round number, or ``None`` for round-free
             protocols (such as the one-shot EIG broadcast).
-        sequence: unique id for logging / deterministic ordering.
+        sequence: unique id for logging / deterministic ordering; drawn from
+            :func:`next_message_sequence` unless given.
     """
 
-    sender: int
-    recipient: int
-    protocol: str
-    kind: str
-    payload: Any
-    round_index: int | None = None
-    sequence: int = field(default_factory=next_message_sequence)
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        sender: int,
+        recipient: int,
+        protocol: str,
+        kind: str,
+        payload: Any,
+        round_index: int | None = None,
+        sequence: int | None = None,
+    ) -> "Message":
+        if sequence is None:
+            sequence = next_message_sequence()
+        return _tuple_new(cls, (sender, recipient, protocol, kind, payload, round_index, sequence))
 
     def describe(self) -> str:
         """Return a compact human-readable description (for logs and errors)."""

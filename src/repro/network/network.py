@@ -9,12 +9,18 @@ patterns the runtimes need:
 
 The network also keeps simple traffic counters (messages sent / delivered per
 channel) that the benchmarks report as the message-complexity measurements.
+
+The non-empty channels are kept listed in channel construction order (the
+order a scan of the channel table gives; schedulers index into it, sort it and
+filter it) and the list changes only when a channel turns non-empty or empty.
+The invariants are in ``docs/ARCHITECTURE.md``, "The asynchronous delivery loop".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from bisect import bisect_left, insort
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from repro.exceptions import ConfigurationError, SchedulerError
 from repro.network.channel import FifoChannel
@@ -38,14 +44,26 @@ class TrafficStats:
     messages_dropped: int = 0
 
 
-@dataclass
+class _NetworkChannel(FifoChannel):
+    """A channel owned by a network: mutating it goes through the network's bookkeeping."""
+
+    def __init__(self, network: "CompleteGraphNetwork", sender: int, recipient: int) -> None:
+        super().__init__(sender, recipient)
+        self._network = network
+
+    def send(self, message: Message) -> None:
+        self._require_route(message)
+        self._network.send(message)
+
+    def deliver_next(self) -> Message:
+        return self._network.deliver_from(self.sender, self.recipient)
+
+    def drain(self) -> list[Message]:
+        return self._network._drain_channel(self.sender, self.recipient)
+
+
 class CompleteGraphNetwork:
     """All-to-all network of reliable FIFO channels over ``process_ids``."""
-
-    process_ids: tuple[int, ...]
-    _channels: dict[tuple[int, int], FifoChannel] = field(default_factory=dict)
-    messages_sent: int = 0
-    messages_delivered: int = 0
 
     def __init__(self, process_ids: Iterable[int]) -> None:
         ids = tuple(process_ids)
@@ -54,13 +72,24 @@ class CompleteGraphNetwork:
         if len(set(ids)) != len(ids):
             raise ConfigurationError(f"duplicate process ids: {ids}")
         self.process_ids = ids
-        self._channels = {}
         self.messages_sent = 0
         self.messages_delivered = 0
+        self._channels: dict[tuple[int, int], _NetworkChannel] = {}
         for sender in ids:
             for recipient in ids:
                 if sender != recipient:
-                    self._channels[(sender, recipient)] = FifoChannel(sender, recipient)
+                    self._channels[(sender, recipient)] = _NetworkChannel(self, sender, recipient)
+        # The busy index: keys of the non-empty channels, by construction rank.
+        self._rank_of = {key: rank for rank, key in enumerate(self._channels)}.__getitem__
+        self._busy: list[tuple[int, int]] = []
+
+    def _mark(self, key: tuple[int, int], busy: bool) -> None:
+        """Record that channel ``key`` just turned non-empty (``busy``) or empty."""
+        rank_of = self._rank_of
+        if busy:
+            insort(self._busy, key, key=rank_of)
+        else:
+            del self._busy[bisect_left(self._busy, rank_of(key), key=rank_of)]
 
     # -- sending --------------------------------------------------------------
 
@@ -73,9 +102,16 @@ class CompleteGraphNetwork:
 
     def send(self, message: Message) -> None:
         """Put a message in flight on its channel."""
-        if message.recipient == message.sender:
-            raise SchedulerError(f"self-addressed message: {message.describe()}")
-        self.channel(message.sender, message.recipient).send(message)
+        key = (message.sender, message.recipient)
+        channel = self._channels.get(key)
+        if channel is None:
+            if message.recipient == message.sender:
+                raise SchedulerError(f"self-addressed message: {message.describe()}")
+            channel = self.channel(*key)  # raises: no such channel
+        queue = channel._queue
+        if not queue:
+            self._mark(key, True)
+        queue.append(message)
         self.messages_sent += 1
 
     def broadcast(self, messages: Iterable[Message]) -> None:
@@ -85,37 +121,67 @@ class CompleteGraphNetwork:
 
     # -- delivery -------------------------------------------------------------
 
-    def busy_channels(self) -> list[tuple[int, int]]:
-        """Return the (sender, recipient) pairs that currently have messages in flight."""
-        return [key for key, channel in self._channels.items() if not channel.is_empty()]
+    def busy_channels(self) -> Sequence[tuple[int, int]]:
+        """Return the (sender, recipient) pairs that currently have messages in flight.
+
+        The list is live: it follows later sends and deliveries.  Read it, or copy it.
+        """
+        return self._busy
 
     def deliver_from(self, sender: int, recipient: int) -> Message:
         """Deliver (pop) the oldest message on the given channel."""
-        message = self.channel(sender, recipient).deliver_next()
+        key = (sender, recipient)
+        channel = self._channels.get(key)
+        if channel is None:
+            channel = self.channel(sender, recipient)  # raises: no such channel
+        queue = channel._queue
+        if not queue:
+            raise SchedulerError(f"channel {sender} -> {recipient} has no message in flight")
+        message = queue.popleft()
+        if not queue:
+            self._mark(key, False)
+        channel.delivered_count += 1
         self.messages_delivered += 1
         return message
+
+    def _take_all(self, key: tuple[int, int]) -> list[Message]:
+        channel = self._channels[key]
+        messages = list(channel._queue)
+        channel._queue.clear()
+        channel.delivered_count += len(messages)
+        self.messages_delivered += len(messages)
+        return messages
+
+    def _drain_channel(self, sender: int, recipient: int) -> list[Message]:
+        if self.channel(sender, recipient)._queue:
+            self._mark((sender, recipient), False)
+        return self._take_all((sender, recipient))
 
     def drain_to(self, recipient: int) -> list[Message]:
         """Deliver every in-flight message addressed to ``recipient`` (per-channel FIFO order)."""
         delivered: list[Message] = []
         for sender in self.process_ids:
-            if sender == recipient:
-                continue
-            delivered.extend(self.channel(sender, recipient).drain())
-        self.messages_delivered += len(delivered)
+            if sender != recipient:
+                delivered.extend(self._drain_channel(sender, recipient))
         return delivered
 
     def drain_all(self) -> dict[int, list[Message]]:
         """Deliver every in-flight message, grouped by recipient (the synchronous round step)."""
-        return {recipient: self.drain_to(recipient) for recipient in self.process_ids}
+        delivered: dict[int, list[Message]] = {recipient: [] for recipient in self.process_ids}
+        # Only busy channels are visited; sender-major index order keeps each
+        # recipient's senders in process order.  The index is cleared wholesale.
+        for key in self._busy:
+            delivered[key[1]].extend(self._take_all(key))
+        self._busy.clear()
+        return delivered
 
     def in_flight_count(self) -> int:
         """Return how many messages are currently queued anywhere in the network."""
-        return sum(channel.in_flight() for channel in self._channels.values())
+        return sum(len(self._channels[key]._queue) for key in self._busy)
 
     def has_messages_in_flight(self) -> bool:
         """Return True when any channel still has an undelivered message."""
-        return any(not channel.is_empty() for channel in self._channels.values())
+        return bool(self._busy)
 
     def stats(self) -> TrafficStats:
         """Return aggregate traffic counters."""

@@ -27,8 +27,21 @@ from typing import Callable, Mapping
 from repro.exceptions import ConfigurationError
 from repro.network.message import Message
 from repro.network.network import CompleteGraphNetwork, TrafficStats
+from repro.obs.registry import get_registry
 
 __all__ = ["RuntimeCore"]
+
+# Object-runtime telemetry (docs/OBSERVABILITY.md); ``model`` is the runtime's ``kind``.
+_DELIVERIES = get_registry().counter(
+    "repro_runtime_deliveries_total",
+    "Messages the object runtimes handed to a process, by timing model.",
+    labelnames=("model",),
+)
+_MESSAGES = get_registry().counter(
+    "repro_runtime_messages_total",
+    "Messages processes handed to the object runtimes, by timing model and fate (sent/dropped).",
+    labelnames=("model", "fate"),
+)
 
 
 class RuntimeCore:
@@ -68,6 +81,8 @@ class RuntimeCore:
         self.network = CompleteGraphNetwork(sorted(self.processes))
         self.messages_dropped = 0
         self._observer = observer
+        self._kind = kind
+        self._published = (0, 0, 0)
 
     # -- routing --------------------------------------------------------------
 
@@ -78,17 +93,14 @@ class RuntimeCore:
         """
         if self._observer is not None:
             self._observer(message)
-        if message.recipient == message.sender or message.recipient not in self.processes:
+        recipient = message.recipient
+        if recipient == message.sender or recipient not in self.processes:
             self.messages_dropped += 1
             return False
         self.network.send(message)
         return True
 
     # -- decision bookkeeping -------------------------------------------------
-
-    def all_honest_decided(self) -> bool:
-        """True once every honest process has fixed a decision."""
-        return all(self.processes[pid].has_decided() for pid in self.honest_ids)
 
     def undecided_honest(self) -> list[int]:
         """The honest ids still lacking a decision (for liveness diagnostics)."""
@@ -109,3 +121,16 @@ class RuntimeCore:
             messages_in_flight=stats.messages_in_flight,
             messages_dropped=self.messages_dropped,
         )
+
+    def publish_traffic(self) -> None:
+        """Add the traffic since the previous call to the process metrics (once per ``run()``)."""
+        network = self.network
+        totals = (network.messages_delivered, network.messages_sent, self.messages_dropped)
+        children = (
+            _DELIVERIES.labels(model=self._kind),
+            _MESSAGES.labels(model=self._kind, fate="sent"),
+            _MESSAGES.labels(model=self._kind, fate="dropped"),
+        )
+        for child, total, previous in zip(children, totals, self._published):
+            child.inc(total - previous)
+        self._published = totals

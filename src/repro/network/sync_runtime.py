@@ -75,13 +75,16 @@ class SynchronousRuntime:
         """
         core = self._core
         round_index = 0
-        while not core.all_honest_decided():
-            round_index += 1
-            if round_index > self._max_rounds:
-                raise TerminationError(
-                    f"synchronous run exceeded the {self._max_rounds}-round budget"
-                )
-            self._execute_round(round_index)
+        try:
+            while core.undecided_honest():
+                round_index += 1
+                if round_index > self._max_rounds:
+                    raise TerminationError(
+                        f"synchronous run exceeded the {self._max_rounds}-round budget"
+                    )
+                self._execute_round(round_index)
+        finally:
+            core.publish_traffic()
         return SyncRunResult(
             rounds_executed=round_index,
             decisions=core.collect_decisions(),

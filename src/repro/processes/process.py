@@ -67,7 +67,8 @@ class AsyncProcess(abc.ABC):
 
     def __init__(self, process_id: int) -> None:
         self.process_id = process_id
-        self._send: Callable[[Message], None] | None = None
+        # The transport itself; subclasses on a hot path may call it directly.
+        self._send: Callable[[Message], None] = self._refuse_unbound_send
 
     # -- wiring ----------------------------------------------------------------
 
@@ -75,12 +76,13 @@ class AsyncProcess(abc.ABC):
         """Attach the runtime's send function.  Called once before :meth:`on_start`."""
         self._send = send
 
+    def _refuse_unbound_send(self, message: Message) -> None:
+        raise ProtocolError(
+            f"process {self.process_id} is not bound to a runtime and cannot send"
+        )
+
     def send(self, message: Message) -> None:
         """Send a message through the runtime (raises if the process is unbound)."""
-        if self._send is None:
-            raise ProtocolError(
-                f"process {self.process_id} is not bound to a runtime and cannot send"
-            )
         self._send(message)
 
     def send_to_all(self, recipients: list[int], build: Callable[[int], Message]) -> None:

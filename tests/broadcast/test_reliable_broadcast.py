@@ -13,9 +13,12 @@ from __future__ import annotations
 
 from collections import deque
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.broadcast.reliable_broadcast import ReliableBroadcastEngine
+from repro.broadcast import reliable_broadcast
+from repro.broadcast.reliable_broadcast import ReliableBroadcastEngine, _value_key
 from repro.exceptions import ConfigurationError
 
 
@@ -157,3 +160,81 @@ class TestByzantineBroadcaster:
         harness.engines[0].handle(1, ReliableBroadcastEngine.KIND_ECHO, {"broadcaster": 99, "tag": "t", "value": 1})
         harness.engines[0].handle(1, ReliableBroadcastEngine.KIND_ECHO, {"broadcaster": 1, "tag": ["unhashable"], "value": 1})
         assert harness.delivered[0] == {}
+
+    @pytest.mark.parametrize("kind", ReliableBroadcastEngine.KINDS)
+    @pytest.mark.parametrize("junk", [["list"], {"a": "dict"}, {1, 2}, np.zeros(2)])
+    def test_unhashable_broadcaster_or_tag_is_ignored_not_raised(self, kind, junk):
+        harness = BroadcastHarness(4, 1, byzantine={1})
+        engine = harness.engines[0]
+        engine.handle(1, kind, {"broadcaster": junk, "tag": "t", "value": (1.0,)})
+        engine.handle(1, kind, {"broadcaster": 1, "tag": junk, "value": (1.0,)})
+        engine.handle(1, kind, {"broadcaster": junk, "tag": junk, "value": junk})
+        assert not engine._instances and not harness.queue and harness.delivered[0] == {}
+
+
+class TestInstanceState:
+    def test_one_state_object_per_broadcast(self, monkeypatch):
+        built = []
+
+        class CountedState(reliable_broadcast._InstanceState):
+            def __init__(self, broadcast_id):
+                built.append(broadcast_id)
+                super().__init__(broadcast_id)
+
+        monkeypatch.setattr(reliable_broadcast, "_InstanceState", CountedState)
+        harness = BroadcastHarness(4, 1)
+        for tag in ("a", "b"):
+            for pid in harness.process_ids:
+                harness.engines[pid].broadcast(tag, (float(pid),))
+        harness.run()
+        # 8 broadcasts, each known to all 4 engines; every one delivered everywhere.
+        assert len(built) == 8 * 4 and len(set(built)) == 8
+        assert all(len(engine._instances) == 8 for engine in harness.engines.values())
+        assert all(len(delivered) == 8 for delivered in harness.delivered.values())
+
+
+def _walked_value_key(value):
+    """The key as it was computed before: always by walking the value."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_walked_value_key(item) for item in value)
+    try:
+        hash(value)
+        return value
+    except TypeError:
+        return repr(value)
+
+
+_leaves = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1, 1.0, True, None, "x", float("nan")]),
+    st.integers(-3, 3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),  # unhashable leaf
+    st.sets(st.integers(0, 3), max_size=2),
+)
+_values = st.recursive(
+    _leaves,
+    lambda children: st.lists(children, max_size=4).flatmap(
+        lambda items: st.sampled_from([items, tuple(items)])
+    ),
+    max_leaves=12,
+)
+
+
+class TestValueKey:
+    @settings(max_examples=300, deadline=None)
+    @given(_values)
+    def test_same_key_as_the_full_walk(self, value):
+        key, walked = _value_key(value), _walked_value_key(value)
+        # Same leaf objects in the same places: equal even where a leaf is
+        # NaN, and interchangeable as a dict key.
+        assert key == walked
+        assert hash(key) == hash(walked)
+        assert {walked: "tally"}[key] == "tally"
+
+    def test_vector_forms_share_a_key(self):
+        assert _value_key([1.0, -0.0]) == _value_key((1.0, 0.0)) == (1.0, 0.0)
+        assert _value_key(((1.0, [2.0]), 3)) == ((1.0, (2.0,)), 3)
+
+    def test_a_hashable_tuple_is_its_own_key(self):
+        vector = (0.25, float("nan"))
+        assert _value_key(vector) is vector

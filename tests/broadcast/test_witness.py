@@ -25,6 +25,7 @@ class ExchangeHarness:
                 owner_id=pid,
                 process_ids=self.process_ids,
                 fault_bound=fault_bound,
+                dimension=2,
                 send=self._make_send(pid),
                 on_round_complete=self._make_complete(pid),
             )
@@ -180,3 +181,47 @@ class TestFaultyExchange:
     def test_quorum_property(self):
         harness = ExchangeHarness(5, 1)
         assert harness.exchanges[0].quorum == 4
+
+    def test_one_round_state_per_round(self, monkeypatch):
+        from repro.broadcast import witness
+
+        built = []
+
+        class CountedRound(witness._RoundState):
+            def __init__(self):
+                built.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(witness, "_RoundState", CountedRound)
+        harness = ExchangeHarness(5, 1)
+        for round_index in (1, 2):
+            harness.start_round(round_index, STATES)
+            harness.run()
+        assert all(result is not None for result in harness.honest_results(2).values())
+        assert len(built) == 2 * 5
+        assert all(sorted(exchange._rounds) == [1, 2] for exchange in harness.exchanges.values())
+
+    @pytest.mark.parametrize(
+        "value", [(9.0,), (9.0, 9.0, 9.0), ((9.0, 9.0),), (9.0, float("nan")), "xy"]
+    )
+    def test_wrong_shape_value_is_a_missing_tuple(self, value):
+        from repro.broadcast.reliable_broadcast import ReliableBroadcastEngine
+
+        harness = ExchangeHarness(5, 1, byzantine={4})
+        harness.start_round(1, STATES, skip={4})
+        for recipient in range(4):
+            harness.queue.append((4, recipient, ReliableBroadcastEngine.KIND_INIT,
+                                  {"broadcaster": 4, "tag": ("state", 1), "value": value}))
+        harness.run()
+        for result in harness.honest_results(1).values():
+            assert result is not None
+            assert set(result.tuples) == {0, 1, 2, 3}
+            assert all(4 not in members for members in result.witness_reports.values())
+
+    def test_unhashable_broadcast_id_reaches_no_one(self):
+        harness = ExchangeHarness(5, 1, byzantine={4})
+        exchange = harness.exchanges[0]
+        for kind in WitnessExchange.KINDS:
+            exchange.handle(4, kind, {"broadcaster": [4], "tag": ("state", 1), "value": (1.0, 1.0)})
+            exchange.handle(4, kind, {"broadcaster": 4, "tag": ["state", 1], "value": (1.0, 1.0)})
+        assert not harness.queue and not exchange._rounds

@@ -2,14 +2,25 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
+import pytest
 
 from repro.byzantine.adversary import (
+    STRUCTURAL_KEYS,
     ByzantineAsyncProcess,
     ByzantineSyncProcess,
+    is_float_like,
     mutate_numeric_leaves,
 )
-from repro.byzantine.strategies import CrashStrategy, OutsideHullStrategy
+from repro.byzantine.strategies import (
+    CoordinateAttackStrategy,
+    CrashStrategy,
+    EquivocationStrategy,
+    OutsideHullStrategy,
+    RandomNoiseStrategy,
+)
 from repro.network.message import Message
 from repro.processes.process import AsyncProcess, SyncProcess
 
@@ -60,6 +71,106 @@ class TestMutateNumericLeaves:
 
     def test_strings_preserved(self):
         assert mutate_numeric_leaves({"kind": "ECHO"}, double_scalar, double_vector) == {"kind": "ECHO"}
+
+
+def _deepcopying_mutate(payload, corrupt_scalar, corrupt_vector):
+    """``mutate_numeric_leaves`` as it was: every preserved leaf through ``copy.deepcopy``."""
+
+    def walk(value):
+        if isinstance(value, dict):
+            return {
+                key: (copy.deepcopy(item) if key in STRUCTURAL_KEYS else walk(item))
+                for key, item in value.items()
+            }
+        if isinstance(value, np.ndarray):
+            return np.asarray(corrupt_vector(np.asarray(value, dtype=float)), dtype=float)
+        if isinstance(value, (list, tuple)):
+            if value and all(is_float_like(item) for item in value):
+                corrupted = np.asarray(corrupt_vector(np.asarray(value, dtype=float)), dtype=float)
+                result = [float(item) for item in corrupted]
+                return tuple(result) if isinstance(value, tuple) else result
+            walked = [walk(item) for item in value]
+            return tuple(walked) if isinstance(value, tuple) else walked
+        if is_float_like(value):
+            return float(corrupt_scalar(float(value)))
+        return copy.deepcopy(value)
+
+    return walk(payload)
+
+
+class _Tag:
+    """A mutable structural leaf (no protocol sends one; a mutator might)."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __eq__(self, other):
+        return isinstance(other, _Tag) and other.name == self.name
+
+
+def _mutable_parts(value, path=()):
+    """Every mutable container or object inside ``value``, by path."""
+    if isinstance(value, dict):
+        yield path, value
+        for key, item in value.items():
+            yield from _mutable_parts(item, path + (key,))
+    elif isinstance(value, (list, tuple)):
+        if isinstance(value, list):
+            yield path, value
+        for index, item in enumerate(value):
+            yield from _mutable_parts(item, path + (index,))
+    elif isinstance(value, (np.ndarray, _Tag)):
+        yield path, value
+
+
+# One payload per shape a protocol in this repository puts on the wire, plus
+# structural leaves of every kind the preserved-leaf shortcut has to tell apart.
+_PAYLOAD_SHAPES = {
+    "rb_state": {"broadcaster": 3, "tag": ("state", 2), "value": (0.25, -1.5)},
+    "witness_report": {"round": 4, "members": [0, 2, 3, 1]},
+    "restricted_state": {"round": 1, "state": (0.5, 0.75)},
+    "scalar_state": {"round": 2, "state": 0.125},
+    "eig_relay": {(0,): (1.0, 2.0), (0, 1): (3.0, 4.0)},
+    "exact_bundle": {0: {(0,): (1.0, 2.0)}, 1: {(1, 2): 0.5, (1, 3): None}},
+    "array_leaf": {"value": np.asarray([1.0, 2.0]), "count": 3, "flag": True, "name": "x"},
+    "mutable_structural": {"tag": ["state", [1, 2]], "members": ([1], [2]), "round": _Tag("r")},
+    "nested_tag": {"tag": ("state", (1, ("deep", 2.5))), "broadcaster": None},
+    "mixed_list": [1.0, "a", (2.0, 3.0), {"tag": (1, 2)}],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_PAYLOAD_SHAPES))
+class TestPreservedLeaves:
+    def test_equal_to_the_deepcopying_walk(self, shape):
+        payload = _PAYLOAD_SHAPES[shape]
+        result = mutate_numeric_leaves(payload, double_scalar, double_vector)
+        expected = _deepcopying_mutate(payload, double_scalar, double_vector)
+        for (path, ours), (expected_path, theirs) in zip(
+            _mutable_parts(result), _mutable_parts(expected), strict=True
+        ):
+            assert path == expected_path and type(ours) is type(theirs)
+        np.testing.assert_equal(result, expected)
+
+    def test_shares_no_mutable_part_with_the_input(self, shape):
+        payload = _PAYLOAD_SHAPES[shape]
+        result = mutate_numeric_leaves(payload, double_scalar, double_vector)
+        originals = {id(part) for _, part in _mutable_parts(payload)}
+        assert originals, "every shape has at least its own dict or list"
+        for path, part in _mutable_parts(result):
+            assert id(part) not in originals, f"{shape}: {path} is shared with the input"
+
+    def test_every_strategy_leaves_the_input_untouched(self, shape):
+        payload = _PAYLOAD_SHAPES[shape]
+        before = copy.deepcopy(payload)
+        message = Message(sender=1, recipient=0, protocol="p", kind="K", payload=payload)
+        for strategy in (
+            OutsideHullStrategy(),
+            RandomNoiseStrategy(seed=3),
+            EquivocationStrategy([(9.0, 9.0)]),
+            CoordinateAttackStrategy(coordinate=0, target=7.0),
+        ):
+            strategy.mutate(message)
+            np.testing.assert_equal(payload, before)
 
 
 class EchoSyncProcess(SyncProcess):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.byzantine.adversary import MessageMutator, replace_payload
 from repro.byzantine.strategies import CrashStrategy, EquivocationStrategy, OutsideHullStrategy
 from repro.core.approx_bvc import (
     ApproxBVCProcess,
@@ -127,6 +128,40 @@ class TestUnderAttackAtTheBound:
         report = check_approximate_outcome(registry, outcome.decisions, epsilon=0.35)
         assert report.agreement_ok
         assert report.validity_ok
+
+
+class _WrongDimensionMutator(MessageMutator):
+    """Reliably broadcast a state with one coordinate too many."""
+
+    def mutate(self, message):
+        payload = message.payload
+        if message.kind != "RB_INIT" or payload["broadcaster"] != message.sender:
+            return [message]
+        longer = {**payload, "value": tuple(payload["value"]) + (0.5,)}
+        return [replace_payload(message, longer)]
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("scheduler_name", ["random", "round_robin", "lagging"])
+def test_wrong_dimension_state_is_malformed_not_fatal(dimension, scheduler_name):
+    # The faulty broadcaster follows Bracha faithfully, so its (d+1)-vector is
+    # RB-delivered at every honest process; it must count as a missing tuple,
+    # not reach the round step (where np.vstack used to raise).
+    registry = registry_at_bound(dimension, 1, seed=21)
+    scheduler = {
+        "random": lambda: RandomScheduler(3),
+        "round_robin": RoundRobinScheduler,
+        "lagging": lambda: LaggingScheduler(slow_processes=[registry.honest_ids[0]], seed=2),
+    }[scheduler_name]()
+    mutators = {pid: _WrongDimensionMutator() for pid in registry.faulty_ids}
+    outcome = run_approx_bvc(
+        registry, epsilon=0.3, adversary_mutators=mutators, scheduler=scheduler
+    )
+    report = check_approximate_outcome(registry, outcome.decisions, epsilon=0.3)
+    assert report.agreement_ok, f"disagreement {report.max_disagreement}"
+    assert report.validity_ok, f"hull distance {report.max_hull_distance}"
+    for history in outcome.state_histories.values():
+        assert all(state.shape == (dimension,) for state in history)
 
 
 class TestSchedulersAndModes:

@@ -15,6 +15,7 @@ from repro.network.async_runtime import AsynchronousRuntime
 from repro.network.message import Message
 from repro.network.scheduler import RoundRobinScheduler
 from repro.network.sync_runtime import SynchronousRuntime
+from repro.obs.registry import get_registry, snapshot_delta
 from repro.processes.process import AsyncProcess, SyncProcess
 
 
@@ -263,3 +264,77 @@ class TestAsynchronousRuntime:
         # Two misaddressed messages per process were refused by the runtime.
         assert result.traffic.messages_dropped == 2 * len(ids)
         assert all(count >= 2 for count in result.decisions.values())
+
+
+class TestRuntimeTelemetry:
+    """Both runtimes add their traffic to the process registry once per run()."""
+
+    @staticmethod
+    def _moved(run) -> dict[tuple[str, tuple[str, ...]], float]:
+        """What ``run()`` added to the runtime families, by (family, label values)."""
+        before = get_registry().snapshot(collect=False)
+        run()
+        delta = snapshot_delta(get_registry().snapshot(collect=False), before)
+        return {
+            (name, labels): value
+            for name, entry in delta.items()
+            if name.startswith("repro_runtime_")
+            for labels, value in entry["samples"].items()
+        }
+
+    def test_async_run_publishes_deliveries_sent_and_dropped(self):
+        class Misaddressing(PingPongAsyncProcess):
+            def on_start(self) -> None:
+                super().on_start()
+                self.send(Message(self.process_id, 99, "pingpong", "PING", 0))
+
+        ids = (0, 1, 2)
+        runtime = AsynchronousRuntime(
+            {pid: Misaddressing(pid, ids) for pid in ids}, scheduler=RoundRobinScheduler()
+        )
+        results = []
+        moved = self._moved(lambda: results.append(runtime.run()))
+        (result,) = results
+        assert moved == {
+            ("repro_runtime_deliveries_total", ("asynchronous",)): result.deliveries,
+            ("repro_runtime_messages_total", ("asynchronous", "sent")):
+                result.traffic.messages_sent,
+            ("repro_runtime_messages_total", ("asynchronous", "dropped")): 3,
+        }
+        # A second run() of the same runtime starts decided: nothing new to add.
+        assert self._moved(runtime.run) == {}
+
+    def test_sync_run_publishes_under_its_own_model(self):
+        ids = (0, 1, 2)
+        processes = {pid: GossipSyncProcess(pid, ids) for pid in ids}
+        moved = self._moved(SynchronousRuntime(processes).run)
+        assert moved == {
+            ("repro_runtime_deliveries_total", ("synchronous",)): 6,
+            ("repro_runtime_messages_total", ("synchronous", "sent")): 6,
+        }
+
+    def test_a_run_that_fails_still_publishes(self):
+        class Chatter(NeverDecidesAsyncProcess):
+            def on_start(self):
+                self.send(Message(self.process_id, 1 - self.process_id, "chat", "X", None))
+
+            def on_message(self, message):
+                self.send(Message(self.process_id, message.sender, "chat", "X", None))
+
+        runtime = AsynchronousRuntime({0: Chatter(0), 1: Chatter(1)}, max_deliveries=50)
+
+        def run():
+            with pytest.raises(TerminationError):
+                runtime.run()
+
+        # The message-heavy runs are exactly the ones that exhaust a budget.
+        assert self._moved(run) == {
+            ("repro_runtime_deliveries_total", ("asynchronous",)): 50,
+            ("repro_runtime_messages_total", ("asynchronous", "sent")): 52,
+        }
+
+    def test_disabled_registry_publishes_nothing(self, monkeypatch):
+        monkeypatch.setattr(get_registry(), "enabled", False)
+        ids = (0, 1, 2)
+        processes = {pid: GossipSyncProcess(pid, ids) for pid in ids}
+        assert self._moved(SynchronousRuntime(processes).run) == {}
