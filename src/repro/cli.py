@@ -46,7 +46,6 @@ from repro.engine import (
     FUZZ_ADVERSARIES,
     FUZZ_PROTOCOLS,
     FUZZ_WORKLOADS,
-    POOL_CHOICES,
     PROTOCOLS,
     SCHEDULER_NAMES,
     STRATEGY_NAMES,
@@ -62,7 +61,6 @@ from repro.obs.trace import (
     summarize_trace,
 )
 from repro.store import (
-    BACKEND_CHOICES,
     ENGINE_VERSION,
     TrialFilter,
     aggregate_store,
@@ -237,10 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve campaign-backed experiment trials from this results store "
              "(missing trials run and are recorded)",
     )
-    run_parser.add_argument(
-        "--store-backend", choices=BACKEND_CHOICES, default="auto",
-        help="results-store backend (auto: directory/suffix-less path = jsonl, else sqlite)",
-    )
 
     bounds_parser = subparsers.add_parser("bounds", help="print the resilience bounds for (d, f)")
     bounds_parser.add_argument("--dimension", type=int, default=2, help="vector dimension d")
@@ -315,12 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
              "'auto' (default) picks per shape group; rows are byte-identical "
              "(modulo elapsed_ms) for every choice",
     )
-    campaign_parser.add_argument(
-        "--pool", choices=POOL_CHOICES, default="persistent",
-        help="multi-worker dispatch: 'persistent' (default) reuses long-lived "
-             "shared-memory workers with cost-model work stealing, 'spawn' "
-             "keeps the legacy per-run process pool; rows are identical",
-    )
     _add_store_run_flags(campaign_parser)
 
     fuzz_parser = subparsers.add_parser(
@@ -359,10 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=ENGINE_CHOICES, default="auto",
         help="execution substrate (see 'campaign --engine')",
     )
-    fuzz_parser.add_argument(
-        "--pool", choices=POOL_CHOICES, default="persistent",
-        help="multi-worker dispatch substrate (see 'campaign --pool')",
-    )
     _add_store_run_flags(fuzz_parser)
 
     serve_parser = subparsers.add_parser(
@@ -375,10 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", type=Path, required=True,
         help="results store to serve (created if missing); submitted "
              "campaigns read cached trials from it and commit misses to it",
-    )
-    serve_parser.add_argument(
-        "--store-backend", choices=BACKEND_CHOICES, default="auto",
-        help="results-store backend (auto: directory/suffix-less path = jsonl, else sqlite)",
     )
     serve_parser.add_argument("--host", default="127.0.0.1", help="bind address")
     serve_parser.add_argument(
@@ -435,10 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     def _store_common(sub_parser: argparse.ArgumentParser) -> None:
         sub_parser.add_argument(
             "--store", type=Path, required=True, help="results-store path"
-        )
-        sub_parser.add_argument(
-            "--store-backend", choices=BACKEND_CHOICES, default="auto",
-            help="results-store backend (auto: directory/suffix-less path = jsonl, else sqlite)",
         )
 
     def _store_filters(sub_parser: argparse.ArgumentParser) -> None:
@@ -519,16 +495,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_store_run_flags(sub_parser: argparse.ArgumentParser) -> None:
-    """Attach the --store/--resume trio shared by `campaign` and `fuzz`."""
+    """Attach the --store/--resume pair shared by `campaign` and `fuzz`."""
     sub_parser.add_argument(
         "--store", type=Path, default=None,
         help="record every trial row in this content-addressed results store "
              "(transactional per execution unit, so interrupted runs keep "
              "their completed work)",
-    )
-    sub_parser.add_argument(
-        "--store-backend", choices=BACKEND_CHOICES, default="auto",
-        help="results-store backend (auto: directory/suffix-less path = jsonl, else sqlite)",
     )
     sub_parser.add_argument(
         "--resume", action="store_true",
@@ -586,7 +558,7 @@ def _build_campaign(arguments: argparse.Namespace) -> Campaign:
 
 
 def _open_run_store(arguments: argparse.Namespace):
-    """Resolve the --store/--store-backend/--resume trio for campaign/fuzz.
+    """Resolve the --store/--resume pair for campaign/fuzz.
 
     Returns ``(store, reuse_cached)``; the caller owns closing the store.
     """
@@ -594,7 +566,7 @@ def _open_run_store(arguments: argparse.Namespace):
         raise SystemExit("--resume requires --store (nothing to resume from)")
     if arguments.store is None:
         return None, False
-    return open_store(arguments.store, backend=arguments.store_backend), arguments.resume
+    return open_store(arguments.store), arguments.resume
 
 
 def _print_store_outcome(arguments: argparse.Namespace, cache_hits: int, trials: int) -> None:
@@ -621,7 +593,6 @@ def _run_campaign_command(arguments: argparse.Namespace) -> int:
             engine=arguments.engine,
             store=store,
             reuse_cached=reuse_cached,
-            pool=arguments.pool,
             trace=trace,
         )
     finally:
@@ -669,7 +640,6 @@ def _run_fuzz_command(arguments: argparse.Namespace) -> int:
             engine=arguments.engine,
             store=store,
             reuse_cached=reuse_cached,
-            pool=arguments.pool,
             trace=trace,
         )
     finally:
@@ -716,7 +686,6 @@ def _run_serve_command(arguments: argparse.Namespace) -> int:
         str(arguments.store),
         host=arguments.host,
         port=arguments.port,
-        backend=arguments.store_backend,
         workers=arguments.workers,
         max_active=arguments.max_active,
         max_pending=arguments.max_pending,
@@ -750,7 +719,11 @@ def _store_filter(arguments: argparse.Namespace) -> TrialFilter:
 
 
 def _run_store_command(arguments: argparse.Namespace) -> int:
-    with open_store(arguments.store, backend=arguments.store_backend) as store:
+    # Only `import` creates a store; reading a mistyped path must not leave
+    # an empty database behind and report it as a store with no rows.
+    if arguments.store_command != "import" and not arguments.store.exists():
+        raise SystemExit(f"no result store at {arguments.store}")
+    with open_store(arguments.store) as store:
         if arguments.store_command == "stats":
             stats = store.stats()
             print(render_table([{
@@ -881,11 +854,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"unknown experiment '{arguments.experiment}'; known ids: {known}, or 'all'", file=sys.stderr)
         return 2
 
-    store = (
-        open_store(arguments.store, backend=arguments.store_backend)
-        if arguments.store is not None
-        else None
-    )
+    store = open_store(arguments.store) if arguments.store is not None else None
     previous = experiments.set_result_store(store) if store is not None else None
     try:
         text = _run_experiments(ids)

@@ -31,7 +31,7 @@ from repro.broadcast.witness import RoundExchangeResult, WitnessExchange
 from repro.byzantine.adversary import ByzantineAsyncProcess, MessageMutator
 from repro.core.conditions import SystemConfiguration, check_approx_async
 from repro.core.round_ops import approx_round_step, approx_subset_families
-from repro.core.safe_area import SafeAreaCalculator, SafeAreaEngine
+from repro.core.safe_area import SafeAreaCalculator
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.network.async_runtime import AsynchronousRuntime, AsyncRunResult
 from repro.network.message import Message
@@ -99,7 +99,6 @@ class ApproxBVCProcess(AsyncProcess):
         subset_mode: SubsetMode = "witness_subsets",
         max_rounds_override: int | None = None,
         allow_insufficient: bool = False,
-        safe_area_engine: SafeAreaEngine = "kernel",
     ) -> None:
         super().__init__(process_id)
         check_approx_async(configuration, allow_insufficient=allow_insufficient)
@@ -122,9 +121,7 @@ class ApproxBVCProcess(AsyncProcess):
         )
         if self.total_rounds < 1:
             raise ConfigurationError("the algorithm must run at least one round")
-        self._chooser = SafeAreaCalculator(
-            fault_bound=configuration.fault_bound, engine=safe_area_engine
-        )
+        self._chooser = SafeAreaCalculator(fault_bound=configuration.fault_bound)
         self._state = self.input_vector.copy()
         self.state_history: list[np.ndarray] = [self._state.copy()]
         self._current_round = 0
@@ -240,7 +237,6 @@ def run_approx_bvc(
     max_rounds_override: int | None = None,
     allow_insufficient: bool = False,
     max_deliveries: int = 2_000_000,
-    safe_area_engine: SafeAreaEngine = "kernel",
     traffic_observer: Callable[[Message], None] | None = None,
 ) -> ApproxBVCOutcome:
     """Run the Approximate BVC algorithm end-to-end on a simulated asynchronous system.
@@ -259,9 +255,6 @@ def run_approx_bvc(
             threshold (used by convergence-rate experiments).
         allow_insufficient: run even when ``n`` is below the resilience bound.
         max_deliveries: safety budget for the asynchronous runtime.
-        safe_area_engine: ``Gamma`` solver backend — the batched kernel
-            (default) or the literal oracle enumeration (cross-checks only;
-            dramatically slower at scale).
         traffic_observer: optional callback that sees every routed message
             (the coordinated adversary's full-information tap).
     """
@@ -284,7 +277,6 @@ def run_approx_bvc(
             subset_mode=subset_mode,
             max_rounds_override=max_rounds_override,
             allow_insufficient=allow_insufficient,
-            safe_area_engine=safe_area_engine,
         )
         cores[process_id] = core
         if registry.is_faulty(process_id) and process_id in adversary_mutators:

@@ -31,7 +31,7 @@ from repro.byzantine.adversary import ByzantineSyncProcess, MessageMutator
 from repro.consensus.eig import EigBroadcastInstance, eig_round_count
 from repro.core.conditions import SystemConfiguration, check_exact_sync
 from repro.core.round_ops import exact_decision
-from repro.core.safe_area import SafeAreaCalculator, SafeAreaEngine
+from repro.core.safe_area import SafeAreaCalculator
 from repro.exceptions import ProtocolError
 from repro.geometry.multisets import PointMultiset
 from repro.network.message import Message
@@ -57,8 +57,6 @@ class ExactBVCProcess(SyncProcess):
             the full vector, which exchanges fewer, larger messages.
         allow_insufficient: skip the resilience check (used only by the
             impossibility experiments).
-        safe_area_engine: ``Gamma`` solver backend for the decision step —
-            the batched kernel (default) or the literal oracle enumeration.
     """
 
     PROTOCOL = "exact_bvc"
@@ -70,7 +68,6 @@ class ExactBVCProcess(SyncProcess):
         input_vector: np.ndarray,
         broadcast_mode: BroadcastMode = "whole_vector",
         allow_insufficient: bool = False,
-        safe_area_engine: SafeAreaEngine = "kernel",
     ) -> None:
         super().__init__(process_id)
         check_exact_sync(configuration, allow_insufficient=allow_insufficient)
@@ -81,9 +78,7 @@ class ExactBVCProcess(SyncProcess):
                 f"input vector has shape {self.input_vector.shape}, expected ({configuration.dimension},)"
             )
         self.broadcast_mode: BroadcastMode = broadcast_mode
-        self._chooser = SafeAreaCalculator(
-            fault_bound=configuration.fault_bound, engine=safe_area_engine
-        )
+        self._chooser = SafeAreaCalculator(fault_bound=configuration.fault_bound)
         self._decided = False
         self._decision: np.ndarray | None = None
         self._received_multiset: PointMultiset | None = None
@@ -244,7 +239,6 @@ def run_exact_bvc(
     broadcast_mode: BroadcastMode = "whole_vector",
     allow_insufficient: bool = False,
     max_rounds: int | None = None,
-    safe_area_engine: SafeAreaEngine = "kernel",
     traffic_observer: "Callable[[Message], None] | None" = None,
 ) -> ExactBVCOutcome:
     """Run the Exact BVC algorithm end-to-end on a simulated synchronous system.
@@ -257,8 +251,6 @@ def run_exact_bvc(
         allow_insufficient: run even when ``n`` is below the resilience bound
             (for impossibility experiments).
         max_rounds: optional override of the runtime's round budget.
-        safe_area_engine: ``Gamma`` solver backend — the batched kernel
-            (default) or the literal oracle enumeration (cross-checks only).
         traffic_observer: optional callback that sees every routed message
             (the coordinated adversary's full-information tap).
     """
@@ -272,7 +264,6 @@ def run_exact_bvc(
             input_vector=registry.input_of(process_id),
             broadcast_mode=broadcast_mode,
             allow_insufficient=allow_insufficient,
-            safe_area_engine=safe_area_engine,
         )
         if registry.is_faulty(process_id) and process_id in adversary_mutators:
             processes[process_id] = ByzantineSyncProcess(core, adversary_mutators[process_id])

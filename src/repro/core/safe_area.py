@@ -25,12 +25,13 @@ This module implements:
   the protocol code (all non-faulty processes must pick the *same* point, so
   determinism is part of the algorithm's correctness argument).
 
-Production queries route through the batched, cached
-:class:`~repro.geometry.kernel.GammaKernel` (``engine="kernel"``, the
-default), which prunes the subset family and reuses cached sparse constraint
-templates across rounds; :func:`safe_area_point` here remains the literal,
-unoptimised Section 2.2 program and serves as the cross-check oracle for the
-kernel's equivalence tests.
+Every protocol query goes through the batched, cached
+:class:`~repro.geometry.kernel.GammaKernel`, which prunes the subset family
+and reuses cached sparse constraint templates across rounds;
+:func:`safe_area_point` here remains the literal, unoptimised Section 2.2
+program.  No protocol execution calls it: it is the oracle the kernel's
+equivalence tests compare against and the baseline the cost experiments
+measure.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,7 +52,6 @@ from repro.geometry.points import as_cloud
 from repro.geometry.tverberg import find_tverberg_partition
 
 __all__ = [
-    "SafeAreaEngine",
     "safe_area_subset_count",
     "safe_area_point",
     "safe_area_point_via_tverberg",
@@ -59,12 +59,6 @@ __all__ = [
     "safe_area_is_empty",
     "SafeAreaCalculator",
 ]
-
-#: ``"kernel"`` is the pruned/cached/batched production path
-#: (:mod:`repro.geometry.kernel`); ``"oracle"`` is the literal Section 2.2
-#: program below, kept as the cross-validation reference.
-SafeAreaEngine = Literal["kernel", "oracle"]
-
 
 def _as_multiset(points: PointMultiset | np.ndarray | Iterable[Sequence[float]]) -> PointMultiset:
     if isinstance(points, PointMultiset):
@@ -316,17 +310,13 @@ def safe_area_contains(
 def safe_area_is_empty(
     points: PointMultiset | np.ndarray | Iterable[Sequence[float]],
     fault_bound: int,
-    engine: SafeAreaEngine = "kernel",
 ) -> bool:
     """Return True when ``Gamma(points)`` is empty.
 
-    Emptiness is decided by the kernel by default (the pruned family has the
-    same intersection, so the answer is identical to the oracle's); pass
-    ``engine="oracle"`` to force the literal enumeration.
+    Decided by the kernel: the pruned family has the same intersection as the
+    full one, so the answer is the literal enumeration's.
     """
-    if engine == "kernel":
-        return default_kernel.point(_as_multiset(points).points, fault_bound) is None
-    return safe_area_point(points, fault_bound) is None
+    return default_kernel.point(_as_multiset(points).points, fault_bound) is None
 
 
 @dataclass(frozen=True)
@@ -343,19 +333,10 @@ class SafeAreaCalculator:
     Attributes:
         fault_bound: the ``f`` used in the ``Gamma`` definition.
         tie_break_objective: optional explicit objective over ``z``.
-        engine: ``"kernel"`` (default) routes through the pruned, cached
-            :class:`~repro.geometry.kernel.GammaKernel`; ``"oracle"`` runs
-            the literal Section 2.2 enumeration.  Determinism holds either
-            way — but all processes of one execution must use the same
-            engine, since the two may pick different (equally valid) points
-            of a non-degenerate ``Gamma``.
-        prune: apply the Appendix F-style subset pruning (kernel engine only).
     """
 
     fault_bound: int
     tie_break_objective: tuple[float, ...] | None = None
-    engine: SafeAreaEngine = "kernel"
-    prune: bool = True
 
     def _objective_for(self, dimension: int) -> np.ndarray | None:
         if self.tie_break_objective is not None:
@@ -378,22 +359,12 @@ class SafeAreaCalculator:
         which Lemma 1 guarantees cannot happen for ``|points| >= (d+1)f + 1``.
         """
         multiset = _as_multiset(points)
-        objective = self._objective_for(multiset.dimension)
-        if self.engine == "kernel":
-            point = default_kernel.point(
-                multiset.points,
-                self.fault_bound,
-                objective=objective,
-                subset_indices=subset_indices,
-                prune=self.prune,
-            )
-        else:
-            point = safe_area_point(
-                multiset,
-                self.fault_bound,
-                subset_indices=subset_indices,
-                objective=objective,
-            )
+        point = default_kernel.point(
+            multiset.points,
+            self.fault_bound,
+            objective=self._objective_for(multiset.dimension),
+            subset_indices=subset_indices,
+        )
         if point is None:
             raise EmptyIntersectionError(
                 f"Gamma is empty for |Y|={len(multiset)}, f={self.fault_bound}, d={multiset.dimension}"
@@ -409,9 +380,9 @@ class SafeAreaCalculator:
         """Deterministically choose one ``Gamma`` point per query multiset.
 
         All queries must share one ``(m, d)`` shape (the Approximate BVC round
-        update satisfies this: every witness family has quorum size).  With the
-        kernel engine the queries are assembled in one pass and solved as a
-        single block-diagonal LP; the oracle engine loops :meth:`choose`.
+        update satisfies this: every witness family has quorum size).  The
+        queries are assembled in one pass and solved as a single
+        block-diagonal LP.
 
         Raises :class:`EmptyIntersectionError` naming the first empty query.
         """
@@ -423,20 +394,11 @@ class SafeAreaCalculator:
             )
         if not multisets:
             return []
-        if self.engine != "kernel":
-            if subset_indices is None:
-                return [self.choose(multiset) for multiset in multisets]
-            return [
-                self.choose(multiset, subset_indices=family)
-                for multiset, family in zip(multisets, subset_indices)
-            ]
-        objective = self._objective_for(multisets[0].dimension)
         chosen = default_kernel.points_batch(
             [multiset.points for multiset in multisets],
             self.fault_bound,
-            objective=objective,
+            objective=self._objective_for(multisets[0].dimension),
             subset_indices=subset_indices,
-            prune=self.prune,
         )
         for index, point in enumerate(chosen):
             if point is None:
@@ -450,8 +412,6 @@ class SafeAreaCalculator:
     def resolve_multi(
         self,
         point_sets: Sequence[PointMultiset | np.ndarray | Iterable[Sequence[float]]],
-        *,
-        fused: bool = False,
     ) -> list[np.ndarray | None]:
         """Answer many independent ``Gamma`` queries, ``None`` for empty ones.
 
@@ -461,11 +421,9 @@ class SafeAreaCalculator:
         query instead of raising, letting the caller attribute it to the
         right execution.  Shapes may differ between queries, but all must
         share one dimension (the deterministic tie-break objective is built
-        once).  With the kernel engine and ``fused=False`` (default) every
-        result is bitwise identical to what :meth:`choose` would return for
-        that query — bitwise-equal clouds are deduplicated and solved once;
-        ``fused=True`` trades that single-solve parity for one
-        block-diagonal solve per shape class.
+        once).  Every result is bitwise identical to what :meth:`choose`
+        would return for that query — bitwise-equal clouds are deduplicated
+        and solved once.
         """
         multisets = [_as_multiset(points) for points in point_sets]
         if not multisets:
@@ -473,16 +431,8 @@ class SafeAreaCalculator:
         dimension = multisets[0].dimension
         if any(multiset.dimension != dimension for multiset in multisets):
             raise GeometryError("all queries of a resolve_multi call must share one dimension")
-        objective = self._objective_for(dimension)
-        if self.engine != "kernel":
-            return [
-                safe_area_point(multiset, self.fault_bound, objective=objective)
-                for multiset in multisets
-            ]
         return default_kernel.points_multi(
             [multiset.points for multiset in multisets],
             self.fault_bound,
-            objective=objective,
-            prune=self.prune,
-            fused=fused,
+            objective=self._objective_for(dimension),
         )

@@ -45,7 +45,6 @@ from repro.engine.session import (
     UnitCommittedEvent,
 )
 from repro.engine.pool import (
-    POOL_CHOICES,
     CostModel,
     UnitObservation,
     WorkerPool,
@@ -98,7 +97,6 @@ __all__ = [
     "FUZZ_ADVERSARIES",
     "FUZZ_PROTOCOLS",
     "FUZZ_WORKLOADS",
-    "POOL_CHOICES",
     "PROTOCOLS",
     "SCHEDULER_NAMES",
     "STRATEGY_NAMES",

@@ -7,8 +7,8 @@ events, cooperative cancellation and status snapshots.  This module keeps the
 historical functional surface on top of it:
 
 * :func:`execute_specs` — yield one row per spec, in spec order, through a
-  session (byte-identical to the pre-session engine for every engine, pool
-  and worker count, modulo ``elapsed_ms``);
+  session (byte-identical to the pre-session engine for every engine and
+  worker count, modulo ``elapsed_ms``);
 * :func:`run_campaign` — run a whole :class:`~repro.engine.campaign.Campaign`
   with JSONL sink / callback / collection plumbing and return its
   :class:`~repro.engine.session.CampaignSummary`;
@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.engine.campaign import Campaign
-from repro.engine.pool import POOL_CHOICES, ExecutionUnit
+from repro.engine.pool import ExecutionUnit
 from repro.engine.session import (
     ENGINE_CHOICES,
     STORE_COMMIT_CHUNK,
@@ -44,7 +44,6 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid an import cycle
 
 __all__ = [
     "ENGINE_CHOICES",
-    "POOL_CHOICES",
     "STORE_COMMIT_CHUNK",
     "CampaignSession",
     "CampaignSummary",
@@ -127,20 +126,17 @@ def execute_specs(
     reuse_cached: bool = True,
     cache_stats: StoreCacheStats | None = None,
     fallback_reasons: dict[str, int] | None = None,
-    pool: str = "persistent",
     claim_wait_timeout: float = 60.0,
 ) -> Iterator[TrialResult]:
     """Yield one :class:`TrialResult` per spec, in spec order.
 
     ``engine`` picks the execution substrate (see :data:`ENGINE_CHOICES`);
     the emitted rows are byte-identical (modulo ``elapsed_ms``) for every
-    engine, pool and worker count.  ``workers <= 1`` runs inline (no
-    subprocess overhead, simplest debugging); otherwise the plan's execution
-    units are cut into cost-model-sized tasks and fanned out over the
-    ``pool`` substrate (:data:`POOL_CHOICES` — the persistent shared-memory
-    pool by default) while this iterator yields results back in order.  An
-    explicit ``chunksize`` overrides the cost model's task sizing on every
-    multi-worker path.
+    engine and worker count.  ``workers <= 1`` runs inline (no subprocess
+    overhead, simplest debugging); otherwise the plan's execution units are
+    cut into cost-model-sized tasks and fanned out over the persistent
+    shared-memory pool while this iterator yields results back in order.  An
+    explicit ``chunksize`` overrides the cost model's task sizing.
 
     With ``store`` set, execution becomes a write-through cache: cached rows
     are served without running anything (unless ``reuse_cached`` is False,
@@ -159,7 +155,6 @@ def execute_specs(
         engine=engine,
         store=store,
         reuse_cached=reuse_cached,
-        pool=pool,
         claim_wait_timeout=claim_wait_timeout,
         cache_stats=cache_stats,
         fallback_reasons=fallback_reasons,
@@ -176,16 +171,13 @@ def run_campaign(
     engine: str = "auto",
     store: "ResultStore | str | Path | None" = None,
     reuse_cached: bool = True,
-    pool: str = "persistent",
     chunksize: int | None = None,
-    session_factory: Callable[..., CampaignSession] = CampaignSession,
     trace: TraceRecorder | None = None,
 ) -> tuple[CampaignSummary, list[TrialResult]]:
     """Run every trial of the campaign, streaming rows to the optional sink.
 
-    ``engine`` selects the execution substrate (:data:`ENGINE_CHOICES`) and
-    ``pool`` the multi-worker dispatch substrate (:data:`POOL_CHOICES`); rows
-    are byte-identical across engines, pools and worker counts modulo
+    ``engine`` selects the execution substrate (:data:`ENGINE_CHOICES`); rows
+    are byte-identical across engines and worker counts modulo
     ``elapsed_ms``.  ``store`` — a
     :class:`~repro.store.backend.ResultStore` or a path, opened (and closed)
     by the session via :func:`~repro.store.backend.open_store` — enables the
@@ -196,20 +188,16 @@ def run_campaign(
     — the full result list (large sweeps should rely on the JSONL sink
     instead and keep ``collect`` off).
 
-    ``session_factory`` lets callers observe or steer the underlying
-    :class:`CampaignSession` (e.g. to keep a handle for ``status()`` or
-    ``cancel()``) without a second execution path.  ``trace`` hands the
-    session a :class:`~repro.obs.trace.TraceRecorder`; the caller owns
-    writing the recorded timeline out (``trace.write(path)``).
+    ``trace`` hands the session a :class:`~repro.obs.trace.TraceRecorder`;
+    the caller owns writing the recorded timeline out (``trace.write(path)``).
     """
-    session = session_factory(
+    session = CampaignSession(
         campaign,
         workers=workers,
         chunksize=chunksize,
         engine=engine,
         store=store,
         reuse_cached=reuse_cached,
-        pool=pool,
         trace=trace,
     )
     collected: list[TrialResult] = []

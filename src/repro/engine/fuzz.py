@@ -262,7 +262,6 @@ def run_fuzz(
     engine: str = "auto",
     store: Any = None,
     reuse_cached: bool = True,
-    pool: str = "persistent",
     trace: TraceRecorder | None = None,
 ) -> FuzzReport:
     """Sample ``count`` scenarios and execute them, checking both invariants.
@@ -294,7 +293,6 @@ def run_fuzz(
         engine=engine,
         store=store,
         reuse_cached=reuse_cached,
-        pool=pool,
         trace=trace,
     )
 

@@ -30,9 +30,6 @@ from scratch.  This module replaces that with a process-lifetime pool:
   worker surfaces as EOF on its pipe, its in-flight unit is requeued and a
   replacement worker is spawned (trials are pure functions of their specs,
   so re-execution is safe and byte-identical).
-
-``pool="spawn"`` keeps the legacy one-shot ``ProcessPoolExecutor`` path as
-an escape hatch (same cost-model unit sizing, pickled-spec transport).
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ import multiprocessing
 import time
 import traceback
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from multiprocessing.connection import Connection, wait as connection_wait
 from multiprocessing.shared_memory import SharedMemory
@@ -59,7 +55,6 @@ from repro.exceptions import ConfigurationError
 from repro.obs.registry import get_registry, snapshot_delta
 
 __all__ = [
-    "POOL_CHOICES",
     "ExecutionUnit",
     "UnitObservation",
     "CostModel",
@@ -71,12 +66,6 @@ __all__ = [
     "pool_metrics",
     "shutdown_pools",
 ]
-
-#: Dispatch substrates for multi-worker execution: ``"persistent"`` is the
-#: long-lived shared-memory pool, ``"spawn"`` the legacy per-call
-#: ``ProcessPoolExecutor`` escape hatch.
-POOL_CHOICES = ("persistent", "spawn")
-
 
 @dataclass(frozen=True)
 class UnitObservation:
@@ -177,7 +166,6 @@ class CostModel:
         remaining: int,
         workers: int,
         chunksize: int | None = None,
-        probe: bool = True,
     ) -> int:
         """Number of trials the next dispatched unit should carry.
 
@@ -185,10 +173,8 @@ class CostModel:
         Otherwise the size targets :data:`TARGET_UNIT_SECONDS` of estimated
         work, capped at an even ``remaining / workers`` split so the last
         units never leave workers idle.  An unseen shape gets a
-        :data:`PROBE_TRIALS` calibration unit when ``probe`` is true (the
-        persistent pool, which observes results online) or the classic
-        ``remaining // (workers * 4)`` prior when it is not (the one-shot
-        spawn path, which sizes its whole plan up front).
+        :data:`PROBE_TRIALS` calibration unit, whose observed latency sizes
+        the units after it.
         """
         if remaining <= 0:
             return 0
@@ -196,9 +182,8 @@ class CostModel:
             return max(1, min(chunksize, remaining))
         per = self.per_trial_seconds(key)
         if per is None:
-            if probe:
-                self.probes += 1
-            size = PROBE_TRIALS if probe else max(1, remaining // (max(1, workers) * 4))
+            self.probes += 1
+            size = PROBE_TRIALS
         else:
             size = max(1, round(TARGET_UNIT_SECONDS / per))
         size = min(size, max(1, math.ceil(remaining / max(1, workers))), MAX_UNIT_TRIALS)
@@ -743,7 +728,6 @@ def _cut_tasks(
     cost_model: CostModel,
     workers: int,
     chunksize: int | None,
-    probe: bool = True,
 ) -> Iterator[_Task]:
     """Lazily slice plan units into cost-model-sized dispatchable tasks.
 
@@ -760,7 +744,7 @@ def _cut_tasks(
         while start < len(positions):
             remaining = len(positions) - start
             key = CostModel.shape_key(unit.kind, specs[positions[start]])
-            size = cost_model.unit_trials(key, remaining, workers, chunksize, probe)
+            size = cost_model.unit_trials(key, remaining, workers, chunksize)
             chunk = positions[start : start + size]
             header, shm = encode_unit(unit.kind, [specs[position] for position in chunk])
             yield _Task(
@@ -774,66 +758,22 @@ def _cut_tasks(
             start += size
 
 
-def _execute_plan_spawn(
-    specs: Sequence[TrialSpec],
-    units: Sequence[ExecutionUnit],
-    workers: int,
-    chunksize: int | None,
-) -> Iterator[tuple[tuple[int, ...], list[TrialResult]]]:
-    """Legacy escape hatch: one-shot ``ProcessPoolExecutor``, pickled specs."""
-    model = CostModel()
-    tasks: list[tuple[tuple[int, ...], str, tuple[TrialSpec, ...]]] = []
-    for unit in units:
-        positions = unit.positions
-        start = 0
-        while start < len(positions):
-            remaining = len(positions) - start
-            key = CostModel.shape_key(unit.kind, specs[positions[start]])
-            size = model.unit_trials(key, remaining, workers, chunksize, probe=False)
-            chunk = positions[start : start + size]
-            tasks.append((chunk, unit.kind, tuple(specs[position] for position in chunk)))
-            start += size
-    with ProcessPoolExecutor(max_workers=workers) as executor:
-        # map() is consumed lazily: results stream in submission order while
-        # workers run ahead.
-        payloads = [(kind, unit_specs) for _, kind, unit_specs in tasks]
-        for (positions, _, _), results in zip(
-            tasks, executor.map(_execute_spawn_task, payloads)
-        ):
-            yield positions, results
-
-
-def _execute_spawn_task(payload: tuple[str, tuple[TrialSpec, ...]]) -> list[TrialResult]:
-    """Spawn-pool entry point (module level so it pickles by name)."""
-    kind, unit_specs = payload
-    return _run_unit(kind, unit_specs)
-
-
 def execute_plan(
     specs: Sequence[TrialSpec],
     units: Sequence[ExecutionUnit],
     workers: int,
     chunksize: int | None = None,
-    pool: str = "persistent",
     on_unit: "Callable[[UnitObservation], None] | None" = None,
 ) -> Iterator[tuple[tuple[int, ...], list[TrialResult]]]:
     """Execute a campaign plan across workers, yielding units as they finish.
 
     Yields ``(positions, results)`` pairs in **completion** order — the
-    executor's reorder buffer restores spec order.  ``pool`` selects the
-    dispatch substrate (:data:`POOL_CHOICES`); rows are byte-identical
-    (modulo ``elapsed_ms``) across pools, worker counts and unit cuts.
-    ``on_unit`` (persistent pool only) receives one :class:`UnitObservation`
-    per completed unit — the hook session trace recorders attach to.
+    executor's reorder buffer restores spec order.  Rows are byte-identical
+    (modulo ``elapsed_ms``) across worker counts and unit cuts.  ``on_unit``
+    receives one :class:`UnitObservation` per completed unit — the hook
+    session trace recorders attach to.
     """
-    if pool not in POOL_CHOICES:
-        raise ConfigurationError(
-            f"unknown pool {pool!r}; known: {', '.join(POOL_CHOICES)}"
-        )
     if not units:
-        return
-    if pool == "spawn":
-        yield from _execute_plan_spawn(specs, units, workers, chunksize)
         return
     worker_pool = get_pool(workers)
     tasks = _cut_tasks(specs, units, worker_pool.cost_model, workers, chunksize)

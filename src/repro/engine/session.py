@@ -32,7 +32,7 @@ The executor's public functions (:func:`~repro.engine.executor.execute_specs`
 and :func:`~repro.engine.executor.run_campaign`) are thin wrappers over a
 session, so there is exactly **one** planning/claims/cache code path, and the
 rows it emits are byte-identical (modulo ``elapsed_ms``) to the pre-session
-engine for every engine, pool and worker count.
+engine for every engine and worker count.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator, Sequence, Union
 
 from repro.engine.campaign import Campaign
-from repro.engine.pool import POOL_CHOICES, ExecutionUnit, UnitObservation, execute_plan
+from repro.engine.pool import ExecutionUnit, UnitObservation, execute_plan
 from repro.engine.spec import TrialResult, TrialSpec
 from repro.engine.trial import run_trial
 from repro.engine.vectorized import (
@@ -359,7 +359,6 @@ class CampaignStatus:
     fallback_reasons: dict[str, int]
     workers: int
     engine: str
-    pool: str
     elapsed_seconds: float
     error: str | None = None
 
@@ -389,7 +388,6 @@ class CampaignStatus:
             "fallback_reasons": dict(self.fallback_reasons),
             "workers": self.workers,
             "engine": self.engine,
-            "pool": self.pool,
             "elapsed_seconds": round(self.elapsed_seconds, 3),
             "trials_per_second": round(self.trials_per_second, 1),
             "error": self.error,
@@ -410,8 +408,6 @@ class CampaignSummary:
     workers: int
     jsonl_path: str | None
     engine: str = "object"
-    #: Dispatch substrate used for multi-worker execution (:data:`POOL_CHOICES`).
-    pool: str = "persistent"
     #: Trials served straight from the results store (0 without a store).
     cache_hits: int = 0
     #: Executed trials the planner routed to the object engine, counted per
@@ -443,7 +439,6 @@ class CampaignSummary:
             "agreement_failures": self.agreement_failures,
             "validity_failures": self.validity_failures,
             "workers": self.workers,
-            "pool": self.pool,
             "cache_hits": self.cache_hits,
             "fallbacks": sum(self.fallback_reasons.values()),
             "seconds": round(self.elapsed_seconds, 3),
@@ -478,7 +473,6 @@ class CampaignSession:
         engine: str = "auto",
         store: "ResultStore | str | Path | None" = None,
         reuse_cached: bool = True,
-        pool: str = "persistent",
         claim_wait_timeout: float = 60.0,
         run_id: str | None = None,
         cache_stats: StoreCacheStats | None = None,
@@ -489,10 +483,6 @@ class CampaignSession:
             raise ConfigurationError(
                 f"unknown engine {engine!r}; known: {', '.join(ENGINE_CHOICES)}"
             )
-        if pool not in POOL_CHOICES:
-            raise ConfigurationError(
-                f"unknown pool {pool!r}; known: {', '.join(POOL_CHOICES)}"
-            )
         if isinstance(campaign, Campaign):
             self.specs: tuple[TrialSpec, ...] = campaign.specs
             self.name = name if name is not None else campaign.name
@@ -502,7 +492,6 @@ class CampaignSession:
         self.workers = workers
         self.chunksize = chunksize
         self.engine = engine
-        self.pool = pool
         self.reuse_cached = reuse_cached
         self.claim_wait_timeout = claim_wait_timeout
         #: Session identity: names the run in summaries and the HTTP API, and
@@ -576,7 +565,6 @@ class CampaignSession:
                 fallback_reasons=dict(self.fallback_reasons),
                 workers=self.workers,
                 engine=self.engine,
-                pool=self.pool,
                 elapsed_seconds=elapsed,
                 error=self._error,
             )
@@ -595,7 +583,6 @@ class CampaignSession:
             workers=self.workers,
             jsonl_path=str(jsonl_path) if jsonl_path is not None else None,
             engine=self.engine,
-            pool=self.pool,
             cache_hits=status.cache_hits,
             fallback_reasons=dict(self.fallback_reasons),
             run_id=self.run_id,
@@ -815,7 +802,7 @@ class CampaignSession:
         # early (cancel) closes execute_plan, which drains in-flight units
         # without dispatching new ones.
         for positions, unit_result in execute_plan(
-            specs, list(self._cancellable(units)), workers, self.chunksize, self.pool,
+            specs, list(self._cancellable(units)), workers, self.chunksize,
             on_unit=self._on_pool_unit if self.trace is not None else None,
         ):
             yield UnitCommittedEvent("task", tuple(positions), committed=False)
@@ -838,8 +825,7 @@ class CampaignSession:
         owner's committed rows and serves them as cache hits instead of
         recomputing.  A deferred trial whose owner never commits (crash,
         timeout) is recomputed locally after ``claim_wait_timeout`` seconds,
-        so the campaign always completes.  Single-writer backends grant every
-        claim, making this path identical to uncoordinated execution.
+        so the campaign always completes.
         """
         from repro.store.keys import trial_key
 
@@ -997,7 +983,6 @@ class CampaignSession:
                     list(self._cancellable(units)),
                     self.workers,
                     self.chunksize,
-                    self.pool,
                     on_unit=self._on_pool_unit if self.trace is not None else None,
                 ):
                     _commit(local_positions, unit_result)

@@ -584,7 +584,7 @@ def _coordinated_reports(
 def _seed_collapse_points(trials: list[_LiveTrial], fault_bound: int) -> None:
     """One batched kernel pass for every hull_collapse trial lacking a target.
 
-    ``points_multi`` (unfused) answers each distinct honest cloud through the
+    ``points_multi`` answers each distinct honest cloud through the
     exact single-query program ``AdversaryCoordinator`` would run lazily, so
     pre-seeding never changes a target bitwise; if the batched pass fails for
     any reason, seeding is skipped and the lazy per-trial path keeps its

@@ -71,7 +71,6 @@ from scipy.sparse import csc_matrix
 from repro.exceptions import GeometryError, LinearProgramError
 
 __all__ = [
-    "DENSE_POINT_CROSSOVER",
     "KernelStats",
     "GammaKernel",
     "default_kernel",
@@ -86,17 +85,6 @@ __all__ = [
 #: Relative tolerance accepted by the minimum-slack fallback before declaring
 #: the safe area genuinely empty (matches the oracle in ``core.safe_area``).
 _SLACK_TOLERANCE = 1e-6
-
-#: Largest cloud (point count) solved through the direct dense path instead of
-#: the cached sparse templates.  Both assemblies describe the identical
-#: equality system in the identical row/column layout, and HiGHS resolves
-#: them to the same vertex, so the crossover never changes a returned point.
-#: It was introduced when a query cost ~2.5 ms either way and the dense
-#: assembly was up to 25 % cheaper; with LPs going straight to the HiGHS
-#: binding the template path is at least as fast at every ``n`` measured
-#: (``docs/PERFORMANCE.md``, "Small instances"), so the route now only
-#: awaits pruning (ROADMAP item 2).
-DENSE_POINT_CROSSOVER = 9
 
 #: Bound on the answer memo, in entries (one per distinct ``point`` query or
 #: whole ``points_batch`` call).  The repeats it serves sit inside one trial —
@@ -444,6 +432,8 @@ class KernelStats:
     multi_calls: int = 0
     multi_dedup_hits: int = 0
     lp_solves: int = 0
+    #: Always 0 (every solve goes through a template); readers of the
+    #: exposition, the benchmark ledger among them, look the name up.
     dense_solves: int = 0
     relaxed_solves: int = 0
     template_hits: int = 0
@@ -496,9 +486,9 @@ class GammaKernel:
     * :meth:`point` is keyed on ``(f, prune, cloud shape, cloud bytes,
       objective bytes)`` — bitwise, so ``-0.0`` and ``0.0`` are different
       queries;
-    * :meth:`points_batch` is keyed on the **whole batch** in order, plus
-      ``fused``: a fused vertex depends on its batch-mates, so an entry is
-      only ever the answer to that exact batch;
+    * :meth:`points_batch` is keyed on the **whole batch** in order: a fused
+      vertex depends on its batch-mates, so an entry is only ever the answer
+      to that exact batch;
     * :meth:`points_multi` inherits both through the calls it makes;
     * queries with an explicit ``subset_indices`` family bypass the memo;
     * answers are stored and handed out as copies, an empty ``Gamma``
@@ -518,30 +508,15 @@ class GammaKernel:
         max_cached_templates: bound on distinct LP shapes kept alive (the
             protocols only ever touch a handful; the bound guards pathological
             sweeps over many configurations).
-        dense_crossover: clouds of at most this many points are solved through
-            the direct dense assembly instead of the sparse templates (see
-            :data:`DENSE_POINT_CROSSOVER`); set to 0 to force the template
-            path everywhere.
     """
 
-    def __init__(
-        self,
-        max_cached_templates: int = 64,
-        dense_crossover: int = DENSE_POINT_CROSSOVER,
-    ) -> None:
+    def __init__(self, max_cached_templates: int = 64) -> None:
         if max_cached_templates < 1:
             raise GeometryError("the template cache must hold at least one shape")
-        if dense_crossover < 0:
-            raise GeometryError("the dense crossover must be non-negative")
         self._max_cached_templates = max_cached_templates
-        self._dense_crossover = dense_crossover
         self._templates: dict[tuple[int, int, int], _ConstraintTemplate] = {}
         self._memo: dict[tuple, np.ndarray | None | tuple[np.ndarray | None, ...]] = {}
         self.stats = KernelStats()
-
-    def uses_dense_path(self, point_count: int) -> bool:
-        """True when a ``point_count``-point cloud dispatches to the dense path."""
-        return 0 < point_count <= self._dense_crossover
 
     # -- cache -------------------------------------------------------------------
 
@@ -681,15 +656,9 @@ class GammaKernel:
         dimension = cloud.shape[1]
         block_size = len(families[0])
         families_flat = np.asarray(families, dtype=np.int64)
-        if self.uses_dense_path(cloud.shape[0]):
-            matrix, rhs, bounds = self._dense_equality_system(cloud, families_flat)
-            self.stats.dense_solves += 1
-        else:
-            template = self._template(len(families), block_size, dimension)
-            matrix = template.matrix_for(cloud, families_flat)
-            rhs = template.rhs
-            bounds = (template.col_lower, template.col_upper)
-        objective = np.zeros(matrix.shape[1])
+        template = self._template(len(families), block_size, dimension)
+        matrix = template.matrix_for(cloud, families_flat)
+        objective = np.zeros(template.variable_count)
         objective[:dimension] = objective_head
 
         self.stats.lp_solves += 1
@@ -698,8 +667,8 @@ class GammaKernel:
             result = solve_linear_program(
                 objective,
                 equality_matrix=matrix,
-                equality_rhs=rhs,
-                bounds=bounds,
+                equality_rhs=template.rhs,
+                bounds=(template.col_lower, template.col_upper),
             )
         except LinearProgramError as error:
             # Clusters of near-coincident points (honest states late in a
@@ -716,34 +685,6 @@ class GammaKernel:
             return result.solution[:dimension]
         return self._relaxed_point(cloud, families_flat)
 
-    def _dense_equality_system(
-        self, cloud: np.ndarray, families_flat: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """Assemble the Section 2.2 equality system as one dense array.
-
-        Identical rows, columns and coefficients to
-        :meth:`_ConstraintTemplate.matrix_for` — per block ``d`` rows of
-        ``z - Y_T^T alpha = 0`` followed by ``sum(alpha) = 1`` — just without
-        the scatter/permute machinery.
-        """
-        block_count, block_size = families_flat.shape
-        dimension = cloud.shape[1]
-        row_count = block_count * (dimension + 1)
-        variable_count = dimension + block_count * block_size
-        matrix = np.zeros((row_count, variable_count))
-        gathered = cloud[families_flat].transpose(0, 2, 1)  # (B, d, s)
-        identity = np.eye(dimension)
-        for block in range(block_count):
-            row_base = block * (dimension + 1)
-            col_base = dimension + block * block_size
-            matrix[row_base : row_base + dimension, :dimension] = identity
-            matrix[row_base : row_base + dimension, col_base : col_base + block_size] = (
-                -gathered[block]
-            )
-            matrix[row_base + dimension, col_base : col_base + block_size] = 1.0
-        rhs = np.tile(np.concatenate([np.zeros(dimension), [1.0]]), block_count)
-        return matrix, rhs, _variable_bounds(dimension, block_count * block_size)
-
     # -- batched queries ---------------------------------------------------------
 
     def points_batch(
@@ -754,9 +695,12 @@ class GammaKernel:
         objective: np.ndarray | Sequence[float] | None = None,
         subset_indices: Sequence[Sequence[Sequence[int]]] | None = None,
         prune: bool = True,
-        fused: bool = True,
     ) -> list[np.ndarray | None]:
         """Answer many safe-area queries in one numpy-assembled pass.
+
+        All queries are stitched into one block-diagonal LP; whenever that
+        fused program is infeasible they are re-solved one by one, so
+        emptiness is always attributed to the right query.
 
         Args:
             clouds: the query multisets; all must share one ``(m, d)`` shape
@@ -766,10 +710,6 @@ class GammaKernel:
             objective: optional shared objective over each query's ``z``.
             subset_indices: optional explicit subset family per query.
             prune: apply :func:`pruned_subset_family` per query.
-            fused: stitch all queries into one block-diagonal LP (the fast
-                path); per-query solving is used as the fallback whenever the
-                fused program is infeasible, so emptiness is always attributed
-                to the right query.
 
         Returns one entry per query: the chosen point, or ``None`` for an
         empty safe area.
@@ -803,7 +743,6 @@ class GammaKernel:
             key = (
                 fault_bound,
                 prune,
-                fused,
                 (len(arrays),) + first_shape,
                 b"".join(array.tobytes() for array in arrays),
                 objective_head.tobytes(),
@@ -821,13 +760,10 @@ class GammaKernel:
             )
             for index, array in enumerate(arrays)
         ]
-        answers = None
-        if fused:
-            answers = self._solve_fused(arrays, per_query_families, objective_head)
+        answers = self._solve_fused(arrays, per_query_families, objective_head)
         if answers is None:
-            # Unfused by request, or at least one query is (numerically)
-            # infeasible: resolve them individually so each gets the
-            # relaxed-slack treatment.
+            # At least one query is (numerically) infeasible: resolve them
+            # individually so each gets the relaxed-slack treatment.
             answers = [
                 self._solve_single(array, families, objective_head)
                 for array, families in zip(arrays, per_query_families)
@@ -843,7 +779,6 @@ class GammaKernel:
         *,
         objective: np.ndarray | Sequence[float] | None = None,
         prune: bool = True,
-        fused: bool = False,
     ) -> list[np.ndarray | None]:
         """Answer a whole round's safe-area queries in one assembled pass.
 
@@ -854,17 +789,12 @@ class GammaKernel:
         receive views or states collapse), solving each distinct cloud once.
 
         Unlike :meth:`points_batch`, clouds may have heterogeneous shapes
-        (they are grouped internally), and the default ``fused=False`` mode
-        solves each distinct cloud through the exact same cached-template
-        program as :meth:`point` — so results are bitwise identical to
-        per-query single solves, which is what lets the columnar engine share
-        one solve across many object-runtime-equivalent processes.  With
-        ``fused=True`` the distinct same-shape clouds are additionally
-        stitched into block-diagonal LPs (one HiGHS call per shape class);
-        that is the fastest mode but the solver may then return a *different
-        (equally valid)* vertex of a non-degenerate ``Gamma`` than a single
-        solve would, so it must not be mixed with single-solve callers inside
-        one protocol execution.
+        and each distinct cloud is solved through :meth:`point` — so results
+        are bitwise identical to per-query single solves, which is what lets
+        the columnar engine share one solve across many
+        object-runtime-equivalent processes.  (A block-diagonal solve may
+        return a different, equally valid vertex of a non-degenerate
+        ``Gamma``, so it is never mixed in here.)
 
         Returns one entry per query, aligned with ``clouds``: the chosen
         point, or ``None`` for an empty safe area.
@@ -874,7 +804,6 @@ class GammaKernel:
         arrays = [_as_cloud_array(cloud) for cloud in clouds]
         self.stats.multi_calls += 1
         self.stats.multi_queries += len(arrays)
-        results: list[np.ndarray | None] = [None] * len(arrays)
 
         # Dedupe bitwise-identical queries; remember one representative each.
         order: list[tuple[tuple[int, int], bytes]] = []
@@ -887,28 +816,11 @@ class GammaKernel:
                 representatives[key] = index
             order.append(key)
 
-        solved: dict[tuple[tuple[int, int], bytes], np.ndarray | None] = {}
-        if fused:
-            # Group distinct clouds by shape and solve each group as one
-            # block-diagonal program (per-query fallback on infeasibility).
-            by_shape: dict[tuple[int, int], list[tuple[tuple[tuple[int, int], bytes], int]]] = {}
-            for key, index in representatives.items():
-                by_shape.setdefault(key[0], []).append((key, index))
-            for shape, entries in by_shape.items():
-                group = [arrays[index] for _, index in entries]
-                answers = self.points_batch(
-                    group, fault_bound, objective=objective, prune=prune, fused=True
-                )
-                for (key, _), answer in zip(entries, answers):
-                    solved[key] = answer
-        else:
-            for key, index in representatives.items():
-                solved[key] = self.point(
-                    arrays[index], fault_bound, objective=objective, prune=prune
-                )
-        for index, key in enumerate(order):
-            results[index] = solved[key]
-        return results
+        solved = {
+            key: self.point(arrays[index], fault_bound, objective=objective, prune=prune)
+            for key, index in representatives.items()
+        }
+        return [solved[key] for key in order]
 
     def _solve_fused(
         self,
@@ -1142,7 +1054,6 @@ def safe_area_points_multi(
     *,
     objective: np.ndarray | Sequence[float] | None = None,
     prune: bool = True,
-    fused: bool = False,
 ) -> list[np.ndarray | None]:
     """Module-level convenience over :data:`default_kernel` (multi-instance round pass)."""
     return default_kernel.points_multi(
@@ -1150,7 +1061,6 @@ def safe_area_points_multi(
         fault_bound,
         objective=objective,
         prune=prune,
-        fused=fused,
     )
 
 
@@ -1161,7 +1071,6 @@ def safe_area_points_batch(
     objective: np.ndarray | Sequence[float] | None = None,
     subset_indices: Sequence[Sequence[Sequence[int]]] | None = None,
     prune: bool = True,
-    fused: bool = True,
 ) -> list[np.ndarray | None]:
     """Module-level convenience over :data:`default_kernel` (batched queries)."""
     return default_kernel.points_batch(
@@ -1170,5 +1079,4 @@ def safe_area_points_batch(
         objective=objective,
         subset_indices=subset_indices,
         prune=prune,
-        fused=fused,
     )

@@ -776,7 +776,6 @@ def run_server(
     store_path: str,
     host: str = "127.0.0.1",
     port: int = 8321,
-    backend: str = "auto",
     workers: int = 1,
     max_active: int = 2,
     max_pending: int = 8,
@@ -787,7 +786,6 @@ def run_server(
     """Blocking convenience entry point (the CLI's ``repro serve``)."""
     service = CampaignService(
         store_path,
-        backend=backend,
         workers=workers,
         max_active=max_active,
         max_pending=max_pending,

@@ -52,7 +52,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro.engine.campaign import Campaign
-from repro.engine.pool import POOL_CHOICES, pool_metrics, shutdown_pools
+from repro.engine.pool import pool_metrics, shutdown_pools
 from repro.engine.session import ENGINE_CHOICES, CampaignSession, RowEvent
 from repro.exceptions import ConfigurationError
 from repro.obs.registry import get_registry, render_prometheus, snapshot_jsonable
@@ -185,7 +185,6 @@ class CampaignService:
     def __init__(
         self,
         store_path: str | Path,
-        backend: str = "auto",
         workers: int = 1,
         max_active: int = 2,
         max_pending: int = 8,
@@ -193,7 +192,6 @@ class CampaignService:
         trace_dir: str | Path | None = None,
     ) -> None:
         self.store_path = Path(store_path)
-        self.backend = backend
         self.default_workers = workers
         self.max_active = max_active
         self.max_pending = max_pending
@@ -224,7 +222,7 @@ class CampaignService:
         self._response_cache: "OrderedDict[tuple, Any]" = OrderedDict()
         # Create the store eagerly so the first query does not race the first
         # submission on schema creation, and a bad path fails at startup.
-        open_store(self.store_path, backend=self.backend).close()
+        open_store(self.store_path).close()
 
     # -- accounting ----------------------------------------------------------
 
@@ -288,7 +286,7 @@ class CampaignService:
         """Validate and enqueue one campaign; returns its :class:`RunHandle`.
 
         ``payload`` is ``{"campaign": <declaration>, "workers"?, "engine"?,
-        "pool"?, "resume"?}`` — the declaration is the campaign-file schema.
+        "resume"?}`` — the declaration is the campaign-file schema.
         Raises :class:`ServiceBusy` once ``max_active + max_pending`` runs
         are in flight (the bound that keeps one tenant from queueing
         unbounded compute), :class:`ServiceError` on malformed payloads.
@@ -304,14 +302,11 @@ class CampaignService:
             raise ServiceError(str(error)) from error
         workers = payload.get("workers", self.default_workers)
         engine = payload.get("engine", "auto")
-        pool = payload.get("pool", "persistent")
         resume = payload.get("resume", True)
         if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
             raise ServiceError(f"'workers' must be a positive integer, got {workers!r}")
         if engine not in ENGINE_CHOICES:
             raise ServiceError(f"unknown engine {engine!r}; known: {', '.join(ENGINE_CHOICES)}")
-        if pool not in POOL_CHOICES:
-            raise ServiceError(f"unknown pool {pool!r}; known: {', '.join(POOL_CHOICES)}")
         if not isinstance(resume, bool):
             raise ServiceError(f"'resume' must be a boolean, got {resume!r}")
 
@@ -330,7 +325,6 @@ class CampaignService:
                 engine=engine,
                 store=self.store_path,
                 reuse_cached=resume,
-                pool=pool,
                 claim_wait_timeout=self.claim_wait_timeout,
                 trace=TraceRecorder() if self.trace_dir is not None else None,
             )
@@ -409,19 +403,16 @@ class CampaignService:
         """This thread's long-lived read handle (opened on first use).
 
         Replaces the open-per-request pattern: a warm read no longer pays
-        connection setup + schema DDL, just the query.  JSONL handles are
-        refreshed against the on-disk generation so externally-committed
-        rows become visible; SQLite sees committed state per statement.
+        connection setup + schema DDL, just the query.  SQLite sees
+        committed state per statement, so externally-committed rows are
+        visible without reopening.
         """
         store = getattr(self._thread_store, "store", None)
         if store is None:
-            store = open_store(
-                self.store_path, backend=self.backend, check_same_thread=False
-            )
+            store = open_store(self.store_path, check_same_thread=False)
             self._thread_store.store = store
             with self._pool_lock:
                 self._pooled_stores.append(store)
-        store.refresh()
         return store
 
     def _cached_read(self, cache_key_tail: tuple, compute) -> Any:

@@ -4,8 +4,8 @@ The deterministic engine (PRs 2–4) makes every trial a pure function of its
 :class:`~repro.engine.spec.TrialSpec`.  This package turns that guarantee
 into a serving substrate: trial rows are warehoused under a content address
 derived from the spec itself (:mod:`repro.store.keys`), behind one
-:class:`~repro.store.backend.ResultStore` interface with SQLite and
-JSONL-directory backends (:mod:`repro.store.backend`), and queried without
+:class:`~repro.store.backend.ResultStore` interface implemented over a
+single SQLite file (:mod:`repro.store.backend`), and queried without
 re-execution through :mod:`repro.store.query`.
 
 The executor (:mod:`repro.engine.executor`) consults a store before planning
@@ -16,9 +16,7 @@ is what makes interrupted campaigns resumable and repeated grids cheap.  The
 """
 
 from repro.store.backend import (
-    BACKEND_CHOICES,
     INDEXED_COLUMNS,
-    JsonlDirectoryStore,
     ResultStore,
     SqliteResultStore,
     StoreEntry,
@@ -40,11 +38,9 @@ from repro.store.query import (
 
 __all__ = [
     "AGGREGATE_COLUMNS",
-    "BACKEND_CHOICES",
     "ENGINE_VERSION",
     "INDEXED_COLUMNS",
     "VOLATILE_SPEC_FIELDS",
-    "JsonlDirectoryStore",
     "ResultStore",
     "SqliteResultStore",
     "StoreEntry",

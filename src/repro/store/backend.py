@@ -1,19 +1,14 @@
-"""Result-store backends: one ``ResultStore`` interface, two on-disk layouts.
+"""The result store: a ``ResultStore`` interface and its SQLite implementation.
 
 A :class:`ResultStore` is an append-mostly warehouse of trial rows keyed by
-:func:`~repro.store.keys.trial_key` content addresses.  Both backends share
-the same durability contract the executor's resume path relies on:
+:func:`~repro.store.keys.trial_key` content addresses, with the durability
+contract the executor's resume path relies on:
 
-* :meth:`ResultStore.put_results` is **transactional on the SQLite backend**
-  (one SQL transaction per call) and per-shard-append on the JSONL backend —
-  the executor calls it once per completed execution unit, so an interrupted
-  campaign leaves the store at a clean unit boundary on SQLite, and at worst
-  a partially-appended unit (whole rows, at most one torn trailing line) on
-  JSONL;
+* :meth:`ResultStore.put_results` is **transactional** (one SQL transaction
+  per call) — the executor calls it once per completed execution unit, so an
+  interrupted campaign leaves the store at a clean unit boundary;
 * writes are **idempotent** — re-putting a key overwrites with the same
   bytes, so replaying a partial or whole unit after a crash is harmless;
-  this is what keeps the JSONL backend's weaker atomicity safe: resume
-  simply re-runs whatever the store is missing;
 * rows are stamped with the :data:`~repro.store.keys.ENGINE_VERSION` they
   were produced under.  Because keys are salted with that version, stale
   rows are unreachable by lookup; :meth:`ResultStore.gc` deletes them;
@@ -22,27 +17,17 @@ the same durability contract the executor's resume path relies on:
   caches (ETag digests, response bodies) can validate in O(1): equal
   generations bracket an unchanged result set, across processes.
 
-Backends:
-
-* :class:`SqliteResultStore` — a single SQLite file with the spec's shape
-  columns mirrored into indexed columns, so the query layer can push
-  ``WHERE`` clauses into the database.  This is the scale backend (atomic
-  transactions, cheap point lookups at millions of rows).
-* :class:`JsonlDirectoryStore` — a directory of append-only JSON-lines
-  shards (fanned out by the first key byte), fully greppable and
-  merge-friendly.  The whole index is held in memory, which is fine at
-  campaign scale; a torn trailing line from an interrupted append is
-  detected and skipped on load (and reported via ``corrupt_lines``).
-
-:func:`open_store` picks a backend from the path (existing directory or
-suffix-less path → JSONL directory, anything else → SQLite) unless told
-explicitly.
+:class:`SqliteResultStore` is the one implementation: a single SQLite file
+with the spec's shape columns mirrored into indexed columns, so the query
+layer can push ``WHERE`` clauses into the database (atomic transactions,
+cheap point lookups at millions of rows).  The greppable, merge-friendly
+form of a store is its JSONL export (``repro store export`` /
+:meth:`ResultStore.import_jsonl`), not a second on-disk layout.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sqlite3
 import time
 from abc import ABC, abstractmethod
@@ -57,22 +42,16 @@ from repro.obs.registry import get_registry
 from repro.store.keys import ENGINE_VERSION, trial_key
 
 __all__ = [
-    "BACKEND_CHOICES",
     "INDEXED_COLUMNS",
     "StoreEntry",
     "ResultStore",
     "SqliteResultStore",
-    "JsonlDirectoryStore",
     "open_store",
 ]
 
-#: Backend names accepted by :func:`open_store` (and the CLI's ``--store-backend``).
-BACKEND_CHOICES = ("auto", "sqlite", "jsonl")
-
-#: Spec/outcome columns every backend can filter on without parsing rows.
-#: The SQLite backend mirrors them into indexed columns; the JSONL backend
-#: filters its in-memory index.  Keys of the ``where`` mapping accepted by
-#: :meth:`ResultStore.iter_entries` must come from this set.
+#: Spec/outcome columns the store can filter on without parsing rows (SQLite
+#: mirrors them into indexed columns).  Keys of the ``where`` mapping accepted
+#: by :meth:`ResultStore.iter_entries` must come from this set.
 INDEXED_COLUMNS = (
     "protocol",
     "workload",
@@ -160,17 +139,30 @@ def _count_claims(granted: int, requested: int) -> None:
 class ResultStore(ABC):
     """Content-addressed warehouse of trial rows (see module docstring)."""
 
-    #: Human-readable backend name ("sqlite" | "jsonl").
+    #: Human-readable backend name (the ``backend`` metric label and the
+    #: ``backend`` field of :meth:`stats`).
     backend_name: str
+
+    #: Seconds after which an unreleased claim expires (a crashed claimant
+    #: must not block other processes forever).
+    CLAIM_TTL_SECONDS = 300.0
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
 
-    # -- required backend primitives -------------------------------------------
+    # -- rows ------------------------------------------------------------------
 
     @abstractmethod
     def get_rows(self, keys: Sequence[str]) -> dict[str, dict[str, Any]]:
         """Return ``{key: row}`` for every requested key present in the store."""
+
+    @abstractmethod
+    def contains_keys(self, keys: Sequence[str]) -> set[str]:
+        """Return the subset of ``keys`` present in the store (index-only).
+
+        The executor uses this for its cache-hit census so that a warm run
+        never has to materialise every cached row at once.
+        """
 
     @abstractmethod
     def put_rows(
@@ -202,6 +194,14 @@ class ResultStore(ABC):
         """
 
     @abstractmethod
+    def iter_keys(self, where: Mapping[str, Any] | None = None) -> Iterator[str]:
+        """Yield matching content keys in sorted order, rows never deserialised.
+
+        The ETag digest is computed from this index-only scan, so
+        revalidation cost is bounded by key count, not row payload size.
+        """
+
+    @abstractmethod
     def delete_keys(self, keys: Sequence[str]) -> int:
         """Delete the given keys (missing ones ignored); returns rows removed."""
 
@@ -214,46 +214,17 @@ class ResultStore(ABC):
         equal generation bracket an unchanged result set.  This is what turns
         ETag revalidation into an O(1) lookup — a cached ``(generation,
         filter) → digest`` entry stays valid exactly until the store mutates —
-        and it is shared across processes (SQLite ``meta`` table / JSONL
-        meta file), so concurrent writers invalidate each other's caches.
-        Claims do not bump it: they coordinate work, not content.
+        and it is shared across processes (the SQLite ``meta`` table), so
+        concurrent writers invalidate each other's caches.  Claims do not
+        bump it: they coordinate work, not content.
         """
 
     @abstractmethod
     def __len__(self) -> int: ...
 
-    def iter_keys(self, where: Mapping[str, Any] | None = None) -> Iterator[str]:
-        """Yield matching content keys in sorted order, rows never deserialised.
-
-        Backends override this with an index-only scan; the ETag digest is
-        computed from it, so revalidation cost is bounded by key count, not
-        row payload size.
-        """
-        for entry in self.iter_entries(where=where):
-            yield entry.key
-
-    def refresh(self) -> None:
-        """Make externally-committed writes visible to this handle.
-
-        SQLite handles see committed state on every statement, so this is a
-        no-op there; the JSONL backend reloads its in-memory index when the
-        on-disk generation has moved.  Long-lived pooled read handles call
-        this before serving.
-        """
-
+    @abstractmethod
     def close(self) -> None:
         """Release backend resources (idempotent)."""
-
-    # -- shared convenience layer ----------------------------------------------
-
-    def contains_keys(self, keys: Sequence[str]) -> set[str]:
-        """Return the subset of ``keys`` present in the store.
-
-        The executor uses this for its cache-hit census so that a warm run
-        never has to materialise every cached row at once; backends override
-        it with an index-only implementation.
-        """
-        return set(self.get_rows(keys))
 
     def __contains__(self, key: str) -> bool:
         return bool(self.contains_keys([key]))
@@ -270,10 +241,7 @@ class ResultStore(ABC):
 
     # -- cross-process claim coordination --------------------------------------
 
-    #: Seconds after which an unreleased claim expires (a crashed claimant
-    #: must not block other processes forever).
-    CLAIM_TTL_SECONDS = 300.0
-
+    @abstractmethod
     def claim_keys(self, keys: Sequence[str], owner: str) -> set[str]:
         """Try to claim ``keys`` for ``owner``; return the granted subset.
 
@@ -283,39 +251,30 @@ class ResultStore(ABC):
         that trial, and the caller should poll for its committed row.
         Claims are advisory — they coordinate work, they do not gate writes
         (commits stay last-write-wins, which keeps crash recovery trivial).
-
-        The base implementation grants everything: single-writer backends
-        (JSONL directories) have no cross-process story, and granting all
-        claims reduces the executor to its ordinary single-process path.
         """
-        _count_claims(granted=len(keys), requested=len(keys))
-        return set(keys)
 
+    @abstractmethod
     def release_claims(self, keys: Sequence[str], owner: str) -> int:
         """Drop ``owner``'s claims on ``keys`` (committed rows already drop
-        theirs); returns the number released.  No-op on the base class."""
-        return 0
+        theirs); returns the number released."""
 
+    @abstractmethod
     def list_claims(self) -> list[dict[str, Any]]:
         """Outstanding claims as ``{key, owner, claimed_at, age_seconds, expired}``.
 
         Diagnostic surface for stuck concurrent campaigns (``repro store
         claims``): a long-lived *live* claim is a session still computing;
         an *expired* one is a crashed claimant whose keys the next session
-        will re-claim.  Backends without claim coordination have none.
+        will re-claim.
         """
-        return []
 
+    @abstractmethod
     def claim_stats(self) -> dict[str, int]:
         """Live/expired claim counts (``{"live": n, "expired": n}``)."""
-        live = expired = 0
-        for claim in self.list_claims():
-            if claim["expired"]:
-                expired += 1
-            else:
-                live += 1
-        return {"live": live, "expired": expired}
 
+    # -- maintenance -----------------------------------------------------------
+
+    @abstractmethod
     def gc(self, engine_version: str = ENGINE_VERSION, dry_run: bool = False) -> int:
         """Delete (or with ``dry_run`` just count) rows under any other engine salt.
 
@@ -323,10 +282,10 @@ class ResultStore(ABC):
         a salt no current :func:`~repro.store.keys.trial_key` call uses — so
         removing them only reclaims space, never cache hits.
         """
-        stale = [entry.key for entry in self.iter_entries() if entry.engine_version != engine_version]
-        if dry_run:
-            return len(stale)
-        return self.delete_keys(stale)
+
+    @abstractmethod
+    def stats(self) -> dict[str, Any]:
+        """Aggregate view for the CLI: counts by engine version and status."""
 
     def import_jsonl(
         self,
@@ -369,29 +328,6 @@ class ResultStore(ABC):
         if batch:
             ingested += self.put_rows(batch, engine_version=engine_version)
         return ingested
-
-    def stats(self) -> dict[str, Any]:
-        """Aggregate view for the CLI: counts by engine version and status."""
-        by_version: dict[str, int] = {}
-        by_status: dict[str, int] = {}
-        total = 0
-        for entry in self.iter_entries():
-            total += 1
-            by_version[entry.engine_version] = by_version.get(entry.engine_version, 0) + 1
-            status = str(entry.row.get("status"))
-            by_status[status] = by_status.get(status, 0) + 1
-        claims = self.claim_stats()
-        return {
-            "backend": self.backend_name,
-            "path": str(self.path),
-            "trials": total,
-            "current_engine_version": ENGINE_VERSION,
-            "stale_trials": total - by_version.get(ENGINE_VERSION, 0),
-            "engine_versions": dict(sorted(by_version.items())),
-            "statuses": dict(sorted(by_status.items())),
-            "claims_live": claims["live"],
-            "claims_expired": claims["expired"],
-        }
 
 
 def _indexed_values(row: Mapping[str, Any]) -> tuple[Any, ...]:
@@ -438,12 +374,18 @@ class SqliteResultStore(ResultStore):
         # guarantees one-thread-at-a-time use but closes them from a
         # different thread at shutdown (the serving layer's per-thread pool).
         super().__init__(path)
+        if self.path.is_dir():
+            raise ConfigurationError(
+                f"{self.path} is a directory; a result store is a single SQLite file "
+                "(JSONL shard directories are no longer read — `repro store export` / "
+                "`repro store import` is the greppable format)"
+            )
         self.path.parent.mkdir(parents=True, exist_ok=True)
         try:
             self._connection = sqlite3.connect(
                 str(self.path), check_same_thread=check_same_thread
             )
-        except sqlite3.Error as error:  # e.g. the path is a directory
+        except sqlite3.Error as error:
             raise ConfigurationError(
                 f"{self.path} is not a usable SQLite result store: {error}"
             ) from error
@@ -632,8 +574,8 @@ class SqliteResultStore(ResultStore):
         return int(count)
 
     def gc(self, engine_version: str = ENGINE_VERSION, dry_run: bool = False) -> int:
-        # SQL fast path: engine_version is an indexed column, so neither the
-        # count nor the delete needs to parse a single row.
+        # engine_version is an indexed column, so neither the count nor the
+        # delete needs to parse a single row.
         if dry_run:
             (stale,) = self._connection.execute(
                 "SELECT COUNT(*) FROM trials WHERE engine_version != ?", (engine_version,)
@@ -650,8 +592,7 @@ class SqliteResultStore(ResultStore):
         return cursor.rowcount
 
     def stats(self) -> dict[str, Any]:
-        # SQL fast path over the indexed columns (same shape as the base
-        # implementation, without deserialising any row).
+        # Grouped over the indexed columns, without deserialising any row.
         by_version = {
             version: int(count)
             for version, count in self._connection.execute(
@@ -708,214 +649,10 @@ class SqliteResultStore(ResultStore):
         self._connection.close()
 
 
-class JsonlDirectoryStore(ResultStore):
-    """Directory of append-only JSONL shards, indexed in memory.
+def open_store(path: str | Path, check_same_thread: bool = True) -> ResultStore:
+    """Open (creating if needed) the SQLite result store at ``path``.
 
-    Layout: ``<dir>/<key[:2]>.jsonl``, one JSON object per line carrying the
-    key, the stamps and the row.  Appends flush per ``put_rows`` call;
-    duplicate keys resolve last-write-wins at load time.  Durability is
-    weaker than SQLite's: a ``put_rows`` spanning several shards is not
-    atomic across them, and an interrupted append can tear the final line
-    of one shard (skipped and counted on load) — safe only because trials
-    are individually keyed and idempotently re-put on resume, never because
-    a unit is assumed whole-or-absent.
-    """
-
-    backend_name = "jsonl"
-
-    #: Generation counter file (``.json`` suffix keeps it out of the
-    #: ``*.jsonl`` shard glob).
-    _META_NAME = "_meta.json"
-
-    def __init__(self, path: str | Path) -> None:
-        super().__init__(path)
-        if self.path.exists() and not self.path.is_dir():
-            raise ConfigurationError(
-                f"{self.path} exists and is not a directory; "
-                "the jsonl backend stores shards under a directory"
-            )
-        self.path.mkdir(parents=True, exist_ok=True)
-        #: Lines that failed to parse during load (torn trailing appends).
-        self.corrupt_lines = 0
-        self._entries: dict[str, StoreEntry] = {}
-        self._generation = self._disk_generation()
-        self._load()
-
-    def _load(self) -> None:
-        self._entries.clear()
-        for shard in sorted(self.path.glob("*.jsonl")):
-            with shard.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                        entry = StoreEntry(
-                            key=record["key"],
-                            engine_version=record["engine_version"],
-                            created_at=float(record["created_at"]),
-                            row=record["row"],
-                        )
-                    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                        self.corrupt_lines += 1
-                        continue
-                    self._entries[entry.key] = entry
-
-    def _disk_generation(self) -> int:
-        meta = self.path / self._META_NAME
-        try:
-            return int(json.loads(meta.read_text(encoding="utf-8"))["generation"])
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
-            return 0
-
-    def _bump_generation(self) -> None:
-        _STORE_GENERATION_BUMPS.labels(backend=self.backend_name).inc()
-        self._generation = self._disk_generation() + 1
-        meta = self.path / self._META_NAME
-        replacement = meta.with_suffix(".json.tmp")
-        replacement.write_text(
-            json.dumps({"generation": self._generation}), encoding="utf-8"
-        )
-        os.replace(replacement, meta)
-
-    def generation(self) -> int:
-        return self._generation
-
-    def refresh(self) -> None:
-        # Another handle (same or different process) committed: reload the
-        # in-memory index.  Handles that only ever write through themselves
-        # never reload — their index is already current.
-        disk = self._disk_generation()
-        if disk != self._generation:
-            self._generation = disk
-            self._load()
-
-    def _shard(self, key: str) -> Path:
-        return self.path / f"{key[:2]}.jsonl"
-
-    @staticmethod
-    def _shard_line(entry: StoreEntry) -> str:
-        """The single on-disk record shape (shared by append and rewrite)."""
-        return json.dumps(
-            {
-                "key": entry.key,
-                "engine_version": entry.engine_version,
-                "created_at": entry.created_at,
-                "row": entry.row,
-            },
-            sort_keys=True,
-        )
-
-    def get_rows(self, keys: Sequence[str]) -> dict[str, dict[str, Any]]:
-        return {key: self._entries[key].row for key in keys if key in self._entries}
-
-    def contains_keys(self, keys: Sequence[str]) -> set[str]:
-        return {key for key in keys if key in self._entries}
-
-    def put_rows(
-        self,
-        entries: Sequence[tuple[str, dict[str, Any]]],
-        engine_version: str = ENGINE_VERSION,
-    ) -> int:
-        now = time.time()
-        by_shard: dict[Path, list[StoreEntry]] = {}
-        for key, row in entries:
-            entry = StoreEntry(key=key, engine_version=engine_version, created_at=now, row=row)
-            by_shard.setdefault(self._shard(key), []).append(entry)
-        for shard, shard_entries in sorted(by_shard.items()):
-            with shard.open("a", encoding="utf-8") as handle:
-                for entry in shard_entries:
-                    handle.write(self._shard_line(entry) + "\n")
-                handle.flush()
-        for _, shard_entries in sorted(by_shard.items()):
-            for entry in shard_entries:
-                self._entries[entry.key] = entry
-        if entries:
-            _STORE_ROWS_WRITTEN.labels(backend=self.backend_name).inc(len(entries))
-            self._bump_generation()
-        return len(entries)
-
-    def iter_entries(
-        self,
-        where: Mapping[str, Any] | None = None,
-        after_key: str | None = None,
-        limit: int | None = None,
-    ) -> Iterator[StoreEntry]:
-        filters = _check_where(where)
-        yielded = 0
-        for key in sorted(self._entries):
-            if after_key is not None and key <= after_key:
-                continue
-            if limit is not None and yielded >= limit:
-                return
-            entry = self._entries[key]
-            matches = True
-            for column, wanted in filters.items():
-                actual = (
-                    entry.engine_version
-                    if column == "engine_version"
-                    else entry.row.get(_ROW_FIELD[column])
-                )
-                if actual != wanted:
-                    matches = False
-                    break
-            if matches:
-                yielded += 1
-                yield entry
-
-    def delete_keys(self, keys: Sequence[str]) -> int:
-        doomed = [key for key in keys if key in self._entries]
-        for key in doomed:
-            del self._entries[key]
-        # Rewrite each affected shard atomically (write-new + rename) from the
-        # surviving in-memory entries, bucketed in one pass over the index.
-        affected = {key[:2] for key in doomed}
-        survivors_by_prefix: dict[str, list[StoreEntry]] = {prefix: [] for prefix in affected}
-        for key in sorted(self._entries):
-            if key[:2] in affected:
-                survivors_by_prefix[key[:2]].append(self._entries[key])
-        for prefix in sorted(affected):
-            shard = self.path / f"{prefix}.jsonl"
-            survivors = survivors_by_prefix[prefix]
-            replacement = shard.with_suffix(".jsonl.tmp")
-            with replacement.open("w", encoding="utf-8") as handle:
-                for entry in survivors:
-                    handle.write(self._shard_line(entry) + "\n")
-            if survivors:
-                os.replace(replacement, shard)
-            else:
-                replacement.unlink()
-                shard.unlink(missing_ok=True)
-        if doomed:
-            self._bump_generation()
-        return len(doomed)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-def open_store(
-    path: str | Path, backend: str = "auto", check_same_thread: bool = True
-) -> ResultStore:
-    """Open (creating if needed) a result store at ``path``.
-
-    ``backend="auto"`` resolves from the path: an existing directory — or a
-    fresh path with no suffix — becomes a JSONL directory store; anything
-    else (``.db``, ``.sqlite``, any file) opens as SQLite.
     ``check_same_thread=False`` relaxes SQLite's thread pinning for pooled
-    handles (see :class:`SqliteResultStore`); the JSONL backend ignores it.
+    handles (see :class:`SqliteResultStore`).
     """
-    if backend not in BACKEND_CHOICES:
-        raise ConfigurationError(
-            f"unknown store backend {backend!r}; known: {', '.join(BACKEND_CHOICES)}"
-        )
-    path = Path(path)
-    if backend == "auto":
-        if path.is_dir() or (not path.exists() and path.suffix == ""):
-            backend = "jsonl"
-        else:
-            backend = "sqlite"
-    if backend == "jsonl":
-        return JsonlDirectoryStore(path)
     return SqliteResultStore(path, check_same_thread=check_same_thread)

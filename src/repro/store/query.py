@@ -8,10 +8,9 @@ per-group outcome counters — the same counters a live
 :class:`~repro.engine.executor.CampaignSummary` reports.
 
 Filters on shape columns (:data:`~repro.store.backend.INDEXED_COLUMNS`) are
-pushed down to the backend — SQL ``WHERE`` clauses on the SQLite store, an
-index scan on the JSONL store — so only matching rows are ever parsed.
-Results are ordered by content key, which makes every query deterministic
-for a given store state regardless of insertion order or backend.
+pushed down to the store as SQL ``WHERE`` clauses, so only matching rows are
+ever parsed.  Results are ordered by content key, which makes every query
+deterministic for a given store state regardless of insertion order.
 """
 
 from __future__ import annotations

@@ -226,8 +226,9 @@ class TestValueKey:
     def test_same_key_as_the_full_walk(self, value):
         key, walked = _value_key(value), _walked_value_key(value)
         # Same leaf objects in the same places: equal even where a leaf is
-        # NaN, and interchangeable as a dict key.
-        assert key == walked
+        # NaN (wrapped, so a bare NaN value is compared by identity as well),
+        # and interchangeable as a dict key.
+        assert (key,) == (walked,)
         assert hash(key) == hash(walked)
         assert {walked: "tally"}[key] == "tally"
 

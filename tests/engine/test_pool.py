@@ -35,7 +35,6 @@ from repro.engine.pool import (
     encode_unit,
     execute_plan,
 )
-from repro.exceptions import ConfigurationError
 from repro.obs.registry import get_registry, snapshot_delta
 
 
@@ -147,10 +146,6 @@ class TestExecutePlan:
         for index in range(10)
     ]
 
-    def test_rejects_unknown_pool(self):
-        with pytest.raises(ConfigurationError, match="unknown pool"):
-            list(execute_plan(self.SPECS, [ExecutionUnit("object", (0,))], 2, pool="threads"))
-
     def test_explicit_chunksize_shapes_every_task(self):
         units = [ExecutionUnit("object", tuple(range(len(self.SPECS))))]
         sizes = sorted(
@@ -158,19 +153,6 @@ class TestExecutePlan:
             for positions, _ in execute_plan(self.SPECS, units, workers=2, chunksize=3)
         )
         assert sizes == [1, 3, 3, 3]
-
-    def test_spawn_pool_produces_identical_rows(self):
-        units = [ExecutionUnit("object", tuple(range(len(self.SPECS))))]
-        by_pool = {}
-        for pool in ("persistent", "spawn"):
-            rows = {}
-            for positions, results in execute_plan(self.SPECS, units, workers=2, pool=pool):
-                for position, result in zip(positions, results):
-                    rows[position] = result
-            by_pool[pool] = strip_timing(
-                rows[position].to_row() for position in sorted(rows)
-            )
-        assert by_pool["persistent"] == by_pool["spawn"]
 
 
 class TestPersistentPoolLifecycle:
@@ -189,7 +171,6 @@ class TestPersistentPoolLifecycle:
             path = tmp_path / f"w{workers}.jsonl"
             summary, _ = run_campaign(campaign, workers=workers, jsonl_path=path)
             assert summary.trials == len(campaign)
-            assert summary.pool == "persistent"
             canonical[workers] = strip_timing(iter_jsonl(path))
         assert canonical[1] == canonical[2] == canonical[4]
 

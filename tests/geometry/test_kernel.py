@@ -11,8 +11,8 @@ Section 2.2 enumeration (:func:`repro.core.safe_area.safe_area_point`) on
 
 across randomized ``(n, f, d)`` instances including degenerate (collinear,
 duplicate-point, fully collapsed) multisets.  Batched answers must match the
-corresponding single-query answers bit-for-bit on the loop path and to
-solver precision on the fused path.
+corresponding single-query answers to solver precision when the fused
+program is solved, and bit-for-bit when it falls back to per-query solves.
 """
 
 from __future__ import annotations
@@ -87,8 +87,7 @@ class TestSingleQueryEquivalence:
             cloud = np.vstack([np.eye(dimension), np.zeros((1, dimension))])
             assert safe_area_point_kernel(cloud, 1) is None
             assert safe_area_point(cloud, 1) is None
-            assert safe_area_is_empty(cloud, 1, engine="kernel")
-            assert safe_area_is_empty(cloud, 1, engine="oracle")
+            assert safe_area_is_empty(cloud, 1)
 
     def test_fully_collapsed_multiset(self):
         cloud = np.asarray([[2.0, -3.0]] * 5)
@@ -207,21 +206,29 @@ class TestPrunedFamilies:
 
 
 class TestBatchedQueries:
-    def test_loop_batch_is_bit_identical_to_single_queries(self):
+    def test_fallback_batch_is_bit_identical_to_single_queries(self):
+        # Six points in the plane with f = 2 sit below Lemma 1's bound, so
+        # some of these Gammas are empty: the fused program is infeasible and
+        # every query is re-solved on its own.
         rng = np.random.default_rng(5)
-        kernel = GammaKernel()
-        clouds = [rng.uniform(0.0, 1.0, size=(7, 2)) for _ in range(6)]
+        clouds = [rng.uniform(0.0, 1.0, size=(6, 2)) for _ in range(6)]
         objective = np.asarray([1.0, 0.0])
-        singles = [kernel.point(cloud, 2, objective=objective) for cloud in clouds]
-        looped = kernel.points_batch(clouds, 2, objective=objective, fused=False)
-        for single, from_batch in zip(singles, looped):
-            assert np.array_equal(single, from_batch)
+        singles = [GammaKernel().point(cloud, 2, objective=objective) for cloud in clouds]
+        assert any(single is None for single in singles)
+        assert any(single is not None for single in singles)
+        kernel = GammaKernel()
+        from_batch = kernel.points_batch(clouds, 2, objective=objective)
+        assert kernel.stats.lp_solves > len(clouds)  # the fused attempt, then one each
+        for single, batched in zip(singles, from_batch):
+            assert (single is None) == (batched is None)
+            if single is not None:
+                assert np.array_equal(single, batched)
 
     def test_fused_batch_matches_singles_to_solver_precision(self):
         rng = np.random.default_rng(6)
         clouds = [rng.uniform(0.0, 1.0, size=(9, 2)) for _ in range(5)]
         objective = np.asarray([1.0, 0.0])
-        fused = safe_area_points_batch(clouds, 2, objective=objective, fused=True)
+        fused = safe_area_points_batch(clouds, 2, objective=objective)
         for cloud, point in zip(clouds, fused):
             single = safe_area_point_kernel(cloud, 2, objective=objective)
             assert float(point[0]) == pytest.approx(float(single[0]), abs=1e-8)
@@ -252,11 +259,8 @@ class TestBatchedQueries:
         families = [[(0, 1, 2, 3), (1, 2, 3, 4)]] * 2  # one family list short
         with pytest.raises(GeometryError):
             safe_area_points_batch(clouds, 1, subset_indices=families)
-        for engine in ("kernel", "oracle"):
-            with pytest.raises(GeometryError):
-                SafeAreaCalculator(fault_bound=1, engine=engine).choose_batch(
-                    clouds, subset_indices=families
-                )
+        with pytest.raises(GeometryError):
+            SafeAreaCalculator(fault_bound=1).choose_batch(clouds, subset_indices=families)
 
     def test_batch_zero_faults_returns_centroids(self):
         rng = np.random.default_rng(10)
@@ -269,9 +273,7 @@ class TestBatchedQueries:
 class TestTemplateCacheAndStats:
     def test_templates_are_reused_across_rounds(self):
         rng = np.random.default_rng(11)
-        # dense_crossover=0 pins the template path: 7-point clouds would
-        # otherwise dispatch to the dense assembly.
-        kernel = GammaKernel(dense_crossover=0)
+        kernel = GammaKernel()
         # Unpruned queries share the exact (C(7,5), 5, 2) LP shape, so after
         # the first assembly every later round hits the cached template.
         for _ in range(5):
@@ -285,24 +287,14 @@ class TestTemplateCacheAndStats:
         kernel.point(rng.uniform(size=(7, 2)), 2, prune=True)
         assert kernel.stats.blocks_pruned_away > 0
 
-    def test_small_clouds_take_the_dense_path(self):
-        rng = np.random.default_rng(14)
-        kernel = GammaKernel()
-        kernel.point(rng.uniform(size=(7, 2)), 2, prune=False)
-        assert kernel.stats.dense_solves == 1
-        assert kernel.stats.lp_solves == 1
-        assert kernel.stats.template_misses == 0
-
     def test_cache_eviction_is_bounded(self):
         rng = np.random.default_rng(12)
-        kernel = GammaKernel(max_cached_templates=2, dense_crossover=0)
+        kernel = GammaKernel(max_cached_templates=2)
         for point_count in (5, 6, 7, 8):
             kernel.point(rng.uniform(size=(point_count, 2)), 1)
         assert kernel.template_cache_size <= 2
         with pytest.raises(GeometryError):
             GammaKernel(max_cached_templates=0)
-        with pytest.raises(GeometryError):
-            GammaKernel(dense_crossover=-1)
 
     def test_reset_and_clear(self):
         rng = np.random.default_rng(13)
@@ -357,12 +349,12 @@ class TestScalarInterval:
         assert float(high[0]) == pytest.approx(interval[1], abs=1e-6)
 
 
-class TestCalculatorEngines:
-    def test_kernel_and_oracle_engines_agree_on_objective_value(self):
+class TestCalculator:
+    def test_choice_agrees_with_the_oracle_on_objective_value(self):
         rng = np.random.default_rng(14)
         cloud = rng.uniform(0.0, 1.0, size=(7, 2))
-        kernel_choice = SafeAreaCalculator(fault_bound=2, engine="kernel").choose(cloud)
-        oracle_choice = SafeAreaCalculator(fault_bound=2, engine="oracle").choose(cloud)
+        kernel_choice = SafeAreaCalculator(fault_bound=2).choose(cloud)
+        oracle_choice = safe_area_point(cloud, 2, objective=[1.0, 0.0])
         # Default objective minimises the first coordinate; the minimum over
         # Gamma is formulation independent.
         assert float(kernel_choice[0]) == pytest.approx(float(oracle_choice[0]), abs=1e-7)
@@ -382,14 +374,15 @@ class TestCalculatorEngines:
         with pytest.raises(EmptyIntersectionError):
             SafeAreaCalculator(fault_bound=1).choose_batch([triangle])
 
-    def test_choose_batch_oracle_engine_loops(self):
+    def test_choose_batch_agrees_with_the_oracle(self):
         rng = np.random.default_rng(17)
-        calculator = SafeAreaCalculator(fault_bound=1, engine="oracle")
         clouds = [rng.uniform(0.0, 1.0, size=(5, 2)) for _ in range(2)]
-        batched = calculator.choose_batch(clouds)
+        batched = SafeAreaCalculator(fault_bound=1).choose_batch(clouds)
         assert len(batched) == 2
-        assert all(safe_area_contains(cloud, 1, point, tolerance=1e-5)
-                   for cloud, point in zip(clouds, batched))
+        for cloud, point in zip(clouds, batched):
+            oracle = safe_area_point(cloud, 1, objective=[1.0, 0.0])
+            assert float(point[0]) == pytest.approx(float(oracle[0]), abs=1e-7)
+            assert safe_area_contains(cloud, 1, point, tolerance=1e-5)
 
     def test_empty_choose_batch(self):
         assert SafeAreaCalculator(fault_bound=1).choose_batch([]) == []
@@ -430,10 +423,10 @@ class TestMultiInstanceQueries:
         assert answers[0] is not None and answers[2] is not None
         assert answers[1] is None
 
-    def test_fused_mode_returns_valid_gamma_points(self):
+    def test_answers_are_valid_gamma_points(self):
         rng = np.random.default_rng(94)
         clouds = [rng.uniform(0.0, 1.0, size=(5, 2)) for _ in range(4)]
-        answers = safe_area_points_multi(clouds, 1, fused=True)
+        answers = safe_area_points_multi(clouds, 1)
         for cloud, answer in zip(clouds, answers):
             assert answer is not None
             assert safe_area_contains(cloud, 1, answer, tolerance=1e-5)
@@ -460,12 +453,13 @@ class TestCalculatorResolveMulti:
         answers = SafeAreaCalculator(fault_bound=1).resolve_multi([empty, healthy])
         assert answers[0] is None and answers[1] is not None
 
-    def test_oracle_engine_loops_the_literal_program(self):
+    def test_agrees_with_the_literal_program(self):
         rng = np.random.default_rng(97)
-        calculator = SafeAreaCalculator(fault_bound=1, engine="oracle")
         clouds = [rng.uniform(0.0, 1.0, size=(5, 2)) for _ in range(2)]
-        answers = calculator.resolve_multi(clouds)
+        answers = SafeAreaCalculator(fault_bound=1).resolve_multi(clouds)
         for cloud, answer in zip(clouds, answers):
+            oracle = safe_area_point(cloud, 1, objective=[1.0, 0.0])
+            assert float(answer[0]) == pytest.approx(float(oracle[0]), abs=1e-7)
             assert safe_area_contains(cloud, 1, answer, tolerance=1e-5)
 
     def test_mixed_dimensions_rejected_and_empty_call(self):

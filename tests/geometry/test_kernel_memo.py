@@ -132,8 +132,7 @@ def test_point_answers_equal_a_cold_kernels(query_set):
         assert warm.stats.lp_solves == len({cloud.tobytes() for cloud in clouds})
 
 
-@pytest.mark.parametrize("fused", [True, False], ids=["fused", "unfused"])
-def test_batch_answers_equal_a_cold_kernels(fused):
+def test_batch_answers_equal_a_cold_kernels():
     @settings(max_examples=40, deadline=None)
     @given(query_set=query_sets())
     def check(query_set):
@@ -144,8 +143,8 @@ def test_batch_answers_equal_a_cold_kernels(fused):
         batches = [clouds, clouds[:-1], clouds[::-1]]
         for batch in batches + batches:
             assert_same_outcome(
-                outcome(lambda: warm.points_batch(batch, fault_bound, objective=objective, fused=fused)),
-                outcome(lambda: cold.points_batch(batch, fault_bound, objective=objective, fused=fused)),
+                outcome(lambda: warm.points_batch(batch, fault_bound, objective=objective)),
+                outcome(lambda: cold.points_batch(batch, fault_bound, objective=objective)),
             )
         assert cold.stats.memo_hits == 0 and cold.memo_size == 0
         assert warm.stats.lp_solves <= cold.stats.lp_solves
@@ -153,8 +152,7 @@ def test_batch_answers_equal_a_cold_kernels(fused):
     check()
 
 
-@pytest.mark.parametrize("fused", [True, False], ids=["fused", "unfused"])
-def test_multi_answers_equal_a_cold_kernels(fused):
+def test_multi_answers_equal_a_cold_kernels():
     @settings(max_examples=40, deadline=None)
     @given(query_set=query_sets())
     def check(query_set):
@@ -165,8 +163,8 @@ def test_multi_answers_equal_a_cold_kernels(fused):
         round_queries = clouds + [clouds[0], clouds[-1][:-1]]
         for queries in (round_queries, round_queries, round_queries[::-1]):
             assert_same_outcome(
-                outcome(lambda: warm.points_multi(queries, fault_bound, objective=objective, fused=fused)),
-                outcome(lambda: cold.points_multi(queries, fault_bound, objective=objective, fused=fused)),
+                outcome(lambda: warm.points_multi(queries, fault_bound, objective=objective)),
+                outcome(lambda: cold.points_multi(queries, fault_bound, objective=objective)),
             )
         assert cold.stats.memo_hits == 0
         assert warm.stats.lp_solves <= cold.stats.lp_solves
@@ -228,7 +226,6 @@ def test_every_key_field_separates_batches(cloud):
     variants = [
         lambda: kernel.points_batch([cloud, other], 1),
         lambda: kernel.points_batch([other, cloud], 1),
-        lambda: kernel.points_batch([cloud, other], 1, fused=False),
         lambda: kernel.points_batch([cloud, other], 2),
         lambda: kernel.points_batch([cloud, other], 1, objective=[1.0, 0.0]),
         lambda: kernel.points_batch([cloud, other], 1, prune=False),
@@ -245,7 +242,7 @@ def test_every_key_field_separates_batches(cloud):
         variant()
     assert kernel.stats.lp_solves == solves
     # A whole-batch hit counts each of its queries.
-    assert kernel.stats.memo_hits == 2 * 6 + 1 + 3 + 1
+    assert kernel.stats.memo_hits == 2 * 5 + 1 + 3 + 1
 
 
 def test_explicit_families_stay_out_of_the_table(cloud):
@@ -280,13 +277,12 @@ def test_mutating_a_returned_point_cannot_poison_later_answers(cloud):
     assert kernel.stats.lp_solves == 1 and kernel.stats.memo_hits == 2
 
 
-@pytest.mark.parametrize("fused", [True, False], ids=["fused", "unfused"])
-def test_mutating_a_returned_batch_cannot_poison_later_answers(cloud, fused):
+def test_mutating_a_returned_batch_cannot_poison_later_answers(cloud):
     batch = [cloud, cloud[::-1].copy(), cloud + 0.5]
-    expected = cold_kernel().points_batch(batch, 1, fused=fused)
+    expected = cold_kernel().points_batch(batch, 1)
     kernel = GammaKernel()
     for _ in range(3):
-        answers = kernel.points_batch(batch, 1, fused=fused)
+        answers = kernel.points_batch(batch, 1)
         assert same_answer(answers, expected)
         for answer in answers:
             answer[:] = 99.0
@@ -331,12 +327,11 @@ def test_empty_gamma_is_memoised():
 
 def test_a_raising_query_is_not_memoised_and_raises_the_same_again(cloud):
     kernel = GammaKernel()
-    poisoned = np.vstack([cloud, cloud])  # off the dense path, like the protocols' sizes
+    poisoned = np.vstack([cloud, cloud])
     poisoned[3, 1] = np.nan
     queries = [
         lambda: kernel.point(poisoned, 2),
         lambda: kernel.points_batch([poisoned, poisoned], 2),
-        lambda: kernel.points_batch([poisoned, poisoned], 2, fused=False),
         lambda: kernel.points_multi([poisoned, cloud], 2),
     ]
     for query in queries:

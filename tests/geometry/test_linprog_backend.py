@@ -142,10 +142,10 @@ def captured_programs() -> Iterator[list[dict[str, Any]]]:
             holder.solve_linear_program = original
 
 
-def kernel_programs(cloud: np.ndarray, fault_bound: int, **kernel_options: Any) -> list[dict[str, Any]]:
+def kernel_programs(cloud: np.ndarray, fault_bound: int) -> list[dict[str, Any]]:
     """The strict program — and, when it fails, the relaxed one — of one query."""
     with captured_programs() as programs:
-        GammaKernel(**kernel_options).point(cloud, fault_bound)
+        GammaKernel().point(cloud, fault_bound)
     return programs
 
 
@@ -300,19 +300,17 @@ class TestBitwiseOracle:
         before = fallback_totals()
         relaxed = 0
         for label, cloud, fault_bound in gamma_clouds():
-            # Template path everywhere, plus the dense path where it applies.
-            for options in ({"dense_crossover": 0}, {}):
-                programs = kernel_programs(cloud, fault_bound, **options)
-                for position, program in enumerate(programs):
-                    rungs = assert_bitwise_equal(program, label)
-                    # Counted twice: once while capturing, once in the replay.
-                    taken.update(rungs + rungs)
-                    if position == 0:
-                        strict_optimal = reference_solve(program)[0] == 0
-                # The relaxed program is solved exactly when the strict one
-                # does not come back optimal — as with the linprog front end.
-                assert (len(programs) == 2) == (not strict_optimal), label
-                relaxed += len(programs) - 1
+            programs = kernel_programs(cloud, fault_bound)
+            for position, program in enumerate(programs):
+                rungs = assert_bitwise_equal(program, label)
+                # Counted twice: once while capturing, once in the replay.
+                taken.update(rungs + rungs)
+                if position == 0:
+                    strict_optimal = reference_solve(program)[0] == 0
+            # The relaxed program is solved exactly when the strict one
+            # does not come back optimal — as with the linprog front end.
+            assert (len(programs) == 2) == (not strict_optimal), label
+            relaxed += len(programs) - 1
         assert fallback_totals() - before == taken
         assert relaxed > 0 and taken["infeasible_confirm"] > 0
 
@@ -348,7 +346,7 @@ class TestBitwiseOracle:
         for label, cloud, fault_bound in gamma_clouds():
             if cloud.shape[0] > 13:
                 continue
-            for program in kernel_programs(cloud, fault_bound, dense_crossover=0):
+            for program in kernel_programs(cloud, fault_bound):
                 assembled = assemble(program)
                 direct = linprog_module._run_highs_core(*assembled, **options)
                 front_end = linprog_module._run_scipy_front_end(*assembled, **options)

@@ -1,4 +1,4 @@
-"""Unit tests for repro.store.backend: both ResultStore implementations."""
+"""Unit tests for repro.store.backend: the ResultStore contract on SQLite."""
 
 from __future__ import annotations
 
@@ -10,19 +10,13 @@ from repro.engine import TrialResult, TrialSpec, run_trial
 from repro.exceptions import ConfigurationError
 from repro.store import (
     ENGINE_VERSION,
-    JsonlDirectoryStore,
     SqliteResultStore,
     open_store,
     trial_key,
 )
 
-BACKENDS = ("sqlite", "jsonl")
-
-
-def _make_store(backend: str, tmp_path):
-    if backend == "sqlite":
-        return SqliteResultStore(tmp_path / "store.db")
-    return JsonlDirectoryStore(tmp_path / "store-dir")
+def _make_store(tmp_path):
+    return SqliteResultStore(tmp_path / "store.db")
 
 
 def _result(seed: int = 1, process_count: int = 5) -> TrialResult:
@@ -33,10 +27,9 @@ def _result(seed: int = 1, process_count: int = 5) -> TrialResult:
     return run_trial(spec)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestResultStoreContract:
-    def test_put_get_roundtrip_and_contains(self, backend, tmp_path):
-        store = _make_store(backend, tmp_path)
+    def test_put_get_roundtrip_and_contains(self, tmp_path):
+        store = _make_store(tmp_path)
         result = _result(seed=1)
         key = trial_key(result.spec)
         assert key not in store
@@ -46,8 +39,8 @@ class TestResultStoreContract:
         assert store.get_rows([key]) == {key: result.to_row()}
         assert store.get_rows(["0" * 64]) == {}
 
-    def test_error_rows_store_like_any_other(self, backend, tmp_path):
-        store = _make_store(backend, tmp_path)
+    def test_error_rows_store_like_any_other(self, tmp_path):
+        store = _make_store(tmp_path)
         error_result = _result(seed=2, process_count=3)
         assert error_result.status == "error"
         key = trial_key(error_result.spec)
@@ -56,41 +49,41 @@ class TestResultStoreContract:
         assert entry.row["status"] == "error"
         assert entry.result().to_row() == error_result.to_row()
 
-    def test_last_write_wins(self, backend, tmp_path):
-        store = _make_store(backend, tmp_path)
+    def test_last_write_wins(self, tmp_path):
+        store = _make_store(tmp_path)
         result = _result(seed=3)
         key = trial_key(result.spec)
         store.put_results([(key, result)])
         store.put_results([(key, result)])
         assert len(store) == 1
 
-    def test_persistence_across_reopen(self, backend, tmp_path):
-        store = _make_store(backend, tmp_path)
+    def test_persistence_across_reopen(self, tmp_path):
+        store = _make_store(tmp_path)
         results = [_result(seed=seed, process_count=3) for seed in range(5)]
         store.put_results([(trial_key(result.spec), result) for result in results])
         store.close()
-        reopened = _make_store(backend, tmp_path)
+        reopened = _make_store(tmp_path)
         assert len(reopened) == 5
         for result in results:
             assert trial_key(result.spec) in reopened
         reopened.close()
 
-    def test_delete_keys_and_len(self, backend, tmp_path):
-        store = _make_store(backend, tmp_path)
+    def test_delete_keys_and_len(self, tmp_path):
+        store = _make_store(tmp_path)
         results = [_result(seed=seed, process_count=3) for seed in range(4)]
         keys = [trial_key(result.spec) for result in results]
         store.put_results(zip(keys, results))
         assert store.delete_keys(keys[:2] + ["0" * 64]) == 2
         assert len(store) == 2
-        # Deletion survives reopen (the jsonl backend must rewrite shards).
+        # Deletion survives reopen.
         store.close()
-        reopened = _make_store(backend, tmp_path)
+        reopened = _make_store(tmp_path)
         assert len(reopened) == 2
         assert keys[0] not in reopened and keys[2] in reopened
         reopened.close()
 
-    def test_gc_deletes_only_stale_engine_versions(self, backend, tmp_path):
-        store = _make_store(backend, tmp_path)
+    def test_gc_deletes_only_stale_engine_versions(self, tmp_path):
+        store = _make_store(tmp_path)
         fresh = _result(seed=10, process_count=3)
         stale = _result(seed=11, process_count=3)
         store.put_rows([(trial_key(fresh.spec), fresh.to_row())])
@@ -106,8 +99,8 @@ class TestResultStoreContract:
         (entry,) = list(store.iter_entries())
         assert entry.engine_version == ENGINE_VERSION
 
-    def test_iter_entries_sorted_and_filterable(self, backend, tmp_path):
-        store = _make_store(backend, tmp_path)
+    def test_iter_entries_sorted_and_filterable(self, tmp_path):
+        store = _make_store(tmp_path)
         ok_result = _result(seed=5)
         error_result = _result(seed=6, process_count=3)
         store.put_results([
@@ -123,23 +116,23 @@ class TestResultStoreContract:
         with pytest.raises(ConfigurationError, match="unfilterable"):
             list(store.iter_entries(where={"bogus": 1}))
 
-    def test_import_jsonl_rederives_keys(self, backend, tmp_path):
+    def test_import_jsonl_rederives_keys(self, tmp_path):
         results = [_result(seed=seed, process_count=3) for seed in range(3)]
         jsonl = tmp_path / "campaign.jsonl"
         jsonl.write_text("".join(result.to_json() + "\n" for result in results))
-        store = _make_store(backend, tmp_path)
+        store = _make_store(tmp_path)
         assert store.import_jsonl(jsonl) == 3
         for result in results:
             assert trial_key(result.spec) in store
 
-    def test_import_rejects_malformed_rows(self, backend, tmp_path):
+    def test_import_rejects_malformed_rows(self, tmp_path):
         jsonl = tmp_path / "bad.jsonl"
         jsonl.write_text(json.dumps({"status": "ok", "bogus_field": 1}) + "\n")
-        store = _make_store(backend, tmp_path)
+        store = _make_store(tmp_path)
         with pytest.raises(ConfigurationError, match="bad.jsonl: row 1"):
             store.import_jsonl(jsonl)
 
-    def test_import_commits_nothing_when_a_later_row_is_malformed(self, backend, tmp_path):
+    def test_import_commits_nothing_when_a_later_row_is_malformed(self, tmp_path):
         # Validation runs over the whole file before the first commit, so a
         # bad row 4 must not leave rows 1-3 servable in the store.
         results = [_result(seed=seed, process_count=3) for seed in range(3)]
@@ -148,18 +141,18 @@ class TestResultStoreContract:
             "".join(result.to_json() + "\n" for result in results)
             + json.dumps({"status": "ok", "bogus_field": 1}) + "\n"
         )
-        store = _make_store(backend, tmp_path)
+        store = _make_store(tmp_path)
         with pytest.raises(ConfigurationError, match="row 4"):
             store.import_jsonl(jsonl, batch_size=2)  # batches smaller than the file
         assert len(store) == 0
 
-    def test_import_under_old_engine_version_stays_unreachable(self, backend, tmp_path):
+    def test_import_under_old_engine_version_stays_unreachable(self, tmp_path):
         # An old export imported under its true provenance must not become a
         # cache hit for current-salt lookups — it lands stale and gc'able.
         result = _result(seed=4, process_count=3)
         jsonl = tmp_path / "old.jsonl"
         jsonl.write_text(result.to_json() + "\n")
-        store = _make_store(backend, tmp_path)
+        store = _make_store(tmp_path)
         assert store.import_jsonl(jsonl, engine_version="0.0.1/rows0") == 1
         assert trial_key(result.spec) not in store  # current salt cannot reach it
         assert trial_key(result.spec, engine_version="0.0.1/rows0") in store
@@ -167,14 +160,13 @@ class TestResultStoreContract:
         assert store.gc() == 1
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestGenerationCounter:
     """The serving layer's cache-invalidation contract: the generation moves
     exactly when stored content changes (rows added/deleted), never on
     no-ops, and is visible across handles and reopens."""
 
-    def test_bumps_only_when_rows_actually_change(self, backend, tmp_path):
-        store = _make_store(backend, tmp_path)
+    def test_bumps_only_when_rows_actually_change(self, tmp_path):
+        store = _make_store(tmp_path)
         start = store.generation()
         assert store.put_rows([]) == 0
         assert store.generation() == start  # empty commit: no bump
@@ -189,8 +181,8 @@ class TestGenerationCounter:
         assert store.delete_keys([trial_key(result.spec)]) == 1
         assert store.generation() > after_put
 
-    def test_import_and_gc_bump_like_any_write(self, backend, tmp_path):
-        store = _make_store(backend, tmp_path)
+    def test_import_and_gc_bump_like_any_write(self, tmp_path):
+        store = _make_store(tmp_path)
         result = _result(seed=21, process_count=3)
         jsonl = tmp_path / "import.jsonl"
         jsonl.write_text(result.to_json() + "\n")
@@ -203,34 +195,33 @@ class TestGenerationCounter:
         assert store.gc() == 1
         assert store.generation() > imported
 
-    def test_survives_reopen(self, backend, tmp_path):
-        store = _make_store(backend, tmp_path)
+    def test_survives_reopen(self, tmp_path):
+        store = _make_store(tmp_path)
         result = _result(seed=22, process_count=3)
         store.put_rows([(trial_key(result.spec), result.to_row())])
         committed = store.generation()
         assert committed > 0
         store.close()
-        reopened = _make_store(backend, tmp_path)
+        reopened = _make_store(tmp_path)
         assert reopened.generation() == committed
         reopened.close()
 
-    def test_refresh_sees_external_commits(self, backend, tmp_path):
-        """Two handles on one store: a commit through one becomes visible to
-        the other after refresh() — the pooled-read-handle contract."""
-        reader = _make_store(backend, tmp_path)
-        writer = _make_store(backend, tmp_path)
+    def test_external_commits_are_visible_without_reopening(self, tmp_path):
+        """Two handles on one store: a commit through one is visible to the
+        other on its next statement — the pooled-read-handle contract."""
+        reader = _make_store(tmp_path)
+        writer = _make_store(tmp_path)
         assert reader.generation() == 0
         result = _result(seed=23, process_count=3)
         key = trial_key(result.spec)
         writer.put_rows([(key, result.to_row())])
-        reader.refresh()
         assert reader.generation() == writer.generation()
         assert key in reader
         writer.close()
         reader.close()
 
-    def test_iter_keys_matches_iter_entries(self, backend, tmp_path):
-        store = _make_store(backend, tmp_path)
+    def test_iter_keys_matches_iter_entries(self, tmp_path):
+        store = _make_store(tmp_path)
         ok_result = _result(seed=24)
         error_result = _result(seed=25, process_count=3)
         store.put_results([
@@ -243,8 +234,8 @@ class TestGenerationCounter:
         ]
         assert list(store.iter_keys(where={"status": "timeout"})) == []
 
-    def test_iter_entries_paginates_in_key_order(self, backend, tmp_path):
-        store = _make_store(backend, tmp_path)
+    def test_iter_entries_paginates_in_key_order(self, tmp_path):
+        store = _make_store(tmp_path)
         results = [_result(seed=seed, process_count=3) for seed in range(5)]
         store.put_results([(trial_key(result.spec), result) for result in results])
         full = [entry.key for entry in store.iter_entries()]
@@ -265,43 +256,12 @@ class TestGenerationCounter:
         assert paged == full
 
 
-class TestJsonlDurability:
-    def test_torn_trailing_line_is_skipped_on_load(self, tmp_path):
-        store = JsonlDirectoryStore(tmp_path / "dir")
-        result = _result(seed=1, process_count=3)
-        key = trial_key(result.spec)
-        store.put_results([(key, result)])
-        (shard,) = list((tmp_path / "dir").glob("*.jsonl"))
-        with shard.open("a", encoding="utf-8") as handle:
-            handle.write('{"key": "interrupted-mid-wr')  # torn append
-        reopened = JsonlDirectoryStore(tmp_path / "dir")
-        assert reopened.corrupt_lines == 1
-        assert len(reopened) == 1
-        assert key in reopened
-
-    def test_rejects_file_path(self, tmp_path):
-        target = tmp_path / "not-a-dir"
-        target.write_text("hello")
-        with pytest.raises(ConfigurationError, match="not a directory"):
-            JsonlDirectoryStore(target)
-
-
 class TestOpenStore:
-    def test_auto_detection(self, tmp_path):
-        assert open_store(tmp_path / "warehouse.db").backend_name == "sqlite"
-        assert open_store(tmp_path / "warehouse").backend_name == "jsonl"
-        # Existing layouts win over suffix heuristics.
-        directory = tmp_path / "existing.db"
-        directory.mkdir()
-        assert open_store(directory).backend_name == "jsonl"
-
-    def test_explicit_backend(self, tmp_path):
-        assert open_store(tmp_path / "x", backend="sqlite").backend_name == "sqlite"
-        assert open_store(tmp_path / "y.db", backend="jsonl").backend_name == "jsonl"
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="unknown store backend"):
-            open_store(tmp_path / "x", backend="warp")
+    def test_suffixless_path_opens_sqlite_like_any_other(self, tmp_path):
+        for name in ("warehouse.db", "warehouse"):
+            with open_store(tmp_path / name) as store:
+                assert store.backend_name == "sqlite"
+            assert (tmp_path / name).is_file()
 
     def test_non_database_file_rejected(self, tmp_path):
         target = tmp_path / "corrupt.db"
@@ -309,9 +269,14 @@ class TestOpenStore:
         with pytest.raises(ConfigurationError, match="not a usable SQLite"):
             open_store(target)
 
-    def test_unopenable_sqlite_path_rejected(self, tmp_path):
-        # e.g. pointing the sqlite backend at a directory a jsonl store made.
+    def test_directory_rejected_with_the_way_out(self, tmp_path):
+        # e.g. a JSONL shard directory written before stores were one file.
         directory = tmp_path / "jsonl-store"
         directory.mkdir()
-        with pytest.raises(ConfigurationError, match="not a usable SQLite"):
-            open_store(directory, backend="sqlite")
+        with pytest.raises(ConfigurationError) as raised:
+            open_store(directory)
+        message = str(raised.value)
+        assert str(directory) in message
+        assert "single SQLite file" in message
+        assert "store export" in message and "store import" in message
+        assert list(directory.iterdir()) == []

@@ -14,7 +14,7 @@ import threading
 
 from repro.engine import TrialSpec, execute_specs, run_trial, strip_timing
 from repro.engine.executor import StoreCacheStats
-from repro.store.backend import JsonlDirectoryStore, SqliteResultStore
+from repro.store.backend import SqliteResultStore
 
 
 def _specs(count: int = 8) -> list[TrialSpec]:
@@ -80,13 +80,6 @@ class TestSqliteClaims:
                 (store.CLAIM_TTL_SECONDS + 1,),
             )
         assert store.claim_keys(["k"], "B") == {"k"}
-        store.close()
-
-    def test_jsonl_backend_grants_everything(self, tmp_path):
-        store = JsonlDirectoryStore(tmp_path / "store")
-        assert store.claim_keys(["a", "b"], "A") == {"a", "b"}
-        assert store.claim_keys(["a"], "B") == {"a"}  # single-writer world
-        assert store.release_claims(["a"], "A") == 0
         store.close()
 
 

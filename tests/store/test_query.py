@@ -7,7 +7,6 @@ import pytest
 from repro.engine import Campaign, run_campaign
 from repro.exceptions import ConfigurationError
 from repro.store import (
-    JsonlDirectoryStore,
     SqliteResultStore,
     TrialFilter,
     aggregate_store,
@@ -15,14 +14,10 @@ from repro.store import (
 )
 
 
-@pytest.fixture(params=("sqlite", "jsonl"))
-def populated_store(request, tmp_path):
+@pytest.fixture
+def populated_store(tmp_path):
     """A store holding a small mixed grid (two protocols, two adversaries)."""
-    store = (
-        SqliteResultStore(tmp_path / "store.db")
-        if request.param == "sqlite"
-        else JsonlDirectoryStore(tmp_path / "store-dir")
-    )
+    store = SqliteResultStore(tmp_path / "store.db")
     campaign = Campaign.from_grid(
         "query-grid",
         protocols=("exact", "restricted_sync"),

@@ -208,13 +208,17 @@ class TestStoreFlags:
     ARGS = ["campaign", "--protocols", "restricted_sync", "--adversaries", "none", "crash",
             "--dimensions", "1", "--repeats", "2", "--seed", "17", "--max-rounds", "2"]
 
-    def test_parser_accepts_store_trio(self):
-        arguments = build_parser().parse_args(
-            self.ARGS + ["--store", "s.db", "--store-backend", "sqlite", "--resume"]
-        )
+    def test_parser_accepts_store_pair(self):
+        arguments = build_parser().parse_args(self.ARGS + ["--store", "s.db", "--resume"])
         assert str(arguments.store) == "s.db"
-        assert arguments.store_backend == "sqlite"
         assert arguments.resume is True
+
+    @pytest.mark.parametrize("removed", (["--pool", "spawn"], ["--store-backend", "jsonl"]))
+    def test_removed_selectors_are_usage_errors(self, removed, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(self.ARGS + removed)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_resume_requires_store(self, capsys):
         with pytest.raises(SystemExit, match="--resume requires --store"):
@@ -282,6 +286,13 @@ class TestStoreCommand:
         output = capsys.readouterr().out
         assert "sqlite" in output
         assert "By status" in output
+
+    @pytest.mark.parametrize("command", ("stats", "claims", "query", "export", "gc"))
+    def test_reading_a_missing_store_fails_and_creates_nothing(self, tmp_path, command):
+        missing = tmp_path / "typo" / "s.db"
+        with pytest.raises(SystemExit, match=f"no result store at {missing}"):
+            main(["store", command, "--store", str(missing)])
+        assert not missing.parent.exists()
 
     def test_query_with_filters_and_limit(self, tmp_path, capsys):
         store, _ = self._populate(tmp_path, capsys)
