@@ -36,12 +36,12 @@ from repro.analysis.convergence import measured_contraction_factors, max_range_p
 from repro.engine import (
     COORDINATED_STRATEGY_NAMES,
     Campaign,
-    CampaignSession,
     STRATEGY_NAMES,
     TrialResult,
     TrialSpec,
     make_strategy,
     parameter_grid,
+    run_campaign,
 )
 from repro.geometry.kernel import GammaKernel, pruned_subset_family, safe_area_points_batch
 from repro.geometry.multisets import PointMultiset
@@ -100,20 +100,15 @@ def _run(campaign: Campaign) -> list[TrialResult]:
     trials are served from it instead of re-executing.  Any trial error is a
     bug in the experiment declaration and is surfaced immediately.
     """
-    session = CampaignSession(campaign, workers=1, engine="auto", store=_RESULT_STORE)
-    results = []
-    rows = session.rows()
-    try:
-        for result in rows:
-            if not result.ok:
-                raise RuntimeError(
-                    f"trial {result.spec.trial_index} failed: {result.error}"
-                )
-            results.append(result)
-    finally:
-        # Closing the row iterator releases claims and closes a
-        # session-owned store even when a failing trial aborts the loop.
-        rows.close()
+
+    def _fail_fast(result: TrialResult) -> None:
+        if not result.ok:
+            raise RuntimeError(f"trial {result.spec.trial_index} failed: {result.error}")
+
+    _, results = run_campaign(
+        campaign, workers=1, engine="auto", store=_RESULT_STORE,
+        on_result=_fail_fast, collect=True,
+    )
     return results
 
 

@@ -11,31 +11,20 @@ workload, adversary, scheduler, seed) configurations fast and reproducibly":
 * :class:`~repro.engine.session.CampaignSession` — one observable campaign
   execution: typed progress events, spec-order row streaming, cooperative
   cancellation, status snapshots;
-* :func:`~repro.engine.executor.run_campaign` — sequential or worker-pool
-  execution streaming into a JSONL sink (a thin wrapper over a session).
+* :func:`~repro.engine.session.run_campaign` — the blocking form of a
+  session: rows stream into a JSONL sink, a callback and/or a list.
 
 The experiment runners in :mod:`repro.analysis.experiments` and the
 ``python -m repro.cli campaign`` command are thin layers over this module.
 """
 
 from repro.engine.campaign import Campaign, parameter_grid
-from repro.engine.executor import (
-    ENGINE_CHOICES,
-    CampaignSummary,
-    ExecutionUnit,
-    JsonlSink,
-    StoreCacheStats,
-    execute_specs,
-    iter_jsonl,
-    plan_specs,
-    read_jsonl,
-    run_campaign,
-    strip_timing,
-)
 from repro.engine.session import (
+    ENGINE_CHOICES,
     SESSION_STATES,
     CampaignSession,
     CampaignStatus,
+    CampaignSummary,
     ClaimedEvent,
     FallbackEvent,
     FinishedEvent,
@@ -43,9 +32,12 @@ from repro.engine.session import (
     RowEvent,
     SessionEvent,
     UnitCommittedEvent,
+    plan_specs,
+    run_campaign,
 )
 from repro.engine.pool import (
     CostModel,
+    ExecutionUnit,
     UnitObservation,
     WorkerPool,
     execute_plan,
@@ -77,7 +69,15 @@ from repro.engine.fuzz import (
     run_fuzz,
     sample_specs,
 )
-from repro.engine.spec import PROTOCOLS, TrialResult, TrialSpec
+from repro.engine.spec import (
+    PROTOCOLS,
+    JsonlSink,
+    TrialResult,
+    TrialSpec,
+    iter_jsonl,
+    read_jsonl,
+    strip_timing,
+)
 from repro.engine.trial import run_trial
 from repro.engine.vectorized import (
     VECTORIZED_ASYNC_SCHEDULERS,
@@ -121,7 +121,6 @@ __all__ = [
     "PlannedEvent",
     "RowEvent",
     "SessionEvent",
-    "StoreCacheStats",
     "UnitCommittedEvent",
     "UnitObservation",
     "TrialResult",
@@ -132,7 +131,6 @@ __all__ = [
     "build_scheduler",
     "derive_faulty_seeds",
     "execute_plan",
-    "execute_specs",
     "get_pool",
     "iter_jsonl",
     "make_adversaries",

@@ -5,8 +5,9 @@ The ROADMAP's "as many scenarios as you can imagine" axis, made executable:
 protocol, workload generator, adversary strategy (independent *and*
 coordinated), delivery scheduler, ``(n, d, f)`` configuration and epsilon,
 always at or above the paper's resilience bound for the protocol, and
-:func:`run_fuzz` executes them through the campaign executor while asserting
-the paper's two safety invariants on every completed trial:
+:func:`run_fuzz` executes them through
+:func:`~repro.engine.session.run_campaign` while asserting the paper's two
+safety invariants on every completed trial:
 
 * **agreement** (exact or epsilon, per protocol), and
 * **validity** (every honest decision inside the honest-input hull).
@@ -40,8 +41,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.engine.campaign import Campaign
-from repro.engine.executor import JsonlSink
-from repro.engine.session import CampaignSession
+from repro.engine.session import run_campaign
 from repro.engine.factories import (
     ADVERSARY_NAMES,
     SCHEDULER_NAMES,
@@ -287,34 +287,21 @@ def run_fuzz(
     campaign = Campaign.from_specs(f"fuzz-seed{seed}", specs)
     violations: list[FuzzViolation] = []
 
-    session = CampaignSession(
+    def _check(result: TrialResult) -> None:
+        violation = _violation_of(result)
+        if violation is not None:
+            violations.append(violation)
+
+    summary, _ = run_campaign(
         campaign,
         workers=workers,
+        jsonl_path=jsonl_path,
+        on_result=_check,
         engine=engine,
         store=store,
         reuse_cached=reuse_cached,
         trace=trace,
     )
-
-    def _consume(results, sink: JsonlSink | None) -> None:
-        for result in results:
-            if sink is not None:
-                sink.write(result)
-            violation = _violation_of(result)
-            if violation is not None:
-                violations.append(violation)
-
-    results = session.rows()
-    try:
-        if jsonl_path is not None:
-            with JsonlSink(jsonl_path) as sink:
-                _consume(results, sink)
-        else:
-            _consume(results, None)
-    finally:
-        results.close()
-
-    summary = session.summary(jsonl_path)
     return FuzzReport(
         name=campaign.name,
         runs=summary.trials,
@@ -324,9 +311,9 @@ def run_fuzz(
         validity_failures=summary.validity_failures,
         elapsed_seconds=summary.elapsed_seconds,
         workers=workers,
-        jsonl_path=str(jsonl_path) if jsonl_path is not None else None,
+        jsonl_path=summary.jsonl_path,
         violations=tuple(violations),
         cache_hits=summary.cache_hits,
-        fallback_reasons=dict(summary.fallback_reasons),
-        run_id=session.run_id,
+        fallback_reasons=summary.fallback_reasons,
+        run_id=summary.run_id,
     )

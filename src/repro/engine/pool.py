@@ -1,13 +1,13 @@
 """Persistent shared-memory worker pool for campaign execution.
 
-The one-shot ``ProcessPoolExecutor`` the executor used to spawn per campaign
-made parallelism a pessimization: every ``execute_specs`` call paid worker
+The one-shot ``ProcessPoolExecutor`` the engine used to spawn per campaign
+made parallelism a pessimization: every campaign run paid worker
 start-up, every unit re-pickled its ``TrialSpec`` objects, and every worker
 re-derived the :class:`~repro.geometry.kernel.GammaKernel` template cache
 from scratch.  This module replaces that with a process-lifetime pool:
 
 * **Persistent workers** — spawned once per ``(workers)`` size via
-  :func:`get_pool` and reused across ``execute_specs`` calls and campaign
+  :func:`get_pool` and reused across campaign sessions and campaign
   phases, so kernel template caches, safe-area choosers and Gamma memos
   (module-level in :mod:`repro.engine.vectorized`) stay warm from one unit
   to the next.
@@ -15,7 +15,7 @@ from scratch.  This module replaces that with a process-lifetime pool:
   task iterator the moment a worker goes idle (a logical shared queue:
   fast workers steal the remaining tail instead of waiting on ``pool.map``
   submission order), and yields completed units in *completion* order (the
-  executor's reorder buffer restores spec order).
+  session's reorder buffer restores spec order).
 * **Shared-memory transport** — a unit crosses the process boundary as one
   base spec wire tuple plus delta *columns* (int64/float64 arrays in a
   ``multiprocessing.shared_memory`` block for large units) instead of a
@@ -768,7 +768,7 @@ def execute_plan(
     """Execute a campaign plan across workers, yielding units as they finish.
 
     Yields ``(positions, results)`` pairs in **completion** order — the
-    executor's reorder buffer restores spec order.  Rows are byte-identical
+    session's reorder buffer restores spec order.  Rows are byte-identical
     (modulo ``elapsed_ms``) across worker counts and unit cuts.  ``on_unit``
     receives one :class:`UnitObservation` per completed unit — the hook
     session trace recorders attach to.

@@ -1,21 +1,17 @@
-"""Campaign sessions: a campaign run as a first-class, observable object.
+"""Campaign sessions: the one entry module for running a campaign.
 
-Historically every entry point — ``run_campaign``, ``run_fuzz``, the CLI,
-``analysis/experiments.py`` — was a blocking, fire-and-forget call into the
-executor: nothing outside the process could submit work, observe progress, or
-consume rows incrementally.  :class:`CampaignSession` replaces that function
-call with an object that **owns the whole execution lifecycle** — key
+:class:`CampaignSession` **owns the whole execution lifecycle** — key
 derivation, cache lookup, claim coordination, unit planning, dispatch — and
-exposes it incrementally:
+exposes it incrementally; :func:`run_campaign` is the blocking convenience on
+top (JSONL sink, per-row callback, optional collection) that the CLI, the fuzz
+harness and the experiments ride:
 
 * :meth:`CampaignSession.events` — a single-use generator of typed
   :class:`SessionEvent` records (``planned`` / ``claimed`` / ``fallback`` /
   ``unit-committed`` / ``row`` / ``finished``), produced in execution order.
-  Row events arrive in **spec order** (the reorder buffer lives here), so a
-  consumer that filters for rows gets exactly the old ``execute_specs``
-  stream.
-* :meth:`CampaignSession.rows` — that filter, for consumers that only want
-  the :class:`~repro.engine.spec.TrialResult` stream.
+  Row events arrive in **spec order** (the reorder buffer lives here).
+* :meth:`CampaignSession.rows` — that stream filtered down to its
+  :class:`~repro.engine.spec.TrialResult` rows.
 * :meth:`CampaignSession.cancel` — cooperative, thread-safe cancellation:
   the session stops dispatching new work units at the next unit boundary,
   releases its store claims, and leaves the store at a clean committed-unit
@@ -28,11 +24,16 @@ exposes it incrementally:
   call from any thread while the session runs in another.  This is what the
   HTTP server's ``run_id``-addressed status resource serves.
 
-The executor's public functions (:func:`~repro.engine.executor.execute_specs`
-and :func:`~repro.engine.executor.run_campaign`) are thin wrappers over a
-session, so there is exactly **one** planning/claims/cache code path, and the
-rows it emits are byte-identical (modulo ``elapsed_ms``) to the pre-session
-engine for every engine and worker count.
+There is exactly **one** campaign loop (:meth:`CampaignSession._run`):
+``(census → claim →) plan → dispatch → (commit →) drain``.  A run without a
+store is the stored run with nothing stored — the census and the claims
+contribute empty sets, no key is derived and no store method is called.  The
+emission rule is one sentence: *a row leaves as soon as commit-before-emit
+allows* — with a store, once its group (at most :data:`STORE_COMMIT_CHUNK`
+object-engine trials, one columnar unit, or one pool task) has committed;
+without one, once its trial (object engine), columnar unit or pool task has
+finished.  Rows are byte-identical (modulo ``elapsed_ms``) for every engine,
+worker count and store state.
 """
 
 from __future__ import annotations
@@ -40,13 +41,14 @@ from __future__ import annotations
 import threading
 import time
 import uuid
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, Union
 
 from repro.engine.campaign import Campaign
 from repro.engine.pool import ExecutionUnit, UnitObservation, execute_plan
-from repro.engine.spec import TrialResult, TrialSpec
+from repro.engine.spec import JsonlSink, TrialResult, TrialSpec
 from repro.engine.trial import run_trial
 from repro.engine.vectorized import (
     FallbackReason,
@@ -74,9 +76,9 @@ __all__ = [
     "PlannedEvent",
     "RowEvent",
     "SessionEvent",
-    "StoreCacheStats",
     "UnitCommittedEvent",
     "plan_specs",
+    "run_campaign",
 ]
 
 #: Execution substrates the session can route a campaign through.
@@ -174,23 +176,6 @@ def _execute_unit(unit: ExecutionUnit, specs: Sequence[TrialSpec]) -> list[Trial
     return [run_trial(specs[position]) for position in unit.positions]
 
 
-@dataclass
-class StoreCacheStats:
-    """Cache outcome of one store-backed session (filled as it runs)."""
-
-    hits: int = 0
-    misses: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of specs served from the store (0.0 on an empty spec list)."""
-        return self.hits / self.total if self.total else 0.0
-
-
 #: Object-engine units are re-chunked to at most this many trials in store
 #: mode, bounding how much completed work one interruption can lose (each
 #: chunk commits transactionally on completion).  Kept small: a store commit
@@ -204,19 +189,17 @@ STORE_COMMIT_CHUNK = 4
 _SERVE_BATCH = 1024
 
 
-def _split_units_for_commit(units: list[ExecutionUnit]) -> list[ExecutionUnit]:
-    """Cap object units at :data:`STORE_COMMIT_CHUNK` trials per transaction.
+def _split_object_units(units: list[ExecutionUnit], cap: int) -> list[ExecutionUnit]:
+    """Cap object units at ``cap`` trials, the most a finished row waits for.
 
     Columnar units ship whole — the batch is solved as one array program, so
     it completes (and commits) as one unit anyway.
     """
     split: list[ExecutionUnit] = []
     for unit in units:
-        if unit.kind == "object" and len(unit.positions) > STORE_COMMIT_CHUNK:
-            for start in range(0, len(unit.positions), STORE_COMMIT_CHUNK):
-                split.append(
-                    ExecutionUnit("object", unit.positions[start : start + STORE_COMMIT_CHUNK])
-                )
+        if unit.kind == "object" and len(unit.positions) > cap:
+            for start in range(0, len(unit.positions), cap):
+                split.append(ExecutionUnit("object", unit.positions[start : start + cap]))
         else:
             split.append(unit)
     return split
@@ -288,7 +271,10 @@ class FallbackEvent(SessionEvent):
 
 @dataclass(frozen=True)
 class UnitCommittedEvent(SessionEvent):
-    """One execution unit completed (and, with a store, committed)."""
+    """One unit or pool task completed (and, with a store, committed).
+
+    ``positions`` are spec positions, the ones its row events carry.
+    """
 
     kind: str
     positions: tuple[int, ...]
@@ -459,8 +445,15 @@ class CampaignSession:
     never rewritten here, so rows stay byte-identical to the specs given).
     ``store`` is a :class:`~repro.store.backend.ResultStore`, a path (opened
     on start and closed when the session ends), or ``None`` for uncached
-    execution.  The session is single-shot: :meth:`events` (or
-    :meth:`rows`) may be consumed once.
+    execution.  With a store, execution is a write-through cache: cached rows
+    are served without running anything (unless ``reuse_cached`` is False,
+    which forces recomputation while still recording) and misses commit
+    before they are emitted; ``claim_wait_timeout`` bounds how long the run
+    waits for rows another session has claimed before recomputing them
+    itself.  ``workers <= 1`` runs inline; otherwise units are cut into
+    cost-model-sized tasks on the persistent pool (an explicit ``chunksize``
+    overrides the cost model's sizing).  The session is single-shot:
+    :meth:`events` (or :meth:`rows`) may be consumed once.
     """
 
     def __init__(
@@ -475,8 +468,6 @@ class CampaignSession:
         reuse_cached: bool = True,
         claim_wait_timeout: float = 60.0,
         run_id: str | None = None,
-        cache_stats: StoreCacheStats | None = None,
-        fallback_reasons: dict[str, int] | None = None,
         trace: TraceRecorder | None = None,
     ) -> None:
         if engine not in ENGINE_CHOICES:
@@ -498,8 +489,8 @@ class CampaignSession:
         #: doubles as the claim owner id, so ``repro store claims`` attributes
         #: outstanding claims to the session that holds them.
         self.run_id = run_id if run_id is not None else uuid.uuid4().hex[:16]
-        self.cache_stats = cache_stats if cache_stats is not None else StoreCacheStats()
-        self.fallback_reasons = fallback_reasons if fallback_reasons is not None else {}
+        #: Executed trials the planner routed to the object engine, per reason.
+        self.fallback_reasons: dict[str, int] = {}
         #: Optional per-session trace recorder: the session records phase and
         #: per-unit spans (worker spans land on per-worker tracks) as it runs.
         #: The caller owns writing the file — see ``--trace`` on the CLI.
@@ -520,7 +511,19 @@ class CampaignSession:
         self._errors = 0
         self._agreement_failures = 0
         self._validity_failures = 0
+        self._cache_hits = 0
         self._deferred_served = 0
+
+        # The loop's working state.  Without a store the first three stay
+        # empty: no key is derived, nothing is served, nothing is deferred.
+        self._keys: list[str] = []  # content key per spec position
+        self._hits: dict[int, str] = {}  # position -> key, cached rows still to serve
+        self._deferred: dict[int, str] = {}  # position -> key another session claimed
+        # Reorder buffer: holds only results that arrived ahead of spec
+        # order; every emitted result is released immediately, so memory
+        # stays bounded by the out-of-order window, not the campaign size.
+        self._pending: dict[int, TrialResult] = {}
+        self._next = 0  # the next spec position to emit
 
     # -- observation ---------------------------------------------------------
 
@@ -560,7 +563,7 @@ class CampaignSession:
                 errors=self._errors,
                 agreement_failures=self._agreement_failures,
                 validity_failures=self._validity_failures,
-                cache_hits=self.cache_stats.hits,
+                cache_hits=self._cache_hits,
                 deferred=self._deferred_served,
                 fallback_reasons=dict(self.fallback_reasons),
                 workers=self.workers,
@@ -584,7 +587,7 @@ class CampaignSession:
             jsonl_path=str(jsonl_path) if jsonl_path is not None else None,
             engine=self.engine,
             cache_hits=status.cache_hits,
-            fallback_reasons=dict(self.fallback_reasons),
+            fallback_reasons=status.fallback_reasons,
             run_id=self.run_id,
         )
 
@@ -616,10 +619,7 @@ class CampaignSession:
         try:
             try:
                 self._open_store()
-                if self._store is None:
-                    yield from self._traced(self._events_plain())
-                else:
-                    yield from self._traced(self._events_stored())
+                yield from self._traced(self._run())
             except GeneratorExit:
                 self._cancel.set()
                 self._finish("cancelled")
@@ -673,7 +673,9 @@ class CampaignSession:
         with self._lock:
             self._emitted += 1
             if source == "deferred":
+                # Committed by a concurrent session: served, not recomputed.
                 self._deferred_served += 1
+                self._cache_hits += 1
             if result.ok:
                 self._ok += 1
                 if result.agreement is False:
@@ -684,23 +686,6 @@ class CampaignSession:
                 self._errors += 1
         _SESSION_ROWS.labels(source=source).inc()
         return RowEvent(position=position, result=result, source=source)
-
-    def _fallback_events(self, before: dict[str, int]) -> list[FallbackEvent]:
-        events = []
-        for reason, count in sorted(self.fallback_reasons.items()):
-            delta = count - before.get(reason, 0)
-            if delta:
-                events.append(FallbackEvent(reason=reason, count=delta))
-        return events
-
-    def _planned_event(self, units: Sequence[ExecutionUnit], executed: int) -> PlannedEvent:
-        return PlannedEvent(
-            trials=len(self.specs),
-            executed=executed,
-            cache_hits=self.cache_stats.hits,
-            columnar_units=sum(1 for unit in units if unit.kind == "columnar"),
-            object_units=sum(1 for unit in units if unit.kind == "object"),
-        )
 
     def _trace_instant(self, event: SessionEvent) -> None:
         if self.trace is not None:
@@ -716,20 +701,6 @@ class CampaignSession:
                 self._trace_instant(event)
             yield event
 
-    def _run_unit_traced(
-        self, unit: ExecutionUnit, specs: Sequence[TrialSpec]
-    ) -> list[TrialResult]:
-        """Execute a unit inline, recording its span when tracing is on."""
-        if self.trace is None:
-            return _execute_unit(unit, specs)
-        start = time.time()
-        unit_result = _execute_unit(unit, specs)
-        self.trace.complete(
-            f"unit:{unit.kind}", start, time.time() - start,
-            category="execute", args={"trials": len(unit.positions)},
-        )
-        return unit_result
-
     def _on_pool_unit(self, observation: UnitObservation) -> None:
         """Place a pool-completed unit on its worker's trace track."""
         if self.trace is None:
@@ -741,297 +712,280 @@ class CampaignSession:
             args={"trials": observation.trials},
         )
 
-    def _cancellable(self, units: Sequence[ExecutionUnit]) -> Iterator[ExecutionUnit]:
-        """Stop feeding plan units to the pool once cancellation is requested."""
-        for unit in units:
-            if self._cancel.is_set():
-                return
-            yield unit
+    # -- the campaign loop ---------------------------------------------------
 
-    # -- uncached execution (the old execute_specs streaming path) -----------
+    def _run(self) -> Iterator[SessionEvent]:
+        """``(census → claim →) plan → dispatch → (commit →) drain``.
 
-    def _events_plain(self) -> Iterator[SessionEvent]:
-        specs = self.specs
-        engine, workers = self.engine, self.workers
-        if engine == "object" and (workers <= 1 or len(specs) <= 1):
-            # The object fast path bypasses planning; run the planner purely
-            # for its fallback accounting.
-            before = dict(self.fallback_reasons)
-            plan_specs(specs, engine, self.fallback_reasons)
-            yield self._planned_event([], executed=len(specs))
-            yield from self._fallback_events(before)
-            for position, spec in enumerate(specs):
-                if self._cancel.is_set():
-                    return
-                yield self._row_event(position, run_trial(spec), "executed")
-            return
+        With a store: cached rows are served, each miss key is **claimed**,
+        and keys another session already holds are *deferred* — this run
+        polls for the owner's committed rows and serves them as cache hits
+        instead of recomputing.  A deferred trial whose owner never commits
+        (crash, timeout) is recomputed locally after ``claim_wait_timeout``
+        seconds, so the campaign always completes.  Without a store every
+        position simply runs.
+        """
+        run_positions: Sequence[int] = range(len(self.specs))
+        claimed: list[str] = []
+        try:
+            if self._store is not None:
+                misses = self._census()
+                claimed = self._claim(misses)
+                run_positions = [
+                    position for position in misses if position not in self._deferred
+                ]
+                yield ClaimedEvent(granted=len(claimed), deferred=len(self._deferred))
+                # Serve every prefix-complete cached row before execution starts.
+                yield from self._drain()
+            yield from self._execute(run_positions)
+            if self._deferred and not self._cancel.is_set():
+                yield from self._await_deferred()
+            if self._deferred and not self._cancel.is_set():
+                # The owning session never committed (crashed or stuck):
+                # finish its share ourselves.  Last-write-wins commits keep
+                # this safe even if it eventually completes too.
+                leftovers = sorted(self._deferred)
+                self._deferred.clear()
+                yield from self._execute(leftovers)
+        finally:
+            if claimed:
+                try:
+                    self._store.release_claims(claimed, self.run_id)
+                except Exception:  # noqa: BLE001 — claims expire by TTL anyway
+                    pass
 
-        before = dict(self.fallback_reasons)
-        units = plan_specs(specs, engine, self.fallback_reasons)
-        yield self._planned_event(units, executed=len(specs))
-        yield from self._fallback_events(before)
-        # Reorder buffer: holds only results that arrived ahead of spec
-        # order; every emitted result is released immediately, so memory
-        # stays bounded by the out-of-order window, not the campaign size.
-        pending: dict[int, TrialResult] = {}
-        emitted = 0
-
-        def _drain(
-            positions: Sequence[int], unit_result: list[TrialResult]
-        ) -> Iterator[SessionEvent]:
-            nonlocal emitted
-            for position, result in zip(positions, unit_result):
-                pending[position] = result
-            # Stream every prefix-complete result so sinks fill while later
-            # units are still running.
-            while emitted in pending:
-                yield self._row_event(emitted, pending.pop(emitted), "executed")
-                emitted += 1
-
-        if workers <= 1 or len(specs) <= 1:
-            for unit in units:
-                if self._cancel.is_set():
-                    return
-                unit_result = self._run_unit_traced(unit, specs)
-                yield UnitCommittedEvent(unit.kind, unit.positions, committed=False)
-                yield from _drain(unit.positions, unit_result)
-            return
-        # The pool cuts every unit — object chunks *and* columnar groups —
-        # into cost-model-sized tasks and yields them in completion order;
-        # the reorder buffer above restores spec order.  Closing this loop
-        # early (cancel) closes execute_plan, which drains in-flight units
-        # without dispatching new ones.
-        for positions, unit_result in execute_plan(
-            specs, list(self._cancellable(units)), workers, self.chunksize,
-            on_unit=self._on_pool_unit if self.trace is not None else None,
-        ):
-            yield UnitCommittedEvent("task", tuple(positions), committed=False)
-            yield from _drain(positions, unit_result)
-            if self._cancel.is_set():
-                return
-
-    # -- store-backed execution (the old _execute_specs_stored path) ---------
-
-    def _events_stored(self) -> Iterator[SessionEvent]:
-        """Serve cached rows, claim and run misses, commit per unit.
+    def _census(self) -> list[int]:
+        """Derive every key, record which are already stored; return the misses.
 
         ``record_history`` specs are never *served* from the store (per-round
         state histories are not serialised, so a cached row cannot satisfy
         the in-memory consumer), but their rows are still recorded — under a
         key that, by construction, a history-free spec resolves to as well.
-
-        Before executing, each miss key is **claimed** on the store: keys
-        another session already holds are *deferred* — this run polls for the
-        owner's committed rows and serves them as cache hits instead of
-        recomputing.  A deferred trial whose owner never commits (crash,
-        timeout) is recomputed locally after ``claim_wait_timeout`` seconds,
-        so the campaign always completes.
+        Only the *keys* of cache hits are held for the whole run; the rows
+        themselves are fetched in ``_SERVE_BATCH``-sized slices at emission
+        time, so a warm million-trial resume never materialises the campaign.
         """
         from repro.store.keys import trial_key
 
         specs = self.specs
-        store = self._store
-        assert store is not None
-        cache_stats = self.cache_stats
-
-        keys = [trial_key(spec) for spec in specs]
-        # Only the *keys* of cache hits are held for the whole run; the rows
-        # themselves are fetched in _SERVE_BATCH-sized slices at emission
-        # time, so a warm million-trial resume never materialises the
-        # campaign.
-        hit_keys: dict[int, str] = {}
+        self._keys = keys = [trial_key(spec) for spec in specs]
         census_start = time.time()
         if self.reuse_cached:
             servable = [key for spec, key in zip(specs, keys) if not spec.record_history]
-            present = store.contains_keys(servable)
+            present = self._store.contains_keys(servable)
             for position, (spec, key) in enumerate(zip(specs, keys)):
                 if not spec.record_history and key in present:
-                    hit_keys[position] = key
+                    self._hits[position] = key
+        hits, misses = len(self._hits), len(specs) - len(self._hits)
         with self._lock:
-            cache_stats.hits = len(hit_keys)
-            cache_stats.misses = len(specs) - len(hit_keys)
-        _STORE_CACHE_LOOKUPS.labels(outcome="hit").inc(len(hit_keys))
-        _STORE_CACHE_LOOKUPS.labels(outcome="miss").inc(len(specs) - len(hit_keys))
+            self._cache_hits = hits
+        _STORE_CACHE_LOOKUPS.labels(outcome="hit").inc(hits)
+        _STORE_CACHE_LOOKUPS.labels(outcome="miss").inc(misses)
         if self.trace is not None:
             self.trace.complete(
                 "cache-census", census_start, time.time() - census_start,
-                category="store",
-                args={"hits": len(hit_keys), "misses": len(specs) - len(hit_keys)},
+                category="store", args={"hits": hits, "misses": misses},
             )
-        miss_positions = [position for position in range(len(specs)) if position not in hit_keys]
+        return [position for position in range(len(specs)) if position not in self._hits]
 
-        # Claim the misses so concurrent sessions over this store split the
-        # work: denied keys are being computed elsewhere — defer them and
-        # serve the other session's rows.  record_history misses always run
-        # locally (a stored row cannot carry the in-memory histories).
-        deferred: dict[int, str] = {}
-        claimed_keys: list[str] = []
-        if self.reuse_cached and miss_positions:
-            claimable = list(
-                dict.fromkeys(
-                    keys[position]
-                    for position in miss_positions
-                    if not specs[position].record_history
+    def _claim(self, misses: Sequence[int]) -> list[str]:
+        """Claim the miss keys; fill ``_deferred`` with the denied ones.
+
+        Concurrent sessions over one store split the work this way: a denied
+        key is being computed elsewhere.  ``record_history`` misses always
+        run locally (a stored row cannot carry the in-memory histories).
+        """
+        if not self.reuse_cached or not misses:
+            return []
+        specs, keys = self.specs, self._keys
+        claimable = list(
+            dict.fromkeys(
+                keys[position] for position in misses if not specs[position].record_history
+            )
+        )
+        granted = self._store.claim_keys(claimable, self.run_id) if claimable else set()
+        for position in misses:
+            if not specs[position].record_history and keys[position] not in granted:
+                self._deferred[position] = keys[position]
+        return [key for key in claimable if key in granted]
+
+    def _execute(self, positions: Sequence[int]) -> Iterator[SessionEvent]:
+        """Plan the trials at ``positions``, run them, commit and emit each group."""
+        specs = [self.specs[position] for position in positions]
+        store = self._store
+        inline = self.workers <= 1 or len(specs) <= 1
+        reasons: dict[str, int] = {}
+        units = plan_specs(specs, self.engine, reasons)
+        # The emission rule.  A row waits for its commit group with a store;
+        # without one only for its own trial (the pool cuts its own tasks).
+        if store is not None:
+            units = _split_object_units(units, STORE_COMMIT_CHUNK)
+        elif inline:
+            units = _split_object_units(units, 1)
+        with self._lock:
+            for reason, count in reasons.items():
+                self.fallback_reasons[reason] = self.fallback_reasons.get(reason, 0) + count
+        yield PlannedEvent(
+            trials=len(self.specs),
+            executed=len(specs),
+            cache_hits=self._cache_hits,
+            columnar_units=sum(1 for unit in units if unit.kind == "columnar"),
+            object_units=sum(1 for unit in units if unit.kind == "object"),
+        )
+        for reason, count in sorted(reasons.items()):
+            yield FallbackEvent(reason=reason, count=count)
+        for kind, local_positions, results in self._dispatch(specs, units, inline):
+            group = [positions[local] for local in local_positions]
+            if store is not None:
+                # Commit-then-emit: once a row has been yielded downstream,
+                # it is guaranteed to be in the store, so resuming after an
+                # interruption can never lose acknowledged work.
+                store.put_results(
+                    (self._keys[position], result) for position, result in zip(group, results)
                 )
-            )
-            granted = store.claim_keys(claimable, self.run_id) if claimable else set()
-            claimed_keys = [key for key in claimable if key in granted]
-            for position in miss_positions:
-                if not specs[position].record_history and keys[position] not in granted:
-                    deferred[position] = keys[position]
-        run_positions = [position for position in miss_positions if position not in deferred]
-        run_specs = [specs[position] for position in run_positions]
-        yield ClaimedEvent(granted=len(claimed_keys), deferred=len(deferred))
+            self._pending.update(zip(group, results))
+            yield UnitCommittedEvent(kind, tuple(group), committed=store is not None)
+            yield from self._drain()
 
-        pending: dict[int, TrialResult] = {}
-        emitted = 0
+    def _dispatch(
+        self, specs: Sequence[TrialSpec], units: Sequence[ExecutionUnit], inline: bool
+    ) -> Iterator[tuple[str, Sequence[int], list[TrialResult]]]:
+        """Yield ``(kind, positions, results)`` per finished unit or pool task.
 
-        def _drain() -> Iterator[SessionEvent]:
-            nonlocal emitted
-            while True:
-                if emitted in pending:
-                    yield self._row_event(emitted, pending.pop(emitted), "executed")
-                    emitted += 1
-                elif emitted in hit_keys:
-                    # Serve the next contiguous run of cached positions in
-                    # one bounded fetch.
-                    batch = []
-                    position = emitted
-                    while position in hit_keys and len(batch) < _SERVE_BATCH:
-                        batch.append(position)
-                        position += 1
-                    rows = store.get_rows([hit_keys[position] for position in batch])
-                    for position in batch:
-                        row = rows.get(hit_keys[position])
-                        if row is None:
-                            raise RuntimeError(
-                                f"store row for trial {position} vanished during execution; "
-                                "result stores must not be mutated concurrently with a run"
-                            )
-                        # Reattach the *requested* spec: the stored row may
-                        # carry a different trial_index (key-excluded field),
-                        # and the emitted row must be byte-identical to a
-                        # fresh run.
-                        yield self._row_event(
-                            position,
-                            replace(TrialResult.from_row(row), spec=specs[position]),
-                            "cache",
-                        )
-                        del hit_keys[position]
-                        emitted = position + 1
-                elif emitted in deferred:
-                    # Another session owns these trials; serve whatever it
-                    # has committed so far, stopping at the first absent row.
-                    batch = []
-                    position = emitted
-                    while position in deferred and len(batch) < _SERVE_BATCH:
-                        batch.append(position)
-                        position += 1
-                    rows = store.get_rows([deferred[position] for position in batch])
-                    progressed = False
-                    for position in batch:
-                        row = rows.get(deferred[position])
-                        if row is None:
-                            break
-                        with self._lock:
-                            cache_stats.hits += 1
-                            cache_stats.misses -= 1
-                        yield self._row_event(
-                            position,
-                            replace(TrialResult.from_row(row), spec=specs[position]),
-                            "deferred",
-                        )
-                        del deferred[position]
-                        emitted = position + 1
-                        progressed = True
-                    if not progressed:
-                        return
-                else:
+        Cancellation takes effect at these boundaries: no unit starts after
+        it, and closing the pool loop closes ``execute_plan``, which drains
+        in-flight tasks without dispatching new ones.
+        """
+        if inline:
+            for unit in units:
+                if self._cancel.is_set():
                     return
-
-        def _commit(local_positions: Sequence[int], unit_result: list[TrialResult]) -> None:
-            # Commit-then-emit: once a row has been yielded downstream, it is
-            # guaranteed to be in the store, so resuming after an
-            # interruption can never lose acknowledged work.
-            store.put_results(
-                (keys[run_positions[local]], result)
-                for local, result in zip(local_positions, unit_result)
-            )
-            for local, result in zip(local_positions, unit_result):
-                pending[run_positions[local]] = result
-
-        try:
-            # Serve every prefix-complete cached row before execution starts.
-            yield from _drain()
-            before = dict(self.fallback_reasons)
-            units = _split_units_for_commit(
-                plan_specs(run_specs, self.engine, self.fallback_reasons)
-            )
-            yield self._planned_event(units, executed=len(run_specs))
-            yield from self._fallback_events(before)
-            if self.workers <= 1 or len(run_specs) <= 1:
-                for unit in units:
-                    if self._cancel.is_set():
-                        return
-                    unit_result = self._run_unit_traced(unit, run_specs)
-                    _commit(unit.positions, unit_result)
-                    yield UnitCommittedEvent(unit.kind, unit.positions, committed=True)
-                    yield from _drain()
-            else:
-                for local_positions, unit_result in execute_plan(
-                    run_specs,
-                    list(self._cancellable(units)),
-                    self.workers,
-                    self.chunksize,
-                    on_unit=self._on_pool_unit if self.trace is not None else None,
-                ):
-                    _commit(local_positions, unit_result)
-                    yield UnitCommittedEvent("task", tuple(local_positions), committed=True)
-                    yield from _drain()
-                    if self._cancel.is_set():
-                        return
-
-            # Wait out trials owned by other sessions, then recompute
-            # leftovers.
-            if deferred:
-                wait_start = time.monotonic()
-                deadline = wait_start + self.claim_wait_timeout
-                delay = 0.05
-                try:
-                    while deferred and time.monotonic() < deadline:
-                        if self._cancel.is_set():
-                            return
-                        before_count = len(deferred)
-                        yield from _drain()
-                        if deferred and len(deferred) == before_count:
-                            time.sleep(delay)
-                            delay = min(delay * 1.6, 1.0)
-                finally:
-                    _STORE_CLAIM_WAIT.observe(time.monotonic() - wait_start)
-            if deferred and not self._cancel.is_set():
-                # The owning session never committed (crashed or stuck):
-                # finish its share ourselves.  Last-write-wins commits keep
-                # this safe even if it eventually completes too.
-                retry_positions = sorted(deferred)
-                retry_specs = [specs[position] for position in retry_positions]
-                for unit in _split_units_for_commit(
-                    plan_specs(retry_specs, self.engine, self.fallback_reasons)
-                ):
-                    if self._cancel.is_set():
-                        return
-                    unit_result = self._run_unit_traced(unit, retry_specs)
-                    store.put_results(
-                        (keys[retry_positions[local]], result)
-                        for local, result in zip(unit.positions, unit_result)
+                start = time.time()
+                results = _execute_unit(unit, specs)
+                if self.trace is not None:
+                    self.trace.complete(
+                        f"unit:{unit.kind}", start, time.time() - start,
+                        category="execute", args={"trials": len(unit.positions)},
                     )
-                    for local, result in zip(unit.positions, unit_result):
-                        pending[retry_positions[local]] = result
-                        deferred.pop(retry_positions[local], None)
-                    yield UnitCommittedEvent(unit.kind, unit.positions, committed=True)
-                    yield from _drain()
+                yield unit.kind, unit.positions, results
+            return
+        if self._cancel.is_set():
+            return
+        # The pool cuts every unit — object chunks *and* columnar groups —
+        # into cost-model-sized tasks and yields them in completion order;
+        # the reorder buffer restores spec order.
+        for task_positions, results in execute_plan(
+            specs, units, self.workers, self.chunksize,
+            on_unit=self._on_pool_unit if self.trace is not None else None,
+        ):
+            yield "task", task_positions, results
+            if self._cancel.is_set():
+                return
+
+    def _drain(self) -> Iterator[RowEvent]:
+        """Emit every row that is next in spec order and ready to leave."""
+        while True:
+            position = self._next
+            if position in self._pending:
+                yield self._row_event(position, self._pending.pop(position), "executed")
+                self._next = position + 1
+            elif position in self._hits:
+                yield from self._serve(self._hits, "cache")
+            elif position in self._deferred:
+                # Another session owns these trials; serve whatever it has
+                # committed so far and stop at the first absent row.
+                yield from self._serve(self._deferred, "deferred")
+                if self._next == position:
+                    return
+            else:
+                return
+
+    def _serve(self, table: dict[int, str], source: str) -> Iterator[RowEvent]:
+        """Serve the contiguous run of ``table`` positions at ``_next`` in one bounded fetch."""
+        batch = []
+        position = self._next
+        while position in table and len(batch) < _SERVE_BATCH:
+            batch.append(position)
+            position += 1
+        rows = self._store.get_rows([table[position] for position in batch])
+        for position in batch:
+            row = rows.get(table[position])
+            if row is None:
+                if source == "deferred":
+                    return  # its owner has not committed it yet
+                raise RuntimeError(
+                    f"store row for trial {position} vanished during execution; "
+                    "result stores must not be mutated concurrently with a run"
+                )
+            # Reattach the *requested* spec: the stored row may carry a
+            # different trial_index (key-excluded field), and the emitted
+            # row must be byte-identical to a fresh run.
+            yield self._row_event(
+                position, replace(TrialResult.from_row(row), spec=self.specs[position]), source
+            )
+            del table[position]
+            self._next = position + 1
+
+    def _await_deferred(self) -> Iterator[RowEvent]:
+        """Poll for rows other sessions claimed until they land or the wait times out."""
+        wait_start = time.monotonic()
+        deadline = wait_start + self.claim_wait_timeout
+        delay = 0.05
+        try:
+            while self._deferred and time.monotonic() < deadline:
+                if self._cancel.is_set():
+                    return
+                outstanding = len(self._deferred)
+                yield from self._drain()
+                if len(self._deferred) == outstanding:
+                    time.sleep(delay)
+                    delay = min(delay * 1.6, 1.0)
         finally:
-            if claimed_keys:
-                try:
-                    store.release_claims(claimed_keys, self.run_id)
-                except Exception:  # noqa: BLE001 — claims expire by TTL anyway
-                    pass
+            _STORE_CLAIM_WAIT.observe(time.monotonic() - wait_start)
+
+
+def run_campaign(
+    campaign: Campaign,
+    workers: int = 1,
+    jsonl_path: str | Path | None = None,
+    on_result: Callable[[TrialResult], None] | None = None,
+    collect: bool = False,
+    engine: str = "auto",
+    store: "ResultStore | str | Path | None" = None,
+    reuse_cached: bool = True,
+    chunksize: int | None = None,
+    trace: TraceRecorder | None = None,
+) -> tuple[CampaignSummary, list[TrialResult]]:
+    """Run every trial of the campaign, streaming rows to the optional sink.
+
+    The blocking form of a :class:`CampaignSession` (same ``workers`` /
+    ``engine`` / ``store`` / ``reuse_cached`` / ``chunksize`` / ``trace``
+    meaning).  Each row, in spec order, is written to ``jsonl_path``, passed
+    to ``on_result`` (an exception raised there aborts the run) and — only
+    when ``collect=True`` — kept for the returned list; large sweeps should
+    rely on the JSONL sink and keep ``collect`` off.  Returns the summary
+    (``cache_hits`` reports the store's share) and the collected rows.  The
+    caller owns writing a recorded ``trace`` out (``trace.write(path)``).
+    """
+    session = CampaignSession(
+        campaign,
+        workers=workers,
+        chunksize=chunksize,
+        engine=engine,
+        store=store,
+        reuse_cached=reuse_cached,
+        trace=trace,
+    )
+    collected: list[TrialResult] = []
+    sink_context = JsonlSink(jsonl_path) if jsonl_path is not None else nullcontext()
+    # Closing the row iterator — also on a consumer error — releases claims
+    # and closes a session-owned store.
+    with closing(session.rows()) as rows, sink_context as sink:
+        for result in rows:
+            if sink is not None:
+                sink.write(result)
+            if on_result is not None:
+                on_result(result)
+            if collect:
+                collected.append(result)
+    return session.summary(jsonl_path), collected

@@ -6,7 +6,9 @@ configuration, ``epsilon`` and seeds — as plain picklable data, so trials can
 be expanded from grids, shipped to worker processes, and replayed exactly.
 :class:`TrialResult` is the corresponding flat record: the spec fields plus
 the measured outcome (agreement/validity verdicts, round/message/drop
-counters, the first honest decision) in a JSON-serialisable shape.
+counters, the first honest decision) in a JSON-serialisable shape.  The JSONL
+row helpers (:class:`JsonlSink`, :func:`iter_jsonl`, :func:`read_jsonl`,
+:func:`strip_timing`) live beside the row format they read and write.
 
 Seed discipline: a spec carries one root ``seed``.  Unless explicitly
 overridden, the workload, adversary and scheduler seeds are derived from it
@@ -19,13 +21,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Mapping, Sequence
+from pathlib import Path
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["PROTOCOLS", "TrialSpec", "TrialResult"]
+__all__ = [
+    "PROTOCOLS",
+    "JsonlSink",
+    "TrialResult",
+    "TrialSpec",
+    "iter_jsonl",
+    "read_jsonl",
+    "strip_timing",
+]
 
 # Protocol name -> (model, needs_epsilon).  The model decides which runtime
 # (and therefore which result counters) a trial uses.
@@ -287,3 +298,70 @@ class TrialResult:
         if outcome.get("decision") is not None:
             outcome["decision"] = tuple(float(value) for value in outcome["decision"])
         return cls(spec=spec, **outcome)
+
+
+class JsonlSink:
+    """Append trial rows to a JSON-lines file, one row per trial, as they arrive."""
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
+        self.rows_written = 0
+        self._handle = None
+
+    def __enter__(self) -> "JsonlSink":
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._handle = self.path.open("w", encoding="utf-8")
+        return self
+
+    def write(self, result: TrialResult) -> None:
+        if self._handle is None:
+            raise RuntimeError("JsonlSink must be entered before writing")
+        self._handle.write(result.to_json() + "\n")
+        self.rows_written += 1
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+
+def iter_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
+    """Stream a campaign JSONL file one row dictionary at a time.
+
+    Constant memory in the file size — the row consumers (equivalence
+    comparisons, store imports) never need the whole file as a list.  Blank
+    lines are skipped; a line that is not valid JSON (a torn tail, say)
+    raises :class:`~repro.exceptions.ConfigurationError` naming the file and
+    the line.
+    """
+    with Path(path).open("r", encoding="utf-8") as handle:
+        for number, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as error:
+                raise ConfigurationError(
+                    f"{path}: line {number}: not valid JSON ({error})"
+                ) from error
+            yield row
+
+
+def read_jsonl(path: str | Path) -> list[dict[str, Any]]:
+    """Load every row of a campaign JSONL file back into dictionaries."""
+    return list(iter_jsonl(path))
+
+
+def strip_timing(rows: Iterable[dict[str, Any]]) -> list[str]:
+    """Canonicalise rows for determinism comparison: drop timing fields, sort keys.
+
+    Two campaign runs with the same seed must produce equal ``strip_timing``
+    output regardless of worker count; ``TrialResult.TIMING_FIELDS`` is the
+    single list of fields allowed to differ.
+    """
+    canonical = []
+    for row in rows:
+        kept = {key: value for key, value in row.items() if key not in TrialResult.TIMING_FIELDS}
+        canonical.append(json.dumps(kept, sort_keys=True))
+    return canonical

@@ -8,7 +8,7 @@ derived from the spec itself (:mod:`repro.store.keys`), behind one
 single SQLite file (:mod:`repro.store.backend`), and queried without
 re-execution through :mod:`repro.store.query`.
 
-The executor (:mod:`repro.engine.executor`) consults a store before planning
+A campaign session (:mod:`repro.engine.session`) consults a store before planning
 — cached trials are served without spawning workers, only misses run — which
 is what makes interrupted campaigns resumable and repeated grids cheap.  The
 ``python -m repro.cli store`` command group (``stats`` / ``query`` /

@@ -2,10 +2,10 @@
 
 A :class:`ResultStore` is an append-mostly warehouse of trial rows keyed by
 :func:`~repro.store.keys.trial_key` content addresses, with the durability
-contract the executor's resume path relies on:
+contract the campaign session's resume path relies on:
 
 * :meth:`ResultStore.put_results` is **transactional** (one SQL transaction
-  per call) — the executor calls it once per completed execution unit, so an
+  per call) — the session calls it once per completed execution unit, so an
   interrupted campaign leaves the store at a clean unit boundary;
 * writes are **idempotent** — re-putting a key overwrites with the same
   bytes, so replaying a partial or whole unit after a crash is harmless;
@@ -35,8 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from repro.engine.executor import iter_jsonl
-from repro.engine.spec import TrialResult
+from repro.engine.spec import TrialResult, iter_jsonl
 from repro.exceptions import ConfigurationError
 from repro.obs.registry import get_registry
 from repro.store.keys import ENGINE_VERSION, trial_key
@@ -160,7 +159,7 @@ class ResultStore(ABC):
     def contains_keys(self, keys: Sequence[str]) -> set[str]:
         """Return the subset of ``keys`` present in the store (index-only).
 
-        The executor uses this for its cache-hit census so that a warm run
+        The session uses this for its cache-hit census so that a warm run
         never has to materialise every cached row at once.
         """
 
@@ -174,7 +173,7 @@ class ResultStore(ABC):
 
         Returns the number of rows written.  ``engine_version`` is the stamp
         recorded on each row (tests and importers may backdate it; the
-        executor always writes the current revision).
+        session always writes the current revision).
         """
 
     @abstractmethod
@@ -245,7 +244,7 @@ class ResultStore(ABC):
     def claim_keys(self, keys: Sequence[str], owner: str) -> set[str]:
         """Try to claim ``keys`` for ``owner``; return the granted subset.
 
-        The executor claims its cache misses before running them so that
+        The session claims its cache misses before running them so that
         several processes sharing one store split the work instead of
         duplicating it: a denied key means another live owner is computing
         that trial, and the caller should poll for its committed row.
@@ -295,9 +294,10 @@ class ResultStore(ABC):
     ) -> int:
         """Ingest a campaign/fuzz JSONL export, re-deriving each row's key.
 
-        Rows stream through :func:`~repro.engine.executor.iter_jsonl` (the
+        Rows stream through :func:`~repro.engine.spec.iter_jsonl` (the
         file is never materialised whole) and commit in transactional
-        batches.  Returns the number of rows ingested; malformed rows raise
+        batches.  Returns the number of rows ingested; malformed rows — a
+        line that is not JSON, a row that is not a trial — raise
         :class:`~repro.exceptions.ConfigurationError` rather than importing a
         corrupt warehouse.
 

@@ -4,7 +4,7 @@ The object runtime is the oracle.  Every scenario class that PR 6 made
 eligible for the vectorized engine — coordinated restricted-sync adversaries
 and deterministic-scheduler restricted-async runs — is executed through both
 engines here, asserting byte-identical JSONL rows (after
-:func:`~repro.engine.executor.strip_timing`): decisions, verdicts, round and
+:func:`~repro.engine.spec.strip_timing`): decisions, verdicts, round and
 traffic counters, recorded state histories, and error rows alike.  A
 divergence anywhere in this file means the columnar path changed trial
 *semantics*, not just trial *speed*.
@@ -21,8 +21,8 @@ import pytest
 from repro.engine import (
     COORDINATED_STRATEGY_NAMES,
     Campaign,
+    CampaignSession,
     TrialSpec,
-    execute_specs,
     run_trial,
     run_specs_vectorized,
     strip_timing,
@@ -36,8 +36,8 @@ def _rows(results) -> list[str]:
 
 
 def _assert_rows_identical(specs) -> list[str]:
-    object_rows = _rows(execute_specs(specs, engine="object"))
-    vectorized_rows = _rows(execute_specs(specs, engine="vectorized"))
+    object_rows = _rows(CampaignSession(specs, engine="object").rows())
+    vectorized_rows = _rows(CampaignSession(specs, engine="vectorized").rows())
     assert object_rows == vectorized_rows
     return object_rows
 
@@ -196,8 +196,8 @@ class TestAsyncDeterminism:
     @pytest.mark.parametrize("scheduler", DETERMINISTIC_SCHEDULERS)
     def test_repeated_vectorized_runs_are_byte_identical(self, scheduler):
         specs = self._specs(scheduler)
-        first = _rows(execute_specs(specs, engine="vectorized"))
-        second = _rows(execute_specs(specs, engine="vectorized"))
+        first = _rows(CampaignSession(specs, engine="vectorized").rows())
+        second = _rows(CampaignSession(specs, engine="vectorized").rows())
         assert first == second
         # Identical specs at different positions produce identical rows
         # modulo the trial index: the skeleton cache cannot leak state
@@ -210,8 +210,8 @@ class TestAsyncDeterminism:
     @pytest.mark.parametrize("scheduler", DETERMINISTIC_SCHEDULERS)
     def test_worker_count_invariance(self, scheduler):
         specs = self._specs(scheduler)
-        inline = _rows(execute_specs(specs, engine="vectorized", workers=1))
-        pooled = _rows(execute_specs(specs, engine="vectorized", workers=2))
+        inline = _rows(CampaignSession(specs, engine="vectorized", workers=1).rows())
+        pooled = _rows(CampaignSession(specs, engine="vectorized", workers=2).rows())
         assert inline == pooled
 
     def test_lagging_scheduler_seed_flows_from_trial_seed(self):

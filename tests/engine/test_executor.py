@@ -10,18 +10,21 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.engine import (
     ENGINE_CHOICES,
     Campaign,
+    CampaignSession,
     CampaignSummary,
     TrialSpec,
-    execute_specs,
     iter_jsonl,
     read_jsonl,
     run_campaign,
     run_trial,
     strip_timing,
 )
+from repro.exceptions import ConfigurationError
 
 
 class TestRunTrial:
@@ -171,7 +174,7 @@ class TestExecutor:
 
     def test_results_arrive_in_spec_order(self):
         campaign = Campaign.from_grid("order", **self.GRID)
-        results = list(execute_specs(campaign.specs, workers=2))
+        results = list(CampaignSession(campaign.specs, workers=2).rows())
         assert [result.spec.trial_index for result in results] == list(range(len(campaign)))
 
     def test_summary_counts_errors_and_streams_jsonl(self, tmp_path):
@@ -230,6 +233,14 @@ class TestIterJsonl:
         path.write_text("\n".join(json.dumps({"index": index}) for index in range(5)) + "\n")
         assert read_jsonl(path) == list(iter_jsonl(path))
         assert len(read_jsonl(path)) == 5
+
+    def test_torn_line_is_a_configuration_error_naming_the_file_line(self, tmp_path):
+        path = tmp_path / "torn.jsonl"
+        path.write_text('{"index": 0}\n\n{"index": 1}\n{"index": 2, "na')
+        iterator = iter_jsonl(path)
+        assert [next(iterator), next(iterator)] == [{"index": 0}, {"index": 1}]
+        with pytest.raises(ConfigurationError, match=r"torn\.jsonl: line 4: not valid JSON"):
+            next(iterator)
 
 
 class TestCampaignSummary:

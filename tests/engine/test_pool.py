@@ -16,8 +16,8 @@ import pytest
 
 from repro.engine import (
     Campaign,
+    CampaignSession,
     TrialSpec,
-    execute_specs,
     get_pool,
     iter_jsonl,
     run_campaign,
@@ -174,11 +174,11 @@ class TestPersistentPoolLifecycle:
             canonical[workers] = strip_timing(iter_jsonl(path))
         assert canonical[1] == canonical[2] == canonical[4]
 
-    def test_pool_is_reused_across_execute_specs_calls(self):
+    def test_pool_is_reused_across_sessions(self):
         specs = TestExecutePlan.SPECS
-        list(execute_specs(specs, workers=2))
+        list(CampaignSession(specs, workers=2).rows())
         first_pids = set(get_pool(2).worker_pids())
-        list(execute_specs(specs, workers=2))
+        list(CampaignSession(specs, workers=2).rows())
         assert set(get_pool(2).worker_pids()) == first_pids
 
     def test_worker_crash_mid_campaign_recovers(self):
@@ -188,11 +188,11 @@ class TestPersistentPoolLifecycle:
             for index in range(24)
         ]
         expected = strip_timing(
-            result.to_row() for result in execute_specs(specs, workers=1)
+            result.to_row() for result in CampaignSession(specs, workers=1).rows()
         )
         # chunksize=2 forces many dispatches, so the killed seat is certain
         # to be involved again after the kill.
-        stream = execute_specs(specs, workers=2, chunksize=2)
+        stream = CampaignSession(specs, workers=2, chunksize=2).rows()
         results = [next(stream)]
         pool = get_pool(2)
         recoveries_before = pool.crash_recoveries
@@ -203,10 +203,10 @@ class TestPersistentPoolLifecycle:
 
     def test_interrupted_run_leaves_pool_reusable(self):
         specs = TestExecutePlan.SPECS
-        stream = execute_specs(specs, workers=2, chunksize=2)
+        stream = CampaignSession(specs, workers=2, chunksize=2).rows()
         next(stream)
         stream.close()  # abandon mid-campaign (in-flight units are drained)
-        results = list(execute_specs(specs, workers=2))
+        results = list(CampaignSession(specs, workers=2).rows())
         assert len(results) == len(specs)
         assert [result.spec.trial_index for result in results] == list(range(len(specs)))
 
@@ -261,6 +261,6 @@ class TestColumnarFanout:
             for position, result in zip(positions, results):
                 rows[position] = result
         expected = strip_timing(
-            result.to_row() for result in execute_specs(specs, workers=1)
+            result.to_row() for result in CampaignSession(specs, workers=1).rows()
         )
         assert strip_timing(rows[index].to_row() for index in range(8)) == expected

@@ -14,12 +14,12 @@ from __future__ import annotations
 import pytest
 
 import repro.core.validity as validity
-from repro.engine import STRATEGY_NAMES, Campaign, execute_specs, strip_timing
+from repro.engine import STRATEGY_NAMES, Campaign, CampaignSession, strip_timing
 from repro.geometry.kernel import default_kernel
 
 
 def _rows(specs, **options) -> list[str]:
-    return strip_timing(result.to_row() for result in execute_specs(specs, **options))
+    return strip_timing(result.to_row() for result in CampaignSession(specs, **options).rows())
 
 
 @pytest.fixture
@@ -59,7 +59,7 @@ def test_adversarial_exact_trial_solves_one_kernel_lp_and_one_hull_lp(fresh_kern
 
     monkeypatch.setattr(validity, "distance_to_hull", counting)
     solved_before = fresh_kernel.stats.lp_solves
-    results = list(execute_specs(campaign.specs, engine="object"))
+    results = list(CampaignSession(campaign.specs, engine="object").rows())
     assert all(result.ok and result.agreement and result.validity for result in results)
     assert fresh_kernel.stats.lp_solves - solved_before == 12
     assert len(hull_lps) == 12

@@ -1,8 +1,8 @@
 """Campaign sessions: typed events, status snapshots, cooperative cancellation.
 
 The session is the single execution path every consumer rides
-(``execute_specs``, ``run_campaign``, ``run_fuzz``, the experiments, the
-HTTP server), so these tests pin its contract directly:
+(``run_campaign``, ``run_fuzz``, the experiments, the HTTP server), so these
+tests pin its contract directly:
 
 * ``events()`` yields planned/claimed/fallback/unit-committed/row/finished
   in a coherent order, with rows in spec order and byte-identical to the
@@ -11,10 +11,14 @@ HTTP server), so these tests pin its contract directly:
 * cancellation — whether by ``cancel()`` or by abandoning the generator (the
   client-disconnect analog) — halts work promptly, **releases SQLite
   claims**, and leaves the store resumable: a rerun serves everything
-  already committed and recomputes nothing twice.
+  already committed and recomputes nothing twice;
+* there is one campaign loop: the same rows and the same event order with no
+  store, a fresh, a warm or a contended one, inline or pooled.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
@@ -27,12 +31,14 @@ from repro.engine import (
     RowEvent,
     TrialSpec,
     UnitCommittedEvent,
-    execute_specs,
     run_fuzz,
+    run_trial,
     strip_timing,
 )
-from repro.engine.executor import StoreCacheStats
+from repro.engine import session as session_module
+from repro.engine.session import STORE_COMMIT_CHUNK
 from repro.store.backend import SqliteResultStore
+from repro.store.keys import trial_key
 
 
 def _specs(count: int = 8) -> list[TrialSpec]:
@@ -43,14 +49,23 @@ def _specs(count: int = 8) -> list[TrialSpec]:
     ]
 
 
+def _object_specs(count: int = 8) -> list[TrialSpec]:
+    """Adversarial ``exact`` trials: object-engine work under every engine."""
+    return [replace(spec, adversary="crash") for spec in _specs(count)]
+
+
 def _rows(results) -> list[str]:
     return strip_timing(result.to_row() for result in results)
 
 
+def _oracle_rows(specs) -> list[str]:
+    return _rows(run_trial(spec) for spec in specs)
+
+
 class TestEventStream:
-    def test_rows_arrive_in_spec_order_and_match_execute_specs(self):
+    def test_rows_arrive_in_spec_order_and_match_the_object_oracle(self):
         specs = _specs(6)
-        expected = _rows(execute_specs(specs))
+        expected = _oracle_rows(specs)
         session = CampaignSession(specs, engine="auto")
         events = list(session.events())
         rows = [event for event in events if isinstance(event, RowEvent)]
@@ -83,7 +98,7 @@ class TestEventStream:
         warm = CampaignSession(specs, store=store_path)
         rows = [event for event in warm.events() if isinstance(event, RowEvent)]
         assert all(event.source == "cache" for event in rows)
-        assert warm.cache_stats.hits == len(specs)
+        assert warm.status().cache_hits == len(specs)
 
     def test_session_is_single_use(self):
         session = CampaignSession(_specs(2))
@@ -93,7 +108,82 @@ class TestEventStream:
 
     def test_rows_wrapper_filters_row_events(self):
         specs = _specs(4)
-        assert _rows(CampaignSession(specs).rows()) == _rows(execute_specs(specs))
+        assert _rows(CampaignSession(specs).rows()) == _oracle_rows(specs)
+
+    @pytest.mark.parametrize("engine", ["auto", "object"])
+    def test_object_rows_leave_as_their_trials_finish(self, engine, tmp_path, monkeypatch):
+        """The emission rule: a finished row waits for its commit group only."""
+        specs = _object_specs(10)
+        ran = []
+
+        def counting_run_trial(spec):
+            ran.append(spec.trial_index)
+            return run_trial(spec)
+
+        monkeypatch.setattr(session_module, "run_trial", counting_run_trial)
+
+        # No store, nothing to commit: a row leaves when its trial ends.
+        for consumed, _ in enumerate(CampaignSession(specs, engine=engine).rows(), start=1):
+            assert len(ran) == consumed
+
+        # With a store: the row's whole group has run and is already stored.
+        ran.clear()
+        with SqliteResultStore(tmp_path / "store.db") as store:
+            session = CampaignSession(specs, engine=engine, store=store)
+            for consumed, result in enumerate(session.rows(), start=1):
+                groups = -(-consumed // STORE_COMMIT_CHUNK)
+                assert len(ran) == min(groups * STORE_COMMIT_CHUNK, len(specs))
+                assert trial_key(result.spec) in store
+
+
+class TestOneLoop:
+    @pytest.mark.parametrize("engine", ["auto", "object"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("store_state", ["none", "fresh", "warm", "contended"])
+    def test_every_store_state_rides_the_same_loop(
+        self, store_state, workers, engine, tmp_path
+    ):
+        # Columnar-eligible and object-only trials, interleaved.
+        specs = [
+            replace(spec, adversary="crash") if index % 3 == 0 else spec
+            for index, spec in enumerate(_specs(10))
+        ]
+        store_path = None if store_state == "none" else tmp_path / "store.db"
+        options = {}
+        if store_state == "warm":
+            list(CampaignSession(specs, store=store_path).rows())
+        elif store_state == "contended":
+            # A crashed owner: holds two claims it will never commit.
+            with SqliteResultStore(store_path) as ghost:
+                ghost.claim_keys([trial_key(specs[3]), trial_key(specs[4])], "ghost")
+            options["claim_wait_timeout"] = 1.0
+
+        session = CampaignSession(
+            specs, store=store_path, workers=workers, engine=engine, **options
+        )
+        events = list(session.events())
+
+        rows = [event for event in events if isinstance(event, RowEvent)]
+        assert [event.position for event in rows] == list(range(len(specs)))
+        assert _rows(event.result for event in rows) == _oracle_rows(specs)
+        served = "cache" if store_state == "warm" else "executed"
+        assert {event.source for event in rows} == {served}
+        assert [type(event) for event in events].count(FinishedEvent) == 1
+        assert events[-1].status.state == "finished"
+
+        planned, committed = False, set()
+        for event in events:
+            if isinstance(event, PlannedEvent):
+                planned = True
+            elif isinstance(event, UnitCommittedEvent):
+                assert event.committed == (store_path is not None)
+                committed.update(event.positions)
+            elif isinstance(event, RowEvent) and event.source == "executed":
+                assert planned and event.position in committed
+        if store_path is not None:
+            with SqliteResultStore(store_path) as store:
+                assert len(store) == len(specs)
+                assert store.claim_stats() == {"live": 0, "expired": 0}
 
 
 class TestStatus:
@@ -184,7 +274,7 @@ class TestCancellation:
         nothing that was committed, and exports byte-identical rows."""
         store_path = tmp_path / "store.db"
         specs = _specs(12)
-        expected = _rows(execute_specs(specs))
+        expected = _oracle_rows(specs)
 
         first = CampaignSession(
             specs, store=store_path, workers=workers, chunksize=2, engine="object"
@@ -200,16 +290,12 @@ class TestCancellation:
         # Commit-then-emit: every consumed row is durably in the store.
         assert committed >= consumed
 
-        stats = StoreCacheStats()
-        resumed = CampaignSession(
-            specs, store=store_path, workers=workers, cache_stats=stats
-        )
+        resumed = CampaignSession(specs, store=store_path, workers=workers)
         rows = _rows(resumed.rows())
         assert rows == expected
         # Zero duplicate computation: everything the first run committed is
         # served from the store, only the remainder executes.
-        assert stats.hits == committed
-        assert stats.misses == len(specs) - committed
+        assert resumed.status().cache_hits == committed
 
     def test_cancel_before_start_emits_nothing(self):
         session = CampaignSession(_specs(4))

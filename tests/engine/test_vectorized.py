@@ -2,7 +2,7 @@
 
 The vectorized engine's contract is strict: for every spec it accepts it must
 emit a :class:`~repro.engine.spec.TrialResult` row that is byte-identical
-(after :func:`~repro.engine.executor.strip_timing`) to the object runtime's —
+(after :func:`~repro.engine.spec.strip_timing`) to the object runtime's —
 decisions, verdicts, round counts, message counters, and error rows alike —
 in the same order, at any worker count.  These tests assert that contract on
 a deterministic grid, on a randomized sample of eligible fuzz specs, and on
@@ -22,9 +22,9 @@ from hypothesis import strategies as st
 from repro.engine import (
     COORDINATED_STRATEGY_NAMES,
     Campaign,
+    CampaignSession,
     FallbackReason,
     TrialSpec,
-    execute_specs,
     minimum_processes_for,
     plan_specs,
     run_campaign,
@@ -44,8 +44,8 @@ def _rows(results) -> list[str]:
 
 
 def _assert_engines_agree(specs) -> None:
-    object_rows = _rows(execute_specs(specs, engine="object"))
-    vectorized_rows = _rows(execute_specs(specs, engine="vectorized"))
+    object_rows = _rows(CampaignSession(specs, engine="object").rows())
+    vectorized_rows = _rows(CampaignSession(specs, engine="vectorized").rows())
     assert object_rows == vectorized_rows
     for row_text in object_rows:
         assert json.loads(row_text)  # every row is valid JSON
@@ -139,7 +139,7 @@ class TestPlanner:
         with pytest.raises(ConfigurationError):
             plan_specs(self._specs(), engine="warp")
         with pytest.raises(ConfigurationError):
-            list(execute_specs(self._specs(), engine="warp"))
+            list(CampaignSession(self._specs(), engine="warp").rows())
 
     def test_batch_runner_rejects_mixed_groups(self):
         specs = self._specs()
@@ -233,9 +233,9 @@ class TestEquivalenceGrid:
             base_seed=29,
             max_rounds_override=3,
         )
-        inline = _rows(execute_specs(campaign.specs, engine="vectorized", workers=1))
-        pooled = _rows(execute_specs(campaign.specs, engine="vectorized", workers=2))
-        auto = _rows(execute_specs(campaign.specs, engine="auto", workers=2))
+        inline = _rows(CampaignSession(campaign.specs, engine="vectorized", workers=1).rows())
+        pooled = _rows(CampaignSession(campaign.specs, engine="vectorized", workers=2).rows())
+        auto = _rows(CampaignSession(campaign.specs, engine="auto", workers=2).rows())
         assert inline == pooled == auto
 
     def test_results_arrive_in_spec_order(self):
@@ -249,7 +249,7 @@ class TestEquivalenceGrid:
             base_seed=3,
             max_rounds_override=2,
         )
-        results = list(execute_specs(campaign.specs, engine="vectorized", workers=2))
+        results = list(CampaignSession(campaign.specs, engine="vectorized", workers=2).rows())
         assert [result.spec.trial_index for result in results] == list(range(len(campaign)))
 
 
@@ -274,9 +274,9 @@ class TestCoordinatedPropertySuite:
         capped = [
             dataclasses.replace(spec, max_rounds_override=3) for spec in sampled
         ]
-        reference = _rows(execute_specs(capped, engine="object", workers=1))
+        reference = _rows(CampaignSession(capped, engine="object", workers=1).rows())
         for engine, workers in (("object", 4), ("vectorized", 1), ("vectorized", 4)):
-            rows = _rows(execute_specs(capped, engine=engine, workers=workers))
+            rows = _rows(CampaignSession(capped, engine=engine, workers=workers).rows())
             assert rows == reference, (engine, workers)
 
 
@@ -295,8 +295,8 @@ class TestEquivalenceSampled:
             else spec
             for spec in eligible
         ]
-        object_results = list(execute_specs(capped, engine="object"))
-        vectorized_results = list(execute_specs(capped, engine="vectorized"))
+        object_results = list(CampaignSession(capped, engine="object").rows())
+        vectorized_results = list(CampaignSession(capped, engine="vectorized").rows())
         assert _rows(object_results) == _rows(vectorized_results)
         for object_result, vectorized_result in zip(object_results, vectorized_results):
             assert object_result.decision == vectorized_result.decision
@@ -368,8 +368,8 @@ class TestFailurePaths:
             TrialSpec(protocol="exact", workload="intro_counterexample",
                       process_count=4, dimension=2, fault_bound=1, seed=6, trial_index=5),
         ]
-        object_rows = _rows(execute_specs(specs, engine="object"))
-        vectorized_rows = _rows(execute_specs(specs, engine="vectorized"))
+        object_rows = _rows(CampaignSession(specs, engine="object").rows())
+        vectorized_rows = _rows(CampaignSession(specs, engine="vectorized").rows())
         assert object_rows == vectorized_rows
         statuses = [json.loads(row)["status"] for row in object_rows]
         assert statuses == ["error"] * len(specs)

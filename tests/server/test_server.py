@@ -29,7 +29,7 @@ import urllib.request
 
 import pytest
 
-from repro.engine import Campaign, CampaignSession, execute_specs, strip_timing
+from repro.engine import Campaign, CampaignSession, strip_timing
 from repro.server import (
     CampaignService,
     ServiceBusy,
@@ -63,7 +63,8 @@ def _specs_of(declaration: dict) -> tuple:
 
 
 def _expected_rows(declaration: dict) -> list[str]:
-    return strip_timing(result.to_row() for result in execute_specs(_specs_of(declaration)))
+    rows = CampaignSession(_specs_of(declaration)).rows()
+    return strip_timing(result.to_row() for result in rows)
 
 
 def _strip_lines(lines: list[str]) -> list[str]:

@@ -132,17 +132,25 @@ class TestResultStoreContract:
         with pytest.raises(ConfigurationError, match="bad.jsonl: row 1"):
             store.import_jsonl(jsonl)
 
-    def test_import_commits_nothing_when_a_later_row_is_malformed(self, tmp_path):
+    @pytest.mark.parametrize(
+        "tail, message",
+        [
+            (json.dumps({"status": "ok", "bogus_field": 1}) + "\n", "row 4"),
+            # A torn last line (``head -c``) is not JSON at all; the blank
+            # line before it shows the message counts file lines, not rows.
+            ('\n{"status": "ok", "spec_adver', "tail-bad.jsonl: line 5: not valid JSON"),
+        ],
+    )
+    def test_import_commits_nothing_when_a_later_row_is_malformed(
+        self, tmp_path, tail, message
+    ):
         # Validation runs over the whole file before the first commit, so a
         # bad row 4 must not leave rows 1-3 servable in the store.
         results = [_result(seed=seed, process_count=3) for seed in range(3)]
         jsonl = tmp_path / "tail-bad.jsonl"
-        jsonl.write_text(
-            "".join(result.to_json() + "\n" for result in results)
-            + json.dumps({"status": "ok", "bogus_field": 1}) + "\n"
-        )
+        jsonl.write_text("".join(result.to_json() + "\n" for result in results) + tail)
         store = _make_store(tmp_path)
-        with pytest.raises(ConfigurationError, match="row 4"):
+        with pytest.raises(ConfigurationError, match=message):
             store.import_jsonl(jsonl, batch_size=2)  # batches smaller than the file
         assert len(store) == 0
 

@@ -1,19 +1,18 @@
 """Claim coordination: concurrent campaigns over one store do disjoint work.
 
 The SQLite backend's ``claims`` table is the multi-process story behind the
-executor's write-through cache: a miss is claimed before it runs, a denied
+campaign session's write-through cache: a miss is claimed before it runs, a denied
 claim means another live process owns that trial, and the denier serves the
 owner's committed rows instead of recomputing.  These tests pin the claim
 semantics at the backend level and the zero-duplicate-computation guarantee
-at the executor level.
+at the session level.
 """
 
 from __future__ import annotations
 
 import threading
 
-from repro.engine import TrialSpec, execute_specs, run_trial, strip_timing
-from repro.engine.executor import StoreCacheStats
+from repro.engine import CampaignSession, TrialSpec, run_trial, strip_timing
 from repro.store.backend import SqliteResultStore
 
 
@@ -23,6 +22,10 @@ def _specs(count: int = 8) -> list[TrialSpec]:
                   dimension=1, fault_bound=1, seed=index, trial_index=index)
         for index in range(count)
     ]
+
+
+def _uncached_rows(specs: list[TrialSpec]) -> list[str]:
+    return strip_timing(result.to_row() for result in CampaignSession(specs).rows())
 
 
 class TestSqliteClaims:
@@ -84,27 +87,23 @@ class TestSqliteClaims:
 
 
 class TestConcurrentCampaigns:
-    def test_two_executors_sharing_a_store_never_duplicate_work(self, tmp_path):
+    def test_two_sessions_sharing_a_store_never_duplicate_work(self, tmp_path):
         """ROADMAP item 1 acceptance: cache hits + executed = total, per run."""
         path = tmp_path / "store.db"
         specs = _specs(8)
-        expected = strip_timing(result.to_row() for result in execute_specs(specs))
+        expected = _uncached_rows(specs)
 
         outputs: dict[str, list[str]] = {}
-        stats = {"A": StoreCacheStats(), "B": StoreCacheStats()}
+        executed: dict[str, int] = {}
         errors: list[BaseException] = []
 
         def campaign(name: str) -> None:
             store = SqliteResultStore(path)  # one connection per "process"
             try:
-                rows = [
-                    result.to_row()
-                    for result in execute_specs(
-                        specs, store=store, cache_stats=stats[name],
-                        claim_wait_timeout=120.0,
-                    )
-                ]
+                session = CampaignSession(specs, store=store, claim_wait_timeout=120.0)
+                rows = [result.to_row() for result in session.rows()]
                 outputs[name] = strip_timing(rows)
+                executed[name] = len(specs) - session.status().cache_hits
             except BaseException as error:  # noqa: BLE001 — surface in main thread
                 errors.append(error)
             finally:
@@ -119,11 +118,9 @@ class TestConcurrentCampaigns:
         # Both campaigns emit the full, byte-identical row stream ...
         assert outputs["A"] == outputs["B"] == expected
         # ... but every trial was computed exactly once across the pair:
-        # each run's misses are its executions, deferred trials served from
-        # the other run's commits count as hits.
-        assert stats["A"].misses + stats["B"].misses == len(specs)
-        assert stats["A"].hits + stats["A"].misses == len(specs)
-        assert stats["B"].hits + stats["B"].misses == len(specs)
+        # a run executes what it does not serve, and deferred trials served
+        # from the other run's commits count as hits.
+        assert executed["A"] + executed["B"] == len(specs)
 
     def test_abandoned_claims_are_recomputed_after_timeout(self, tmp_path):
         path = tmp_path / "store.db"
@@ -135,17 +132,11 @@ class TestConcurrentCampaigns:
         saboteur.claim_keys([trial_key(specs[1]), trial_key(specs[2])], "ghost")
 
         store = SqliteResultStore(path)
-        stats = StoreCacheStats()
-        rows = [
-            result.to_row()
-            for result in execute_specs(
-                specs, store=store, cache_stats=stats, claim_wait_timeout=1.0
-            )
-        ]
-        expected = strip_timing(result.to_row() for result in execute_specs(specs))
-        assert strip_timing(rows) == expected
-        # The ghost's trials were recomputed locally: everything is a miss.
-        assert (stats.hits, stats.misses) == (0, len(specs))
+        session = CampaignSession(specs, store=store, claim_wait_timeout=1.0)
+        rows = [result.to_row() for result in session.rows()]
+        assert strip_timing(rows) == _uncached_rows(specs)
+        # The ghost's trials were recomputed locally: nothing was served.
+        assert session.status().cache_hits == 0
         saboteur.close(), store.close()
 
 
@@ -154,19 +145,17 @@ class TestInterruptResumeUnderPersistentPool:
         store_path = tmp_path / "store.db"
         specs = _specs(12)
         store = SqliteResultStore(store_path)
-        stream = execute_specs(specs, store=store, workers=2, chunksize=2)
+        stream = CampaignSession(specs, store=store, workers=2, chunksize=2).rows()
         consumed = [next(stream) for _ in range(3)]
         stream.close()  # interrupt mid-campaign; emitted rows are committed
         store.close()
 
         store = SqliteResultStore(store_path)
-        stats = StoreCacheStats()
-        results = list(execute_specs(specs, store=store, workers=2, cache_stats=stats))
+        resumed = CampaignSession(specs, store=store, workers=2)
+        results = list(resumed.rows())
         store.close()
         assert len(results) == len(specs)
-        expected = strip_timing(result.to_row() for result in execute_specs(specs))
-        assert strip_timing(result.to_row() for result in results) == expected
+        assert strip_timing(result.to_row() for result in results) == _uncached_rows(specs)
         # Commit-then-emit: everything consumed before the interrupt (at
         # minimum) is served from the store on resume.
-        assert stats.hits >= len(consumed)
-        assert stats.hits + stats.misses == len(specs)
+        assert len(consumed) <= resumed.status().cache_hits <= len(specs)

@@ -1,4 +1,4 @@
-"""Integration tests: the executor's write-through store cache.
+"""Integration tests: the campaign session's write-through store cache.
 
 The cache-correctness contract under test: a campaign run twice against the
 same store produces byte-identical export rows (modulo ``elapsed_ms``) with
@@ -13,9 +13,8 @@ import pytest
 from repro.engine import (
     ENGINE_CHOICES,
     Campaign,
+    CampaignSession,
     TrialSpec,
-    StoreCacheStats,
-    execute_specs,
     read_jsonl,
     run_campaign,
     strip_timing,
@@ -164,30 +163,21 @@ class TestResume:
             for index, seed in enumerate(range(40))
         ]
         store = SqliteResultStore(tmp_path / "store.db")
-        stats = StoreCacheStats()
         # engine="object": under "auto" these same-shape specs would form one
         # columnar unit and commit all 40 rows in its single transaction.
-        iterator = execute_specs(specs, store=store, cache_stats=stats, engine="object")
+        iterator = CampaignSession(specs, store=store, engine="object").rows()
         for _ in range(5):
             next(iterator)
         iterator.close()  # simulate the interruption
         committed = len(store)
         assert committed >= 5  # everything emitted was committed first
         assert committed < len(specs)  # ... but the run did not finish
-        resumed_stats = StoreCacheStats()
-        results = list(
-            execute_specs(specs, store=store, cache_stats=resumed_stats)
-        )
+        resumed = CampaignSession(specs, store=store)
+        results = list(resumed.rows())
         assert len(results) == len(specs)
-        assert resumed_stats.hits == committed
-        assert resumed_stats.misses == len(specs) - committed
+        # Everything committed is served; only the remainder executed.
+        assert resumed.status().cache_hits == committed
         store.close()
-
-    def test_stats_hit_rate(self):
-        stats = StoreCacheStats(hits=3, misses=1)
-        assert stats.total == 4
-        assert stats.hit_rate == 0.75
-        assert StoreCacheStats().hit_rate == 0.0
 
 
 class TestStoreKeysAgainstLiveRows:
