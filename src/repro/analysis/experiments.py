@@ -2,8 +2,9 @@
 
 Each function declares its experiment against the unified simulation engine
 (:mod:`repro.engine`) and reduces the results to a list of row dictionaries;
-the benchmark harness in ``benchmarks/`` times and prints them, and
-``EXPERIMENTS.md`` records the expected shape.
+``python -m repro.cli run`` prints them, ``benchmarks/reference/`` keeps the
+seeded safe-area tables (E3, E6, E10), and ``EXPERIMENTS.md`` records the
+expected shape.
 
 Protocol experiments (E1, E5, E8, E9, E11, E14, E16) are
 :class:`~repro.engine.Campaign` declarations — lists of
@@ -12,8 +13,8 @@ Analytic experiments (the impossibility constructions, safe-area geometry and
 bound tables) declare their sweeps with
 :func:`~repro.engine.parameter_grid` and compute each row directly.  Default
 parameters are sized so that every experiment completes in seconds on a
-laptop; the benchmarks pass larger sweeps, and ``python -m repro.cli
-campaign`` scales the same trial shape to arbitrary grids.
+laptop; ``python -m repro.cli campaign`` scales the same trial shape to
+arbitrary grids.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.core.conditions import (
     resilience_table,
 )
 from repro.core.impossibility import analyze_async_necessity, analyze_sync_necessity
-from repro.core.safe_area import safe_area_contains, safe_area_point, safe_area_subset_count
+from repro.core.safe_area import safe_area_point, safe_area_subset_count
 from repro.analysis.convergence import measured_contraction_factors, max_range_per_round
 from repro.engine import (
     COORDINATED_STRATEGY_NAMES,
@@ -43,7 +44,7 @@ from repro.engine import (
     parameter_grid,
     run_campaign,
 )
-from repro.geometry.kernel import GammaKernel, pruned_subset_family, safe_area_points_batch
+from repro.geometry.kernel import pruned_subset_family
 from repro.geometry.multisets import PointMultiset
 from repro.geometry.tverberg import figure1_instance, find_tverberg_partition, verify_tverberg_partition
 from repro.workloads.generators import intro_counterexample_registry
@@ -56,6 +57,7 @@ __all__ = [
     "experiment_async_impossibility",
     "experiment_safe_area_existence",
     "experiment_safe_area_cost",
+    "experiment_appendix_f",
     "experiment_figure1_tverberg",
     "experiment_exact_bvc",
     "experiment_approx_bvc",
@@ -63,7 +65,6 @@ __all__ = [
     "experiment_restricted_rounds",
     "experiment_resilience_landscape",
     "experiment_applications",
-    "experiment_kernel_speedup",
     "experiment_adversary_coordination",
 ]
 
@@ -271,6 +272,27 @@ def experiment_safe_area_cost(
                 "subsets_in_gamma": safe_area_subset_count(process_count, fault_bound),
                 "kernel_blocks": pruned_blocks,
                 "point_found": gamma_point is not None,
+            }
+        )
+    return rows
+
+
+def experiment_appendix_f(
+    configurations: Sequence[tuple[int, int, int]] = ((5, 2, 1), (7, 2, 2), (9, 2, 2)),
+) -> list[dict[str, object]]:
+    """Appendix F: at most ``n`` witness-derived subsets instead of all ``C(n, n-f)``."""
+    rows = []
+    for cost in experiment_safe_area_cost(configurations):
+        witness_bound = min(cost["n"], cost["subsets_in_gamma"])
+        rows.append(
+            {
+                "n": cost["n"],
+                "d": cost["d"],
+                "f": cost["f"],
+                "subsets_full": cost["subsets_in_gamma"],
+                "subsets_witness_bound": witness_bound,
+                "reduction_factor": cost["subsets_in_gamma"] / witness_bound,
+                "gamma_point_found": cost["point_found"],
             }
         )
     return rows
@@ -525,86 +547,6 @@ def experiment_resilience_landscape(
 ) -> list[dict[str, object]]:
     """Minimum n for every setting across (d, f) — the paper's bounds as a table."""
     return [dict(row) for row in resilience_table(list(dimensions), list(fault_bounds))]
-
-
-# ---------------------------------------------------------------------------
-# E15 — geometry kernel: pruned + cached + batched Gamma vs the literal LP
-# ---------------------------------------------------------------------------
-
-def experiment_kernel_speedup(
-    configurations: Sequence[tuple[int, int, int]] = ((7, 2, 2), (9, 2, 2), (11, 2, 3)),
-    seed: int = 17,
-    batch_size: int = 8,
-) -> list[dict[str, object]]:
-    """Kernel vs oracle: block counts, wall-clock, and answer agreement.
-
-    One row per ``(n, d, f)`` configuration: the oracle is the literal
-    Section 2.2 enumeration (``safe_area_point``), the kernel the pruned /
-    cached / batched path of :mod:`repro.geometry.kernel`.  ``batch_us_per_q``
-    amortises one fused batch of ``batch_size`` queries.  Defaults are sized
-    for the CLI (seconds); the benchmark suite passes the heavy grid where
-    the oracle alone takes tens of seconds per query.
-    """
-    import time
-
-    rng = np.random.default_rng(seed)
-    kernel = GammaKernel()
-    rows: list[dict[str, object]] = []
-    for point in parameter_grid(configuration=configurations):
-        process_count, dimension, fault_bound = point["configuration"]
-        cloud = rng.uniform(0.0, 1.0, size=(process_count, dimension))
-        objective = np.zeros(dimension)
-        objective[0] = 1.0
-
-        start = time.perf_counter()
-        oracle_point = safe_area_point(cloud, fault_bound, objective=objective)
-        oracle_seconds = time.perf_counter() - start
-
-        # Warm the template with a translated copy: the same LP shape, but a
-        # bitwise-different query, so the timed call below is a real solve and
-        # not a hit in the kernel's answer memo.
-        kernel.point(cloud + 1.0, fault_bound, objective=objective)
-        solves_before = kernel.stats.lp_solves
-        start = time.perf_counter()
-        kernel_point = kernel.point(cloud, fault_bound, objective=objective)
-        kernel_seconds = time.perf_counter() - start
-        if kernel.stats.lp_solves != solves_before + 1:
-            raise RuntimeError(
-                f"E15 timed {kernel.stats.lp_solves - solves_before} LP solves at "
-                f"n={process_count}, d={dimension}, f={fault_bound}; expected exactly one"
-            )
-
-        batch_clouds = [
-            rng.uniform(0.0, 1.0, size=(process_count, dimension)) for _ in range(batch_size)
-        ]
-        start = time.perf_counter()
-        batch_points = safe_area_points_batch(batch_clouds, fault_bound, objective=objective)
-        batch_seconds = time.perf_counter() - start
-
-        full_blocks = safe_area_subset_count(process_count, fault_bound)
-        pruned_blocks = len(pruned_subset_family(cloud, fault_bound))
-        agree = (
-            oracle_point is not None
-            and kernel_point is not None
-            and bool(abs(float(oracle_point[0]) - float(kernel_point[0])) < 1e-6)
-            and safe_area_contains(cloud, fault_bound, kernel_point, tolerance=1e-5)
-        )
-        rows.append(
-            {
-                "n": process_count,
-                "d": dimension,
-                "f": fault_bound,
-                "blocks_full": full_blocks,
-                "blocks_pruned": pruned_blocks,
-                "oracle_ms": round(oracle_seconds * 1e3, 3),
-                "kernel_ms": round(kernel_seconds * 1e3, 3),
-                "speedup": round(oracle_seconds / max(kernel_seconds, 1e-9), 1),
-                "batch_us_per_q": round(batch_seconds / len(batch_clouds) * 1e6, 1),
-                "batch_all_found": all(point is not None for point in batch_points),
-                "kernel_matches_oracle": agree,
-            }
-        )
-    return rows
 
 
 # ---------------------------------------------------------------------------

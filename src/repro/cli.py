@@ -4,6 +4,7 @@ Usage (after ``pip install -e .``)::
 
     python -m repro.cli list                      # list experiment ids and descriptions
     python -m repro.cli run E2                    # run one experiment, print its table
+    python -m repro.cli run E3 E6 E10             # several: the benchmarks/reference/ tables
     python -m repro.cli run all                   # run every experiment
     python -m repro.cli run E8 --output out.txt   # also write the table to a file
     python -m repro.cli bounds --dimension 3 --faults 2   # query the resilience bounds
@@ -14,9 +15,9 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli serve --store sweep.db            # HTTP API over store + executor
     python -m repro.cli --help                    # usage examples + documentation map
 
-The experiment ids match ``DESIGN.md`` §4 and ``EXPERIMENTS.md``; E15 is the
-geometry-kernel speedup experiment added alongside ``docs/PERFORMANCE.md``,
-E16 the independent-vs-coordinated adversary comparison.
+The experiment ids match ``DESIGN.md`` §4 and ``EXPERIMENTS.md``; E16 is the
+independent-vs-coordinated adversary comparison.  No experiment reports a
+duration: timing is the ledger's job (``benchmarks/ledger/run.py``).
 The ``campaign`` command is the scale path: it expands a (protocol, workload,
 adversary, scheduler, n/d/f, epsilon, repeat) grid — from flags or a JSON
 file — into deterministic trials and fans them out over a worker pool,
@@ -81,7 +82,7 @@ EXPERIMENT_REGISTRY: dict[str, tuple[str, Callable[[], list[dict[str, object]]]]
         experiments.experiment_sync_impossibility,
     ),
     "E3": (
-        "Lemma 1: Gamma non-empty on random multisets of size (d+1)f+1",
+        "Lemma 1: Gamma non-empty at (d+1)f+1 points",
         experiments.experiment_safe_area_existence,
     ),
     "E4": (
@@ -93,7 +94,7 @@ EXPERIMENT_REGISTRY: dict[str, tuple[str, Callable[[], list[dict[str, object]]]]
         experiments.experiment_exact_bvc,
     ),
     "E6": (
-        "Section 2.2 LP: subset count and feasibility across (n, d, f)",
+        "Section 2.2 LP: subset count and feasibility",
         experiments.experiment_safe_area_cost,
     ),
     "E7": (
@@ -108,6 +109,10 @@ EXPERIMENT_REGISTRY: dict[str, tuple[str, Callable[[], list[dict[str, object]]]]
         "Equation (12): measured vs bound per-round contraction",
         experiments.experiment_contraction_rate,
     ),
+    "E10": (
+        "Appendix F: subsets explored, full vs witness-based",
+        experiments.experiment_appendix_f,
+    ),
     "E11": (
         "Theorem 6: restricted-round algorithms at their bounds (also covers E12)",
         experiments.experiment_restricted_rounds,
@@ -119,10 +124,6 @@ EXPERIMENT_REGISTRY: dict[str, tuple[str, Callable[[], list[dict[str, object]]]]
     "E14": (
         "Application workloads (probability vectors, robots, gradients)",
         experiments.experiment_applications,
-    ),
-    "E15": (
-        "Geometry kernel: pruned/cached/batched Gamma vs the literal Section 2.2 LP",
-        experiments.experiment_kernel_speedup,
     ),
     "E16": (
         "Adversary coordination: independent vs coordinated attacks at the bound",
@@ -145,7 +146,7 @@ _EPILOG = """\
 examples:
   python -m repro.cli list                    show every experiment id with a description
   python -m repro.cli run E3                  Lemma 1: Gamma non-empty at (d+1)f+1 points
-  python -m repro.cli run E15                 safe-area kernel speedup vs the literal LP
+  python -m repro.cli run E3 E6 E10           the safe-area tables in benchmarks/reference/
   python -m repro.cli run all --output out.txt
   python -m repro.cli bounds --dimension 3 --faults 2
   python -m repro.cli campaign --repeats 25 --workers 4 --jsonl sweep.jsonl
@@ -194,7 +195,7 @@ content address of their spec, so an interrupted --store run resumed with
 documentation:
   README.md                  install, quickstart, paper-section -> module map
   docs/ARCHITECTURE.md       layer stack: geometry kernel, runtimes, engine/campaigns
-  docs/PERFORMANCE.md        measured before/after numbers for the kernel
+  docs/PERFORMANCE.md        measured numbers, read off the ledger (benchmarks/ledger/)
   docs/OBSERVABILITY.md      metric catalog, /metrics scraping, trace timelines
 
 verify the installation with the tier-1 test suite:
@@ -216,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = subparsers.add_parser(
         "run",
-        help="run one experiment (or 'all')",
+        help="run experiments by id (or 'all')",
         epilog=_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
@@ -225,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     ordered_ids = _ordered_experiment_ids()
     run_parser.add_argument(
         "experiment",
-        help=f"experiment id ({ordered_ids[0]}..{ordered_ids[-1]}) or 'all'",
+        nargs="+",
+        help=f"experiment ids ({ordered_ids[0]}..{ordered_ids[-1]}) or 'all'",
     )
     run_parser.add_argument(
         "--output", type=Path, default=None, help="also write the rendered table(s) to this file"
@@ -844,15 +846,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _run_store_command(arguments)
 
     # command == "run"
-    requested = arguments.experiment.upper()
-    if requested == "ALL":
-        ids: list[str] = _ordered_experiment_ids()
-    elif requested in EXPERIMENT_REGISTRY:
-        ids = [requested]
-    else:
-        known = ", ".join(_ordered_experiment_ids())
-        print(f"unknown experiment '{arguments.experiment}'; known ids: {known}, or 'all'", file=sys.stderr)
-        return 2
+    requested = [name.upper() for name in arguments.experiment]
+    for given, name in zip(arguments.experiment, requested):
+        if name != "ALL" and name not in EXPERIMENT_REGISTRY:
+            known = ", ".join(_ordered_experiment_ids())
+            print(f"unknown experiment '{given}'; known ids: {known}, or 'all'", file=sys.stderr)
+            return 2
+    ids = _ordered_experiment_ids() if "ALL" in requested else requested
 
     store = open_store(arguments.store) if arguments.store is not None else None
     previous = experiments.set_result_store(store) if store is not None else None

@@ -87,7 +87,6 @@ from repro.engine.vectorized import (
     spec_is_vectorizable,
     vectorization_fallback,
     vectorized_group_key,
-    vectorized_stats_snapshot,
 )
 
 __all__ = [
@@ -150,5 +149,4 @@ __all__ = [
     "strip_timing",
     "vectorization_fallback",
     "vectorized_group_key",
-    "vectorized_stats_snapshot",
 ]

@@ -1,4 +1,4 @@
-"""Persistent shared-memory worker pool for campaign execution.
+"""Persistent worker pool for campaign execution.
 
 The one-shot ``ProcessPoolExecutor`` the engine used to spawn per campaign
 made parallelism a pessimization: every campaign run paid worker
@@ -8,20 +8,19 @@ from scratch.  This module replaces that with a process-lifetime pool:
 
 * **Persistent workers** — spawned once per ``(workers)`` size via
   :func:`get_pool` and reused across campaign sessions and campaign
-  phases, so kernel template caches, safe-area choosers and Gamma memos
-  (module-level in :mod:`repro.engine.vectorized`) stay warm from one unit
-  to the next.
+  phases, so the kernel's template cache and answer memo and the columnar
+  engine's safe-area choosers stay warm from one unit to the next.
 * **Demand-driven dispatch** — the pool pulls sized work units from a lazy
   task iterator the moment a worker goes idle (a logical shared queue:
   fast workers steal the remaining tail instead of waiting on ``pool.map``
   submission order), and yields completed units in *completion* order (the
   session's reorder buffer restores spec order).
-* **Shared-memory transport** — a unit crosses the process boundary as one
-  base spec wire tuple plus delta *columns* (int64/float64 arrays in a
-  ``multiprocessing.shared_memory`` block for large units) instead of a
-  pickled ``TrialSpec`` per trial; workers return results with the spec
-  stripped and the parent reattaches its originals, so specs never make the
-  round trip.
+* **Columnar transport** — a unit crosses the process boundary as one
+  base spec wire tuple plus delta *columns* (int64/float64 arrays packed
+  into one bytes payload on the worker's pipe) instead of a pickled
+  ``TrialSpec`` per trial; workers return results with the spec stripped
+  and the parent reattaches its originals, so specs never make the round
+  trip.
 * **Measured cost model** — :class:`CostModel` sizes units from observed
   per-trial seconds (seeded by a tiny calibration probe, refined online via
   EWMA), replacing the two duplicated ``len(specs) // (workers * 4)``
@@ -43,7 +42,6 @@ import traceback
 from collections import deque
 from dataclasses import dataclass, replace
 from multiprocessing.connection import Connection, wait as connection_wait
-from multiprocessing.shared_memory import SharedMemory
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -191,16 +189,11 @@ class CostModel:
 
 
 # --------------------------------------------------------------------------
-# Shared-memory unit transport
+# Unit transport
 # --------------------------------------------------------------------------
 
 #: int64 column value standing in for ``None`` (far outside any seed/index).
 _NONE_I64 = -(1 << 62)
-
-#: Units below this many trials ship their delta columns inline over the pipe
-#: (a shared-memory segment costs two syscalls plus tracker traffic — not
-#: worth it for a handful of trials).
-_SHM_MIN_TRIALS = 16
 
 _WIRE_INDEX = {name: index for index, name in enumerate(TrialSpec.WIRE_FIELDS)}
 
@@ -209,16 +202,14 @@ def _is_plain_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def encode_unit(kind: str, specs: Sequence[TrialSpec]) -> tuple[dict[str, Any], SharedMemory | None]:
+def encode_unit(kind: str, specs: Sequence[TrialSpec]) -> dict[str, Any]:
     """Encode a unit's specs as one base wire tuple plus delta columns.
 
     Fields constant across the unit travel once (in ``base``).  Varying
     int-or-``None`` fields become int64 columns and varying float fields
-    float64 columns — packed into one buffer that ships via shared memory for
-    large units (``shm`` names the segment; the **caller owns it** and must
-    close+unlink once the unit completes) or inline bytes for small ones.
-    Anything else (tuples of parameter pairs, strings) falls back to a
-    per-trial value list in ``others``.
+    float64 columns — packed into one bytes ``payload``.  Anything else
+    (tuples of parameter pairs, strings) falls back to a per-trial value
+    list in ``others``.
     """
     wires = [spec.to_wire() for spec in specs]
     base = wires[0]
@@ -246,35 +237,15 @@ def encode_unit(kind: str, specs: Sequence[TrialSpec]) -> tuple[dict[str, Any], 
             others[name] = values
     # Payload layout must match decode_unit: every int64 column first, then
     # every float64 column, each in field-list order.
-    payload = b"".join(column.tobytes() for column in (*int_columns, *float_columns))
-    header: dict[str, Any] = {
+    return {
         "kind": kind,
         "trials": len(specs),
         "base": base,
         "int_fields": int_fields,
         "float_fields": float_fields,
         "others": others,
-        "shm": None,
-        "inline": None,
+        "payload": b"".join(column.tobytes() for column in (*int_columns, *float_columns)),
     }
-    shm: SharedMemory | None = None
-    if payload and len(specs) >= _SHM_MIN_TRIALS:
-        shm = SharedMemory(create=True, size=len(payload))
-        shm.buf[: len(payload)] = payload
-        header["shm"] = shm.name
-    else:
-        header["inline"] = payload
-    return header, shm
-
-
-def _release_shm(shm: SharedMemory | None) -> None:
-    if shm is None:
-        return
-    try:
-        shm.close()
-        shm.unlink()
-    except (FileNotFoundError, OSError):  # already gone (worker crash cleanup)
-        pass
 
 
 def decode_unit(header: dict[str, Any]) -> list[TrialSpec]:
@@ -282,18 +253,7 @@ def decode_unit(header: dict[str, Any]) -> list[TrialSpec]:
     trials = header["trials"]
     int_fields = header["int_fields"]
     float_fields = header["float_fields"]
-    if header["shm"] is not None:
-        # Workers share the parent's resource tracker (they are its
-        # children), so the attach-time registration is a set no-op and the
-        # parent's unlink is the single deregistration — no extra tracker
-        # bookkeeping needed here.
-        shm = SharedMemory(name=header["shm"])
-        try:
-            payload = bytes(shm.buf)
-        finally:
-            shm.close()
-    else:
-        payload = header["inline"] or b""
+    payload = header["payload"]
     offset = 0
     column_values: dict[str, np.ndarray] = {}
     for name in int_fields:
@@ -384,14 +344,13 @@ def _worker_main(conn: Connection, sibling_conns: Sequence[Connection]) -> None:
 
 @dataclass
 class _Task:
-    """One dispatched unit: positions + encoded transport + parent-side shm."""
+    """One dispatched unit: positions + encoded transport."""
 
     task_id: int
     kind: str
     positions: tuple[int, ...]
     shape_key: tuple
     header: dict[str, Any]
-    shm: SharedMemory | None
     # Telemetry filled in by the pool: dispatch time (parent perf_counter),
     # unit start (worker epoch seconds) and the executing worker's name.
     dispatched_at: float = 0.0
@@ -534,8 +493,6 @@ class WorkerPool:
                         _POOL_BACKLOG.set(len(backlog))
                         continue
                     slot.task = None
-                    _release_shm(task.shm)
-                    task.shm = None
                     status, seconds, body = message[0], message[1], message[2]
                     extras = message[3] if len(message) > 3 else {}
                     if status == "fail":
@@ -551,8 +508,6 @@ class WorkerPool:
                 fill_idle()
         finally:
             self._drain_inflight()
-            for task in backlog:
-                _release_shm(task.shm)
 
     def _observe_unit(self, task: _Task, seconds: float) -> None:
         """Fold one completed unit into the process metrics registry."""
@@ -574,7 +529,6 @@ class WorkerPool:
                 slot.conn.recv()
             except (EOFError, OSError):
                 self._respawn(slot)
-            _release_shm(slot.task.shm)
             slot.task = None
 
     def shutdown(self) -> None:
@@ -599,7 +553,7 @@ class WorkerPool:
 
 
 #: Live pools by worker count.  ``execute_plan`` reuses these across calls —
-#: that reuse (not the pipes or the shared memory) is where the speedup
+#: that reuse (not the pipes) is where the speedup
 #: lives: warm kernel template caches, warm Gamma memos, calibrated cost
 #: model, zero spawn latency.
 _POOLS: dict[int, WorkerPool] = {}
@@ -734,9 +688,8 @@ def _cut_tasks(
     Both unit kinds are cut: object chunks for balance, columnar groups so a
     single same-shape group (the common campaign shape) still fans out across
     every worker.  Columnar sub-groups execute identically to the whole group
-    — every trial is a pure function of its spec, and the vectorized engine's
-    memoisation only ever reuses deterministic answers — so the partition is
-    invisible in the rows.
+    — every trial is a pure function of its spec, and deduplication only ever
+    reuses deterministic answers — so the partition is invisible in the rows.
     """
     for unit in units:
         positions = unit.positions
@@ -746,14 +699,12 @@ def _cut_tasks(
             key = CostModel.shape_key(unit.kind, specs[positions[start]])
             size = cost_model.unit_trials(key, remaining, workers, chunksize)
             chunk = positions[start : start + size]
-            header, shm = encode_unit(unit.kind, [specs[position] for position in chunk])
             yield _Task(
                 task_id=next(_task_ids),
                 kind=unit.kind,
                 positions=chunk,
                 shape_key=key,
-                header=header,
-                shm=shm,
+                header=encode_unit(unit.kind, [specs[position] for position in chunk]),
             )
             start += size
 

@@ -178,9 +178,10 @@ def _execute_unit(unit: ExecutionUnit, specs: Sequence[TrialSpec]) -> list[Trial
 
 #: Object-engine units are re-chunked to at most this many trials in store
 #: mode, bounding how much completed work one interruption can lose (each
-#: chunk commits transactionally on completion).  Kept small: a store commit
-#: costs milliseconds while a protocol trial costs ~a second, so a narrow
-#: loss window is nearly free.
+#: chunk commits transactionally on completion).  The window is not free:
+#: on the ledger's ``pooled_exact_store`` an ``exact`` trial costs ~4 ms
+#: against ~2.6 ms per committed row (``store.commit_ms_per_row``), so the
+#: value trades commit overhead for loss window (ROADMAP item 3).
 STORE_COMMIT_CHUNK = 4
 
 #: Cache hits are fetched from the store in slices of this many rows at

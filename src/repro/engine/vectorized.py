@@ -112,7 +112,6 @@ __all__ = [
     "vectorization_fallback",
     "spec_is_vectorizable",
     "vectorized_group_key",
-    "vectorized_stats_snapshot",
     "run_specs_vectorized",
 ]
 
@@ -149,40 +148,10 @@ _BATCHED_COORDINATED = frozenset({"split_world", "hull_collapse", "adaptive_extr
 #: from the structure alone once the group batches trials.
 VECTORIZED_ASYNC_SCHEDULERS = frozenset({"round_robin", "lagging"})
 
-#: Bound on the cross-round Gamma-solution memo (distinct clouds).
-_MEMO_LIMIT = 200_000
-
-# Process-lifetime caches, shared *across* execution units.  A persistent
-# pool worker runs many units back to back, so choosers and the Gamma point
-# memo survive from one unit to the next instead of being re-derived per call
-# (the memo only ever reuses the deterministic answer — or re-raises the exact
-# exception — a cold solve would produce, so rows stay byte-identical).  Memo
-# keys carry the fault bound alongside the cloud bytes because the cached
-# answer depends on both.
-#
-# ``_POINT_MEMO`` is a second-level cache over the kernel's own answer memo
-# (``GammaKernel``), which serves every other repeat — exact decisions, the
-# async replay's choices — on its own.  This one earns its place by being more
-# than a cache: it is the round's batch-assembly dedupe (only its misses are
-# handed to ``resolve_multi``), it memoises failures (``_LoudFailure``), which
-# the kernel never does, and its tallies are the ledger's
-# ``engine.vectorized.memo_hit_ratio``.
+# Process-lifetime cache, shared *across* execution units: a persistent pool
+# worker runs many units back to back, so choosers survive from one unit to
+# the next instead of being re-derived per call.
 _CHOOSERS: dict[int, SafeAreaCalculator] = {}
-_POINT_MEMO: dict[tuple, "np.ndarray | None | _LoudFailure"] = {}
-
-#: Cumulative memo-cache telemetry for this process (hits avoid a kernel
-#: query entirely; evictions count whole-cache flushes at :data:`_MEMO_LIMIT`).
-#: Published into the metrics registry by delta — see ``vectorized_stats_snapshot``.
-_VEC_STATS: dict[str, int] = {
-    "point_memo_hits": 0,
-    "point_memo_misses": 0,
-    "memo_evictions": 0,
-}
-
-
-def vectorized_stats_snapshot() -> dict[str, int]:
-    """Point-in-time copy of the columnar engine's memo-cache counters."""
-    return dict(_VEC_STATS)
 
 
 def _shared_chooser(fault_bound: int) -> SafeAreaCalculator:
@@ -190,10 +159,6 @@ def _shared_chooser(fault_bound: int) -> SafeAreaCalculator:
     if chooser is None:
         chooser = _CHOOSERS[fault_bound] = SafeAreaCalculator(fault_bound=fault_bound)
     return chooser
-
-
-def _memo_key(fault_bound: int, cloud: np.ndarray) -> tuple:
-    return (fault_bound, cloud.shape, cloud.tobytes())
 
 
 class FallbackReason(str, Enum):
@@ -689,9 +654,6 @@ def _run_restricted_group(specs: Sequence[TrialSpec]) -> list[TrialResult]:
             else:
                 still_live.append(trial)
         live = still_live
-        if len(_POINT_MEMO) > _MEMO_LIMIT:
-            _POINT_MEMO.clear()
-            _VEC_STATS["memo_evictions"] += 1
 
     return [results[position] for position in range(len(specs))]
 
@@ -722,36 +684,35 @@ def _round_view_updates(
         key: restricted_round_clouds(view, quorum) for key, view in views.items()
     }
 
-    pending: dict[tuple, np.ndarray] = {}
+    # The round's distinct clouds, each solved once (all have shape
+    # ``(quorum, d)``, so the bytes identify a cloud).  A repeat from an earlier
+    # round is answered by the kernel's own memo; a failing cloud is re-solved
+    # and raises the same error again.
+    pending: dict[bytes, np.ndarray] = {}
     for clouds in view_clouds.values():
         for cloud in clouds:
-            cloud_key = _memo_key(fault_bound, cloud)
-            if cloud_key in _POINT_MEMO:
-                _VEC_STATS["point_memo_hits"] += 1
-            elif cloud_key not in pending:
-                _VEC_STATS["point_memo_misses"] += 1
-                pending[cloud_key] = cloud
+            pending.setdefault(cloud.tobytes(), cloud)
+    answers: dict[bytes, np.ndarray | None | Exception] = {}
     if pending:
         try:
-            answers = chooser.resolve_multi(list(pending.values()))
-            _POINT_MEMO.update(zip(pending.keys(), answers))
+            answers.update(zip(pending, chooser.resolve_multi(list(pending.values()))))
         except Exception:  # noqa: BLE001 — re-solve per query for attribution
             for cloud_key, cloud in pending.items():
                 try:
-                    _POINT_MEMO[cloud_key] = chooser.choose(cloud)
+                    answers[cloud_key] = chooser.choose(cloud)
                 except EmptyIntersectionError:
-                    _POINT_MEMO[cloud_key] = None
+                    answers[cloud_key] = None
                 except Exception as error:  # noqa: BLE001
-                    _POINT_MEMO[cloud_key] = _LoudFailure(error)
+                    answers[cloud_key] = error
 
     updates: dict[bytes, np.ndarray | Exception] = {}
     for key, clouds in view_clouds.items():
         chosen: list[np.ndarray] = []
         failure: Exception | None = None
         for cloud in clouds:
-            answer = _POINT_MEMO[_memo_key(fault_bound, cloud)]
-            if isinstance(answer, _LoudFailure):
-                failure = answer.error
+            answer = answers[cloud.tobytes()]
+            if isinstance(answer, Exception):
+                failure = answer
                 break
             if answer is None:
                 # Same message SafeAreaCalculator.choose raises per query.
@@ -762,13 +723,6 @@ def _round_view_updates(
             chosen.append(answer)
         updates[key] = failure if failure is not None else restricted_round_reduce(chosen)
     return updates
-
-
-class _LoudFailure:
-    """A non-emptiness solver failure memoised for faithful re-raising."""
-
-    def __init__(self, error: Exception) -> None:
-        self.error = error
 
 
 def _finish_restricted_trial(trial: _LiveTrial) -> TrialResult:
@@ -995,27 +949,3 @@ def _async_skeleton(
         messages_sent=result.traffic.messages_sent,
         messages_dropped=result.traffic.messages_dropped,
     )
-
-
-def _register_vectorized_metrics() -> None:
-    """Publish the memo-cache counters into the process metrics registry."""
-    from repro.obs.registry import CounterSync, get_registry
-
-    registry = get_registry()
-    events = registry.counter(
-        "repro_vectorized_events_total",
-        "Columnar engine memo-cache events (hits, misses, evictions) by kind.",
-        labelnames=("kind",),
-    )
-    registry.register_collector(CounterSync(events, vectorized_stats_snapshot))
-    sizes = registry.gauge(
-        "repro_vectorized_memo_size",
-        "Entries currently held by the cross-round Gamma point memo.",
-        labelnames=("cache",),
-    )
-    registry.register_collector(
-        lambda: sizes.labels(cache="point").set(len(_POINT_MEMO))
-    )
-
-
-_register_vectorized_metrics()

@@ -26,9 +26,6 @@ from repro.geometry.kernel import (
     full_subset_family,
     pruned_subset_family,
     safe_area_interval_1d,
-    safe_area_point_kernel,
-    safe_area_points_batch,
-    safe_area_points_multi,
 )
 from repro.geometry.convex_hull import (
     ConvexHullRegion,
@@ -77,9 +74,6 @@ __all__ = [
     "full_subset_family",
     "pruned_subset_family",
     "safe_area_interval_1d",
-    "safe_area_point_kernel",
-    "safe_area_points_batch",
-    "safe_area_points_multi",
     "ConvexHullRegion",
     "contains_point",
     "convex_combination_weights",

@@ -76,9 +76,6 @@ __all__ = [
     "default_kernel",
     "full_subset_family",
     "pruned_subset_family",
-    "safe_area_point_kernel",
-    "safe_area_points_batch",
-    "safe_area_points_multi",
     "safe_area_interval_1d",
 ]
 
@@ -483,7 +480,7 @@ class GammaKernel:
     re-solved, and the memo may only hand back what a cold solve of the same
     query returns:
 
-    * :meth:`point` is keyed on ``(f, prune, cloud shape, cloud bytes,
+    * :meth:`point` is keyed on ``(f, cloud shape, cloud bytes,
       objective bytes)`` — bitwise, so ``-0.0`` and ``0.0`` are different
       queries;
     * :meth:`points_batch` is keyed on the **whole batch** in order: a fused
@@ -578,17 +575,14 @@ class GammaKernel:
         cloud: np.ndarray,
         fault_bound: int,
         subset_indices: Sequence[Sequence[int]] | None,
-        prune: bool,
     ) -> tuple[tuple[int, ...], ...]:
         point_count = cloud.shape[0]
         subset_size = point_count - fault_bound
         if subset_indices is not None:
             return _validate_explicit_families(subset_indices, point_count, subset_size)
-        if prune:
-            families = pruned_subset_family(cloud, fault_bound)
-            self.stats.blocks_pruned_away += comb(point_count, subset_size) - len(families)
-            return families
-        return full_subset_family(point_count, fault_bound)
+        families = pruned_subset_family(cloud, fault_bound)
+        self.stats.blocks_pruned_away += comb(point_count, subset_size) - len(families)
+        return families
 
     # -- single query ------------------------------------------------------------
 
@@ -599,7 +593,6 @@ class GammaKernel:
         *,
         objective: np.ndarray | Sequence[float] | None = None,
         subset_indices: Sequence[Sequence[int]] | None = None,
-        prune: bool = True,
     ) -> np.ndarray | None:
         """Return a point of ``Gamma(points)`` or ``None`` when it is empty.
 
@@ -624,12 +617,12 @@ class GammaKernel:
         objective_head = self._objective_head(objective, dimension)
         key = None
         if subset_indices is None:
-            key = (fault_bound, prune, cloud.shape, cloud.tobytes(), objective_head.tobytes())
+            key = (fault_bound, cloud.shape, cloud.tobytes(), objective_head.tobytes())
             cached = self._memo.get(key, _MISS)
             if cached is not _MISS:
                 self.stats.memo_hits += 1
                 return _private_copy(cached)
-        families = self._families_for(cloud, fault_bound, subset_indices, prune)
+        families = self._families_for(cloud, fault_bound, subset_indices)
         answer = self._solve_single(cloud, families, objective_head)
         if key is not None:
             self._memo_store(key, _private_copy(answer))
@@ -694,7 +687,6 @@ class GammaKernel:
         *,
         objective: np.ndarray | Sequence[float] | None = None,
         subset_indices: Sequence[Sequence[Sequence[int]]] | None = None,
-        prune: bool = True,
     ) -> list[np.ndarray | None]:
         """Answer many safe-area queries in one numpy-assembled pass.
 
@@ -708,8 +700,8 @@ class GammaKernel:
                 quorum size).
             fault_bound: the shared ``f``.
             objective: optional shared objective over each query's ``z``.
-            subset_indices: optional explicit subset family per query.
-            prune: apply :func:`pruned_subset_family` per query.
+            subset_indices: optional explicit subset family per query
+                (default: :func:`pruned_subset_family` of each cloud).
 
         Returns one entry per query: the chosen point, or ``None`` for an
         empty safe area.
@@ -742,7 +734,6 @@ class GammaKernel:
         if subset_indices is None:
             key = (
                 fault_bound,
-                prune,
                 (len(arrays),) + first_shape,
                 b"".join(array.tobytes() for array in arrays),
                 objective_head.tobytes(),
@@ -756,7 +747,6 @@ class GammaKernel:
                 array,
                 fault_bound,
                 None if subset_indices is None else subset_indices[index],
-                prune,
             )
             for index, array in enumerate(arrays)
         ]
@@ -778,7 +768,6 @@ class GammaKernel:
         fault_bound: int,
         *,
         objective: np.ndarray | Sequence[float] | None = None,
-        prune: bool = True,
     ) -> list[np.ndarray | None]:
         """Answer a whole round's safe-area queries in one assembled pass.
 
@@ -817,7 +806,7 @@ class GammaKernel:
             order.append(key)
 
         solved = {
-            key: self.point(arrays[index], fault_bound, objective=objective, prune=prune)
+            key: self.point(arrays[index], fault_bound, objective=objective)
             for key, index in representatives.items()
         }
         return [solved[key] for key in order]
@@ -1028,55 +1017,3 @@ def _register_kernel_metrics() -> None:
 
 
 _register_kernel_metrics()
-
-
-def safe_area_point_kernel(
-    points: object,
-    fault_bound: int,
-    *,
-    objective: np.ndarray | Sequence[float] | None = None,
-    subset_indices: Sequence[Sequence[int]] | None = None,
-    prune: bool = True,
-) -> np.ndarray | None:
-    """Module-level convenience over :data:`default_kernel` (single query)."""
-    return default_kernel.point(
-        points,
-        fault_bound,
-        objective=objective,
-        subset_indices=subset_indices,
-        prune=prune,
-    )
-
-
-def safe_area_points_multi(
-    clouds: Sequence[object],
-    fault_bound: int,
-    *,
-    objective: np.ndarray | Sequence[float] | None = None,
-    prune: bool = True,
-) -> list[np.ndarray | None]:
-    """Module-level convenience over :data:`default_kernel` (multi-instance round pass)."""
-    return default_kernel.points_multi(
-        clouds,
-        fault_bound,
-        objective=objective,
-        prune=prune,
-    )
-
-
-def safe_area_points_batch(
-    clouds: Sequence[object],
-    fault_bound: int,
-    *,
-    objective: np.ndarray | Sequence[float] | None = None,
-    subset_indices: Sequence[Sequence[Sequence[int]]] | None = None,
-    prune: bool = True,
-) -> list[np.ndarray | None]:
-    """Module-level convenience over :data:`default_kernel` (batched queries)."""
-    return default_kernel.points_batch(
-        clouds,
-        fault_bound,
-        objective=objective,
-        subset_indices=subset_indices,
-        prune=prune,
-    )

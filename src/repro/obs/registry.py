@@ -18,8 +18,8 @@ in order:
   merges it — counter and histogram addition is associative and commutative,
   so parent totals are exact regardless of worker count or unit order.
 * **Pull bridges for existing stats.**  Layers that already keep cheap local
-  counters (:class:`~repro.geometry.kernel.KernelStats`, the vectorized memo
-  stats, pool crash counters) do not double-instrument their hot loops;
+  counters (:class:`~repro.geometry.kernel.KernelStats`, pool crash
+  counters) do not double-instrument their hot loops;
   instead they register a :class:`CounterSync` collector that publishes the
   *delta* of the external stat dict into registry counters whenever the
   registry is collected (at scrape time, and before worker snapshots).

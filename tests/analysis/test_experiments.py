@@ -21,6 +21,9 @@ class TestCheapExperiments:
         exact = by_algorithm["Exact BVC (Gamma decision, n=5)"]
         assert baseline["agreement"] and not baseline["vector_validity"]
         assert exact["agreement"] and exact["vector_validity"]
+        # Paper shape: the baseline's decision [1/6, 1/6, 1/6] sums to 1/2.
+        assert baseline["decision_sum"] == pytest.approx(0.5, abs=1e-6)
+        assert exact["decision_sum"] == pytest.approx(1.0, abs=1e-6)
 
     def test_e2_sync_impossibility(self):
         rows = experiments.experiment_sync_impossibility(dimensions=(1, 2, 3))
@@ -46,20 +49,20 @@ class TestCheapExperiments:
         # The kernel never assembles more blocks than the full enumeration.
         assert all(row["kernel_blocks"] <= row["subsets_in_gamma"] for row in rows)
 
-    def test_e15_kernel_speedup(self):
-        rows = experiments.experiment_kernel_speedup(
-            configurations=((5, 2, 1), (7, 2, 2)), batch_size=3
-        )
-        for row in rows:
-            assert row["kernel_matches_oracle"] is True
-            assert row["batch_all_found"] is True
-            assert row["blocks_pruned"] <= row["blocks_full"]
+    def test_e10_appendix_f(self):
+        rows = experiments.experiment_appendix_f()
+        assert all(row["gamma_point_found"] for row in rows)
+        assert all(row["subsets_witness_bound"] <= row["n"] for row in rows)
+        # The reduction grows with f (paper: C(n, n-f) vs <= n).
+        assert rows[-1]["reduction_factor"] > rows[0]["reduction_factor"]
 
     def test_e4_figure1(self):
         rows = experiments.experiment_figure1_tverberg()
         assert rows[0]["found"] is True
         assert rows[0]["parts"] == 3
         assert rows[0]["witness_in_all_hulls"] is True
+        # The paper's drawing: one triangle and two segments.
+        assert sorted(rows[0]["block_sizes"]) == [2, 2, 3]
 
     def test_e13_resilience_landscape(self):
         rows = experiments.experiment_resilience_landscape(dimensions=(2,), fault_bounds=(1,))
@@ -79,10 +82,16 @@ class TestCheapExperiments:
 
 class TestProtocolExperiments:
     def test_e5_exact_bvc_small(self):
-        rows = experiments.experiment_exact_bvc(configurations=((2, 1),), strategies=("crash", "outside_hull"))
-        assert len(rows) == 2
+        rows = experiments.experiment_exact_bvc(
+            configurations=((2, 1), (3, 1)), strategies=("crash", "outside_hull")
+        )
+        assert len(rows) == 4
         for row in rows:
             assert row["agreement"] and row["validity"]
+            assert row["rounds"] == row["f"] + 1  # termination in f + 1 rounds
+        # Message complexity grows with n (EIG relaying).
+        crash_messages = {row["n"]: row["messages"] for row in rows if row["attack"] == "crash"}
+        assert crash_messages[5] > crash_messages[4]
 
     def test_e8_approx_bvc_small(self):
         rows = experiments.experiment_approx_bvc(
@@ -95,6 +104,8 @@ class TestProtocolExperiments:
         rows = experiments.experiment_contraction_rate(dimension=1, fault_bound=1, rounds=3)
         assert len(rows) == 3
         assert all(row["within_bound"] for row in rows)
+        assert all(row["range_after"] <= row["range_before"] + 1e-12 for row in rows)
+        assert rows[-1]["range_after"] < rows[0]["range_before"]
 
     def test_e11_e12_restricted(self):
         rows = experiments.experiment_restricted_rounds(

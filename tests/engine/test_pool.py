@@ -1,8 +1,8 @@
-"""Tests for the persistent shared-memory worker pool (:mod:`repro.engine.pool`).
+"""Tests for the persistent worker pool (:mod:`repro.engine.pool`).
 
 The pool inherits the engine's central guarantee — every trial is a pure
 function of its spec — and must preserve it across its own machinery: the
-compact wire form, the shared-memory delta-column transport, cost-model unit
+compact wire form, the delta-column transport, cost-model unit
 cuts, demand-driven dispatch, and crash recovery all have to be invisible in
 the emitted rows.
 """
@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,8 +32,6 @@ from repro.engine.pool import (
     PROBE_TRIALS,
     CostModel,
     ExecutionUnit,
-    _release_shm,
-    _SHM_MIN_TRIALS,
     decode_unit,
     encode_unit,
     execute_plan,
@@ -70,19 +71,15 @@ class TestWireForm:
 
 
 class TestUnitCodec:
-    def test_round_trips_mixed_field_variation(self):
-        specs = _mixed_specs(_SHM_MIN_TRIALS + 4)
-        header, shm = encode_unit("object", specs)
-        try:
-            assert header["shm"] is not None  # large unit → shared memory
-            assert decode_unit(header) == specs
-        finally:
-            _release_shm(shm)
-
-    def test_small_units_ship_inline(self):
-        specs = _mixed_specs(_SHM_MIN_TRIALS - 1)
-        header, shm = encode_unit("columnar", specs)
-        assert shm is None and header["shm"] is None
+    @pytest.mark.parametrize("trials", [1, 16, MAX_UNIT_TRIALS])
+    def test_round_trips_mixed_field_variation(self, trials):
+        # int (seed), float (epsilon), None (workload_seed, max_rounds_override)
+        # and "other" (workload_params, record_history) columns all vary.
+        specs = _mixed_specs(trials)
+        header = encode_unit("object", specs)
+        assert header["trials"] == trials
+        if trials > 1:
+            assert header["int_fields"] and header["float_fields"] and header["others"]
         assert decode_unit(header) == specs
 
     def test_constant_fields_travel_once(self):
@@ -90,8 +87,7 @@ class TestUnitCodec:
             TrialSpec(protocol="exact", workload="uniform_box", seed=index)
             for index in range(4)
         ]
-        header, shm = encode_unit("object", specs)
-        assert shm is None
+        header = encode_unit("object", specs)
         # Only the varying field (seed) leaves the base tuple.
         assert header["int_fields"] == ["seed"]
         assert header["float_fields"] == []
@@ -209,6 +205,20 @@ class TestPersistentPoolLifecycle:
         results = list(CampaignSession(specs, workers=2).rows())
         assert len(results) == len(specs)
         assert [result.spec.trial_index for result in results] == list(range(len(specs)))
+
+    def test_pooled_cli_campaign_exits_with_a_silent_stderr(self):
+        # Units of >= 16 trials used to ship through shared-memory segments
+        # that worker-side resource trackers reported as leaked at shutdown.
+        repository = Path(__file__).resolve().parents[2]
+        finished = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "campaign", "--protocols", "exact",
+             "--adversaries", "none", "crash", "--repeats", "600", "--workers", "2",
+             "--engine", "object", "--seed", "4"],
+            env={**os.environ, "PYTHONPATH": str(repository / "src")},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert finished.returncode == 0
+        assert finished.stderr == ""
 
 
 class TestPoolTelemetry:

@@ -36,7 +36,8 @@ from repro.engine import (
     vectorization_fallback,
     vectorized_group_key,
 )
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, GeometryError
+from repro.geometry.kernel import GammaKernel, default_kernel
 
 
 def _rows(results) -> list[str]:
@@ -373,6 +374,58 @@ class TestFailurePaths:
         assert object_rows == vectorized_rows
         statuses = [json.loads(row)["status"] for row in object_rows]
         assert statuses == ["error"] * len(specs)
+
+
+class TestRepeatedClouds:
+    """Repeats the columnar engine leaves to the kernel: its own cloud table
+    lives for one round, so rows must not depend on anything it remembered."""
+
+    # Fault-free views coincide, so from round 2 on every state is the same
+    # point and every later round asks the round-2 question again.
+    SPECS = [
+        TrialSpec(protocol="restricted_sync", workload="uniform_box", process_count=5,
+                  dimension=2, fault_bound=1, max_rounds_override=4, seed=seed,
+                  trial_index=seed)
+        for seed in range(3)
+    ]
+
+    @pytest.fixture(autouse=True)
+    def fresh_kernel(self):
+        """No answer left over from another test's identical cloud."""
+        default_kernel.clear_cache()
+        yield
+        default_kernel.clear_cache()
+
+    def test_cloud_seen_in_two_rounds_is_the_kernels_repeat(self):
+        object_rows = _rows(run_trial(spec) for spec in self.SPECS)
+        default_kernel.clear_cache()
+        hits_before = default_kernel.stats.memo_hits
+        assert _rows(run_specs_vectorized(self.SPECS)) == object_rows
+        # One round's clouds reach the kernel deduplicated, so a hit can only
+        # be a cloud from an earlier round.
+        assert default_kernel.stats.memo_hits > hits_before
+
+    def test_cloud_whose_solve_fails_twice_gives_the_object_engines_rows(self, monkeypatch):
+        solve_single = GammaKernel._solve_single
+        refused: list[bytes] = []
+
+        def refuse_collapsed_clouds(self, cloud, families, objective_head):
+            if not np.ptp(cloud, axis=0).any():
+                refused.append(cloud.tobytes())
+                raise GeometryError("injected solver failure")
+            return solve_single(self, cloud, families, objective_head)
+
+        monkeypatch.setattr(GammaKernel, "_solve_single", refuse_collapsed_clouds)
+        object_rows = _rows(run_trial(spec) for spec in self.SPECS)
+        assert all("injected solver failure" in row for row in object_rows)
+        refused.clear()
+        # The round's batch fails, then each cloud is re-solved for attribution;
+        # a second run meets the same clouds and fails on them afresh.
+        assert _rows(run_specs_vectorized(self.SPECS)) == object_rows
+        first_run = list(refused)
+        assert any(first_run.count(cloud) >= 2 for cloud in first_run)
+        assert _rows(run_specs_vectorized(self.SPECS)) == object_rows
+        assert refused == first_run * 2
 
 
 class TestStateHistories:

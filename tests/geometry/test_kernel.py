@@ -31,12 +31,10 @@ from repro.exceptions import EmptyIntersectionError, GeometryError
 from repro.geometry.kernel import (
     GammaKernel,
     KernelStats,
+    default_kernel,
     full_subset_family,
     pruned_subset_family,
     safe_area_interval_1d,
-    safe_area_point_kernel,
-    safe_area_points_batch,
-    safe_area_points_multi,
 )
 
 
@@ -67,8 +65,11 @@ class TestSingleQueryEquivalence:
             objective = np.zeros(cloud.shape[1])
             objective[0] = 1.0
             oracle = safe_area_point(cloud, fault_bound, objective=objective)
-            pruned = kernel.point(cloud, fault_bound, objective=objective, prune=True)
-            unpruned = kernel.point(cloud, fault_bound, objective=objective, prune=False)
+            pruned = kernel.point(cloud, fault_bound, objective=objective)
+            unpruned = kernel.point(
+                cloud, fault_bound, objective=objective,
+                subset_indices=full_subset_family(len(cloud), fault_bound),
+            )
             assert (oracle is None) == (pruned is None) == (unpruned is None), (
                 f"emptiness mismatch on trial {trial}: {cloud.shape}, f={fault_bound}"
             )
@@ -85,13 +86,13 @@ class TestSingleQueryEquivalence:
         # Theorem 1's construction: d + 1 points in R^d, f = 1.
         for dimension in (1, 2, 3):
             cloud = np.vstack([np.eye(dimension), np.zeros((1, dimension))])
-            assert safe_area_point_kernel(cloud, 1) is None
+            assert default_kernel.point(cloud, 1) is None
             assert safe_area_point(cloud, 1) is None
             assert safe_area_is_empty(cloud, 1)
 
     def test_fully_collapsed_multiset(self):
         cloud = np.asarray([[2.0, -3.0]] * 5)
-        point = safe_area_point_kernel(cloud, 2)
+        point = default_kernel.point(cloud, 2)
         assert np.allclose(point, [2.0, -3.0], atol=1e-6)
 
     def test_near_coincident_cluster_survives_solver_degeneracy(self):
@@ -109,21 +110,21 @@ class TestSingleQueryEquivalence:
                 [7.16802070, 6.12460009],
             ]
         )
-        for point in (safe_area_point_kernel(cloud, 1), safe_area_point(cloud, 1)):
+        for point in (default_kernel.point(cloud, 1), safe_area_point(cloud, 1)):
             assert point is not None
             assert safe_area_contains(cloud, 1, point, tolerance=1e-4)
 
     def test_zero_faults_returns_centroid(self):
         cloud = np.asarray([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
-        assert np.allclose(safe_area_point_kernel(cloud, 0), cloud.mean(axis=0))
+        assert np.allclose(default_kernel.point(cloud, 0), cloud.mean(axis=0))
 
     def test_edge_cases_mirror_oracle(self):
-        assert safe_area_point_kernel(np.empty((0, 2)), 1) is None
-        assert safe_area_point_kernel(np.asarray([[0.0], [1.0]]), 3) is None
+        assert default_kernel.point(np.empty((0, 2)), 1) is None
+        assert default_kernel.point(np.asarray([[0.0], [1.0]]), 3) is None
         with pytest.raises(GeometryError):
-            safe_area_point_kernel(np.asarray([[0.0], [1.0]]), -1)
+            default_kernel.point(np.asarray([[0.0], [1.0]]), -1)
         with pytest.raises(GeometryError):
-            safe_area_point_kernel(
+            default_kernel.point(
                 np.asarray([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5]]),
                 1,
                 objective=[1.0, 2.0, 3.0],
@@ -132,7 +133,7 @@ class TestSingleQueryEquivalence:
     def test_explicit_subset_family_honoured(self):
         cloud = np.asarray([[0.0], [1.0], [2.0], [3.0], [4.0]])
         families = [(0, 1, 2, 3), (1, 2, 3, 4)]
-        kernel_point = safe_area_point_kernel(
+        kernel_point = default_kernel.point(
             cloud, 1, subset_indices=families, objective=[1.0]
         )
         oracle_point = safe_area_point(
@@ -140,14 +141,14 @@ class TestSingleQueryEquivalence:
         )
         assert float(kernel_point[0]) == pytest.approx(float(oracle_point[0]), abs=1e-8)
         with pytest.raises(GeometryError):
-            safe_area_point_kernel(cloud, 1, subset_indices=[(0, 1)])
+            default_kernel.point(cloud, 1, subset_indices=[(0, 1)])
         with pytest.raises(GeometryError):
-            safe_area_point_kernel(cloud, 1, subset_indices=[])
+            default_kernel.point(cloud, 1, subset_indices=[])
 
     def test_one_dimensional_interval_semantics(self):
         cloud = np.asarray([[0.0], [1.0], [2.0], [3.0], [4.0]])
-        low = safe_area_point_kernel(cloud, 1, objective=[1.0])
-        high = safe_area_point_kernel(cloud, 1, objective=[-1.0])
+        low = default_kernel.point(cloud, 1, objective=[1.0])
+        high = default_kernel.point(cloud, 1, objective=[-1.0])
         assert float(low[0]) == pytest.approx(1.0, abs=1e-6)
         assert float(high[0]) == pytest.approx(3.0, abs=1e-6)
 
@@ -196,8 +197,11 @@ class TestPrunedFamilies:
             point_count = 3 * fault_bound + 1 + int(rng.integers(0, 3))
             cloud = rng.uniform(-1.0, 1.0, size=(point_count, dimension))
             for objective in ([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.3, -0.7]):
-                pruned = kernel.point(cloud, fault_bound, objective=objective, prune=True)
-                unpruned = kernel.point(cloud, fault_bound, objective=objective, prune=False)
+                pruned = kernel.point(cloud, fault_bound, objective=objective)
+                unpruned = kernel.point(
+                    cloud, fault_bound, objective=objective,
+                    subset_indices=full_subset_family(point_count, fault_bound),
+                )
                 assert pruned is not None and unpruned is not None
                 value_pruned = float(np.dot(objective, pruned))
                 value_full = float(np.dot(objective, unpruned))
@@ -228,9 +232,9 @@ class TestBatchedQueries:
         rng = np.random.default_rng(6)
         clouds = [rng.uniform(0.0, 1.0, size=(9, 2)) for _ in range(5)]
         objective = np.asarray([1.0, 0.0])
-        fused = safe_area_points_batch(clouds, 2, objective=objective)
+        fused = default_kernel.points_batch(clouds, 2, objective=objective)
         for cloud, point in zip(clouds, fused):
-            single = safe_area_point_kernel(cloud, 2, objective=objective)
+            single = default_kernel.point(cloud, 2, objective=objective)
             assert float(point[0]) == pytest.approx(float(single[0]), abs=1e-8)
             assert safe_area_contains(cloud, 2, point, tolerance=1e-5)
 
@@ -241,15 +245,15 @@ class TestBatchedQueries:
         # Gamma with f = 1 is the single middle point.
         triangle = np.vstack([np.eye(2), np.zeros((1, 2))])  # d+1 points, f=1
         good = np.asarray([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        points = safe_area_points_batch([good, triangle], 1)
+        points = default_kernel.points_batch([good, triangle], 1)
         assert points[0] is not None
         assert points[1] is None
 
     def test_empty_batch_and_shape_validation(self):
-        assert safe_area_points_batch([], 1) == []
+        assert default_kernel.points_batch([], 1) == []
         rng = np.random.default_rng(9)
         with pytest.raises(GeometryError):
-            safe_area_points_batch(
+            default_kernel.points_batch(
                 [rng.uniform(size=(5, 2)), rng.uniform(size=(6, 2))], 1
             )
 
@@ -258,14 +262,14 @@ class TestBatchedQueries:
         clouds = [rng.uniform(size=(5, 2)) for _ in range(3)]
         families = [[(0, 1, 2, 3), (1, 2, 3, 4)]] * 2  # one family list short
         with pytest.raises(GeometryError):
-            safe_area_points_batch(clouds, 1, subset_indices=families)
+            default_kernel.points_batch(clouds, 1, subset_indices=families)
         with pytest.raises(GeometryError):
             SafeAreaCalculator(fault_bound=1).choose_batch(clouds, subset_indices=families)
 
     def test_batch_zero_faults_returns_centroids(self):
         rng = np.random.default_rng(10)
         clouds = [rng.uniform(size=(4, 2)) for _ in range(3)]
-        points = safe_area_points_batch(clouds, 0)
+        points = default_kernel.points_batch(clouds, 0)
         for cloud, point in zip(clouds, points):
             assert np.allclose(point, cloud.mean(axis=0))
 
@@ -277,14 +281,14 @@ class TestTemplateCacheAndStats:
         # Unpruned queries share the exact (C(7,5), 5, 2) LP shape, so after
         # the first assembly every later round hits the cached template.
         for _ in range(5):
-            kernel.point(rng.uniform(size=(7, 2)), 2, prune=False)
+            kernel.point(rng.uniform(size=(7, 2)), 2, subset_indices=full_subset_family(7, 2))
         assert kernel.stats.template_misses == 1
         assert kernel.stats.template_hits == 4
         assert kernel.stats.lp_solves == 5
         assert kernel.stats.dense_solves == 0
         # Pruned queries may land on per-cloud shapes, but always record the
         # number of constraint blocks they avoided assembling.
-        kernel.point(rng.uniform(size=(7, 2)), 2, prune=True)
+        kernel.point(rng.uniform(size=(7, 2)), 2)
         assert kernel.stats.blocks_pruned_away > 0
 
     def test_cache_eviction_is_bounded(self):
@@ -343,8 +347,8 @@ class TestScalarInterval:
     def test_matches_lp_route(self):
         values = np.asarray([[0.5], [1.5], [2.5], [3.5], [4.5], [5.5], [6.5]])
         interval = safe_area_interval_1d(values, 2)
-        low = safe_area_point_kernel(values, 2, objective=[1.0])
-        high = safe_area_point_kernel(values, 2, objective=[-1.0])
+        low = default_kernel.point(values, 2, objective=[1.0])
+        high = default_kernel.point(values, 2, objective=[-1.0])
         assert float(low[0]) == pytest.approx(interval[0], abs=1e-6)
         assert float(high[0]) == pytest.approx(interval[1], abs=1e-6)
 
@@ -411,30 +415,30 @@ class TestMultiInstanceQueries:
         rng = np.random.default_rng(92)
         small = rng.uniform(0.0, 1.0, size=(4, 1))
         large = rng.uniform(0.0, 1.0, size=(6, 2))
-        answers = safe_area_points_multi([small, large], 1)
-        assert np.array_equal(answers[0], safe_area_point_kernel(small, 1))
-        assert np.array_equal(answers[1], safe_area_point_kernel(large, 1))
+        answers = default_kernel.points_multi([small, large], 1)
+        assert np.array_equal(answers[0], default_kernel.point(small, 1))
+        assert np.array_equal(answers[1], default_kernel.point(large, 1))
 
     def test_empty_gamma_maps_to_none_per_query(self):
         rng = np.random.default_rng(93)
         healthy = rng.uniform(0.0, 1.0, size=(5, 2))
         empty = np.vstack([np.eye(2), np.zeros((1, 2))])  # |Y|=3, f=1, d=2
-        answers = safe_area_points_multi([healthy, empty, healthy], 1)
+        answers = default_kernel.points_multi([healthy, empty, healthy], 1)
         assert answers[0] is not None and answers[2] is not None
         assert answers[1] is None
 
     def test_answers_are_valid_gamma_points(self):
         rng = np.random.default_rng(94)
         clouds = [rng.uniform(0.0, 1.0, size=(5, 2)) for _ in range(4)]
-        answers = safe_area_points_multi(clouds, 1)
+        answers = default_kernel.points_multi(clouds, 1)
         for cloud, answer in zip(clouds, answers):
             assert answer is not None
             assert safe_area_contains(cloud, 1, answer, tolerance=1e-5)
 
     def test_empty_call_and_negative_faults(self):
-        assert safe_area_points_multi([], 1) == []
+        assert default_kernel.points_multi([], 1) == []
         with pytest.raises(GeometryError):
-            safe_area_points_multi([np.zeros((3, 2))], -1)
+            default_kernel.points_multi([np.zeros((3, 2))], -1)
 
 
 class TestCalculatorResolveMulti:

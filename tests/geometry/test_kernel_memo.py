@@ -194,7 +194,6 @@ def test_every_key_field_separates_point_queries(cloud):
         lambda: kernel.point(cloud, 1, objective=[0.0, 1.0]),
         lambda: kernel.point(cloud, 1, objective=[-0.0, 1.0]),
         lambda: kernel.point(cloud, 1),
-        lambda: kernel.point(cloud, 1, objective=[1.0, 0.0], prune=False),
         lambda: kernel.point(cloud[:-1], 1, objective=[1.0, 0.0]),
         lambda: kernel.point(positive_zero, 1, objective=[1.0, 0.0]),
         lambda: kernel.point(negative_zero, 1, objective=[1.0, 0.0]),
@@ -228,7 +227,6 @@ def test_every_key_field_separates_batches(cloud):
         lambda: kernel.points_batch([other, cloud], 1),
         lambda: kernel.points_batch([cloud, other], 2),
         lambda: kernel.points_batch([cloud, other], 1, objective=[1.0, 0.0]),
-        lambda: kernel.points_batch([cloud, other], 1, prune=False),
         lambda: kernel.points_batch([cloud], 1),
         lambda: kernel.points_batch([cloud, other, cloud], 1),
         lambda: kernel.point(cloud, 1),  # a batch of one is not a single query
@@ -242,7 +240,7 @@ def test_every_key_field_separates_batches(cloud):
         variant()
     assert kernel.stats.lp_solves == solves
     # A whole-batch hit counts each of its queries.
-    assert kernel.stats.memo_hits == 2 * 5 + 1 + 3 + 1
+    assert kernel.stats.memo_hits == 2 * 4 + 1 + 3 + 1
 
 
 def test_explicit_families_stay_out_of_the_table(cloud):

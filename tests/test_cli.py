@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +19,7 @@ class TestParser:
     def test_run_command_with_output(self, tmp_path):
         arguments = build_parser().parse_args(["run", "E2", "--output", str(tmp_path / "out.txt")])
         assert arguments.command == "run"
-        assert arguments.experiment == "E2"
+        assert arguments.experiment == ["E2"]
 
     def test_bounds_defaults(self):
         arguments = build_parser().parse_args(["bounds"])
@@ -104,19 +105,37 @@ class TestMain:
         assert main(["run", "E99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
+    def test_retired_timing_experiment_is_a_usage_error_naming_the_valid_ids(self, capsys):
+        # E15 printed wall clocks; timing belongs to benchmarks/ledger/ alone.
+        assert main(["run", "E3", "e15"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing ran before the bad id was refused
+        assert "unknown experiment 'e15'" in captured.err
+        assert ", ".join(_ordered_experiment_ids()) in captured.err
+
+    def test_reference_tables_are_what_run_prints(self, capsys):
+        # The committed safe-area tables are seeded and carry no timing, so
+        # they cannot drift from the code that prints them.
+        reference = Path(__file__).resolve().parents[1] / "benchmarks" / "reference"
+        names = ["E3_safe_area_existence.txt", "E6_safe_area_cost.txt", "E10_appendix_f.txt"]
+        assert sorted(path.name for path in reference.iterdir()) == sorted(names)
+        assert main(["run", "E3", "E6", "E10"]) == 0
+        committed = "\n".join((reference / name).read_text() for name in names)
+        assert capsys.readouterr().out == committed
+
     def test_registry_covers_design_doc_ids(self):
-        # E10 and E12 are covered by the E6/E11 runners respectively; everything
-        # else from DESIGN.md must be present, plus the E15 kernel experiment.
+        # E12 is covered by the E11 runner; everything else from DESIGN.md
+        # must be present, plus the E16 adversary-coordination experiment.
         for required in (
-            "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E11", "E13", "E14", "E15",
+            "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E13", "E14",
             "E16",
         ):
             assert required in EXPERIMENT_REGISTRY
 
     def test_experiments_ordered_numerically(self):
-        # Lexicographic sorting would put E11/E13/E14/E15 between E1 and E2.
+        # Lexicographic sorting would put E10/E11/E13/E14 between E1 and E2.
         assert _ordered_experiment_ids() == [
-            "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E11", "E13", "E14", "E15",
+            "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E13", "E14",
             "E16",
         ]
 
@@ -132,7 +151,7 @@ class TestMain:
         assert excinfo.value.code == 0
         output = capsys.readouterr().out
         assert "examples:" in output
-        assert "python -m repro.cli run E15" in output
+        assert "python -m repro.cli run E3 E6 E10" in output
         assert "docs/ARCHITECTURE.md" in output
         assert "docs/PERFORMANCE.md" in output
         assert "PYTHONPATH=src python -m pytest -x -q" in output
@@ -386,7 +405,7 @@ class TestEngineFlag:
         assert excinfo.value.code == 0
         output = capsys.readouterr().out
         ordered = _ordered_experiment_ids()
-        assert f"experiment id ({ordered[0]}..{ordered[-1]})" in output
+        assert f"experiment ids ({ordered[0]}..{ordered[-1]})" in output
         assert "E1..E15" not in output  # the stale hard-coded range must be gone
 
     def test_campaign_engine_choices_are_byte_identical(self, tmp_path, capsys):
