@@ -29,11 +29,11 @@ There is exactly **one** campaign loop (:meth:`CampaignSession._run`):
 store is the stored run with nothing stored — the census and the claims
 contribute empty sets, no key is derived and no store method is called.  The
 emission rule is one sentence: *a row leaves as soon as commit-before-emit
-allows* — with a store, once its group (at most :data:`STORE_COMMIT_CHUNK`
-object-engine trials, one columnar unit, or one pool task) has committed;
-without one, once its trial (object engine), columnar unit or pool task has
-finished.  Rows are byte-identical (modulo ``elapsed_ms``) for every engine,
-worker count and store state.
+allows* — with a store, once its group (one pool task on the pool; inline,
+at most :data:`STORE_COMMIT_CHUNK` object-engine trials or one columnar unit)
+has committed; without one, once its trial (object engine), columnar unit or
+pool task has finished.  Rows are byte-identical (modulo ``elapsed_ms``) for
+every engine, worker count and store state.
 """
 
 from __future__ import annotations
@@ -176,12 +176,12 @@ def _execute_unit(unit: ExecutionUnit, specs: Sequence[TrialSpec]) -> list[Trial
     return [run_trial(specs[position]) for position in unit.positions]
 
 
-#: Object-engine units are re-chunked to at most this many trials in store
-#: mode, bounding how much completed work one interruption can lose (each
-#: chunk commits transactionally on completion).  The window is not free:
-#: on the ledger's ``pooled_exact_store`` an ``exact`` trial costs ~4 ms
-#: against ~2.6 ms per committed row (``store.commit_ms_per_row``), so the
-#: value trades commit overhead for loss window (ROADMAP item 3).
+#: Inline runs with a store re-chunk object-engine units to at most this many
+#: trials, bounding how much completed work one interruption can lose (each
+#: chunk commits transactionally on completion).  On the pool the commit
+#: group is the pool task instead, already sized by the cost model to at most
+#: ``TARGET_UNIT_SECONDS`` of estimated work, so this constant bounds inline
+#: groups only.
 STORE_COMMIT_CHUNK = 4
 
 #: Cache hits are fetched from the store in slices of this many rows at
@@ -817,12 +817,11 @@ class CampaignSession:
         inline = self.workers <= 1 or len(specs) <= 1
         reasons: dict[str, int] = {}
         units = plan_specs(specs, self.engine, reasons)
-        # The emission rule.  A row waits for its commit group with a store;
-        # without one only for its own trial (the pool cuts its own tasks).
-        if store is not None:
-            units = _split_object_units(units, STORE_COMMIT_CHUNK)
-        elif inline:
-            units = _split_object_units(units, 1)
+        # The emission rule.  On the pool the commit group is the pool task,
+        # which the pool cuts itself; inline, a row waits for its commit group
+        # with a store and only for its own trial without one.
+        if inline:
+            units = _split_object_units(units, STORE_COMMIT_CHUNK if store is not None else 1)
         with self._lock:
             for reason, count in reasons.items():
                 self.fallback_reasons[reason] = self.fallback_reasons.get(reason, 0) + count

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 import time
 from collections import OrderedDict
@@ -305,6 +306,12 @@ class CampaignService:
         resume = payload.get("resume", True)
         if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
             raise ServiceError(f"'workers' must be a positive integer, got {workers!r}")
+        # Each distinct pool size forks its own process-lifetime pool, so the
+        # request may not ask for more workers than the machine (or the
+        # operator's default) provides.
+        max_workers = max(self.default_workers, os.cpu_count() or 1)
+        if workers > max_workers:
+            raise ServiceError(f"'workers' must be at most {max_workers}, got {workers}")
         if engine not in ENGINE_CHOICES:
             raise ServiceError(f"unknown engine {engine!r}; known: {', '.join(ENGINE_CHOICES)}")
         if not isinstance(resume, bool):

@@ -135,6 +135,29 @@ class TestEventStream:
                 assert len(ran) == min(groups * STORE_COMMIT_CHUNK, len(specs))
                 assert trial_key(result.spec) in store
 
+    def test_pooled_store_commits_once_per_pool_task(self, tmp_path):
+        """On the pool the commit group is the pool task, not a 4-trial slice."""
+        specs = _object_specs(24)
+        options = {"engine": "object", "chunksize": 8}
+        with SqliteResultStore(tmp_path / "store.db") as store:
+            start = store.generation()
+            session = CampaignSession(specs, store=store, workers=2, **options)
+            committed: set[int] = set()
+            pooled = []
+            for event in session.events():
+                if isinstance(event, UnitCommittedEvent):
+                    assert all(trial_key(specs[p]) in store for p in event.positions)
+                    committed.update(event.positions)
+                elif isinstance(event, RowEvent):
+                    assert event.position in committed
+                    pooled.append(event.result)
+            # 24 trials in chunks of 8: three tasks, three commits.
+            assert store.generation() - start == 3
+
+        no_store = CampaignSession(specs, workers=2, **options).rows()
+        inline = CampaignSession(specs, store=tmp_path / "inline.db", **options).rows()
+        assert _rows(pooled) == _rows(no_store) == _rows(inline)
+
 
 class TestOneLoop:
     @pytest.mark.parametrize("engine", ["auto", "object"])

@@ -22,6 +22,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import os
 import threading
 import time
 import urllib.error
@@ -136,10 +137,22 @@ class TestCampaignService:
                 service.submit({"campaign": {}})
             with pytest.raises(ServiceError, match="workers"):
                 service.submit({"campaign": _declaration(1), "workers": 0})
+            with pytest.raises(ServiceError, match="workers' must be at most"):
+                service.submit({"campaign": _declaration(1), "workers": 100000})
             with pytest.raises(ServiceError, match="engine"):
                 service.submit({"campaign": _declaration(1), "engine": "quantum"})
             with pytest.raises(ServiceError, match="resume"):
                 service.submit({"campaign": _declaration(1), "resume": "yes"})
+        finally:
+            service.shutdown()
+
+    def test_workers_bound_is_the_larger_of_cores_and_default(self, tmp_path):
+        default = (os.cpu_count() or 1) + 2
+        service = CampaignService(tmp_path / "store.db", workers=default)
+        try:
+            with pytest.raises(ServiceError, match=f"at most {default}, got {default + 1}"):
+                service.submit({"campaign": _declaration(1), "workers": default + 1})
+            assert service.list_runs() == []
         finally:
             service.shutdown()
 
@@ -646,6 +659,12 @@ class TestHttpServer:
                 headers={"Content-Type": "application/json"},
             )
             assert status == 400
+
+            bound = os.cpu_count() or 1
+            status, _, payload = _get_json_from_post(
+                server.url("/campaigns"), {"campaign": _declaration(1), "workers": 100000}
+            )
+            assert status == 400 and f"at most {bound}" in payload["error"]
 
             status, _, payload = _get_json(server.url("/store/query?dimension=abc"))
             assert status == 400 and "dimension" in payload["error"]
