@@ -42,7 +42,7 @@ import threading
 import time
 import uuid
 from contextlib import closing, nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, Union
 
@@ -532,10 +532,6 @@ class CampaignSession:
     def state(self) -> str:
         return self._state
 
-    @property
-    def cancelled(self) -> bool:
-        return self._cancel.is_set()
-
     def cancel(self) -> None:
         """Request cooperative cancellation (thread-safe, idempotent).
 
@@ -703,9 +699,7 @@ class CampaignSession:
             yield event
 
     def _on_pool_unit(self, observation: UnitObservation) -> None:
-        """Place a pool-completed unit on its worker's trace track."""
-        if self.trace is None:
-            return
+        """Place a pool-completed unit on its worker's trace track (traced runs only)."""
         started = observation.started_at or (time.time() - observation.seconds)
         self.trace.complete(
             f"unit:{observation.kind}", started, observation.seconds,
@@ -917,11 +911,11 @@ class CampaignSession:
                     f"store row for trial {position} vanished during execution; "
                     "result stores must not be mutated concurrently with a run"
                 )
-            # Reattach the *requested* spec: the stored row may carry a
+            # Serve onto the *requested* spec: the stored row may carry a
             # different trial_index (key-excluded field), and the emitted
             # row must be byte-identical to a fresh run.
             yield self._row_event(
-                position, replace(TrialResult.from_row(row), spec=self.specs[position]), source
+                position, TrialResult.from_row(row, spec=self.specs[position]), source
             )
             del table[position]
             self._next = position + 1

@@ -155,19 +155,15 @@ class TrialSpec:
 
     def to_dict(self) -> dict[str, Any]:
         """Return a JSON-serialisable dict (parameter tuples become dicts)."""
-        record: dict[str, Any] = {}
-        for spec_field in fields(self):
-            value = getattr(self, spec_field.name)
-            if spec_field.name in _PARAM_FIELDS:
-                value = dict(value)
-            record[spec_field.name] = value
+        record = {name: getattr(self, name) for name in self.WIRE_FIELDS}
+        for name in _PARAM_FIELDS:
+            record[name] = dict(record[name])
         return record
 
     @classmethod
     def from_dict(cls, record: Mapping[str, Any]) -> "TrialSpec":
         """Rebuild a spec from :meth:`to_dict` output (unknown keys rejected)."""
-        known = {spec_field.name for spec_field in fields(cls)}
-        unknown = set(record) - known
+        unknown = record.keys() - _SPEC_FIELD_SET
         if unknown:
             raise ConfigurationError(f"unknown TrialSpec fields: {sorted(unknown)}")
         return cls(**dict(record))
@@ -198,10 +194,26 @@ class TrialSpec:
 # Assigned after the class body so the dataclass machinery does not mistake it
 # for a field.
 TrialSpec.WIRE_FIELDS = tuple(spec_field.name for spec_field in fields(TrialSpec))
+_SPEC_FIELD_SET = frozenset(TrialSpec.WIRE_FIELDS)
+
+_PLAIN_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
 def _jsonify(value: Any) -> Any:
-    """Coerce numpy scalars/arrays into plain Python so rows serialise stably."""
+    """Coerce numpy scalars/arrays into plain Python so rows serialise stably.
+
+    Exact builtin types are answered before any ``isinstance`` check: the
+    ``Mapping`` test goes through the ABC subclass hooks, and almost every
+    value a spec or row carries is a plain scalar, dict, list or tuple.
+    Subclasses (``numpy.float64`` is a ``float``) take the general branches.
+    """
+    kind = type(value)
+    if kind in _PLAIN_SCALARS:
+        return value
+    if kind is dict:
+        return {str(key): _jsonify(item) for key, item in value.items()}
+    if kind is list or kind is tuple:
+        return [_jsonify(item) for item in value]
     if isinstance(value, (np.bool_,)):
         return bool(value)
     if isinstance(value, np.integer):
@@ -254,10 +266,8 @@ class TrialResult:
     def to_row(self) -> dict[str, Any]:
         """Flatten spec + outcome into one JSON-serialisable row."""
         row = {f"spec_{key}": _jsonify(value) for key, value in self.spec.to_dict().items()}
-        for result_field in fields(self):
-            if result_field.name in ("spec", "state_histories"):
-                continue
-            row[result_field.name] = _jsonify(getattr(self, result_field.name))
+        for name in _OUTCOME_FIELDS:
+            row[name] = _jsonify(getattr(self, name))
         return row
 
     def to_json(self) -> str:
@@ -265,7 +275,7 @@ class TrialResult:
         return json.dumps(self.to_row(), sort_keys=True)
 
     @classmethod
-    def from_row(cls, row: Mapping[str, Any]) -> "TrialResult":
+    def from_row(cls, row: Mapping[str, Any], spec: TrialSpec | None = None) -> "TrialResult":
         """Rebuild a result from :meth:`to_row` / :meth:`to_json` output.
 
         The exact inverse of the row serialisation (needed by the results
@@ -274,30 +284,45 @@ class TrialResult:
         is never serialised, so it comes back ``None``.  Unknown keys are
         rejected rather than dropped: a row that does not round-trip is a
         schema mismatch, not data.
+
+        ``spec`` attaches the result to a spec the caller already holds (a
+        store hit served under the requested ``trial_index``): the row's
+        ``spec_*`` columns must then name exactly the spec's fields, but are
+        not parsed into a second spec.
         """
-        spec_record: dict[str, Any] = {}
-        outcome: dict[str, Any] = {}
-        known = {
-            result_field.name
-            for result_field in fields(cls)
-            if result_field.name not in ("spec", "state_histories")
-        }
-        for key, value in row.items():
-            if key.startswith("spec_"):
-                spec_record[key[len("spec_") :]] = value
-            elif key in known:
-                outcome[key] = value
-            else:
+        columns = row.keys()
+        unknown = columns - _ROW_COLUMNS
+        for key in unknown:
+            if not key.startswith("spec_"):
                 raise ConfigurationError(f"unknown TrialResult row field {key!r}")
-        if "status" not in outcome:
+        if "status" not in columns:
             raise ConfigurationError("TrialResult row is missing the 'status' field")
-        try:
-            spec = TrialSpec.from_dict(spec_record)
-        except TypeError as error:
-            raise ConfigurationError(f"malformed spec fields in row: {error}") from error
+        outcome = {name: row[name] for name in _OUTCOME_FIELDS if name in columns}
+        if spec is None:
+            spec_record = {
+                key[len("spec_") :]: value for key, value in row.items() if key.startswith("spec_")
+            }
+            try:
+                spec = TrialSpec.from_dict(spec_record)
+            except TypeError as error:
+                raise ConfigurationError(f"malformed spec fields in row: {error}") from error
+        elif unknown or not columns >= _SPEC_COLUMNS:
+            mismatched = sorted(unknown | (_SPEC_COLUMNS - columns))
+            raise ConfigurationError(f"malformed spec fields in row: {mismatched}")
         if outcome.get("decision") is not None:
             outcome["decision"] = tuple(float(value) for value in outcome["decision"])
         return cls(spec=spec, **outcome)
+
+
+# The outcome half of a row: every result field but the spec and the
+# never-serialised histories.
+_OUTCOME_FIELDS = tuple(
+    result_field.name
+    for result_field in fields(TrialResult)
+    if result_field.name not in ("spec", "state_histories")
+)
+_SPEC_COLUMNS = frozenset(f"spec_{name}" for name in TrialSpec.WIRE_FIELDS)
+_ROW_COLUMNS = _SPEC_COLUMNS | frozenset(_OUTCOME_FIELDS)
 
 
 class JsonlSink:

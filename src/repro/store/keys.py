@@ -59,6 +59,11 @@ ENGINE_VERSION = f"{PACKAGE_VERSION}/rows1"
 #: serialised outcome row (see module docstring).
 VOLATILE_SPEC_FIELDS = ("trial_index", "record_history")
 
+# The canonical encoding, built once: ``json.dumps`` constructs a fresh
+# encoder on every call whose separators are not the defaults.  The bytes are
+# pinned by golden digests in ``tests/store/test_keys.py``.
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def canonical_spec_payload(spec: TrialSpec) -> dict[str, Any]:
     """Return the spec fields that determine the trial outcome, JSON-normalised."""
@@ -76,9 +81,7 @@ def trial_key(spec: TrialSpec, engine_version: str = ENGINE_VERSION) -> str:
     fields, same salt.
     """
     try:
-        payload = json.dumps(
-            canonical_spec_payload(spec), sort_keys=True, separators=(",", ":")
-        )
+        payload = _CANONICAL_JSON.encode(canonical_spec_payload(spec))
     except (TypeError, ValueError) as error:
         raise ConfigurationError(
             f"spec is not content-addressable (non-JSON parameter value): {error}"

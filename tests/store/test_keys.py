@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import replace
+from types import MappingProxyType
+from typing import Any, Mapping
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import TrialSpec
+from repro.engine.spec import _jsonify
 from repro.exceptions import ConfigurationError
 from repro.store import ENGINE_VERSION, VOLATILE_SPEC_FIELDS, canonical_spec_payload, trial_key
 
@@ -16,6 +23,111 @@ def _spec(**overrides) -> TrialSpec:
                 process_count=5, dimension=2, fault_bound=1, seed=7)
     base.update(overrides)
     return TrialSpec(**base)
+
+
+# Every stored row is addressed by these bytes: a digest that changes makes
+# every existing store unreachable, which only a deliberate ENGINE_VERSION
+# bump may do.  The literals come from the per-call ``json.dumps`` derivation
+# that existing `1.1.0/rows1` stores were written with; change them only
+# together with a bump.
+GOLDEN_KEYS = {
+    "default": (
+        TrialSpec(protocol="exact", workload="uniform_box"),
+        "09a833e146af134f52413351f4d70554ccd164002b3fa8beb7a78db4d61f2116",
+    ),
+    "base": (_spec(), "4bae8c60633aad5e94a92e552e7b93667f4f638aa6b53f6d93355f4c05b1542f"),
+    "sub_seeds": (
+        _spec(workload_seed=11, adversary_seed=None, scheduler_seed=13),
+        "3323c6f80fc48895408ea88096857cef4f91390f38762078e81bd5896de81e76",
+    ),
+    "max_rounds_override": (
+        _spec(protocol="approx", epsilon=0.05, max_rounds_override=6),
+        "7f611a8149903e28bbc068d60a5636f641af06ea757bb156ceb3245ee48f9775",
+    ),
+    "numpy_scalars": (
+        _spec(adversary_params={"scale": np.float64(2.5), "count": np.int64(3),
+                                "flag": np.bool_(True)}),
+        "bfd707f77a96faed98365262a5c95474fd35758b11ff391195a4021a165e2567",
+    ),
+    "tuple_and_nested_dict": (
+        _spec(workload_params={"box": (0.0, 1.0),
+                               "nested": {"b": {"c": (1, 2.5)}, "a": [True, None]}}),
+        "aa2308abd6d88f5b06d15206a7d3992e0e487793cddc597b78c15e7da846463d",
+    ),
+}
+
+
+def _reference_jsonify(value: Any) -> Any:
+    """The row coercion as it was when the golden keys were written (the oracle)."""
+    if isinstance(value, (np.bool_,)):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, np.ndarray):
+        return [_reference_jsonify(item) for item in value.tolist()]
+    if isinstance(value, (list, tuple)):
+        return [_reference_jsonify(item) for item in value]
+    if isinstance(value, Mapping):
+        return {str(key): _reference_jsonify(item) for key, item in value.items()}
+    return value
+
+
+def _same_graph(left: Any, right: Any) -> bool:
+    """Equal values of equal types all the way down (``True == 1`` does not count)."""
+    if type(left) is not type(right):
+        return False
+    if isinstance(left, dict):
+        return list(left) == list(right) and all(
+            _same_graph(left[key], right[key]) for key in left
+        )
+    if isinstance(left, list):
+        return len(left) == len(right) and all(map(_same_graph, left, right))
+    return left == right or (left != left and right != right)  # NaN equals itself here
+
+
+_numpy_scalars = st.one_of(
+    st.booleans().map(np.bool_),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.floats(width=64).map(np.float64),
+    st.floats(width=32).map(np.float32),
+)
+_numpy_arrays = st.one_of(
+    st.lists(st.booleans(), max_size=4).map(lambda items: np.array(items, dtype=bool)),
+    st.lists(st.integers(-9, 9), max_size=4).map(lambda items: np.array(items, dtype=np.int64)),
+    st.lists(st.floats(width=64), max_size=4).map(lambda items: np.array(items, dtype=float)),
+)
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    _numpy_scalars, _numpy_arrays,
+)
+_keys = st.one_of(st.text(max_size=3), st.integers(-2, 2), st.booleans())
+_values = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_keys, children, max_size=3),
+        st.dictionaries(_keys, children, max_size=3).map(OrderedDict),
+        st.dictionaries(_keys, children, max_size=3).map(MappingProxyType),
+    ),
+    max_leaves=12,
+)
+
+
+class TestCanonicalEncoding:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_KEYS))
+    def test_golden_digest(self, name):
+        spec, digest = GOLDEN_KEYS[name]
+        assert ENGINE_VERSION == "1.1.0/rows1"
+        assert trial_key(spec) == digest
+
+    @settings(max_examples=300, deadline=None)
+    @given(_values)
+    def test_jsonify_matches_the_reference_coercion(self, value):
+        assert _same_graph(_jsonify(value), _reference_jsonify(value))
 
 
 class TestTrialKey:

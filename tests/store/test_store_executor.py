@@ -8,6 +8,10 @@ many workers fan them out.
 
 from __future__ import annotations
 
+import json
+import sqlite3
+from dataclasses import replace
+
 import pytest
 
 from repro.engine import (
@@ -19,6 +23,7 @@ from repro.engine import (
     run_campaign,
     strip_timing,
 )
+from repro.exceptions import ConfigurationError
 from repro.store import SqliteResultStore, open_store, trial_key
 
 
@@ -178,6 +183,59 @@ class TestResume:
         # Everything committed is served; only the remainder executed.
         assert resumed.status().cache_hits == committed
         store.close()
+
+
+def _rewrite_stored_row(store_path, edit) -> None:
+    """Apply ``edit`` to the one row in the store, behind the store's back."""
+    connection = sqlite3.connect(store_path)
+    try:
+        with connection:
+            ((text,),) = connection.execute("SELECT row FROM trials").fetchall()
+            row = json.loads(text)
+            edit(row)
+            connection.execute("UPDATE trials SET row = ?", (json.dumps(row, sort_keys=True),))
+    finally:
+        connection.close()
+
+
+class TestServedRows:
+    """A hit is served onto the requested spec; a malformed stored row is refused."""
+
+    SPEC = TrialSpec(protocol="restricted_sync", workload="uniform_box", adversary="crash",
+                     process_count=4, dimension=1, fault_bound=1, max_rounds_override=2, seed=9)
+
+    def _store_at_index(self, tmp_path, trial_index: int):
+        # Campaign(...) keeps trial_index verbatim (from_specs would renumber).
+        store_path = tmp_path / "store.db"
+        stored = replace(self.SPEC, trial_index=trial_index)
+        run_campaign(Campaign(name="stored", specs=(stored,)), store=store_path)
+        return store_path
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda row: row.update(spec_bogus=1),
+            lambda row: row.pop("spec_protocol"),
+            lambda row: row.update(bogus=1),
+            lambda row: row.pop("status"),
+        ],
+        ids=["extra-spec-field", "missing-spec-field", "unknown-outcome-field", "no-status"],
+    )
+    def test_malformed_rows_are_rejected(self, tmp_path, corrupt):
+        store_path = self._store_at_index(tmp_path, 0)
+        _rewrite_stored_row(store_path, corrupt)
+        with pytest.raises(ConfigurationError):
+            run_campaign(Campaign(name="warm", specs=(self.SPEC,)), store=store_path)
+
+    def test_row_from_another_index_is_served_at_the_requested_one(self, tmp_path):
+        store_path = self._store_at_index(tmp_path, 7)
+        requested = Campaign(name="warm", specs=(replace(self.SPEC, trial_index=3),))
+        summary, served = run_campaign(requested, store=store_path, collect=True)
+        _, fresh = run_campaign(requested, collect=True)
+        assert summary.cache_hits == 1
+        assert served[0].spec.trial_index == 3
+        rows = [result.to_row() for result in served]
+        assert strip_timing(rows) == strip_timing(result.to_row() for result in fresh)
 
 
 class TestStoreKeysAgainstLiveRows:
