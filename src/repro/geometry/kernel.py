@@ -184,7 +184,8 @@ def _family_2d(cloud: np.ndarray, fault_bound: int) -> tuple[tuple[int, ...], ..
     Ties inside an arc can only come from coincident members, and dropping
     either copy yields the same hull, so a fixed index tie-break is exact.
     """
-    upper_i, upper_j = _upper_pairs(cloud.shape[0])
+    point_count = cloud.shape[0]
+    upper_i, upper_j = _upper_pairs(point_count)
     differences = cloud[upper_j] - cloud[upper_i]
     nonzero = np.any(differences != 0.0, axis=1)
     differences = differences[nonzero]
@@ -193,19 +194,26 @@ def _family_2d(cloud: np.ndarray, fault_bound: int) -> tuple[tuple[int, ...], ..
     else:
         events = np.mod(np.arctan2(differences[:, 1], differences[:, 0]) + 0.5 * np.pi, np.pi)
         events = np.unique(np.concatenate([events, events + np.pi]))
-        midpoints = (events + np.roll(events, -1)) / 2.0
+        midpoints = np.empty_like(events)
+        midpoints[:-1] = (events[:-1] + events[1:]) / 2.0
         midpoints[-1] = (events[-1] + events[0] + 2.0 * np.pi) / 2.0
         directions = np.column_stack([np.cos(midpoints), np.sin(midpoints)])
     projections = cloud @ directions.T
-    # One stable descending sort over all directions at once; stability is the
-    # index tie-break.  Distinct drop sets (f members each) are far cheaper to
-    # tell apart than the kept sets they determine.
-    order = np.argsort(-projections, axis=0, kind="stable")
-    drop_sets = {frozenset(column) for column in order[:fault_bound].T.tolist()}
-    members = range(cloud.shape[0])
-    return tuple(
-        sorted(tuple(index for index in members if index not in drop) for drop in drop_sets)
-    )
+    # Per direction, the f members of largest projection, ties to the lowest
+    # index.  Distinct drop sets (f members each) are far cheaper to tell
+    # apart than the kept sets they determine.
+    if fault_bound == 1:
+        # argmax returns the first maximum: the stable sort's tie-break.
+        drops = np.unique(np.argmax(projections, axis=0))[:, None]
+    else:
+        order = np.argsort(-projections, axis=0, kind="stable")
+        drops = np.asarray(
+            [tuple(drop) for drop in {frozenset(column) for column in order[:fault_bound].T.tolist()}]
+        )
+    kept = np.ones((drops.shape[0], point_count), dtype=bool)
+    kept[np.arange(drops.shape[0])[:, None], drops] = False
+    members = np.nonzero(kept)[1].reshape(drops.shape[0], point_count - fault_bound)
+    return tuple(sorted(map(tuple, members.tolist())))
 
 
 def _family_dedupe_dominated(
@@ -227,7 +235,7 @@ def _family_dedupe_dominated(
         return tuple(families)
     value_ids = np.empty(cloud.shape[0], dtype=np.int64)
     value_ids[order] = np.concatenate(([0], np.cumsum(starts_new_value)))
-    value_sets = [frozenset(int(value_ids[index]) for index in family) for family in families]
+    value_sets = [frozenset(row) for row in value_ids[np.asarray(families)].tolist()]
     # Smaller value sets first: a set can only be dominated by a strictly
     # smaller (or equal, earlier-kept) one.
     order = sorted(range(len(families)), key=lambda k: (len(value_sets[k]), families[k]))

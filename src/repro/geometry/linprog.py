@@ -24,6 +24,8 @@ import, and published as :data:`LP_BACKEND`; nothing selects it at run time.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Sequence
@@ -141,6 +143,21 @@ def _highs_options(presolve: bool, solver: str | None, tolerances: float | None)
     return options
 
 
+#: Per thread: ``highs``, the ``_Highs`` instance it solves on, and
+#: ``options_key``, the ``(presolve, solver, tolerances)`` it last passed.
+_SOLVERS = threading.local()
+
+
+def _forget_solvers() -> None:
+    """Drop every thread's instance: a forked child builds its own."""
+    global _SOLVERS
+    _SOLVERS = threading.local()
+
+
+if hasattr(os, "register_at_fork"):  # absent where the pool spawns instead of forking
+    os.register_at_fork(after_in_child=_forget_solvers)
+
+
 def _run_highs_core(
     cost: np.ndarray,
     csc: Any,
@@ -158,6 +175,15 @@ def _run_highs_core(
     ``csc`` is a canonical (sorted, duplicate-free) CSC matrix; absent bounds
     are ``±inf``.  Returns ``(status, x, fun)`` in the scipy status
     convention; ``x`` and ``fun`` are ``None`` unless HiGHS found an optimum.
+
+    Each thread solves on one ``_Highs`` instance of its own (building one
+    costs about as much as a small solve).  The instance returns the vertex a
+    fresh one would, because nothing a solve depends on survives the
+    previous one: ``clearSolver`` discards the basis, scaling and solution
+    before every model is passed, and the options are passed again whenever
+    they differ from the last set the instance took — so the default solve
+    after a retry rung runs with presolve back on.  An instance that reported
+    ``kError`` is dropped, and a forked child never inherits one.
     """
     row_count, column_count = csc.shape
     program = _highs.HighsLp()
@@ -178,16 +204,26 @@ def _run_highs_core(
     program.row_lower_ = row_lower.tolist()
     program.row_upper_ = row_upper.tolist()
 
-    # A fresh instance per solve, as linprog does: no basis, scaling or
-    # random state survives from one program into the next.
-    highs = _highs._Highs()
+    solver_state = _SOLVERS
+    highs = getattr(solver_state, "highs", None)
+    if highs is None:
+        highs = solver_state.highs = _highs._Highs()
+        solver_state.options_key = None
     error = _highs.HighsStatus.kError
-    if highs.passOptions(_highs_options(presolve, solver, tolerances)) == error:
-        return _SCIPY_STATUS.get(highs.getModelStatus().name, _STATUS_NUMERICAL), None, None
+    options_key = (presolve, solver, tolerances)
+    if solver_state.options_key != options_key:
+        if highs.passOptions(_highs_options(*options_key)) == error:
+            solver_state.highs = None
+            return _STATUS_NUMERICAL, None, None  # a fresh instance's model status is kNotset
+        solver_state.options_key = options_key
+    highs.clearSolver()
     if highs.passModel(program) == error:
+        solver_state.highs = None
         return _STATUS_INFEASIBLE, None, None  # linprog reads a rejected model as kModelError
     run_status = highs.run()
     model_status = highs.getModelStatus()
+    if run_status == error:
+        solver_state.highs = None
     if run_status == error or model_status != _highs.HighsModelStatus.kOptimal:
         status = _SCIPY_STATUS.get(model_status.name, _STATUS_NUMERICAL)
         # "Optimal" without a readable solution is a numerical failure.

@@ -1,7 +1,8 @@
 """The vectorised planar sweep against the per-direction loop it replaced.
 
-``_family_2d`` sorts every sweep direction in one ``argsort`` and tells the
-distinct drop sets apart as a whole; the loop below is the former
+``_family_2d`` sorts every sweep direction in one ``argsort`` (at ``f = 1``
+one ``argmax``, whose first-maximum rule is the sort's tie-break) and tells
+the distinct drop sets apart as a whole; the loop below is the former
 implementation — one ``lexsort`` per direction with an explicit index
 tie-break — kept here as the reference, as is the former
 ``np.unique(axis=0)`` labelling of the domination collapse.  New and old must
@@ -63,7 +64,8 @@ def reference_dedupe_dominated(cloud, families):
 
 coordinate = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
 point = st.tuples(coordinate, coordinate)
-fault_bounds = st.sampled_from([1, 2, 3])
+# f = 1 takes the argmax route, f >= 2 the stable sort: draw both explicitly.
+fault_bounds = st.sampled_from([1, 2, 3, 4])
 
 
 @st.composite
@@ -95,11 +97,45 @@ def coincident_clouds(draw):
     return np.tile(np.asarray(draw(point), dtype=float), (count, 1))
 
 
-@pytest.mark.parametrize(
-    "clouds",
-    [random_clouds(), duplicate_heavy_clouds(), collinear_clouds(), coincident_clouds()],
-    ids=["random", "duplicate-heavy", "collinear", "all-coincident"],
-)
+@st.composite
+def near_collinear_clouds(draw):
+    """A line plus at most 1e-12 of jitter: event angles crowd around one pair."""
+    line = draw(collinear_clouds())
+    jitter = st.floats(min_value=-1e-12, max_value=1e-12, allow_nan=False)
+    offsets = draw(st.lists(st.tuples(jitter, jitter), min_size=len(line), max_size=len(line)))
+    return line + np.asarray(offsets, dtype=float)
+
+
+@st.composite
+def hull_vertex_copies_clouds(draw):
+    """Copies of hull members inserted at lower and higher indices.
+
+    The members extreme in ``±x`` and ``±y`` lie on the hull; their copies go
+    anywhere, so the extreme member of many directions is tied and the
+    index tie-break decides which copy is dropped.
+    """
+    cloud = draw(random_clouds())
+    vertices = [
+        cloud[np.argmax(cloud[:, 0])], cloud[np.argmin(cloud[:, 0])],
+        cloud[np.argmax(cloud[:, 1])], cloud[np.argmin(cloud[:, 1])],
+    ]
+    members = list(cloud)
+    for vertex in draw(st.lists(st.sampled_from(vertices), min_size=1, max_size=6)):
+        members.insert(draw(st.integers(0, len(members))), vertex)
+    return np.asarray(members, dtype=float)
+
+
+CLOUDS = [
+    random_clouds(), duplicate_heavy_clouds(), collinear_clouds(), coincident_clouds(),
+    near_collinear_clouds(), hull_vertex_copies_clouds(),
+]
+CLOUD_IDS = [
+    "random", "duplicate-heavy", "collinear", "all-coincident",
+    "near-collinear", "hull-vertex-copies",
+]
+
+
+@pytest.mark.parametrize("clouds", CLOUDS, ids=CLOUD_IDS)
 def test_vectorised_sweep_matches_the_loop(clouds):
     @settings(max_examples=60, deadline=None)
     @given(cloud=clouds, fault_bound=fault_bounds)
@@ -109,11 +145,7 @@ def test_vectorised_sweep_matches_the_loop(clouds):
     check()
 
 
-@pytest.mark.parametrize(
-    "clouds",
-    [random_clouds(), duplicate_heavy_clouds(), collinear_clouds(), coincident_clouds()],
-    ids=["random", "duplicate-heavy", "collinear", "all-coincident"],
-)
+@pytest.mark.parametrize("clouds", CLOUDS, ids=CLOUD_IDS)
 def test_pruned_family_matches_the_reference_pipeline(clouds):
     """Sweep plus domination collapse, end to end, as the kernel consumes it."""
 

@@ -6,10 +6,18 @@ program the package builds, the status and the solution must be *bitwise*
 the ones the ``linprog`` front end reports, and the retry ladder must take
 the same rungs in the same order.  ``reference_solve`` below is the former
 ``linprog``-based implementation, kept here as the oracle.
+
+The seam keeps one ``_Highs`` instance per thread; ``fresh_instance_solve``
+below is the seam as it was before, one new instance per solve, kept as the
+oracle the shared instance must equal bit for bit.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import random
+import sys
+import threading
 from collections import Counter
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
@@ -390,6 +398,209 @@ def assemble(program: dict[str, Any]) -> tuple[Any, ...]:
         program.get("equality_rhs"),
         program.get("bounds", (0, None)),
     )
+
+
+# ---------------------------------------------------------------------------
+# One instance per thread against one instance per solve
+# ---------------------------------------------------------------------------
+
+def fresh_instance_solve(
+    cost: np.ndarray,
+    csc: Any,
+    row_lower: np.ndarray,
+    row_upper: np.ndarray,
+    col_lower: np.ndarray,
+    col_upper: np.ndarray,
+    *,
+    presolve: bool = True,
+    solver: str | None = None,
+    tolerances: float | None = None,
+) -> tuple[int, np.ndarray | None, float | None]:
+    """The seam before instances were kept: a new ``_Highs`` for every solve."""
+    highs_core = linprog_module._highs
+    row_count, column_count = csc.shape
+    program = highs_core.HighsLp()
+    program.num_col_ = column_count
+    program.num_row_ = row_count
+    matrix = program.a_matrix_
+    matrix.num_col_ = column_count
+    matrix.num_row_ = row_count
+    matrix.format_ = highs_core.MatrixFormat.kColwise
+    matrix.start_ = csc.indptr.tolist()
+    matrix.index_ = csc.indices.tolist()
+    matrix.value_ = csc.data.tolist()
+    program.col_cost_ = cost.tolist()
+    program.col_lower_ = col_lower.tolist()
+    program.col_upper_ = col_upper.tolist()
+    program.row_lower_ = row_lower.tolist()
+    program.row_upper_ = row_upper.tolist()
+
+    highs = highs_core._Highs()
+    error = highs_core.HighsStatus.kError
+    statuses = linprog_module._SCIPY_STATUS
+    if highs.passOptions(linprog_module._highs_options(presolve, solver, tolerances)) == error:
+        return statuses.get(highs.getModelStatus().name, 4), None, None
+    if highs.passModel(program) == error:
+        return 2, None, None
+    run_status = highs.run()
+    model_status = highs.getModelStatus()
+    if run_status == error or model_status != highs_core.HighsModelStatus.kOptimal:
+        status = statuses.get(model_status.name, 4)
+        return (4 if status == 0 else status), None, None
+
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    activity = np.array(solution.row_value)
+    fun = highs.getInfo().objective_function_value
+    tolerance = linprog_module._RESIDUAL_TOLERANCE
+    within_tolerance = (
+        not np.isnan(fun)
+        and (x >= col_lower - tolerance).all()
+        and (x <= col_upper + tolerance).all()
+        and (row_upper - activity >= -tolerance).all()
+        and (row_lower - activity <= tolerance).all()
+    )
+    return (0 if within_tolerance else 4), x, fun
+
+
+def bits(answer: tuple[int, np.ndarray | None, float | None]) -> tuple[Any, ...]:
+    """A seam answer as exactly comparable values: status, vertex bytes, optimum in hex."""
+    status, x, fun = answer
+    return status, None if x is None else x.tobytes(), None if fun is None else float(fun).hex()
+
+
+#: Every option set the ladder sends to the seam: the first solve, then each rung's.
+SEAM_OPTIONS = ({}, {"presolve": False}, {"solver": "ipm"}, {"tolerances": 1e-6})
+
+
+@pytest.fixture(scope="module")
+def reuse_corpus() -> list[tuple[int, tuple[Any, ...], dict[str, Any], tuple[Any, ...]]]:
+    """``(program id, program, options, fresh-instance answer)`` in a seeded shuffled order.
+
+    Γ templates (strict and relaxed), hull distances and memberships,
+    halfspace programs, infeasible and unbounded programs — each under every
+    option set, so a default solve often follows a retry rung's.
+    """
+    programs = [
+        assemble(program)
+        for _, cloud, fault_bound in gamma_clouds()
+        if cloud.shape[0] <= 13
+        for program in kernel_programs(cloud, fault_bound)
+    ]
+    programs += [assemble(program) for program in hull_and_halfspace_programs()]
+    programs += [assemble(program) for program in bounds_form_programs()]
+    calls = [(index, options) for index in range(len(programs)) for options in SEAM_OPTIONS]
+    random.Random(27).shuffle(calls)
+    return [
+        (index, programs[index], options, bits(fresh_instance_solve(*programs[index], **options)))
+        for index, options in calls
+    ]
+
+
+def solve_corpus(corpus, order: list[int]) -> dict[int, tuple[Any, ...]]:
+    """Solve the corpus entries at ``order`` through the seam, in that order."""
+    return {
+        position: bits(linprog_module._run_highs_core(*corpus[position][1], **corpus[position][2]))
+        for position in order
+    }
+
+
+class TestOneInstancePerThread:
+    def test_shared_instance_equals_fresh_instances(self, reuse_corpus):
+        expected = {position: entry[3] for position, entry in enumerate(reuse_corpus)}
+        assert solve_corpus(reuse_corpus, list(expected)) == expected
+        # The corpus can see a stale option set: presolve off moves vertices,
+        # so an instance that kept a rung's options would fail above.
+        by_program: dict[int, dict[Any, tuple[Any, ...]]] = {}
+        for index, _, options, answer in reuse_corpus:
+            by_program.setdefault(index, {})[tuple(options.items())] = answer
+        moved = [
+            index for index, answers in by_program.items()
+            if answers[()] != answers[(("presolve", False),)]
+        ]
+        assert len(moved) >= 10, f"only {len(moved)} programs move with presolve off"
+        assert {answer[0] for *_, answer in reuse_corpus} >= {0, 2, 3}
+
+    def test_threads_at_once_each_keep_their_own_instance(self, reuse_corpus):
+        expected = {position: entry[3] for position, entry in enumerate(reuse_corpus)}
+        thread_count = 3
+        barrier = threading.Barrier(thread_count)
+        answers: dict[int, dict[int, tuple[Any, ...]]] = {}
+        instances: dict[int, Any] = {}  # held, so no id is reused
+
+        def solve_in_thread(name: int) -> None:
+            order = list(expected)
+            random.Random(name).shuffle(order)
+            barrier.wait(timeout=30)
+            answers[name] = solve_corpus(reuse_corpus, order)
+            instances[name] = linprog_module._SOLVERS.highs
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=solve_in_thread, args=(name,)) for name in range(thread_count)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(answers) == list(range(thread_count))
+        for name in answers:
+            assert answers[name] == expected, f"thread {name}"
+        assert len({id(instance) for instance in instances.values()}) == thread_count
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+    )
+    def test_fork_child_builds_its_own_instance(self, reuse_corpus):
+        expected = {position: entry[3] for position, entry in enumerate(reuse_corpus)}
+        solve_corpus(reuse_corpus, [0])
+        assert linprog_module._SOLVERS.highs is not None
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+
+        def child() -> None:
+            inherited = getattr(linprog_module._SOLVERS, "highs", None)
+            sender.send((inherited is None, solve_corpus(reuse_corpus, list(expected))))
+
+        process = context.Process(target=child)
+        process.start()
+        try:
+            assert receiver.poll(timeout=300), "the fork child sent nothing"
+            started_without_instance, answers = receiver.recv()
+        finally:
+            process.join(timeout=30)
+        assert not process.is_alive() and process.exitcode == 0
+        assert started_without_instance
+        assert answers == expected
+        # The parent's own instance is untouched by the child.
+        first = list(expected)[:20]
+        assert solve_corpus(reuse_corpus, first) == {position: expected[position] for position in first}
+
+    def test_an_instance_that_reported_an_error_is_dropped(self):
+        program = assemble(bounds_form_programs()[0])
+        linprog_module._run_highs_core(*program)
+        state = linprog_module._SOLVERS
+        kept = state.highs
+
+        class RejectsModels:
+            """The thread's instance, except that every model is rejected."""
+
+            def clearSolver(self) -> Any:
+                return kept.clearSolver()
+
+            def passModel(self, model: Any) -> Any:
+                return linprog_module._highs.HighsStatus.kError
+
+        state.highs = RejectsModels()
+        assert linprog_module._run_highs_core(*program) == (2, None, None)
+        assert state.highs is None
+        assert bits(linprog_module._run_highs_core(*program)) == bits(fresh_instance_solve(*program))
+        assert state.highs is not None and state.highs is not kept
 
 
 # ---------------------------------------------------------------------------
