@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import check_approximate_outcome, run_restricted_sync_bvc
-from repro.analysis.metrics import mean_distance_to_point
 from repro.analysis.report import render_table
 from repro.byzantine import RandomNoiseStrategy
 from repro.core.baselines import coordinatewise_median
@@ -82,7 +81,7 @@ def main() -> None:
         {
             "aggregation rule": "BVC (restricted sync rounds)",
             "aggregate": np.round(bvc_aggregate, 3).tolist(),
-            "distance to honest centroid": mean_distance_to_point(outcome.decisions, honest_centroid),
+            "distance to honest centroid": float(np.linalg.norm(bvc_aggregate - honest_centroid)),
             "distance outside honest hull": distance_to_hull(honest_cloud, bvc_aggregate),
         },
     ]

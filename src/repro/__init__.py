@@ -10,10 +10,11 @@ synchronous and asynchronous message-passing systems:
   BVC algorithm, the restricted-round variants, the safe area ``Gamma``, the
   resilience bounds, and the impossibility constructions;
 * :mod:`repro.geometry` — the convex-geometry substrate (hulls, Tverberg
-  partitions, centerpoints), all phrased as linear programs;
+  partitions, the ``Gamma`` kernel and its halfspace-depth oracle), mostly
+  phrased as linear programs;
 * :mod:`repro.network`, :mod:`repro.processes` — complete-graph FIFO
   networks with synchronous and asynchronous runtimes;
-* :mod:`repro.consensus`, :mod:`repro.broadcast` — the scalar substrates
+* :mod:`repro.consensus`, :mod:`repro.broadcast` — the broadcast substrates
   (EIG Byzantine broadcast, Bracha reliable broadcast, the AAD witness
   exchange);
 * :mod:`repro.byzantine` — adversary strategies;
@@ -21,7 +22,7 @@ synchronous and asynchronous message-passing systems:
   specs, campaign grids with deterministic seed derivation, and a
   worker-pool executor streaming JSONL results;
 * :mod:`repro.workloads`, :mod:`repro.analysis` — input generators,
-  experiment runners, metrics and reporting.
+  experiment runners and reporting.
 
 Quick start::
 

@@ -1,39 +1,21 @@
-"""Experiment support: convergence bookkeeping, metrics, runners and reporting."""
+"""Experiment support: convergence bookkeeping, runners and reporting."""
 
 from repro.analysis.convergence import (
-    ConvergenceTrace,
     contraction_factor,
     coordinate_ranges_per_round,
     max_range_per_round,
     measured_contraction_factors,
     round_threshold,
-    rounds_to_reach,
-    trace_from_histories,
-)
-from repro.analysis.metrics import (
-    decision_cloud,
-    decision_spread_summary,
-    max_coordinate_disagreement,
-    max_validity_violation,
-    mean_distance_to_point,
 )
 from repro.analysis.report import format_value, render_series, render_table
 from repro.analysis import experiments
 
 __all__ = [
-    "ConvergenceTrace",
     "contraction_factor",
     "coordinate_ranges_per_round",
     "max_range_per_round",
     "measured_contraction_factors",
     "round_threshold",
-    "rounds_to_reach",
-    "trace_from_histories",
-    "decision_cloud",
-    "decision_spread_summary",
-    "max_coordinate_disagreement",
-    "max_validity_violation",
-    "mean_distance_to_point",
     "format_value",
     "render_series",
     "render_table",

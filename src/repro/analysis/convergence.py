@@ -14,7 +14,6 @@ quantities on recorded state histories so the experiments can compare the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -28,9 +27,6 @@ __all__ = [
     "coordinate_ranges_per_round",
     "max_range_per_round",
     "measured_contraction_factors",
-    "rounds_to_reach",
-    "ConvergenceTrace",
-    "trace_from_histories",
 ]
 
 
@@ -75,61 +71,3 @@ def measured_contraction_factors(state_histories: Mapping[int, Sequence[np.ndarr
         previous = ranges[round_index - 1]
         factors.append(0.0 if previous <= 1e-15 else float(ranges[round_index] / previous))
     return np.asarray(factors)
-
-
-def rounds_to_reach(state_histories: Mapping[int, Sequence[np.ndarray]], epsilon: float) -> int | None:
-    """Return the first round index at which every coordinate range is below ``epsilon``.
-
-    Returns ``None`` when the recorded history never gets there (e.g. it was
-    truncated by ``max_rounds_override``).
-    """
-    if epsilon <= 0:
-        raise ConfigurationError("epsilon must be positive")
-    ranges = max_range_per_round(state_histories)
-    below = np.nonzero(ranges < epsilon)[0]
-    return int(below[0]) if below.size else None
-
-
-@dataclass(frozen=True)
-class ConvergenceTrace:
-    """Summary of a convergence experiment on one protocol run.
-
-    Attributes:
-        gamma: the theoretical contraction weight used by the algorithm.
-        theoretical_rounds: the static round threshold the algorithm ran.
-        measured_rounds_to_epsilon: first round with all ranges below epsilon
-            (``None`` when not reached within the recorded history).
-        initial_range: ``max_l rho_l[0]``.
-        final_range: ``max_l rho_l`` after the last recorded round.
-        worst_measured_contraction: the largest per-round contraction factor
-            observed (must be at most ``1 - gamma`` up to numerical noise for
-            the paper's bound to hold).
-    """
-
-    gamma: float
-    theoretical_rounds: int
-    measured_rounds_to_epsilon: int | None
-    initial_range: float
-    final_range: float
-    worst_measured_contraction: float
-
-
-def trace_from_histories(
-    state_histories: Mapping[int, Sequence[np.ndarray]],
-    epsilon: float,
-    gamma: float,
-    value_range: float | None = None,
-) -> ConvergenceTrace:
-    """Build a :class:`ConvergenceTrace` from recorded per-round states."""
-    ranges = max_range_per_round(state_histories)
-    factors = measured_contraction_factors(state_histories)
-    initial_range = float(ranges[0])
-    effective_range = value_range if value_range is not None else initial_range
-    return ConvergenceTrace(
-        gamma=gamma,
-        theoretical_rounds=round_threshold(effective_range, epsilon, gamma),
-        measured_rounds_to_epsilon=rounds_to_reach(state_histories, epsilon),
-        initial_range=initial_range,
-        final_range=float(ranges[-1]),
-        worst_measured_contraction=float(factors.max()) if factors.size else 0.0,
-    )

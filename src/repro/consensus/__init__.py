@@ -1,27 +1,9 @@
-"""Scalar consensus substrate: EIG broadcast and scalar agreement algorithms."""
+"""Scalar consensus substrate: EIG Byzantine broadcast (the Exact BVC first step)."""
 
 from repro.consensus.eig import EigBroadcastInstance, EigBroadcastProcess, eig_round_count
-from repro.consensus.scalar_exact import (
-    ScalarConsensusOutcome,
-    ScalarConsensusProcess,
-    lower_median,
-    run_scalar_consensus,
-)
-from repro.consensus.scalar_approx import (
-    ScalarApproxOutcome,
-    ScalarApproxProcess,
-    run_scalar_approx_consensus,
-)
 
 __all__ = [
     "EigBroadcastInstance",
     "EigBroadcastProcess",
     "eig_round_count",
-    "ScalarConsensusOutcome",
-    "ScalarConsensusProcess",
-    "lower_median",
-    "run_scalar_consensus",
-    "ScalarApproxOutcome",
-    "ScalarApproxProcess",
-    "run_scalar_approx_consensus",
 ]

@@ -30,8 +30,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.consensus.scalar_exact import lower_median
 from repro.core.safe_area import SafeAreaCalculator
+from repro.exceptions import ProtocolError
 from repro.geometry.multisets import PointMultiset
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "restricted_round_reduce",
     "restricted_round_step",
     "exact_decision",
+    "lower_median",
     "coordinatewise_decision",
     "approx_subset_families",
     "approx_round_step",
@@ -109,6 +110,14 @@ def restricted_round_step(
 def exact_decision(points: PointMultiset | np.ndarray, chooser: SafeAreaCalculator) -> np.ndarray:
     """The Exact BVC decision: the deterministic ``Gamma`` point of ``S``."""
     return chooser.choose(points)
+
+
+def lower_median(values: np.ndarray) -> float:
+    """Return the lower median (element at index ``(k - 1) // 2`` of the sorted values)."""
+    ordered = np.sort(np.asarray(values, dtype=float).reshape(-1))
+    if ordered.size == 0:
+        raise ProtocolError("median of an empty collection is undefined")
+    return float(ordered[(ordered.size - 1) // 2])
 
 
 def coordinatewise_decision(cloud: np.ndarray) -> np.ndarray:

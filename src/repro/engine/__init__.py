@@ -24,7 +24,6 @@ from repro.engine.session import (
     SESSION_STATES,
     CampaignSession,
     CampaignStatus,
-    CampaignSummary,
     ClaimedEvent,
     FallbackEvent,
     FinishedEvent,
@@ -108,7 +107,6 @@ __all__ = [
     "Campaign",
     "CampaignSession",
     "CampaignStatus",
-    "CampaignSummary",
     "ClaimedEvent",
     "CostModel",
     "ExecutionUnit",

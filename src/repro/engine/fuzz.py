@@ -200,7 +200,6 @@ class FuzzReport:
     validity_failures: int
     elapsed_seconds: float
     workers: int
-    jsonl_path: str | None
     violations: tuple[FuzzViolation, ...] = field(default=())
     #: Scenarios served straight from the results store (0 without a store).
     cache_hits: int = 0
@@ -311,7 +310,6 @@ def run_fuzz(
         validity_failures=summary.validity_failures,
         elapsed_seconds=summary.elapsed_seconds,
         workers=workers,
-        jsonl_path=summary.jsonl_path,
         violations=tuple(violations),
         cache_hits=summary.cache_hits,
         fallback_reasons=summary.fallback_reasons,

@@ -42,7 +42,7 @@ import threading
 import time
 import uuid
 from contextlib import closing, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, Union
 
@@ -69,7 +69,6 @@ __all__ = [
     "STORE_COMMIT_CHUNK",
     "CampaignSession",
     "CampaignStatus",
-    "CampaignSummary",
     "ClaimedEvent",
     "FallbackEvent",
     "FinishedEvent",
@@ -324,13 +323,18 @@ class FinishedEvent(SessionEvent):
 
 
 # ---------------------------------------------------------------------------
-# Status + summary
+# Status
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CampaignStatus:
-    """Point-in-time snapshot of a session (safe to take from any thread)."""
+    """Point-in-time snapshot of a session (safe to take from any thread).
+
+    The final snapshot is the run's record: :meth:`CampaignSession.summary`
+    and :func:`run_campaign` return it, and :meth:`to_row` is its CLI table
+    row.
+    """
 
     run_id: str
     name: str
@@ -343,6 +347,9 @@ class CampaignStatus:
     validity_failures: int
     cache_hits: int
     deferred: int
+    #: Executed trials the planner routed to the object engine, counted per
+    #: :class:`~repro.engine.vectorized.FallbackReason` value.  Store-served
+    #: trials are never planned, so they are not counted here.
     fallback_reasons: dict[str, int]
     workers: int
     engine: str
@@ -351,7 +358,12 @@ class CampaignStatus:
 
     @property
     def trials_per_second(self) -> float:
-        """Emission throughput so far, clamped to 0.0 when no time elapsed."""
+        """Emission throughput so far, clamped to 0.0 when no time elapsed.
+
+        A zero-length (or clock-resolution-zero) run must not report
+        ``inf``: ``json.dumps`` would emit ``Infinity``, which is not valid
+        JSON and breaks downstream row consumers.
+        """
         return self.emitted / self.elapsed_seconds if self.elapsed_seconds > 0 else 0.0
 
     @property
@@ -380,43 +392,8 @@ class CampaignStatus:
             "error": self.error,
         }
 
-
-@dataclass(frozen=True)
-class CampaignSummary:
-    """Aggregate view of a finished campaign run."""
-
-    name: str
-    trials: int
-    ok: int
-    errors: int
-    agreement_failures: int
-    validity_failures: int
-    elapsed_seconds: float
-    workers: int
-    jsonl_path: str | None
-    engine: str = "object"
-    #: Trials served straight from the results store (0 without a store).
-    cache_hits: int = 0
-    #: Executed trials the planner routed to the object engine, counted per
-    #: :class:`~repro.engine.vectorized.FallbackReason` value.  Store-served
-    #: trials are never planned, so they are not counted here.
-    fallback_reasons: dict[str, int] = field(default_factory=dict)
-    #: Identifier of the session that produced this summary ("" for summaries
-    #: built by hand, e.g. in tests).
-    run_id: str = ""
-
-    @property
-    def trials_per_second(self) -> float:
-        """Throughput, clamped to 0.0 when no time was measured.
-
-        A zero-length (or clock-resolution-zero) run must not report
-        ``inf``: ``json.dumps`` would emit ``Infinity``, which is not valid
-        JSON and breaks downstream row consumers.
-        """
-        return self.trials / self.elapsed_seconds if self.elapsed_seconds > 0 else 0.0
-
     def to_row(self) -> dict[str, Any]:
-        """One table row for the CLI / benchmarks."""
+        """One table row for the CLI's campaign summary."""
         return {
             "campaign": self.name,
             "engine": self.engine,
@@ -569,24 +546,9 @@ class CampaignSession:
                 error=self._error,
             )
 
-    def summary(self, jsonl_path: str | Path | None = None) -> CampaignSummary:
-        """The run's :class:`CampaignSummary` (meaningful once finished)."""
-        status = self.status()
-        return CampaignSummary(
-            name=self.name,
-            trials=status.trials,
-            ok=status.ok,
-            errors=status.errors,
-            agreement_failures=status.agreement_failures,
-            validity_failures=status.validity_failures,
-            elapsed_seconds=status.elapsed_seconds,
-            workers=self.workers,
-            jsonl_path=str(jsonl_path) if jsonl_path is not None else None,
-            engine=self.engine,
-            cache_hits=status.cache_hits,
-            fallback_reasons=status.fallback_reasons,
-            run_id=self.run_id,
-        )
+    def summary(self) -> CampaignStatus:
+        """The run's final :class:`CampaignStatus` (meaningful once finished)."""
+        return self.status()
 
     # -- consumption ---------------------------------------------------------
 
@@ -949,7 +911,7 @@ def run_campaign(
     reuse_cached: bool = True,
     chunksize: int | None = None,
     trace: TraceRecorder | None = None,
-) -> tuple[CampaignSummary, list[TrialResult]]:
+) -> tuple[CampaignStatus, list[TrialResult]]:
     """Run every trial of the campaign, streaming rows to the optional sink.
 
     The blocking form of a :class:`CampaignSession` (same ``workers`` /
@@ -957,9 +919,10 @@ def run_campaign(
     meaning).  Each row, in spec order, is written to ``jsonl_path``, passed
     to ``on_result`` (an exception raised there aborts the run) and — only
     when ``collect=True`` — kept for the returned list; large sweeps should
-    rely on the JSONL sink and keep ``collect`` off.  Returns the summary
-    (``cache_hits`` reports the store's share) and the collected rows.  The
-    caller owns writing a recorded ``trace`` out (``trace.write(path)``).
+    rely on the JSONL sink and keep ``collect`` off.  Returns the final
+    :class:`CampaignStatus` (``cache_hits`` reports the store's share) and the
+    collected rows.  The caller owns writing a recorded ``trace`` out
+    (``trace.write(path)``).
     """
     session = CampaignSession(
         campaign,
@@ -982,4 +945,4 @@ def run_campaign(
                 on_result(result)
             if collect:
                 collected.append(result)
-    return session.summary(jsonl_path), collected
+    return session.summary(), collected

@@ -6,17 +6,7 @@ is phrased, wherever possible, as small linear programs so that degenerate
 handled exactly.
 """
 
-from repro.geometry.points import (
-    as_point,
-    as_cloud,
-    bounding_box,
-    centroid,
-    coordinate_range,
-    pairwise_max_coordinate_gap,
-    affine_rank,
-    euclidean_distance,
-    max_norm_distance,
-)
+from repro.geometry.points import as_point, as_cloud, centroid
 from repro.geometry.multisets import PointMultiset, iter_index_partitions, iter_index_subsets
 from repro.geometry.linprog import LinearProgramResult, solve_linear_program, feasibility_program
 from repro.geometry.kernel import (
@@ -24,19 +14,16 @@ from repro.geometry.kernel import (
     KernelStats,
     default_kernel,
     full_subset_family,
+    halfspace_depth,
     pruned_subset_family,
     safe_area_interval_1d,
 )
 from repro.geometry.convex_hull import (
-    ConvexHullRegion,
     contains_point,
     convex_combination_weights,
     distance_to_hull,
-    hull_vertices,
-    hulls_intersect,
     hulls_intersection_point,
 )
-from repro.geometry.halfspaces import Halfspace, HalfspaceRegion, separating_hyperplane
 from repro.geometry.tverberg import (
     TverbergPartition,
     figure1_instance,
@@ -45,23 +32,11 @@ from repro.geometry.tverberg import (
     tverberg_points_required,
     verify_tverberg_partition,
 )
-from repro.geometry.centerpoint import (
-    find_centerpoint,
-    halfspace_depth,
-    is_centerpoint,
-    required_center_depth,
-)
 
 __all__ = [
     "as_point",
     "as_cloud",
-    "bounding_box",
     "centroid",
-    "coordinate_range",
-    "pairwise_max_coordinate_gap",
-    "affine_rank",
-    "euclidean_distance",
-    "max_norm_distance",
     "PointMultiset",
     "iter_index_partitions",
     "iter_index_subsets",
@@ -72,26 +47,17 @@ __all__ = [
     "KernelStats",
     "default_kernel",
     "full_subset_family",
+    "halfspace_depth",
     "pruned_subset_family",
     "safe_area_interval_1d",
-    "ConvexHullRegion",
     "contains_point",
     "convex_combination_weights",
     "distance_to_hull",
-    "hull_vertices",
-    "hulls_intersect",
     "hulls_intersection_point",
-    "Halfspace",
-    "HalfspaceRegion",
-    "separating_hyperplane",
     "TverbergPartition",
     "figure1_instance",
     "find_tverberg_partition",
     "radon_partition",
     "tverberg_points_required",
     "verify_tverberg_partition",
-    "find_centerpoint",
-    "halfspace_depth",
-    "is_centerpoint",
-    "required_center_depth",
 ]

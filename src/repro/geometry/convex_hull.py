@@ -13,13 +13,10 @@ The central objects are:
 * :func:`hulls_intersection_point` — a common point of several hulls, if any.
 * :func:`distance_to_hull` — Chebyshev distance from a point to a hull, used by
   the validity checker to report how badly a decision misses the honest hull.
-* :class:`ConvexHullRegion` — a small convenience wrapper bundling a point
-  cloud with these predicates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,10 +30,7 @@ __all__ = [
     "contains_point",
     "convex_combination_weights",
     "hulls_intersection_point",
-    "hulls_intersect",
     "distance_to_hull",
-    "hull_vertices",
-    "ConvexHullRegion",
 ]
 
 _DEFAULT_TOLERANCE = 1e-7
@@ -162,14 +156,6 @@ def hulls_intersection_point(
     return candidate
 
 
-def hulls_intersect(
-    point_sets: Sequence[PointMultiset | np.ndarray | Iterable[Sequence[float]]],
-    tolerance: float = _DEFAULT_TOLERANCE,
-) -> bool:
-    """Return True when the convex hulls of all the sets share a point."""
-    return hulls_intersection_point(point_sets, tolerance) is not None
-
-
 def distance_to_hull(
     points: PointMultiset | np.ndarray | Iterable[Sequence[float]],
     target: Sequence[float],
@@ -223,63 +209,3 @@ def distance_to_hull(
     if not result.feasible or result.objective is None:
         raise GeometryError("distance-to-hull program unexpectedly infeasible")
     return max(0.0, float(result.objective))
-
-
-def hull_vertices(
-    points: PointMultiset | np.ndarray | Iterable[Sequence[float]],
-    tolerance: float = _DEFAULT_TOLERANCE,
-) -> np.ndarray:
-    """Return the points of the cloud that are vertices (extreme points) of its hull.
-
-    A point is extreme iff it is *not* in the convex hull of the other points.
-    Works in any dimension and for degenerate (lower-dimensional) hulls, unlike
-    ``scipy.spatial.ConvexHull``.
-    """
-    cloud = _cloud_of(points)
-    if cloud.shape[0] <= 1:
-        return cloud.copy()
-    keep: list[int] = []
-    for index in range(cloud.shape[0]):
-        others = np.delete(cloud, index, axis=0)
-        if not contains_point(others, cloud[index], tolerance=tolerance):
-            keep.append(index)
-    if not keep:
-        # All points coincide; the single common point is the hull's vertex.
-        return cloud[:1].copy()
-    return cloud[keep].copy()
-
-
-@dataclass(frozen=True)
-class ConvexHullRegion:
-    """The convex hull of a finite point cloud, with membership predicates."""
-
-    generators: np.ndarray
-
-    def __init__(self, points: PointMultiset | np.ndarray | Iterable[Sequence[float]]) -> None:
-        cloud = _cloud_of(points)
-        if cloud.shape[0] == 0:
-            raise GeometryError("a hull region needs at least one generator point")
-        object.__setattr__(self, "generators", cloud.copy())
-        self.generators.setflags(write=False)
-
-    @property
-    def dimension(self) -> int:
-        """Coordinate dimension of the ambient space."""
-        return int(self.generators.shape[1])
-
-    def contains(self, target: Sequence[float], tolerance: float = _DEFAULT_TOLERANCE) -> bool:
-        """Return True when ``target`` lies in the region."""
-        return contains_point(self.generators, target, tolerance)
-
-    def distance_to(self, target: Sequence[float]) -> float:
-        """Chebyshev distance from ``target`` to the region (zero if inside)."""
-        return distance_to_hull(self.generators, target)
-
-    def vertices(self) -> np.ndarray:
-        """Extreme points of the region."""
-        return hull_vertices(self.generators)
-
-    def intersection_point_with(self, *others: "ConvexHullRegion") -> np.ndarray | None:
-        """A point common to this region and every region in ``others``, or None."""
-        clouds = [self.generators] + [other.generators for other in others]
-        return hulls_intersection_point(clouds)

@@ -69,12 +69,14 @@ import numpy as np
 from scipy.sparse import csc_matrix
 
 from repro.exceptions import GeometryError, LinearProgramError
+from repro.geometry.points import as_cloud, as_point
 
 __all__ = [
     "KernelStats",
     "GammaKernel",
     "default_kernel",
     "full_subset_family",
+    "halfspace_depth",
     "pruned_subset_family",
     "safe_area_interval_1d",
 ]
@@ -272,6 +274,73 @@ def pruned_subset_family(
     if dimension == 2:
         return _family_dedupe_dominated(cloud, _family_2d(cloud, fault_bound))
     return _family_dedupe_dominated(cloud, full_subset_family(point_count, fault_bound))
+
+
+def halfspace_depth(cloud: np.ndarray | Sequence[Sequence[float]], candidate: Sequence[float]) -> int:
+    """Return the Tukey depth of ``candidate`` with respect to ``cloud``.
+
+    The depth is the minimum, over all closed halfspaces containing the
+    candidate, of the number of cloud points in the halfspace.  The depth is
+    evaluated by enumerating candidate normal directions: the coordinate axes,
+    the directions determined by hyperplanes through the candidate and
+    ``d - 1`` cloud points, and small perturbations of those directions (the
+    perturbations matter because the minimising halfspace generically has *no*
+    cloud point on its boundary other than possibly the candidate).  For the
+    small, low-dimensional clouds this package uses, the enumeration is exact.
+
+    ``Gamma(Y)`` for fault bound ``f`` is exactly the set of points of depth
+    at least ``f + 1`` (a point leaves some ``(|Y| - f)``-subset's hull iff a
+    closed halfspace through it holds at most ``f`` members), so this is the
+    solver-independent check of a kernel answer.
+    """
+    cloud = as_cloud(cloud)
+    candidate = as_point(candidate, dimension=cloud.shape[1])
+    point_count, dimension = cloud.shape
+    if point_count == 0:
+        return 0
+
+    def depth_along(normal: np.ndarray) -> int:
+        norm = float(np.linalg.norm(normal))
+        if norm <= 1e-12:
+            return point_count
+        normal = normal / norm
+        offsets = cloud @ normal
+        candidate_offset = float(candidate @ normal)
+        # Halfspace { x : normal.x >= candidate_offset } contains the candidate on
+        # its boundary; count the cloud points it contains.
+        return int(np.sum(offsets >= candidate_offset - 1e-9))
+
+    perturbation = 1e-6
+    axes = [np.eye(dimension)[coordinate] for coordinate in range(dimension)]
+
+    def with_perturbations(normal: np.ndarray) -> list[np.ndarray]:
+        variants = [normal]
+        for axis in axes:
+            variants.append(normal + perturbation * axis)
+            variants.append(normal - perturbation * axis)
+        return variants
+
+    best = point_count
+    directions: list[np.ndarray] = []
+    for axis in axes:
+        directions.extend(with_perturbations(axis))
+    # Directions of candidate-to-point vectors (useful in every dimension).
+    for row in cloud:
+        difference = row - candidate
+        if np.linalg.norm(difference) > 1e-12:
+            directions.extend(with_perturbations(difference))
+    # Directions normal to hyperplanes through the candidate and d-1 cloud points.
+    if dimension >= 2:
+        for subset in combinations(range(point_count), dimension - 1):
+            matrix = cloud[list(subset)] - candidate
+            _, _, vh = np.linalg.svd(np.vstack([matrix, np.zeros((1, dimension))]))
+            directions.extend(with_perturbations(vh[-1]))
+
+    for direction in directions:
+        best = min(best, depth_along(direction), depth_along(-direction))
+        if best == 0:
+            break
+    return best
 
 
 def _validate_explicit_families(

@@ -3,9 +3,7 @@
 Throughout the package a *point* is a 1-D :class:`numpy.ndarray` of floats of
 length ``d`` (the paper uses "point" and "vector" interchangeably, and so do
 we).  A *point cloud* is a 2-D array of shape ``(k, d)`` whose rows are
-points.  These helpers normalise user input into those canonical shapes and
-provide small affine/metric utilities used by the convex-hull and Tverberg
-machinery.
+points.  These helpers normalise user input into those canonical shapes.
 """
 
 from __future__ import annotations
@@ -16,20 +14,7 @@ import numpy as np
 
 from repro.exceptions import GeometryError
 
-__all__ = [
-    "as_point",
-    "as_cloud",
-    "dimension_of",
-    "bounding_box",
-    "pairwise_max_coordinate_gap",
-    "coordinate_range",
-    "centroid",
-    "affine_rank",
-    "points_equal",
-    "deduplicate",
-    "max_norm_distance",
-    "euclidean_distance",
-]
+__all__ = ["as_point", "as_cloud", "centroid"]
 
 
 def as_point(value: Sequence[float] | np.ndarray, dimension: int | None = None) -> np.ndarray:
@@ -82,88 +67,9 @@ def as_cloud(values: Iterable[Sequence[float]] | np.ndarray, dimension: int | No
     return cloud
 
 
-def dimension_of(cloud: np.ndarray) -> int:
-    """Return the coordinate dimension ``d`` of a point cloud."""
-    cloud = as_cloud(cloud)
-    return int(cloud.shape[1])
-
-
-def bounding_box(cloud: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(lower, upper)`` coordinate-wise bounds of the cloud."""
-    cloud = as_cloud(cloud)
-    if cloud.shape[0] == 0:
-        raise GeometryError("bounding box of an empty cloud is undefined")
-    return cloud.min(axis=0), cloud.max(axis=0)
-
-
-def coordinate_range(cloud: np.ndarray) -> np.ndarray:
-    """Return, per coordinate, ``max - min`` over the cloud.
-
-    This is the quantity the paper writes as ``rho_l = Omega_l - mu_l`` when the
-    cloud is the multiset of honest process states.
-    """
-    lower, upper = bounding_box(cloud)
-    return upper - lower
-
-
-def pairwise_max_coordinate_gap(cloud: np.ndarray) -> float:
-    """Return the largest coordinate-wise gap between any two points.
-
-    Equals ``max_l rho_l``; this is the scalar the epsilon-agreement condition
-    bounds by ``epsilon``.
-    """
-    return float(np.max(coordinate_range(cloud))) if as_cloud(cloud).shape[0] else 0.0
-
-
 def centroid(cloud: np.ndarray) -> np.ndarray:
     """Return the arithmetic mean of the points."""
     cloud = as_cloud(cloud)
     if cloud.shape[0] == 0:
         raise GeometryError("centroid of an empty cloud is undefined")
     return cloud.mean(axis=0)
-
-
-def affine_rank(cloud: np.ndarray, tolerance: float = 1e-9) -> int:
-    """Return the affine rank of the cloud (dimension of its affine hull)."""
-    cloud = as_cloud(cloud)
-    if cloud.shape[0] <= 1:
-        return 0
-    shifted = cloud[1:] - cloud[0]
-    if shifted.size == 0:
-        return 0
-    singular_values = np.linalg.svd(shifted, compute_uv=False)
-    scale = max(1.0, float(singular_values[0])) if singular_values.size else 1.0
-    return int(np.sum(singular_values > tolerance * scale))
-
-
-def points_equal(a: np.ndarray, b: np.ndarray, tolerance: float = 1e-9) -> bool:
-    """Return True when two points coincide up to ``tolerance`` (max-norm)."""
-    a = as_point(a)
-    b = as_point(b, dimension=a.shape[0])
-    return bool(np.max(np.abs(a - b)) <= tolerance)
-
-
-def deduplicate(cloud: np.ndarray, tolerance: float = 1e-9) -> np.ndarray:
-    """Return the cloud with (near-)duplicate points removed, preserving order."""
-    cloud = as_cloud(cloud)
-    kept: list[np.ndarray] = []
-    for row in cloud:
-        if not any(points_equal(row, existing, tolerance) for existing in kept):
-            kept.append(row)
-    if not kept:
-        return np.empty((0, cloud.shape[1]), dtype=float)
-    return np.vstack(kept)
-
-
-def max_norm_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Return the Chebyshev (max-norm) distance between two points."""
-    a = as_point(a)
-    b = as_point(b, dimension=a.shape[0])
-    return float(np.max(np.abs(a - b)))
-
-
-def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Return the Euclidean distance between two points."""
-    a = as_point(a)
-    b = as_point(b, dimension=a.shape[0])
-    return float(np.linalg.norm(a - b))

@@ -5,7 +5,7 @@ anything: :func:`query_store` returns :class:`StoredTrial` rows (the full
 :class:`~repro.engine.spec.TrialResult` plus provenance stamps) matching a
 :class:`TrialFilter`, and :func:`aggregate_store` reduces matching rows to
 per-group outcome counters — the same counters a live
-:class:`~repro.engine.session.CampaignSummary` reports.
+:class:`~repro.engine.session.CampaignStatus` reports.
 
 Filters on shape columns (:data:`~repro.store.backend.INDEXED_COLUMNS`) are
 pushed down to the store as SQL ``WHERE`` clauses, so only matching rows are

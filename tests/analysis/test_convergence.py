@@ -9,8 +9,6 @@ from repro.analysis.convergence import (
     coordinate_ranges_per_round,
     max_range_per_round,
     measured_contraction_factors,
-    rounds_to_reach,
-    trace_from_histories,
 )
 from repro.exceptions import ConfigurationError
 
@@ -48,15 +46,6 @@ class TestRangeSeries:
         factors = measured_contraction_factors(histories)
         assert np.allclose(factors, 0.0)
 
-    def test_rounds_to_reach(self):
-        assert rounds_to_reach(make_histories(), epsilon=0.3) == 2
-        assert rounds_to_reach(make_histories(), epsilon=2.0) == 0
-        assert rounds_to_reach(make_histories(), epsilon=1e-6) is None
-
-    def test_invalid_epsilon(self):
-        with pytest.raises(ConfigurationError):
-            rounds_to_reach(make_histories(), epsilon=0.0)
-
     def test_empty_histories_rejected(self):
         with pytest.raises(ConfigurationError):
             max_range_per_round({})
@@ -65,20 +54,3 @@ class TestRangeSeries:
         histories = make_histories()
         histories[0] = histories[0][:3]
         assert coordinate_ranges_per_round(histories).shape == (3, 2)
-
-
-class TestTrace:
-    def test_trace_fields(self):
-        trace = trace_from_histories(make_histories(), epsilon=0.3, gamma=0.04)
-        assert trace.gamma == 0.04
-        assert trace.initial_range == pytest.approx(1.0)
-        assert trace.final_range < 0.1
-        assert trace.measured_rounds_to_epsilon == 2
-        assert trace.worst_measured_contraction == pytest.approx(0.5)
-        assert trace.theoretical_rounds >= trace.measured_rounds_to_epsilon
-
-    def test_trace_with_explicit_value_range(self):
-        trace = trace_from_histories(make_histories(), epsilon=0.3, gamma=0.04, value_range=10.0)
-        assert trace.theoretical_rounds > trace_from_histories(
-            make_histories(), epsilon=0.3, gamma=0.04
-        ).theoretical_rounds

@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.core.aggregation import SafeAverageAggregator
 from repro.core.baselines import coordinatewise_median
 from repro.core.round_ops import (
     approx_subset_families,
     coordinatewise_decision,
+    lower_median,
     quorum_families,
     restricted_round_clouds,
     restricted_round_step,
 )
+from repro.exceptions import ProtocolError
 
 
 class TestRestrictedRoundStep:
@@ -53,6 +56,29 @@ class TestRestrictedRoundStep:
         assert np.array_equal(
             plain, restricted_round_step(received, fault_bound=1, quorum=4, choose=memoised)
         )
+
+
+class TestLowerMedian:
+    def test_odd_count(self):
+        assert lower_median(np.asarray([3.0, 1.0, 2.0])) == 2.0
+
+    def test_even_count_takes_lower_of_middle_pair(self):
+        assert lower_median(np.asarray([1.0, 2.0, 3.0, 4.0])) == 2.0
+
+    def test_single_value(self):
+        assert lower_median(np.asarray([7.0])) == 7.0
+
+    def test_empty_raises(self):
+        with pytest.raises(ProtocolError):
+            lower_median(np.asarray([]))
+
+    def test_duplicates_and_negative_values(self):
+        assert lower_median(np.asarray([-1.0, 5.0, -1.0, 5.0])) == -1.0
+
+    def test_input_is_left_unsorted(self):
+        values = np.asarray([3.0, 1.0, 2.0])
+        lower_median(values)
+        assert values.tolist() == [3.0, 1.0, 2.0]
 
 
 class TestCoordinatewiseDecision:

@@ -9,6 +9,7 @@ output is byte-identical (modulo the ``elapsed_ms`` timing field) for any
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -16,7 +17,7 @@ from repro.engine import (
     ENGINE_CHOICES,
     Campaign,
     CampaignSession,
-    CampaignSummary,
+    CampaignStatus,
     TrialSpec,
     iter_jsonl,
     read_jsonl,
@@ -244,11 +245,12 @@ class TestIterJsonl:
 
 
 class TestCampaignSummary:
-    def _summary(self, elapsed_seconds: float) -> CampaignSummary:
-        return CampaignSummary(
-            name="s", trials=4, ok=4, errors=0, agreement_failures=0,
-            validity_failures=0, elapsed_seconds=elapsed_seconds, workers=1,
-            jsonl_path=None,
+    def _summary(self, elapsed_seconds: float) -> CampaignStatus:
+        return CampaignStatus(
+            run_id="r", name="s", state="finished", trials=4, emitted=4, ok=4,
+            errors=0, agreement_failures=0, validity_failures=0, cache_hits=0,
+            deferred=0, fallback_reasons={}, workers=1, engine="object",
+            elapsed_seconds=elapsed_seconds,
         )
 
     def test_trials_per_second_clamped_at_zero_elapsed(self):
@@ -261,6 +263,29 @@ class TestCampaignSummary:
         text = json.dumps(self._summary(0.0).to_row())
         assert "Infinity" not in text
         assert json.loads(text)["trials_per_s"] == 0.0
+
+    def test_to_row_columns_are_the_cli_summary_table(self):
+        assert list(self._summary(2.0).to_row()) == [
+            "campaign", "engine", "trials", "ok", "errors", "agreement_failures",
+            "validity_failures", "workers", "cache_hits", "fallbacks", "seconds",
+            "trials_per_s",
+        ]
+
+    def test_to_row_sums_fallback_reasons(self):
+        status = replace(self._summary(2.0), fallback_reasons={"a": 2, "b": 1})
+        assert status.to_row()["fallbacks"] == 3
+
+    def test_run_campaign_returns_the_final_status(self):
+        campaign = Campaign.from_specs(
+            "final-status",
+            [TrialSpec(protocol="exact", workload="uniform_box",
+                       process_count=5, dimension=2, fault_bound=1, seed=seed)
+             for seed in range(3)],
+        )
+        summary, rows = run_campaign(campaign, workers=1, engine="object", collect=True)
+        assert isinstance(summary, CampaignStatus)
+        assert summary.state == "finished" and summary.error is None
+        assert summary.trials == summary.emitted == summary.ok == len(rows) == 3
 
     def test_to_row_records_engine(self):
         campaign = Campaign.from_specs(

@@ -229,10 +229,10 @@ class TestStatus:
         specs = _specs(4)
         session = CampaignSession(specs, name="pinned", engine="object")
         list(session.rows())
-        summary = session.summary("out.jsonl")
+        summary = session.summary()
+        assert summary.state == "finished"
         assert summary.run_id == session.run_id and len(summary.run_id) == 16
         assert summary.name == "pinned"
-        assert summary.jsonl_path == "out.jsonl"
         assert summary.trials == summary.ok == 4
         assert sum(summary.fallback_reasons.values()) == 4  # forced object
 

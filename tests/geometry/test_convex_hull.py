@@ -7,12 +7,9 @@ import pytest
 
 from repro.exceptions import GeometryError
 from repro.geometry.convex_hull import (
-    ConvexHullRegion,
     contains_point,
     convex_combination_weights,
     distance_to_hull,
-    hull_vertices,
-    hulls_intersect,
     hulls_intersection_point,
 )
 
@@ -64,7 +61,6 @@ class TestIntersection:
     def test_disjoint_hulls(self):
         far = [[10.0, 10.0], [11.0, 10.0], [10.0, 11.0]]
         assert hulls_intersection_point([UNIT_SQUARE, far]) is None
-        assert not hulls_intersect([UNIT_SQUARE, far])
 
     def test_touching_hulls(self):
         left = [[0.0, 0.0], [1.0, 0.0]]
@@ -77,7 +73,14 @@ class TestIntersection:
         a = [[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]
         b = [[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0]]
         c = [[0.5, 0.5], [0.6, 0.5], [0.5, 0.6]]
-        assert hulls_intersect([a, b, c])
+        assert hulls_intersection_point([a, b, c]) is not None
+
+    def test_square_and_crossing_segment(self):
+        segment = [[0.5, 0.5], [2.0, 2.0]]
+        point = hulls_intersection_point([UNIT_SQUARE, segment])
+        assert point is not None
+        assert contains_point(UNIT_SQUARE, point, tolerance=1e-6)
+        assert contains_point(segment, point, tolerance=1e-6)
 
     def test_mismatched_dimensions_raise(self):
         with pytest.raises(GeometryError):
@@ -95,6 +98,9 @@ class TestDistance:
     def test_positive_outside(self):
         assert distance_to_hull(UNIT_SQUARE, [2.0, 0.5]) == pytest.approx(1.0, abs=1e-6)
 
+    def test_distance_to_triangle_vertex(self):
+        assert distance_to_hull(TRIANGLE, [3.0, 0.0]) == pytest.approx(1.0, abs=1e-6)
+
     def test_distance_to_single_point(self):
         assert distance_to_hull([[0.0, 0.0]], [0.0, 3.0]) == pytest.approx(3.0, abs=1e-6)
 
@@ -102,38 +108,3 @@ class TestDistance:
         with pytest.raises(GeometryError):
             distance_to_hull(np.empty((0, 2)), [0.0, 0.0])
 
-
-class TestVertices:
-    def test_square_with_interior_point(self):
-        cloud = UNIT_SQUARE + [[0.5, 0.5]]
-        vertices = hull_vertices(cloud)
-        assert vertices.shape[0] == 4
-
-    def test_all_identical_points(self):
-        vertices = hull_vertices([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
-        assert vertices.shape[0] == 1
-
-    def test_collinear_points(self):
-        vertices = hull_vertices([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        assert vertices.shape[0] == 2
-
-
-class TestConvexHullRegion:
-    def test_contains_and_distance(self):
-        region = ConvexHullRegion(TRIANGLE)
-        assert region.contains([0.5, 0.5])
-        assert region.distance_to([3.0, 0.0]) == pytest.approx(1.0, abs=1e-6)
-
-    def test_intersection_point_with(self):
-        a = ConvexHullRegion(UNIT_SQUARE)
-        b = ConvexHullRegion([[0.5, 0.5], [2.0, 2.0]])
-        point = a.intersection_point_with(b)
-        assert point is not None
-        assert a.contains(point, tolerance=1e-6)
-
-    def test_empty_generators_raise(self):
-        with pytest.raises(GeometryError):
-            ConvexHullRegion(np.empty((0, 2)))
-
-    def test_dimension(self):
-        assert ConvexHullRegion(TRIANGLE).dimension == 2

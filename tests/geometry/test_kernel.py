@@ -33,6 +33,7 @@ from repro.geometry.kernel import (
     KernelStats,
     default_kernel,
     full_subset_family,
+    halfspace_depth,
     pruned_subset_family,
     safe_area_interval_1d,
 )
@@ -207,6 +208,66 @@ class TestPrunedFamilies:
                 value_full = float(np.dot(objective, unpruned))
                 assert value_pruned == pytest.approx(value_full, abs=1e-6)
                 assert safe_area_contains(cloud, fault_bound, pruned, tolerance=1e-5)
+
+
+class TestHalfspaceDepth:
+    def test_far_outside_point_has_zero_depth(self):
+        cloud = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        assert halfspace_depth(cloud, [10.0, 10.0]) == 0
+
+    def test_center_of_square_has_full_quadrant_depth(self):
+        cloud = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        assert halfspace_depth(cloud, [0.5, 0.5]) >= 2
+
+    def test_one_dimensional_depth_is_rank(self):
+        cloud = [[0.0], [1.0], [2.0], [3.0], [4.0]]
+        assert halfspace_depth(cloud, [2.0]) == 3
+        assert halfspace_depth(cloud, [0.0]) == 1
+
+    def test_vertex_has_depth_one(self):
+        cloud = [[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]]
+        assert halfspace_depth(cloud, [0.0, 0.0]) == 1
+
+    def test_duplicate_members_count_with_multiplicity(self):
+        cloud = [[0.0], [0.0], [0.0], [1.0]]
+        assert halfspace_depth(cloud, [0.0]) == 3
+        assert halfspace_depth(cloud, [1.0]) == 1
+
+    def test_point_off_a_collinear_cloud_has_zero_depth(self):
+        cloud = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]
+        assert halfspace_depth(cloud, [1.5, 1.5]) == 2
+        assert halfspace_depth(cloud, [1.5, 1.6]) == 0
+
+    def test_empty_cloud_raises(self):
+        with pytest.raises(GeometryError):
+            halfspace_depth(np.empty((0, 2)), [0.0, 0.0])
+
+    def test_candidate_dimension_must_match_the_cloud(self):
+        with pytest.raises(GeometryError):
+            halfspace_depth([[0.0, 0.0], [1.0, 1.0]], [0.5])
+
+
+class TestDepthOracle:
+    """``Gamma(Y)`` with fault bound ``f`` is the Tukey-depth-``(f + 1)`` region of ``Y``."""
+
+    @pytest.mark.parametrize("extra", range(5))
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("fault_bound", [1, 2])
+    def test_kernel_points_are_deep_and_points_outside_are_not(self, dimension, fault_bound, extra):
+        point_count = (dimension + 1) * fault_bound + 1 + extra
+        rng = np.random.default_rng(2013 + 100 * dimension + 10 * fault_bound + extra)
+        kernel = GammaKernel()
+        for sample in range(15):
+            cloud = rng.uniform(-1.0, 1.0, size=(point_count, dimension))
+            if sample % 5 == 0:
+                cloud = np.round(cloud, 1)  # full of duplicate members
+            label = f"n={point_count} #{sample}"
+            point = kernel.point(cloud, fault_bound)
+            assert point is not None, label
+            assert halfspace_depth(cloud, point) >= fault_bound + 1, label
+            outside = cloud[np.argmax(cloud[:, 0])].copy()
+            outside[0] += 1e-3
+            assert halfspace_depth(cloud, outside) <= fault_bound, label
 
 
 class TestBatchedQueries:

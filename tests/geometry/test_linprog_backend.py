@@ -27,11 +27,9 @@ import pytest
 from scipy.optimize import linprog
 
 import repro.geometry.convex_hull as convex_hull_module
-import repro.geometry.halfspaces as halfspaces_module
 import repro.geometry.linprog as linprog_module
 from repro.exceptions import LinearProgramError
 from repro.geometry.convex_hull import contains_point, distance_to_hull
-from repro.geometry.halfspaces import Halfspace, HalfspaceRegion
 from repro.geometry.kernel import GammaKernel
 from repro.geometry.linprog import solve_linear_program
 from repro.obs.registry import get_registry
@@ -140,7 +138,7 @@ def captured_programs() -> Iterator[list[dict[str, Any]]]:
         programs.append({"objective": objective, **constraints})
         return original(objective, **constraints)
 
-    holders = (linprog_module, convex_hull_module, halfspaces_module)
+    holders = (linprog_module, convex_hull_module)
     try:
         for holder in holders:
             holder.solve_linear_program = recorder
@@ -238,6 +236,40 @@ def gamma_clouds() -> Iterator[tuple[str, np.ndarray, int]]:
         yield (f"empty gamma #{sample}", rng.normal(size=(3, 2)), 1)
 
 
+#: The box ``-1 <= x <= 1, -0.5 <= y <= 2`` as ``A @ (x, y) <= b``.
+_BOX_MATRIX = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+_BOX_RHS = [1.0, 1.0, 2.0, 0.5]
+
+#: Inequality-only programs over free variables: a feasible point of the box,
+#: its largest inscribed ball (centre free, radius >= 0, every normal of
+#: norm 1), and the box cut by ``x <= -3``, which is empty.
+HALFSPACE_PROGRAMS = (
+    {
+        "objective": [0.0, 0.0],
+        "inequality_matrix": _BOX_MATRIX,
+        "inequality_rhs": _BOX_RHS,
+        "bounds": (None, None),
+    },
+    {
+        "objective": [0.0, 0.0, -1.0],
+        "inequality_matrix": [row + [1.0] for row in _BOX_MATRIX],
+        "inequality_rhs": _BOX_RHS,
+        "bounds": [(None, None)] * 2 + [(0, None)],
+    },
+    {
+        "objective": [0.0, 0.0],
+        "inequality_matrix": _BOX_MATRIX + [[1.0, 0.0]],
+        "inequality_rhs": _BOX_RHS + [-3.0],
+        "bounds": (None, None),
+    },
+)
+
+#: Programs in :func:`hull_and_halfspace_programs`: three per random cloud
+#: (one distance, two memberships) over six clouds, the skewed membership,
+#: and the three halfspace programs.
+HULL_AND_HALFSPACE_PROGRAM_COUNT = 22
+
+
 def hull_and_halfspace_programs() -> list[dict[str, Any]]:
     """Mixed inequality + equality programs, dense, with scalar and listed bounds."""
     rng = np.random.default_rng(7)
@@ -251,18 +283,7 @@ def hull_and_halfspace_programs() -> list[dict[str, Any]]:
         # presolve's false "infeasible", overruled by the confirmation rung.
         skewed = np.asarray([[0.0, 0.001953125], [0.0, 0.001953125], [1.0, 1e-09]])
         contains_point(skewed, skewed.mean(axis=0))
-        square = HalfspaceRegion(
-            [
-                Halfspace(np.asarray([1.0, 0.0]), 1.0),
-                Halfspace(np.asarray([-1.0, 0.0]), 1.0),
-                Halfspace(np.asarray([0.0, 1.0]), 2.0),
-                Halfspace(np.asarray([0.0, -1.0]), 0.5),
-            ]
-        )
-        square.find_point()
-        square.chebyshev_center()
-        square.intersect(HalfspaceRegion([Halfspace(np.asarray([1.0, 0.0]), -3.0)])).find_point()
-    return programs
+    return programs + [dict(program) for program in HALFSPACE_PROGRAMS]
 
 
 def bounds_form_programs() -> list[dict[str, Any]]:
@@ -324,6 +345,7 @@ class TestBitwiseOracle:
 
     def test_hull_and_halfspace_programs(self):
         programs = hull_and_halfspace_programs()
+        assert len(programs) == HULL_AND_HALFSPACE_PROGRAM_COUNT
         assert any("inequality_matrix" in p and "equality_matrix" in p for p in programs)
         rungs = [rung for program in programs for rung in assert_bitwise_equal(program, "hull")]
         assert "infeasible_confirm" in rungs

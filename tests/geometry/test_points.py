@@ -68,55 +68,5 @@ class TestAsCloud:
 
 
 class TestSummaries:
-    def test_bounding_box(self):
-        lower, upper = points.bounding_box([[0.0, 5.0], [2.0, 1.0]])
-        assert np.allclose(lower, [0.0, 1.0])
-        assert np.allclose(upper, [2.0, 5.0])
-
-    def test_bounding_box_empty_raises(self):
-        with pytest.raises(GeometryError):
-            points.bounding_box(points.as_cloud([], dimension=2))
-
-    def test_coordinate_range(self):
-        assert np.allclose(points.coordinate_range([[0.0, 5.0], [2.0, 1.0]]), [2.0, 4.0])
-
-    def test_pairwise_max_coordinate_gap(self):
-        assert points.pairwise_max_coordinate_gap([[0.0, 5.0], [2.0, 1.0]]) == pytest.approx(4.0)
-
     def test_centroid(self):
         assert np.allclose(points.centroid([[0.0, 0.0], [2.0, 4.0]]), [1.0, 2.0])
-
-    def test_max_norm_distance(self):
-        assert points.max_norm_distance([0.0, 0.0], [1.0, -3.0]) == pytest.approx(3.0)
-
-    def test_euclidean_distance(self):
-        assert points.euclidean_distance([0.0, 0.0], [3.0, 4.0]) == pytest.approx(5.0)
-
-
-class TestAffineRank:
-    def test_single_point_rank_zero(self):
-        assert points.affine_rank([[1.0, 2.0]]) == 0
-
-    def test_collinear_points_rank_one(self):
-        assert points.affine_rank([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]) == 1
-
-    def test_triangle_rank_two(self):
-        assert points.affine_rank([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]) == 2
-
-    def test_duplicated_points_rank_zero(self):
-        assert points.affine_rank([[1.0, 1.0], [1.0, 1.0]]) == 0
-
-
-class TestDeduplicate:
-    def test_removes_near_duplicates(self):
-        cloud = points.deduplicate([[0.0, 0.0], [0.0, 1e-12], [1.0, 1.0]])
-        assert cloud.shape == (2, 2)
-
-    def test_preserves_order(self):
-        cloud = points.deduplicate([[2.0, 2.0], [1.0, 1.0], [2.0, 2.0]])
-        assert np.allclose(cloud[0], [2.0, 2.0])
-        assert np.allclose(cloud[1], [1.0, 1.0])
-
-    def test_points_equal_tolerance(self):
-        assert points.points_equal([1.0, 1.0], [1.0, 1.0 + 1e-12])
-        assert not points.points_equal([1.0, 1.0], [1.0, 1.1])
