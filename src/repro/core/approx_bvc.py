@@ -188,8 +188,7 @@ class ApproxBVCProcess(AsyncProcess):
             # Cannot happen when the exchange met its quorum, but stay total.
             return self._state.copy()
         # The Step-2 update is the pure function in core.round_ops: all queries
-        # share the (quorum, d) shape, so they are assembled in one numpy pass
-        # and solved as a single block-diagonal LP by the kernel.
+        # share the (quorum, d) shape and go to the kernel as one batch.
         return approx_round_step(result.tuples, subset_families, self._chooser)
 
     def _subset_families(self, result: RoundExchangeResult, quorum: int) -> list[tuple[int, ...]]:

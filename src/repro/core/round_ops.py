@@ -175,8 +175,8 @@ def approx_round_step(
 ) -> np.ndarray:
     """One Approximate BVC state update: batched ``Gamma`` points, averaged.
 
-    All families share the quorum size, so the queries are assembled in one
-    numpy pass and solved as a single block-diagonal LP by the kernel.
+    All families share the quorum size, so the queries go to the kernel as
+    one batch, each answered as a single query would be.
     """
     clouds = [
         PointMultiset(np.vstack([tuples[member] for member in family]))

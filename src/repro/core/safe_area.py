@@ -25,9 +25,10 @@ This module implements:
   the protocol code (all non-faulty processes must pick the *same* point, so
   determinism is part of the algorithm's correctness argument).
 
-Every protocol query goes through the batched, cached
-:class:`~repro.geometry.kernel.GammaKernel`, which prunes the subset family
-and reuses cached sparse constraint templates across rounds;
+Every protocol query goes through the cached
+:class:`~repro.geometry.kernel.GammaKernel`, which answers ``d <= 2`` without
+an LP and otherwise prunes the subset family and reuses cached sparse
+constraint templates across rounds;
 :func:`safe_area_point` here remains the literal, unoptimised Section 2.2
 program.  No protocol execution calls it: it is the oracle the kernel's
 equivalence tests compare against and the baseline the cost experiments
@@ -293,8 +294,9 @@ def safe_area_contains(
     Checks membership of the candidate in the hull of *every* subset of size
     ``|Y| - f`` — the literal definition — so it is exponential in ``f`` and
     meant for verification, not for the protocol hot path.  Membership is
-    tested via the distance-to-hull LP, which degrades gracefully for boundary
-    points (the common case, since ``Gamma`` often has an empty interior).
+    tested via the distance to each hull, which degrades gracefully for
+    boundary points (the common case, since ``Gamma`` often has an empty
+    interior).
     """
     multiset = _as_multiset(points)
     cloud = multiset.points
@@ -325,10 +327,14 @@ class SafeAreaCalculator:
 
     Both BVC algorithms require all non-faulty processes to pick the *same*
     point from ``Gamma`` of an identical multiset; this object encapsulates
-    that deterministic choice.  The default strategy minimises the first
-    coordinate, then reuses the LP witness (HiGHS is deterministic for a fixed
-    input, and all processes present the multiset in the same order, so the
-    choice is identical across processes).
+    that deterministic choice.  The default objective minimises the first
+    coordinate.  At ``d <= 2`` ties on the objective are broken by the
+    lexicographic minimum of the point (smallest ``x``, then ``y``), a rule
+    that needs no solver, and a zero objective asks for the lexicographic
+    minimum of ``Gamma`` itself.  At ``d >= 3`` the point is the LP vertex
+    HiGHS returns, which is deterministic for a fixed input, and all
+    processes present the multiset in the same order, so the choice is
+    identical across processes.
 
     Attributes:
         fault_bound: the ``f`` used in the ``Gamma`` definition.
@@ -380,9 +386,8 @@ class SafeAreaCalculator:
         """Deterministically choose one ``Gamma`` point per query multiset.
 
         All queries must share one ``(m, d)`` shape (the Approximate BVC round
-        update satisfies this: every witness family has quorum size).  The
-        queries are assembled in one pass and solved as a single
-        block-diagonal LP.
+        update satisfies this: every witness family has quorum size).  Each
+        answer is the one :meth:`choose` gives for that query.
 
         Raises :class:`EmptyIntersectionError` naming the first empty query.
         """

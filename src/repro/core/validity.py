@@ -1,8 +1,8 @@
 """Run-time verification of the BVC correctness conditions.
 
 Every experiment in this repository checks its protocol run against the
-paper's definitions *independently of the algorithm under test*, using the LP
-machinery from :mod:`repro.geometry`:
+paper's definitions *independently of the algorithm under test*, using the hull
+distance from :mod:`repro.geometry` (closed form at ``d <= 2``, an LP above):
 
 * Agreement (exact) — all honest decisions identical;
 * epsilon-Agreement (approximate) — per coordinate, any two honest decisions
@@ -87,7 +87,7 @@ def _max_disagreement(cloud: np.ndarray) -> float:
 
 
 def _max_hull_distance(honest_inputs: PointMultiset, cloud: np.ndarray) -> float:
-    """Largest hull distance over the decision rows, one LP per distinct row.
+    """Largest hull distance over the decision rows, one per distinct row.
 
     Bitwise-identical rows (exact consensus makes all of them so) have the
     same distance, and a maximum is indifferent to repeats.

@@ -11,6 +11,16 @@ remains the unoptimised oracle it is validated against.
 
 Four independent optimisations, composed by :class:`GammaKernel`:
 
+* **No LP at** ``d <= 2``.  ``Gamma`` is the Tukey-depth-``(f+1)`` region of
+  ``Y``.  On the line that is the trimmed interval; in the plane it is the
+  intersection of a few dozen halfplanes read off the rotating sweep below,
+  and the objective is minimised over them by LP duality in numpy, with the
+  chosen vertex checked against every halfplane (a free optimality
+  certificate, :func:`_planar_gamma_point`).  Ties on the objective go to
+  the lexicographic minimum, a rule that needs no solver.  A query whose
+  certificate fails takes the relaxed program, so an empty ``Gamma`` is
+  still reported.
+
 * **Subset pruning** (the Appendix F idea applied to the LP itself).
   ``Gamma`` is an intersection of hulls, and most hulls are redundant:
 
@@ -30,20 +40,15 @@ Four independent optimisations, composed by :class:`GammaKernel`:
     common once the iterative algorithms start collapsing states).
 
   All three prunings preserve ``Gamma`` exactly — they remove constraint
-  blocks whose hull provably contains a remaining block's hull.
+  blocks whose hull provably contains a remaining block's hull.  The LP runs
+  on the pruned family at ``d >= 3``; the relaxed program and explicit
+  families use it at every ``d``.
 
 * **Constraint-template caching**.  The sparsity pattern of the Section 2.2
   LP depends only on the shape ``(block count, block size, dimension)`` — not
   on the coordinates.  The kernel assembles the CSC index structure once per
   shape, caches it, and on subsequent calls only scatters the fresh
   coordinates into the cached template's data vector.
-
-* **Batched solving**.  :meth:`GammaKernel.points_batch` answers many
-  safe-area queries (one per witness family, in the Approximate BVC round
-  update) in a single numpy-assembled pass: the per-query programs are
-  stitched into one block-diagonal sparse LP and solved together, falling
-  back to per-query solves only if the fused program is infeasible (i.e.
-  some individual ``Gamma`` is empty).
 
 * **Answer memoisation**.  The paper's algorithms have every non-faulty
   process apply the same deterministic rule to the same multiset, so a
@@ -52,9 +57,11 @@ Four independent optimisations, composed by :class:`GammaKernel`:
   of the first solve instead of repeating it (contract on
   :class:`GammaKernel`).
 
-The kernel mirrors the oracle's semantics bit-for-bit where the oracle is
-well-behaved, including the relaxed minimum-slack re-solve used to
-distinguish genuinely empty safe areas from floating-point infeasibility.
+At ``d >= 3`` the kernel mirrors the oracle's semantics bit-for-bit where
+the oracle is well-behaved, including the relaxed minimum-slack re-solve
+used to distinguish genuinely empty safe areas from floating-point
+infeasibility; at ``d <= 2`` it agrees with the oracle's optimum to within
+the certificate's tolerance.
 """
 
 from __future__ import annotations
@@ -85,9 +92,32 @@ __all__ = [
 #: the safe area genuinely empty (matches the oracle in ``core.safe_area``).
 _SLACK_TOLERANCE = 1e-6
 
-#: Bound on the answer memo, in entries (one per distinct ``point`` query or
-#: whole ``points_batch`` call).  The repeats it serves sit inside one trial —
-#: the census in ``docs/PERFORMANCE.md`` ("Repeated queries") found 77 % of
+#: Slack, relative to the cloud's spread about its centroid (``max |y - ȳ|``),
+#: within which a closed-form vertex counts as satisfying a halfplane of
+#: ``Gamma`` and as lying on the dual bound, on top of the vertex's own
+#: rounding: the certificate's tolerance.
+_CERTIFICATE_TOLERANCE = 1e-12
+
+#: ``|sin|`` of the angle below which a halfplane normal counts as parallel
+#: to the objective, or to an axis, so that the lexicographic rule and not
+#: the rounding of cos/sin decides which side of it the normal lies on.
+_PARALLEL_TOLERANCE = 1e-14
+
+#: Smallest ``|sin|`` of the angle between two halfplane normals for their
+#: vertex to enter the dual bound.  Rounding moves a vertex by ~1e-16 of the
+#: spread over ``|sin|``, so at this bound it stays within ~1e-10 of it; a
+#: vertex only flatter pairs define is left to the relaxed program.
+_MIN_BRACKET_SINE = 1e-5
+
+#: Rounding a closed-form vertex may carry, per unit of length over the
+#: ``sin`` of its pair's angle: a few ulps of every product and quotient.
+_ROUNDING = 8.0 * np.finfo(float).eps
+
+_AXES = np.asarray([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+
+#: Bound on the answer memo, in entries (one per distinct query).  The
+#: repeats it serves sit inside one trial — the census in
+#: ``docs/PERFORMANCE.md`` ("Repeated queries") found 77 % of
 #: ``exact`` queries, 95 % of ``approx`` batches and 61 % of capped
 #: ``restricted_async`` queries to repeat an earlier one of the same trial —
 #: and the busiest trial shape asks a few hundred distinct queries, so 8192
@@ -175,31 +205,51 @@ def _upper_pairs(point_count: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(point_count, k=1)
 
 
+def _unit_directions(angles: np.ndarray) -> np.ndarray:
+    directions = np.empty((angles.shape[0], 2))
+    np.cos(angles, out=directions[:, 0])
+    np.sin(angles, out=directions[:, 1])
+    return directions
+
+
+def _planar_sweep(cloud: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The rotating sweep's event angles and one direction per arc between them.
+
+    As a direction ``u`` rotates, the projection order of two distinct members
+    changes only at the two angles perpendicular to their difference, so
+    between consecutive event angles the whole order is constant.  Returns the
+    sorted distinct event angles in ``[0, 2π)`` and the unit direction at the
+    middle of each arc (arc ``k`` runs from event ``k`` to event ``k + 1``,
+    the last one wrapping around), or ``None`` when all members coincide.
+    """
+    upper_i, upper_j = _upper_pairs(cloud.shape[0])
+    differences = cloud[upper_j] - cloud[upper_i]
+    differences = differences[(differences != 0.0).any(axis=1)]
+    if differences.shape[0] == 0:
+        return None
+    half = np.mod(np.arctan2(differences[:, 1], differences[:, 0]) + 0.5 * np.pi, np.pi)
+    events = np.concatenate([half, half + np.pi])
+    events.sort()  # and keep the first of each run of equal angles, as np.unique does
+    events = events[np.concatenate(([True], events[1:] != events[:-1]))]
+    midpoints = np.empty_like(events)
+    midpoints[:-1] = (events[:-1] + events[1:]) / 2.0
+    midpoints[-1] = (events[-1] + events[0] + 2.0 * np.pi) / 2.0
+    return events, _unit_directions(midpoints)
+
+
 def _family_2d(cloud: np.ndarray, fault_bound: int) -> tuple[tuple[int, ...], ...]:
     """Rotating-sweep enumeration of the binding subsets in the plane.
 
     The candidate drop sets are exactly the "``f`` most extreme members in
-    direction ``u``" sets.  As ``u`` rotates, the projection order of two
-    members ``i, j`` changes only at angles perpendicular to ``p_j - p_i``;
-    between consecutive event angles the order — and hence the drop set — is
-    constant, so one interior direction per arc enumerates every distinct set.
-    Ties inside an arc can only come from coincident members, and dropping
-    either copy yields the same hull, so a fixed index tie-break is exact.
+    direction ``u``" sets, and between consecutive event angles of
+    :func:`_planar_sweep` the drop set is constant, so one interior direction
+    per arc enumerates every distinct set.  Ties inside an arc can only come
+    from coincident members, and dropping either copy yields the same hull, so
+    a fixed index tie-break is exact.
     """
     point_count = cloud.shape[0]
-    upper_i, upper_j = _upper_pairs(point_count)
-    differences = cloud[upper_j] - cloud[upper_i]
-    nonzero = np.any(differences != 0.0, axis=1)
-    differences = differences[nonzero]
-    if differences.shape[0] == 0:
-        directions = np.asarray([[1.0, 0.0]])
-    else:
-        events = np.mod(np.arctan2(differences[:, 1], differences[:, 0]) + 0.5 * np.pi, np.pi)
-        events = np.unique(np.concatenate([events, events + np.pi]))
-        midpoints = np.empty_like(events)
-        midpoints[:-1] = (events[:-1] + events[1:]) / 2.0
-        midpoints[-1] = (events[-1] + events[0] + 2.0 * np.pi) / 2.0
-        directions = np.column_stack([np.cos(midpoints), np.sin(midpoints)])
+    sweep = _planar_sweep(cloud)
+    directions = np.asarray([[1.0, 0.0]]) if sweep is None else sweep[1]
     projections = cloud @ directions.T
     # Per direction, the f members of largest projection, ties to the lowest
     # index.  Distinct drop sets (f members each) are far cheaper to tell
@@ -216,6 +266,103 @@ def _family_2d(cloud: np.ndarray, fault_bound: int) -> tuple[tuple[int, ...], ..
     kept[np.arange(drops.shape[0])[:, None], drops] = False
     members = np.nonzero(kept)[1].reshape(drops.shape[0], point_count - fault_bound)
     return tuple(sorted(map(tuple, members.tolist())))
+
+
+def _planar_gamma_point(
+    cloud: np.ndarray, fault_bound: int, objective: np.ndarray
+) -> np.ndarray | None:
+    """The optimal point of ``Gamma`` in the plane, in closed form, or ``None``.
+
+    ``Gamma`` is the Tukey-depth-``(f+1)`` region ``{z : u.z <= k(u)}`` over
+    unit directions ``u``, where ``k(u)`` is the ``(f+1)``-th largest member
+    projection.  On an arc of :func:`_planar_sweep` that member is one fixed
+    point ``y``, so ``k(u) = u.y`` is linear there, and over any stretch of
+    arcs with one member and less than ``π`` long the constraints reduce to
+    those at its two ends.  ``Gamma`` is therefore exactly the intersection
+    of the halfplanes at every event where the member changes (the line
+    through the two members) and at the middle of each run of one member
+    (which keeps every stretch below ``π``); with no change at all ``Gamma``
+    is that member alone.
+
+    The objective is minimised over those halfplanes by LP duality, with
+    ties broken by the perturbed objective ``c + δ e1 + δ² e2`` (``δ -> 0+``),
+    whose unique optimum is the lexicographic minimum of ``c``'s optimal set:
+    the smallest ``c.v``, then ``x``, then ``y`` — so a zero objective asks
+    for the lexicographic minimum of ``Gamma``.  Every pair of halfplanes
+    whose normals bracket the perturbed ``-c`` has a vertex that bounds that
+    optimum from below, so a vertex meeting the best bound and every
+    halfplane is the optimum: the dual bound plus primal feasibility certify
+    it.  Both checks allow each vertex its own rounding on top of
+    :data:`_CERTIFICATE_TOLERANCE` of the cloud's spread about its centroid,
+    the frame everything is computed in (a tight cluster far from the origin
+    keeps its precision); the answer is the lexicographically smallest
+    certified vertex.  ``None`` means no vertex passed — ``Gamma`` is empty
+    or numerically degenerate — and the caller takes the relaxed program.
+    """
+    rank = cloud.shape[0] - fault_bound - 1  # ascending position of the (f+1)-th largest
+    sweep = _planar_sweep(cloud)
+    if sweep is None:
+        return cloud[0].copy()
+    events, arc_directions = sweep
+    members = cloud[np.argpartition(arc_directions @ cloud.T, rank, axis=1)[:, rank]]
+    changes = (members != members[np.arange(-1, members.shape[0] - 1)]).any(axis=1)
+    if not changes.any():
+        return members[0].copy()
+    turns = events[changes]
+    halves = (turns + np.concatenate((turns[1:], turns[:1] + 2.0 * np.pi))) / 2.0
+    # The axes are halfplanes of Gamma too: they keep every gap below π when
+    # rounding splits one event in two and a tie in the sliver between the
+    # copies reads as a change (a repeated member beside one outlier does).
+    normals = np.concatenate((_unit_directions(np.concatenate((turns, halves))), _AXES))
+    centre = cloud.sum(axis=0) / cloud.shape[0]
+    local = cloud - centre
+    offsets = np.partition(normals @ local.T, rank, axis=1)[:, rank]
+
+    # Which side of -c each normal lies on: the sign of cross(-c, normal),
+    # or, for a normal parallel to -c up to rounding (an axis normal comes
+    # out of cos/sin tilted by ~1e-16), the side of -e1, then of -e2.
+    size = max(abs(objective[0]), abs(objective[1]))
+    lean = normals @ np.asarray([objective[1], -objective[0]])
+    parallel = np.abs(lean) <= _PARALLEL_TOLERANCE * size
+    if parallel.any():
+        tilt = normals[parallel]
+        lean[parallel] = np.where(np.abs(tilt[:, 1]) > _PARALLEL_TOLERANCE, -tilt[:, 1], tilt[:, 0])
+    # -c = a * u + b * w with a, b > 0: u on the negative side, w on the
+    # positive side and less than π after it.
+    below = lean < 0.0
+    u, w = normals[below], normals[~below]
+    offset_u, offset_w = offsets[below], offsets[~below]
+    sines = u[:, :1] * w[:, 1] - u[:, 1:] * w[:, 0]
+    rows, cols = np.nonzero(sines >= _MIN_BRACKET_SINE)
+    if rows.size == 0:
+        return None
+    u, w, sine = u[rows], w[cols], sines[rows, cols]
+    offset_u, offset_w = offset_u[rows], offset_w[cols]
+    vertices = np.empty((rows.size, 2))
+    vertices[:, 0] = (offset_u * w[:, 1] - offset_w * u[:, 1]) / sine
+    vertices[:, 1] = (u[:, 0] * offset_w - w[:, 0] * offset_u) / sine
+    values = vertices @ objective
+
+    # What each vertex may be off by: the certificate's tolerance plus its
+    # own rounding, which grows as 1 / sine.
+    scale = np.abs(local).max()
+    error = _CERTIFICATE_TOLERANCE * scale + (
+        _ROUNDING * (scale + np.abs(vertices).max(axis=1)) / sine
+    )
+    on_bound = values >= (values - size * error).max() - size * error
+    vertices, values, error = vertices[on_bound], values[on_bound], error[on_bound]
+    certified = np.flatnonzero((vertices @ normals.T - offsets).max(axis=1) <= error)
+    if certified.size == 0:
+        return None
+    order = np.lexsort((vertices[certified, 1], vertices[certified, 0], values[certified]))
+    best = certified[order[0]]
+    # Many vertices of Gamma are members: a member within the vertex's own
+    # error that passes the same check is that vertex, without the rounding.
+    gaps = np.abs(local - vertices[best]).max(axis=1)
+    nearest = gaps.argmin()
+    if gaps[nearest] <= error[best] and (normals @ local[nearest] - offsets).max() <= error[best]:
+        return cloud[nearest].copy()
+    return centre + vertices[best]
 
 
 def _family_dedupe_dominated(
@@ -280,13 +427,18 @@ def halfspace_depth(cloud: np.ndarray | Sequence[Sequence[float]], candidate: Se
     """Return the Tukey depth of ``candidate`` with respect to ``cloud``.
 
     The depth is the minimum, over all closed halfspaces containing the
-    candidate, of the number of cloud points in the halfspace.  The depth is
-    evaluated by enumerating candidate normal directions: the coordinate axes,
-    the directions determined by hyperplanes through the candidate and
-    ``d - 1`` cloud points, and small perturbations of those directions (the
-    perturbations matter because the minimising halfspace generically has *no*
-    cloud point on its boundary other than possibly the candidate).  For the
-    small, low-dimensional clouds this package uses, the enumeration is exact.
+    candidate, of the number of cloud points in the halfspace (a point within
+    ``1e-9`` of the boundary counts as inside).  In the plane it is exact: as
+    the boundary line turns about the candidate its count only changes when
+    the line passes a member, and on the boundary a member is counted, so
+    one direction inside each arc between those angles — one angular sort —
+    reaches the minimum.  Otherwise the depth is evaluated by enumerating
+    candidate normal directions: the coordinate axes, the directions
+    determined by hyperplanes through the candidate and ``d - 1`` cloud
+    points, and small perturbations of those directions (the perturbations
+    matter because the minimising halfspace generically has *no* cloud point
+    on its boundary other than possibly the candidate).  For the small,
+    low-dimensional clouds this package uses, the enumeration is exact.
 
     ``Gamma(Y)`` for fault bound ``f`` is exactly the set of points of depth
     at least ``f + 1`` (a point leaves some ``(|Y| - f)``-subset's hull iff a
@@ -298,6 +450,16 @@ def halfspace_depth(cloud: np.ndarray | Sequence[Sequence[float]], candidate: Se
     point_count, dimension = cloud.shape
     if point_count == 0:
         return 0
+    if dimension == 2:
+        away = cloud - candidate
+        away = away[np.any(away != 0.0, axis=1)]
+        if away.shape[0] == 0:
+            return point_count
+        turns = np.unique(np.mod(np.arctan2(away[:, 1], away[:, 0]) + 0.5 * np.pi, np.pi))
+        turns = np.concatenate([turns, turns + np.pi])
+        normals = _unit_directions((turns + np.append(turns[1:], turns[0] + 2.0 * np.pi)) / 2.0)
+        inside = cloud @ normals.T >= (normals @ candidate - 1e-9)[None, :]
+        return int(inside.sum(axis=0).min())
 
     def depth_along(normal: np.ndarray) -> int:
         norm = float(np.linalg.norm(normal))
@@ -389,8 +551,6 @@ class _ConstraintTemplate:
     permutation: np.ndarray  # COO-order -> CSC-order data permutation
     static_data: np.ndarray  # COO-order data with zeros at cloud slots
     cloud_slots: np.ndarray  # COO-order positions of the -Y_T entries
-    coo_rows: np.ndarray  # COO row coordinates (block-diagonal batch stitching)
-    coo_cols: np.ndarray  # COO column coordinates
     rhs: np.ndarray
     col_lower: np.ndarray  # -inf for z, 0 for the convex weights
     col_upper: np.ndarray  # +inf throughout
@@ -483,8 +643,6 @@ def _build_template(block_count: int, block_size: int, dimension: int) -> _Const
         permutation=permutation,
         static_data=static,
         cloud_slots=np.flatnonzero(cloud_slot_mask),
-        coo_rows=rows,
-        coo_cols=cols,
         rhs=rhs,
         col_lower=col_lower,
         col_upper=col_upper,
@@ -514,12 +672,15 @@ class KernelStats:
     template_misses: int = 0
     blocks_assembled: int = 0
     blocks_pruned_away: int = 0
-    #: Queries answered from the answer memo (a whole-batch hit counts every
-    #: query of the batch), so ``memo_hits / (single_queries + batch_queries)``
-    #: is the share of queries that repeated.
+    #: Queries answered from the answer memo, so ``memo_hits /
+    #: (single_queries + batch_queries)`` is the share of queries that
+    #: repeated.
     memo_hits: int = 0
     #: Whole-table flushes of the answer memo at its bound.
     memo_evictions: int = 0
+    #: Queries at ``d <= 2`` answered without the Section 2.2 LP (each one
+    #: whose certificate failed is also a ``relaxed_solves``).
+    closed_form_answers: int = 0
 
     #: Every counter field, in exposition order.  ``as_dict``/``snapshot``
     #: and the observability bridge iterate this instead of hard-coding names.
@@ -528,7 +689,7 @@ class KernelStats:
         "multi_queries", "multi_calls", "multi_dedup_hits", "lp_solves",
         "dense_solves", "relaxed_solves", "template_hits",
         "template_misses", "blocks_assembled", "blocks_pruned_away",
-        "memo_hits", "memo_evictions",
+        "memo_hits", "memo_evictions", "closed_form_answers",
     )
 
     def as_dict(self) -> dict[str, int]:
@@ -557,13 +718,11 @@ class GammaKernel:
     re-solved, and the memo may only hand back what a cold solve of the same
     query returns:
 
-    * :meth:`point` is keyed on ``(f, cloud shape, cloud bytes,
-      objective bytes)`` — bitwise, so ``-0.0`` and ``0.0`` are different
-      queries;
-    * :meth:`points_batch` is keyed on the **whole batch** in order: a fused
-      vertex depends on its batch-mates, so an entry is only ever the answer
-      to that exact batch;
-    * :meth:`points_multi` inherits both through the calls it makes;
+    * every query is keyed on ``(f, cloud shape, cloud bytes, objective
+      bytes)`` — bitwise, so ``-0.0`` and ``0.0`` are different queries —
+      whether it arrives through :meth:`point`, :meth:`points_batch` or
+      :meth:`points_multi`, which all answer each query as :meth:`point`
+      does;
     * queries with an explicit ``subset_indices`` family bypass the memo;
     * answers are stored and handed out as copies, an empty ``Gamma``
       (``None``) is an answer like any other, and a query that raises stores
@@ -589,7 +748,7 @@ class GammaKernel:
             raise GeometryError("the template cache must hold at least one shape")
         self._max_cached_templates = max_cached_templates
         self._templates: dict[tuple[int, int, int], _ConstraintTemplate] = {}
-        self._memo: dict[tuple, np.ndarray | None | tuple[np.ndarray | None, ...]] = {}
+        self._memo: dict[tuple, np.ndarray | None] = {}
         self.stats = KernelStats()
 
     # -- cache -------------------------------------------------------------------
@@ -673,17 +832,30 @@ class GammaKernel:
     ) -> np.ndarray | None:
         """Return a point of ``Gamma(points)`` or ``None`` when it is empty.
 
-        Drop-in equivalent of the oracle
-        :func:`repro.core.safe_area.safe_area_point`: same edge-case handling
-        (``f = 0`` returns the centroid, infeasible-at-float-scale resolves
-        through the minimum-slack program) but with pruned subset families,
-        cached sparse constraint templates and an optional explicit family.
+        Same edge cases as the oracle
+        :func:`repro.core.safe_area.safe_area_point` (``f = 0`` returns the
+        centroid, an empty or numerically degenerate ``Gamma`` resolves
+        through the minimum-slack program).  At ``d <= 2`` the point is the
+        closed form's — the lexicographic minimum of the objective's optimal
+        set, the interval end at ``d = 1`` — with no LP; at ``d >= 3``, or
+        for an explicit subset family, it is the vertex HiGHS returns for the
+        Section 2.2 LP over the pruned (or given) family.
         """
         cloud = _as_cloud_array(points)
-        point_count, dimension = cloud.shape
         if fault_bound < 0:
             raise GeometryError("fault bound must be non-negative")
         self.stats.single_queries += 1
+        return self._answer(cloud, fault_bound, objective, subset_indices)
+
+    def _answer(
+        self,
+        cloud: np.ndarray,
+        fault_bound: int,
+        objective: np.ndarray | Sequence[float] | None,
+        subset_indices: Sequence[Sequence[int]] | None,
+    ) -> np.ndarray | None:
+        """One query, counted by the caller: edge cases, memo, then a solve."""
+        point_count, dimension = cloud.shape
         if point_count == 0:
             return None
         if fault_bound == 0:
@@ -692,17 +864,47 @@ class GammaKernel:
             return None
 
         objective_head = self._objective_head(objective, dimension)
-        key = None
-        if subset_indices is None:
-            key = (fault_bound, cloud.shape, cloud.tobytes(), objective_head.tobytes())
-            cached = self._memo.get(key, _MISS)
-            if cached is not _MISS:
-                self.stats.memo_hits += 1
-                return _private_copy(cached)
-        families = self._families_for(cloud, fault_bound, subset_indices)
-        answer = self._solve_single(cloud, families, objective_head)
-        if key is not None:
-            self._memo_store(key, _private_copy(answer))
+        if subset_indices is not None:
+            families = self._families_for(cloud, fault_bound, subset_indices)
+            return self._solve_single(cloud, families, objective_head)
+        key = (fault_bound, cloud.shape, cloud.tobytes(), objective_head.tobytes())
+        cached = self._memo.get(key, _MISS)
+        if cached is not _MISS:
+            self.stats.memo_hits += 1
+            return _private_copy(cached)
+        if dimension <= 2:
+            answer = self._closed_form(cloud, fault_bound, objective_head)
+        else:
+            answer = self._solve_single(
+                cloud, self._families_for(cloud, fault_bound, None), objective_head
+            )
+        self._memo_store(key, _private_copy(answer))
+        return answer
+
+    def _closed_form(
+        self, cloud: np.ndarray, fault_bound: int, objective_head: np.ndarray
+    ) -> np.ndarray | None:
+        """``Gamma``'s point at ``d <= 2`` without the Section 2.2 LP.
+
+        ``d = 1``: the trimmed interval's lower end for a non-negative
+        objective, its upper end for a negative one.  ``d = 2``:
+        :func:`_planar_gamma_point`.  When that finds no certified point the
+        relaxed program over the pruned family decides, so an empty ``Gamma``
+        is still reported as ``None``.
+        """
+        if not (np.isfinite(cloud).all() and np.isfinite(objective_head).all()):
+            raise ValueError("coefficients must not contain inf or nan")
+        self.stats.closed_form_answers += 1
+        if cloud.shape[1] == 1:
+            interval = safe_area_interval_1d(cloud, fault_bound)
+            answer = None if interval is None else np.asarray(
+                [interval[1] if objective_head[0] < 0.0 else interval[0]]
+            )
+        else:
+            answer = _planar_gamma_point(cloud, fault_bound, objective_head)
+        if answer is None:
+            families = np.asarray(pruned_subset_family(cloud, fault_bound), dtype=np.int64)
+            return self._relaxed_point(cloud, families)
         return answer
 
     def _objective_head(
@@ -765,11 +967,11 @@ class GammaKernel:
         objective: np.ndarray | Sequence[float] | None = None,
         subset_indices: Sequence[Sequence[Sequence[int]]] | None = None,
     ) -> list[np.ndarray | None]:
-        """Answer many safe-area queries in one numpy-assembled pass.
+        """Answer many safe-area queries of one shape, each as :meth:`point` would.
 
-        All queries are stitched into one block-diagonal LP; whenever that
-        fused program is infeasible they are re-solved one by one, so
-        emptiness is always attributed to the right query.
+        Every query goes through the same per-query memo and solve as a
+        single :meth:`point` call, so a batch answer never depends on its
+        batch-mates.
 
         Args:
             clouds: the query multisets; all must share one ``(m, d)`` shape
@@ -786,8 +988,7 @@ class GammaKernel:
         if not clouds:
             return []
         arrays = [_as_cloud_array(cloud) for cloud in clouds]
-        first_shape = arrays[0].shape
-        if any(array.shape != first_shape for array in arrays):
+        if any(array.shape != arrays[0].shape for array in arrays):
             raise GeometryError("all clouds in a batch must share one (m, d) shape")
         if subset_indices is not None and len(subset_indices) != len(arrays):
             raise GeometryError(
@@ -796,48 +997,13 @@ class GammaKernel:
             )
         if fault_bound < 0:
             raise GeometryError("fault bound must be non-negative")
-        point_count, dimension = first_shape
         self.stats.batch_calls += 1
         self.stats.batch_queries += len(arrays)
-        if point_count == 0:
-            return [None] * len(arrays)
-        if fault_bound == 0:
-            return [array.mean(axis=0) for array in arrays]
-        if point_count - fault_bound <= 0:
-            return [None] * len(arrays)
-
-        objective_head = self._objective_head(objective, dimension)
-        key = None
-        if subset_indices is None:
-            key = (
-                fault_bound,
-                (len(arrays),) + first_shape,
-                b"".join(array.tobytes() for array in arrays),
-                objective_head.tobytes(),
-            )
-            cached = self._memo.get(key, _MISS)
-            if cached is not _MISS:
-                self.stats.memo_hits += len(arrays)
-                return [_private_copy(point) for point in cached]
-        per_query_families = [
-            self._families_for(
-                array,
-                fault_bound,
-                None if subset_indices is None else subset_indices[index],
-            )
-            for index, array in enumerate(arrays)
+        families = [None] * len(arrays) if subset_indices is None else subset_indices
+        return [
+            self._answer(array, fault_bound, objective, family)
+            for array, family in zip(arrays, families)
         ]
-        answers = self._solve_fused(arrays, per_query_families, objective_head)
-        if answers is None:
-            # At least one query is (numerically) infeasible: resolve them
-            # individually so each gets the relaxed-slack treatment.
-            answers = [
-                self._solve_single(array, families, objective_head)
-                for array, families in zip(arrays, per_query_families)
-            ]
-        if key is not None:
-            self._memo_store(key, tuple(_private_copy(point) for point in answers))
-        return answers
 
     def points_multi(
         self,
@@ -854,13 +1020,14 @@ class GammaKernel:
         dedupes bitwise-identical clouds (the common case once trials share
         receive views or states collapse), solving each distinct cloud once.
 
-        Unlike :meth:`points_batch`, clouds may have heterogeneous shapes
-        and each distinct cloud is solved through :meth:`point` — so results
-        are bitwise identical to per-query single solves, which is what lets
-        the columnar engine share one solve across many
-        object-runtime-equivalent processes.  (A block-diagonal solve may
-        return a different, equally valid vertex of a non-degenerate
-        ``Gamma``, so it is never mixed in here.)
+        Unlike :meth:`points_batch`, clouds may have heterogeneous shapes.
+        Each distinct cloud is solved through :meth:`point`, so results are
+        bitwise identical to per-query single solves, which is what lets the
+        columnar engine share one solve across many object-runtime-equivalent
+        processes.  At ``d <= 2`` the answer follows :meth:`point`'s
+        solver-independent rule: the lexicographic minimum of the objective's
+        optimal set (``c.z``, then ``x``, then ``y``), so a zero objective
+        asks for the lexicographic minimum of ``Gamma``.
 
         Returns one entry per query, aligned with ``clouds``: the chosen
         point, or ``None`` for an empty safe area.
@@ -888,84 +1055,6 @@ class GammaKernel:
         }
         return [solved[key] for key in order]
 
-    def _solve_fused(
-        self,
-        arrays: Sequence[np.ndarray],
-        per_query_families: Sequence[tuple[tuple[int, ...], ...]],
-        objective_head: np.ndarray,
-    ) -> list[np.ndarray] | None:
-        """Solve all queries as one block-diagonal sparse LP.
-
-        Returns ``None`` when the fused program is infeasible (some query's
-        ``Gamma`` is empty or numerically borderline), letting the caller fall
-        back to per-query solves.  The per-query programs share no variables
-        or rows, so the fused optimum restricted to one query's variables is
-        an optimum of that query's program.
-        """
-        from repro.geometry.linprog import solve_linear_program
-
-        dimension = arrays[0].shape[1]
-        block_size = len(per_query_families[0][0])
-
-        rows_parts: list[np.ndarray] = []
-        cols_parts: list[np.ndarray] = []
-        data_parts: list[np.ndarray] = []
-        rhs_parts: list[np.ndarray] = []
-        objective_parts: list[np.ndarray] = []
-        lower_parts: list[np.ndarray] = []
-        upper_parts: list[np.ndarray] = []
-        query_offsets: list[int] = []
-        row_base = 0
-        col_base = 0
-        for array, families in zip(arrays, per_query_families):
-            template = self._template(len(families), block_size, dimension)
-            families_flat = np.asarray(families, dtype=np.int64)
-            data = template.static_data.copy()
-            data[template.cloud_slots] = -array[families_flat].transpose(0, 2, 1).ravel()
-            rows_parts.append(template.coo_rows + row_base)
-            cols_parts.append(template.coo_cols + col_base)
-            data_parts.append(data)
-            rhs_parts.append(template.rhs)
-            query_objective = np.zeros(template.variable_count)
-            query_objective[:dimension] = objective_head
-            objective_parts.append(query_objective)
-            lower_parts.append(template.col_lower)
-            upper_parts.append(template.col_upper)
-            query_offsets.append(col_base)
-            row_base += template.shape[0]
-            col_base += template.variable_count
-            self.stats.blocks_assembled += len(families)
-
-        matrix = csc_matrix(
-            (
-                np.concatenate(data_parts),
-                (np.concatenate(rows_parts), np.concatenate(cols_parts)),
-            ),
-            shape=(row_base, col_base),
-        )
-        self.stats.lp_solves += 1
-        try:
-            result = solve_linear_program(
-                np.concatenate(objective_parts),
-                equality_matrix=matrix,
-                equality_rhs=np.concatenate(rhs_parts),
-                bounds=(np.concatenate(lower_parts), np.concatenate(upper_parts)),
-            )
-        except LinearProgramError as error:
-            # A numerically unclassifiable fused program gets the same
-            # treatment as an infeasible one: per-query re-solves attribute
-            # the degeneracy (or genuine emptiness) to the right query.
-            # Input-validation errors (status None) stay loud.
-            if error.status is None:
-                raise
-            return None
-        if not result.feasible or result.solution is None:
-            return None
-        return [
-            result.solution[offset : offset + dimension].copy()
-            for offset in query_offsets
-        ]
-
     # -- relaxed fallback --------------------------------------------------------
 
     def _relaxed_point(
@@ -985,43 +1074,28 @@ class GammaKernel:
         variable_count = dimension + block_count * block_size + 1
         slack_column = variable_count - 1
 
-        rows_parts: list[np.ndarray] = []
-        cols_parts: list[np.ndarray] = []
-        data_parts: list[np.ndarray] = []
-
-        # Inequality rows: for block b, coordinate c, sign s in {+1, -1}:
-        #   s * (z_c - Y_T[:, c] @ alpha_b) - t <= 0
+        # Inequality rows, one per (block b, coordinate c, sign s) in that
+        # order: s * (z_c - Y_T[:, c] @ alpha_b) - t <= 0, entered as the z
+        # column, the block's weight columns, then the slack column.
         gathered = cloud[families_flat].transpose(0, 2, 1)  # (B, d, s)
-        row_index = 0
-        for block in range(block_count):
-            alpha_base = dimension + block * block_size
-            for coordinate in range(dimension):
-                for sign in (1.0, -1.0):
-                    count = 2 + block_size
-                    rows_parts.append(np.full(count, row_index, dtype=np.int64))
-                    cols_parts.append(
-                        np.concatenate(
-                            [
-                                [coordinate],
-                                np.arange(alpha_base, alpha_base + block_size),
-                                [slack_column],
-                            ]
-                        ).astype(np.int64)
-                    )
-                    data_parts.append(
-                        np.concatenate(
-                            [[sign], -sign * gathered[block, coordinate], [-1.0]]
-                        )
-                    )
-                    row_index += 1
-        inequality_matrix = csc_matrix(
-            (
-                np.concatenate(data_parts),
-                (np.concatenate(rows_parts), np.concatenate(cols_parts)),
-            ),
-            shape=(row_index, variable_count),
+        signs = np.asarray([1.0, -1.0])[None, None, :, None]
+        entries = (block_count, dimension, 2, block_size + 2)
+        cols = np.empty(entries, dtype=np.int64)
+        cols[..., 0] = np.arange(dimension)[None, :, None]
+        cols[..., 1:-1] = dimension + np.arange(block_count * block_size).reshape(
+            block_count, 1, 1, block_size
         )
-        inequality_rhs = np.zeros(row_index)
+        cols[..., -1] = slack_column
+        data = np.empty(entries)
+        data[..., :1] = signs
+        data[..., 1:-1] = -signs * gathered[:, :, None, :]
+        data[..., -1] = -1.0
+        row_count = block_count * dimension * 2
+        inequality_matrix = csc_matrix(
+            (data.ravel(), (np.repeat(np.arange(row_count), block_size + 2), cols.ravel())),
+            shape=(row_count, variable_count),
+        )
+        inequality_rhs = np.zeros(row_count)
 
         equality_rows = np.repeat(np.arange(block_count, dtype=np.int64), block_size)
         equality_cols = (

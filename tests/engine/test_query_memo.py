@@ -1,4 +1,4 @@
-"""Each distinct Gamma query and validity LP is solved once per trial.
+"""Each distinct Gamma query and hull distance is computed once per trial.
 
 The object engine runs every process literally, and the paper's algorithms
 have all non-faulty processes apply one deterministic rule to one agreed
@@ -16,6 +16,11 @@ import pytest
 import repro.core.validity as validity
 from repro.engine import STRATEGY_NAMES, Campaign, CampaignSession, strip_timing
 from repro.geometry.kernel import default_kernel
+
+
+def _solves(kernel) -> int:
+    """Gamma queries the kernel computed (an LP at d >= 3, the closed form below)."""
+    return kernel.stats.lp_solves + kernel.stats.closed_form_answers
 
 
 def _rows(specs, **options) -> list[str]:
@@ -39,7 +44,9 @@ def without_memo(monkeypatch):
     return disable
 
 
-def test_adversarial_exact_trial_solves_one_kernel_lp_and_one_hull_lp(fresh_kernel, monkeypatch):
+def test_adversarial_exact_trial_computes_one_gamma_point_and_one_hull_distance(
+    fresh_kernel, monkeypatch
+):
     campaign = Campaign.from_grid(
         "exact-at-the-bound",
         protocols=("exact",),
@@ -58,14 +65,15 @@ def test_adversarial_exact_trial_solves_one_kernel_lp_and_one_hull_lp(fresh_kern
         return distance_to_hull(*args, **kwargs)
 
     monkeypatch.setattr(validity, "distance_to_hull", counting)
-    solved_before = fresh_kernel.stats.lp_solves
+    solved_before, lps_before = _solves(fresh_kernel), fresh_kernel.stats.lp_solves
     results = list(CampaignSession(campaign.specs, engine="object").rows())
     assert all(result.ok and result.agreement and result.validity for result in results)
-    assert fresh_kernel.stats.lp_solves - solved_before == 12
+    assert _solves(fresh_kernel) - solved_before == 12
+    assert fresh_kernel.stats.lp_solves - lps_before == 4  # only d = 3 takes the LP
     assert len(hull_lps) == 12
 
 
-def test_approx_trial_solves_a_quarter_of_the_memoless_lps(fresh_kernel, without_memo):
+def test_approx_trial_computes_a_quarter_of_the_memoless_queries(fresh_kernel, without_memo):
     campaign = Campaign.from_grid(
         "approx-d2",
         protocols=("approx",),
@@ -76,14 +84,14 @@ def test_approx_trial_solves_a_quarter_of_the_memoless_lps(fresh_kernel, without
         repeats=1,
         base_seed=1813,
     )
-    solved_before = fresh_kernel.stats.lp_solves
+    solved_before = _solves(fresh_kernel)
     rows = _rows(campaign.specs, engine="object")
-    with_memo = fresh_kernel.stats.lp_solves - solved_before
+    with_memo = _solves(fresh_kernel) - solved_before
 
     without_memo()
-    solved_before = fresh_kernel.stats.lp_solves
+    solved_before = _solves(fresh_kernel)
     assert _rows(campaign.specs, engine="object") == rows
-    memoless = fresh_kernel.stats.lp_solves - solved_before
+    memoless = _solves(fresh_kernel) - solved_before
     assert fresh_kernel.stats.memo_hits > 0 and fresh_kernel.memo_size == 0
     assert 0 < 4 * with_memo <= memoless
 

@@ -406,16 +406,16 @@ class TestRepeatedClouds:
         assert default_kernel.stats.memo_hits > hits_before
 
     def test_cloud_whose_solve_fails_twice_gives_the_object_engines_rows(self, monkeypatch):
-        solve_single = GammaKernel._solve_single
+        closed_form = GammaKernel._closed_form
         refused: list[bytes] = []
 
-        def refuse_collapsed_clouds(self, cloud, families, objective_head):
+        def refuse_collapsed_clouds(self, cloud, fault_bound, objective_head):
             if not np.ptp(cloud, axis=0).any():
                 refused.append(cloud.tobytes())
                 raise GeometryError("injected solver failure")
-            return solve_single(self, cloud, families, objective_head)
+            return closed_form(self, cloud, fault_bound, objective_head)
 
-        monkeypatch.setattr(GammaKernel, "_solve_single", refuse_collapsed_clouds)
+        monkeypatch.setattr(GammaKernel, "_closed_form", refuse_collapsed_clouds)
         object_rows = _rows(run_trial(spec) for spec in self.SPECS)
         assert all("injected solver failure" in row for row in object_rows)
         refused.clear()

@@ -7,11 +7,13 @@ import pytest
 
 from repro.exceptions import GeometryError
 from repro.geometry.convex_hull import (
+    _hull_distance_program,
     contains_point,
     convex_combination_weights,
     distance_to_hull,
     hulls_intersection_point,
 )
+from repro.geometry.linprog import _assemble_program, solve_linear_program
 
 UNIT_SQUARE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
 TRIANGLE = [[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]
@@ -108,3 +110,106 @@ class TestDistance:
         with pytest.raises(GeometryError):
             distance_to_hull(np.empty((0, 2)), [0.0, 0.0])
 
+
+def lp_distance(cloud, target) -> float:
+    """The Chebyshev distance as the LP: what ``distance_to_hull`` solves from d = 3 on."""
+    result = solve_linear_program(
+        **_hull_distance_program(np.asarray(cloud, dtype=float), np.asarray(target, dtype=float))
+    )
+    return max(0.0, float(result.objective))
+
+
+def reference_hull_distance_program(cloud: np.ndarray, target: np.ndarray) -> dict:
+    """The former builder: two row lists per coordinate, stacked."""
+    point_count, dimension = cloud.shape
+    objective = np.zeros(point_count + 1)
+    objective[-1] = 1.0
+    rows, rhs = [], []
+    for coordinate in range(dimension):
+        row = np.zeros(point_count + 1)
+        row[:point_count] = cloud[:, coordinate]
+        row[-1] = -1.0
+        rows.append(row)
+        rhs.append(float(target[coordinate]))
+        row = np.zeros(point_count + 1)
+        row[:point_count] = -cloud[:, coordinate]
+        row[-1] = -1.0
+        rows.append(row)
+        rhs.append(-float(target[coordinate]))
+    equality_matrix = np.zeros((1, point_count + 1))
+    equality_matrix[0, :point_count] = 1.0
+    return dict(
+        objective=objective,
+        inequality_matrix=np.vstack(rows),
+        inequality_rhs=np.asarray(rhs),
+        equality_matrix=equality_matrix,
+        equality_rhs=np.asarray([1.0]),
+        bounds=(0, None),
+    )
+
+
+def assembled(program: dict) -> list[bytes]:
+    """What HiGHS is handed for ``program``, as bytes."""
+    objective, matrix, *vectors = _assemble_program(
+        program["objective"], program["inequality_matrix"], program["inequality_rhs"],
+        program["equality_matrix"], program["equality_rhs"], program["bounds"],
+    )
+    arrays = [objective, matrix.data, matrix.indices, matrix.indptr, *vectors]
+    return [np.asarray(matrix.shape).tobytes()] + [array.tobytes() for array in arrays]
+
+
+class TestDistanceProgram:
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 4])
+    def test_one_expression_assembles_the_former_program_bitwise(self, dimension):
+        rng = np.random.default_rng(dimension)
+        for point_count in (1, 4, 9):
+            cloud = rng.normal(size=(point_count, dimension))
+            cloud[0, 0] = -0.0
+            cloud[-1, -1] = 0.0
+            target = rng.normal(size=dimension)
+            assert assembled(_hull_distance_program(cloud, target)) == assembled(
+                reference_hull_distance_program(cloud, target)
+            )
+
+
+class TestPlanarDistanceMatchesTheProgram:
+    """At d <= 2 the distance has a closed form; the LP is its oracle, to 1e-12."""
+
+    @staticmethod
+    def assert_matches(cloud, target) -> float:
+        distance = distance_to_hull(cloud, target)
+        assert abs(distance - lp_distance(cloud, target)) <= 1e-12
+        return distance
+
+    def test_inside_points_are_exactly_zero(self):
+        assert distance_to_hull(UNIT_SQUARE, [0.25, 0.75]) == 0.0
+        assert distance_to_hull(TRIANGLE, [0.5, 0.5]) == 0.0
+        assert distance_to_hull([[0.0], [2.0], [1.0]], [1.5]) == 0.0
+
+    def test_outside_on_an_edge_and_at_a_vertex(self):
+        assert self.assert_matches(UNIT_SQUARE, [2.0, 0.5]) == pytest.approx(1.0)
+        assert self.assert_matches(TRIANGLE, [3.0, 3.0]) == pytest.approx(2.0)
+        assert self.assert_matches(TRIANGLE, [1.0, 1.0]) <= 1e-15  # on the hypotenuse
+        assert self.assert_matches(TRIANGLE, [2.0, 0.0]) <= 1e-15  # a vertex
+        assert self.assert_matches([[0.0], [2.0]], [-0.5]) == 0.5
+
+    def test_collinear_and_coincident_inputs(self):
+        line = [[0.0, 0.0], [1.0, 1.0], [3.0, 3.0], [2.0, 2.0]]
+        assert self.assert_matches(line, [1.5, 1.5]) <= 1e-15
+        assert self.assert_matches(line, [1.5, 2.5]) == pytest.approx(0.5)
+        assert self.assert_matches(line, [5.0, 4.0]) == pytest.approx(2.0)  # from (3, 3)
+        assert self.assert_matches([[2.0, -1.0]] * 4, [0.0, 0.5]) == pytest.approx(2.0)
+
+    def test_random_clouds_inside_outside_and_on_edges(self):
+        rng = np.random.default_rng(2013)
+        for trial in range(300):
+            dimension = 1 + trial % 2
+            cloud = rng.uniform(-2.0, 2.0, size=(int(rng.integers(1, 12)), dimension))
+            if trial % 3 == 0:
+                cloud = np.round(cloud, 1)  # duplicates and collinear runs
+            for target in (
+                rng.uniform(-3.0, 3.0, size=dimension),
+                cloud.mean(axis=0),
+                (cloud[0] + cloud[-1]) / 2.0,
+            ):
+                self.assert_matches(cloud, target)

@@ -11,15 +11,16 @@ Section 2.2 enumeration (:func:`repro.core.safe_area.safe_area_point`) on
 
 across randomized ``(n, f, d)`` instances including degenerate (collinear,
 duplicate-point, fully collapsed) multisets.  Batched answers must match the
-corresponding single-query answers to solver precision when the fused
-program is solved, and bit-for-bit when it falls back to per-query solves.
+corresponding single-query answers bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_matrix
 
+import repro.geometry.linprog as linprog_module
 from repro.core.safe_area import (
     SafeAreaCalculator,
     safe_area_contains,
@@ -271,43 +272,41 @@ class TestDepthOracle:
 
 
 class TestBatchedQueries:
-    def test_fallback_batch_is_bit_identical_to_single_queries(self):
+    def test_batch_answers_are_the_single_answers(self):
         # Six points in the plane with f = 2 sit below Lemma 1's bound, so
-        # some of these Gammas are empty: the fused program is infeasible and
-        # every query is re-solved on its own.
+        # some of these Gammas are empty; the spatial clouds take the LP.
         rng = np.random.default_rng(5)
-        clouds = [rng.uniform(0.0, 1.0, size=(6, 2)) for _ in range(6)]
-        objective = np.asarray([1.0, 0.0])
-        singles = [GammaKernel().point(cloud, 2, objective=objective) for cloud in clouds]
-        assert any(single is None for single in singles)
-        assert any(single is not None for single in singles)
-        kernel = GammaKernel()
-        from_batch = kernel.points_batch(clouds, 2, objective=objective)
-        assert kernel.stats.lp_solves > len(clouds)  # the fused attempt, then one each
-        for single, batched in zip(singles, from_batch):
-            assert (single is None) == (batched is None)
-            if single is not None:
-                assert np.array_equal(single, batched)
+        for shape in ((6, 2), (9, 2), (9, 3)):
+            clouds = [rng.uniform(0.0, 1.0, size=shape) for _ in range(6)]
+            objective = np.eye(shape[1])[0]
+            singles = [GammaKernel().point(cloud, 2, objective=objective) for cloud in clouds]
+            kernel = GammaKernel()
+            from_batch = kernel.points_batch(clouds, 2, objective=objective)
+            assert kernel.stats.batch_queries == len(clouds) and kernel.stats.single_queries == 0
+            assert kernel.stats.lp_solves == (len(clouds) if shape[1] == 3 else 0)
+            for single, batched in zip(singles, from_batch):
+                assert (single is None) == (batched is None)
+                if single is not None:
+                    assert np.array_equal(single, batched)
+            if shape == (6, 2):
+                assert any(single is None for single in singles)
+                assert any(single is not None for single in singles)
 
-    def test_fused_batch_matches_singles_to_solver_precision(self):
+    def test_an_answer_does_not_depend_on_its_batch_mates(self):
         rng = np.random.default_rng(6)
-        clouds = [rng.uniform(0.0, 1.0, size=(9, 2)) for _ in range(5)]
-        objective = np.asarray([1.0, 0.0])
-        fused = default_kernel.points_batch(clouds, 2, objective=objective)
-        for cloud, point in zip(clouds, fused):
-            single = default_kernel.point(cloud, 2, objective=objective)
-            assert float(point[0]) == pytest.approx(float(single[0]), abs=1e-8)
-            assert safe_area_contains(cloud, 2, point, tolerance=1e-5)
+        clouds = [rng.uniform(0.0, 1.0, size=(9, 3)) for _ in range(4)]
+        alone = GammaKernel().points_batch(clouds[:1], 2)[0]
+        for mates, position in ((clouds, 0), (clouds[::-1], -1), (clouds[:1] * 2, 1)):
+            assert np.array_equal(GammaKernel().points_batch(mates, 2)[position], alone)
 
-    def test_fused_batch_with_one_empty_gamma_falls_back(self):
-        # One query has empty Gamma (Theorem 1 construction); the fused LP is
-        # infeasible and the kernel must fall back to attribute emptiness to
-        # exactly that query.  The good query is 3 collinear points, whose
-        # Gamma with f = 1 is the single middle point.
+    def test_batch_with_one_empty_gamma(self):
+        # One query has empty Gamma (Theorem 1 construction) and gets None;
+        # the good query is 3 collinear points, whose Gamma with f = 1 is the
+        # single middle point.
         triangle = np.vstack([np.eye(2), np.zeros((1, 2))])  # d+1 points, f=1
         good = np.asarray([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
         points = default_kernel.points_batch([good, triangle], 1)
-        assert points[0] is not None
+        assert np.array_equal(points[0], [1.0, 1.0])
         assert points[1] is None
 
     def test_empty_batch_and_shape_validation(self):
@@ -335,6 +334,54 @@ class TestBatchedQueries:
             assert np.allclose(point, cloud.mean(axis=0))
 
 
+def reference_relaxed_inequalities(cloud: np.ndarray, families: np.ndarray) -> csc_matrix:
+    """The relaxed program's inequality block as the former triple loop built it."""
+    block_count, block_size = families.shape
+    dimension = cloud.shape[1]
+    variable_count = dimension + block_count * block_size + 1
+    gathered = cloud[families].transpose(0, 2, 1)
+    rows, cols, data = [], [], []
+    row_index = 0
+    for block in range(block_count):
+        alpha_base = dimension + block * block_size
+        for coordinate in range(dimension):
+            for sign in (1.0, -1.0):
+                rows.append(np.full(2 + block_size, row_index, dtype=np.int64))
+                cols.append(
+                    np.concatenate(
+                        [[coordinate], np.arange(alpha_base, alpha_base + block_size), [variable_count - 1]]
+                    ).astype(np.int64)
+                )
+                data.append(np.concatenate([[sign], -sign * gathered[block, coordinate], [-1.0]]))
+                row_index += 1
+    return csc_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(row_index, variable_count),
+    )
+
+
+class TestRelaxedProgram:
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_inequality_block_is_the_former_loop_bitwise(self, dimension, monkeypatch):
+        captured = []
+        solve = linprog_module.solve_linear_program
+
+        def recorder(objective, **constraints):
+            captured.append(constraints["inequality_matrix"])
+            return solve(objective, **constraints)
+
+        monkeypatch.setattr(linprog_module, "solve_linear_program", recorder)
+        rng = np.random.default_rng(dimension)
+        for point_count, fault_bound in ((4, 1), (7, 2), (9, 2)):
+            cloud = rng.normal(size=(point_count, dimension))
+            families = np.asarray(pruned_subset_family(cloud, fault_bound), dtype=np.int64)
+            GammaKernel()._relaxed_point(cloud, families)
+            built, expected = captured.pop(), reference_relaxed_inequalities(cloud, families)
+            assert built.shape == expected.shape
+            for part in ("data", "indices", "indptr"):
+                assert getattr(built, part).tobytes() == getattr(expected, part).tobytes(), part
+
+
 class TestTemplateCacheAndStats:
     def test_templates_are_reused_across_rounds(self):
         rng = np.random.default_rng(11)
@@ -349,7 +396,7 @@ class TestTemplateCacheAndStats:
         assert kernel.stats.dense_solves == 0
         # Pruned queries may land on per-cloud shapes, but always record the
         # number of constraint blocks they avoided assembling.
-        kernel.point(rng.uniform(size=(7, 2)), 2)
+        kernel.point(np.repeat(rng.uniform(size=(4, 3)), 2, axis=0), 2)
         assert kernel.stats.blocks_pruned_away > 0
 
     def test_cache_eviction_is_bounded(self):

@@ -29,6 +29,11 @@ def cold_kernel() -> GammaKernel:
     return kernel
 
 
+def solves(kernel: GammaKernel) -> int:
+    """Queries the kernel computed rather than served from its memo."""
+    return kernel.stats.lp_solves + kernel.stats.closed_form_answers
+
+
 def outcome(query):
     """What a query does: its answer, or the type and message it raises."""
     try:
@@ -127,9 +132,9 @@ def test_point_answers_equal_a_cold_kernels(query_set):
         )
         raised = raised or reference[0] == "raises"
     assert cold.stats.memo_hits == 0 and cold.memo_size == 0
-    assert warm.stats.lp_solves + warm.stats.memo_hits == cold.stats.lp_solves
+    assert solves(warm) + warm.stats.memo_hits == solves(cold)
     if not raised:
-        assert warm.stats.lp_solves == len({cloud.tobytes() for cloud in clouds})
+        assert solves(warm) == len({cloud.tobytes() for cloud in clouds})
 
 
 def test_batch_answers_equal_a_cold_kernels():
@@ -147,7 +152,7 @@ def test_batch_answers_equal_a_cold_kernels():
                 outcome(lambda: cold.points_batch(batch, fault_bound, objective=objective)),
             )
         assert cold.stats.memo_hits == 0 and cold.memo_size == 0
-        assert warm.stats.lp_solves <= cold.stats.lp_solves
+        assert solves(warm) <= solves(cold)
 
     check()
 
@@ -167,7 +172,7 @@ def test_multi_answers_equal_a_cold_kernels():
                 outcome(lambda: cold.points_multi(queries, fault_bound, objective=objective)),
             )
         assert cold.stats.memo_hits == 0
-        assert warm.stats.lp_solves <= cold.stats.lp_solves
+        assert solves(warm) <= solves(cold)
 
     check()
 
@@ -201,12 +206,12 @@ def test_every_key_field_separates_point_queries(cloud):
     for count, variant in enumerate(variants, start=1):
         variant()
         assert kernel.stats.memo_hits == 0
-        assert kernel.stats.lp_solves == count
+        assert solves(kernel) == count
         assert kernel.memo_size == count
     for variant in variants:
         variant()
     assert kernel.stats.memo_hits == len(variants)
-    assert kernel.stats.lp_solves == len(variants)
+    assert solves(kernel) == len(variants)
 
 
 def test_one_cloud_two_shapes_do_not_collide():
@@ -219,28 +224,18 @@ def test_one_cloud_two_shapes_do_not_collide():
     assert on_the_line.shape == (1,) and in_the_plane.shape == (2,)
 
 
-def test_every_key_field_separates_batches(cloud):
+def test_batches_share_the_per_query_entries(cloud):
+    """A batch is its queries: each one is stored, and served, on its own key."""
     kernel = GammaKernel()
     other = cloud[::-1].copy()
-    variants = [
-        lambda: kernel.points_batch([cloud, other], 1),
-        lambda: kernel.points_batch([other, cloud], 1),
-        lambda: kernel.points_batch([cloud, other], 2),
-        lambda: kernel.points_batch([cloud, other], 1, objective=[1.0, 0.0]),
-        lambda: kernel.points_batch([cloud], 1),
-        lambda: kernel.points_batch([cloud, other, cloud], 1),
-        lambda: kernel.point(cloud, 1),  # a batch of one is not a single query
-    ]
-    for count, variant in enumerate(variants, start=1):
-        variant()
-        assert kernel.stats.memo_hits == 0
-        assert kernel.memo_size == count
-    solves = kernel.stats.lp_solves
-    for variant in variants:
-        variant()
-    assert kernel.stats.lp_solves == solves
-    # A whole-batch hit counts each of its queries.
-    assert kernel.stats.memo_hits == 2 * 4 + 1 + 3 + 1
+    kernel.point(cloud, 1)
+    assert kernel.points_batch([cloud, other], 1)[0] is not None
+    assert kernel.stats.memo_hits == 1 and kernel.memo_size == 2
+    kernel.points_batch([other, cloud, cloud], 1)
+    assert kernel.stats.memo_hits == 4 and kernel.memo_size == 2 and solves(kernel) == 2
+    kernel.points_batch([cloud, other], 2)  # another f: other queries
+    kernel.points_batch([cloud], 1, objective=[1.0, 0.0])  # another objective
+    assert kernel.stats.memo_hits == 4 and kernel.memo_size == 5 and solves(kernel) == 5
 
 
 def test_explicit_families_stay_out_of_the_table(cloud):
@@ -252,13 +247,12 @@ def test_explicit_families_stay_out_of_the_table(cloud):
     assert kernel.stats.lp_solves == 2 and np.array_equal(first, again)
 
     kernel.point(cloud, 1)  # the pruned-family answer is now stored ...
-    kernel.points_batch([cloud, cloud], 1)
-    stored = kernel.memo_size
-    solves = kernel.stats.lp_solves
+    stored, hits = kernel.memo_size, kernel.stats.memo_hits
+    solves_before = kernel.stats.lp_solves
     kernel.point(cloud, 1, subset_indices=families)  # ... and not served to these
     kernel.points_batch([cloud, cloud], 1, subset_indices=[families, families])
-    assert kernel.stats.memo_hits == 0 and kernel.memo_size == stored
-    assert kernel.stats.lp_solves == solves + 2
+    assert kernel.stats.memo_hits == hits and kernel.memo_size == stored
+    assert kernel.stats.lp_solves == solves_before + 3
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +266,7 @@ def test_mutating_a_returned_point_cannot_poison_later_answers(cloud):
         answer = kernel.point(cloud, 2, objective=[1.0, 0.0])
         assert np.array_equal(answer, expected)
         answer[:] = 99.0
-    assert kernel.stats.lp_solves == 1 and kernel.stats.memo_hits == 2
+    assert solves(kernel) == 1 and kernel.stats.memo_hits == 2
 
 
 def test_mutating_a_returned_batch_cannot_poison_later_answers(cloud):
@@ -317,9 +311,10 @@ def test_empty_gamma_is_memoised():
 
     batch = [TRIANGLE, TRIANGLE + 1.0]
     assert kernel.points_batch(batch, 1) == [None, None]
+    assert kernel.stats.memo_hits == 2  # the triangle, stored by the single query
     solves = (kernel.stats.lp_solves, kernel.stats.relaxed_solves)
     assert kernel.points_batch(batch, 1) == [None, None]
-    assert kernel.stats.memo_hits == 3
+    assert kernel.stats.memo_hits == 4
     assert (kernel.stats.lp_solves, kernel.stats.relaxed_solves) == solves
 
 
@@ -366,7 +361,7 @@ def test_the_bound_holds_when_over_filled_and_answers_stay_correct(monkeypatch):
             assert kernel.memo_size <= 4
     assert kernel.stats.memo_evictions == 5  # 22 stores, flushed at every fifth
     assert kernel.stats.memo_hits == 22
-    assert kernel.stats.lp_solves == 22
+    assert solves(kernel) == 22
 
 
 def test_clear_cache_empties_the_memo(cloud):
@@ -376,9 +371,9 @@ def test_clear_cache_empties_the_memo(cloud):
     assert kernel.memo_size == 2
     kernel.clear_cache()
     assert kernel.memo_size == 0
-    solves = kernel.stats.lp_solves
+    computed = solves(kernel)
     kernel.point(cloud, 1)
-    assert kernel.stats.lp_solves == solves + 1 and kernel.stats.memo_hits == 0
+    assert solves(kernel) == computed + 1 and kernel.stats.memo_hits == 1
 
 
 def test_threads_sharing_a_kernel_get_cold_answers(monkeypatch):
@@ -429,7 +424,7 @@ def test_counters_are_appended_and_published():
         "dense_solves", "relaxed_solves", "template_hits",
         "template_misses", "blocks_assembled", "blocks_pruned_away",
     )
-    assert KernelStats.FIELDS[13:] == ("memo_hits", "memo_evictions")
+    assert KernelStats.FIELDS[13:] == ("memo_hits", "memo_evictions", "closed_form_answers")
 
     registry = get_registry()
     cloud = np.random.default_rng(3).uniform(size=(6, 2)) + 1800.0  # nobody else's query

@@ -25,12 +25,13 @@ from typing import Any, Callable, Iterator
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.sparse import csc_array
 
 import repro.geometry.convex_hull as convex_hull_module
 import repro.geometry.linprog as linprog_module
 from repro.exceptions import LinearProgramError
-from repro.geometry.convex_hull import contains_point, distance_to_hull
-from repro.geometry.kernel import GammaKernel
+from repro.geometry.convex_hull import _hull_distance_program, contains_point
+from repro.geometry.kernel import GammaKernel, pruned_subset_family
 from repro.geometry.linprog import solve_linear_program
 from repro.obs.registry import get_registry
 
@@ -149,9 +150,14 @@ def captured_programs() -> Iterator[list[dict[str, Any]]]:
 
 
 def kernel_programs(cloud: np.ndarray, fault_bound: int) -> list[dict[str, Any]]:
-    """The strict program — and, when it fails, the relaxed one — of one query."""
+    """The strict program — and, when it fails, the relaxed one — of one query.
+
+    Handed its pruned family explicitly, a planar query takes the LP too.
+    """
     with captured_programs() as programs:
-        GammaKernel().point(cloud, fault_bound)
+        GammaKernel().point(
+            cloud, fault_bound, subset_indices=pruned_subset_family(cloud, fault_bound)
+        )
     return programs
 
 
@@ -266,7 +272,8 @@ HALFSPACE_PROGRAMS = (
 
 #: Programs in :func:`hull_and_halfspace_programs`: three per random cloud
 #: (one distance, two memberships) over six clouds, the skewed membership,
-#: and the three halfspace programs.
+#: and the three halfspace programs.  The planar distances are the LP that
+#: ``distance_to_hull`` solves from three dimensions on.
 HULL_AND_HALFSPACE_PROGRAM_COUNT = 22
 
 
@@ -276,7 +283,9 @@ def hull_and_halfspace_programs() -> list[dict[str, Any]]:
     with captured_programs() as programs:
         for _ in range(6):
             cloud = rng.normal(size=(6, 2))
-            distance_to_hull(cloud, rng.normal(size=2) * 2.0)
+            convex_hull_module.solve_linear_program(
+                **_hull_distance_program(cloud, rng.normal(size=2) * 2.0)
+            )
             contains_point(cloud, cloud.mean(axis=0))
             contains_point(cloud, np.asarray([9.0, 9.0]))
         # Duplicated points with coordinates spanning orders of magnitude:
@@ -353,6 +362,18 @@ class TestBitwiseOracle:
     def test_every_bounds_form(self):
         for index, program in enumerate(bounds_form_programs()):
             assert_bitwise_equal(program, f"bounds form {index}")
+
+    def test_dense_blocks_become_the_csc_scipy_builds(self):
+        rng = np.random.default_rng(15)
+        for shape in ((1, 1), (3, 7), (8, 5), (0, 3)):
+            for _ in range(20):
+                matrix = rng.normal(size=shape)
+                matrix[rng.random(shape) < 0.4] = 0.0
+                matrix[rng.random(shape) < 0.1] = -0.0  # dropped like any zero
+                built, expected = linprog_module._dense_csc(matrix), csc_array(matrix)
+                assert built.shape == expected.shape and built.has_canonical_format
+                for part in ("data", "indices", "indptr"):
+                    assert getattr(built, part).tobytes() == getattr(expected, part).tobytes()
 
     def test_pre_split_bounds_equal_listed_bounds(self):
         lower = np.asarray([-np.inf, 0.0, -2.0])
