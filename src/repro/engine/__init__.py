@@ -41,7 +41,6 @@ from repro.engine.pool import (
     WorkerPool,
     execute_plan,
     get_pool,
-    pool_metrics,
     shutdown_pools,
 )
 from repro.engine.factories import (
@@ -135,7 +134,6 @@ __all__ = [
     "minimum_processes_for",
     "parameter_grid",
     "plan_specs",
-    "pool_metrics",
     "read_jsonl",
     "run_campaign",
     "run_fuzz",

@@ -37,6 +37,7 @@ import atexit
 import itertools
 import math
 import multiprocessing
+import threading
 import time
 import traceback
 from collections import deque
@@ -61,7 +62,6 @@ __all__ = [
     "decode_unit",
     "execute_plan",
     "get_pool",
-    "pool_metrics",
     "shutdown_pools",
 ]
 
@@ -127,12 +127,6 @@ class CostModel:
     def __init__(self) -> None:
         self._per_trial: dict[tuple, float] = {}
         self._kind_default: dict[str, float] = {}
-        #: Calibration probes dispatched for never-seen shape classes.
-        self.probes = 0
-
-    def observed_shapes(self) -> int:
-        """Number of distinct shape classes with a direct latency estimate."""
-        return len(self._per_trial)
 
     @staticmethod
     def shape_key(kind: str, spec: TrialSpec) -> tuple:
@@ -180,7 +174,7 @@ class CostModel:
             return max(1, min(chunksize, remaining))
         per = self.per_trial_seconds(key)
         if per is None:
-            self.probes += 1
+            _POOL_PROBES.inc()
             size = PROBE_TRIALS
         else:
             size = max(1, round(TARGET_UNIT_SECONDS / per))
@@ -307,8 +301,9 @@ def _worker_main(conn: Connection, sibling_conns: Sequence[Connection]) -> None:
             sibling.close()
         except OSError:  # pragma: no cover — best-effort fd hygiene
             pass
+    # Collectors only set gauges, which deltas drop: snapshots skip them.
     registry = get_registry()
-    baseline = registry.snapshot()
+    baseline = registry.snapshot(collect=False)
     while True:
         try:
             message = conn.recv()
@@ -323,7 +318,7 @@ def _worker_main(conn: Connection, sibling_conns: Sequence[Connection]) -> None:
         try:
             results = _run_unit(header["kind"], decode_unit(header))
             stripped = [replace(result, spec=None) for result in results]
-            current = registry.snapshot()
+            current = registry.snapshot(collect=False)
             delta = snapshot_delta(current, baseline)
             baseline = current
             extras = {"metrics": delta or None, "started_at": started_at}
@@ -376,7 +371,9 @@ class WorkerPool:
     unit sizing sees the freshest :class:`CostModel` estimates and fast
     workers drain the shared tail (work stealing by construction).  A worker
     that dies mid-unit (OOM-kill, segfault) is detected as pipe EOF; its unit
-    is requeued and the seat respawned — ``crash_recoveries`` counts these.
+    is requeued and the seat respawned — ``repro_pool_crash_recoveries_total``
+    counts these.  Sessions sharing one pool take turns: :meth:`run_tasks`
+    holds the pool's lock from its first task to its last reply.
     """
 
     def __init__(self, workers: int) -> None:
@@ -384,8 +381,8 @@ class WorkerPool:
             raise ConfigurationError(f"worker pool needs >= 1 worker, got {workers}")
         self.workers = workers
         self.cost_model = CostModel()
-        self.crash_recoveries = 0
         self.closed = False
+        self._run_lock = threading.Lock()
         start_methods = multiprocessing.get_all_start_methods()
         self._context = multiprocessing.get_context(
             "fork" if "fork" in start_methods else start_methods[0]
@@ -433,7 +430,7 @@ class WorkerPool:
                 slot.task = task
                 return
             except (BrokenPipeError, OSError):
-                self.crash_recoveries += 1
+                _POOL_CRASH_RECOVERIES.inc()
                 self._respawn(slot)
         raise RuntimeError("worker pool could not dispatch after respawn")
 
@@ -448,66 +445,67 @@ class WorkerPool:
         reusable; their rows are simply dropped (trials are pure, re-running
         them later is byte-identical).
         """
-        if self.closed:
-            raise RuntimeError("worker pool is shut down")
-        task_iter = iter(tasks)
-        backlog: deque[_Task] = deque()
-        exhausted = False
+        with self._run_lock:
+            if self.closed:
+                raise RuntimeError("worker pool is shut down")
+            task_iter = iter(tasks)
+            backlog: deque[_Task] = deque()
+            exhausted = False
 
-        def pull() -> _Task | None:
-            nonlocal exhausted
-            if backlog:
-                task = backlog.popleft()
-                _POOL_BACKLOG.set(len(backlog))
-                return task
-            if exhausted:
-                return None
+            def pull() -> _Task | None:
+                nonlocal exhausted
+                if backlog:
+                    task = backlog.popleft()
+                    _POOL_BACKLOG.set(len(backlog))
+                    return task
+                if exhausted:
+                    return None
+                try:
+                    return next(task_iter)
+                except StopIteration:
+                    exhausted = True
+                    return None
+
+            def fill_idle() -> None:
+                for slot in self._slots:
+                    if slot.task is None:
+                        task = pull()
+                        if task is None:
+                            return
+                        self._dispatch(slot, task)
+
             try:
-                return next(task_iter)
-            except StopIteration:
-                exhausted = True
-                return None
-
-        def fill_idle() -> None:
-            for slot in self._slots:
-                if slot.task is None:
-                    task = pull()
-                    if task is None:
-                        return
-                    self._dispatch(slot, task)
-
-        try:
-            fill_idle()
-            while any(slot.task is not None for slot in self._slots):
-                busy = {slot.conn: slot for slot in self._slots if slot.task is not None}
-                for conn in connection_wait(list(busy)):
-                    slot = busy[conn]
-                    task = slot.task
-                    try:
-                        message = conn.recv()
-                    except (EOFError, OSError):
-                        # Worker died mid-unit: requeue the unit, refill seat.
-                        self.crash_recoveries += 1
-                        self._respawn(slot)
-                        backlog.append(task)
-                        _POOL_BACKLOG.set(len(backlog))
-                        continue
-                    slot.task = None
-                    status, seconds, body = message[0], message[1], message[2]
-                    extras = message[3] if len(message) > 3 else {}
-                    if status == "fail":
-                        raise RuntimeError(f"worker failed executing unit:\n{body}")
-                    delta = extras.get("metrics")
-                    if delta:
-                        get_registry().merge(delta)
-                    task.started_at = float(extras.get("started_at") or 0.0)
-                    task.worker = slot.process.name
-                    self.cost_model.observe(task.shape_key, len(task.positions), seconds)
-                    self._observe_unit(task, seconds)
-                    yield task, seconds, body
                 fill_idle()
-        finally:
-            self._drain_inflight()
+                while any(slot.task is not None for slot in self._slots):
+                    busy = {slot.conn: slot for slot in self._slots if slot.task is not None}
+                    for conn in connection_wait(list(busy)):
+                        slot = busy[conn]
+                        task = slot.task
+                        try:
+                            message = conn.recv()
+                        except (EOFError, OSError):
+                            # Worker died mid-unit: requeue the unit, refill seat.
+                            _POOL_CRASH_RECOVERIES.inc()
+                            self._respawn(slot)
+                            backlog.append(task)
+                            _POOL_BACKLOG.set(len(backlog))
+                            continue
+                        slot.task = None
+                        status, seconds, body = message[0], message[1], message[2]
+                        extras = message[3] if len(message) > 3 else {}
+                        if status == "fail":
+                            raise RuntimeError(f"worker failed executing unit:\n{body}")
+                        delta = extras.get("metrics")
+                        if delta:
+                            get_registry().merge(delta)
+                        task.started_at = float(extras.get("started_at") or 0.0)
+                        task.worker = slot.process.name
+                        self.cost_model.observe(task.shape_key, len(task.positions), seconds)
+                        self._observe_unit(task, seconds)
+                        yield task, seconds, body
+                    fill_idle()
+            finally:
+                self._drain_inflight()
 
     def _observe_unit(self, task: _Task, seconds: float) -> None:
         """Fold one completed unit into the process metrics registry."""
@@ -557,6 +555,8 @@ class WorkerPool:
 #: lives: warm kernel template caches, warm Gamma memos, calibrated cost
 #: model, zero spawn latency.
 _POOLS: dict[int, WorkerPool] = {}
+#: Guards :data:`_POOLS`, so sessions asking for one size at once share one pool.
+_POOLS_LOCK = threading.Lock()
 
 
 # -- telemetry ---------------------------------------------------------------
@@ -584,79 +584,39 @@ _POOL_ROUNDTRIP_SECONDS = get_registry().histogram(
 _POOL_BACKLOG = get_registry().gauge(
     "repro_pool_backlog_units", "Units requeued after a worker crash, awaiting redispatch.",
 )
+_POOL_CRASH_RECOVERIES = get_registry().counter(
+    "repro_pool_crash_recoveries_total",
+    "Workers respawned after dying (their unit was requeued).",
+)
+_POOL_PROBES = get_registry().counter(
+    "repro_pool_cost_model_probes_total",
+    "Calibration probe units dispatched for never-seen shape classes.",
+)
+_POOL_SEATS = get_registry().gauge(
+    "repro_pool_seats", "Worker seats across every live persistent pool.",
+)
+_POOL_BUSY_SEATS = get_registry().gauge(
+    "repro_pool_busy_seats", "Seats currently executing a unit.",
+)
 
 
-def pool_metrics() -> dict[str, Any]:
-    """Aggregate state of every live pool, for ``/metrics`` JSON exposition.
-
-    Totals cover ``crash_recoveries``, seat counts and occupancy, and the
-    cost model's calibration-probe/shape counters; ``pools`` breaks the same
-    numbers down per pool size.
-    """
-    pools: list[dict[str, Any]] = []
-    for workers, pool in sorted(_POOLS.items()):
-        if pool.closed:
-            continue
-        busy = sum(1 for slot in pool._slots if slot.task is not None)
-        pools.append({
-            "workers": workers,
-            "busy_seats": busy,
-            "crash_recoveries": pool.crash_recoveries,
-            "cost_model_probes": pool.cost_model.probes,
-            "cost_model_shapes": pool.cost_model.observed_shapes(),
-        })
-    return {
-        "pools": pools,
-        "seats": sum(entry["workers"] for entry in pools),
-        "busy_seats": sum(entry["busy_seats"] for entry in pools),
-        "crash_recoveries": sum(entry["crash_recoveries"] for entry in pools),
-        "cost_model_probes": sum(entry["cost_model_probes"] for entry in pools),
-    }
+def _publish_seats() -> None:
+    """Set the seat gauges from the live pools (the pool's one collector)."""
+    live = [pool for pool in list(_POOLS.values()) if not pool.closed]
+    _POOL_SEATS.set(sum(pool.workers for pool in live))
+    _POOL_BUSY_SEATS.set(sum(slot.task is not None for pool in live for slot in pool._slots))
 
 
-def _register_pool_metrics() -> None:
-    """Publish live-pool gauges and crash/probe counters at collection time."""
-    from repro.obs.registry import CounterSync
-
-    registry = get_registry()
-    seats = registry.gauge(
-        "repro_pool_seats", "Worker seats across every live persistent pool.",
-    )
-    busy = registry.gauge(
-        "repro_pool_busy_seats", "Seats currently executing a unit.",
-    )
-    crashes = registry.counter(
-        "repro_pool_crash_recoveries_total",
-        "Workers respawned after dying (their unit was requeued).",
-    )
-    probes = registry.counter(
-        "repro_pool_cost_model_probes_total",
-        "Calibration probe units dispatched for never-seen shape classes.",
-    )
-
-    def _gauges() -> None:
-        state = pool_metrics()
-        seats.set(state["seats"])
-        busy.set(state["busy_seats"])
-
-    registry.register_collector(_gauges)
-    registry.register_collector(
-        CounterSync(crashes, lambda: {"value": pool_metrics()["crash_recoveries"]})
-    )
-    registry.register_collector(
-        CounterSync(probes, lambda: {"value": pool_metrics()["cost_model_probes"]})
-    )
-
-
-_register_pool_metrics()
+get_registry().register_collector(_publish_seats)
 
 
 def get_pool(workers: int) -> WorkerPool:
     """Return the process-lifetime pool for ``workers`` seats, creating it once."""
-    pool = _POOLS.get(workers)
-    if pool is None or pool.closed:
-        pool = _POOLS[workers] = WorkerPool(workers)
-    return pool
+    with _POOLS_LOCK:
+        pool = _POOLS.get(workers)
+        if pool is None or pool.closed:
+            pool = _POOLS[workers] = WorkerPool(workers)
+        return pool
 
 
 def shutdown_pools() -> None:

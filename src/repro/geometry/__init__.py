@@ -11,7 +11,6 @@ from repro.geometry.multisets import PointMultiset, iter_index_partitions, iter_
 from repro.geometry.linprog import LinearProgramResult, solve_linear_program, feasibility_program
 from repro.geometry.kernel import (
     GammaKernel,
-    KernelStats,
     default_kernel,
     full_subset_family,
     halfspace_depth,
@@ -44,7 +43,6 @@ __all__ = [
     "solve_linear_program",
     "feasibility_program",
     "GammaKernel",
-    "KernelStats",
     "default_kernel",
     "full_subset_family",
     "halfspace_depth",

@@ -70,16 +70,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import ClassVar, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 from scipy.sparse import csc_matrix
 
 from repro.exceptions import GeometryError, LinearProgramError
 from repro.geometry.points import as_cloud, as_point
+from repro.obs.registry import get_registry
 
 __all__ = [
-    "KernelStats",
     "GammaKernel",
     "default_kernel",
     "full_subset_family",
@@ -653,66 +653,14 @@ def _build_template(block_count: int, block_size: int, dimension: int) -> _Const
 # The kernel
 # ---------------------------------------------------------------------------
 
-@dataclass
-class KernelStats:
-    """Observability counters for one :class:`GammaKernel` instance."""
-
-    single_queries: int = 0
-    batch_queries: int = 0
-    batch_calls: int = 0
-    multi_queries: int = 0
-    multi_calls: int = 0
-    multi_dedup_hits: int = 0
-    lp_solves: int = 0
-    #: Always 0 (every solve goes through a template); readers of the
-    #: exposition, the benchmark ledger among them, look the name up.
-    dense_solves: int = 0
-    relaxed_solves: int = 0
-    template_hits: int = 0
-    template_misses: int = 0
-    blocks_assembled: int = 0
-    blocks_pruned_away: int = 0
-    #: Queries answered from the answer memo, so ``memo_hits /
-    #: (single_queries + batch_queries)`` is the share of queries that
-    #: repeated.
-    memo_hits: int = 0
-    #: Whole-table flushes of the answer memo at its bound.
-    memo_evictions: int = 0
-    #: Queries at ``d <= 2`` answered without the Section 2.2 LP (each one
-    #: whose certificate failed is also a ``relaxed_solves``).
-    closed_form_answers: int = 0
-
-    #: Every counter field, in exposition order.  ``as_dict``/``snapshot``
-    #: and the observability bridge iterate this instead of hard-coding names.
-    FIELDS: ClassVar[tuple[str, ...]] = (
-        "single_queries", "batch_queries", "batch_calls",
-        "multi_queries", "multi_calls", "multi_dedup_hits", "lp_solves",
-        "dense_solves", "relaxed_solves", "template_hits",
-        "template_misses", "blocks_assembled", "blocks_pruned_away",
-        "memo_hits", "memo_evictions", "closed_form_answers",
-    )
-
-    def as_dict(self) -> dict[str, int]:
-        return {name: int(getattr(self, name)) for name in self.FIELDS}
-
-    def snapshot(self) -> dict[str, int]:
-        """Point-in-time copy of every counter (the documented read API).
-
-        This is what the metrics registry consumes: cumulative totals, safe
-        to diff across calls.  Alias of :meth:`as_dict`, kept separate so the
-        observability contract survives future ``as_dict`` format changes.
-        """
-        return self.as_dict()
-
-
 class GammaKernel:
     """Batched, cached solver for safe-area queries.
 
-    A kernel instance owns a bounded template cache, a bounded answer memo
-    and its own statistics; the module-level :data:`default_kernel` is shared
-    by the protocol code.  All methods are deterministic: the same inputs
-    produce the same outputs on every process, which the consensus algorithms
-    require for agreement.
+    A kernel instance owns a bounded template cache and a bounded answer
+    memo, and counts its events into ``repro_kernel_events_total``; the
+    module-level :data:`default_kernel` is shared by the protocol code.  All
+    methods are deterministic: the same inputs produce the same outputs on
+    every process, which the consensus algorithms require for agreement.
 
     **Answer memo.**  A query already solved by this kernel is returned, not
     re-solved, and the memo may only hand back what a cold solve of the same
@@ -749,24 +697,8 @@ class GammaKernel:
         self._max_cached_templates = max_cached_templates
         self._templates: dict[tuple[int, int, int], _ConstraintTemplate] = {}
         self._memo: dict[tuple, np.ndarray | None] = {}
-        self.stats = KernelStats()
 
     # -- cache -------------------------------------------------------------------
-
-    def stats_snapshot(self) -> dict[str, int]:
-        """Cumulative counter totals for this kernel (see :meth:`KernelStats.snapshot`)."""
-        return self.stats.snapshot()
-
-    def reset_stats(self) -> KernelStats:
-        """Zero the counters, returning the pre-reset :class:`KernelStats`.
-
-        Snapshot-and-reset in one step: benchmarks and the metrics registry
-        use the returned object (or :meth:`stats_snapshot` beforehand) instead
-        of reaching into kernel internals.
-        """
-        previous = self.stats
-        self.stats = KernelStats()
-        return previous
 
     @property
     def template_cache_size(self) -> int:
@@ -786,18 +718,18 @@ class GammaKernel:
         """Remember ``answer`` (already a private copy) as the result of ``key``."""
         if len(self._memo) >= _MEMO_LIMIT:
             self._memo.clear()
-            self.stats.memo_evictions += 1
+            _EVENTS["memo_evictions"].inc()
         self._memo[key] = answer
 
     def _template(self, block_count: int, block_size: int, dimension: int) -> _ConstraintTemplate:
         key = (block_count, block_size, dimension)
         template = self._templates.get(key)
         if template is not None:
-            self.stats.template_hits += 1
+            _EVENTS["template_hits"].inc()
             # Move-to-end so eviction below is least-recently-used.
             self._templates[key] = self._templates.pop(key)
             return template
-        self.stats.template_misses += 1
+        _EVENTS["template_misses"].inc()
         template = _build_template(block_count, block_size, dimension)
         if len(self._templates) >= self._max_cached_templates:
             self._templates.pop(next(iter(self._templates)))
@@ -817,7 +749,7 @@ class GammaKernel:
         if subset_indices is not None:
             return _validate_explicit_families(subset_indices, point_count, subset_size)
         families = pruned_subset_family(cloud, fault_bound)
-        self.stats.blocks_pruned_away += comb(point_count, subset_size) - len(families)
+        _EVENTS["blocks_pruned_away"].inc(comb(point_count, subset_size) - len(families))
         return families
 
     # -- single query ------------------------------------------------------------
@@ -844,7 +776,7 @@ class GammaKernel:
         cloud = _as_cloud_array(points)
         if fault_bound < 0:
             raise GeometryError("fault bound must be non-negative")
-        self.stats.single_queries += 1
+        _EVENTS["single_queries"].inc()
         return self._answer(cloud, fault_bound, objective, subset_indices)
 
     def _answer(
@@ -870,7 +802,7 @@ class GammaKernel:
         key = (fault_bound, cloud.shape, cloud.tobytes(), objective_head.tobytes())
         cached = self._memo.get(key, _MISS)
         if cached is not _MISS:
-            self.stats.memo_hits += 1
+            _EVENTS["memo_hits"].inc()
             return _private_copy(cached)
         if dimension <= 2:
             answer = self._closed_form(cloud, fault_bound, objective_head)
@@ -894,7 +826,7 @@ class GammaKernel:
         """
         if not (np.isfinite(cloud).all() and np.isfinite(objective_head).all()):
             raise ValueError("coefficients must not contain inf or nan")
-        self.stats.closed_form_answers += 1
+        _EVENTS["closed_form_answers"].inc()
         if cloud.shape[1] == 1:
             interval = safe_area_interval_1d(cloud, fault_bound)
             answer = None if interval is None else np.asarray(
@@ -933,8 +865,8 @@ class GammaKernel:
         objective = np.zeros(template.variable_count)
         objective[:dimension] = objective_head
 
-        self.stats.lp_solves += 1
-        self.stats.blocks_assembled += len(families)
+        _EVENTS["lp_solves"].inc()
+        _EVENTS["blocks_assembled"].inc(len(families))
         try:
             result = solve_linear_program(
                 objective,
@@ -997,8 +929,8 @@ class GammaKernel:
             )
         if fault_bound < 0:
             raise GeometryError("fault bound must be non-negative")
-        self.stats.batch_calls += 1
-        self.stats.batch_queries += len(arrays)
+        _EVENTS["batch_calls"].inc()
+        _EVENTS["batch_queries"].inc(len(arrays))
         families = [None] * len(arrays) if subset_indices is None else subset_indices
         return [
             self._answer(array, fault_bound, objective, family)
@@ -1035,8 +967,8 @@ class GammaKernel:
         if fault_bound < 0:
             raise GeometryError("fault bound must be non-negative")
         arrays = [_as_cloud_array(cloud) for cloud in clouds]
-        self.stats.multi_calls += 1
-        self.stats.multi_queries += len(arrays)
+        _EVENTS["multi_calls"].inc()
+        _EVENTS["multi_queries"].inc(len(arrays))
 
         # Dedupe bitwise-identical queries; remember one representative each.
         order: list[tuple[tuple[int, int], bytes]] = []
@@ -1044,7 +976,7 @@ class GammaKernel:
         for index, array in enumerate(arrays):
             key = (array.shape, array.tobytes())
             if key in representatives:
-                self.stats.multi_dedup_hits += 1
+                _EVENTS["multi_dedup_hits"].inc()
             else:
                 representatives[key] = index
             order.append(key)
@@ -1113,7 +1045,7 @@ class GammaKernel:
         objective[slack_column] = 1.0
         # The slack is one more non-negative column after the weights.
         bounds = _variable_bounds(dimension, block_count * block_size + 1)
-        self.stats.relaxed_solves += 1
+        _EVENTS["relaxed_solves"].inc()
         result = solve_linear_program(
             objective,
             inequality_matrix=inequality_matrix,
@@ -1134,23 +1066,20 @@ class GammaKernel:
 default_kernel = GammaKernel()
 
 
-def _register_kernel_metrics() -> None:
-    """Bridge the shared kernel's stats into the process metrics registry.
+def _register_kernel_metrics() -> dict[str, Any]:
+    """Bind one event counter child per kind; publish the shared kernel's cache sizes.
 
-    All protocol code solves through :data:`default_kernel`, so publishing its
-    cumulative counters (by delta, at collection time) covers the kernel layer
-    in both the parent process and every pool worker — worker registries ship
-    the resulting counters back over the result pipes.
+    Every kernel counts at the event into the process registry, in the
+    parent and in every pool worker alike (worker registries ship their
+    deltas back over the result pipes).  The children are bound here, once:
+    a query pays one locked add per event, never a label lookup.
     """
-    from repro.obs.registry import CounterSync, get_registry
-
     registry = get_registry()
     events = registry.counter(
         "repro_kernel_events_total",
         "Gamma kernel events (queries, solves, cache hits) by kind.",
         labelnames=("kind",),
     )
-    registry.register_collector(CounterSync(events, default_kernel.stats_snapshot))
     templates = registry.gauge(
         "repro_kernel_template_cache_size",
         "LP constraint templates currently cached by the shared kernel.",
@@ -1165,6 +1094,19 @@ def _register_kernel_metrics() -> None:
             memo.set(default_kernel.memo_size),
         )
     )
+    return {kind: events.labels(kind=kind) for kind in (
+        "single_queries", "batch_queries", "batch_calls",
+        "multi_queries", "multi_calls", "multi_dedup_hits", "lp_solves",
+        "relaxed_solves", "template_hits", "template_misses",
+        "blocks_assembled", "blocks_pruned_away",
+        "memo_hits", "memo_evictions", "closed_form_answers",
+    )}
 
 
-_register_kernel_metrics()
+#: ``kind`` -> bound ``repro_kernel_events_total`` child.  ``memo_hits /
+#: (single_queries + batch_queries)`` is the share of queries that repeated,
+#: ``memo_evictions`` counts whole-table flushes at the bound, and
+#: ``closed_form_answers`` counts queries at ``d <= 2`` answered without the
+#: Section 2.2 LP (each one whose certificate failed is also a
+#: ``relaxed_solves``).
+_EVENTS = _register_kernel_metrics()

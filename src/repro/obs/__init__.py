@@ -10,7 +10,6 @@ the trace quickstart.
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
-    CounterSync,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -30,7 +29,6 @@ from repro.obs.trace import (
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "Counter",
-    "CounterSync",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

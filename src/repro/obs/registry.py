@@ -17,25 +17,27 @@ in order:
   carries the worker registry's delta since its previous reply, and the parent
   merges it — counter and histogram addition is associative and commutative,
   so parent totals are exact regardless of worker count or unit order.
-* **Pull bridges for existing stats.**  Layers that already keep cheap local
-  counters (:class:`~repro.geometry.kernel.KernelStats`, pool crash
-  counters) do not double-instrument their hot loops;
-  instead they register a :class:`CounterSync` collector that publishes the
-  *delta* of the external stat dict into registry counters whenever the
-  registry is collected (at scrape time, and before worker snapshots).
+* **One counter per fact.**  Every layer counts at the event, into its
+  family here; no layer keeps a private tally to copy in later.  A hot path
+  binds its labelled children once (``family.labels(...)`` at import) so an
+  event costs one locked add.  Collectors only set gauges (cache sizes,
+  seats, the LP backend) at collection time.
+* **Fork-safe.**  The process registry's lock is re-created in a forked
+  child (``os.register_at_fork``), so a pool worker forked while another
+  thread held it does not inherit it held.
 
 Prometheus text exposition lives in :func:`render_prometheus`.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "Counter",
-    "CounterSync",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -264,41 +266,6 @@ def quantile_from_histogram(
     return float(bounds[-1])
 
 
-class CounterSync:
-    """Bridge a monotone external stat mapping into a labelled counter family.
-
-    ``source`` returns cumulative totals (e.g. ``KernelStats.snapshot()``);
-    each :meth:`__call__` publishes the delta since the previous call into
-    ``family.labels(<label>=key)``.  An external reset (totals going down) is
-    handled the Prometheus way: the new total is treated as the new delta.
-    Register instances with :meth:`MetricsRegistry.register_collector`.
-    """
-
-    def __init__(
-        self,
-        family: Counter,
-        source: Callable[[], Mapping[str, float]],
-        label: str | None = None,
-    ) -> None:
-        if label is None and family.labelnames:
-            label = family.labelnames[0]
-        self._family = family
-        self._source = source
-        self._label = label
-        self._last: dict[str, float] = {}
-
-    def __call__(self) -> None:
-        for key, value in self._source().items():
-            previous = self._last.get(key, 0.0)
-            delta = value - previous if value >= previous else value
-            if delta > 0:
-                if self._label is None:
-                    self._family.inc(delta)
-                else:
-                    self._family.labels(**{self._label: key}).inc(delta)
-            self._last[key] = value
-
-
 class MetricsRegistry:
     """Thread-safe registry of named metric families.
 
@@ -348,7 +315,7 @@ class MetricsRegistry:
         return self._get_or_create(Histogram, name, help_text, labelnames, buckets=buckets)
 
     def register_collector(self, collector: Callable[[], None]) -> None:
-        """Add a pull hook run by :meth:`collect` (idempotent per callable)."""
+        """Add a gauge-setting hook run by :meth:`collect` (idempotent per callable)."""
         with self._lock:
             if collector not in self._collectors:
                 self._collectors.append(collector)
@@ -356,7 +323,7 @@ class MetricsRegistry:
     # -- collection / snapshots ----------------------------------------------
 
     def collect(self) -> None:
-        """Run every registered collector (bridges external stats in)."""
+        """Run every registered collector (sets the gauges they own)."""
         if not self.enabled:
             return
         with self._lock:
@@ -444,9 +411,6 @@ class MetricsRegistry:
                         child.count = 0
                     else:
                         child.value = 0.0
-            for collector in self._collectors:
-                if isinstance(collector, CounterSync):
-                    collector._last.clear()
 
 
 def snapshot_delta(
@@ -566,3 +530,12 @@ _REGISTRY = MetricsRegistry()
 def get_registry() -> MetricsRegistry:
     """The process-wide default registry (what ``/metrics`` exposes)."""
     return _REGISTRY
+
+
+def _unlock_after_fork() -> None:
+    """Give a forked child a free lock: the thread holding the parent's is not there."""
+    _REGISTRY._lock = threading.RLock()
+
+
+if hasattr(os, "register_at_fork"):  # absent where the pool spawns instead of forking
+    os.register_at_fork(after_in_child=_unlock_after_fork)

@@ -53,7 +53,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro.engine.campaign import Campaign
-from repro.engine.pool import pool_metrics, shutdown_pools
+from repro.engine.pool import shutdown_pools
 from repro.engine.session import ENGINE_CHOICES, CampaignSession, RowEvent
 from repro.exceptions import ConfigurationError
 from repro.obs.registry import get_registry, render_prometheus, snapshot_jsonable
@@ -267,10 +267,6 @@ class CampaignService:
         return {
             "api_keys": per_key,
             "runs": states,
-            # Worker-pool state was historically absent from this payload;
-            # crash recoveries and seat occupancy live here now so the JSON
-            # and Prometheus views agree.
-            "pool": pool_metrics(),
             "telemetry": snapshot_jsonable(get_registry().snapshot()),
         }
 

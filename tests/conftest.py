@@ -6,7 +6,33 @@ import numpy as np
 import pytest
 
 from repro.core.conditions import SystemConfiguration
+from repro.obs.registry import get_registry
 from repro.processes.registry import ProcessRegistry
+
+
+class KernelEvents:
+    """Movement of ``repro_kernel_events_total`` since construction, by kind.
+
+    ``events.lp_solves`` reads how many LP solves every kernel in this
+    process counted since ``events`` was made (an absent kind reads 0).
+    """
+
+    def __init__(self) -> None:
+        self._baseline = self._totals()
+
+    @staticmethod
+    def _totals() -> dict[str, float]:
+        family = get_registry().snapshot(collect=False)["repro_kernel_events_total"]
+        return {kind: value for (kind,), value in family["samples"].items()}
+
+    def __getattr__(self, kind: str) -> int:
+        return int(self._totals().get(kind, 0.0) - self._baseline.get(kind, 0.0))
+
+
+@pytest.fixture(scope="session")
+def kernel_events() -> type[KernelEvents]:
+    """Factory: ``kernel_events()`` starts counting kernel events from now."""
+    return KernelEvents
 
 
 @pytest.fixture

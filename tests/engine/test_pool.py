@@ -13,6 +13,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from repro.engine import (
     iter_jsonl,
     run_campaign,
     sample_specs,
+    shutdown_pools,
     strip_timing,
 )
 from repro.engine.pool import (
@@ -37,6 +39,12 @@ from repro.engine.pool import (
     execute_plan,
 )
 from repro.obs.registry import get_registry, snapshot_delta
+
+
+def _pool_counter(family: str) -> float:
+    """Current total of an unlabelled pool counter (0 before its first event)."""
+    samples = get_registry().snapshot(collect=False)[family]["samples"]
+    return samples.get((), 0.0)
 
 
 def _mixed_specs(count: int = 12) -> list[TrialSpec]:
@@ -190,12 +198,11 @@ class TestPersistentPoolLifecycle:
         # to be involved again after the kill.
         stream = CampaignSession(specs, workers=2, chunksize=2).rows()
         results = [next(stream)]
-        pool = get_pool(2)
-        recoveries_before = pool.crash_recoveries
-        os.kill(pool.worker_pids()[0], signal.SIGKILL)
+        recoveries_before = _pool_counter("repro_pool_crash_recoveries_total")
+        os.kill(get_pool(2).worker_pids()[0], signal.SIGKILL)
         results.extend(stream)
         assert strip_timing(result.to_row() for result in results) == expected
-        assert pool.crash_recoveries > recoveries_before
+        assert _pool_counter("repro_pool_crash_recoveries_total") > recoveries_before
 
     def test_interrupted_run_leaves_pool_reusable(self):
         specs = TestExecutePlan.SPECS
@@ -205,6 +212,42 @@ class TestPersistentPoolLifecycle:
         results = list(CampaignSession(specs, workers=2).rows())
         assert len(results) == len(specs)
         assert [result.spec.trial_index for result in results] == list(range(len(specs)))
+
+    def test_two_sessions_sharing_one_pool_take_turns(self, tmp_path):
+        # The server runs two sessions at once, and both workers=2 sessions
+        # ride one pool: each must get its own replies, and neither may hang.
+        grids = {
+            name: Campaign.from_grid(
+                name, protocols=("exact",), adversaries=("crash", "outside_hull"),
+                dimensions=(1, 2), repeats=3, base_seed=seed,
+            )
+            for name, seed in (("left", 41), ("right", 43))
+        }
+        expected = {}
+        for name, campaign in grids.items():
+            run_campaign(campaign, workers=1, jsonl_path=tmp_path / f"{name}-1.jsonl")
+            expected[name] = strip_timing(iter_jsonl(tmp_path / f"{name}-1.jsonl"))
+        errors: list[BaseException] = []
+
+        def run(name: str) -> None:
+            try:
+                run_campaign(
+                    grids[name], workers=2, engine="object", chunksize=1,
+                    jsonl_path=tmp_path / f"{name}-2.jsonl",
+                )
+            except BaseException as error:  # noqa: BLE001 — surface in the main thread
+                errors.append(error)
+
+        shutdown_pools()  # both sessions also race to create the pool
+        threads = [threading.Thread(target=run, args=(name,), daemon=True) for name in grids]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads), "a session hung"
+        assert not errors, errors
+        for name in grids:
+            assert strip_timing(iter_jsonl(tmp_path / f"{name}-2.jsonl")) == expected[name]
 
     def test_pooled_cli_campaign_exits_with_a_silent_stderr(self):
         # Units of >= 16 trials used to ship through shared-memory segments
@@ -248,6 +291,29 @@ class TestPoolTelemetry:
         # moving in *this* process proves the piped worker deltas merged.
         kernel = delta.get("repro_kernel_events_total", {"samples": {}})
         assert sum(kernel["samples"].values()) > 0
+
+    def test_probe_counts_survive_the_pool_shutting_down(self, monkeypatch):
+        # A pool shut down before anything collects the registry must still
+        # have published every probe it cut.
+        probes = []
+        estimate = CostModel.per_trial_seconds
+
+        def counting(model, key):
+            per = estimate(model, key)
+            probes.append(per is None)
+            return per
+
+        monkeypatch.setattr(CostModel, "per_trial_seconds", counting)
+        shutdown_pools()  # a fresh pool: a cost model that has seen nothing
+        before = _pool_counter("repro_pool_cost_model_probes_total")
+        campaign = Campaign.from_grid(
+            "pool-probes", protocols=("exact",), adversaries=("crash",),
+            dimensions=(1, 2), repeats=2, base_seed=17,
+        )
+        run_campaign(campaign, workers=2)
+        shutdown_pools()
+        assert sum(probes) > 0
+        assert _pool_counter("repro_pool_cost_model_probes_total") - before == sum(probes)
 
 
 class TestColumnarFanout:

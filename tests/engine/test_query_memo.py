@@ -18,9 +18,9 @@ from repro.engine import STRATEGY_NAMES, Campaign, CampaignSession, strip_timing
 from repro.geometry.kernel import default_kernel
 
 
-def _solves(kernel) -> int:
-    """Gamma queries the kernel computed (an LP at d >= 3, the closed form below)."""
-    return kernel.stats.lp_solves + kernel.stats.closed_form_answers
+def _solves(events) -> int:
+    """Gamma queries computed (an LP at d >= 3, the closed form below) over ``events``' span."""
+    return events.lp_solves + events.closed_form_answers
 
 
 def _rows(specs, **options) -> list[str]:
@@ -45,7 +45,7 @@ def without_memo(monkeypatch):
 
 
 def test_adversarial_exact_trial_computes_one_gamma_point_and_one_hull_distance(
-    fresh_kernel, monkeypatch
+    fresh_kernel, monkeypatch, kernel_events
 ):
     campaign = Campaign.from_grid(
         "exact-at-the-bound",
@@ -65,15 +65,17 @@ def test_adversarial_exact_trial_computes_one_gamma_point_and_one_hull_distance(
         return distance_to_hull(*args, **kwargs)
 
     monkeypatch.setattr(validity, "distance_to_hull", counting)
-    solved_before, lps_before = _solves(fresh_kernel), fresh_kernel.stats.lp_solves
+    events = kernel_events()
     results = list(CampaignSession(campaign.specs, engine="object").rows())
     assert all(result.ok and result.agreement and result.validity for result in results)
-    assert _solves(fresh_kernel) - solved_before == 12
-    assert fresh_kernel.stats.lp_solves - lps_before == 4  # only d = 3 takes the LP
+    assert _solves(events) == 12
+    assert events.lp_solves == 4  # only d = 3 takes the LP
     assert len(hull_lps) == 12
 
 
-def test_approx_trial_computes_a_quarter_of_the_memoless_queries(fresh_kernel, without_memo):
+def test_approx_trial_computes_a_quarter_of_the_memoless_queries(
+    fresh_kernel, without_memo, kernel_events
+):
     campaign = Campaign.from_grid(
         "approx-d2",
         protocols=("approx",),
@@ -84,20 +86,22 @@ def test_approx_trial_computes_a_quarter_of_the_memoless_queries(fresh_kernel, w
         repeats=1,
         base_seed=1813,
     )
-    solved_before = _solves(fresh_kernel)
+    events = kernel_events()
     rows = _rows(campaign.specs, engine="object")
-    with_memo = _solves(fresh_kernel) - solved_before
+    with_memo, hits = _solves(events), events.memo_hits
 
     without_memo()
-    solved_before = _solves(fresh_kernel)
+    events = kernel_events()
     assert _rows(campaign.specs, engine="object") == rows
-    memoless = _solves(fresh_kernel) - solved_before
-    assert fresh_kernel.stats.memo_hits > 0 and fresh_kernel.memo_size == 0
+    memoless = _solves(events)
+    assert hits > 0 and fresh_kernel.memo_size == 0
     assert 0 < 4 * with_memo <= memoless
 
 
 @pytest.mark.parametrize("engine", ["auto", "object"])
-def test_rows_are_byte_identical_with_and_without_the_memo(engine, fresh_kernel, without_memo):
+def test_rows_are_byte_identical_with_and_without_the_memo(
+    engine, fresh_kernel, without_memo, kernel_events
+):
     sync = Campaign.from_grid(
         "mixed-sync",
         protocols=("exact", "restricted_sync"),
@@ -134,11 +138,11 @@ def test_rows_are_byte_identical_with_and_without_the_memo(engine, fresh_kernel,
     specs = Campaign.from_specs(
         "mixed", sync.specs + approx.specs + restricted_async.specs
     ).specs
-    hits_before = fresh_kernel.stats.memo_hits
+    events = kernel_events()
     with_memo = _rows(specs, engine=engine)
-    assert fresh_kernel.stats.memo_hits > hits_before  # the memo was in play
+    assert events.memo_hits > 0  # the memo was in play
 
     without_memo()
-    hits_before = fresh_kernel.stats.memo_hits
+    events = kernel_events()
     assert _rows(specs, engine=engine) == with_memo
-    assert fresh_kernel.stats.memo_hits == hits_before and fresh_kernel.memo_size == 0
+    assert events.memo_hits == 0 and fresh_kernel.memo_size == 0

@@ -31,7 +31,6 @@ from repro.core.safe_area import (
 from repro.exceptions import EmptyIntersectionError, GeometryError
 from repro.geometry.kernel import (
     GammaKernel,
-    KernelStats,
     default_kernel,
     full_subset_family,
     halfspace_depth,
@@ -272,7 +271,7 @@ class TestDepthOracle:
 
 
 class TestBatchedQueries:
-    def test_batch_answers_are_the_single_answers(self):
+    def test_batch_answers_are_the_single_answers(self, kernel_events):
         # Six points in the plane with f = 2 sit below Lemma 1's bound, so
         # some of these Gammas are empty; the spatial clouds take the LP.
         rng = np.random.default_rng(5)
@@ -280,10 +279,10 @@ class TestBatchedQueries:
             clouds = [rng.uniform(0.0, 1.0, size=shape) for _ in range(6)]
             objective = np.eye(shape[1])[0]
             singles = [GammaKernel().point(cloud, 2, objective=objective) for cloud in clouds]
-            kernel = GammaKernel()
-            from_batch = kernel.points_batch(clouds, 2, objective=objective)
-            assert kernel.stats.batch_queries == len(clouds) and kernel.stats.single_queries == 0
-            assert kernel.stats.lp_solves == (len(clouds) if shape[1] == 3 else 0)
+            events = kernel_events()
+            from_batch = GammaKernel().points_batch(clouds, 2, objective=objective)
+            assert events.batch_queries == len(clouds) and events.single_queries == 0
+            assert events.lp_solves == (len(clouds) if shape[1] == 3 else 0)
             for single, batched in zip(singles, from_batch):
                 assert (single is None) == (batched is None)
                 if single is not None:
@@ -383,21 +382,21 @@ class TestRelaxedProgram:
 
 
 class TestTemplateCacheAndStats:
-    def test_templates_are_reused_across_rounds(self):
+    def test_templates_are_reused_across_rounds(self, kernel_events):
         rng = np.random.default_rng(11)
-        kernel = GammaKernel()
+        kernel, events = GammaKernel(), kernel_events()
         # Unpruned queries share the exact (C(7,5), 5, 2) LP shape, so after
         # the first assembly every later round hits the cached template.
         for _ in range(5):
             kernel.point(rng.uniform(size=(7, 2)), 2, subset_indices=full_subset_family(7, 2))
-        assert kernel.stats.template_misses == 1
-        assert kernel.stats.template_hits == 4
-        assert kernel.stats.lp_solves == 5
-        assert kernel.stats.dense_solves == 0
+        assert events.template_misses == 1
+        assert events.template_hits == 4
+        assert events.lp_solves == 5
+        assert events.dense_solves == 0
         # Pruned queries may land on per-cloud shapes, but always record the
         # number of constraint blocks they avoided assembling.
         kernel.point(np.repeat(rng.uniform(size=(4, 3)), 2, axis=0), 2)
-        assert kernel.stats.blocks_pruned_away > 0
+        assert events.blocks_pruned_away > 0
 
     def test_cache_eviction_is_bounded(self):
         rng = np.random.default_rng(12)
@@ -408,31 +407,18 @@ class TestTemplateCacheAndStats:
         with pytest.raises(GeometryError):
             GammaKernel(max_cached_templates=0)
 
-    def test_reset_and_clear(self):
+    def test_clear_cache(self):
         rng = np.random.default_rng(13)
         kernel = GammaKernel()
-        kernel.point(rng.uniform(size=(5, 2)), 1)
-        assert kernel.stats.single_queries == 1
-        previous = kernel.reset_stats()
-        assert previous.single_queries == 1  # snapshot-and-reset returns the old stats
-        assert kernel.stats.single_queries == 0
+        kernel.point(rng.uniform(size=(5, 3)), 1)
+        assert kernel.template_cache_size == 1 and kernel.memo_size == 1
         kernel.clear_cache()
-        assert kernel.template_cache_size == 0
+        assert kernel.template_cache_size == 0 and kernel.memo_size == 0
 
-    def test_stats_as_dict_round_trip(self):
-        stats = GammaKernel().stats.as_dict()
-        assert set(stats) >= {"single_queries", "lp_solves", "template_hits"}
-        assert stats == GammaKernel().stats_snapshot()
-
-    def test_snapshot_is_a_copy(self):
-        kernel = GammaKernel()
-        before = kernel.stats_snapshot()
-        rng = np.random.default_rng(14)
-        kernel.point(rng.uniform(size=(5, 2)), 1)
-        after = kernel.stats_snapshot()
-        assert before["single_queries"] == 0
-        assert after["single_queries"] == 1
-        assert set(after) == set(KernelStats.FIELDS)
+    def test_a_query_counts_into_the_registry_without_a_collect(self, kernel_events):
+        events = kernel_events()
+        GammaKernel().point(np.random.default_rng(14).uniform(size=(5, 2)), 1)
+        assert events.single_queries == 1 and events.closed_form_answers == 1
 
 
 class TestScalarInterval:
@@ -503,15 +489,15 @@ class TestCalculator:
 class TestMultiInstanceQueries:
     """points_multi: the columnar engine's whole-round entry point."""
 
-    def test_dedup_mode_is_bit_identical_to_single_queries(self):
+    def test_dedup_mode_is_bit_identical_to_single_queries(self, kernel_events):
         rng = np.random.default_rng(91)
-        kernel = GammaKernel()
+        kernel, events = GammaKernel(), kernel_events()
         distinct = [rng.uniform(0.0, 1.0, size=(5, 2)) for _ in range(3)]
         # Duplicate clouds interleaved, as produced by identical receive views.
         clouds = [distinct[0], distinct[1], distinct[0], distinct[2], distinct[1]]
         answers = kernel.points_multi(clouds, 1)
-        assert kernel.stats.multi_queries == 5
-        assert kernel.stats.multi_dedup_hits == 2
+        assert events.multi_queries == 5
+        assert events.multi_dedup_hits == 2
         for cloud, answer in zip(clouds, answers):
             single = kernel.point(cloud, 1)
             assert np.array_equal(single, answer)

@@ -87,7 +87,7 @@ def depth_margin(cloud: np.ndarray, fault_bound: int, point: np.ndarray) -> floa
     return float(np.min(depth - directions @ point))
 
 
-def assert_closed_form_matches_the_program(cloud, fault_bound, objective) -> bool:
+def assert_closed_form_matches_the_program(cloud, fault_bound, objective, kernel_events) -> bool:
     """One ``d <= 2`` query against the oracle; True when the closed form answered.
 
     The closed form's answer must lie in ``Gamma`` (margin and depth) and be
@@ -98,14 +98,14 @@ def assert_closed_form_matches_the_program(cloud, fault_bound, objective) -> boo
     agree on emptiness: that program minimises a slack, not the objective.
     """
     dimension = cloud.shape[1]
-    kernel = GammaKernel()
-    point = kernel.point(cloud, fault_bound, objective=objective)
+    events = kernel_events()
+    point = GammaKernel().point(cloud, fault_bound, objective=objective)
     first_axis = np.eye(dimension)[0]
     target = first_axis if objective is None or not np.any(objective) else np.asarray(objective)
     literal = _literal(cloud, fault_bound, target)
-    assert kernel.stats.lp_solves == 0
+    assert events.lp_solves == 0
     assert (point is None) == (literal is None), (point, literal)
-    if point is None or kernel.stats.relaxed_solves:
+    if point is None or events.relaxed_solves:
         return False
     scale = max(1.0, float(np.max(np.abs(cloud))))
     assert depth_margin(cloud, fault_bound, point) >= -TOLERANCE * scale
@@ -118,30 +118,34 @@ def assert_closed_form_matches_the_program(cloud, fault_bound, objective) -> boo
 class TestKernelMatchesLiteralProgram:
     @pytest.mark.parametrize("kind", CLOUD_KINDS)
     @pytest.mark.parametrize("point_count", range(4, 14))
-    def test_spatial_query_is_bitwise_the_literal_program(self, point_count, kind):
+    def test_spatial_query_is_bitwise_the_literal_program(self, point_count, kind, kernel_events):
         fault_bound = 1
         cloud = _cloud(point_count, 3, 100 + point_count * 10 + 3, kind)
-        kernel = GammaKernel()
+        kernel, events = GammaKernel(), kernel_events()
         for objective in (None, np.asarray([1.0, 0.0, 0.0])):
             _assert_bitwise(
                 kernel.point(cloud, fault_bound, objective=objective),
                 _literal(cloud, fault_bound, objective),
             )
         # Every solve went through a template: there is no other route.
-        assert kernel.stats.dense_solves == 0 and kernel.stats.closed_form_answers == 0
-        assert kernel.stats.template_hits + kernel.stats.template_misses == kernel.stats.lp_solves
+        assert events.dense_solves == 0 and events.closed_form_answers == 0
+        assert events.template_hits + events.template_misses == events.lp_solves
 
     @pytest.mark.parametrize("kind", CLOUD_KINDS)
     @pytest.mark.parametrize("point_count", range(4, 14))
     @pytest.mark.parametrize("dimension", (1, 2))
-    def test_closed_form_reaches_the_literal_optimum(self, point_count, dimension, kind):
+    def test_closed_form_reaches_the_literal_optimum(
+        self, point_count, dimension, kind, kernel_events
+    ):
         seed = 100 + point_count * 10 + dimension
         cloud = _cloud(point_count, dimension, seed, kind)
         random_objective = np.random.default_rng(seed).normal(size=dimension)
         for fault_bound in (1, 2):
             at_the_bound = point_count >= (dimension + 1) * fault_bound + 1
             for objective in (None, np.eye(dimension)[0], -np.eye(dimension)[0], random_objective):
-                answered = assert_closed_form_matches_the_program(cloud, fault_bound, objective)
+                answered = assert_closed_form_matches_the_program(
+                    cloud, fault_bound, objective, kernel_events
+                )
                 assert answered or not at_the_bound  # Lemma 1: Gamma is non-empty
 
     def test_round_pass_matches_the_literal_program(self):
@@ -177,13 +181,13 @@ class TestKernelMatchesLiteralProgram:
         zero = GammaKernel().point(cloud, 1, objective=[0.0, 0.0])
         assert np.array_equal(GammaKernel().point(cloud, 1), zero)
 
-    def test_one_dimension_takes_an_interval_end(self):
+    def test_one_dimension_takes_an_interval_end(self, kernel_events):
         cloud = np.asarray([[3.0], [-1.0], [7.0], [0.5], [2.0]])
-        kernel = GammaKernel()
+        kernel, events = GammaKernel(), kernel_events()
         assert kernel.point(cloud, 1, objective=[2.0])[0] == 0.5
         assert kernel.point(cloud, 1, objective=[-0.5])[0] == 3.0
         assert kernel.point(cloud, 1)[0] == 0.5  # zero objective: the lexicographic minimum
-        assert kernel.stats.lp_solves == 0 and kernel.stats.closed_form_answers == 3
+        assert events.lp_solves == 0 and events.closed_form_answers == 3
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +254,7 @@ SHAPE_IDS = ["near-collinear", "duplicate-heavy", "integer-grid", "general-posit
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
-def test_closed_form_answers_are_certified_oracle_optima(shape):
+def test_closed_form_answers_are_certified_oracle_optima(shape, kernel_events):
     answered: list[bool] = []
 
     @settings(max_examples=60, deadline=None)
@@ -264,7 +268,9 @@ def test_closed_form_answers_are_certified_oracle_optima(shape):
             objective = np.eye(dimension)[0]
         else:
             objective = np.asarray(choice[:dimension], dtype=float)
-        answered.append(assert_closed_form_matches_the_program(cloud, fault_bound, objective))
+        answered.append(
+            assert_closed_form_matches_the_program(cloud, fault_bound, objective, kernel_events)
+        )
 
     check()
     # The relaxed program is the exception: Gamma is never empty at these sizes.

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import GeometryError
 from repro.geometry import kernel as kernel_module
-from repro.geometry.kernel import GammaKernel, KernelStats, default_kernel
+from repro.geometry.kernel import GammaKernel, default_kernel
 from repro.obs.registry import get_registry
 
 
@@ -29,9 +29,9 @@ def cold_kernel() -> GammaKernel:
     return kernel
 
 
-def solves(kernel: GammaKernel) -> int:
-    """Queries the kernel computed rather than served from its memo."""
-    return kernel.stats.lp_solves + kernel.stats.closed_form_answers
+def solves(events) -> int:
+    """Queries computed rather than served from a memo, over ``events``' span."""
+    return events.lp_solves + events.closed_form_answers
 
 
 def outcome(query):
@@ -120,24 +120,28 @@ def first_axis(dimension: int) -> np.ndarray:
 
 @settings(max_examples=60, deadline=None)
 @given(query_set=query_sets())
-def test_point_answers_equal_a_cold_kernels(query_set):
+def test_point_answers_equal_a_cold_kernels(query_set, kernel_events):
     clouds, fault_bound = query_set
     objective = first_axis(clouds[0].shape[1])
     warm, cold = GammaKernel(), cold_kernel()
-    raised = False
-    for cloud in clouds + clouds + clouds[::-1]:
-        reference = outcome(lambda: cold.point(cloud, fault_bound, objective=objective))
+    queries = clouds + clouds + clouds[::-1]
+    events = kernel_events()
+    references = [
+        outcome(lambda: cold.point(cloud, fault_bound, objective=objective)) for cloud in queries
+    ]
+    cold_solves = solves(events)
+    assert events.memo_hits == 0 and cold.memo_size == 0
+    events = kernel_events()
+    for cloud, reference in zip(queries, references):
         assert_same_outcome(
             outcome(lambda: warm.point(cloud, fault_bound, objective=objective)), reference
         )
-        raised = raised or reference[0] == "raises"
-    assert cold.stats.memo_hits == 0 and cold.memo_size == 0
-    assert solves(warm) + warm.stats.memo_hits == solves(cold)
-    if not raised:
-        assert solves(warm) == len({cloud.tobytes() for cloud in clouds})
+    assert solves(events) + events.memo_hits == cold_solves
+    if not any(reference[0] == "raises" for reference in references):
+        assert solves(events) == len({cloud.tobytes() for cloud in clouds})
 
 
-def test_batch_answers_equal_a_cold_kernels():
+def test_batch_answers_equal_a_cold_kernels(kernel_events):
     @settings(max_examples=40, deadline=None)
     @given(query_set=query_sets())
     def check(query_set):
@@ -145,19 +149,26 @@ def test_batch_answers_equal_a_cold_kernels():
         objective = first_axis(clouds[0].shape[1])
         warm, cold = GammaKernel(), cold_kernel()
         # The full batch, a sub-batch, a reordering — then all of them again.
-        batches = [clouds, clouds[:-1], clouds[::-1]]
-        for batch in batches + batches:
+        batches = [clouds, clouds[:-1], clouds[::-1]] * 2
+        events = kernel_events()
+        references = [
+            outcome(lambda: cold.points_batch(batch, fault_bound, objective=objective))
+            for batch in batches
+        ]
+        cold_solves = solves(events)
+        assert events.memo_hits == 0 and cold.memo_size == 0
+        events = kernel_events()
+        for batch, reference in zip(batches, references):
             assert_same_outcome(
                 outcome(lambda: warm.points_batch(batch, fault_bound, objective=objective)),
-                outcome(lambda: cold.points_batch(batch, fault_bound, objective=objective)),
+                reference,
             )
-        assert cold.stats.memo_hits == 0 and cold.memo_size == 0
-        assert solves(warm) <= solves(cold)
+        assert solves(events) <= cold_solves
 
     check()
 
 
-def test_multi_answers_equal_a_cold_kernels():
+def test_multi_answers_equal_a_cold_kernels(kernel_events):
     @settings(max_examples=40, deadline=None)
     @given(query_set=query_sets())
     def check(query_set):
@@ -166,13 +177,21 @@ def test_multi_answers_equal_a_cold_kernels():
         warm, cold = GammaKernel(), cold_kernel()
         # Duplicates inside one call, and a second, smaller shape beside them.
         round_queries = clouds + [clouds[0], clouds[-1][:-1]]
-        for queries in (round_queries, round_queries, round_queries[::-1]):
+        rounds = [round_queries, round_queries, round_queries[::-1]]
+        events = kernel_events()
+        references = [
+            outcome(lambda: cold.points_multi(queries, fault_bound, objective=objective))
+            for queries in rounds
+        ]
+        cold_solves = solves(events)
+        assert events.memo_hits == 0
+        events = kernel_events()
+        for queries, reference in zip(rounds, references):
             assert_same_outcome(
                 outcome(lambda: warm.points_multi(queries, fault_bound, objective=objective)),
-                outcome(lambda: cold.points_multi(queries, fault_bound, objective=objective)),
+                reference,
             )
-        assert cold.stats.memo_hits == 0
-        assert solves(warm) <= solves(cold)
+        assert solves(events) <= cold_solves
 
     check()
 
@@ -186,8 +205,8 @@ def cloud():
     return np.random.default_rng(18).uniform(-1.0, 1.0, size=(7, 2))
 
 
-def test_every_key_field_separates_point_queries(cloud):
-    kernel = GammaKernel()
+def test_every_key_field_separates_point_queries(cloud, kernel_events):
+    kernel, events = GammaKernel(), kernel_events()
     negative_zero = cloud.copy()
     negative_zero[0, 0] = 0.0
     positive_zero = negative_zero.copy()
@@ -205,93 +224,93 @@ def test_every_key_field_separates_point_queries(cloud):
     ]
     for count, variant in enumerate(variants, start=1):
         variant()
-        assert kernel.stats.memo_hits == 0
-        assert solves(kernel) == count
+        assert events.memo_hits == 0
+        assert solves(events) == count
         assert kernel.memo_size == count
     for variant in variants:
         variant()
-    assert kernel.stats.memo_hits == len(variants)
-    assert solves(kernel) == len(variants)
+    assert events.memo_hits == len(variants)
+    assert solves(events) == len(variants)
 
 
-def test_one_cloud_two_shapes_do_not_collide():
+def test_one_cloud_two_shapes_do_not_collide(kernel_events):
     """The same bytes read as (6, 1) and as (3, 2) are different queries."""
-    kernel = GammaKernel()
+    kernel, events = GammaKernel(), kernel_events()
     values = np.arange(6, dtype=float)
     on_the_line = kernel.point(values.reshape(6, 1), 1)
     in_the_plane = kernel.point(values.reshape(3, 2), 1)
-    assert kernel.stats.memo_hits == 0
+    assert events.memo_hits == 0
     assert on_the_line.shape == (1,) and in_the_plane.shape == (2,)
 
 
-def test_batches_share_the_per_query_entries(cloud):
+def test_batches_share_the_per_query_entries(cloud, kernel_events):
     """A batch is its queries: each one is stored, and served, on its own key."""
-    kernel = GammaKernel()
+    kernel, events = GammaKernel(), kernel_events()
     other = cloud[::-1].copy()
     kernel.point(cloud, 1)
     assert kernel.points_batch([cloud, other], 1)[0] is not None
-    assert kernel.stats.memo_hits == 1 and kernel.memo_size == 2
+    assert events.memo_hits == 1 and kernel.memo_size == 2
     kernel.points_batch([other, cloud, cloud], 1)
-    assert kernel.stats.memo_hits == 4 and kernel.memo_size == 2 and solves(kernel) == 2
+    assert events.memo_hits == 4 and kernel.memo_size == 2 and solves(events) == 2
     kernel.points_batch([cloud, other], 2)  # another f: other queries
     kernel.points_batch([cloud], 1, objective=[1.0, 0.0])  # another objective
-    assert kernel.stats.memo_hits == 4 and kernel.memo_size == 5 and solves(kernel) == 5
+    assert events.memo_hits == 4 and kernel.memo_size == 5 and solves(events) == 5
 
 
-def test_explicit_families_stay_out_of_the_table(cloud):
-    kernel = GammaKernel()
+def test_explicit_families_stay_out_of_the_table(cloud, kernel_events):
+    kernel, events = GammaKernel(), kernel_events()
     families = [(0, 1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6)]
     first = kernel.point(cloud, 1, subset_indices=families)
     again = kernel.point(cloud, 1, subset_indices=families)
-    assert kernel.memo_size == 0 and kernel.stats.memo_hits == 0
-    assert kernel.stats.lp_solves == 2 and np.array_equal(first, again)
+    assert kernel.memo_size == 0 and events.memo_hits == 0
+    assert events.lp_solves == 2 and np.array_equal(first, again)
 
     kernel.point(cloud, 1)  # the pruned-family answer is now stored ...
-    stored, hits = kernel.memo_size, kernel.stats.memo_hits
-    solves_before = kernel.stats.lp_solves
+    stored, hits = kernel.memo_size, events.memo_hits
+    solves_before = events.lp_solves
     kernel.point(cloud, 1, subset_indices=families)  # ... and not served to these
     kernel.points_batch([cloud, cloud], 1, subset_indices=[families, families])
-    assert kernel.stats.memo_hits == hits and kernel.memo_size == stored
-    assert kernel.stats.lp_solves == solves_before + 3
+    assert events.memo_hits == hits and kernel.memo_size == stored
+    assert events.lp_solves == solves_before + 3
 
 
 # ---------------------------------------------------------------------------
 # Copies in, copies out
 # ---------------------------------------------------------------------------
 
-def test_mutating_a_returned_point_cannot_poison_later_answers(cloud):
+def test_mutating_a_returned_point_cannot_poison_later_answers(cloud, kernel_events):
     expected = cold_kernel().point(cloud, 2, objective=[1.0, 0.0])
-    kernel = GammaKernel()
+    kernel, events = GammaKernel(), kernel_events()
     for _ in range(3):  # the cold answer first, then two answers from the memo
         answer = kernel.point(cloud, 2, objective=[1.0, 0.0])
         assert np.array_equal(answer, expected)
         answer[:] = 99.0
-    assert solves(kernel) == 1 and kernel.stats.memo_hits == 2
+    assert solves(events) == 1 and events.memo_hits == 2
 
 
-def test_mutating_a_returned_batch_cannot_poison_later_answers(cloud):
+def test_mutating_a_returned_batch_cannot_poison_later_answers(cloud, kernel_events):
     batch = [cloud, cloud[::-1].copy(), cloud + 0.5]
     expected = cold_kernel().points_batch(batch, 1)
-    kernel = GammaKernel()
+    kernel, events = GammaKernel(), kernel_events()
     for _ in range(3):
         answers = kernel.points_batch(batch, 1)
         assert same_answer(answers, expected)
         for answer in answers:
             answer[:] = 99.0
         answers.clear()
-    assert kernel.stats.memo_hits == 2 * len(batch)
+    assert events.memo_hits == 2 * len(batch)
 
 
-def test_mutating_the_query_cloud_afterwards_asks_a_new_query(cloud):
-    kernel = GammaKernel()
+def test_mutating_the_query_cloud_afterwards_asks_a_new_query(cloud, kernel_events):
+    kernel, events = GammaKernel(), kernel_events()
     query = cloud.copy()
     kernel.point(query, 1)
     query[0] += 0.25
     moved = kernel.point(query, 1)
-    assert kernel.stats.memo_hits == 0
+    assert events.memo_hits == 0
     assert np.array_equal(moved, cold_kernel().point(query, 1))
     assert np.array_equal(kernel.point(cloud, 1), cold_kernel().point(cloud, 1))
-    assert kernel.stats.memo_hits == 1
+    assert events.memo_hits == 1
 
 
 # ---------------------------------------------------------------------------
@@ -301,25 +320,25 @@ def test_mutating_the_query_cloud_afterwards_asks_a_new_query(cloud):
 TRIANGLE = np.asarray([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])  # Gamma empty at f = 1
 
 
-def test_empty_gamma_is_memoised():
-    kernel = GammaKernel()
+def test_empty_gamma_is_memoised(kernel_events):
+    kernel, events = GammaKernel(), kernel_events()
     assert kernel.point(TRIANGLE, 1) is None
-    solves = (kernel.stats.lp_solves, kernel.stats.relaxed_solves)
+    solved = (events.lp_solves, events.relaxed_solves)
     assert kernel.point(TRIANGLE, 1) is None
-    assert kernel.stats.memo_hits == 1
-    assert (kernel.stats.lp_solves, kernel.stats.relaxed_solves) == solves
+    assert events.memo_hits == 1
+    assert (events.lp_solves, events.relaxed_solves) == solved
 
     batch = [TRIANGLE, TRIANGLE + 1.0]
     assert kernel.points_batch(batch, 1) == [None, None]
-    assert kernel.stats.memo_hits == 2  # the triangle, stored by the single query
-    solves = (kernel.stats.lp_solves, kernel.stats.relaxed_solves)
+    assert events.memo_hits == 2  # the triangle, stored by the single query
+    solved = (events.lp_solves, events.relaxed_solves)
     assert kernel.points_batch(batch, 1) == [None, None]
-    assert kernel.stats.memo_hits == 4
-    assert (kernel.stats.lp_solves, kernel.stats.relaxed_solves) == solves
+    assert events.memo_hits == 4
+    assert (events.lp_solves, events.relaxed_solves) == solved
 
 
-def test_a_raising_query_is_not_memoised_and_raises_the_same_again(cloud):
-    kernel = GammaKernel()
+def test_a_raising_query_is_not_memoised_and_raises_the_same_again(cloud, kernel_events):
+    kernel, events = GammaKernel(), kernel_events()
     poisoned = np.vstack([cloud, cloud])
     poisoned[3, 1] = np.nan
     queries = [
@@ -331,7 +350,7 @@ def test_a_raising_query_is_not_memoised_and_raises_the_same_again(cloud):
         first, second = outcome(query), outcome(query)
         assert first[0] == "raises" and first[1] is ValueError
         assert second == first
-    assert kernel.stats.memo_hits == 0
+    assert events.memo_hits == 0
     # Only the healthy cloud of the multi-query, solved before the loud one
     # could abort the call, may have been stored.
     assert kernel.memo_size <= 1
@@ -347,36 +366,36 @@ def test_a_raising_query_is_not_memoised_and_raises_the_same_again(cloud):
 # Bound, clearing, concurrency, counters
 # ---------------------------------------------------------------------------
 
-def test_the_bound_holds_when_over_filled_and_answers_stay_correct(monkeypatch):
+def test_the_bound_holds_when_over_filled_and_answers_stay_correct(monkeypatch, kernel_events):
     monkeypatch.setattr(kernel_module, "_MEMO_LIMIT", 4)
     rng = np.random.default_rng(7)
     clouds = [rng.uniform(-1.0, 1.0, size=(5, 2)) for _ in range(11)]
     cold = cold_kernel()
     expected = [cold.point(cloud, 1) for cloud in clouds]
-    kernel = GammaKernel()
+    kernel, events = GammaKernel(), kernel_events()
     for _ in range(2):
         for cloud, answer in zip(clouds, expected):
             assert np.array_equal(kernel.point(cloud, 1), answer)
             assert np.array_equal(kernel.point(cloud, 1), answer)  # an immediate repeat hits
             assert kernel.memo_size <= 4
-    assert kernel.stats.memo_evictions == 5  # 22 stores, flushed at every fifth
-    assert kernel.stats.memo_hits == 22
-    assert solves(kernel) == 22
+    assert events.memo_evictions == 5  # 22 stores, flushed at every fifth
+    assert events.memo_hits == 22
+    assert solves(events) == 22
 
 
-def test_clear_cache_empties_the_memo(cloud):
+def test_clear_cache_empties_the_memo(cloud, kernel_events):
     kernel = GammaKernel()
     kernel.point(cloud, 1)
     kernel.points_batch([cloud, cloud + 1.0], 1)
     assert kernel.memo_size == 2
     kernel.clear_cache()
     assert kernel.memo_size == 0
-    computed = solves(kernel)
+    events = kernel_events()
     kernel.point(cloud, 1)
-    assert solves(kernel) == computed + 1 and kernel.stats.memo_hits == 1
+    assert solves(events) == 1 and events.memo_hits == 0
 
 
-def test_threads_sharing_a_kernel_get_cold_answers(monkeypatch):
+def test_threads_sharing_a_kernel_get_cold_answers(monkeypatch, kernel_events):
     """More threads than cores, a tiny table that flushes constantly."""
     limit, thread_count = 5, 6
     monkeypatch.setattr(kernel_module, "_MEMO_LIMIT", limit)
@@ -385,7 +404,7 @@ def test_threads_sharing_a_kernel_get_cold_answers(monkeypatch):
     cold = cold_kernel()
     expected = [cold.point(cloud, 1) for cloud in clouds]
     expected_batch = cold.points_batch(clouds[:3], 1)
-    kernel = GammaKernel()
+    kernel, events = GammaKernel(), kernel_events()
     wrong: list[str] = []
     overshoot: list[int] = []
 
@@ -414,18 +433,10 @@ def test_threads_sharing_a_kernel_get_cold_answers(monkeypatch):
     assert wrong == []
     assert len(overshoot) == thread_count * 80
     assert max(overshoot) <= limit + thread_count
-    assert kernel.stats.memo_evictions > 0
+    assert events.memo_evictions > 0
 
 
-def test_counters_are_appended_and_published():
-    assert KernelStats.FIELDS[:13] == (
-        "single_queries", "batch_queries", "batch_calls",
-        "multi_queries", "multi_calls", "multi_dedup_hits", "lp_solves",
-        "dense_solves", "relaxed_solves", "template_hits",
-        "template_misses", "blocks_assembled", "blocks_pruned_away",
-    )
-    assert KernelStats.FIELDS[13:] == ("memo_hits", "memo_evictions", "closed_form_answers")
-
+def test_counters_and_gauges_are_published():
     registry = get_registry()
     cloud = np.random.default_rng(3).uniform(size=(6, 2)) + 1800.0  # nobody else's query
     before = registry.snapshot()["repro_kernel_events_total"]["samples"].get(("memo_hits",), 0.0)

@@ -16,15 +16,19 @@ reference-grade coverage:
 from __future__ import annotations
 
 import math
+import os
 import random
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS,
-    CounterSync,
     MetricsRegistry,
+    get_registry,
     quantile_from_histogram,
     render_prometheus,
     snapshot_delta,
@@ -193,44 +197,43 @@ class TestQuantiles:
             quantile_from_histogram(BOUNDS, [1, 0, 0, 0], 1.5)
 
 
-class TestCounterSync:
-    def test_publishes_deltas_not_totals(self):
-        registry = MetricsRegistry()
-        family = registry.counter("events", labelnames=("kind",))
-        totals = {"solve": 0.0}
-        sync = CounterSync(family, lambda: dict(totals))
-        registry.register_collector(sync)
-        totals["solve"] = 3.0
-        registry.collect()
-        totals["solve"] = 5.0
-        registry.collect()
-        registry.collect()  # no movement -> no double count
-        snap = registry.snapshot(collect=False)
-        assert snap["events"]["samples"][("solve",)] == 5.0
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks only where fork exists")
+class TestFork:
+    def test_a_child_forked_while_another_thread_holds_the_lock_can_snapshot(self):
+        # A pool worker's first act is a registry snapshot; a fork taken while
+        # another thread is inside the registry must not leave it waiting on a
+        # lock whose holder does not exist in the child.
+        registry = get_registry()
+        held, release = threading.Event(), threading.Event()
 
-    def test_external_reset_counts_the_new_total(self):
-        registry = MetricsRegistry()
-        family = registry.counter("events", labelnames=("kind",))
-        totals = {"solve": 10.0}
-        sync = CounterSync(family, lambda: dict(totals))
-        registry.register_collector(sync)
-        registry.collect()
-        totals["solve"] = 2.0  # external reset_stats() happened
-        registry.collect()
-        snap = registry.snapshot(collect=False)
-        assert snap["events"]["samples"][("solve",)] == 12.0
+        def holder() -> None:
+            with registry._lock:
+                held.set()
+                release.wait(30)
 
-    def test_registry_reset_clears_sync_baselines(self):
-        registry = MetricsRegistry()
-        family = registry.counter("events", labelnames=("kind",))
-        totals = {"solve": 4.0}
-        sync = CounterSync(family, lambda: dict(totals))
-        registry.register_collector(sync)
-        registry.collect()
-        registry.reset()
-        registry.collect()  # totals unchanged, but the baseline was cleared
-        snap = registry.snapshot(collect=False)
-        assert snap["events"]["samples"][("solve",)] == 4.0
+        thread = threading.Thread(target=holder)
+        thread.start()
+        try:
+            assert held.wait(5)
+            pid = os.fork()
+            if pid == 0:  # the child: exit 0 only if the snapshot returns
+                code = 1
+                try:
+                    registry.snapshot(collect=False)
+                    code = 0
+                finally:
+                    os._exit(code)
+            deadline = time.monotonic() + 10.0
+            while (finished := os.waitpid(pid, os.WNOHANG))[0] == 0:
+                if time.monotonic() > deadline:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                    pytest.fail("the forked child is stuck on the registry lock")
+                time.sleep(0.01)
+            assert os.waitstatus_to_exitcode(finished[1]) == 0
+        finally:
+            release.set()
+            thread.join()
 
 
 class TestPrometheusRender:

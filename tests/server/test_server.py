@@ -470,9 +470,12 @@ class TestHttpServer:
             status, headers, payload = _get_json(server.url("/metrics"))
             assert status == 200
             assert headers["content-type"] == "application/json"
-            for key in ("crash_recoveries", "busy_seats", "cost_model_probes"):
-                assert key in payload["pool"]
-            assert "repro_http_requests_total" in payload["telemetry"]
+            assert "pool" not in payload  # one source: the registry families
+            for family in (
+                "repro_pool_crash_recoveries_total", "repro_pool_busy_seats",
+                "repro_pool_cost_model_probes_total", "repro_http_requests_total",
+            ):
+                assert family in payload["telemetry"]
 
     @staticmethod
     def _scrape_counter(text: str, sample: str) -> float:
