@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.core.safe_area import SafeAreaCalculator
 from repro.exceptions import ConfigurationError
-from repro.geometry.multisets import PointMultiset
 
 __all__ = ["AggregationStep", "SafeAverageAggregator"]
 
@@ -102,10 +101,11 @@ class SafeAverageAggregator:
             if not families:
                 families = [tuple(family) for family in combinations(members, self.quorum)]
 
-        chosen: list[np.ndarray] = []
-        for family in families:
-            cloud = np.vstack([np.asarray(vectors[member], dtype=float) for member in family])
-            chosen.append(self._chooser.choose(PointMultiset(cloud)))
+        position = {member: index for index, member in enumerate(members)}
+        matrix = np.vstack([np.asarray(vectors[member], dtype=float) for member in members])
+        chosen = self._chooser.choose_all(
+            matrix[np.asarray([[position[member] for member in family] for family in families])]
+        )
         stacked = np.vstack(chosen)
         return AggregationStep(
             new_state=stacked.mean(axis=0),

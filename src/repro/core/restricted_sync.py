@@ -79,7 +79,7 @@ class RestrictedSyncProcess(SyncProcess):
             max_rounds_override if max_rounds_override is not None else computed_rounds
         )
         self._quorum = configuration.process_count - configuration.fault_bound
-        self._choose = SafeAreaCalculator(fault_bound=configuration.fault_bound).choose
+        self._choose_all = SafeAreaCalculator(fault_bound=configuration.fault_bound).choose_all
         self._state = self.input_vector.copy()
         self.state_history: list[np.ndarray] = [self._state.copy()]
         self._decided = False
@@ -123,7 +123,7 @@ class RestrictedSyncProcess(SyncProcess):
             [received[process_id] for process_id in range(self.configuration.process_count)]
         )
         self._state = restricted_round_step(
-            matrix, self.configuration.fault_bound, self._quorum, choose=self._choose
+            matrix, self.configuration.fault_bound, self._quorum, choose_all=self._choose_all
         )
         self.state_history.append(self._state.copy())
         if round_index >= self.total_rounds:

@@ -16,11 +16,11 @@ inputs, engine equivalence ("``--engine vectorized`` emits byte-identical
 rows to ``--engine object``") is a property of the code structure, not a
 hand-maintained invariant.
 
-Everything here is deterministic and side-effect free.  The ``choose``
-callables passed in must themselves be deterministic (the protocol already
-requires this: all non-faulty processes must pick the same ``Gamma`` point
-for the same multiset); the columnar engine exploits exactly that guarantee
-by memoising ``choose`` across processes and trials.
+Everything here is deterministic and side-effect free.  The choosers
+passed in must themselves be deterministic (the protocol already requires
+this: all non-faulty processes must pick the same ``Gamma`` point for the
+same multiset); the columnar engine exploits exactly that guarantee by
+answering each distinct cloud once across processes and trials.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ __all__ = [
     "approx_round_step",
 ]
 
-ChooseFn = Callable[[np.ndarray], np.ndarray]
+ChooseAllFn = Callable[[np.ndarray], Sequence[np.ndarray]]
 
 
 # ---------------------------------------------------------------------------
@@ -62,15 +62,17 @@ def quorum_families(member_count: int, quorum: int) -> list[tuple[int, ...]]:
     return list(combinations(range(member_count), quorum))
 
 
-def restricted_round_clouds(received: np.ndarray, quorum: int) -> list[np.ndarray]:
+def restricted_round_clouds(received: np.ndarray, quorum: int) -> np.ndarray:
     """The ``Gamma`` query clouds of one restricted-round update, in family order.
 
     ``received`` is the ``(n, d)`` matrix of states collected this round
     (row ``i`` is what process ``i`` reported, the all-zero default for
-    silent processes).  One ``(quorum, d)`` cloud per subset family.
+    silent processes).  Returns the ``(families, quorum, d)`` stack: one
+    cloud per subset family.
     """
     received = np.asarray(received, dtype=float)
-    return [received[list(family)] for family in quorum_families(received.shape[0], quorum)]
+    families = np.asarray(quorum_families(received.shape[0], quorum), dtype=np.intp)
+    return received[families.reshape(-1, quorum)]
 
 
 def restricted_round_reduce(points: Iterable[np.ndarray]) -> np.ndarray:
@@ -82,7 +84,7 @@ def restricted_round_step(
     received: np.ndarray,
     fault_bound: int,
     quorum: int,
-    choose: ChooseFn | None = None,
+    choose_all: ChooseAllFn | None = None,
 ) -> np.ndarray:
     """One restricted-round state update: subset ``Gamma`` points, averaged.
 
@@ -90,17 +92,14 @@ def restricted_round_step(
         received: the ``(n, d)`` matrix of states collected this round.
         fault_bound: the ``f`` used inside every ``Gamma`` computation.
         quorum: the subset size (``n - f`` for the synchronous algorithm).
-        choose: deterministic ``Gamma``-point chooser; defaults to the
-            standard :class:`~repro.core.safe_area.SafeAreaCalculator`.
-            The columnar engine passes a memoised wrapper around the same
-            chooser, which is numerically transparent because the chooser is
-            a pure function of the cloud.
+        choose_all: deterministic ``Gamma``-point chooser for the round's
+            whole stack of clouds, one point each; defaults to the standard
+            :meth:`~repro.core.safe_area.SafeAreaCalculator.choose_all`,
+            which asks the kernel for all of them in one batch.
     """
-    if choose is None:
-        choose = SafeAreaCalculator(fault_bound=fault_bound).choose
-    return restricted_round_reduce(
-        choose(cloud) for cloud in restricted_round_clouds(received, quorum)
-    )
+    if choose_all is None:
+        choose_all = SafeAreaCalculator(fault_bound=fault_bound).choose_all
+    return restricted_round_reduce(choose_all(restricted_round_clouds(received, quorum)))
 
 
 # ---------------------------------------------------------------------------

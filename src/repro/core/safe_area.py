@@ -67,6 +67,22 @@ def _as_multiset(points: PointMultiset | np.ndarray | Iterable[Sequence[float]])
     return PointMultiset(as_cloud(points))
 
 
+def _query_clouds(
+    point_sets: Sequence[PointMultiset | np.ndarray | Iterable[Sequence[float]]] | np.ndarray,
+) -> list[np.ndarray]:
+    """Many queries as ``(m, d)`` arrays, checked as :class:`PointMultiset` checks one.
+
+    A ``(Q, m, d)`` array — a round's clouds, stacked — is checked in one
+    pass instead of one multiset per query.
+    """
+    if isinstance(point_sets, np.ndarray) and point_sets.ndim == 3:
+        clouds = point_sets.astype(float, copy=False)
+        if not np.isfinite(clouds).all():
+            raise GeometryError("point cloud contains non-finite coordinates")
+        return list(clouds)
+    return [_as_multiset(points).points for points in point_sets]
+
+
 def safe_area_subset_count(point_count: int, fault_bound: int) -> int:
     """Return the number of subsets ``Gamma`` intersects over: ``C(|Y|, |Y|-f)``."""
     if fault_bound < 0:
@@ -372,10 +388,35 @@ class SafeAreaCalculator:
             subset_indices=subset_indices,
         )
         if point is None:
-            raise EmptyIntersectionError(
-                f"Gamma is empty for |Y|={len(multiset)}, f={self.fault_bound}, d={multiset.dimension}"
-            )
+            raise self._empty(multiset.points)
         return point
+
+    def choose_all(
+        self,
+        point_sets: Sequence[PointMultiset | np.ndarray | Iterable[Sequence[float]]] | np.ndarray,
+    ) -> list[np.ndarray]:
+        """Each query's :meth:`choose` answer, asked as one kernel batch.
+
+        The object runtime's round updates hand over a round's subset clouds
+        at once (one shape, so at ``d <= 2`` one closed-form program answers
+        every query the memo does not).  The first empty query raises the
+        error :meth:`choose` raises for it.
+        """
+        clouds = _query_clouds(point_sets)
+        if not clouds:
+            return []
+        chosen = default_kernel.points_batch(
+            clouds, self.fault_bound, objective=self._objective_for(clouds[0].shape[1])
+        )
+        for cloud, point in zip(clouds, chosen):
+            if point is None:
+                raise self._empty(cloud)
+        return chosen  # type: ignore[return-value]
+
+    def _empty(self, cloud: np.ndarray) -> EmptyIntersectionError:
+        return EmptyIntersectionError(
+            f"Gamma is empty for |Y|={cloud.shape[0]}, f={self.fault_bound}, d={cloud.shape[1]}"
+        )
 
     def choose_batch(
         self,
@@ -416,7 +457,7 @@ class SafeAreaCalculator:
 
     def resolve_multi(
         self,
-        point_sets: Sequence[PointMultiset | np.ndarray | Iterable[Sequence[float]]],
+        point_sets: Sequence[PointMultiset | np.ndarray | Iterable[Sequence[float]]] | np.ndarray,
     ) -> list[np.ndarray | None]:
         """Answer many independent ``Gamma`` queries, ``None`` for empty ones.
 
@@ -428,16 +469,15 @@ class SafeAreaCalculator:
         share one dimension (the deterministic tie-break objective is built
         once).  Every result is bitwise identical to what :meth:`choose`
         would return for that query — bitwise-equal clouds are deduplicated
-        and solved once.
+        and solved once.  A ``(Q, m, d)`` array of clouds is validated in
+        one pass.
         """
-        multisets = [_as_multiset(points) for points in point_sets]
-        if not multisets:
+        clouds = _query_clouds(point_sets)
+        if not clouds:
             return []
-        dimension = multisets[0].dimension
-        if any(multiset.dimension != dimension for multiset in multisets):
+        dimension = clouds[0].shape[1]
+        if any(cloud.shape[1] != dimension for cloud in clouds):
             raise GeometryError("all queries of a resolve_multi call must share one dimension")
         return default_kernel.points_multi(
-            [multiset.points for multiset in multisets],
-            self.fault_bound,
-            objective=self._objective_for(dimension),
+            clouds, self.fault_bound, objective=self._objective_for(dimension)
         )

@@ -667,12 +667,14 @@ def _round_view_updates(
 ) -> dict[bytes, np.ndarray | Exception]:
     """Compute the state update for every distinct receive view of the round.
 
-    Views are deduplicated bitwise across processes *and* trials; each
-    distinct view's Gamma queries are pushed through one
-    :meth:`GammaKernel.points_multi` pass (which dedupes clouds again and
-    solves each distinct cloud with the exact single-query program).  An
-    empty safe area maps the view to the same :class:`EmptyIntersectionError`
-    the per-process chooser raises.
+    Views are deduplicated bitwise across processes *and* trials; the Gamma
+    queries of every distinct view go to the kernel as one ``(Q, quorum, d)``
+    stack through :meth:`GammaKernel.points_multi`, which answers each
+    distinct cloud once (a repeat from an earlier round is a hit in its
+    memo).  If that pass raises, each distinct cloud is re-solved alone, so
+    a failing cloud raises the same error again for the views that hold it.
+    An empty safe area maps the view to the same
+    :class:`EmptyIntersectionError` the per-process chooser raises.
     """
     views: dict[bytes, np.ndarray] = {}
     for _, tensor in active:
@@ -680,37 +682,31 @@ def _round_view_updates(
             key = view.tobytes()
             if key not in views:
                 views[key] = view.copy()
-    view_clouds: dict[bytes, list[np.ndarray]] = {
-        key: restricted_round_clouds(view, quorum) for key, view in views.items()
-    }
-
-    # The round's distinct clouds, each solved once (all have shape
-    # ``(quorum, d)``, so the bytes identify a cloud).  A repeat from an earlier
-    # round is answered by the kernel's own memo; a failing cloud is re-solved
-    # and raises the same error again.
-    pending: dict[bytes, np.ndarray] = {}
-    for clouds in view_clouds.values():
+    if not views:
+        return {}
+    clouds = np.concatenate([restricted_round_clouds(view, quorum) for view in views.values()])
+    try:
+        answers: list[np.ndarray | None | Exception] = list(chooser.resolve_multi(clouds))
+    except Exception:  # noqa: BLE001 — re-solve per query for attribution
+        solved: dict[bytes, np.ndarray | None | Exception] = {}
         for cloud in clouds:
-            pending.setdefault(cloud.tobytes(), cloud)
-    answers: dict[bytes, np.ndarray | None | Exception] = {}
-    if pending:
-        try:
-            answers.update(zip(pending, chooser.resolve_multi(list(pending.values()))))
-        except Exception:  # noqa: BLE001 — re-solve per query for attribution
-            for cloud_key, cloud in pending.items():
-                try:
-                    answers[cloud_key] = chooser.choose(cloud)
-                except EmptyIntersectionError:
-                    answers[cloud_key] = None
-                except Exception as error:  # noqa: BLE001
-                    answers[cloud_key] = error
+            cloud_key = cloud.tobytes()
+            if cloud_key in solved:
+                continue
+            try:
+                solved[cloud_key] = chooser.choose(cloud)
+            except EmptyIntersectionError:
+                solved[cloud_key] = None
+            except Exception as error:  # noqa: BLE001
+                solved[cloud_key] = error
+        answers = [solved[cloud.tobytes()] for cloud in clouds]
 
+    per_view = len(clouds) // len(views)
     updates: dict[bytes, np.ndarray | Exception] = {}
-    for key, clouds in view_clouds.items():
+    for position, key in enumerate(views):
         chosen: list[np.ndarray] = []
         failure: Exception | None = None
-        for cloud in clouds:
-            answer = answers[cloud.tobytes()]
+        for answer in answers[position * per_view : (position + 1) * per_view]:
             if isinstance(answer, Exception):
                 failure = answer
                 break

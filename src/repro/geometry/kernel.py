@@ -13,13 +13,15 @@ Four independent optimisations, composed by :class:`GammaKernel`:
 
 * **No LP at** ``d <= 2``.  ``Gamma`` is the Tukey-depth-``(f+1)`` region of
   ``Y``.  On the line that is the trimmed interval; in the plane it is the
-  intersection of a few dozen halfplanes read off the rotating sweep below,
-  and the objective is minimised over them by LP duality in numpy, with the
-  chosen vertex checked against every halfplane (a free optimality
-  certificate, :func:`_planar_gamma_point`).  Ties on the objective go to
-  the lexicographic minimum, a rule that needs no solver.  A query whose
-  certificate fails takes the relaxed program, so an empty ``Gamma`` is
-  still reported.
+  intersection of the halfplanes on every member pair's line, and the
+  objective is minimised over them by LP duality in numpy, with the chosen
+  vertex checked against every halfplane (a free optimality certificate,
+  :func:`_planar_program`).  The program has one shape per ``(|Y|, f)``,
+  so all of a call's queries of one shape run as one program over their
+  stack, and an answer is bitwise the same at any batch size.  Ties on the
+  objective go to the lexicographic minimum, a rule that needs no solver.
+  A query whose certificate fails takes the relaxed program, so an empty
+  ``Gamma`` is still reported.
 
 * **Subset pruning** (the Appendix F idea applied to the LP itself).
   ``Gamma`` is an intersection of hulls, and most hulls are redundant:
@@ -114,6 +116,21 @@ _MIN_BRACKET_SINE = 1e-5
 _ROUNDING = 8.0 * np.finfo(float).eps
 
 _AXES = np.asarray([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+
+#: How many vertices on the dual bound a planar query checks against every
+#: halfplane at once, strongest bound first (:func:`_planar_program`).  The
+#: first block almost always holds the optimum; the next is checked only for
+#: the queries whose block had none (duplicate-heavy grids stack many
+#: near-equal bounds on one line).
+_CANDIDATES = 16
+
+#: Bound on one planar program's work, in member projections (``Q x P x m``
+#: for ``Q`` clouds of ``m`` members and ``P`` halfplanes): a longer stack is
+#: cut into chunks of at most this many.  Measured on 300 clouds: 40-query
+#: chunks at ``m = 12`` peak at 2.4 MB of temporaries (80-query ones at 4.5,
+#: one unchunked program at 16.8), and the per-query cost is flat from 20 to
+#: 160 queries a chunk.
+_CHUNK_ELEMENTS = 1 << 16
 
 #: Bound on the answer memo, in entries (one per distinct query).  The
 #: repeats it serves sit inside one trial — the census in
@@ -268,101 +285,229 @@ def _family_2d(cloud: np.ndarray, fault_bound: int) -> tuple[tuple[int, ...], ..
     return tuple(sorted(map(tuple, members.tolist())))
 
 
-def _planar_gamma_point(
-    cloud: np.ndarray, fault_bound: int, objective: np.ndarray
-) -> np.ndarray | None:
-    """The optimal point of ``Gamma`` in the plane, in closed form, or ``None``.
+@lru_cache(maxsize=64)
+def _halfplane_members(point_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two members behind each pair normal of :func:`_planar_program`.
+
+    Normal ``h < C(m, 2)`` is pair ``h`` of :func:`_upper_pairs` turned by
+    ``+π/2``, normal ``C(m, 2) + h`` the same pair turned by ``-π/2``.
+    """
+    first, second = _upper_pairs(point_count)
+    return np.concatenate((first, first)), np.concatenate((second, second))
+
+
+def _compact(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the column indices where ``mask`` holds, in order, padded.
+
+    Returns ``(columns, valid)`` of shape ``(rows, width)``, ``width`` the
+    largest count of any row (at least 1); padded slots repeat some column
+    and read ``False`` in ``valid``.  A row's valid slots never depend on
+    the other rows.
+    """
+    counts = mask.sum(axis=1)
+    width = max(int(counts.max(initial=0)), 1)
+    columns = np.argsort(~mask, axis=1, kind="stable")[:, :width]
+    return columns, np.arange(width) < counts[:, None]
+
+
+def _planar_gamma_points(
+    clouds: np.ndarray, fault_bound: int, objective: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The optimal points of ``Gamma`` for a stack of same-shape planar clouds.
+
+    ``clouds`` is ``(Q, m, 2)``; the stack is cut into chunks of at most
+    :data:`_CHUNK_ELEMENTS` member projections, and each chunk runs one
+    fixed-shape program (:func:`_planar_program`).  Returns ``(points,
+    certified, residuals)``, one row per cloud: the point, whether it is
+    certified (an uncertified row is meaningless and the caller takes the
+    relaxed program), and the certified point's largest halfplane violation
+    over the cloud's spread about its centroid.
+    """
+    query_count, point_count, _ = clouds.shape
+    normal_count = point_count * (point_count - 1) + _AXES.shape[0]
+    chunk = max(1, _CHUNK_ELEMENTS // (normal_count * point_count))
+    parts = [
+        _planar_program(clouds[start : start + chunk], fault_bound, objective)
+        for start in range(0, query_count, chunk)
+    ]
+    if len(parts) == 1:
+        return parts[0]
+    points, certified, residuals = zip(*parts)
+    return np.concatenate(points), np.concatenate(certified), np.concatenate(residuals)
+
+
+def _planar_program(
+    clouds: np.ndarray, fault_bound: int, objective: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One chunk of :func:`_planar_gamma_points`: every step over all ``Q`` at once.
 
     ``Gamma`` is the Tukey-depth-``(f+1)`` region ``{z : u.z <= k(u)}`` over
     unit directions ``u``, where ``k(u)`` is the ``(f+1)``-th largest member
-    projection.  On an arc of :func:`_planar_sweep` that member is one fixed
-    point ``y``, so ``k(u) = u.y`` is linear there, and over any stretch of
-    arcs with one member and less than ``π`` long the constraints reduce to
-    those at its two ends.  ``Gamma`` is therefore exactly the intersection
-    of the halfplanes at every event where the member changes (the line
-    through the two members) and at the middle of each run of one member
-    (which keeps every stretch below ``π``); with no change at all ``Gamma``
-    is that member alone.
+    projection.  Two members swap places in the projection order only at the
+    normals of the line through them, so between consecutive pair normals
+    the ``(f+1)``-th member is one point and ``k`` is linear there.  No two
+    consecutive normals of the set (every pair's normal in both orientations
+    plus the four axes) are ``π`` or more apart, so ``Gamma`` is exactly the
+    intersection of their halfplanes.  Pairs with a zero difference, and
+    pairs through a repeated member value (the first copy's pairs carry the
+    same lines), are masked out; their slots hold ``e1``, a halfplane of
+    ``Gamma`` like any other.
 
     The objective is minimised over those halfplanes by LP duality, with
     ties broken by the perturbed objective ``c + δ e1 + δ² e2`` (``δ -> 0+``),
     whose unique optimum is the lexicographic minimum of ``c``'s optimal set:
-    the smallest ``c.v``, then ``x``, then ``y`` — so a zero objective asks
-    for the lexicographic minimum of ``Gamma``.  Every pair of halfplanes
-    whose normals bracket the perturbed ``-c`` has a vertex that bounds that
-    optimum from below, so a vertex meeting the best bound and every
-    halfplane is the optimum: the dual bound plus primal feasibility certify
-    it.  Both checks allow each vertex its own rounding on top of
-    :data:`_CERTIFICATE_TOLERANCE` of the cloud's spread about its centroid,
-    the frame everything is computed in (a tight cluster far from the origin
-    keeps its precision); the answer is the lexicographically smallest
-    certified vertex.  ``None`` means no vertex passed — ``Gamma`` is empty
-    or numerically degenerate — and the caller takes the relaxed program.
+    the smallest ``c.v``, then ``x``, then ``y``.  A zero objective asks for
+    the lexicographic minimum of ``Gamma``, the optimum of ``e1`` under the
+    same rule.  Every pair of halfplanes whose normals bracket the perturbed
+    ``-c`` meets in a vertex that bounds the optimum from below.  The bound
+    is taken over the *turn* normals — those whose offset is, exactly, one
+    of their own pair's projections: the lines that can carry an edge of
+    ``Gamma`` — plus the axes.  The vertices on the best bound are checked
+    against every halfplane, the strongest bounds (largest ``(c.v, x, y)``)
+    first, :data:`_CANDIDATES` at a time; in the first block where any
+    passes, the lexicographically smallest that passes is the optimum: the
+    dual bound plus primal feasibility certify it.  Both checks allow each
+    vertex its own rounding on top of :data:`_CERTIFICATE_TOLERANCE` of the
+    cloud's spread about its centroid, the frame everything is computed in
+    (a tight cluster far from the origin keeps its precision).
+
+    Every step is elementwise, or a reduction or sort along one query's own
+    axes — no matrix product, whose summation could depend on the layout —
+    so a row's answer is bitwise the same whatever else shares its chunk.
     """
-    rank = cloud.shape[0] - fault_bound - 1  # ascending position of the (f+1)-th largest
-    sweep = _planar_sweep(cloud)
-    if sweep is None:
-        return cloud[0].copy()
-    events, arc_directions = sweep
-    members = cloud[np.argpartition(arc_directions @ cloud.T, rank, axis=1)[:, rank]]
-    changes = (members != members[np.arange(-1, members.shape[0] - 1)]).any(axis=1)
-    if not changes.any():
-        return members[0].copy()
-    turns = events[changes]
-    halves = (turns + np.concatenate((turns[1:], turns[:1] + 2.0 * np.pi))) / 2.0
-    # The axes are halfplanes of Gamma too: they keep every gap below π when
-    # rounding splits one event in two and a tie in the sliver between the
-    # copies reads as a change (a repeated member beside one outlier does).
-    normals = np.concatenate((_unit_directions(np.concatenate((turns, halves))), _AXES))
-    centre = cloud.sum(axis=0) / cloud.shape[0]
-    local = cloud - centre
-    offsets = np.partition(normals @ local.T, rank, axis=1)[:, rank]
+    query_count, point_count, _ = clouds.shape
+    queries = np.arange(query_count)
+    rows = queries[:, None]
+    # The centroid by sequential adds: a reduction's summation order may
+    # depend on the stack's shape.
+    centre = clouds[:, 0].copy()
+    for member in range(1, point_count):
+        centre += clouds[:, member]
+    centre /= point_count
+    local = clouds - centre[:, None, :]
+    local_x, local_y = local[..., 0].copy(), local[..., 1].copy()
+    scale = np.abs(local).max(axis=(1, 2))
+
+    # The halfplanes: every usable pair's unit normal in both orientations,
+    # then the axes.
+    first, second = _upper_pairs(point_count)
+    pair_count = first.shape[0]
+    x, y = clouds[..., 0], clouds[..., 1]
+    delta_x, delta_y = x[:, second] - x[:, first], y[:, second] - y[:, first]
+    length = np.sqrt(delta_x * delta_x + delta_y * delta_y)
+    equal = (x[:, :, None] == x[:, None, :]) & (y[:, :, None] == y[:, None, :])
+    repeated = np.tril(equal, k=-1).any(axis=2)  # equal to an earlier member
+    usable = (length > 0.0) & ~repeated[:, first] & ~repeated[:, second]
+    length = np.where(usable, length, 1.0)
+    normal_count = 2 * pair_count + _AXES.shape[0]
+    normal_x, normal_y = np.empty((2, query_count, normal_count))
+    normal_x[:, :pair_count] = np.where(usable, -delta_y / length, 1.0)
+    normal_y[:, :pair_count] = np.where(usable, delta_x / length, 0.0)
+    normal_x[:, pair_count : 2 * pair_count] = -normal_x[:, :pair_count]
+    normal_y[:, pair_count : 2 * pair_count] = -normal_y[:, :pair_count]
+    normal_x[:, 2 * pair_count :] = _AXES[:, 0]
+    normal_y[:, 2 * pair_count :] = _AXES[:, 1]
+
+    # The offsets: per normal, the (f+1)-th largest member projection, kept
+    # as a running top f+1 (max and min pick one of the products exactly).
+    top = [np.full((query_count, normal_count), -np.inf) for _ in range(fault_bound + 1)]
+    for member in range(point_count):
+        value = local_x[:, member, None] * normal_x + local_y[:, member, None] * normal_y
+        for place, held in enumerate(top):
+            top[place] = np.maximum(held, value)
+            np.minimum(held, value, out=value)
+    offsets = top[-1]
+
+    # The dual side: turn normals plus the axes.
+    member_a, member_b = _halfplane_members(point_count)
+    own = offsets[:, : 2 * pair_count]
+    pair_x, pair_y = normal_x[:, : 2 * pair_count], normal_y[:, : 2 * pair_count]
+    turn = np.tile(usable, 2) & (
+        (own == local_x[:, member_a] * pair_x + local_y[:, member_a] * pair_y)
+        | (own == local_x[:, member_b] * pair_x + local_y[:, member_b] * pair_y)
+    )
+    dual = np.concatenate((turn, np.ones((query_count, _AXES.shape[0]), dtype=bool)), axis=1)
 
     # Which side of -c each normal lies on: the sign of cross(-c, normal),
-    # or, for a normal parallel to -c up to rounding (an axis normal comes
-    # out of cos/sin tilted by ~1e-16), the side of -e1, then of -e2.
+    # or, for a normal parallel to -c up to rounding, the side of -e1, then
+    # of -e2.
+    if not objective.any():
+        objective = _AXES[0]  # the same sides and the same order
     size = max(abs(objective[0]), abs(objective[1]))
-    lean = normals @ np.asarray([objective[1], -objective[0]])
-    parallel = np.abs(lean) <= _PARALLEL_TOLERANCE * size
-    if parallel.any():
-        tilt = normals[parallel]
-        lean[parallel] = np.where(np.abs(tilt[:, 1]) > _PARALLEL_TOLERANCE, -tilt[:, 1], tilt[:, 0])
+    lean = normal_x * objective[1] - normal_y * objective[0]
+    tilt = np.where(np.abs(normal_y) > _PARALLEL_TOLERANCE, -normal_y, normal_x)
+    below = np.where(np.abs(lean) <= _PARALLEL_TOLERANCE * size, tilt, lean) < 0.0
     # -c = a * u + b * w with a, b > 0: u on the negative side, w on the
     # positive side and less than π after it.
-    below = lean < 0.0
-    u, w = normals[below], normals[~below]
-    offset_u, offset_w = offsets[below], offsets[~below]
-    sines = u[:, :1] * w[:, 1] - u[:, 1:] * w[:, 0]
-    rows, cols = np.nonzero(sines >= _MIN_BRACKET_SINE)
-    if rows.size == 0:
-        return None
-    u, w, sine = u[rows], w[cols], sines[rows, cols]
-    offset_u, offset_w = offset_u[rows], offset_w[cols]
-    vertices = np.empty((rows.size, 2))
-    vertices[:, 0] = (offset_u * w[:, 1] - offset_w * u[:, 1]) / sine
-    vertices[:, 1] = (u[:, 0] * offset_w - w[:, 0] * offset_u) / sine
-    values = vertices @ objective
+    u_index, u_valid = _compact(dual & below)
+    w_index, w_valid = _compact(dual & ~below)
+    u_x, u_y, offset_u = (array[rows, u_index][:, :, None] for array in (normal_x, normal_y, offsets))
+    w_x, w_y, offset_w = (array[rows, w_index][:, None, :] for array in (normal_x, normal_y, offsets))
+    sines = u_x * w_y - u_y * w_x
+    bracket = u_valid[:, :, None] & w_valid[:, None, :] & (sines >= _MIN_BRACKET_SINE)
+    sines = np.where(bracket, sines, 1.0)
+    vertex_x = (offset_u * w_y - offset_w * u_y) / sines
+    vertex_y = (u_x * offset_w - w_x * offset_u) / sines
+    values = vertex_x * objective[0] + vertex_y * objective[1]
 
     # What each vertex may be off by: the certificate's tolerance plus its
     # own rounding, which grows as 1 / sine.
-    scale = np.abs(local).max()
-    error = _CERTIFICATE_TOLERANCE * scale + (
-        _ROUNDING * (scale + np.abs(vertices).max(axis=1)) / sine
+    error = _CERTIFICATE_TOLERANCE * scale[:, None, None] + (
+        _ROUNDING * (scale[:, None, None] + np.maximum(np.abs(vertex_x), np.abs(vertex_y))) / sines
     )
-    on_bound = values >= (values - size * error).max() - size * error
-    vertices, values, error = vertices[on_bound], values[on_bound], error[on_bound]
-    certified = np.flatnonzero((vertices @ normals.T - offsets).max(axis=1) <= error)
-    if certified.size == 0:
-        return None
-    order = np.lexsort((vertices[certified, 1], vertices[certified, 0], values[certified]))
-    best = certified[order[0]]
+    slack = size * error
+    bound = np.where(bracket, values - slack, -np.inf).max(axis=(1, 2))
+    on_bound = bracket & (values >= bound[:, None, None] - slack)
+
+    # The primal side: the vertices on the bound against every halfplane,
+    # strongest bound first, :data:`_CANDIDATES` at a time; in the first
+    # block where any passes, the lexicographically smallest that passes.
+    slots, slot_valid = _compact(on_bound.reshape(query_count, -1))
+    values, vertex_x, vertex_y, error = (
+        array.reshape(query_count, -1)[rows, slots] for array in (values, vertex_x, vertex_y, error)
+    )
+    order = np.lexsort((-vertex_y, -vertex_x, np.where(slot_valid, -values, np.inf)), axis=1)
+    remaining = slot_valid.sum(axis=1)
+    certified = np.zeros(query_count, dtype=bool)
+    vertex = np.zeros((query_count, 2))
+    margin, residual = np.zeros(query_count), np.zeros(query_count)
+    pending = queries
+    for start in range(0, order.shape[1], _CANDIDATES):
+        block = order[pending, start : start + _CANDIDATES]
+        at = pending[:, None]
+        candidate_x, candidate_y = vertex_x[at, block], vertex_y[at, block]
+        violation = (
+            candidate_x[:, :, None] * normal_x[at]
+            + candidate_y[:, :, None] * normal_y[at]
+            - offsets[at]
+        ).max(axis=2)
+        passed = slot_valid[at, block] & (violation <= error[at, block])
+        key = np.where(passed, values[at, block], np.inf)
+        pick = np.lexsort((candidate_y, candidate_x, key), axis=1)[:, 0]
+        within = np.arange(pending.shape[0])
+        hit = passed[within, pick]
+        done, pick, within = pending[hit], pick[hit], within[hit]
+        certified[done] = True
+        vertex[done, 0], vertex[done, 1] = candidate_x[within, pick], candidate_y[within, pick]
+        margin[done] = error[at, block][within, pick]
+        residual[done] = violation[within, pick]
+        pending = pending[~hit & (remaining[pending] > start + _CANDIDATES)]
+        if pending.shape[0] == 0:
+            break
+
     # Many vertices of Gamma are members: a member within the vertex's own
     # error that passes the same check is that vertex, without the rounding.
-    gaps = np.abs(local - vertices[best]).max(axis=1)
-    nearest = gaps.argmin()
-    if gaps[nearest] <= error[best] and (normals @ local[nearest] - offsets).max() <= error[best]:
-        return cloud[nearest].copy()
-    return centre + vertices[best]
+    gaps = np.maximum(np.abs(local_x - vertex[:, :1]), np.abs(local_y - vertex[:, 1:]))
+    nearest = gaps.argmin(axis=1)
+    member_violation = (
+        local_x[queries, nearest, None] * normal_x
+        + local_y[queries, nearest, None] * normal_y
+        - offsets
+    ).max(axis=1)
+    snap = (gaps[queries, nearest] <= margin) & (member_violation <= margin)
+    points = np.where(snap[:, None], clouds[queries, nearest], centre + vertex)
+    residual = np.where(snap, member_violation, residual) / np.where(scale > 0.0, scale, 1.0)
+    return points, certified, residual
 
 
 def _family_dedupe_dominated(
@@ -669,8 +814,9 @@ class GammaKernel:
     * every query is keyed on ``(f, cloud shape, cloud bytes, objective
       bytes)`` — bitwise, so ``-0.0`` and ``0.0`` are different queries —
       whether it arrives through :meth:`point`, :meth:`points_batch` or
-      :meth:`points_multi`, which all answer each query as :meth:`point`
-      does;
+      :meth:`points_multi`; all three look every query up, then solve the
+      misses together, and an answer never depends on what else was in the
+      batch, so it is bitwise what :meth:`point` returns;
     * queries with an explicit ``subset_indices`` family bypass the memo;
     * answers are stored and handed out as copies, an empty ``Gamma``
       (``None``) is an answer like any other, and a query that raises stores
@@ -777,67 +923,115 @@ class GammaKernel:
         if fault_bound < 0:
             raise GeometryError("fault bound must be non-negative")
         _EVENTS["single_queries"].inc()
-        return self._answer(cloud, fault_bound, objective, subset_indices)
+        families = None if subset_indices is None else [subset_indices]
+        return self._answer_all([cloud], fault_bound, objective, families)[0]
 
-    def _answer(
+    def _answer_all(
         self,
-        cloud: np.ndarray,
+        clouds: Sequence[np.ndarray],
         fault_bound: int,
         objective: np.ndarray | Sequence[float] | None,
-        subset_indices: Sequence[Sequence[int]] | None,
-    ) -> np.ndarray | None:
-        """One query, counted by the caller: edge cases, memo, then a solve."""
-        point_count, dimension = cloud.shape
-        if point_count == 0:
-            return None
-        if fault_bound == 0:
-            return cloud.mean(axis=0)
-        if point_count - fault_bound <= 0:
-            return None
+        subset_indices: Sequence[Sequence[Sequence[int]] | None] | None = None,
+    ) -> list[np.ndarray | None]:
+        """The queries, counted by the caller: edge cases, memo, then solves.
 
-        objective_head = self._objective_head(objective, dimension)
-        if subset_indices is not None:
-            families = self._families_for(cloud, fault_bound, subset_indices)
-            return self._solve_single(cloud, families, objective_head)
-        key = (fault_bound, cloud.shape, cloud.tobytes(), objective_head.tobytes())
-        cached = self._memo.get(key, _MISS)
-        if cached is not _MISS:
-            _EVENTS["memo_hits"].inc()
-            return _private_copy(cached)
-        if dimension <= 2:
-            answer = self._closed_form(cloud, fault_bound, objective_head)
-        else:
-            answer = self._solve_single(
-                cloud, self._families_for(cloud, fault_bound, None), objective_head
-            )
-        self._memo_store(key, _private_copy(answer))
-        return answer
+        The memo misses are solved together (:meth:`_solve_misses`).  A
+        repeat of a query still unanswered waits for the next pass, where the
+        memo serves it, so the events count as if each query had been asked
+        alone, in order.
+        """
+        answers: list[np.ndarray | None] = [None] * len(clouds)
+        heads: dict[int, np.ndarray] = {}
+        pending: list[tuple[int, tuple, np.ndarray, np.ndarray]] = []
+        for index, cloud in enumerate(clouds):
+            point_count, dimension = cloud.shape
+            if point_count == 0:
+                continue
+            if fault_bound == 0:
+                answers[index] = cloud.mean(axis=0)
+                continue
+            if point_count - fault_bound <= 0:
+                continue
+            if dimension not in heads:
+                heads[dimension] = self._objective_head(objective, dimension)
+            head = heads[dimension]
+            if subset_indices is not None and subset_indices[index] is not None:
+                families = self._families_for(cloud, fault_bound, subset_indices[index])
+                answers[index] = self._solve_single(cloud, families, head)
+                continue
+            key = (fault_bound, cloud.shape, cloud.tobytes(), head.tobytes())
+            pending.append((index, key, cloud, head))
 
-    def _closed_form(
-        self, cloud: np.ndarray, fault_bound: int, objective_head: np.ndarray
-    ) -> np.ndarray | None:
-        """``Gamma``'s point at ``d <= 2`` without the Section 2.2 LP.
+        while pending:
+            misses, waiting, asked = [], [], set()
+            for query in pending:
+                cached = self._memo.get(query[1], _MISS)
+                if cached is not _MISS:
+                    _EVENTS["memo_hits"].inc()
+                    answers[query[0]] = _private_copy(cached)
+                elif query[1] in asked:
+                    waiting.append(query)
+                else:
+                    asked.add(query[1])
+                    misses.append(query)
+            for (index, key, _, _), answer in zip(misses, self._solve_misses(misses, fault_bound)):
+                self._memo_store(key, _private_copy(answer))
+                answers[index] = answer
+            pending = waiting
+        return answers
+
+    def _solve_misses(
+        self, queries: list[tuple[int, tuple, np.ndarray, np.ndarray]], fault_bound: int
+    ) -> list[np.ndarray | None]:
+        """Distinct memo misses, in order: the LP one query at a time at
+        ``d >= 3``, one closed-form program per shape at ``d <= 2``."""
+        answers: list[np.ndarray | None] = [None] * len(queries)
+        shapes: dict[tuple[int, int], list[int]] = {}
+        for position, (_, _, cloud, _) in enumerate(queries):
+            shapes.setdefault(cloud.shape, []).append(position)
+        for (_, dimension), positions in shapes.items():
+            head = queries[positions[0]][3]
+            clouds = [queries[position][2] for position in positions]
+            if dimension <= 2:
+                solved = self._closed_forms(np.stack(clouds), fault_bound, head)
+            else:
+                solved = [
+                    self._solve_single(cloud, self._families_for(cloud, fault_bound, None), head)
+                    for cloud in clouds
+                ]
+            for position, answer in zip(positions, solved):
+                answers[position] = answer
+        return answers
+
+    def _closed_forms(
+        self, clouds: np.ndarray, fault_bound: int, objective_head: np.ndarray
+    ) -> list[np.ndarray | None]:
+        """``Gamma``'s points for a ``(Q, m, d)`` stack at ``d <= 2``, with no LP.
 
         ``d = 1``: the trimmed interval's lower end for a non-negative
-        objective, its upper end for a negative one.  ``d = 2``:
-        :func:`_planar_gamma_point`.  When that finds no certified point the
-        relaxed program over the pruned family decides, so an empty ``Gamma``
-        is still reported as ``None``.
+        objective, its upper end for a negative one.  ``d = 2``: the batched
+        program :func:`_planar_gamma_points`, whose certified slack goes into
+        ``repro_kernel_certificate_residual``.  A query it cannot certify
+        takes the relaxed program over the pruned family, alone, so an empty
+        ``Gamma`` is still reported as ``None``.
         """
-        if not (np.isfinite(cloud).all() and np.isfinite(objective_head).all()):
+        if not (np.isfinite(clouds).all() and np.isfinite(objective_head).all()):
             raise ValueError("coefficients must not contain inf or nan")
-        _EVENTS["closed_form_answers"].inc()
-        if cloud.shape[1] == 1:
-            interval = safe_area_interval_1d(cloud, fault_bound)
-            answer = None if interval is None else np.asarray(
-                [interval[1] if objective_head[0] < 0.0 else interval[0]]
-            )
-        else:
-            answer = _planar_gamma_point(cloud, fault_bound, objective_head)
-        if answer is None:
+        _EVENTS["closed_form_batches"].inc()
+        _EVENTS["closed_form_answers"].inc(clouds.shape[0])
+        if clouds.shape[2] == 1:
+            end = 1 if objective_head[0] < 0.0 else 0
+            intervals = [safe_area_interval_1d(cloud, fault_bound) for cloud in clouds]
+            return [None if interval is None else np.asarray([interval[end]]) for interval in intervals]
+        points, certified, residuals = _planar_gamma_points(clouds, fault_bound, objective_head)
+        answers: list[np.ndarray | None] = list(points)
+        for residual in residuals[certified].tolist():
+            _CERTIFICATE_RESIDUAL.observe(residual)
+        for position in np.flatnonzero(~certified).tolist():
+            cloud = clouds[position]
             families = np.asarray(pruned_subset_family(cloud, fault_bound), dtype=np.int64)
-            return self._relaxed_point(cloud, families)
-        return answer
+            answers[position] = self._relaxed_point(cloud, families)
+        return answers
 
     def _objective_head(
         self, objective: np.ndarray | Sequence[float] | None, dimension: int
@@ -901,9 +1095,9 @@ class GammaKernel:
     ) -> list[np.ndarray | None]:
         """Answer many safe-area queries of one shape, each as :meth:`point` would.
 
-        Every query goes through the same per-query memo and solve as a
-        single :meth:`point` call, so a batch answer never depends on its
-        batch-mates.
+        Every query is looked up in the memo on its own, and the misses are
+        solved together by a program whose answers never depend on their
+        batch-mates, so each is bitwise what a single :meth:`point` returns.
 
         Args:
             clouds: the query multisets; all must share one ``(m, d)`` shape
@@ -931,11 +1125,7 @@ class GammaKernel:
             raise GeometryError("fault bound must be non-negative")
         _EVENTS["batch_calls"].inc()
         _EVENTS["batch_queries"].inc(len(arrays))
-        families = [None] * len(arrays) if subset_indices is None else subset_indices
-        return [
-            self._answer(array, fault_bound, objective, family)
-            for array, family in zip(arrays, families)
-        ]
+        return self._answer_all(arrays, fault_bound, objective, subset_indices)
 
     def points_multi(
         self,
@@ -953,11 +1143,12 @@ class GammaKernel:
         receive views or states collapse), solving each distinct cloud once.
 
         Unlike :meth:`points_batch`, clouds may have heterogeneous shapes.
-        Each distinct cloud is solved through :meth:`point`, so results are
-        bitwise identical to per-query single solves, which is what lets the
-        columnar engine share one solve across many object-runtime-equivalent
-        processes.  At ``d <= 2`` the answer follows :meth:`point`'s
-        solver-independent rule: the lexicographic minimum of the objective's
+        The distinct clouds are looked up in the memo and the misses of each
+        shape solved together, by a program whose answers are bitwise those
+        of per-query single solves, which is what lets the columnar engine
+        share one solve across many object-runtime-equivalent processes
+        (``clouds`` may be one ``(Q, m, d)`` array).  At ``d <= 2`` the
+        answer follows :meth:`point`'s solver-independent rule: the lexicographic minimum of the objective's
         optimal set (``c.z``, then ``x``, then ``y``), so a zero objective
         asks for the lexicographic minimum of ``Gamma``.
 
@@ -981,10 +1172,10 @@ class GammaKernel:
                 representatives[key] = index
             order.append(key)
 
-        solved = {
-            key: self.point(arrays[index], fault_bound, objective=objective)
-            for key, index in representatives.items()
-        }
+        answers = self._answer_all(
+            [arrays[index] for index in representatives.values()], fault_bound, objective
+        )
+        solved = dict(zip(representatives, answers))
         return [solved[key] for key in order]
 
     # -- relaxed fallback --------------------------------------------------------
@@ -1099,7 +1290,7 @@ def _register_kernel_metrics() -> dict[str, Any]:
         "multi_queries", "multi_calls", "multi_dedup_hits", "lp_solves",
         "relaxed_solves", "template_hits", "template_misses",
         "blocks_assembled", "blocks_pruned_away",
-        "memo_hits", "memo_evictions", "closed_form_answers",
+        "memo_hits", "memo_evictions", "closed_form_answers", "closed_form_batches",
     )}
 
 
@@ -1108,5 +1299,16 @@ def _register_kernel_metrics() -> dict[str, Any]:
 #: ``memo_evictions`` counts whole-table flushes at the bound, and
 #: ``closed_form_answers`` counts queries at ``d <= 2`` answered without the
 #: Section 2.2 LP (each one whose certificate failed is also a
-#: ``relaxed_solves``).
+#: ``relaxed_solves``), and ``closed_form_batches`` the programs that
+#: answered them: one per shape among a call's memo misses.
 _EVENTS = _register_kernel_metrics()
+
+#: Each certified ``d = 2`` point's largest halfplane violation, over its
+#: cloud's spread about the centroid: how much of the certificate's
+#: tolerance (:data:`_CERTIFICATE_TOLERANCE` plus the vertex's rounding) the
+#: answer used.  ``0`` and below means no halfplane is violated at all.
+_CERTIFICATE_RESIDUAL = get_registry().histogram(
+    "repro_kernel_certificate_residual",
+    "Largest halfplane violation of each certified d = 2 Gamma point, over its cloud's spread.",
+    buckets=(0.0, 1e-16, 1e-15, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10),
+)

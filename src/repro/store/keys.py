@@ -53,7 +53,7 @@ PACKAGE_VERSION = "1.1.0"
 #: Salt folded into every trial key.  Format: ``<package version>/<row schema
 #: revision>``; bump the revision whenever trial semantics or the serialised
 #: row change (see the module docstring for the discipline).
-ENGINE_VERSION = f"{PACKAGE_VERSION}/rows2"
+ENGINE_VERSION = f"{PACKAGE_VERSION}/rows3"
 
 #: Spec fields excluded from the key because they cannot influence the
 #: serialised outcome row (see module docstring).

@@ -15,6 +15,7 @@ from repro.core.round_ops import (
     restricted_round_clouds,
     restricted_round_step,
 )
+from repro.core.safe_area import SafeAreaCalculator
 from repro.exceptions import ProtocolError
 
 
@@ -42,20 +43,33 @@ class TestRestrictedRoundStep:
         rng = np.random.default_rng(8)
         received = rng.uniform(0.0, 1.0, size=(5, 2))
         plain = restricted_round_step(received, fault_bound=1, quorum=4)
-        from repro.core.safe_area import SafeAreaCalculator
-
         chooser = SafeAreaCalculator(fault_bound=1)
         cache: dict[bytes, np.ndarray] = {}
 
-        def memoised(cloud: np.ndarray) -> np.ndarray:
-            key = cloud.tobytes()
-            if key not in cache:
-                cache[key] = chooser.choose(cloud)
-            return cache[key]
+        def memoised(clouds: np.ndarray) -> list[np.ndarray]:
+            for cloud in clouds:
+                if cloud.tobytes() not in cache:
+                    cache[cloud.tobytes()] = chooser.choose(cloud)
+            return [cache[cloud.tobytes()] for cloud in clouds]
 
         assert np.array_equal(
-            plain, restricted_round_step(received, fault_bound=1, quorum=4, choose=memoised)
+            plain, restricted_round_step(received, fault_bound=1, quorum=4, choose_all=memoised)
         )
+
+    def test_one_kernel_batch_per_update(self, kernel_events):
+        # The object runtime hands a round's clouds over at once: one batch
+        # whose answers are the ones each cloud gets alone.
+        received = np.random.default_rng(10).uniform(0.0, 1.0, size=(5, 2))
+        chooser = SafeAreaCalculator(fault_bound=1)
+        events = kernel_events()
+        update = restricted_round_step(received, fault_bound=1, quorum=4)
+        step = SafeAverageAggregator(fault_bound=1, quorum=4).aggregate(
+            {i: received[i] for i in range(5)}
+        )
+        assert (events.batch_calls, events.batch_queries, events.single_queries) == (2, 10, 0)
+        singles = [chooser.choose(cloud) for cloud in restricted_round_clouds(received, 4)]
+        assert np.array_equal(update, np.vstack(singles).mean(axis=0))
+        assert all(map(np.array_equal, step.chosen_points, singles))
 
 
 class TestLowerMedian:

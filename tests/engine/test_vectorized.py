@@ -406,16 +406,17 @@ class TestRepeatedClouds:
         assert events.memo_hits > 0
 
     def test_cloud_whose_solve_fails_twice_gives_the_object_engines_rows(self, monkeypatch):
-        closed_form = GammaKernel._closed_form
+        closed_forms = GammaKernel._closed_forms
         refused: list[bytes] = []
 
-        def refuse_collapsed_clouds(self, cloud, fault_bound, objective_head):
-            if not np.ptp(cloud, axis=0).any():
-                refused.append(cloud.tobytes())
+        def refuse_collapsed_clouds(self, clouds, fault_bound, objective_head):
+            collapsed = [cloud.tobytes() for cloud in clouds if not np.ptp(cloud, axis=0).any()]
+            if collapsed:
+                refused.extend(collapsed)
                 raise GeometryError("injected solver failure")
-            return closed_form(self, cloud, fault_bound, objective_head)
+            return closed_forms(self, clouds, fault_bound, objective_head)
 
-        monkeypatch.setattr(GammaKernel, "_closed_form", refuse_collapsed_clouds)
+        monkeypatch.setattr(GammaKernel, "_closed_forms", refuse_collapsed_clouds)
         object_rows = _rows(run_trial(spec) for spec in self.SPECS)
         assert all("injected solver failure" in row for row in object_rows)
         refused.clear()

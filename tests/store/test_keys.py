@@ -28,31 +28,31 @@ def _spec(**overrides) -> TrialSpec:
 # Every stored row is addressed by these bytes: a digest that changes makes
 # every existing store unreachable, which only a deliberate ENGINE_VERSION
 # bump may do.  The literals come from the per-call ``json.dumps`` derivation
-# salted with `1.1.0/rows2` (the bump that moved Gamma at d <= 2 off the LP);
-# change them only together with a bump.
+# salted with `1.1.0/rows3` (the bump that answers a round's Gamma queries at
+# d <= 2 in one batched program); change them only together with a bump.
 GOLDEN_KEYS = {
     "default": (
         TrialSpec(protocol="exact", workload="uniform_box"),
-        "e8342ddef3c53cdfbbaf2bac8e121bb541df4a2192e55ce4603c4beba94f660f",
+        "f2cab2935e6ed0e42e7a26bc58caa9e7583f6566203c0fe863e8183724805a1b",
     ),
-    "base": (_spec(), "1fe9f0108aa2460b195dfcf5fb0d6ce09e61897ce63fbf18cd4e75d7290129a9"),
+    "base": (_spec(), "130704b12885a7daf5b546db30b58d4739bfa6a6422320fa134e180419cca56f"),
     "sub_seeds": (
         _spec(workload_seed=11, adversary_seed=None, scheduler_seed=13),
-        "3a0afeab05241930d8f801a46ab3142e2e7611fdfc7e6637c06f2e6bfffe6dc2",
+        "f0e00ced2917d6f14bd834d6123940566233e09f506c38698676d18f74241062",
     ),
     "max_rounds_override": (
         _spec(protocol="approx", epsilon=0.05, max_rounds_override=6),
-        "8dc27b358179bb163197cb1513312dbf87ddd85592b42939382074de3a45f984",
+        "70d972b8d81a97615fd90c646fa2316f35d6cf50c474ebf9fb25d443f9f268a3",
     ),
     "numpy_scalars": (
         _spec(adversary_params={"scale": np.float64(2.5), "count": np.int64(3),
                                 "flag": np.bool_(True)}),
-        "44ea1415e0cd29de8a1dfcbc20d6610d007697daa1f749359907481ec5f3e562",
+        "5a47d3afbffe5faeb747e107e12582c44da433f3fb672370eade1c8c2d26e940",
     ),
     "tuple_and_nested_dict": (
         _spec(workload_params={"box": (0.0, 1.0),
                                "nested": {"b": {"c": (1, 2.5)}, "a": [True, None]}}),
-        "4690bb13a891b002b7bb471fab29c142db209afaef7a664ca9e570aab04e4dba",
+        "56795b1eb8bf01de938f8520342f8c72dcf74b0044501e39759af5a9d9cb67b2",
     ),
 }
 
@@ -121,7 +121,7 @@ class TestCanonicalEncoding:
     @pytest.mark.parametrize("name", sorted(GOLDEN_KEYS))
     def test_golden_digest(self, name):
         spec, digest = GOLDEN_KEYS[name]
-        assert ENGINE_VERSION == "1.1.0/rows2"
+        assert ENGINE_VERSION == "1.1.0/rows3"
         assert trial_key(spec) == digest
 
     @settings(max_examples=300, deadline=None)
