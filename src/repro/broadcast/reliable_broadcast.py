@@ -37,9 +37,11 @@ from typing import Any, Callable, Hashable, NamedTuple
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["BroadcastId", "ReliableBroadcastEngine"]
+__all__ = ["BroadcastId", "Delivery", "ReliableBroadcastEngine"]
 
 BroadcastId = tuple[int, Hashable]
+#: ``(broadcast id, value)``: what one call delivered, if it delivered anything.
+Delivery = tuple[BroadcastId, Any]
 
 
 def _value_key(value: Any) -> Hashable:
@@ -88,9 +90,11 @@ class ReliableBroadcastEngine:
     """All reliable-broadcast instances of a single owning process.
 
     The owning process wires ``send`` (a callable that sends a protocol message
-    to one recipient) and ``deliver`` (a callback invoked exactly once per
-    broadcast id with the delivered value) at construction time, then feeds
-    every incoming reliable-broadcast message to :meth:`handle`.
+    to one recipient) at construction time, then feeds every incoming
+    reliable-broadcast message to :meth:`handle`.  A delivery is *returned*
+    (by :meth:`handle` or :meth:`broadcast`), exactly once per broadcast id,
+    rather than handed to a callback: the engine keeps no reference to its
+    owner, so owner and engine form no reference cycle.
     """
 
     KIND_INIT = "RB_INIT"
@@ -104,7 +108,6 @@ class ReliableBroadcastEngine:
         process_ids: tuple[int, ...],
         fault_bound: int,
         send: Callable[[int, str, dict[str, Any]], None],
-        deliver: Callable[[BroadcastId, Any], None],
     ) -> None:
         if owner_id not in process_ids:
             raise ConfigurationError(f"owner {owner_id} is not among the processes")
@@ -118,7 +121,6 @@ class ReliableBroadcastEngine:
         self.process_ids = tuple(process_ids)
         self.fault_bound = fault_bound
         self._send = send
-        self._deliver = deliver
         self._instances: dict[BroadcastId, _InstanceState] = {}
         self._recipients = tuple(pid for pid in self.process_ids if pid != owner_id)
         # Echoes needed before sending READY: strictly more than (n + f) / 2.
@@ -128,8 +130,11 @@ class ReliableBroadcastEngine:
 
     # -- API ---------------------------------------------------------------------
 
-    def broadcast(self, tag: Hashable, value: Any) -> None:
-        """Start a reliable broadcast of ``value`` under ``(owner, tag)``."""
+    def broadcast(self, tag: Hashable, value: Any) -> Delivery | None:
+        """Start a reliable broadcast of ``value`` under ``(owner, tag)``.
+
+        Returns the delivery this completes, if any (as :meth:`handle`).
+        """
         broadcast_id: BroadcastId = (self.owner_id, tag)
         self._relay(broadcast_id, self.KIND_INIT, value)
         # The broadcaster processes its own INIT locally (a process always
@@ -137,39 +142,42 @@ class ReliableBroadcastEngine:
         state = self._instances.get(broadcast_id)
         if state is None:
             state = self._instances[broadcast_id] = _InstanceState(broadcast_id)
-        self._on_init(state, value)
+        return self._on_init(state, value)
 
-    def handle(self, sender: int, kind: str, payload: dict[str, Any]) -> None:
-        """Process one incoming reliable-broadcast message."""
+    def handle(self, sender: int, kind: str, payload: dict[str, Any]) -> Delivery | None:
+        """Process one incoming reliable-broadcast message.
+
+        Returns ``(broadcast_id, value)`` when the message completes that
+        broadcast's delivery (at most one per call), else None.
+        """
         if kind not in self.KINDS or not isinstance(payload, dict):
-            return
+            return None
         broadcaster = payload.get("broadcaster")
         broadcast_id: BroadcastId = (broadcaster, payload.get("tag"))
         try:
             state = self._instances.get(broadcast_id)
         except TypeError:
             # An unhashable broadcaster or tag (Byzantine junk) names no broadcast.
-            return
+            return None
         if kind == self.KIND_INIT and sender != broadcaster:
             # Only the broadcaster may initiate its own broadcast.
-            return
+            return None
         if state is None:
             if broadcaster not in self.process_ids:
-                return
+                return None
             state = self._instances[broadcast_id] = _InstanceState(broadcast_id)
         value = payload.get("value")
         if kind == self.KIND_INIT:
-            self._on_init(state, value)
-        elif kind == self.KIND_ECHO:
-            self._on_echo(state, state.tally(value), sender, value)
-        else:
-            self._on_ready(state, state.tally(value), sender, value)
+            return self._on_init(state, value)
+        if kind == self.KIND_ECHO:
+            return self._on_echo(state, state.tally(value), sender, value)
+        return self._on_ready(state, state.tally(value), sender, value)
 
     # -- state transitions ----------------------------------------------------------
     #
     # ``value`` is the object the current message carries and is what gets
     # relayed; ``tally.value`` is the first object seen with the same key and
-    # is what gets delivered.
+    # is what gets delivered.  Each returns the delivery it completes, if any.
 
     def _relay(self, broadcast_id: BroadcastId, kind: str, value: Any) -> None:
         broadcaster, tag = broadcast_id
@@ -178,33 +186,41 @@ class ReliableBroadcastEngine:
         for recipient in self._recipients:
             send(recipient, kind, payload)
 
-    def _on_init(self, state: _InstanceState, value: Any) -> None:
+    def _on_init(self, state: _InstanceState, value: Any) -> Delivery | None:
         if state.echoed:
-            return
+            return None
         state.echoed = True
         self._relay(state.broadcast_id, self.KIND_ECHO, value)
-        self._on_echo(state, state.tally(value), self.owner_id, value)
+        return self._on_echo(state, state.tally(value), self.owner_id, value)
 
-    def _on_echo(self, state: _InstanceState, tally: _Tally, sender: int, value: Any) -> None:
+    def _on_echo(
+        self, state: _InstanceState, tally: _Tally, sender: int, value: Any
+    ) -> Delivery | None:
         senders = tally.echo_senders
         if sender in senders:
-            return
+            return None
         senders.add(sender)
         if not state.readied and len(senders) >= self._echo_threshold:
             state.readied = True
             self._relay(state.broadcast_id, self.KIND_READY, value)
-            self._on_ready(state, tally, self.owner_id, value)
+            return self._on_ready(state, tally, self.owner_id, value)
+        return None
 
-    def _on_ready(self, state: _InstanceState, tally: _Tally, sender: int, value: Any) -> None:
+    def _on_ready(
+        self, state: _InstanceState, tally: _Tally, sender: int, value: Any
+    ) -> Delivery | None:
         senders = tally.ready_senders
         if sender in senders:
-            return
+            return None
         senders.add(sender)
         if not state.readied and len(senders) >= self._ready_amplify_threshold:
             state.readied = True
             self._relay(state.broadcast_id, self.KIND_READY, value)
             # Our own READY may push the count over the delivery bar below.
-            self._on_ready(state, tally, self.owner_id, value)
+            delivery = self._on_ready(state, tally, self.owner_id, value)
+            if delivery is not None:
+                return delivery
         if not state.delivered and len(senders) >= self._deliver_threshold:
             state.delivered = True
-            self._deliver(state.broadcast_id, tally.value)
+            return state.broadcast_id, tally.value
+        return None

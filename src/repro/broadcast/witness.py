@@ -37,7 +37,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.broadcast.reliable_broadcast import BroadcastId, ReliableBroadcastEngine
+from repro.broadcast.reliable_broadcast import Delivery, ReliableBroadcastEngine
 
 __all__ = ["RoundExchangeResult", "WitnessExchange"]
 
@@ -77,10 +77,12 @@ class _RoundState:
 class WitnessExchange:
     """Run the per-round AAD exchange for one owning process.
 
-    The owner wires ``send`` (recipient, kind, payload) and
-    ``on_round_complete`` (called exactly once per completed round with a
-    :class:`RoundExchangeResult`), starts each round with :meth:`start_round`,
-    and forwards every exchange message to :meth:`handle`.
+    The owner wires ``send`` (recipient, kind, payload), starts each round
+    with :meth:`start_round`, and forwards every exchange message to
+    :meth:`handle`.  Both return the :class:`RoundExchangeResult` of a round
+    they complete (exactly once per round), else None: the exchange keeps no
+    callback into its owner, so owner, exchange and broadcast engine form no
+    reference cycle.
 
     A reliably delivered value that is not a finite vector of length
     ``dimension`` is malformed.  Every non-faulty process rejects the same
@@ -98,7 +100,6 @@ class WitnessExchange:
         fault_bound: int,
         dimension: int,
         send: Callable[[int, str, dict[str, Any]], None],
-        on_round_complete: Callable[[RoundExchangeResult], None],
     ) -> None:
         if owner_id not in process_ids:
             raise ConfigurationError(f"owner {owner_id} is not among the processes")
@@ -110,7 +111,6 @@ class WitnessExchange:
         self._vector_shape = (dimension,)
         self._recipients = tuple(pid for pid in self.process_ids if pid != owner_id)
         self._send = send
-        self._on_round_complete = on_round_complete
         self._rounds: dict[int, _RoundState] = {}
         self._awaited_round: int | None = None
         self._reliable_broadcast = ReliableBroadcastEngine(
@@ -118,50 +118,63 @@ class WitnessExchange:
             process_ids=self.process_ids,
             fault_bound=fault_bound,
             send=send,
-            deliver=self._on_rb_delivery,
         )
 
     # -- owner-facing API ------------------------------------------------------------
 
-    def start_round(self, round_index: int, state_vector: np.ndarray) -> None:
-        """Begin the exchange for ``round_index`` by reliably broadcasting our state."""
+    def start_round(
+        self, round_index: int, state_vector: np.ndarray
+    ) -> RoundExchangeResult | None:
+        """Begin the exchange for ``round_index`` by reliably broadcasting our state.
+
+        Returns the round's result if early messages already complete it.
+        """
         self._awaited_round = round_index
         value = tuple(float(coordinate) for coordinate in np.asarray(state_vector, dtype=float))
-        self._reliable_broadcast.broadcast((_STATE_TAG, round_index), value)
+        completed = self._on_rb_delivery(
+            self._reliable_broadcast.broadcast((_STATE_TAG, round_index), value)
+        )
         # Early messages for this round may already satisfy the completion
         # condition (the broadcast above also self-delivers after enough local
         # bookkeeping, but re-check explicitly for robustness).
-        self._advance(round_index, self._round(round_index))
+        advanced = self._advance(round_index, self._round(round_index))
+        return completed if completed is not None else advanced
 
-    def handle(self, sender: int, kind: str, payload: dict[str, Any]) -> None:
-        """Process one incoming exchange message (RB traffic or a witness report)."""
+    def handle(
+        self, sender: int, kind: str, payload: dict[str, Any]
+    ) -> RoundExchangeResult | None:
+        """Process one incoming exchange message (RB traffic or a witness report).
+
+        Returns the result of the round the message completes, if any.
+        """
         if kind == self.KIND_REPORT:
-            self._on_report(sender, payload)
-        else:
-            # The engine ignores every kind that is not its own.
-            self._reliable_broadcast.handle(sender, kind, payload)
+            return self._on_report(sender, payload)
+        # The engine ignores every kind that is not its own.
+        return self._on_rb_delivery(self._reliable_broadcast.handle(sender, kind, payload))
 
     # -- reliable broadcast plumbing ----------------------------------------------------
 
-    def _on_rb_delivery(self, broadcast_id: BroadcastId, value: Any) -> None:
-        broadcaster, tag = broadcast_id
+    def _on_rb_delivery(self, delivery: Delivery | None) -> RoundExchangeResult | None:
+        if delivery is None:
+            return None
+        (broadcaster, tag), value = delivery
         if not isinstance(tag, tuple) or len(tag) != 2 or tag[0] != _STATE_TAG:
-            return
+            return None
         round_index = tag[1]
         if not isinstance(round_index, int):
-            return
+            return None
         state = self._round(round_index)
         if broadcaster in state.delivered:
-            return
+            return None
         vector = self._coerce_vector(value)
         if vector is None:
             # A Byzantine broadcaster managed to get a malformed value
             # RB-delivered; record nothing (its tuple simply never appears,
             # which the algorithm tolerates for up to f processes).
-            return
+            return None
         state.delivered[broadcaster] = vector
         state.arrival_order.append(broadcaster)
-        self._advance(round_index, state)
+        return self._advance(round_index, state)
 
     def _coerce_vector(self, value: Any) -> np.ndarray | None:
         try:
@@ -173,6 +186,8 @@ class WitnessExchange:
         return vector
 
     # -- reports and witnesses ------------------------------------------------------------
+    #
+    # Each step returns the result of the round it completes, if any.
 
     def _round(self, round_index: int) -> _RoundState:
         state = self._rounds.get(round_index)
@@ -180,15 +195,15 @@ class WitnessExchange:
             state = self._rounds[round_index] = _RoundState()
         return state
 
-    def _advance(self, round_index: int, state: _RoundState) -> None:
+    def _advance(self, round_index: int, state: _RoundState) -> RoundExchangeResult | None:
         """Re-check everything new information about ``round_index`` can unblock."""
-        self._maybe_report(round_index, state)
+        completed = self._maybe_report(round_index, state)
         self._reevaluate_witnesses(state)
-        self._maybe_complete(round_index, state)
+        return completed if completed is not None else self._maybe_complete(round_index, state)
 
-    def _maybe_report(self, round_index: int, state: _RoundState) -> None:
+    def _maybe_report(self, round_index: int, state: _RoundState) -> RoundExchangeResult | None:
         if state.report_sent or len(state.delivered) < self.quorum:
-            return
+            return None
         state.report_sent = True
         members = tuple(state.arrival_order[: self.quorum])
         payload = {"round": round_index, "members": list(members)}
@@ -197,28 +212,28 @@ class WitnessExchange:
         # Record our own report: a process is trivially its own witness.
         state.reports[self.owner_id] = members
         self._reevaluate_witnesses(state)
-        self._maybe_complete(round_index, state)
+        return self._maybe_complete(round_index, state)
 
-    def _on_report(self, sender: int, payload: dict[str, Any]) -> None:
+    def _on_report(self, sender: int, payload: dict[str, Any]) -> RoundExchangeResult | None:
         if not isinstance(payload, dict):
-            return
+            return None
         round_index = payload.get("round")
         members = payload.get("members")
         if not isinstance(round_index, int) or not isinstance(members, (list, tuple)):
-            return
+            return None
         member_ids: list[int] = []
         for member in members:
             if not isinstance(member, (int, np.integer)) or int(member) not in self.process_ids:
-                return
+                return None
             member_ids.append(int(member))
         if len(member_ids) != self.quorum or len(set(member_ids)) != len(member_ids):
-            return
+            return None
         state = self._round(round_index)
         if sender in state.reports:
-            return
+            return None
         state.reports[sender] = tuple(member_ids)
         self._reevaluate_witnesses(state)
-        self._maybe_complete(round_index, state)
+        return self._maybe_complete(round_index, state)
 
     def _reevaluate_witnesses(self, state: _RoundState) -> None:
         for reporter, members in state.reports.items():
@@ -227,14 +242,14 @@ class WitnessExchange:
             if all(member in state.delivered for member in members):
                 state.witnesses.add(reporter)
 
-    def _maybe_complete(self, round_index: int, state: _RoundState) -> None:
+    def _maybe_complete(self, round_index: int, state: _RoundState) -> RoundExchangeResult | None:
         if self._awaited_round != round_index or state.completed:
-            return
+            return None
         if len(state.witnesses) < self.quorum or len(state.delivered) < self.quorum:
-            return
+            return None
         state.completed = True
         self._awaited_round = None
-        result = RoundExchangeResult(
+        return RoundExchangeResult(
             round_index=round_index,
             tuples={pid: vector.copy() for pid, vector in state.delivered.items()},
             arrival_order=tuple(state.arrival_order),
@@ -244,4 +259,3 @@ class WitnessExchange:
                 if reporter in state.witnesses
             },
         )
-        self._on_round_complete(result)

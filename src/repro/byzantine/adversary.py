@@ -91,29 +91,38 @@ def mutate_numeric_leaves(
     * ints, bools, strings and anything under a structural key are preserved,
       so the message still passes the honest parsers.
     """
+    return _walk(payload, corrupt_scalar, corrupt_vector)
 
-    def walk(value: Any) -> Any:
-        if isinstance(value, dict):
-            return {
-                key: (_detached(item) if key in STRUCTURAL_KEYS else walk(item))
-                for key, item in value.items()
-            }
-        if isinstance(value, np.ndarray):
-            corrupted = np.asarray(corrupt_vector(np.asarray(value, dtype=float)), dtype=float)
-            return corrupted
-        if isinstance(value, (list, tuple)):
-            if value and all(is_float_like(item) for item in value):
-                vector = np.asarray(value, dtype=float)
-                corrupted = np.asarray(corrupt_vector(vector), dtype=float)
-                result = [float(item) for item in corrupted]
-                return tuple(result) if isinstance(value, tuple) else result
-            walked = [walk(item) for item in value]
-            return tuple(walked) if isinstance(value, tuple) else walked
-        if is_float_like(value):
-            return float(corrupt_scalar(float(value)))
-        return _detached(value)
 
-    return walk(payload)
+def _walk(
+    value: Any,
+    corrupt_scalar: Callable[[float], float],
+    corrupt_vector: Callable[[np.ndarray], np.ndarray],
+) -> Any:
+    # Module level, not nested in mutate_numeric_leaves: a nested function
+    # that calls itself is a reference cycle per corrupted message.
+    if isinstance(value, dict):
+        return {
+            key: (
+                _detached(item)
+                if key in STRUCTURAL_KEYS
+                else _walk(item, corrupt_scalar, corrupt_vector)
+            )
+            for key, item in value.items()
+        }
+    if isinstance(value, np.ndarray):
+        return np.asarray(corrupt_vector(np.asarray(value, dtype=float)), dtype=float)
+    if isinstance(value, (list, tuple)):
+        if value and all(is_float_like(item) for item in value):
+            vector = np.asarray(value, dtype=float)
+            corrupted = np.asarray(corrupt_vector(vector), dtype=float)
+            result = [float(item) for item in corrupted]
+            return tuple(result) if isinstance(value, tuple) else result
+        walked = [_walk(item, corrupt_scalar, corrupt_vector) for item in value]
+        return tuple(walked) if isinstance(value, tuple) else walked
+    if is_float_like(value):
+        return float(corrupt_scalar(float(value)))
+    return _detached(value)
 
 
 class MessageMutator(abc.ABC):
@@ -166,9 +175,10 @@ class ByzantineAsyncProcess(AsyncProcess):
 
     def bind_transport(self, send: Callable[[Message], None]) -> None:
         super().bind_transport(send)
+        mutate = self.mutator.mutate  # not ``self``: the inner process must not point back here
 
         def corrupted_send(message: Message) -> None:
-            for replacement in self.mutator.mutate(message):
+            for replacement in mutate(message):
                 send(replacement)
 
         self.inner.bind_transport(corrupted_send)

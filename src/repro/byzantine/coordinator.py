@@ -93,29 +93,30 @@ def collect_value_leaves(payload: Any, dimension: int) -> list[np.ndarray]:
     those are the protocol's state/input vectors, the values a state-aware
     adversary tracks.
     """
-
     leaves: list[np.ndarray] = []
+    _collect_leaves(payload, dimension, leaves)
+    return leaves
 
-    def walk(value: Any) -> None:
-        if isinstance(value, Mapping):
-            for key, item in value.items():
-                if key not in STRUCTURAL_KEYS:
-                    walk(item)
-            return
-        if isinstance(value, np.ndarray):
-            if value.shape == (dimension,):
+
+def _collect_leaves(value: Any, dimension: int, leaves: list[np.ndarray]) -> None:
+    # Module level, not nested: a nested function that calls itself is a
+    # reference cycle per observed message.
+    if isinstance(value, Mapping):
+        for key, item in value.items():
+            if key not in STRUCTURAL_KEYS:
+                _collect_leaves(item, dimension, leaves)
+        return
+    if isinstance(value, np.ndarray):
+        if value.shape == (dimension,):
+            leaves.append(np.asarray(value, dtype=float))
+        return
+    if isinstance(value, (list, tuple)):
+        if value and all(is_float_like(item) for item in value):
+            if len(value) == dimension:
                 leaves.append(np.asarray(value, dtype=float))
             return
-        if isinstance(value, (list, tuple)):
-            if value and all(is_float_like(item) for item in value):
-                if len(value) == dimension:
-                    leaves.append(np.asarray(value, dtype=float))
-                return
-            for item in value:
-                walk(item)
-
-    walk(payload)
-    return leaves
+        for item in value:
+            _collect_leaves(item, dimension, leaves)
 
 
 class CoordinatedMutator(MessageMutator):

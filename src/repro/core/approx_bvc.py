@@ -83,6 +83,31 @@ def round_threshold(value_range: float, epsilon: float, gamma: float) -> int:
     return 1 + ceil(log(value_range / epsilon) / log(1.0 / (1.0 - gamma)))
 
 
+class _Outbox:
+    """The exchange's ``send``: one protocol message per recipient, tagged with the round.
+
+    ``round_index`` is the process's current round (0 before it starts);
+    the process advances it and keeps ``transport`` current.  The outbox
+    holds no reference to its process, so handing ``send`` to the exchange
+    makes no reference cycle.
+    """
+
+    __slots__ = ("sender", "protocol", "round_index", "transport")
+
+    def __init__(self, sender: int, protocol: str, transport: Callable[[Message], None]) -> None:
+        self.sender = sender
+        self.protocol = protocol
+        self.round_index = 0
+        self.transport = transport
+
+    def send(self, recipient: int, kind: str, payload: dict[str, Any]) -> None:
+        # One call per recipient of every echo and ready: positional fields,
+        # straight to the bound transport.
+        self.transport(
+            Message(self.sender, recipient, self.protocol, kind, payload, self.round_index)
+        )
+
+
 class ApproxBVCProcess(AsyncProcess):
     """One process of the asynchronous Approximate BVC algorithm."""
 
@@ -124,26 +149,22 @@ class ApproxBVCProcess(AsyncProcess):
         self._chooser = SafeAreaCalculator(fault_bound=configuration.fault_bound)
         self._state = self.input_vector.copy()
         self.state_history: list[np.ndarray] = [self._state.copy()]
-        self._current_round = 0
         self._decided = False
         self._decision: np.ndarray | None = None
+        self._outbox = _Outbox(process_id, self.PROTOCOL, self._send)
         self._exchange = WitnessExchange(
             owner_id=process_id,
             process_ids=tuple(range(configuration.process_count)),
             fault_bound=configuration.fault_bound,
             dimension=configuration.dimension,
-            send=self._send_exchange_message,
-            on_round_complete=self._on_round_complete,
+            send=self._outbox.send,
         )
 
     # -- transport plumbing ----------------------------------------------------------
 
-    def _send_exchange_message(self, recipient: int, kind: str, payload: dict[str, Any]) -> None:
-        # One call per recipient of every echo and ready: positional fields,
-        # straight to the bound transport.
-        self._send(
-            Message(self.process_id, recipient, self.PROTOCOL, kind, payload, self._current_round)
-        )
+    def bind_transport(self, send: Callable[[Message], None]) -> None:
+        super().bind_transport(send)
+        self._outbox.transport = send
 
     # -- asynchronous process interface -------------------------------------------------
 
@@ -154,7 +175,9 @@ class ApproxBVCProcess(AsyncProcess):
         payload = message.payload
         if message.protocol != self.PROTOCOL or not isinstance(payload, dict):
             return
-        self._exchange.handle(message.sender, message.kind, payload)
+        completed = self._exchange.handle(message.sender, message.kind, payload)
+        if completed is not None:
+            self._on_round_complete(completed)
 
     def has_decided(self) -> bool:
         return self._decided
@@ -167,15 +190,17 @@ class ApproxBVCProcess(AsyncProcess):
     # -- the algorithm ------------------------------------------------------------------
 
     def _advance_to_next_round(self) -> None:
-        self._current_round += 1
-        self._exchange.start_round(self._current_round, self._state)
+        self._outbox.round_index += 1
+        completed = self._exchange.start_round(self._outbox.round_index, self._state)
+        if completed is not None:
+            self._on_round_complete(completed)
 
     def _on_round_complete(self, result: RoundExchangeResult) -> None:
-        if self._decided or result.round_index != self._current_round:
+        if self._decided or result.round_index != self._outbox.round_index:
             return
         self._state = self._compute_new_state(result)
         self.state_history.append(self._state.copy())
-        if self._current_round >= self.total_rounds:
+        if self._outbox.round_index >= self.total_rounds:
             self._decision = self._state.copy()
             self._decided = True
             return

@@ -776,17 +776,21 @@ class _AsyncSkeleton:
 
 
 class _RecordingAggregator:
-    """Aggregator stand-in that logs events and returns a placeholder state."""
+    """Aggregator stand-in that logs events and returns a placeholder state.
 
-    def __init__(self, core: RestrictedAsyncProcess, events: list) -> None:
-        self._core = core
+    A process aggregates once per round, rounds 1, 2, … in order, so the
+    recorder counts rounds itself rather than pointing back at its process.
+    """
+
+    def __init__(self, process_id: int, dimension: int, events: list) -> None:
+        self._process_id = process_id
         self._events = events
-        self._zero = np.zeros(core.configuration.dimension)
+        self._zero = np.zeros(dimension)
+        self._rounds = 0
 
     def aggregate(self, vectors: Mapping[int, np.ndarray]) -> AggregationStep:
-        self._events.append(
-            (self._core.process_id, self._core._current_round, tuple(sorted(vectors)))
-        )
+        self._rounds += 1
+        self._events.append((self._process_id, self._rounds, tuple(sorted(vectors))))
         return AggregationStep(
             new_state=self._zero.copy(), subset_count=0, chosen_points=()
         )
@@ -932,7 +936,7 @@ def _async_skeleton(
             value_upper=0.0,
             max_rounds_override=total_rounds,
         )
-        core._aggregator = _RecordingAggregator(core, events)
+        core._aggregator = _RecordingAggregator(process_id, configuration.dimension, events)
         processes[process_id] = core
     runtime = AsynchronousRuntime(
         processes,

@@ -18,6 +18,7 @@ The invariants are in ``docs/ARCHITECTURE.md``, "The asynchronous delivery loop"
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -45,11 +46,15 @@ class TrafficStats:
 
 
 class _NetworkChannel(FifoChannel):
-    """A channel owned by a network: mutating it goes through the network's bookkeeping."""
+    """A channel owned by a network: mutating it goes through the network's bookkeeping.
+
+    The channel refers to its network weakly: the network owns its channels,
+    so a strong reference back would make every network a reference cycle.
+    """
 
     def __init__(self, network: "CompleteGraphNetwork", sender: int, recipient: int) -> None:
         super().__init__(sender, recipient)
-        self._network = network
+        self._network = weakref.proxy(network)
 
     def send(self, message: Message) -> None:
         self._require_route(message)

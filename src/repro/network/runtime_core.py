@@ -13,11 +13,17 @@ Honest protocol code does not emit such messages, but Byzantine mutators may;
 rather than silently vanishing, every such message is counted and reported as
 ``TrafficStats.messages_dropped`` in the run result.
 
-An optional ``observer`` callback sees every message handed to :meth:`route`
+An optional ``observer`` callback sees every message handed to ``route``
 (before the drop check).  This is the tap the coordinated adversary layer
 (:mod:`repro.byzantine.coordinator`) uses to watch the whole execution's
 traffic — the paper's full-information adversary — without the runtimes or
 the protocols knowing anything about it.
+
+Routing lives on a :class:`_Router` that holds the network, the registered
+ids and the observer but no process, so binding every process to
+``RuntimeCore.route`` points one way: a finished run's objects are freed
+by reference counting (``docs/ARCHITECTURE.md``, "The asynchronous delivery
+loop").
 """
 
 from __future__ import annotations
@@ -44,6 +50,33 @@ _MESSAGES = get_registry().counter(
 )
 
 
+class _Router:
+    """The tap, the drop check and the send of ``RuntimeCore.route``."""
+
+    __slots__ = ("network", "recipients", "observer", "dropped")
+
+    def __init__(
+        self,
+        network: CompleteGraphNetwork,
+        recipients: frozenset[int],
+        observer: Callable[[Message], None] | None,
+    ) -> None:
+        self.network = network
+        self.recipients = recipients
+        self.observer = observer
+        self.dropped = 0
+
+    def route(self, message: Message) -> bool:
+        if self.observer is not None:
+            self.observer(message)
+        recipient = message.recipient
+        if recipient == message.sender or recipient not in self.recipients:
+            self.dropped += 1
+            return False
+        self.network.send(message)
+        return True
+
+
 class RuntimeCore:
     """Process table, network and bookkeeping shared by both runtimes.
 
@@ -54,7 +87,7 @@ class RuntimeCore:
         kind: human-readable model name used in error messages
             (``"synchronous"`` / ``"asynchronous"``).
         observer: optional callback invoked with every message handed to
-            :meth:`route`, including messages the core refuses to deliver.
+            ``route``, including messages the core refuses to deliver.
     """
 
     def __init__(
@@ -79,26 +112,17 @@ class RuntimeCore:
         if unknown:
             raise ConfigurationError(f"honest ids {sorted(unknown)} have no registered process")
         self.network = CompleteGraphNetwork(sorted(self.processes))
-        self.messages_dropped = 0
-        self._observer = observer
+        self._router = _Router(self.network, frozenset(self.processes), observer)
+        #: Put a message in flight, or count it as dropped if undeliverable;
+        #: True when the message was accepted onto the network.
+        self.route: Callable[[Message], bool] = self._router.route
         self._kind = kind
         self._published = (0, 0, 0)
 
-    # -- routing --------------------------------------------------------------
-
-    def route(self, message: Message) -> bool:
-        """Put ``message`` in flight, or count it as dropped if undeliverable.
-
-        Returns True when the message was accepted onto the network.
-        """
-        if self._observer is not None:
-            self._observer(message)
-        recipient = message.recipient
-        if recipient == message.sender or recipient not in self.processes:
-            self.messages_dropped += 1
-            return False
-        self.network.send(message)
-        return True
+    @property
+    def messages_dropped(self) -> int:
+        """Messages ``route`` refused (self-addressed or to an unknown id)."""
+        return self._router.dropped
 
     # -- decision bookkeeping -------------------------------------------------
 

@@ -7,7 +7,7 @@ choice of *which channel delivers next* to a scheduler object.  Three
 schedulers are provided:
 
 * :class:`RandomScheduler` — picks a busy channel uniformly at random from a
-  seeded generator.  This is the "benign but unpredictable" environment used
+  seeded stream.  This is the "benign but unpredictable" environment used
   by most experiments.
 * :class:`LaggingScheduler` — starves a chosen set of processes: their
   incoming and outgoing messages are delivered only when no other channel has
@@ -18,18 +18,85 @@ schedulers are provided:
 
 All schedulers satisfy eventual delivery: they only ever *reorder* deliveries,
 never drop them, and they always pick from the set of non-empty channels.
+
+The two seeded schedulers draw through :class:`UniformDraws`: one bounded
+draw per delivery, equal draw for draw to
+``np.random.default_rng(seed).integers(0, k)``, without a numpy call per draw.
 """
 
 from __future__ import annotations
 
 import abc
+import operator
 from typing import Sequence
 
 import numpy as np
 
 from repro.exceptions import SchedulerError
 
-__all__ = ["DeliveryScheduler", "RandomScheduler", "LaggingScheduler", "RoundRobinScheduler"]
+__all__ = [
+    "DeliveryScheduler",
+    "RandomScheduler",
+    "LaggingScheduler",
+    "RoundRobinScheduler",
+    "UniformDraws",
+]
+
+#: Raw 64-bit words pulled from the bit generator per refill.
+_WORDS_PER_REFILL = 512
+_LOW_HALF = 0xFFFFFFFF
+_HALF_RANGE = 1 << 32
+
+
+class UniformDraws:
+    """``np.random.default_rng(seed).integers(0, k)``, draw for draw, from buffered raw words.
+
+    numpy reduces a bound ``k <= 2**32`` with Lemire's method on 32-bit
+    halves of PCG64's 64-bit outputs, low half first, and a ``k = 1`` draw
+    consumes nothing.  This class applies the same rule to words it pulls
+    in bulk with ``bit_generator.random_raw``, so the stream and every draw
+    equal numpy's (``tests/network/test_scheduler.py`` pins it against the
+    installed numpy).  The generator is private: drawing ahead is
+    invisible, which is why the seed must be an ``int``.  A bound outside
+    ``1..2**32`` is refused.
+    """
+
+    __slots__ = ("_raw", "_halves", "_next")
+
+    def __init__(self, seed: int) -> None:
+        self._raw = np.random.default_rng(operator.index(seed)).bit_generator.random_raw
+        self._halves: list[int] = []
+        self._next = 0
+
+    def _refill(self) -> list[int]:
+        words = self._raw(_WORDS_PER_REFILL)
+        self._halves = np.stack((words & _LOW_HALF, words >> 32), axis=1).ravel().tolist()
+        return self._halves
+
+    def below(self, bound: int) -> int:
+        """Return one draw uniform over ``range(bound)``."""
+        if bound == 1:
+            return 0
+        if not 1 < bound <= _HALF_RANGE:
+            raise ValueError(f"bound {bound} is outside 1..2**32")
+        halves = self._halves
+        index = self._next
+        if index == len(halves):
+            halves = self._refill()
+            index = 0
+        product = halves[index] * bound
+        index += 1
+        if product & _LOW_HALF < bound:
+            # Lemire's rejection: redraw while the low half is below 2**32 mod bound.
+            threshold = (_HALF_RANGE - bound) % bound
+            while product & _LOW_HALF < threshold:
+                if index == len(halves):
+                    halves = self._refill()
+                    index = 0
+                product = halves[index] * bound
+                index += 1
+        self._next = index
+        return product >> 32
 
 
 class DeliveryScheduler(abc.ABC):
@@ -45,16 +112,15 @@ class DeliveryScheduler(abc.ABC):
 
 
 class RandomScheduler(DeliveryScheduler):
-    """Uniformly random choice among busy channels, from a seeded generator."""
+    """Uniformly random choice among busy channels, from a seeded stream."""
 
-    def __init__(self, seed: int | np.random.Generator = 0) -> None:
-        self._rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    def __init__(self, seed: int = 0) -> None:
+        self._below = UniformDraws(seed).below
 
     def choose(self, busy_channels: Sequence[tuple[int, int]]) -> tuple[int, int]:
         if not busy_channels:
             raise SchedulerError("no busy channel to choose from")
-        index = int(self._rng.integers(0, len(busy_channels)))
-        return busy_channels[index]
+        return busy_channels[self._below(len(busy_channels))]
 
 
 class LaggingScheduler(DeliveryScheduler):
@@ -66,9 +132,9 @@ class LaggingScheduler(DeliveryScheduler):
     situation the Theorem 4 necessity argument builds on).
     """
 
-    def __init__(self, slow_processes: Sequence[int], seed: int | np.random.Generator = 0) -> None:
+    def __init__(self, slow_processes: Sequence[int], seed: int = 0) -> None:
         self._slow = frozenset(int(process_id) for process_id in slow_processes)
-        self._rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        self._below = UniformDraws(seed).below
 
     @property
     def slow_processes(self) -> frozenset[int]:
@@ -83,9 +149,8 @@ class LaggingScheduler(DeliveryScheduler):
             for channel in busy_channels
             if channel[0] not in self._slow and channel[1] not in self._slow
         ]
-        candidates = fast if fast else list(busy_channels)
-        index = int(self._rng.integers(0, len(candidates)))
-        return candidates[index]
+        candidates = fast if fast else busy_channels
+        return candidates[self._below(len(candidates))]
 
 
 class RoundRobinScheduler(DeliveryScheduler):

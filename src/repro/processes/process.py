@@ -25,6 +25,7 @@ Asynchronous model (event driven):
 from __future__ import annotations
 
 import abc
+from functools import partial
 from typing import Any, Callable
 
 from repro.exceptions import ProtocolError
@@ -62,24 +63,24 @@ class SyncProcess(abc.ABC):
         return self.decision()
 
 
+def _refuse_unbound_send(process_id: int, message: Message) -> None:
+    raise ProtocolError(f"process {process_id} is not bound to a runtime and cannot send")
+
+
 class AsyncProcess(abc.ABC):
     """A process driven by the event-based asynchronous runtime."""
 
     def __init__(self, process_id: int) -> None:
         self.process_id = process_id
         # The transport itself; subclasses on a hot path may call it directly.
-        self._send: Callable[[Message], None] = self._refuse_unbound_send
+        # Not a bound method: a process must not refer to itself.
+        self._send: Callable[[Message], None] = partial(_refuse_unbound_send, process_id)
 
     # -- wiring ----------------------------------------------------------------
 
     def bind_transport(self, send: Callable[[Message], None]) -> None:
         """Attach the runtime's send function.  Called once before :meth:`on_start`."""
         self._send = send
-
-    def _refuse_unbound_send(self, message: Message) -> None:
-        raise ProtocolError(
-            f"process {self.process_id} is not bound to a runtime and cannot send"
-        )
 
     def send(self, message: Message) -> None:
         """Send a message through the runtime (raises if the process is unbound)."""

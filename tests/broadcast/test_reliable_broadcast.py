@@ -22,6 +22,27 @@ from repro.broadcast.reliable_broadcast import ReliableBroadcastEngine, _value_k
 from repro.exceptions import ConfigurationError
 
 
+class RecordingEngine(ReliableBroadcastEngine):
+    """The engine, recording every delivery its calls return."""
+
+    def __init__(self, delivered: dict, **kwargs):
+        super().__init__(**kwargs)
+        self.delivered = delivered
+
+    def broadcast(self, tag, value):
+        return self._record(super().broadcast(tag, value))
+
+    def handle(self, sender, kind, payload):
+        return self._record(super().handle(sender, kind, payload))
+
+    def _record(self, delivery):
+        if delivery is not None:
+            broadcast_id, value = delivery
+            assert broadcast_id not in self.delivered, "duplicate delivery"
+            self.delivered[broadcast_id] = value
+        return delivery
+
+
 class BroadcastHarness:
     """Wire several engines together with an explicit FIFO message queue."""
 
@@ -32,24 +53,18 @@ class BroadcastHarness:
         self.delivered: dict[int, dict] = {pid: {} for pid in self.process_ids}
         self.engines = {}
         for pid in self.process_ids:
-            self.engines[pid] = ReliableBroadcastEngine(
+            self.engines[pid] = RecordingEngine(
+                self.delivered[pid],
                 owner_id=pid,
                 process_ids=self.process_ids,
                 fault_bound=fault_bound,
                 send=self._make_send(pid),
-                deliver=self._make_deliver(pid),
             )
 
     def _make_send(self, sender: int):
         def send(recipient: int, kind: str, payload: dict) -> None:
             self.queue.append((sender, recipient, kind, dict(payload)))
         return send
-
-    def _make_deliver(self, owner: int):
-        def deliver(broadcast_id, value) -> None:
-            assert broadcast_id not in self.delivered[owner], "duplicate delivery"
-            self.delivered[owner][broadcast_id] = value
-        return deliver
 
     def run(self, drop_from: set[int] | None = None) -> None:
         """Deliver all queued messages (FIFO), optionally dropping a sender's traffic."""
@@ -71,11 +86,11 @@ class BroadcastHarness:
 class TestConstruction:
     def test_requires_n_greater_than_3f(self):
         with pytest.raises(ConfigurationError):
-            ReliableBroadcastEngine(0, (0, 1, 2), 1, lambda *a: None, lambda *a: None)
+            ReliableBroadcastEngine(0, (0, 1, 2), 1, lambda *a: None)
 
     def test_owner_must_be_member(self):
         with pytest.raises(ConfigurationError):
-            ReliableBroadcastEngine(9, (0, 1, 2, 3), 1, lambda *a: None, lambda *a: None)
+            ReliableBroadcastEngine(9, (0, 1, 2, 3), 1, lambda *a: None)
 
 
 class TestHonestBroadcast:

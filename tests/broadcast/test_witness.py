@@ -10,6 +10,26 @@ import pytest
 from repro.broadcast.witness import WitnessExchange
 
 
+class RecordingExchange(WitnessExchange):
+    """The exchange, recording every round result its calls return."""
+
+    def __init__(self, completed: dict, **kwargs):
+        super().__init__(**kwargs)
+        self.completed = completed
+
+    def start_round(self, round_index, state_vector):
+        return self._record(super().start_round(round_index, state_vector))
+
+    def handle(self, sender, kind, payload):
+        return self._record(super().handle(sender, kind, payload))
+
+    def _record(self, result):
+        if result is not None:
+            assert result.round_index not in self.completed, "round completed twice"
+            self.completed[result.round_index] = result
+        return result
+
+
 class ExchangeHarness:
     """Wire witness exchanges together with an explicit FIFO queue per channel pair."""
 
@@ -21,25 +41,19 @@ class ExchangeHarness:
         self.completed: dict[int, dict[int, object]] = {pid: {} for pid in self.process_ids}
         self.exchanges = {}
         for pid in self.process_ids:
-            self.exchanges[pid] = WitnessExchange(
+            self.exchanges[pid] = RecordingExchange(
+                self.completed[pid],
                 owner_id=pid,
                 process_ids=self.process_ids,
                 fault_bound=fault_bound,
                 dimension=2,
                 send=self._make_send(pid),
-                on_round_complete=self._make_complete(pid),
             )
 
     def _make_send(self, sender: int):
         def send(recipient: int, kind: str, payload: dict) -> None:
             self.queue.append((sender, recipient, kind, dict(payload)))
         return send
-
-    def _make_complete(self, owner: int):
-        def complete(result) -> None:
-            assert result.round_index not in self.completed[owner], "round completed twice"
-            self.completed[owner][result.round_index] = result
-        return complete
 
     def start_round(self, round_index: int, states: dict[int, np.ndarray], skip: set[int] | None = None):
         skip = skip or set()

@@ -1,6 +1,9 @@
 """Unit tests for repro.network.scheduler.
 
-Beyond the choose-level unit tests, the ``TestSchedulersDriveRuntime`` section
+``TestDrawContract`` pins the seeded schedulers' draws to the installed
+numpy: one bounded draw per ``choose``, equal to
+``np.random.default_rng(seed).integers(0, k)``.  Beyond the choose-level unit
+tests, the ``TestSchedulersDriveRuntime`` section
 checks the properties the asynchronous model relies on against a real
 :class:`~repro.network.async_runtime.AsynchronousRuntime`: eventual delivery
 under the starving :class:`LaggingScheduler`, cross-run determinism of
@@ -9,6 +12,9 @@ under the starving :class:`LaggingScheduler`, cross-run determinism of
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.exceptions import SchedulerError
@@ -19,10 +25,75 @@ from repro.network.scheduler import (
     LaggingScheduler,
     RandomScheduler,
     RoundRobinScheduler,
+    UniformDraws,
 )
 from repro.processes.process import AsyncProcess
 
 CHANNELS = [(0, 1), (1, 2), (2, 0), (3, 1)]
+
+#: Busy-list sizes: 1 (consumes nothing), small, and n(n-1) for n = 4..17.
+CHANNEL_COUNTS = (1, 2, 3, 5, 7) + tuple(n * (n - 1) for n in range(4, 18))
+#: Bounds near 2**32.  Lemire's method rejects a candidate whose low half is
+#: below 2**32 mod k: about half of them at 2**31 + 1, a quarter at 3 * 2**30.
+WIDE_BOUNDS = (2**31 + 1, 3 * 2**30, 2**32 - 5, 2**32 - 1, 2**32)
+
+
+def _interleaved_bounds(count: int, seed: int, wide: bool) -> list[int]:
+    pool = CHANNEL_COUNTS + (WIDE_BOUNDS if wide else ())
+    return random.Random(seed).choices(pool, k=count)
+
+
+class TestDrawContract:
+    @pytest.mark.parametrize("seed", [0, 12, 2**40 + 3])
+    def test_random_scheduler_draws_equal_numpy(self, seed):
+        # ``range(k)`` is a sequence whose element i is i: choose() returns the draw.
+        reference = np.random.default_rng(seed)
+        scheduler = RandomScheduler(seed)
+        bounds = _interleaved_bounds(100_000, seed, wide=True)
+        drawn = [scheduler.choose(range(bound)) for bound in bounds]
+        expected = [int(reference.integers(0, bound)) for bound in bounds]
+        assert drawn == expected
+
+    def test_lagging_scheduler_draws_equal_numpy(self):
+        # Channels (i, i + 1) with process 0 slow: only channel (0, 1) is
+        # starved, so k of the k + 1 busy channels are candidates; alone, it
+        # is the one candidate.
+        seed = 12
+        reference = np.random.default_rng(seed)
+        scheduler = LaggingScheduler(slow_processes=[0], seed=seed)
+        busy_of = {
+            bound: [(i, i + 1) for i in range(bound + 1 if bound > 1 else 1)]
+            for bound in CHANNEL_COUNTS
+        }
+        drawn, expected = [], []
+        for bound in _interleaved_bounds(100_000, seed, wide=False):
+            busy = busy_of[bound]
+            drawn.append(scheduler.choose(busy))
+            candidates = busy[1:] or busy
+            expected.append(candidates[int(reference.integers(0, len(candidates)))])
+        assert drawn == expected
+
+    def test_helper_draws_equal_numpy_near_two_to_the_32(self):
+        reference = np.random.default_rng(5)
+        draws = UniformDraws(5)
+        bounds = random.Random(5).choices(WIDE_BOUNDS + (1, 2, 42), k=100_000)
+        assert [draws.below(bound) for bound in bounds] == [
+            int(reference.integers(0, bound)) for bound in bounds
+        ]
+
+    @pytest.mark.parametrize("bound", [0, -1, 2**32 + 1, 2**64])
+    def test_helper_refuses_an_uncovered_bound(self, bound):
+        with pytest.raises(ValueError, match="outside 1..2\\*\\*32"):
+            UniformDraws(0).below(bound)
+
+    @pytest.mark.parametrize(
+        "build", [RandomScheduler, lambda seed: LaggingScheduler([0], seed=seed)]
+    )
+    def test_seed_must_be_an_int(self, build):
+        # Draws are buffered ahead, so a shared Generator would be advanced
+        # by more than the draws taken from it.
+        with pytest.raises(TypeError):
+            build(np.random.default_rng(0))
 
 
 class TestRandomScheduler:
