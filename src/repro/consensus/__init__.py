@@ -1,9 +1,9 @@
 """Scalar consensus substrate: EIG Byzantine broadcast (the Exact BVC first step)."""
 
-from repro.consensus.eig import EigBroadcastInstance, EigBroadcastProcess, eig_round_count
+from repro.consensus.eig import EigBroadcastProcess, EigTable, eig_round_count
 
 __all__ = [
-    "EigBroadcastInstance",
     "EigBroadcastProcess",
+    "EigTable",
     "eig_round_count",
 ]

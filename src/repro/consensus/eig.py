@@ -9,13 +9,11 @@ citations refer to is exponential information gathering over ``f + 1`` rounds
 (Lamport-Shostak-Pease / Bar-Noy-Dolev, as presented in Lynch's textbook), and
 that is what this module implements.
 
-The algorithm is packaged as an *embeddable state machine*
-(:class:`EigBroadcastInstance`) rather than a full process, because the Exact
-BVC process multiplexes ``n`` concurrent instances (one per originator) —
-or ``n * d`` instances when broadcasting coordinate-by-coordinate — inside the
-same synchronous rounds.  A thin :class:`EigBroadcastProcess` wrapper exposes a
-single instance as a :class:`~repro.processes.process.SyncProcess` for unit
-testing the substrate in isolation.
+The Exact BVC process runs ``n`` concurrent broadcasts (one per originator;
+``n * d`` coordinate by coordinate) in the same rounds, so the algorithm is
+packaged as one table per process (:class:`EigTable`).
+:class:`EigBroadcastProcess` wraps a one-key table as a
+:class:`~repro.processes.process.SyncProcess` to test the substrate alone.
 
 How the EIG tree works
 ----------------------
@@ -32,20 +30,27 @@ that ``q(k-1)`` said that ... ``q1`` said that the sender's value is ``v``".
   resolves to its stored value, an internal node to the strict majority of its
   children (default value when there is no majority).  The decision is the
   resolved value of the root ``(s,)``.
+
+Each sender's label tree depends only on ``(process_ids, f)``, so every table
+of every trial shares one (:func:`_label_trees`).  A table keeps only values,
+one insertion-ordered dict per broadcast and level: insertion order is relay
+order, which is on the wire (a noise adversary corrupts values in that order).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Hashable, Mapping
 
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.network.message import Message
 from repro.processes.process import SyncProcess
 
-__all__ = ["EigBroadcastInstance", "EigBroadcastProcess", "eig_round_count"]
+__all__ = ["EigBroadcastProcess", "EigTable", "eig_round_count"]
 
 NodeLabel = tuple[int, ...]
+
+_MISSING = object()
 
 
 def eig_round_count(fault_bound: int) -> int:
@@ -55,102 +60,152 @@ def eig_round_count(fault_bound: int) -> int:
     return fault_bound + 1
 
 
-@dataclass
-class EigBroadcastInstance:
-    """One EIG broadcast: ``sender`` distributes a value to all processes.
+class _LabelTree:
+    """One sender's EIG tree shape: the labels per level and how each extends."""
 
-    The instance is driven by its owner process: once per round the owner
-    calls :meth:`payload_for_round` and sends the returned relay payload to
-    every other process (the same payload to everyone — honest behaviour),
-    and feeds every payload it received to :meth:`receive_payload`.  After
-    ``f + 1`` rounds, :meth:`resolve` produces the broadcast decision.
+    __slots__ = ("labels", "accepted", "extensions")
+
+    def __init__(self, sender_id: int, process_ids: tuple[int, ...], rounds: int) -> None:
+        #: labels[k]: the level-k labels (``k`` ids), parents before children.
+        self.labels: list[tuple[NodeLabel, ...]] = [(), ((sender_id,),)]
+        #: extensions[x]: the ids not in ``x``, in ``process_ids`` order.
+        self.extensions: dict[NodeLabel, tuple[int, ...]] = {}
+        for _ in range(1, rounds):
+            level: list[NodeLabel] = []
+            for label in self.labels[-1]:
+                others = self.extensions[label] = tuple(q for q in process_ids if q not in label)
+                level.extend(label + (q,) for q in others)
+            self.labels.append(tuple(level))
+        #: accepted[k]: the level-k labels, for one membership test per relayed label.
+        self.accepted = [frozenset(level) for level in self.labels]
+
+
+@lru_cache(maxsize=16)
+def _label_trees(process_ids: tuple[int, ...], fault_bound: int) -> dict[int, _LabelTree]:
+    """Every sender's label tree for ``(process_ids, f)``, built once per shape."""
+    rounds = eig_round_count(fault_bound)
+    return {sender: _LabelTree(sender, process_ids, rounds) for sender in process_ids}
+
+
+class _Broadcast:
+    """One broadcast's state inside a table: its values, level by level."""
+
+    __slots__ = ("sender_id", "value", "default", "tree", "levels", "resolved")
+
+    def __init__(self, sender_id: int, value: Any, default: Any, tree: _LabelTree, rounds: int) -> None:
+        self.sender_id = sender_id
+        self.value = value
+        self.default = default
+        self.tree = tree
+        #: levels[k]: what the owner believes about each level-k label so far.
+        self.levels: list[dict[NodeLabel, Any]] = [{} for _ in range(rounds + 1)]
+        self.resolved: Any = _MISSING
+
+
+class EigTable:
+    """Every EIG broadcast one process takes part in.
+
+    Once per round the owner sends :meth:`relay`'s bundle to every other
+    process (honest behaviour), feeds each bundle it received to
+    :meth:`receive`, and calls :meth:`finish_round`.  A bundle maps the keys
+    given to :meth:`add` to payloads, which map node labels to values.  After
+    ``f + 1`` rounds :meth:`resolve` gives a broadcast's decision; nothing is
+    resolved before it is asked for.
     """
 
-    owner_id: int
-    sender_id: int
-    process_ids: tuple[int, ...]
-    fault_bound: int
-    value: Any = None
-    default: Any = 0.0
+    def __init__(self, owner_id: int, process_ids: tuple[int, ...], fault_bound: int) -> None:
+        process_ids = tuple(process_ids)
+        if owner_id not in process_ids:
+            raise ConfigurationError(f"owner {owner_id} is not among the processes")
+        self.owner_id = owner_id
+        self.process_ids = process_ids
+        #: Number of rounds the broadcasts take (``f + 1``).
+        self.total_rounds = eig_round_count(fault_bound)
+        self._trees = _label_trees(process_ids, fault_bound)
+        self._broadcasts: dict[Hashable, _Broadcast] = {}
 
-    def __post_init__(self) -> None:
-        if self.owner_id not in self.process_ids:
-            raise ConfigurationError(f"owner {self.owner_id} is not among the processes")
-        if self.sender_id not in self.process_ids:
-            raise ConfigurationError(f"sender {self.sender_id} is not among the processes")
-        if self.fault_bound < 0:
-            raise ConfigurationError("fault bound must be non-negative")
-        if self.owner_id == self.sender_id and self.value is None:
+    def add(self, key: Hashable, sender_id: int, value: Any = None, default: Any = 0.0) -> None:
+        """Join the broadcast of ``sender_id`` under ``key``; the sender's owner provides ``value``."""
+        if sender_id not in self.process_ids:
+            raise ConfigurationError(f"sender {sender_id} is not among the processes")
+        if self.owner_id == sender_id and value is None:
             raise ConfigurationError("the sending process must provide a value to broadcast")
-        # value_at[x] is what this process believes about label x this far.
-        self._value_at: dict[NodeLabel, Any] = {}
-        self._resolved: Any = None
-        self._is_resolved = False
+        self._broadcasts[key] = _Broadcast(
+            sender_id, value, default, self._trees[sender_id], self.total_rounds
+        )
 
     # -- round driving -----------------------------------------------------------
 
-    @property
-    def total_rounds(self) -> int:
-        """Number of rounds this instance participates in (``f + 1``)."""
-        return eig_round_count(self.fault_bound)
+    def relay(self, round_index: int) -> dict[Hashable, dict[NodeLabel, Any]]:
+        """Return this process's relay payload per broadcast key for ``round_index``.
 
-    def payload_for_round(self, round_index: int) -> Mapping[NodeLabel, Any] | None:
-        """Return the relay payload this process sends in ``round_index``.
-
-        Round 1: only the designated sender sends, as the single-entry mapping
-        ``{(sender,): value}``.  Round ``k >= 2``: every process relays its
-        level ``k - 1`` values whose labels do not already contain it.  Returns
-        ``None`` when this process has nothing to send in this round.
+        Round 1: only the sender sends, ``{(sender,): value}``.  Round ``k >= 2``:
+        every process relays its level ``k - 1`` values whose labels do not
+        contain it.  Broadcasts with nothing to send are left out.
         """
-        if round_index < 1 or round_index > self.total_rounds:
-            return None
+        owner = self.owner_id
         if round_index == 1:
-            if self.owner_id != self.sender_id:
-                return None
-            return {(self.sender_id,): self.value}
-        level = round_index - 1
-        relay = {
-            label: value
-            for label, value in self._value_at.items()
-            if len(label) == level and self.owner_id not in label
-        }
-        return relay or None
+            return {
+                key: {(broadcast.sender_id,): broadcast.value}
+                for key, broadcast in self._broadcasts.items()
+                if broadcast.sender_id == owner
+            }
+        bundle: dict[Hashable, dict[NodeLabel, Any]] = {}
+        if 2 <= round_index <= self.total_rounds:
+            for key, broadcast in self._broadcasts.items():
+                payload = {
+                    label: value
+                    for label, value in broadcast.levels[round_index - 1].items()
+                    if owner not in label
+                }
+                if payload:
+                    bundle[key] = payload
+        return bundle
 
-    def receive_payload(
-        self, round_index: int, from_id: int, payload: Mapping[NodeLabel, Any] | None
-    ) -> None:
-        """Record the values relayed by ``from_id`` in ``round_index``.
+    def receive(self, round_index: int, from_id: int, bundle: Mapping[Hashable, Any]) -> None:
+        """Record the values ``from_id`` relayed in ``round_index``, per broadcast key.
 
         Malformed payloads (wrong label level, labels already containing the
         relayer, non-tuple labels) are ignored entry-by-entry: a Byzantine
         relayer cannot corrupt the tree structure, only the values at labels
-        it legitimately owns — exactly the power the model gives it.
+        it legitimately owns — exactly the power the model gives it.  Keys
+        naming no broadcast of this table are ignored.
         """
         if round_index < 1 or round_index > self.total_rounds:
             return
-        if payload is None:
-            return
+        broadcasts = self._broadcasts
         if round_index == 1:
-            if from_id != self.sender_id:
-                return
-            value = payload.get((self.sender_id,), self.default) if isinstance(payload, Mapping) else self.default
-            self._value_at[(self.sender_id,)] = value
+            for key, payload in bundle.items():
+                broadcast = broadcasts.get(key)
+                if broadcast is None or payload is None or from_id != broadcast.sender_id:
+                    continue
+                root, value = (broadcast.sender_id,), broadcast.default
+                if type(payload) is dict or isinstance(payload, Mapping):
+                    value = payload.get(root, value)
+                broadcast.levels[1][root] = value
             return
-        if not isinstance(payload, Mapping):
-            return
-        expected_level = round_index - 1
-        for label, value in payload.items():
-            if not isinstance(label, tuple) or len(label) != expected_level:
+        level = round_index - 1
+        for key, payload in bundle.items():
+            broadcast = broadcasts.get(key)
+            if broadcast is None or (type(payload) is not dict and not isinstance(payload, Mapping)):
                 continue
-            if label[0] != self.sender_id:
-                continue
-            if from_id in label:
-                continue
-            if len(set(label)) != len(label):
-                continue
-            if any(process_id not in self.process_ids for process_id in label):
-                continue
-            self._value_at[label + (from_id,)] = value
+            accepted = broadcast.tree.accepted[level]
+            store = broadcast.levels[round_index]
+            for label, value in payload.items():
+                try:
+                    canonical = type(label) is tuple and label in accepted
+                except TypeError:  # a label holding something unhashable
+                    canonical = False
+                # A label off the tree goes through every check, in order.
+                if (from_id not in label) if canonical else (
+                    isinstance(label, tuple)
+                    and len(label) == level
+                    and label[0] == broadcast.sender_id
+                    and from_id not in label
+                    and len(set(label)) == len(label)
+                    and all(process_id in self.process_ids for process_id in label)
+                ):
+                    store[label + (from_id,)] = value
 
     def finish_round(self, round_index: int) -> None:
         """Fill in defaults for labels that should exist after ``round_index`` but were not received.
@@ -160,82 +215,100 @@ class EigBroadcastInstance:
         total.  The owner's own relayed values are stored here as well (a
         process trivially "receives" its own relay).
         """
-        if round_index == 1:
-            if self.owner_id == self.sender_id:
-                self._value_at[(self.sender_id,)] = self.value
-            self._value_at.setdefault((self.sender_id,), self.default)
+        if round_index < 1 or round_index > self.total_rounds:
             return
-        expected_level = round_index
-        previous_level_labels = [
-            label for label in list(self._value_at) if len(label) == round_index - 1
-        ]
-        for label in previous_level_labels:
-            for process_id in self.process_ids:
-                if process_id in label:
-                    continue
-                extended = label + (process_id,)
-                if len(extended) != expected_level:
-                    continue
-                if process_id == self.owner_id:
-                    self._value_at[extended] = self._value_at[label]
-                else:
-                    self._value_at.setdefault(extended, self.default)
+        owner = self.owner_id
+        if round_index == 1:
+            for broadcast in self._broadcasts.values():
+                root = (broadcast.sender_id,)
+                if broadcast.sender_id == owner:
+                    broadcast.levels[1][root] = broadcast.value
+                broadcast.levels[1].setdefault(root, broadcast.default)
+            return
+        for broadcast in self._broadcasts.values():
+            extensions = broadcast.tree.extensions
+            default = broadcast.default
+            store = broadcast.levels[round_index]
+            for label, value in broadcast.levels[round_index - 1].items():
+                # Children extend the stored label object, as received.
+                others = extensions.get(label)
+                if others is None:  # relayed by an id outside ``process_ids``
+                    others = [q for q in self.process_ids if q not in label]
+                for process_id in others:
+                    child = label + (process_id,)
+                    if process_id == owner:
+                        store[child] = value
+                    elif child not in store:
+                        store[child] = default
 
     # -- resolution ----------------------------------------------------------------
 
-    def resolve(self) -> Any:
-        """Resolve the EIG tree bottom-up and return the broadcast decision."""
-        if self._is_resolved:
-            return self._resolved
-        root = (self.sender_id,)
-        self._value_at.setdefault(root, self.default)
-        self._resolved = self._resolve_node(root)
-        self._is_resolved = True
-        return self._resolved
+    def resolve(self, key: Hashable) -> Any:
+        """Resolve broadcast ``key``'s tree bottom-up and return its decision."""
+        broadcast = self._broadcasts[key]
+        if broadcast.resolved is not _MISSING:
+            return broadcast.resolved
+        tree, levels, default = broadcast.tree, broadcast.levels, broadcast.default
+        root = (broadcast.sender_id,)
+        levels[1].setdefault(root, default)
+        below = levels[self.total_rounds]
+        for level in range(self.total_rounds - 1, 0, -1):
+            resolved = {}
+            for label in tree.labels[level]:
+                others = tree.extensions[label]
+                resolved[label] = (
+                    _strict_majority([below.get(label + (q,), default) for q in others], default)
+                    if others
+                    else levels[level].get(label, default)
+                )
+            below = resolved
+        broadcast.resolved = below.get(root, default)
+        return broadcast.resolved
 
-    def _resolve_node(self, label: NodeLabel) -> Any:
-        if len(label) >= self.total_rounds:
-            return self._value_at.get(label, self.default)
-        children = [
-            self._resolve_node(label + (process_id,))
-            for process_id in self.process_ids
-            if process_id not in label
-        ]
-        if not children:
-            return self._value_at.get(label, self.default)
-        return self._strict_majority(children)
 
-    def _strict_majority(self, values: list[Any]) -> Any:
-        counts: dict[Hashable, tuple[int, Any]] = {}
-        for value in values:
-            key = self._hashable(value)
-            count, _ = counts.get(key, (0, value))
-            counts[key] = (count + 1, value)
-        best_key, (best_count, best_value) = max(counts.items(), key=lambda item: item[1][0])
-        if 2 * best_count > len(values):
-            return best_value
-        return self.default
+def _strict_majority(values: list[Any], default: Any) -> Any:
+    """The last value of the :func:`_hashable` key more than half of ``values`` share, else ``default``.
 
-    @staticmethod
-    def _hashable(value: Any) -> Hashable:
-        if isinstance(value, (list, tuple)):
-            return tuple(EigBroadcastInstance._hashable(item) for item in value)
-        try:
-            hash(value)
-            return value
-        except TypeError:
-            return repr(value)
+    A hashable tuple or float is its own key: it equals its ``_hashable`` form.
+    """
+    counts: dict[Hashable, int] = {}
+    latest: dict[Hashable, Any] = {}
+    half = len(values) // 2
+    winner: Any = _MISSING
+    for value in values:
+        kind = type(value)
+        if kind is float:
+            key = value
+        elif kind is tuple:
+            try:
+                hash(value)
+                key = value
+            except TypeError:
+                key = _hashable(value)
+        else:
+            key = _hashable(value)
+        count = counts[key] = counts.get(key, 0) + 1
+        latest[key] = value
+        if count > half:  # a strict majority: no other key can reach one
+            winner = key
+    return default if winner is _MISSING else latest[winner]
+
+
+def _hashable(value: Any) -> Hashable:
+    if isinstance(value, (list, tuple)):
+        return tuple(_hashable(item) for item in value)
+    try:
+        hash(value)
+        return value
+    except TypeError:
+        return repr(value)
 
 
 class EigBroadcastProcess(SyncProcess):
-    """A stand-alone synchronous process running a single EIG broadcast.
-
-    Used to test and benchmark the broadcast substrate in isolation; the Exact
-    BVC algorithm embeds :class:`EigBroadcastInstance` objects directly
-    instead.
-    """
+    """A stand-alone process running one EIG broadcast: a one-key table, payloads unbundled."""
 
     PROTOCOL = "eig_broadcast"
+    KEY = 0
 
     def __init__(
         self,
@@ -247,19 +320,12 @@ class EigBroadcastProcess(SyncProcess):
         default: Any = 0.0,
     ) -> None:
         super().__init__(process_id)
-        self.instance = EigBroadcastInstance(
-            owner_id=process_id,
-            sender_id=sender_id,
-            process_ids=tuple(process_ids),
-            fault_bound=fault_bound,
-            value=value,
-            default=default,
-        )
+        self.table = EigTable(process_id, tuple(process_ids), fault_bound)
+        self.table.add(self.KEY, sender_id, value=value, default=default)
         self._decided = False
-        self._decision: Any = None
 
     def outgoing(self, round_index: int) -> list[Message]:
-        payload = self.instance.payload_for_round(round_index)
+        payload = self.table.relay(round_index).get(self.KEY)
         if payload is None:
             return []
         return [
@@ -268,10 +334,10 @@ class EigBroadcastProcess(SyncProcess):
                 recipient=recipient,
                 protocol=self.PROTOCOL,
                 kind="RELAY",
-                payload=dict(payload),
+                payload=payload,
                 round_index=round_index,
             )
-            for recipient in self.instance.process_ids
+            for recipient in self.table.process_ids
             if recipient != self.process_id
         ]
 
@@ -279,10 +345,9 @@ class EigBroadcastProcess(SyncProcess):
         for message in inbox:
             if message.protocol != self.PROTOCOL:
                 continue
-            self.instance.receive_payload(round_index, message.sender, message.payload)
-        self.instance.finish_round(round_index)
-        if round_index >= self.instance.total_rounds:
-            self._decision = self.instance.resolve()
+            self.table.receive(round_index, message.sender, {self.KEY: message.payload})
+        self.table.finish_round(round_index)
+        if round_index >= self.table.total_rounds:
             self._decided = True
 
     def has_decided(self) -> bool:
@@ -291,4 +356,4 @@ class EigBroadcastProcess(SyncProcess):
     def decision(self) -> Any:
         if not self._decided:
             raise ProtocolError(f"process {self.process_id} has not resolved its EIG tree yet")
-        return self._decision
+        return self.table.resolve(self.KEY)

@@ -71,21 +71,9 @@ class CoordinateWiseConsensusProcess(ExactBVCProcess):
     but vector validity does not in general — which is the point.
     """
 
-    def _decide(self) -> None:
-        vectors = []
-        for originator in range(self.configuration.process_count):
-            if self.broadcast_mode == "per_coordinate":
-                coordinates = [
-                    self._coerce_scalar(self._instances[(originator, coordinate)].resolve())
-                    for coordinate in range(self.configuration.dimension)
-                ]
-                vectors.append(np.asarray(coordinates, dtype=float))
-            else:
-                vectors.append(self._coerce_vector(self._instances[originator].resolve()))
-        cloud = np.vstack(vectors)
-        self._received_multiset = PointMultiset(cloud)
-        self._decision = coordinatewise_median(cloud)
-        self._decided = True
+    def _step_two(self, agreed: PointMultiset) -> np.ndarray:
+        """The strawman's decision rule: the coordinate-wise lower median of ``S``."""
+        return coordinatewise_median(agreed.cloud)
 
 
 def run_coordinatewise_consensus(

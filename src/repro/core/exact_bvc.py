@@ -15,20 +15,22 @@ The algorithm is two steps:
    honest inputs because some ``(n - f)``-subset of ``S`` is all-honest.
 
 :class:`ExactBVCProcess` is a :class:`~repro.processes.process.SyncProcess`
-that embeds ``n`` (or ``n * d``) concurrent EIG broadcast instances and runs
-them over ``f + 1`` synchronous rounds; :func:`run_exact_bvc` is the
-one-call driver used by examples, tests and benchmarks.
+that runs ``n`` (or ``n * d``) concurrent EIG broadcasts from one
+:class:`~repro.consensus.eig.EigTable` over ``f + 1`` synchronous rounds, and
+decides only when its decision is first asked for; :func:`run_exact_bvc` is
+the one-call driver used by examples, tests and benchmarks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
 from repro.byzantine.adversary import ByzantineSyncProcess, MessageMutator
-from repro.consensus.eig import EigBroadcastInstance, eig_round_count
+from repro.consensus.eig import EigTable, eig_round_count
 from repro.core.conditions import SystemConfiguration, check_exact_sync
 from repro.core.round_ops import exact_decision
 from repro.core.safe_area import SafeAreaCalculator
@@ -42,6 +44,10 @@ from repro.processes.registry import ProcessRegistry
 __all__ = ["BroadcastMode", "ExactBVCProcess", "ExactBVCOutcome", "run_exact_bvc"]
 
 BroadcastMode = Literal["per_coordinate", "whole_vector"]
+
+
+def _finite_float(x: object) -> bool:
+    return type(x) is float and math.isfinite(x)
 
 
 class ExactBVCProcess(SyncProcess):
@@ -78,58 +84,30 @@ class ExactBVCProcess(SyncProcess):
                 f"input vector has shape {self.input_vector.shape}, expected ({configuration.dimension},)"
             )
         self.broadcast_mode: BroadcastMode = broadcast_mode
+        #: Number of synchronous rounds the algorithm needs (``f + 1``).
+        self.total_rounds = eig_round_count(configuration.fault_bound)
         self._chooser = SafeAreaCalculator(fault_bound=configuration.fault_bound)
         self._decided = False
         self._decision: np.ndarray | None = None
         self._received_multiset: PointMultiset | None = None
         process_ids = tuple(range(configuration.process_count))
-        self._instances: dict[object, EigBroadcastInstance] = {}
-        for originator in process_ids:
-            if broadcast_mode == "per_coordinate":
+        self._table = EigTable(process_id, process_ids, configuration.fault_bound)
+        own = self.input_vector.tolist()
+        if broadcast_mode == "per_coordinate":
+            for originator in process_ids:
                 for coordinate in range(configuration.dimension):
-                    value = (
-                        float(self.input_vector[coordinate])
-                        if originator == process_id
-                        else None
-                    )
-                    self._instances[(originator, coordinate)] = EigBroadcastInstance(
-                        owner_id=process_id,
-                        sender_id=originator,
-                        process_ids=process_ids,
-                        fault_bound=configuration.fault_bound,
-                        value=value,
-                        default=0.0,
-                    )
-            else:
-                value = (
-                    tuple(float(x) for x in self.input_vector)
-                    if originator == process_id
-                    else None
-                )
-                self._instances[originator] = EigBroadcastInstance(
-                    owner_id=process_id,
-                    sender_id=originator,
-                    process_ids=process_ids,
-                    fault_bound=configuration.fault_bound,
-                    value=value,
-                    default=tuple(0.0 for _ in range(configuration.dimension)),
-                )
+                    value = own[coordinate] if originator == process_id else None
+                    self._table.add((originator, coordinate), originator, value, default=0.0)
+        else:
+            zero = (0.0,) * configuration.dimension
+            for originator in process_ids:
+                value = tuple(own) if originator == process_id else None
+                self._table.add(originator, originator, value, default=zero)
 
     # -- synchronous process interface ------------------------------------------------
 
-    @property
-    def total_rounds(self) -> int:
-        """Number of synchronous rounds the algorithm needs (``f + 1``)."""
-        return eig_round_count(self.configuration.fault_bound)
-
     def outgoing(self, round_index: int) -> list[Message]:
-        if round_index > self.total_rounds:
-            return []
-        bundle = {}
-        for key, instance in self._instances.items():
-            payload = instance.payload_for_round(round_index)
-            if payload is not None:
-                bundle[key] = dict(payload)
+        bundle = self._table.relay(round_index)
         if not bundle:
             return []
         return [
@@ -148,34 +126,31 @@ class ExactBVCProcess(SyncProcess):
     def deliver(self, round_index: int, inbox: list[Message]) -> None:
         if round_index > self.total_rounds:
             return
+        table = self._table
         for message in inbox:
             if message.protocol != self.PROTOCOL or not isinstance(message.payload, dict):
                 continue
-            for key, instance_payload in message.payload.items():
-                instance = self._instances.get(key)
-                if instance is not None:
-                    instance.receive_payload(round_index, message.sender, instance_payload)
-        for instance in self._instances.values():
-            instance.finish_round(round_index)
+            table.receive(round_index, message.sender, message.payload)
+        table.finish_round(round_index)
         if round_index == self.total_rounds:
-            self._decide()
+            # Only mark the decision: Step 1's resolution and Step 2 run when
+            # the decision is first asked for, so a faulty core never runs them.
+            self._decided = True
 
-    def _decide(self) -> None:
-        vectors = []
-        for originator in range(self.configuration.process_count):
-            if self.broadcast_mode == "per_coordinate":
-                coordinates = [
-                    self._coerce_scalar(self._instances[(originator, coordinate)].resolve())
-                    for coordinate in range(self.configuration.dimension)
-                ]
-                vectors.append(np.asarray(coordinates, dtype=float))
-            else:
-                vectors.append(
-                    self._coerce_vector(self._instances[originator].resolve())
-                )
-        self._received_multiset = PointMultiset(np.vstack(vectors))
-        self._decision = exact_decision(self._received_multiset, self._chooser)
-        self._decided = True
+    def _agreed_cloud(self) -> np.ndarray:
+        """Step 1's agreed multiset ``S`` as an ``(n, d)`` array, one row per originator."""
+        resolve = self._table.resolve
+        originators = range(self.configuration.process_count)
+        if self.broadcast_mode == "per_coordinate":
+            coordinates = range(self.configuration.dimension)
+            rows = [[self._coerce_scalar(resolve((o, c))) for c in coordinates] for o in originators]
+        else:
+            rows = [self._coerce_vector(resolve(originator)) for originator in originators]
+        return np.array(rows, dtype=float)
+
+    def _step_two(self, agreed: PointMultiset) -> np.ndarray:
+        """The decision rule applied to ``S``: the deterministic ``Gamma`` point."""
+        return exact_decision(agreed, self._chooser)
 
     def _coerce_scalar(self, value: object) -> float:
         try:
@@ -186,26 +161,33 @@ class ExactBVCProcess(SyncProcess):
             return 0.0
         return scalar
 
-    def _coerce_vector(self, value: object) -> np.ndarray:
+    def _coerce_vector(self, value: object) -> Sequence[float]:
+        dimension = self.configuration.dimension
+        if type(value) is tuple and len(value) == dimension and all(map(_finite_float, value)):
+            return value
         try:
             vector = np.asarray(value, dtype=float).reshape(-1)
         except (TypeError, ValueError):
-            return np.zeros(self.configuration.dimension)
-        if vector.shape != (self.configuration.dimension,) or not np.all(np.isfinite(vector)):
-            return np.zeros(self.configuration.dimension)
+            return np.zeros(dimension)
+        if vector.shape != (dimension,) or not np.all(np.isfinite(vector)):
+            return np.zeros(dimension)
         return vector
 
     def has_decided(self) -> bool:
         return self._decided
 
     def decision(self) -> np.ndarray:
-        if self._decision is None:
+        if not self._decided:
             raise ProtocolError(f"process {self.process_id} has not decided")
+        if self._decision is None:
+            self._decision = self._step_two(self.agreed_multiset)
         return self._decision
 
     @property
     def agreed_multiset(self) -> PointMultiset | None:
         """The multiset ``S`` this process reconstructed in Step 1 (after deciding)."""
+        if self._received_multiset is None and self._decided:
+            self._received_multiset = PointMultiset(self._agreed_cloud())
         return self._received_multiset
 
 

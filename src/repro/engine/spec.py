@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -57,6 +58,13 @@ def _freeze_params(params: Mapping[str, Any] | tuple | None) -> tuple[tuple[str,
         return ()
     items = params.items() if isinstance(params, Mapping) else params
     return tuple(sorted((str(key), value) for key, value in items))
+
+
+@lru_cache(maxsize=4096, typed=True)
+def _derived_seeds(seed: int) -> tuple[int, int, int]:
+    """The seeds ``SeedSequence(seed).spawn(3)`` derives, cached per seed and type (``5.0`` fails)."""
+    children = np.random.SeedSequence(seed).spawn(3)
+    return tuple(int(child.generate_state(1, dtype=np.uint32)[0]) for child in children)  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
@@ -138,12 +146,10 @@ class TrialSpec:
         ``SeedSequence.spawn``, so they are independent streams but a pure
         function of the spec.
         """
-        children = np.random.SeedSequence(self.seed).spawn(3)
-        derived = [int(child.generate_state(1, dtype=np.uint32)[0]) for child in children]
         explicit = (self.workload_seed, self.adversary_seed, self.scheduler_seed)
         resolved = tuple(
             value if value is not None else fallback
-            for value, fallback in zip(explicit, derived)
+            for value, fallback in zip(explicit, _derived_seeds(self.seed))
         )
         return resolved  # type: ignore[return-value]
 

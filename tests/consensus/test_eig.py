@@ -14,7 +14,7 @@ import pytest
 
 from repro.byzantine.adversary import ByzantineSyncProcess
 from repro.byzantine.strategies import CrashStrategy, EquivocationStrategy, RandomNoiseStrategy
-from repro.consensus.eig import EigBroadcastInstance, EigBroadcastProcess, eig_round_count
+from repro.consensus.eig import EigBroadcastProcess, EigTable, eig_round_count
 from repro.exceptions import ConfigurationError
 from repro.network.sync_runtime import SynchronousRuntime
 
@@ -55,24 +55,26 @@ class TestRoundCount:
 
 class TestInstanceValidation:
     def test_sender_must_provide_value(self):
+        table = EigTable(owner_id=0, process_ids=(0, 1, 2, 3), fault_bound=1)
         with pytest.raises(ConfigurationError):
-            EigBroadcastInstance(owner_id=0, sender_id=0, process_ids=(0, 1, 2, 3), fault_bound=1)
+            table.add("b", sender_id=0)
 
     def test_owner_must_be_member(self):
         with pytest.raises(ConfigurationError):
-            EigBroadcastInstance(owner_id=9, sender_id=0, process_ids=(0, 1, 2, 3), fault_bound=1, value=1.0)
+            EigTable(owner_id=9, process_ids=(0, 1, 2, 3), fault_bound=1)
 
     def test_malformed_relay_payload_ignored(self):
-        instance = EigBroadcastInstance(owner_id=1, sender_id=0, process_ids=(0, 1, 2, 3), fault_bound=1)
-        instance.receive_payload(1, 0, {(0,): 7.0})
-        instance.finish_round(1)
+        table = EigTable(owner_id=1, process_ids=(0, 1, 2, 3), fault_bound=1)
+        table.add("b", sender_id=0)
+        table.receive(1, 0, {"b": {(0,): 7.0}})
+        table.finish_round(1)
         # Valid second-round relays from processes 2 and 3, plus garbage entries
         # (wrong level, duplicated ids, unknown processes, non-tuple labels)
         # that must be dropped without corrupting the tree.
-        instance.receive_payload(2, 2, {(0,): 7.0, (0, 0): 9.0, "junk": 1.0, (0, 9): 2.0})
-        instance.receive_payload(2, 3, {(0,): 7.0, (0, 2, 3): 5.0})
-        instance.finish_round(2)
-        assert instance.resolve() == 7.0
+        table.receive(2, 2, {"b": {(0,): 7.0, (0, 0): 9.0, "junk": 1.0, (0, 9): 2.0}})
+        table.receive(2, 3, {"b": {(0,): 7.0, (0, 2, 3): 5.0}})
+        table.finish_round(2)
+        assert table.resolve("b") == 7.0
 
 
 class TestFaultFreeBroadcast:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.byzantine.adversary import ByzantineSyncProcess
 from repro.byzantine.strategies import (
     CrashStrategy,
     EquivocationStrategy,
@@ -15,6 +16,7 @@ from repro.core.conditions import SystemConfiguration, minimum_processes_exact_s
 from repro.core.exact_bvc import ExactBVCProcess, run_exact_bvc
 from repro.core.validity import check_exact_outcome
 from repro.exceptions import ProtocolError, ResilienceError
+from repro.network.sync_runtime import SynchronousRuntime
 from repro.processes.registry import ProcessRegistry
 from repro.workloads.generators import uniform_box_registry
 
@@ -133,3 +135,50 @@ class TestAttackDetails:
         small = run_exact_bvc(registry_at_bound(1, 1, seed=1))
         large = run_exact_bvc(registry_at_bound(3, 1, seed=1))
         assert large.messages_sent > small.messages_sent
+
+
+class EagerExactBVCProcess(ExactBVCProcess):
+    """Resolves and decides in the final round, as every core once did."""
+
+    def deliver(self, round_index, inbox):
+        super().deliver(round_index, inbox)
+        if round_index == self.total_rounds:
+            self.decision()
+
+
+def run_cores(registry, core_class, mutators, broadcast_mode):
+    """Run one Exact BVC execution; return every process object, faulty wrappers included."""
+    processes = {}
+    for pid in registry.process_ids:
+        core = core_class(
+            pid, registry.configuration, registry.input_of(pid), broadcast_mode=broadcast_mode
+        )
+        processes[pid] = (
+            ByzantineSyncProcess(core, mutators[pid]) if pid in mutators else core
+        )
+    SynchronousRuntime(processes, honest_ids=registry.honest_ids).run()
+    return processes
+
+
+class TestLazyDecision:
+    """A core decides when first asked: a faulty core never resolves or queries Gamma."""
+
+    def test_one_gamma_query_per_honest_process(self, kernel_events):
+        registry = registry_at_bound(2, 1, seed=11)
+        mutators = {pid: CrashStrategy() for pid in registry.faulty_ids}
+        events = kernel_events()
+        run_exact_bvc(registry, adversary_mutators=mutators)
+        assert events.single_queries == len(registry.honest_ids)
+
+    @pytest.mark.parametrize("broadcast_mode", ["whole_vector", "per_coordinate"])
+    def test_faulty_core_decides_what_eager_resolution_gave(self, broadcast_mode):
+        registry = registry_at_bound(2, 2, seed=12)
+
+        def mutators():
+            return {pid: RandomNoiseStrategy(low=-5, high=5, seed=pid) for pid in registry.faulty_ids}
+
+        lazy = run_cores(registry, ExactBVCProcess, mutators(), broadcast_mode)
+        eager = run_cores(registry, EagerExactBVCProcess, mutators(), broadcast_mode)
+        assert all(lazy[pid].inner._decision is None for pid in registry.faulty_ids)
+        for pid in registry.process_ids:
+            assert lazy[pid].decision().tobytes() == eager[pid].decision().tobytes(), pid
