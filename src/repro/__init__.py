@@ -32,7 +32,7 @@ Quick start::
     registry = probability_vector_registry(process_count=5, dimension=3, fault_bound=1)
     outcome = run_exact_bvc(registry)
     report = check_exact_outcome(registry, outcome.decisions)
-    assert report.all_ok
+    assert report.agreement_ok and report.validity_ok
 """
 
 from repro.core import (

@@ -211,17 +211,6 @@ class AdversaryCoordinator:
             slow = [registry.honest_ids[-1]]
         return tuple(int(process_id) for process_id in slow)
 
-    def scheduler_hint(self) -> tuple[int, ...] | None:
-        """Processes the coordinator wants the delivery scheduler to starve.
-
-        Only ``theorem4_scenario`` nominates anyone (see
-        :meth:`nominate_slow_processes`); the engine's scheduler factory
-        applies the same rule when it builds the lagging scheduler.
-        """
-        if self.strategy != "theorem4_scenario":
-            return None
-        return self.nominate_slow_processes(self.registry, self.params)
-
     # -- observation -----------------------------------------------------------
 
     def observe(self, message: Message) -> None:

@@ -664,7 +664,7 @@ def _run_fuzz_command(arguments: argparse.Namespace) -> int:
                 "fallback_reasons": dict(report.fallback_reasons),
             },
         )
-    if report.violations:
+    if not report.clean:
         print(
             render_table(
                 [violation.to_row() for violation in report.violations],

@@ -12,8 +12,6 @@ that is what this module implements.
 The Exact BVC process runs ``n`` concurrent broadcasts (one per originator;
 ``n * d`` coordinate by coordinate) in the same rounds, so the algorithm is
 packaged as one table per process (:class:`EigTable`).
-:class:`EigBroadcastProcess` wraps a one-key table as a
-:class:`~repro.processes.process.SyncProcess` to test the substrate alone.
 
 How the EIG tree works
 ----------------------
@@ -42,11 +40,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Any, Hashable, Mapping
 
-from repro.exceptions import ConfigurationError, ProtocolError
-from repro.network.message import Message
-from repro.processes.process import SyncProcess
+from repro.exceptions import ConfigurationError
 
-__all__ = ["EigBroadcastProcess", "EigTable", "eig_round_count"]
+__all__ = ["EigTable", "eig_round_count"]
 
 NodeLabel = tuple[int, ...]
 
@@ -302,58 +298,3 @@ def _hashable(value: Any) -> Hashable:
         return value
     except TypeError:
         return repr(value)
-
-
-class EigBroadcastProcess(SyncProcess):
-    """A stand-alone process running one EIG broadcast: a one-key table, payloads unbundled."""
-
-    PROTOCOL = "eig_broadcast"
-    KEY = 0
-
-    def __init__(
-        self,
-        process_id: int,
-        sender_id: int,
-        process_ids: tuple[int, ...],
-        fault_bound: int,
-        value: Any = None,
-        default: Any = 0.0,
-    ) -> None:
-        super().__init__(process_id)
-        self.table = EigTable(process_id, tuple(process_ids), fault_bound)
-        self.table.add(self.KEY, sender_id, value=value, default=default)
-        self._decided = False
-
-    def outgoing(self, round_index: int) -> list[Message]:
-        payload = self.table.relay(round_index).get(self.KEY)
-        if payload is None:
-            return []
-        return [
-            Message(
-                sender=self.process_id,
-                recipient=recipient,
-                protocol=self.PROTOCOL,
-                kind="RELAY",
-                payload=payload,
-                round_index=round_index,
-            )
-            for recipient in self.table.process_ids
-            if recipient != self.process_id
-        ]
-
-    def deliver(self, round_index: int, inbox: list[Message]) -> None:
-        for message in inbox:
-            if message.protocol != self.PROTOCOL:
-                continue
-            self.table.receive(round_index, message.sender, {self.KEY: message.payload})
-        self.table.finish_round(round_index)
-        if round_index >= self.table.total_rounds:
-            self._decided = True
-
-    def has_decided(self) -> bool:
-        return self._decided
-
-    def decision(self) -> Any:
-        if not self._decided:
-            raise ProtocolError(f"process {self.process_id} has not resolved its EIG tree yet")
-        return self.table.resolve(self.KEY)

@@ -7,7 +7,6 @@ from repro.core.conditions import (
     check_exact_sync,
     check_restricted_async,
     check_restricted_sync,
-    max_tolerable_faults,
     minimum_processes,
     minimum_processes_approx_async,
     minimum_processes_exact_sync,
@@ -24,7 +23,6 @@ from repro.core.safe_area import (
     safe_area_point_via_tverberg,
     safe_area_subset_count,
 )
-from repro.core.aggregation import AggregationStep, SafeAverageAggregator
 from repro.core.exact_bvc import ExactBVCOutcome, ExactBVCProcess, run_exact_bvc
 from repro.core.approx_bvc import (
     ApproxBVCOutcome,
@@ -47,7 +45,6 @@ from repro.core.validity import ValidityReport, check_approximate_outcome, check
 from repro.core.baselines import (
     CoordinateWiseConsensusProcess,
     coordinatewise_median,
-    coordinatewise_trimmed_mean,
     run_coordinatewise_consensus,
 )
 from repro.core.impossibility import (
@@ -66,7 +63,6 @@ __all__ = [
     "check_exact_sync",
     "check_restricted_async",
     "check_restricted_sync",
-    "max_tolerable_faults",
     "minimum_processes",
     "minimum_processes_approx_async",
     "minimum_processes_exact_sync",
@@ -80,8 +76,6 @@ __all__ = [
     "safe_area_point",
     "safe_area_point_via_tverberg",
     "safe_area_subset_count",
-    "AggregationStep",
-    "SafeAverageAggregator",
     "ExactBVCOutcome",
     "ExactBVCProcess",
     "run_exact_bvc",
@@ -101,7 +95,6 @@ __all__ = [
     "check_exact_outcome",
     "CoordinateWiseConsensusProcess",
     "coordinatewise_median",
-    "coordinatewise_trimmed_mean",
     "run_coordinatewise_consensus",
     "AsyncImpossibilityWitness",
     "SyncImpossibilityWitness",

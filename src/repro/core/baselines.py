@@ -9,9 +9,8 @@
   the coordinate-wise lower median of the agreed multiset rather than a point
   of ``Gamma``.
 
-* :func:`coordinatewise_median` and :func:`coordinatewise_trimmed_mean` —
-  non-protocol aggregation rules used by the robust-aggregation example and
-  benchmarks as comparison points for the ``Gamma``-based aggregation.
+* :func:`coordinatewise_median` — the non-protocol aggregation rule the
+  robust-aggregation example compares the ``Gamma``-based aggregation with.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from repro.processes.registry import ProcessRegistry
 
 __all__ = [
     "coordinatewise_median",
-    "coordinatewise_trimmed_mean",
     "CoordinateWiseConsensusProcess",
     "run_coordinatewise_consensus",
 ]
@@ -44,21 +42,6 @@ def coordinatewise_median(vectors: np.ndarray) -> np.ndarray:
     if cloud.ndim != 2 or cloud.shape[0] == 0:
         raise ConfigurationError("need a non-empty (k, d) array of vectors")
     return coordinatewise_decision(cloud)
-
-
-def coordinatewise_trimmed_mean(vectors: np.ndarray, trim: int) -> np.ndarray:
-    """Return the coordinate-wise mean after dropping the ``trim`` smallest and largest entries."""
-    cloud = np.asarray(vectors, dtype=float)
-    if cloud.ndim != 2 or cloud.shape[0] == 0:
-        raise ConfigurationError("need a non-empty (k, d) array of vectors")
-    if trim < 0 or 2 * trim >= cloud.shape[0]:
-        raise ConfigurationError(f"cannot trim {trim} from each side of {cloud.shape[0]} values")
-    trimmed_columns = []
-    for coordinate in range(cloud.shape[1]):
-        ordered = np.sort(cloud[:, coordinate])
-        kept = ordered[trim : cloud.shape[0] - trim] if trim else ordered
-        trimmed_columns.append(float(kept.mean()))
-    return np.asarray(trimmed_columns)
 
 
 class CoordinateWiseConsensusProcess(ExactBVCProcess):

@@ -35,7 +35,6 @@ __all__ = [
     "check_approx_async",
     "check_restricted_sync",
     "check_restricted_async",
-    "max_tolerable_faults",
     "resilience_table",
 ]
 
@@ -81,24 +80,6 @@ class SystemConfiguration:
     def n(self) -> int:
         """Alias matching the paper's notation."""
         return self.process_count
-
-    @property
-    def d(self) -> int:
-        """Alias matching the paper's notation."""
-        return self.dimension
-
-    @property
-    def f(self) -> int:
-        """Alias matching the paper's notation."""
-        return self.fault_bound
-
-    def satisfies(self, setting: Setting) -> bool:
-        """Return True when this configuration meets the bound for ``setting``."""
-        return self.process_count >= minimum_processes(setting, self.dimension, self.fault_bound)
-
-    def deficit(self, setting: Setting) -> int:
-        """Return how many processes short of the bound this configuration is (0 if met)."""
-        return max(0, minimum_processes(setting, self.dimension, self.fault_bound) - self.process_count)
 
 
 def _validate(dimension: int, fault_bound: int) -> None:
@@ -191,18 +172,6 @@ def check_restricted_sync(configuration: SystemConfiguration, allow_insufficient
 def check_restricted_async(configuration: SystemConfiguration, allow_insufficient: bool = False) -> None:
     """Raise :class:`ResilienceError` unless ``n >= (d+4)f + 1``."""
     _check(Setting.RESTRICTED_ASYNC, configuration, allow_insufficient)
-
-
-def max_tolerable_faults(setting: Setting, process_count: int, dimension: int) -> int:
-    """Return the largest ``f`` the given ``(n, d)`` can tolerate in ``setting``."""
-    if process_count < 2:
-        raise ConfigurationError("need at least 2 processes")
-    best = 0
-    fault_bound = 1
-    while minimum_processes(setting, dimension, fault_bound) <= process_count:
-        best = fault_bound
-        fault_bound += 1
-    return best
 
 
 def resilience_table(dimensions: list[int], fault_bounds: list[int]) -> list[dict[str, int]]:

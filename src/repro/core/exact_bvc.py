@@ -210,10 +210,6 @@ class ExactBVCOutcome:
     messages_sent: int
     messages_dropped: int = 0
 
-    def honest_decisions(self) -> dict[int, np.ndarray]:
-        """Alias kept for symmetry with the asynchronous outcome object."""
-        return self.decisions
-
 
 def run_exact_bvc(
     registry: ProcessRegistry,

@@ -21,15 +21,16 @@ argument with ``gamma = 1 / (n * C(n - f, n - 3f))``.
 from __future__ import annotations
 
 from math import comb
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
 from repro.byzantine.adversary import ByzantineAsyncProcess, MessageMutator
-from repro.core.aggregation import SafeAverageAggregator
 from repro.core.approx_bvc import round_threshold
 from repro.core.conditions import SystemConfiguration, check_restricted_async
 from repro.core.restricted_sync import RestrictedRoundOutcome
+from repro.core.round_ops import restricted_round_step
+from repro.core.safe_area import SafeAreaCalculator
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.network.async_runtime import AsynchronousRuntime, AsyncRunResult
 from repro.network.message import Message
@@ -87,7 +88,7 @@ class RestrictedAsyncProcess(AsyncProcess):
         self.epsilon = float(epsilon)
         fault_bound = configuration.fault_bound
         process_count = configuration.process_count
-        quorum = max(1, process_count - 3 * fault_bound)
+        self._quorum = max(1, process_count - 3 * fault_bound)
         self.gamma = (
             restricted_async_contraction_factor(process_count, fault_bound)
             if process_count - 3 * fault_bound >= 1
@@ -97,7 +98,7 @@ class RestrictedAsyncProcess(AsyncProcess):
         self.total_rounds = (
             max_rounds_override if max_rounds_override is not None else computed_rounds
         )
-        self._aggregator = SafeAverageAggregator(fault_bound, quorum)
+        self._choose_all = SafeAreaCalculator(fault_bound=fault_bound).choose_all
         self._wait_for = process_count - fault_bound - 1
         self._state = self.input_vector.copy()
         self.state_history: list[np.ndarray] = [self._state.copy()]
@@ -161,13 +162,11 @@ class RestrictedAsyncProcess(AsyncProcess):
         if self._decided or self._current_round == 0:
             return
         bucket = self._received_by_round.get(self._current_round, {})
-        others = {sender: vector for sender, vector in bucket.items() if sender != self.process_id}
-        if len(others) < self._wait_for:
+        collected = {sender: vector for sender, vector in bucket.items() if sender != self.process_id}
+        if len(collected) < self._wait_for:
             return
-        collected = dict(others)
-        collected[self.process_id] = self._state.copy()
-        step = self._aggregator.aggregate(collected)
-        self._state = step.new_state
+        collected[self.process_id] = self._state
+        self._state = self.next_state(collected)
         self.state_history.append(self._state.copy())
         finished_round = self._current_round
         self._received_by_round.pop(finished_round, None)
@@ -176,6 +175,22 @@ class RestrictedAsyncProcess(AsyncProcess):
             self._decided = True
             return
         self._begin_round(finished_round + 1)
+
+    def next_state(self, collected: Mapping[int, np.ndarray]) -> np.ndarray:
+        """Step 2 on one round's collected states (sender id -> state, self included).
+
+        The sorted senders' states go through
+        :func:`~repro.core.round_ops.restricted_round_step` at quorum
+        ``max(1, n - 3f)``.  Pure: the columnar engine replays recorded
+        rounds through it.
+        """
+        members = sorted(collected)
+        return restricted_round_step(
+            np.vstack([collected[member] for member in members]),
+            self.configuration.fault_bound,
+            self._quorum,
+            choose_all=self._choose_all,
+        )
 
     def _coerce_state(self, value: object) -> np.ndarray | None:
         try:

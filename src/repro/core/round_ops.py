@@ -16,6 +16,13 @@ inputs, engine equivalence ("``--engine vectorized`` emits byte-identical
 rows to ``--engine object``") is a property of the code structure, not a
 hand-maintained invariant.
 
+The iterative algorithms share one Step-2 update, Equation (9) of Section
+3.2: :func:`safe_average` gathers one cloud per index family from a state
+matrix, asks for every cloud's ``Gamma`` point in one call and averages
+them.  ``restricted_sync`` and ``restricted_async`` reach it through
+:func:`restricted_round_step` (every ``quorum``-subset), ``approx``
+through :func:`approx_round_step` (the witness families).
+
 Everything here is deterministic and side-effect free.  The choosers
 passed in must themselves be deterministic (the protocol already requires
 this: all non-faulty processes must pick the same ``Gamma`` point for the
@@ -38,6 +45,7 @@ __all__ = [
     "quorum_families",
     "restricted_round_clouds",
     "restricted_round_reduce",
+    "safe_average",
     "restricted_round_step",
     "exact_decision",
     "lower_median",
@@ -80,6 +88,21 @@ def restricted_round_reduce(points: Iterable[np.ndarray]) -> np.ndarray:
     return np.vstack(list(points)).mean(axis=0)
 
 
+def safe_average(
+    states: np.ndarray,
+    families: Sequence[Sequence[int]],
+    choose_all: ChooseAllFn,
+) -> np.ndarray:
+    """Equation (9): one ``Gamma`` point per index family, averaged.
+
+    ``states`` is a ``(k, d)`` matrix and each family a tuple of row
+    positions, all of one size ``m``.  The ``(Q, m, d)`` stack of the
+    families' clouds goes to ``choose_all`` in one call, in family order.
+    """
+    states = np.asarray(states, dtype=float)
+    return restricted_round_reduce(choose_all(states[np.asarray(families, dtype=np.intp)]))
+
+
 def restricted_round_step(
     received: np.ndarray,
     fault_bound: int,
@@ -99,7 +122,7 @@ def restricted_round_step(
     """
     if choose_all is None:
         choose_all = SafeAreaCalculator(fault_bound=fault_bound).choose_all
-    return restricted_round_reduce(choose_all(restricted_round_clouds(received, quorum)))
+    return safe_average(received, quorum_families(len(received), quorum), choose_all)
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +195,14 @@ def approx_round_step(
     families: Sequence[tuple[int, ...]],
     chooser: SafeAreaCalculator,
 ) -> np.ndarray:
-    """One Approximate BVC state update: batched ``Gamma`` points, averaged.
+    """One Approximate BVC state update: :func:`safe_average` over the families.
 
-    All families share the quorum size, so the queries go to the kernel as
-    one batch, each answered as a single query would be.
+    ``families`` hold sender ids; each cloud's rows are its members'
+    tuples in the family's order.
     """
-    clouds = [
-        PointMultiset(np.vstack([tuples[member] for member in family]))
-        for family in families
-    ]
-    points = chooser.choose_batch(clouds)
-    return np.mean(np.vstack(points), axis=0)
+    row = {member: position for position, member in enumerate(tuples)}
+    return safe_average(
+        np.vstack(list(tuples.values())),
+        [[row[member] for member in family] for family in families],
+        chooser.choose_all,
+    )

@@ -370,10 +370,7 @@ class SafeAreaCalculator:
         return None
 
     def choose(
-        self,
-        points: PointMultiset | np.ndarray | Iterable[Sequence[float]],
-        *,
-        subset_indices: Sequence[Sequence[int]] | None = None,
+        self, points: PointMultiset | np.ndarray | Iterable[Sequence[float]]
     ) -> np.ndarray:
         """Return the deterministic point of ``Gamma(points)``.
 
@@ -385,7 +382,6 @@ class SafeAreaCalculator:
             multiset.points,
             self.fault_bound,
             objective=self._objective_for(multiset.dimension),
-            subset_indices=subset_indices,
         )
         if point is None:
             raise self._empty(multiset.points)
@@ -417,43 +413,6 @@ class SafeAreaCalculator:
         return EmptyIntersectionError(
             f"Gamma is empty for |Y|={cloud.shape[0]}, f={self.fault_bound}, d={cloud.shape[1]}"
         )
-
-    def choose_batch(
-        self,
-        point_sets: Sequence[PointMultiset | np.ndarray | Iterable[Sequence[float]]],
-        *,
-        subset_indices: Sequence[Sequence[Sequence[int]]] | None = None,
-    ) -> list[np.ndarray]:
-        """Deterministically choose one ``Gamma`` point per query multiset.
-
-        All queries must share one ``(m, d)`` shape (the Approximate BVC round
-        update satisfies this: every witness family has quorum size).  Each
-        answer is the one :meth:`choose` gives for that query.
-
-        Raises :class:`EmptyIntersectionError` naming the first empty query.
-        """
-        multisets = [_as_multiset(points) for points in point_sets]
-        if subset_indices is not None and len(subset_indices) != len(multisets):
-            raise GeometryError(
-                f"subset_indices covers {len(subset_indices)} queries, "
-                f"but {len(multisets)} were given"
-            )
-        if not multisets:
-            return []
-        chosen = default_kernel.points_batch(
-            [multiset.points for multiset in multisets],
-            self.fault_bound,
-            objective=self._objective_for(multisets[0].dimension),
-            subset_indices=subset_indices,
-        )
-        for index, point in enumerate(chosen):
-            if point is None:
-                multiset = multisets[index]
-                raise EmptyIntersectionError(
-                    f"Gamma is empty for batch query {index}: |Y|={len(multiset)}, "
-                    f"f={self.fault_bound}, d={multiset.dimension}"
-                )
-        return chosen  # type: ignore[return-value]
 
     def resolve_multi(
         self,

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.exceptions import AgreementViolation, ValidityViolation
+from repro.exceptions import AgreementViolation
 from repro.geometry.convex_hull import distance_to_hull
 from repro.geometry.multisets import PointMultiset
 from repro.geometry.points import as_point
@@ -56,23 +56,6 @@ class ValidityReport:
     max_disagreement: float
     max_hull_distance: float
     epsilon: float | None = None
-
-    @property
-    def all_ok(self) -> bool:
-        """True when both agreement and validity hold."""
-        return self.agreement_ok and self.validity_ok
-
-    def raise_on_failure(self) -> None:
-        """Raise a descriptive exception when a condition is violated."""
-        if not self.agreement_ok:
-            raise AgreementViolation(
-                f"honest decisions disagree by {self.max_disagreement:.3e}"
-                + (f" (epsilon={self.epsilon})" if self.epsilon is not None else "")
-            )
-        if not self.validity_ok:
-            raise ValidityViolation(
-                f"a decision lies {self.max_hull_distance:.3e} outside the honest-input hull"
-            )
 
 
 def _decisions_as_cloud(decisions: Mapping[int, Sequence[float]], dimension: int) -> np.ndarray:

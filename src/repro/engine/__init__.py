@@ -50,7 +50,6 @@ from repro.engine.factories import (
     STRATEGY_NAMES,
     WORKLOAD_NAMES,
     AdversaryBundle,
-    build_mutators,
     build_registry,
     build_scheduler,
     derive_faulty_seeds,
@@ -122,7 +121,6 @@ __all__ = [
     "TrialResult",
     "TrialSpec",
     "WorkerPool",
-    "build_mutators",
     "build_registry",
     "build_scheduler",
     "derive_faulty_seeds",

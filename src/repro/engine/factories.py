@@ -70,7 +70,6 @@ __all__ = [
     "make_strategy",
     "make_adversaries",
     "build_registry",
-    "build_mutators",
     "build_scheduler",
     "minimum_processes_for",
 ]
@@ -195,11 +194,6 @@ def make_adversaries(spec: TrialSpec, registry: ProcessRegistry) -> AdversaryBun
             for faulty_id in sorted(registry.faulty_ids)
         }
     )
-
-
-def build_mutators(spec: TrialSpec, registry: ProcessRegistry) -> dict[int, MessageMutator]:
-    """One mutator per faulty id (compatibility wrapper over :func:`make_adversaries`)."""
-    return make_adversaries(spec, registry).mutators
 
 
 # -- workloads ----------------------------------------------------------------

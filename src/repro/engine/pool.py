@@ -404,10 +404,6 @@ class WorkerPool:
         child_conn.close()  # the worker holds the only live copy now
         return _Slot(process=process, conn=parent_conn)
 
-    def worker_pids(self) -> list[int]:
-        """PIDs of the current worker seats (crash tests kill one of these)."""
-        return [slot.process.pid for slot in self._slots if slot.process.pid is not None]
-
     def _respawn(self, slot: _Slot) -> None:
         try:
             slot.conn.close()

@@ -134,11 +134,6 @@ class TrialSpec:
         """``"sync"`` or ``"async"``."""
         return PROTOCOLS[self.protocol][0]
 
-    @property
-    def is_approximate(self) -> bool:
-        """True when the protocol targets epsilon-agreement rather than exact."""
-        return PROTOCOLS[self.protocol][1]
-
     def resolved_seeds(self) -> tuple[int, int, int]:
         """Return ``(workload_seed, adversary_seed, scheduler_seed)``.
 

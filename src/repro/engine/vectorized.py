@@ -78,7 +78,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.byzantine.coordinator import AdversaryCoordinator
-from repro.core.aggregation import AggregationStep, SafeAverageAggregator
 from repro.core.approx_bvc import contraction_factor, round_threshold
 from repro.core.conditions import check_exact_sync, check_restricted_sync
 from repro.core.restricted_async import RestrictedAsyncProcess
@@ -94,7 +93,7 @@ from repro.core.validity import (
     check_exact_outcome,
 )
 from repro.engine.factories import build_registry, build_scheduler, make_adversaries
-from repro.engine.spec import PROTOCOLS, TrialResult, TrialSpec
+from repro.engine.spec import TrialResult, TrialSpec
 from repro.exceptions import (
     ConfigurationError,
     EmptyIntersectionError,
@@ -184,7 +183,7 @@ class FallbackReason(str, Enum):
 
 def vectorization_fallback(spec: TrialSpec) -> FallbackReason | None:
     """The reason the spec must run on the object engine, or None if columnar."""
-    if PROTOCOLS[spec.protocol][0] == "sync":
+    if spec.model == "sync":
         if spec.protocol == "restricted_sync":
             if spec.adversary in VECTORIZED_RESTRICTED_ADVERSARIES:
                 return None
@@ -758,8 +757,8 @@ def _finish_restricted_trial(trial: _LiveTrial) -> TrialResult:
 # seeded per trial).  The engine therefore records the structure once per
 # scheduler signature by running the *real* runtime with value-free recorder
 # cores, and replays each trial's actual inputs through the recorded event
-# list with the real aggregator — identical clouds, identical ``Gamma``
-# choices, identical first exception, byte-identical rows.
+# list with the real cores' ``next_state`` — identical clouds, identical
+# ``Gamma`` choices, identical first exception, byte-identical rows.
 
 @dataclass
 class _AsyncSkeleton:
@@ -775,25 +774,16 @@ class _AsyncSkeleton:
     messages_dropped: int
 
 
-class _RecordingAggregator:
-    """Aggregator stand-in that logs events and returns a placeholder state.
+class _SkeletonRecorder(RestrictedAsyncProcess):
+    """A restricted-async core whose update logs the event and returns zeros."""
 
-    A process aggregates once per round, rounds 1, 2, … in order, so the
-    recorder counts rounds itself rather than pointing back at its process.
-    """
-
-    def __init__(self, process_id: int, dimension: int, events: list) -> None:
-        self._process_id = process_id
+    def __init__(self, events: list, **core_arguments) -> None:
+        super().__init__(**core_arguments)
         self._events = events
-        self._zero = np.zeros(dimension)
-        self._rounds = 0
 
-    def aggregate(self, vectors: Mapping[int, np.ndarray]) -> AggregationStep:
-        self._rounds += 1
-        self._events.append((self._process_id, self._rounds, tuple(sorted(vectors))))
-        return AggregationStep(
-            new_state=self._zero.copy(), subset_count=0, chosen_points=()
-        )
+    def next_state(self, collected: Mapping[int, np.ndarray]) -> np.ndarray:
+        self._events.append((self.process_id, self._current_round, tuple(sorted(collected))))
+        return np.zeros(self.configuration.dimension)
 
 
 def _run_async_group(specs: Sequence[TrialSpec]) -> list[TrialResult]:
@@ -864,9 +854,6 @@ def _execute_async_trial(
     if isinstance(skeleton, Exception):
         raise skeleton
 
-    fault_bound = configuration.fault_bound
-    quorum = max(1, configuration.process_count - 3 * fault_bound)
-    aggregator = SafeAverageAggregator(fault_bound, quorum)
     states: dict[int, list[np.ndarray]] = {
         process_id: [np.asarray(registry.input_of(process_id), dtype=float)]
         for process_id in registry.process_ids
@@ -874,16 +861,8 @@ def _execute_async_trial(
     for process_id, round_index, members in skeleton.events:
         # Sender ``m``'s round-``r`` payload carries its state after ``r - 1``
         # updates; the recorded chronology guarantees that state exists.
-        collected = {
-            member: (
-                states[process_id][round_index - 1].copy()
-                if member == process_id
-                else states[member][round_index - 1]
-            )
-            for member in members
-        }
-        step = aggregator.aggregate(collected)
-        states[process_id].append(step.new_state)
+        collected = {member: states[member][round_index - 1] for member in members}
+        states[process_id].append(cores[process_id].next_state(collected))
 
     # The decision is the state after the *last* aggregate, which is round
     # ``total_rounds`` on every normal run but round 1 under a zero-round
@@ -917,7 +896,7 @@ def _async_skeleton(
     """Record one scheduler signature's event structure with the real runtime.
 
     The recorder cores are real :class:`RestrictedAsyncProcess` objects with
-    zero inputs and their aggregator swapped for the event logger, driven by
+    zero inputs whose ``next_state`` logs the event, driven by
     the real :class:`AsynchronousRuntime` and the real scheduler — so the
     delivery order, traffic counters and any :class:`TerminationError`
     (budget, quiescence) are exactly the object runtime's.
@@ -927,7 +906,8 @@ def _async_skeleton(
     zero = np.zeros(configuration.dimension)
     processes: dict[int, RestrictedAsyncProcess] = {}
     for process_id in registry.process_ids:
-        core = RestrictedAsyncProcess(
+        processes[process_id] = _SkeletonRecorder(
+            events,
             process_id=process_id,
             configuration=configuration,
             input_vector=zero,
@@ -936,8 +916,6 @@ def _async_skeleton(
             value_upper=0.0,
             max_rounds_override=total_rounds,
         )
-        core._aggregator = _RecordingAggregator(process_id, configuration.dimension, events)
-        processes[process_id] = core
     runtime = AsynchronousRuntime(
         processes,
         honest_ids=registry.honest_ids,

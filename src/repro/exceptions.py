@@ -69,10 +69,6 @@ class AgreementViolation(ProtocolError):
     """
 
 
-class ValidityViolation(ProtocolError):
-    """A decision vector lies outside the convex hull of honest inputs."""
-
-
 class TerminationError(ProtocolError):
     """A protocol failed to terminate within the simulator's step budget."""
 

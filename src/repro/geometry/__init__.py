@@ -7,7 +7,7 @@ handled exactly.
 """
 
 from repro.geometry.points import as_point, as_cloud, centroid
-from repro.geometry.multisets import PointMultiset, iter_index_partitions, iter_index_subsets
+from repro.geometry.multisets import PointMultiset, iter_index_partitions
 from repro.geometry.linprog import LinearProgramResult, solve_linear_program, feasibility_program
 from repro.geometry.kernel import (
     GammaKernel,
@@ -28,7 +28,6 @@ from repro.geometry.tverberg import (
     figure1_instance,
     find_tverberg_partition,
     radon_partition,
-    tverberg_points_required,
     verify_tverberg_partition,
 )
 
@@ -38,7 +37,6 @@ __all__ = [
     "centroid",
     "PointMultiset",
     "iter_index_partitions",
-    "iter_index_subsets",
     "LinearProgramResult",
     "solve_linear_program",
     "feasibility_program",
@@ -56,6 +54,5 @@ __all__ = [
     "figure1_instance",
     "find_tverberg_partition",
     "radon_partition",
-    "tverberg_points_required",
     "verify_tverberg_partition",
 ]

@@ -43,8 +43,8 @@ Four independent optimisations, composed by :class:`GammaKernel`:
 
   All three prunings preserve ``Gamma`` exactly — they remove constraint
   blocks whose hull provably contains a remaining block's hull.  The LP runs
-  on the pruned family at ``d >= 3``; the relaxed program and explicit
-  families use it at every ``d``.
+  on the pruned family at ``d >= 3``; the relaxed program uses it at every
+  ``d``.
 
 * **Constraint-template caching**.  The sparsity pattern of the Section 2.2
   LP depends only on the shape ``(block count, block size, dimension)`` — not
@@ -650,27 +650,6 @@ def halfspace_depth(cloud: np.ndarray | Sequence[Sequence[float]], candidate: Se
     return best
 
 
-def _validate_explicit_families(
-    families: Sequence[Sequence[int]], point_count: int, subset_size: int
-) -> tuple[tuple[int, ...], ...]:
-    if not families:
-        raise GeometryError("explicit subset family must not be empty")
-    validated: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for indices in families:
-        family = tuple(sorted(int(index) for index in indices))
-        if len(family) != subset_size:
-            raise GeometryError(
-                f"explicit subset {family} does not have size |Y| - f = {subset_size}"
-            )
-        if any(index < 0 or index >= point_count for index in family):
-            raise GeometryError(f"explicit subset {family} has out-of-range indices")
-        if family not in seen:
-            seen.add(family)
-            validated.append(family)
-    return tuple(validated)
-
-
 # ---------------------------------------------------------------------------
 # Constraint templates (cached per LP shape)
 # ---------------------------------------------------------------------------
@@ -817,7 +796,6 @@ class GammaKernel:
       :meth:`points_multi`; all three look every query up, then solve the
       misses together, and an answer never depends on what else was in the
       batch, so it is bitwise what :meth:`point` returns;
-    * queries with an explicit ``subset_indices`` family bypass the memo;
     * answers are stored and handed out as copies, an empty ``Gamma``
       (``None``) is an answer like any other, and a query that raises stores
       nothing — the next identical query raises again from a fresh solve;
@@ -884,16 +862,9 @@ class GammaKernel:
 
     # -- family selection --------------------------------------------------------
 
-    def _families_for(
-        self,
-        cloud: np.ndarray,
-        fault_bound: int,
-        subset_indices: Sequence[Sequence[int]] | None,
-    ) -> tuple[tuple[int, ...], ...]:
+    def _families_for(self, cloud: np.ndarray, fault_bound: int) -> tuple[tuple[int, ...], ...]:
         point_count = cloud.shape[0]
         subset_size = point_count - fault_bound
-        if subset_indices is not None:
-            return _validate_explicit_families(subset_indices, point_count, subset_size)
         families = pruned_subset_family(cloud, fault_bound)
         _EVENTS["blocks_pruned_away"].inc(comb(point_count, subset_size) - len(families))
         return families
@@ -906,7 +877,6 @@ class GammaKernel:
         fault_bound: int,
         *,
         objective: np.ndarray | Sequence[float] | None = None,
-        subset_indices: Sequence[Sequence[int]] | None = None,
     ) -> np.ndarray | None:
         """Return a point of ``Gamma(points)`` or ``None`` when it is empty.
 
@@ -915,23 +885,21 @@ class GammaKernel:
         centroid, an empty or numerically degenerate ``Gamma`` resolves
         through the minimum-slack program).  At ``d <= 2`` the point is the
         closed form's — the lexicographic minimum of the objective's optimal
-        set, the interval end at ``d = 1`` — with no LP; at ``d >= 3``, or
-        for an explicit subset family, it is the vertex HiGHS returns for the
-        Section 2.2 LP over the pruned (or given) family.
+        set, the interval end at ``d = 1`` — with no LP; at ``d >= 3`` it is
+        the vertex HiGHS returns for the Section 2.2 LP over the pruned
+        family.
         """
         cloud = _as_cloud_array(points)
         if fault_bound < 0:
             raise GeometryError("fault bound must be non-negative")
         _EVENTS["single_queries"].inc()
-        families = None if subset_indices is None else [subset_indices]
-        return self._answer_all([cloud], fault_bound, objective, families)[0]
+        return self._answer_all([cloud], fault_bound, objective)[0]
 
     def _answer_all(
         self,
         clouds: Sequence[np.ndarray],
         fault_bound: int,
         objective: np.ndarray | Sequence[float] | None,
-        subset_indices: Sequence[Sequence[Sequence[int]] | None] | None = None,
     ) -> list[np.ndarray | None]:
         """The queries, counted by the caller: edge cases, memo, then solves.
 
@@ -955,10 +923,6 @@ class GammaKernel:
             if dimension not in heads:
                 heads[dimension] = self._objective_head(objective, dimension)
             head = heads[dimension]
-            if subset_indices is not None and subset_indices[index] is not None:
-                families = self._families_for(cloud, fault_bound, subset_indices[index])
-                answers[index] = self._solve_single(cloud, families, head)
-                continue
             key = (fault_bound, cloud.shape, cloud.tobytes(), head.tobytes())
             pending.append((index, key, cloud, head))
 
@@ -996,7 +960,7 @@ class GammaKernel:
                 solved = self._closed_forms(np.stack(clouds), fault_bound, head)
             else:
                 solved = [
-                    self._solve_single(cloud, self._families_for(cloud, fault_bound, None), head)
+                    self._solve_single(cloud, self._families_for(cloud, fault_bound), head)
                     for cloud in clouds
                 ]
             for position, answer in zip(positions, solved):
@@ -1091,7 +1055,6 @@ class GammaKernel:
         fault_bound: int,
         *,
         objective: np.ndarray | Sequence[float] | None = None,
-        subset_indices: Sequence[Sequence[Sequence[int]]] | None = None,
     ) -> list[np.ndarray | None]:
         """Answer many safe-area queries of one shape, each as :meth:`point` would.
 
@@ -1105,8 +1068,6 @@ class GammaKernel:
                 quorum size).
             fault_bound: the shared ``f``.
             objective: optional shared objective over each query's ``z``.
-            subset_indices: optional explicit subset family per query
-                (default: :func:`pruned_subset_family` of each cloud).
 
         Returns one entry per query: the chosen point, or ``None`` for an
         empty safe area.
@@ -1116,16 +1077,11 @@ class GammaKernel:
         arrays = [_as_cloud_array(cloud) for cloud in clouds]
         if any(array.shape != arrays[0].shape for array in arrays):
             raise GeometryError("all clouds in a batch must share one (m, d) shape")
-        if subset_indices is not None and len(subset_indices) != len(arrays):
-            raise GeometryError(
-                f"subset_indices covers {len(subset_indices)} queries, "
-                f"but {len(arrays)} were given"
-            )
         if fault_bound < 0:
             raise GeometryError("fault bound must be non-negative")
         _EVENTS["batch_calls"].inc()
         _EVENTS["batch_queries"].inc(len(arrays))
-        return self._answer_all(arrays, fault_bound, objective, subset_indices)
+        return self._answer_all(arrays, fault_bound, objective)
 
     def points_multi(
         self,

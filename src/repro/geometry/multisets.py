@@ -11,22 +11,14 @@ partitions are defined by index selections, exactly as in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.exceptions import GeometryError
-from repro.geometry.points import as_cloud, as_point
+from repro.geometry.points import as_cloud
 
-__all__ = ["PointMultiset", "iter_index_subsets", "iter_index_partitions"]
-
-
-def iter_index_subsets(size: int, subset_size: int) -> Iterator[tuple[int, ...]]:
-    """Yield all index subsets of ``{0..size-1}`` with exactly ``subset_size`` members."""
-    if subset_size < 0 or subset_size > size:
-        return iter(())
-    return combinations(range(size), subset_size)
+__all__ = ["PointMultiset", "iter_index_partitions"]
 
 
 def iter_index_partitions(size: int, parts: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -115,25 +107,6 @@ class PointMultiset:
         """Return True when the multiset has no members."""
         return len(self) == 0
 
-    # -- construction helpers -------------------------------------------------------
-
-    @classmethod
-    def from_mapping(cls, values: dict[object, Sequence[float]]) -> "PointMultiset":
-        """Build a multiset from a mapping, discarding the keys.
-
-        Iteration order of the mapping defines member order; this is what the
-        protocol code uses to turn per-process state dictionaries into a
-        multiset (the paper's function ``Phi``).
-        """
-        return cls(list(values.values()))
-
-    def with_point(self, point: Sequence[float]) -> "PointMultiset":
-        """Return a new multiset with ``point`` appended."""
-        point = as_point(point, dimension=self.dimension if len(self) else None)
-        if len(self) == 0:
-            return PointMultiset([point])
-        return PointMultiset(np.vstack([self.cloud, point[None, :]]))
-
     # -- subsets and partitions ------------------------------------------------------
 
     def select(self, indices: Sequence[int]) -> "PointMultiset":
@@ -145,26 +118,6 @@ class PointMultiset:
             return PointMultiset(np.empty((0, self.dimension)), dimension=self.dimension)
         return PointMultiset(self.cloud[indices])
 
-    def subsets_of_size(self, subset_size: int) -> Iterator["PointMultiset"]:
-        """Yield every sub-multiset with exactly ``subset_size`` members."""
-        for indices in iter_index_subsets(len(self), subset_size):
-            yield self.select(indices)
-
-    def drop_count(self, count: int) -> Iterator["PointMultiset"]:
-        """Yield every sub-multiset obtained by removing exactly ``count`` members.
-
-        This is the subset family the paper's ``Gamma`` intersects over when
-        ``count = f``.
-        """
-        if count < 0:
-            raise GeometryError("cannot drop a negative number of members")
-        yield from self.subsets_of_size(len(self) - count)
-
-    def partitions(self, parts: int) -> Iterator[tuple["PointMultiset", ...]]:
-        """Yield every partition of the multiset into ``parts`` non-empty blocks."""
-        for blocks in iter_index_partitions(len(self), parts):
-            yield tuple(self.select(block) for block in blocks)
-
     # -- numeric summaries ------------------------------------------------------------
 
     def centroid(self) -> np.ndarray:
@@ -172,10 +125,3 @@ class PointMultiset:
         if self.is_empty():
             raise GeometryError("centroid of an empty multiset is undefined")
         return self.cloud.mean(axis=0)
-
-    def count_of(self, point: Sequence[float], tolerance: float = 1e-9) -> int:
-        """Return how many members coincide with ``point`` up to ``tolerance``."""
-        point = as_point(point, dimension=self.dimension)
-        if self.is_empty():
-            return 0
-        return int(np.sum(np.max(np.abs(self.cloud - point[None, :]), axis=1) <= tolerance))

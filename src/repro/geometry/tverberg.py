@@ -33,26 +33,11 @@ from repro.geometry.points import as_cloud
 
 __all__ = [
     "TverbergPartition",
-    "tverberg_points_required",
     "radon_partition",
     "find_tverberg_partition",
     "verify_tverberg_partition",
     "figure1_instance",
 ]
-
-
-def tverberg_points_required(dimension: int, parts: int) -> int:
-    """Return the number of points Tverberg's theorem requires for ``parts`` blocks.
-
-    For a partition into ``r`` parts in ``R^d`` the theorem needs
-    ``(d + 1)(r - 1) + 1`` points; with ``r = f + 1`` this is the paper's
-    ``(d + 1) f + 1``.
-    """
-    if dimension < 1:
-        raise GeometryError("dimension must be at least 1")
-    if parts < 1:
-        raise GeometryError("a Tverberg partition needs at least one part")
-    return (dimension + 1) * (parts - 1) + 1
 
 
 @dataclass(frozen=True)
@@ -73,14 +58,6 @@ class TverbergPartition:
     def parts(self) -> int:
         """Number of blocks in the partition."""
         return len(self.blocks)
-
-    def block_points(self, block_index: int) -> PointMultiset:
-        """Return the points of one block as a multiset."""
-        return self.multiset.select(self.blocks[block_index])
-
-    def block_clouds(self) -> list[np.ndarray]:
-        """Return the raw point arrays of every block."""
-        return [self.block_points(index).points for index in range(self.parts)]
 
 
 def radon_partition(points: PointMultiset | np.ndarray | Sequence[Sequence[float]]) -> TverbergPartition:
@@ -156,7 +133,7 @@ def find_tverberg_partition(
     instances used in tests, in Figure 1, and for cross-validating the LP-based
     safe-area computation.  Returns ``None`` only when no partition of the
     requested size has intersecting hulls — which Tverberg's theorem rules out
-    whenever ``len(points) >= tverberg_points_required(d, parts)``.
+    whenever ``len(points) >= (d + 1)(parts - 1) + 1``.
     """
     multiset = points if isinstance(points, PointMultiset) else PointMultiset(points)
     if parts < 1:

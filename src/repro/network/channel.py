@@ -44,27 +44,12 @@ class FifoChannel:
                 f"{self.sender} -> {self.recipient}"
             )
 
-    def peek(self) -> Message | None:
-        """Return the next message to be delivered without removing it."""
-        return self._queue[0] if self._queue else None
-
-    def deliver_next(self) -> Message:
-        """Remove and return the oldest in-flight message (FIFO order)."""
-        if not self._queue:
-            raise SchedulerError(f"channel {self.sender} -> {self.recipient} has no message in flight")
-        self.delivered_count += 1
-        return self._queue.popleft()
-
     def drain(self) -> list[Message]:
         """Remove and return every in-flight message, oldest first."""
         messages = list(self._queue)
         self._queue.clear()
         self.delivered_count += len(messages)
         return messages
-
-    def in_flight(self) -> int:
-        """Return how many messages are currently queued on the channel."""
-        return len(self._queue)
 
     def is_empty(self) -> bool:
         """Return True when no message is in flight."""

@@ -60,9 +60,6 @@ class _NetworkChannel(FifoChannel):
         self._require_route(message)
         self._network.send(message)
 
-    def deliver_next(self) -> Message:
-        return self._network.deliver_from(self.sender, self.recipient)
-
     def drain(self) -> list[Message]:
         return self._network._drain_channel(self.sender, self.recipient)
 
@@ -162,14 +159,6 @@ class CompleteGraphNetwork:
             self._mark((sender, recipient), False)
         return self._take_all((sender, recipient))
 
-    def drain_to(self, recipient: int) -> list[Message]:
-        """Deliver every in-flight message addressed to ``recipient`` (per-channel FIFO order)."""
-        delivered: list[Message] = []
-        for sender in self.process_ids:
-            if sender != recipient:
-                delivered.extend(self._drain_channel(sender, recipient))
-        return delivered
-
     def drain_all(self) -> dict[int, list[Message]]:
         """Deliver every in-flight message, grouped by recipient (the synchronous round step)."""
         delivered: dict[int, list[Message]] = {recipient: [] for recipient in self.process_ids}
@@ -183,10 +172,6 @@ class CompleteGraphNetwork:
     def in_flight_count(self) -> int:
         """Return how many messages are currently queued anywhere in the network."""
         return sum(len(self._channels[key]._queue) for key in self._busy)
-
-    def has_messages_in_flight(self) -> bool:
-        """Return True when any channel still has an undelivered message."""
-        return bool(self._busy)
 
     def stats(self) -> TrafficStats:
         """Return aggregate traffic counters."""

@@ -150,9 +150,6 @@ class Gauge(_Family):
             with self._registry._lock:
                 self.value += amount
 
-        def dec(self, amount: float = 1.0) -> None:
-            self.inc(-amount)
-
     def _make_child(self) -> "Gauge._Child":
         return Gauge._Child(self._registry)
 
@@ -161,9 +158,6 @@ class Gauge(_Family):
 
     def inc(self, amount: float = 1.0) -> None:
         self._default_child().inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._default_child().dec(amount)
 
 
 class Histogram(_Family):
@@ -399,18 +393,6 @@ class MetricsRegistry:
                             child.counts[index] += bucket_count
                         child.sum += value["sum"]
                         child.count += value["count"]
-
-    def reset(self) -> None:
-        """Zero every sample (families and collectors stay registered)."""
-        with self._lock:
-            for family in self._families.values():
-                for child in family._children.values():
-                    if family.kind == "histogram":
-                        child.counts = [0] * len(child.counts)
-                        child.sum = 0.0
-                        child.count = 0
-                    else:
-                        child.value = 0.0
 
 
 def snapshot_delta(

@@ -56,12 +56,6 @@ class SyncProcess(abc.ABC):
     def decision(self) -> Any:
         """Return the decision value; only meaningful once :meth:`has_decided` is True."""
 
-    def require_decision(self) -> Any:
-        """Return the decision, raising :class:`ProtocolError` if none was reached."""
-        if not self.has_decided():
-            raise ProtocolError(f"process {self.process_id} has not decided")
-        return self.decision()
-
 
 def _refuse_unbound_send(process_id: int, message: Message) -> None:
     raise ProtocolError(f"process {process_id} is not bound to a runtime and cannot send")
@@ -115,9 +109,3 @@ class AsyncProcess(abc.ABC):
     @abc.abstractmethod
     def decision(self) -> Any:
         """Return the decision value; only meaningful once :meth:`has_decided` is True."""
-
-    def require_decision(self) -> Any:
-        """Return the decision, raising :class:`ProtocolError` if none was reached."""
-        if not self.has_decided():
-            raise ProtocolError(f"process {self.process_id} has not decided")
-        return self.decision()

@@ -100,10 +100,6 @@ class ProcessRegistry:
         """Return the honest inputs as a multiset (the validity hull's generators)."""
         return PointMultiset([self.inputs[pid] for pid in self.honest_ids])
 
-    def all_input_multiset(self) -> PointMultiset:
-        """Return every process's nominal input as a multiset."""
-        return PointMultiset([self.inputs[pid] for pid in self.process_ids])
-
     # -- derived quantities ---------------------------------------------------------
 
     def value_bounds(self) -> tuple[float, float]:

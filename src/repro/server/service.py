@@ -533,11 +533,3 @@ class CampaignService:
             lines.append(json.dumps(entry.row, sort_keys=True))
             last_key = entry.key
         return lines, last_key
-
-    def export_lines(self, where: Mapping[str, Any] | None = None) -> list[str]:
-        """Stored rows as serialised JSONL lines (the CLI export format)."""
-        store = self._pooled_store()
-        return [
-            json.dumps(entry.row, sort_keys=True)
-            for entry in store.iter_entries(where=dict(where) if where else None)
-        ]

@@ -201,14 +201,10 @@ class ResultStore(ABC):
         """
 
     @abstractmethod
-    def delete_keys(self, keys: Sequence[str]) -> int:
-        """Delete the given keys (missing ones ignored); returns rows removed."""
-
-    @abstractmethod
     def generation(self) -> int:
         """Monotonic content generation: bumped by every mutating commit.
 
-        ``put_rows``, ``delete_keys``, ``gc`` and ``import_jsonl`` advance it
+        ``put_rows``, ``gc`` and ``import_jsonl`` advance it
         transactionally whenever they actually change rows, so two reads of an
         equal generation bracket an unchanged result set.  This is what turns
         ETag revalidation into an O(1) lookup — a cached ``(generation,
@@ -552,22 +548,6 @@ class SqliteResultStore(ResultStore):
             "SELECT value FROM meta WHERE name = 'generation'"
         ).fetchone()
         return int(value)
-
-    def delete_keys(self, keys: Sequence[str]) -> int:
-        deleted = 0
-        with self._connection:
-            for start in range(0, len(keys), _SQLITE_KEY_CHUNK):
-                chunk = list(keys[start : start + _SQLITE_KEY_CHUNK])
-                placeholders = ",".join("?" for _ in chunk)
-                cursor = self._connection.execute(
-                    f"DELETE FROM trials WHERE key IN ({placeholders})", chunk
-                )
-                deleted += cursor.rowcount
-            if deleted:
-                self._connection.execute(_BUMP_GENERATION)
-        if deleted:
-            _STORE_GENERATION_BUMPS.labels(backend=self.backend_name).inc()
-        return deleted
 
     def __len__(self) -> int:
         (count,) = self._connection.execute("SELECT COUNT(*) FROM trials").fetchone()

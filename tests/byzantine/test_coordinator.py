@@ -170,19 +170,15 @@ class TestTheorem4Scenario:
         assert mutator.mutate(make_message(round_index=1)) != []
         assert mutator.mutate(make_message(round_index=2)) == []
 
-    def test_scheduler_hint_nominates_last_honest(self):
+    def test_slow_process_nominates_last_honest(self):
         registry = make_registry(process_count=5, faulty=(4,))
-        coordinator = AdversaryCoordinator("theorem4_scenario", registry)
-        assert coordinator.scheduler_hint() == (3,)
+        assert AdversaryCoordinator.nominate_slow_processes(registry, {}) == (3,)
 
-    def test_scheduler_hint_override(self):
-        coordinator = AdversaryCoordinator(
-            "theorem4_scenario", make_registry(), params={"slow_processes": [1, 2]}
+    def test_slow_process_override(self):
+        nominated = AdversaryCoordinator.nominate_slow_processes(
+            make_registry(), {"slow_processes": [1, 2]}
         )
-        assert coordinator.scheduler_hint() == (1, 2)
-
-    def test_other_strategies_have_no_hint(self):
-        assert AdversaryCoordinator("split_world", make_registry()).scheduler_hint() is None
+        assert nominated == (1, 2)
 
 
 class TestCollectValueLeaves:

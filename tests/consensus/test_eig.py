@@ -10,13 +10,72 @@ The two properties Step 1 of the Exact BVC algorithm needs from the broadcast
 
 from __future__ import annotations
 
+from typing import Any
+
 import pytest
 
 from repro.byzantine.adversary import ByzantineSyncProcess
 from repro.byzantine.strategies import CrashStrategy, EquivocationStrategy, RandomNoiseStrategy
-from repro.consensus.eig import EigBroadcastProcess, EigTable, eig_round_count
-from repro.exceptions import ConfigurationError
+from repro.consensus.eig import EigTable, eig_round_count
+from repro.exceptions import ConfigurationError, ProtocolError
+from repro.network.message import Message
 from repro.network.sync_runtime import SynchronousRuntime
+from repro.processes.process import SyncProcess
+
+
+class EigBroadcastProcess(SyncProcess):
+    """A stand-alone process running one EIG broadcast: a one-key table, payloads unbundled."""
+
+    PROTOCOL = "eig_broadcast"
+    KEY = 0
+
+    def __init__(
+        self,
+        process_id: int,
+        sender_id: int,
+        process_ids: tuple[int, ...],
+        fault_bound: int,
+        value: Any = None,
+        default: Any = 0.0,
+    ) -> None:
+        super().__init__(process_id)
+        self.table = EigTable(process_id, tuple(process_ids), fault_bound)
+        self.table.add(self.KEY, sender_id, value=value, default=default)
+        self._decided = False
+
+    def outgoing(self, round_index: int) -> list[Message]:
+        payload = self.table.relay(round_index).get(self.KEY)
+        if payload is None:
+            return []
+        return [
+            Message(
+                sender=self.process_id,
+                recipient=recipient,
+                protocol=self.PROTOCOL,
+                kind="RELAY",
+                payload=payload,
+                round_index=round_index,
+            )
+            for recipient in self.table.process_ids
+            if recipient != self.process_id
+        ]
+
+    def deliver(self, round_index: int, inbox: list[Message]) -> None:
+        for message in inbox:
+            if message.protocol != self.PROTOCOL:
+                continue
+            self.table.receive(round_index, message.sender, {self.KEY: message.payload})
+        self.table.finish_round(round_index)
+        if round_index >= self.table.total_rounds:
+            self._decided = True
+
+    def has_decided(self) -> bool:
+        return self._decided
+
+    def decision(self) -> Any:
+        if not self._decided:
+            raise ProtocolError(f"process {self.process_id} has not resolved its EIG tree yet")
+        return self.table.resolve(self.KEY)
 
 
 def run_broadcast(process_count, fault_bound, sender_id, sender_value, faulty=None, strategy_factory=None):

@@ -11,7 +11,6 @@ from repro.core.conditions import (
     check_exact_sync,
     check_restricted_async,
     check_restricted_sync,
-    max_tolerable_faults,
     minimum_processes,
     minimum_processes_approx_async,
     minimum_processes_exact_sync,
@@ -95,23 +94,6 @@ class TestChecks:
 
     def test_allow_insufficient_bypasses(self):
         check_exact_sync(SystemConfiguration(4, 3, 1), allow_insufficient=True)
-
-    def test_configuration_satisfies_and_deficit(self):
-        configuration = SystemConfiguration(4, 3, 1)
-        assert not configuration.satisfies(Setting.EXACT_SYNC)
-        assert configuration.deficit(Setting.EXACT_SYNC) == 1
-        assert configuration.satisfies(Setting.SCALAR)
-
-
-class TestMaxTolerableFaults:
-    def test_exact_sync(self):
-        assert max_tolerable_faults(Setting.EXACT_SYNC, 7, 2) == 2
-        assert max_tolerable_faults(Setting.EXACT_SYNC, 6, 2) == 1
-        assert max_tolerable_faults(Setting.EXACT_SYNC, 3, 2) == 0
-
-    def test_approx_async(self):
-        assert max_tolerable_faults(Setting.APPROX_ASYNC, 9, 2) == 2
-        assert max_tolerable_faults(Setting.APPROX_ASYNC, 8, 2) == 1
 
 
 class TestResilienceTable:

@@ -2,34 +2,87 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from repro.core.aggregation import SafeAverageAggregator
 from repro.core.baselines import coordinatewise_median
+from repro.core.conditions import SystemConfiguration
+from repro.core.restricted_async import RestrictedAsyncProcess
 from repro.core.round_ops import (
+    approx_round_step,
     approx_subset_families,
     coordinatewise_decision,
     lower_median,
     quorum_families,
     restricted_round_clouds,
     restricted_round_step,
+    safe_average,
 )
 from repro.core.safe_area import SafeAreaCalculator
 from repro.exceptions import ProtocolError
+from repro.geometry.convex_hull import distance_to_hull
+
+HONEST = np.asarray([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+
+def _family_means(clouds: list[np.ndarray], fault_bound: int) -> np.ndarray:
+    """Equation (9) the long way: one ``choose`` per cloud, then the mean."""
+    chooser = SafeAreaCalculator(fault_bound=fault_bound)
+    return np.vstack([chooser.choose(cloud) for cloud in clouds]).mean(axis=0)
+
+
+class TestSafeAverage:
+    def test_fault_free_average_stays_in_hull(self):
+        states = np.vstack([HONEST, [[0.5, 0.5]]])
+        update = safe_average(
+            states, quorum_families(5, 4), SafeAreaCalculator(fault_bound=1).choose_all
+        )
+        assert distance_to_hull(HONEST, update) < 1e-6
+
+    def test_byzantine_outlier_excluded_from_influence(self):
+        # One of the five states is wildly off; every chosen point lies in
+        # the hull of each 4-subset, hence in the honest hull.
+        states = np.vstack([HONEST, [[1000.0, -1000.0]]])
+        update = safe_average(
+            states, quorum_families(5, 4), SafeAreaCalculator(fault_bound=1).choose_all
+        )
+        assert distance_to_hull(HONEST, update) < 1e-5
+
+    def test_families_pick_rows_in_family_order(self):
+        states = np.random.default_rng(3).uniform(size=(6, 2))
+        families = [(5, 0, 2, 3, 1), (4, 3, 2, 1, 0)]
+        update = safe_average(states, families, SafeAreaCalculator(fault_bound=1).choose_all)
+        expected = _family_means([states[list(family)] for family in families], 1)
+        assert update.tobytes() == expected.tobytes()
 
 
 class TestRestrictedRoundStep:
-    def test_matches_the_aggregator_on_full_membership(self):
-        # The process classes used SafeAverageAggregator before the
-        # extraction; on a full 0..n-1 membership the pure function must
-        # reproduce its update bit for bit.
+    def test_restricted_async_update_equals_restricted_round_step(self):
+        # restricted_async's Step 2 is the sorted members' matrix through
+        # restricted_round_step at quorum n - 3f: the same clouds, in the
+        # same order, as every quorum-subset of the sorted sender ids.
         rng = np.random.default_rng(7)
-        received = rng.uniform(0.0, 1.0, size=(5, 2))
-        aggregator = SafeAverageAggregator(fault_bound=1, quorum=4)
-        step = aggregator.aggregate({i: received[i] for i in range(5)})
-        update = restricted_round_step(received, fault_bound=1, quorum=4)
-        assert np.array_equal(step.new_state, update)
+        configuration = SystemConfiguration(process_count=7, dimension=2, fault_bound=1)
+        core = RestrictedAsyncProcess(
+            process_id=3,
+            configuration=configuration,
+            input_vector=np.zeros(2),
+            epsilon=0.1,
+            value_lower=0.0,
+            value_upper=1.0,
+        )
+        collected = {member: rng.uniform(size=2) for member in (6, 3, 0, 4, 1, 2)}
+        members = sorted(collected)
+        matrix = np.vstack([collected[member] for member in members])
+        update = core.next_state(collected)
+        assert update.tobytes() == restricted_round_step(matrix, 1, 4).tobytes()
+        clouds = [
+            np.vstack([collected[member] for member in family])
+            for family in combinations(members, 4)
+        ]
+        assert update.tobytes() == _family_means(clouds, 1).tobytes()
 
     def test_cloud_enumeration_is_lexicographic(self):
         received = np.arange(8.0).reshape(4, 2)
@@ -60,16 +113,27 @@ class TestRestrictedRoundStep:
         # The object runtime hands a round's clouds over at once: one batch
         # whose answers are the ones each cloud gets alone.
         received = np.random.default_rng(10).uniform(0.0, 1.0, size=(5, 2))
-        chooser = SafeAreaCalculator(fault_bound=1)
         events = kernel_events()
         update = restricted_round_step(received, fault_bound=1, quorum=4)
-        step = SafeAverageAggregator(fault_bound=1, quorum=4).aggregate(
-            {i: received[i] for i in range(5)}
+        assert (events.batch_calls, events.batch_queries, events.single_queries) == (1, 5, 0)
+        expected = _family_means(list(restricted_round_clouds(received, 4)), 1)
+        assert update.tobytes() == expected.tobytes()
+
+
+class TestApproxRoundStep:
+    def test_witness_families_match_per_family_clouds(self, kernel_events):
+        # Each family's cloud holds its members' tuples in the family's
+        # order, whatever order the tuples arrived in; one batch per update.
+        rng = np.random.default_rng(11)
+        tuples = {member: rng.uniform(size=2) for member in (4, 0, 3, 1, 2)}
+        families = approx_subset_families(
+            list(tuples), {7: (3, 4, 0, 1), 8: (2, 1, 0, 4)}, 4, "witness_subsets"
         )
-        assert (events.batch_calls, events.batch_queries, events.single_queries) == (2, 10, 0)
-        singles = [chooser.choose(cloud) for cloud in restricted_round_clouds(received, 4)]
-        assert np.array_equal(update, np.vstack(singles).mean(axis=0))
-        assert all(map(np.array_equal, step.chosen_points, singles))
+        events = kernel_events()
+        update = approx_round_step(tuples, families, SafeAreaCalculator(fault_bound=1))
+        assert (events.batch_calls, events.batch_queries) == (1, 2)
+        clouds = [np.vstack([tuples[member] for member in family]) for family in families]
+        assert update.tobytes() == _family_means(clouds, 1).tobytes()
 
 
 class TestLowerMedian:

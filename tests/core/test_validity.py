@@ -7,15 +7,15 @@ import pytest
 
 import repro.core.validity as validity
 from repro.core.validity import check_approximate_outcome, check_exact_outcome
-from repro.exceptions import AgreementViolation, ValidityViolation
+from repro.exceptions import AgreementViolation
 from repro.geometry.convex_hull import distance_to_hull
 
 
 class TestExactChecks:
-    def test_all_ok(self, small_registry):
+    def test_agreement_and_validity_hold(self, small_registry):
         decisions = {pid: np.asarray([0.5, 0.5]) for pid in small_registry.honest_ids}
         report = check_exact_outcome(small_registry, decisions)
-        assert report.all_ok
+        assert report.agreement_ok and report.validity_ok
         assert report.max_disagreement == pytest.approx(0.0)
         assert report.max_hull_distance == pytest.approx(0.0, abs=1e-9)
 
@@ -25,8 +25,6 @@ class TestExactChecks:
         report = check_exact_outcome(small_registry, decisions)
         assert not report.agreement_ok
         assert report.max_disagreement == pytest.approx(0.1)
-        with pytest.raises(AgreementViolation):
-            report.raise_on_failure()
 
     def test_validity_violation_detected(self, small_registry):
         decisions = {pid: np.asarray([2.0, 2.0]) for pid in small_registry.honest_ids}
@@ -34,8 +32,6 @@ class TestExactChecks:
         assert report.agreement_ok
         assert not report.validity_ok
         assert report.max_hull_distance == pytest.approx(1.0, abs=1e-6)
-        with pytest.raises(ValidityViolation):
-            report.raise_on_failure()
 
     def test_no_decisions_raises(self, small_registry):
         with pytest.raises(AgreementViolation):
@@ -110,7 +106,7 @@ class TestOneHullLpPerDistinctDecision:
         report = check_exact_outcome(small_registry, decisions)
         assert len(hull_lps) == 1
         assert report == self.per_row_report(small_registry, decisions)
-        assert report.all_ok
+        assert report.agreement_ok and report.validity_ok
 
     def test_an_outlier_among_identical_rows_still_flips_validity(self, small_registry, hull_lps):
         decisions = {pid: np.asarray([0.3, 0.6]) for pid in small_registry.honest_ids}

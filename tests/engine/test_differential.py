@@ -137,7 +137,7 @@ class TestAsyncDifferential:
 
     def _specs(self, scheduler, *, seeds=(5, 6, 7), rounds=4):
         specs = []
-        for process_count, dimension, fault_bound in ((6, 1, 1), (7, 2, 1)):
+        for process_count, dimension, fault_bound in ((6, 1, 1), (7, 2, 1), (8, 3, 1)):
             for seed in seeds:
                 specs.append(TrialSpec(
                     protocol="restricted_async", workload="uniform_box",

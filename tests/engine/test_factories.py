@@ -9,7 +9,6 @@ from repro.byzantine.coordinator import AdversaryCoordinator, CoordinatedMutator
 from repro.engine.factories import (
     ADVERSARY_NAMES,
     COORDINATED_STRATEGY_NAMES,
-    build_mutators,
     build_registry,
     build_scheduler,
     derive_faulty_seeds,
@@ -106,11 +105,6 @@ class TestMakeAdversaries:
         noise_a = mutators_a[high].mutate(make_message())[0].payload["value"]
         noise_b = mutators_b[low].mutate(make_message())[0].payload["value"]
         assert noise_a != noise_b
-
-    def test_build_mutators_compatibility_wrapper(self):
-        spec = self._spec("crash")
-        registry = build_registry(spec)
-        assert set(build_mutators(spec, registry)) == set(registry.faulty_ids)
 
 
 class TestMakeStrategy:

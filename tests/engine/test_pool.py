@@ -68,6 +68,11 @@ def _mixed_specs(count: int = 12) -> list[TrialSpec]:
     ]
 
 
+def _worker_pids(pool) -> list[int]:
+    """PIDs of the pool's current worker seats."""
+    return [slot.process.pid for slot in pool._slots if slot.process.pid is not None]
+
+
 class TestWireForm:
     def test_round_trips_every_sampled_spec(self):
         for spec in sample_specs(20, seed=3):
@@ -181,9 +186,9 @@ class TestPersistentPoolLifecycle:
     def test_pool_is_reused_across_sessions(self):
         specs = TestExecutePlan.SPECS
         list(CampaignSession(specs, workers=2).rows())
-        first_pids = set(get_pool(2).worker_pids())
+        first_pids = set(_worker_pids(get_pool(2)))
         list(CampaignSession(specs, workers=2).rows())
-        assert set(get_pool(2).worker_pids()) == first_pids
+        assert set(_worker_pids(get_pool(2))) == first_pids
 
     def test_worker_crash_mid_campaign_recovers(self):
         specs = [
@@ -199,7 +204,7 @@ class TestPersistentPoolLifecycle:
         stream = CampaignSession(specs, workers=2, chunksize=2).rows()
         results = [next(stream)]
         recoveries_before = _pool_counter("repro_pool_crash_recoveries_total")
-        os.kill(get_pool(2).worker_pids()[0], signal.SIGKILL)
+        os.kill(_worker_pids(get_pool(2))[0], signal.SIGKILL)
         results.extend(stream)
         assert strip_timing(result.to_row() for result in results) == expected
         assert _pool_counter("repro_pool_crash_recoveries_total") > recoveries_before

@@ -17,11 +17,9 @@ class TestTrialSpec:
         with pytest.raises(ConfigurationError):
             TrialSpec(protocol="does_not_exist", workload="uniform_box")
 
-    def test_model_and_approximation_flags(self):
+    def test_model_flag(self):
         assert TrialSpec(protocol="exact", workload="uniform_box").model == "sync"
         assert TrialSpec(protocol="approx", workload="uniform_box").model == "async"
-        assert TrialSpec(protocol="approx", workload="uniform_box").is_approximate
-        assert not TrialSpec(protocol="exact", workload="uniform_box").is_approximate
 
     def test_params_are_frozen_and_sorted(self):
         spec = TrialSpec(

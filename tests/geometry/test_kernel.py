@@ -37,6 +37,7 @@ from repro.geometry.kernel import (
     pruned_subset_family,
     safe_area_interval_1d,
 )
+from test_kernel_literal_program import kernel_lp
 
 
 def _random_instance(rng: np.random.Generator, trial: int) -> tuple[np.ndarray, int]:
@@ -67,9 +68,8 @@ class TestSingleQueryEquivalence:
             objective[0] = 1.0
             oracle = safe_area_point(cloud, fault_bound, objective=objective)
             pruned = kernel.point(cloud, fault_bound, objective=objective)
-            unpruned = kernel.point(
-                cloud, fault_bound, objective=objective,
-                subset_indices=full_subset_family(len(cloud), fault_bound),
+            unpruned = kernel_lp(
+                kernel, cloud, full_subset_family(len(cloud), fault_bound), objective
             )
             assert (oracle is None) == (pruned is None) == (unpruned is None), (
                 f"emptiness mismatch on trial {trial}: {cloud.shape}, f={fault_bound}"
@@ -133,18 +133,12 @@ class TestSingleQueryEquivalence:
 
     def test_explicit_subset_family_honoured(self):
         cloud = np.asarray([[0.0], [1.0], [2.0], [3.0], [4.0]])
-        families = [(0, 1, 2, 3), (1, 2, 3, 4)]
-        kernel_point = default_kernel.point(
-            cloud, 1, subset_indices=families, objective=[1.0]
-        )
+        families = ((0, 1, 2, 3), (1, 2, 3, 4))
+        kernel_point = kernel_lp(GammaKernel(), cloud, families, np.asarray([1.0]))
         oracle_point = safe_area_point(
             cloud, 1, subset_indices=families, objective=np.asarray([1.0])
         )
         assert float(kernel_point[0]) == pytest.approx(float(oracle_point[0]), abs=1e-8)
-        with pytest.raises(GeometryError):
-            default_kernel.point(cloud, 1, subset_indices=[(0, 1)])
-        with pytest.raises(GeometryError):
-            default_kernel.point(cloud, 1, subset_indices=[])
 
     def test_one_dimensional_interval_semantics(self):
         cloud = np.asarray([[0.0], [1.0], [2.0], [3.0], [4.0]])
@@ -199,9 +193,8 @@ class TestPrunedFamilies:
             cloud = rng.uniform(-1.0, 1.0, size=(point_count, dimension))
             for objective in ([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.3, -0.7]):
                 pruned = kernel.point(cloud, fault_bound, objective=objective)
-                unpruned = kernel.point(
-                    cloud, fault_bound, objective=objective,
-                    subset_indices=full_subset_family(point_count, fault_bound),
+                unpruned = kernel_lp(
+                    kernel, cloud, full_subset_family(point_count, fault_bound), objective
                 )
                 assert pruned is not None and unpruned is not None
                 value_pruned = float(np.dot(objective, pruned))
@@ -316,15 +309,6 @@ class TestBatchedQueries:
                 [rng.uniform(size=(5, 2)), rng.uniform(size=(6, 2))], 1
             )
 
-    def test_subset_indices_must_cover_every_query(self):
-        rng = np.random.default_rng(21)
-        clouds = [rng.uniform(size=(5, 2)) for _ in range(3)]
-        families = [[(0, 1, 2, 3), (1, 2, 3, 4)]] * 2  # one family list short
-        with pytest.raises(GeometryError):
-            default_kernel.points_batch(clouds, 1, subset_indices=families)
-        with pytest.raises(GeometryError):
-            SafeAreaCalculator(fault_bound=1).choose_batch(clouds, subset_indices=families)
-
     def test_batch_zero_faults_returns_centroids(self):
         rng = np.random.default_rng(10)
         clouds = [rng.uniform(size=(4, 2)) for _ in range(3)]
@@ -388,7 +372,7 @@ class TestTemplateCacheAndStats:
         # Unpruned queries share the exact (C(7,5), 5, 2) LP shape, so after
         # the first assembly every later round hits the cached template.
         for _ in range(5):
-            kernel.point(rng.uniform(size=(7, 2)), 2, subset_indices=full_subset_family(7, 2))
+            kernel_lp(kernel, rng.uniform(size=(7, 2)), full_subset_family(7, 2))
         assert events.template_misses == 1
         assert events.template_hits == 4
         assert events.lp_solves == 5
@@ -458,32 +442,32 @@ class TestCalculator:
         assert float(kernel_choice[0]) == pytest.approx(float(oracle_choice[0]), abs=1e-7)
         assert safe_area_contains(cloud, 2, kernel_choice, tolerance=1e-5)
 
-    def test_choose_batch_matches_choose(self):
+    def test_choose_all_matches_choose(self):
         rng = np.random.default_rng(16)
         calculator = SafeAreaCalculator(fault_bound=1)
         clouds = [rng.uniform(0.0, 1.0, size=(5, 2)) for _ in range(4)]
-        batched = calculator.choose_batch(clouds)
+        batched = calculator.choose_all(clouds)
         for cloud, from_batch in zip(clouds, batched):
             single = calculator.choose(cloud)
             assert np.allclose(single, from_batch, atol=1e-8)
 
-    def test_choose_batch_raises_on_empty_gamma(self):
+    def test_choose_all_raises_on_empty_gamma(self):
         triangle = np.vstack([np.eye(2), np.zeros((1, 2))])
         with pytest.raises(EmptyIntersectionError):
-            SafeAreaCalculator(fault_bound=1).choose_batch([triangle])
+            SafeAreaCalculator(fault_bound=1).choose_all([triangle])
 
-    def test_choose_batch_agrees_with_the_oracle(self):
+    def test_choose_all_agrees_with_the_oracle(self):
         rng = np.random.default_rng(17)
         clouds = [rng.uniform(0.0, 1.0, size=(5, 2)) for _ in range(2)]
-        batched = SafeAreaCalculator(fault_bound=1).choose_batch(clouds)
+        batched = SafeAreaCalculator(fault_bound=1).choose_all(clouds)
         assert len(batched) == 2
         for cloud, point in zip(clouds, batched):
             oracle = safe_area_point(cloud, 1, objective=[1.0, 0.0])
             assert float(point[0]) == pytest.approx(float(oracle[0]), abs=1e-7)
             assert safe_area_contains(cloud, 1, point, tolerance=1e-5)
 
-    def test_empty_choose_batch(self):
-        assert SafeAreaCalculator(fault_bound=1).choose_batch([]) == []
+    def test_empty_choose_all(self):
+        assert SafeAreaCalculator(fault_bound=1).choose_all([]) == []
 
 
 class TestMultiInstanceQueries:

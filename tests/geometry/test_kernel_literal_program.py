@@ -57,6 +57,23 @@ def _literal(cloud: np.ndarray, fault_bound: int, objective: np.ndarray | None):
     )
 
 
+def kernel_lp(
+    kernel: GammaKernel,
+    cloud: np.ndarray,
+    families: tuple[tuple[int, ...], ...],
+    objective: np.ndarray | None = None,
+) -> np.ndarray | None:
+    """The kernel's Section 2.2 LP over an explicit subset family, at any ``d``.
+
+    The product runs it only at ``d >= 3``, over the pruned family; tests
+    reach the same program through the kernel's private LP entry to check it
+    on planar clouds and on other families.
+    """
+    cloud = np.asarray(cloud, dtype=float)
+    head = np.zeros(cloud.shape[1]) if objective is None else np.asarray(objective, dtype=float)
+    return kernel._solve_single(cloud, tuple(families), head)
+
+
 def _assert_bitwise(kernel_point, literal_point) -> None:
     assert (kernel_point is None) == (literal_point is None)
     if kernel_point is not None:

@@ -257,23 +257,6 @@ def test_batches_share_the_per_query_entries(cloud, kernel_events):
     assert events.memo_hits == 4 and kernel.memo_size == 5 and solves(events) == 5
 
 
-def test_explicit_families_stay_out_of_the_table(cloud, kernel_events):
-    kernel, events = GammaKernel(), kernel_events()
-    families = [(0, 1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6)]
-    first = kernel.point(cloud, 1, subset_indices=families)
-    again = kernel.point(cloud, 1, subset_indices=families)
-    assert kernel.memo_size == 0 and events.memo_hits == 0
-    assert events.lp_solves == 2 and np.array_equal(first, again)
-
-    kernel.point(cloud, 1)  # the pruned-family answer is now stored ...
-    stored, hits = kernel.memo_size, events.memo_hits
-    solves_before = events.lp_solves
-    kernel.point(cloud, 1, subset_indices=families)  # ... and not served to these
-    kernel.points_batch([cloud, cloud], 1, subset_indices=[families, families])
-    assert events.memo_hits == hits and kernel.memo_size == stored
-    assert events.lp_solves == solves_before + 3
-
-
 # ---------------------------------------------------------------------------
 # Copies in, copies out
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from repro.geometry.convex_hull import _hull_distance_program, contains_point
 from repro.geometry.kernel import GammaKernel, pruned_subset_family
 from repro.geometry.linprog import solve_linear_program
 from repro.obs.registry import get_registry
+from test_kernel_literal_program import kernel_lp
 
 RUNGS = ("no_presolve", "ipm", "loose_tolerance", "infeasible_confirm")
 
@@ -152,12 +153,10 @@ def captured_programs() -> Iterator[list[dict[str, Any]]]:
 def kernel_programs(cloud: np.ndarray, fault_bound: int) -> list[dict[str, Any]]:
     """The strict program — and, when it fails, the relaxed one — of one query.
 
-    Handed its pruned family explicitly, a planar query takes the LP too.
+    Through the kernel's LP entry, a planar query takes the LP too.
     """
     with captured_programs() as programs:
-        GammaKernel().point(
-            cloud, fault_bound, subset_indices=pruned_subset_family(cloud, fault_bound)
-        )
+        kernel_lp(GammaKernel(), cloud, pruned_subset_family(cloud, fault_bound))
     return programs
 
 

@@ -6,17 +6,10 @@ import numpy as np
 import pytest
 
 from repro.exceptions import GeometryError
-from repro.geometry.multisets import PointMultiset, iter_index_partitions, iter_index_subsets
+from repro.geometry.multisets import PointMultiset, iter_index_partitions
 
 
 class TestIndexEnumeration:
-    def test_subsets_count(self):
-        assert len(list(iter_index_subsets(5, 3))) == 10
-
-    def test_subsets_of_bad_size_are_empty(self):
-        assert list(iter_index_subsets(3, 4)) == []
-        assert list(iter_index_subsets(3, -1)) == []
-
     def test_partition_counts_match_stirling_numbers(self):
         # Stirling numbers of the second kind: S(4, 2) = 7, S(5, 3) = 25.
         assert len(list(iter_index_partitions(4, 2))) == 7
@@ -44,7 +37,7 @@ class TestPointMultiset:
     def test_duplicates_are_kept(self):
         multiset = PointMultiset([[1.0, 1.0], [1.0, 1.0]])
         assert len(multiset) == 2
-        assert multiset.count_of([1.0, 1.0]) == 2
+        assert np.array_equal(multiset[0], multiset[1])
 
     def test_points_are_read_only(self):
         multiset = PointMultiset([[0.0, 1.0]])
@@ -57,15 +50,6 @@ class TestPointMultiset:
         assert a == b
         assert hash(a) == hash(b)
 
-    def test_from_mapping_preserves_iteration_order(self):
-        multiset = PointMultiset.from_mapping({2: [5.0], 0: [1.0]})
-        assert np.allclose(multiset[0], [5.0])
-        assert np.allclose(multiset[1], [1.0])
-
-    def test_with_point_appends(self):
-        multiset = PointMultiset([[0.0, 0.0]]).with_point([1.0, 1.0])
-        assert len(multiset) == 2
-
     def test_select_out_of_range_raises(self):
         with pytest.raises(GeometryError):
             PointMultiset([[0.0]]).select([3])
@@ -74,29 +58,6 @@ class TestPointMultiset:
         empty = PointMultiset([[0.0, 1.0]]).select([])
         assert len(empty) == 0
         assert empty.dimension == 2
-
-    def test_subsets_of_size(self):
-        multiset = PointMultiset([[0.0], [1.0], [2.0]])
-        subsets = list(multiset.subsets_of_size(2))
-        assert len(subsets) == 3
-        assert all(len(subset) == 2 for subset in subsets)
-
-    def test_drop_count_matches_definition(self):
-        multiset = PointMultiset([[0.0], [1.0], [2.0], [3.0]])
-        dropped = list(multiset.drop_count(1))
-        assert len(dropped) == 4
-        assert all(len(subset) == 3 for subset in dropped)
-
-    def test_drop_negative_raises(self):
-        with pytest.raises(GeometryError):
-            list(PointMultiset([[0.0]]).drop_count(-1))
-
-    def test_partitions(self):
-        multiset = PointMultiset([[0.0], [1.0], [2.0]])
-        partitions = list(multiset.partitions(2))
-        assert len(partitions) == 3
-        for blocks in partitions:
-            assert sum(len(block) for block in blocks) == 3
 
     def test_centroid(self):
         multiset = PointMultiset([[0.0, 0.0], [2.0, 2.0]])

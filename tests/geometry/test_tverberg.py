@@ -12,26 +12,8 @@ from repro.geometry.tverberg import (
     figure1_instance,
     find_tverberg_partition,
     radon_partition,
-    tverberg_points_required,
     verify_tverberg_partition,
 )
-
-
-class TestPointCounts:
-    def test_required_points_formula(self):
-        # (d + 1)(r - 1) + 1
-        assert tverberg_points_required(2, 3) == 7
-        assert tverberg_points_required(3, 2) == 5
-        assert tverberg_points_required(1, 2) == 3
-
-    def test_one_part_needs_one_point(self):
-        assert tverberg_points_required(4, 1) == 1
-
-    def test_invalid_arguments(self):
-        with pytest.raises(GeometryError):
-            tverberg_points_required(0, 2)
-        with pytest.raises(GeometryError):
-            tverberg_points_required(2, 0)
 
 
 class TestRadonPartition:
@@ -81,7 +63,9 @@ class TestFindTverbergPartition:
         witness = verify_tverberg_partition(partition.multiset, partition.blocks)
         assert witness is not None
         for index in range(partition.parts):
-            assert contains_point(partition.block_points(index), partition.witness, tolerance=1e-6)
+            assert contains_point(
+                partition.multiset.select(partition.blocks[index]), partition.witness, tolerance=1e-6
+            )
 
     def test_one_dimensional_three_parts(self):
         # 5 points on a line admit a partition into 3 parts with a common point.

@@ -46,7 +46,7 @@ def test_exact_bvc_matrix(workload, strategy_name):
     mutators = {pid: make_strategy(strategy_name, registry, seed=1) for pid in registry.faulty_ids}
     outcome = run_exact_bvc(registry, adversary_mutators=mutators)
     report = check_exact_outcome(registry, outcome.decisions)
-    assert report.all_ok, (workload, strategy_name, report)
+    assert report.agreement_ok and report.validity_ok, (workload, strategy_name, report)
 
 
 @pytest.mark.parametrize("workload", ["uniform", "probability"])
@@ -87,4 +87,4 @@ def test_two_faults_exact_bvc_with_mixed_strategies():
     }
     outcome = run_exact_bvc(registry, adversary_mutators=mutators)
     report = check_exact_outcome(registry, outcome.decisions)
-    assert report.all_ok
+    assert report.agreement_ok and report.validity_ok

@@ -41,7 +41,8 @@ class TestTheorem1And3ExactBVC:
             for pid in registry.faulty_ids
         }
         outcome = run_exact_bvc(registry, adversary_mutators=mutators)
-        check_exact_outcome(registry, outcome.decisions).raise_on_failure()
+        report = check_exact_outcome(registry, outcome.decisions)
+        assert report.agreement_ok and report.validity_ok, report
 
     def test_sufficiency_at_the_bound_d3_f1(self):
         n = minimum_processes_exact_sync(3, 1)
@@ -49,7 +50,7 @@ class TestTheorem1And3ExactBVC:
         mutators = {pid: OutsideHullStrategy(offset=77.0) for pid in registry.faulty_ids}
         outcome = run_exact_bvc(registry, adversary_mutators=mutators)
         report = check_exact_outcome(registry, outcome.decisions)
-        assert report.all_ok
+        assert report.agreement_ok and report.validity_ok
         # The decision of a probability-vector instance is itself a distribution.
         decision = outcome.decisions[registry.honest_ids[0]]
         assert float(decision.sum()) == pytest.approx(1.0, abs=1e-6)
@@ -125,7 +126,8 @@ class TestSynchronousVsAsynchronousGap:
         registry = uniform_box_registry(4, 2, 1, seed=35)
         mutators = {pid: OutsideHullStrategy() for pid in registry.faulty_ids}
         outcome = run_exact_bvc(registry, adversary_mutators=mutators)
-        assert check_exact_outcome(registry, outcome.decisions).all_ok
+        report = check_exact_outcome(registry, outcome.decisions)
+        assert report.agreement_ok and report.validity_ok
         # ... while the asynchronous necessity construction shows no algorithm
         # with n = d + 2 = 4 can achieve epsilon-agreement.
         witness = analyze_async_necessity(2, epsilon=0.2)

@@ -39,21 +39,6 @@ class TestMessage:
 
 
 class TestFifoChannel:
-    def test_fifo_order(self):
-        channel = FifoChannel(0, 1)
-        first = make_message(payload="first")
-        second = make_message(payload="second")
-        channel.send(first)
-        channel.send(second)
-        assert channel.deliver_next().payload == "first"
-        assert channel.deliver_next().payload == "second"
-
-    def test_peek_does_not_remove(self):
-        channel = FifoChannel(0, 1)
-        channel.send(make_message(payload="only"))
-        assert channel.peek().payload == "only"
-        assert channel.in_flight() == 1
-
     def test_drain_returns_all_in_order(self):
         channel = FifoChannel(0, 1)
         for index in range(5):
@@ -61,11 +46,6 @@ class TestFifoChannel:
         drained = channel.drain()
         assert [message.payload for message in drained] == [0, 1, 2, 3, 4]
         assert channel.is_empty()
-
-    def test_deliver_from_empty_raises(self):
-        channel = FifoChannel(0, 1)
-        with pytest.raises(SchedulerError):
-            channel.deliver_next()
 
     def test_wrong_route_rejected(self):
         channel = FifoChannel(0, 1)
@@ -76,6 +56,5 @@ class TestFifoChannel:
         channel = FifoChannel(0, 1)
         channel.send(make_message())
         channel.send(make_message())
-        channel.deliver_next()
         channel.drain()
         assert channel.delivered_count == 2

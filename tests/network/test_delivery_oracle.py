@@ -66,7 +66,7 @@ def reference_run(processes, honest_ids, scheduler, max_deliveries, observer) ->
         deliveries=deliveries,
         decisions=core.collect_decisions(),
         traffic=core.traffic(),
-        undelivered=sum(channel.in_flight() for channel in core.network._channels.values()),
+        undelivered=sum(len(channel._queue) for channel in core.network._channels.values()),
     )
 
 
@@ -260,7 +260,6 @@ def check_index(network, model):
     scanned = scan_busy_channels(network)
     assert list(network.busy_channels()) == scanned
     assert scanned == [key for key in network._channels if model[key]]
-    assert network.has_messages_in_flight() == bool(scanned)
     assert network.in_flight_count() == sum(len(queue) for queue in model.values())
     assert network.stats().messages_in_flight == network.in_flight_count()
 
@@ -271,9 +270,7 @@ def operation_sequences(draw):
     position = st.integers(0, len(ids) - 1)
     operation = st.one_of(
         st.tuples(st.sampled_from(("send", "channel_send")), position, position),
-        st.tuples(st.sampled_from(("deliver_from", "channel_deliver", "channel_drain")),
-                  position, position),
-        st.tuples(st.just("drain_to"), position),
+        st.tuples(st.sampled_from(("deliver_from", "channel_drain")), position, position),
         st.tuples(st.just("drain_all")),
     )
     return ids, draw(st.lists(operation, max_size=60))
@@ -304,19 +301,14 @@ class TestBusyIndexMatchesScan:
                     network.channel(sender, recipient).send(message)
                 model[(sender, recipient)].append(serial)
                 sent += 1
-            elif name in ("deliver_from", "channel_deliver"):
+            elif name == "deliver_from":
                 sender, recipient = places
-                if name == "deliver_from":
-                    deliver = lambda: network.deliver_from(sender, recipient)  # noqa: E731
-                elif sender != recipient:
-                    deliver = network.channel(sender, recipient).deliver_next
-                else:
-                    continue
                 if sender == recipient or not model[(sender, recipient)]:
                     with pytest.raises(SchedulerError):
-                        deliver()
+                        network.deliver_from(sender, recipient)
                 else:
-                    assert deliver().payload == model[(sender, recipient)].pop(0)
+                    message = network.deliver_from(sender, recipient)
+                    assert message.payload == model[(sender, recipient)].pop(0)
                     delivered += 1
             elif name == "channel_drain":
                 sender, recipient = places
@@ -326,16 +318,6 @@ class TestBusyIndexMatchesScan:
                 assert [message.payload for message in drained] == model[(sender, recipient)]
                 delivered += len(drained)
                 model[(sender, recipient)].clear()
-            elif name == "drain_to":
-                (recipient,) = places
-                inbox = network.drain_to(recipient)
-                expected = [s for sender in ids if sender != recipient
-                            for s in model[(sender, recipient)]]
-                assert [message.payload for message in inbox] == expected
-                delivered += len(inbox)
-                for sender in ids:
-                    if sender != recipient:
-                        model[(sender, recipient)].clear()
             else:
                 inboxes = network.drain_all()
                 assert list(inboxes) == ids
@@ -354,7 +336,7 @@ class TestBusyIndexMatchesScan:
         network = CompleteGraphNetwork([0, 1, 2])
         with pytest.raises(SchedulerError):
             network.channel(0, 1).send(Message(0, 2, "p", "K", None))
-        assert not network.has_messages_in_flight()
+        assert network.in_flight_count() == 0
 
 
 # ---------------------------------------------------------------------------

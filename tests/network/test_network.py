@@ -30,15 +30,6 @@ class TestConstruction:
 
 
 class TestTraffic:
-    def test_send_and_drain_to(self):
-        network = CompleteGraphNetwork([0, 1, 2])
-        network.send(make_message(0, 2, "a"))
-        network.send(make_message(1, 2, "b"))
-        network.send(make_message(0, 1, "c"))
-        inbox = network.drain_to(2)
-        assert sorted(message.payload for message in inbox) == ["a", "b"]
-        assert network.in_flight_count() == 1
-
     def test_self_message_rejected(self):
         network = CompleteGraphNetwork([0, 1])
         with pytest.raises(SchedulerError):

@@ -33,6 +33,7 @@ import threading
 
 from repro.engine import Campaign, CampaignSession
 from repro.server import CampaignService, serve
+from repro.store.backend import SqliteResultStore
 
 KEEPALIVE_REQUESTS = 120  # acceptance floor is 100 sequential requests
 
@@ -165,9 +166,11 @@ class TestKeepAlive:
                 assert headers["transfer-encoding"] == "chunked"
                 assert headers["connection"] == "keep-alive"
                 sock = conn.sock
-                expected = "".join(
-                    line + "\n" for line in server.service.export_lines()
-                ).encode("utf-8")
+                with SqliteResultStore(store_path) as store:
+                    expected = "".join(
+                        json.dumps(entry.row, sort_keys=True) + "\n"
+                        for entry in store.iter_entries()
+                    ).encode("utf-8")
                 assert body == expected and len(body.splitlines()) == 4
 
                 status, _, payload = _get(conn, "/healthz")

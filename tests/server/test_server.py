@@ -92,6 +92,12 @@ def _release_ghost(store_path, keys) -> None:
         store.release_claims(keys, GHOST)
 
 
+def _stored_lines(store_path) -> list[str]:
+    """Every stored row in key order, serialised as ``repro store export`` writes it."""
+    with SqliteResultStore(store_path) as store:
+        return [json.dumps(entry.row, sort_keys=True) for entry in store.iter_entries()]
+
+
 # ---------------------------------------------------------------------------
 # Service level (no sockets)
 # ---------------------------------------------------------------------------
@@ -327,7 +333,7 @@ class TestCampaignService:
                 pages += 1
             assert pages == 3  # 2 + 2 + 1
             # Page-by-page reassembly matches the one-shot key-ordered export.
-            assert paged == service.export_lines()
+            assert paged == _stored_lines(tmp_path / "store.db")
         finally:
             service.shutdown()
 
@@ -341,10 +347,8 @@ class TestCampaignService:
             assert service.query_rows(TrialFilter(protocol="exact"), limit=2)
             groups = service.aggregate(("protocol",), TrialFilter())
             assert len(groups) == 1 and groups[0]["trials"] == 4
-            lines = service.export_lines()
-            assert len(lines) == 4
-            for line in lines:
-                assert line == json.dumps(json.loads(line), sort_keys=True)
+            lines, _ = service.export_batch(after_key=None, batch_size=10)
+            assert lines == _stored_lines(tmp_path / "store.db") and len(lines) == 4
             stats = service.store_stats()
             assert stats["trials"] == 4
             assert stats["claims_live"] == 0

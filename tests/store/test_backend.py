@@ -68,20 +68,6 @@ class TestResultStoreContract:
             assert trial_key(result.spec) in reopened
         reopened.close()
 
-    def test_delete_keys_and_len(self, tmp_path):
-        store = _make_store(tmp_path)
-        results = [_result(seed=seed, process_count=3) for seed in range(4)]
-        keys = [trial_key(result.spec) for result in results]
-        store.put_results(zip(keys, results))
-        assert store.delete_keys(keys[:2] + ["0" * 64]) == 2
-        assert len(store) == 2
-        # Deletion survives reopen.
-        store.close()
-        reopened = _make_store(tmp_path)
-        assert len(reopened) == 2
-        assert keys[0] not in reopened and keys[2] in reopened
-        reopened.close()
-
     def test_gc_deletes_only_stale_engine_versions(self, tmp_path):
         store = _make_store(tmp_path)
         fresh = _result(seed=10, process_count=3)
@@ -184,10 +170,6 @@ class TestGenerationCounter:
         after_put = store.generation()
         assert after_put > start
 
-        assert store.delete_keys(["0" * 64]) == 0
-        assert store.generation() == after_put  # nothing deleted: no bump
-        assert store.delete_keys([trial_key(result.spec)]) == 1
-        assert store.generation() > after_put
 
     def test_import_and_gc_bump_like_any_write(self, tmp_path):
         store = _make_store(tmp_path)

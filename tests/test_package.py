@@ -57,9 +57,8 @@ class TestExceptionHierarchy:
     def test_empty_intersection_is_a_geometry_error(self):
         assert issubclass(exceptions.EmptyIntersectionError, exceptions.GeometryError)
 
-    def test_agreement_and_validity_violations_are_protocol_errors(self):
+    def test_agreement_violation_is_a_protocol_error(self):
         assert issubclass(exceptions.AgreementViolation, exceptions.ProtocolError)
-        assert issubclass(exceptions.ValidityViolation, exceptions.ProtocolError)
 
     def test_linear_program_error_carries_status(self):
         error = exceptions.LinearProgramError("boom", status=4)

@@ -8,11 +8,19 @@ module whose one importer is its own package ``__init__`` is exported
 surface that nothing in the product calls — only tests would reach it.
 Package ``__init__`` modules and the ``repro.cli`` entry point are exempt;
 there is no other allowlist.
+
+The same holds name by name: every public top-level function and class,
+and every public method of a public top-level class, must be used somewhere
+in the product outside its own definition.  Uses are matched by spelling (a
+bare name or an attribute name), and a package ``__init__``'s re-export is
+not a use.  :data:`NAME_EXEMPT` lists the names kept without a product
+caller, each with its reason.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -166,3 +174,155 @@ class TestGuardOnASyntheticTree:
         modules = checked_modules(_write_tree(tmp_path, self.FILES))
         assert "repro.cli" not in modules
         assert "repro.tools" not in modules and "repro" not in modules
+
+
+# ---------------------------------------------------------------------------
+# Public names
+# ---------------------------------------------------------------------------
+
+#: ``module:qualname`` -> why the name stays although nothing in the product calls it.
+NAME_EXEMPT = {
+    "repro.analysis.report:render_series":
+        "library surface: examples/robot_rendezvous.py prints its trajectory with it",
+    "repro.core.safe_area:safe_area_point_via_tverberg":
+        "test oracle: Lemma 1's Tverberg route to a Gamma point",
+    "repro.core.safe_area:safe_area_contains":
+        "test oracle: Gamma membership by the literal leave-f-out definition",
+    "repro.engine.spec:read_jsonl":
+        "CI's store-smoke reads recomputed rows with it",
+    "repro.engine.spec:strip_timing":
+        "CI's store-smoke and benchmarks/ledger compare rows with it",
+    "repro.geometry.kernel:halfspace_depth":
+        "depth oracle the kernel suites certify Gamma points with (ROADMAP item 1)",
+    "repro.geometry.kernel:GammaKernel.clear_cache":
+        "tests isolate the shared default kernel with it",
+    "repro.obs.trace:TraceRecorder.span":
+        "benchmarks/ledger opens its root span with it",
+    "repro.workloads.generators:basis_counterexample_registry":
+        "paper-claims reference: tests/integration/test_paper_claims.py",
+}
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _uses(node: ast.AST) -> Counter[str]:
+    """How often each name is spelled in ``node``: bare names and attribute names."""
+    counts: Counter[str] = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            counts[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            counts[child.attr] += 1
+    return counts
+
+
+def _public_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """``(qualname, node)`` of the public top-level functions, classes and their methods."""
+    found: list[tuple[str, ast.AST]] = []
+    for node in tree.body:
+        if isinstance(node, (*_FUNCTIONS, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                found.extend(
+                    (f"{node.name}.{item.name}", item)
+                    for item in node.body
+                    if isinstance(item, _FUNCTIONS) and not item.name.startswith("_")
+                )
+    return found
+
+
+def uncalled_names(root: Path = SOURCE_ROOT) -> list[str]:
+    """``module:qualname`` of every public name no product module uses beyond its definition."""
+    trees, packages = _parse_tree(root)
+    uses: Counter[str] = Counter()
+    for module, tree in trees.items():
+        if module not in packages:
+            uses.update(_uses(tree))
+    uncalled = []
+    for module, tree in trees.items():
+        for qualname, node in _public_definitions(tree):
+            own = Counter() if module in packages else _uses(node)
+            if uses[node.name] - own[node.name] <= 0:
+                uncalled.append(f"{module}:{qualname}")
+    return sorted(uncalled)
+
+
+def modules_with_public_names(root: Path = SOURCE_ROOT) -> list[str]:
+    """Every module that defines at least one name the name guard checks."""
+    trees, _ = _parse_tree(root)
+    return sorted(module for module, tree in trees.items() if _public_definitions(tree))
+
+
+@pytest.fixture(scope="module")
+def product_uncalled() -> list[str]:
+    return uncalled_names()
+
+
+@pytest.mark.parametrize("module", modules_with_public_names())
+def test_public_names_have_a_product_caller(module, product_uncalled):
+    unexplained = [
+        name
+        for name in product_uncalled
+        if name.partition(":")[0] == module and name not in NAME_EXEMPT
+    ]
+    assert not unexplained, (
+        f"nothing in the product calls {unexplained}: delete them, give them a "
+        "caller, or exempt them in NAME_EXEMPT with the reason"
+    )
+
+
+def test_exemptions_name_live_uncalled_names(product_uncalled):
+    # An exempt name that gained a caller, or is gone, leaves the list.
+    assert sorted(NAME_EXEMPT.keys() - set(product_uncalled)) == []
+    assert all(reason.strip() and "\n" not in reason for reason in NAME_EXEMPT.values())
+
+
+class TestNameGuardOnASyntheticTree:
+    """The name guard's verdicts on a small package written to ``tmp_path``."""
+
+    FILES = {
+        "repro/__init__.py": "",
+        "repro/cli.py": "from repro.tools import area\n\nprint(area(None))\n",
+        "repro/tools/__init__.py": "from repro.tools.shapes import Circle, area, recursive\n",
+        "repro/tools/shapes.py": (
+            "def area(shape):\n"
+            "    return shape.size()\n"
+            "\n"
+            "def recursive():\n"
+            "    return recursive()\n"
+            "\n"
+            "def _private():\n"
+            "    return 0\n"
+            "\n"
+            "class Circle:\n"
+            "    def size(self):\n"
+            "        return 1\n"
+            "\n"
+            "    def grow(self):\n"
+            "        return self.grow()\n"
+            "\n"
+            "    def _hidden(self):\n"
+            "        return 2\n"
+        ),
+    }
+
+    def test_names_used_only_by_themselves_or_an_init_are_uncalled(self, tmp_path):
+        assert uncalled_names(_write_tree(tmp_path, self.FILES)) == [
+            "repro.tools.shapes:Circle",
+            "repro.tools.shapes:Circle.grow",
+            "repro.tools.shapes:recursive",
+        ]
+
+    def test_an_attribute_spelling_counts_as_a_method_use(self, tmp_path):
+        uncalled = uncalled_names(_write_tree(tmp_path, self.FILES))
+        assert "repro.tools.shapes:Circle.size" not in uncalled
+        assert "repro.tools.shapes:area" not in uncalled
+
+    def test_only_modules_defining_public_names_are_checked(self, tmp_path):
+        assert modules_with_public_names(_write_tree(tmp_path, self.FILES)) == [
+            "repro.tools.shapes"
+        ]
+
+    def test_private_names_are_not_checked(self, tmp_path):
+        uncalled = uncalled_names(_write_tree(tmp_path, self.FILES))
+        assert not any("_private" in name or "_hidden" in name for name in uncalled)

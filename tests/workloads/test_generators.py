@@ -61,7 +61,7 @@ class TestDomainWorkloads:
 
     def test_gradient_inputs_cluster_around_true_gradient(self):
         registry = gradient_registry(8, 4, 1, noise_scale=0.01, seed=6)
-        cloud = registry.all_input_multiset().points
+        cloud = np.vstack([registry.input_of(pid) for pid in registry.process_ids])
         spread = cloud.max(axis=0) - cloud.min(axis=0)
         assert np.all(spread < 0.2)
 
