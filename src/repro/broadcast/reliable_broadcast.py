@@ -77,24 +77,20 @@ class _InstanceState:
     delivered: bool = False
     tallies: dict[Hashable, _Tally] = field(default_factory=dict)
 
-    def tally(self, value: Any) -> _Tally:
-        """The tally of ``value``; the one place a message's value is keyed."""
-        key = _value_key(value)
-        tally = self.tallies.get(key)
-        if tally is None:
-            tally = self.tallies[key] = _Tally(value, set(), set())
-        return tally
-
 
 class ReliableBroadcastEngine:
     """All reliable-broadcast instances of a single owning process.
 
-    The owning process wires ``send`` (a callable that sends a protocol message
-    to one recipient) at construction time, then feeds every incoming
-    reliable-broadcast message to :meth:`handle`.  A delivery is *returned*
-    (by :meth:`handle` or :meth:`broadcast`), exactly once per broadcast id,
-    rather than handed to a callback: the engine keeps no reference to its
-    owner, so owner and engine form no reference cycle.
+    The owning process wires ``send_all`` (a callable that sends one protocol
+    message to every other process) at construction time, then feeds every
+    incoming reliable-broadcast message to :meth:`handle`.  A delivery is
+    *returned* (by :meth:`handle` or :meth:`broadcast`), exactly once per
+    broadcast id, rather than handed to a callback: the engine keeps no
+    reference to its owner, so owner and engine form no reference cycle.
+
+    An instance that has delivered, readied and echoed is *finished*: no
+    later message can make it send or deliver anything, so :meth:`handle`
+    drops such messages before any tally bookkeeping.
     """
 
     KIND_INIT = "RB_INIT"
@@ -107,7 +103,7 @@ class ReliableBroadcastEngine:
         owner_id: int,
         process_ids: tuple[int, ...],
         fault_bound: int,
-        send: Callable[[int, str, dict[str, Any]], None],
+        send_all: Callable[[str, dict[str, Any]], None],
     ) -> None:
         if owner_id not in process_ids:
             raise ConfigurationError(f"owner {owner_id} is not among the processes")
@@ -120,9 +116,8 @@ class ReliableBroadcastEngine:
         self.owner_id = owner_id
         self.process_ids = tuple(process_ids)
         self.fault_bound = fault_bound
-        self._send = send
+        self._send_all = send_all
         self._instances: dict[BroadcastId, _InstanceState] = {}
-        self._recipients = tuple(pid for pid in self.process_ids if pid != owner_id)
         # Echoes needed before sending READY: strictly more than (n + f) / 2.
         self._echo_threshold = (len(self.process_ids) + fault_bound) // 2 + 1
         self._ready_amplify_threshold = fault_bound + 1
@@ -136,9 +131,8 @@ class ReliableBroadcastEngine:
         Returns the delivery this completes, if any (as :meth:`handle`).
         """
         broadcast_id: BroadcastId = (self.owner_id, tag)
-        self._relay(broadcast_id, self.KIND_INIT, value)
-        # The broadcaster processes its own INIT locally (a process always
-        # "hears" itself immediately).
+        self._send_all(self.KIND_INIT, {"broadcaster": self.owner_id, "tag": tag, "value": value})
+        # The broadcaster processes its own INIT locally.
         state = self._instances.get(broadcast_id)
         if state is None:
             state = self._instances[broadcast_id] = _InstanceState(broadcast_id)
@@ -148,7 +142,8 @@ class ReliableBroadcastEngine:
         """Process one incoming reliable-broadcast message.
 
         Returns ``(broadcast_id, value)`` when the message completes that
-        broadcast's delivery (at most one per call), else None.
+        broadcast's delivery (at most one per call), else None.  An ECHO or
+        READY that crosses no threshold takes this one frame.
         """
         if kind not in self.KINDS or not isinstance(payload, dict):
             return None
@@ -166,12 +161,42 @@ class ReliableBroadcastEngine:
             if broadcaster not in self.process_ids:
                 return None
             state = self._instances[broadcast_id] = _InstanceState(broadcast_id)
+        elif state.delivered and state.echoed:
+            return None  # finished (delivering implies readied)
         value = payload.get("value")
         if kind == self.KIND_INIT:
             return self._on_init(state, value)
+        try:
+            tally = state.tallies.get(value)
+            key = value
+        except TypeError:
+            key = _value_key(value)
+            tally = state.tallies.get(key)
+        if tally is None:
+            tally = state.tallies[key] = _Tally(value, set(), set())
         if kind == self.KIND_ECHO:
-            return self._on_echo(state, state.tally(value), sender, value)
-        return self._on_ready(state, state.tally(value), sender, value)
+            senders = tally.echo_senders
+            if sender in senders:
+                return None
+            senders.add(sender)
+            if state.readied or len(senders) < self._echo_threshold:
+                return None
+            state.readied = True
+            return self._relay(state, self.KIND_READY, value)
+        senders = tally.ready_senders
+        if sender in senders:
+            return None
+        senders.add(sender)
+        if not state.readied and len(senders) >= self._ready_amplify_threshold:
+            state.readied = True
+            # Our own READY may push the count over the delivery bar below.
+            delivery = self._relay(state, self.KIND_READY, value)
+            if delivery is not None:
+                return delivery
+        if not state.delivered and len(senders) >= self._deliver_threshold:
+            state.delivered = True
+            return broadcast_id, tally.value
+        return None
 
     # -- state transitions ----------------------------------------------------------
     #
@@ -179,48 +204,15 @@ class ReliableBroadcastEngine:
     # relayed; ``tally.value`` is the first object seen with the same key and
     # is what gets delivered.  Each returns the delivery it completes, if any.
 
-    def _relay(self, broadcast_id: BroadcastId, kind: str, value: Any) -> None:
-        broadcaster, tag = broadcast_id
+    def _relay(self, state: _InstanceState, kind: str, value: Any) -> Delivery | None:
+        """Send ``kind`` to every peer, then hear our own copy (a process hears itself)."""
+        broadcaster, tag = state.broadcast_id
         payload = {"broadcaster": broadcaster, "tag": tag, "value": value}
-        send = self._send
-        for recipient in self._recipients:
-            send(recipient, kind, payload)
+        self._send_all(kind, payload)
+        return self.handle(self.owner_id, kind, payload)
 
     def _on_init(self, state: _InstanceState, value: Any) -> Delivery | None:
         if state.echoed:
             return None
         state.echoed = True
-        self._relay(state.broadcast_id, self.KIND_ECHO, value)
-        return self._on_echo(state, state.tally(value), self.owner_id, value)
-
-    def _on_echo(
-        self, state: _InstanceState, tally: _Tally, sender: int, value: Any
-    ) -> Delivery | None:
-        senders = tally.echo_senders
-        if sender in senders:
-            return None
-        senders.add(sender)
-        if not state.readied and len(senders) >= self._echo_threshold:
-            state.readied = True
-            self._relay(state.broadcast_id, self.KIND_READY, value)
-            return self._on_ready(state, tally, self.owner_id, value)
-        return None
-
-    def _on_ready(
-        self, state: _InstanceState, tally: _Tally, sender: int, value: Any
-    ) -> Delivery | None:
-        senders = tally.ready_senders
-        if sender in senders:
-            return None
-        senders.add(sender)
-        if not state.readied and len(senders) >= self._ready_amplify_threshold:
-            state.readied = True
-            self._relay(state.broadcast_id, self.KIND_READY, value)
-            # Our own READY may push the count over the delivery bar below.
-            delivery = self._on_ready(state, tally, self.owner_id, value)
-            if delivery is not None:
-                return delivery
-        if not state.delivered and len(senders) >= self._deliver_threshold:
-            state.delivered = True
-            return state.broadcast_id, tally.value
-        return None
+        return self._relay(state, self.KIND_ECHO, value)

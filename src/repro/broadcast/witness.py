@@ -32,6 +32,8 @@ what the Appendix F optimisation needs: instead of enumerating all
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from math import isfinite
 from typing import Any, Callable
 
 import numpy as np
@@ -42,6 +44,7 @@ from repro.broadcast.reliable_broadcast import Delivery, ReliableBroadcastEngine
 __all__ = ["RoundExchangeResult", "WitnessExchange"]
 
 _STATE_TAG = "state"
+_INTEGER_TYPES = (int, np.integer)
 
 
 @dataclass(frozen=True)
@@ -77,12 +80,16 @@ class _RoundState:
 class WitnessExchange:
     """Run the per-round AAD exchange for one owning process.
 
-    The owner wires ``send`` (recipient, kind, payload), starts each round
-    with :meth:`start_round`, and forwards every exchange message to
-    :meth:`handle`.  Both return the :class:`RoundExchangeResult` of a round
-    they complete (exactly once per round), else None: the exchange keeps no
-    callback into its owner, so owner, exchange and broadcast engine form no
-    reference cycle.
+    The owner wires ``send_all`` (kind, payload: one message to every other
+    process) and starts each round with :meth:`start_round`.  It feeds
+    reliable-broadcast traffic to :attr:`reliable_broadcast` and hands each
+    delivery that returns to :meth:`on_delivery`, and feeds witness reports to
+    :meth:`on_report`.  Those three return the :class:`RoundExchangeResult`
+    of a round they complete (exactly once per round), else None: the
+    exchange keeps no callback into its owner, so owner, exchange and
+    broadcast engine form no reference cycle.  Once a round has completed,
+    its late tuples and reports are dropped before any bookkeeping: they can
+    no longer change what the round handed back.
 
     A reliably delivered value that is not a finite vector of length
     ``dimension`` is malformed.  Every non-faulty process rejects the same
@@ -99,7 +106,7 @@ class WitnessExchange:
         process_ids: tuple[int, ...],
         fault_bound: int,
         dimension: int,
-        send: Callable[[int, str, dict[str, Any]], None],
+        send_all: Callable[[str, dict[str, Any]], None],
     ) -> None:
         if owner_id not in process_ids:
             raise ConfigurationError(f"owner {owner_id} is not among the processes")
@@ -109,15 +116,14 @@ class WitnessExchange:
         #: ``n - f``: tuples needed before reporting, and witnesses needed to finish.
         self.quorum = len(self.process_ids) - fault_bound
         self._vector_shape = (dimension,)
-        self._recipients = tuple(pid for pid in self.process_ids if pid != owner_id)
-        self._send = send
+        self._send_all = send_all
         self._rounds: dict[int, _RoundState] = {}
         self._awaited_round: int | None = None
-        self._reliable_broadcast = ReliableBroadcastEngine(
+        self.reliable_broadcast = ReliableBroadcastEngine(
             owner_id=owner_id,
             process_ids=self.process_ids,
             fault_bound=fault_bound,
-            send=send,
+            send_all=send_all,
         )
 
     # -- owner-facing API ------------------------------------------------------------
@@ -130,9 +136,9 @@ class WitnessExchange:
         Returns the round's result if early messages already complete it.
         """
         self._awaited_round = round_index
-        value = tuple(float(coordinate) for coordinate in np.asarray(state_vector, dtype=float))
-        completed = self._on_rb_delivery(
-            self._reliable_broadcast.broadcast((_STATE_TAG, round_index), value)
+        value = tuple(np.asarray(state_vector, dtype=float).tolist())
+        completed = self.on_delivery(
+            self.reliable_broadcast.broadcast((_STATE_TAG, round_index), value)
         )
         # Early messages for this round may already satisfy the completion
         # condition (the broadcast above also self-delivers after enough local
@@ -140,21 +146,8 @@ class WitnessExchange:
         advanced = self._advance(round_index, self._round(round_index))
         return completed if completed is not None else advanced
 
-    def handle(
-        self, sender: int, kind: str, payload: dict[str, Any]
-    ) -> RoundExchangeResult | None:
-        """Process one incoming exchange message (RB traffic or a witness report).
-
-        Returns the result of the round the message completes, if any.
-        """
-        if kind == self.KIND_REPORT:
-            return self._on_report(sender, payload)
-        # The engine ignores every kind that is not its own.
-        return self._on_rb_delivery(self._reliable_broadcast.handle(sender, kind, payload))
-
-    # -- reliable broadcast plumbing ----------------------------------------------------
-
-    def _on_rb_delivery(self, delivery: Delivery | None) -> RoundExchangeResult | None:
+    def on_delivery(self, delivery: Delivery | None) -> RoundExchangeResult | None:
+        """Record one reliable-broadcast delivery (None: nothing was delivered)."""
         if delivery is None:
             return None
         (broadcaster, tag), value = delivery
@@ -164,7 +157,7 @@ class WitnessExchange:
         if not isinstance(round_index, int):
             return None
         state = self._round(round_index)
-        if broadcaster in state.delivered:
+        if state.completed or broadcaster in state.delivered:
             return None
         vector = self._coerce_vector(value)
         if vector is None:
@@ -181,7 +174,7 @@ class WitnessExchange:
             vector = np.asarray(value, dtype=float)
         except (TypeError, ValueError):
             return None
-        if vector.shape != self._vector_shape or not np.all(np.isfinite(vector)):
+        if vector.shape != self._vector_shape or not all(map(isfinite, vector.tolist())):
             return None
         return vector
 
@@ -197,49 +190,44 @@ class WitnessExchange:
 
     def _advance(self, round_index: int, state: _RoundState) -> RoundExchangeResult | None:
         """Re-check everything new information about ``round_index`` can unblock."""
-        completed = self._maybe_report(round_index, state)
-        self._reevaluate_witnesses(state)
-        return completed if completed is not None else self._maybe_complete(round_index, state)
-
-    def _maybe_report(self, round_index: int, state: _RoundState) -> RoundExchangeResult | None:
-        if state.report_sent or len(state.delivered) < self.quorum:
-            return None
-        state.report_sent = True
-        members = tuple(state.arrival_order[: self.quorum])
-        payload = {"round": round_index, "members": list(members)}
-        for recipient in self._recipients:
-            self._send(recipient, self.KIND_REPORT, payload)
-        # Record our own report: a process is trivially its own witness.
-        state.reports[self.owner_id] = members
+        if not state.report_sent and len(state.delivered) >= self.quorum:
+            state.report_sent = True
+            members = tuple(state.arrival_order[: self.quorum])
+            self._send_all(self.KIND_REPORT, {"round": round_index, "members": list(members)})
+            # Record our own report: a process is trivially its own witness.
+            state.reports[self.owner_id] = members
         self._reevaluate_witnesses(state)
         return self._maybe_complete(round_index, state)
 
-    def _on_report(self, sender: int, payload: dict[str, Any]) -> RoundExchangeResult | None:
+    def on_report(self, sender: int, payload: dict[str, Any]) -> RoundExchangeResult | None:
+        """Record one witness report from ``sender``."""
         if not isinstance(payload, dict):
             return None
         round_index = payload.get("round")
         members = payload.get("members")
         if not isinstance(round_index, int) or not isinstance(members, (list, tuple)):
             return None
-        member_ids: list[int] = []
-        for member in members:
-            if not isinstance(member, (int, np.integer)) or int(member) not in self.process_ids:
-                return None
-            member_ids.append(int(member))
-        if len(member_ids) != self.quorum or len(set(member_ids)) != len(member_ids):
+        state = self._rounds.get(round_index)
+        if state is not None and (state.completed or sender in state.reports):
             return None
-        state = self._round(round_index)
-        if sender in state.reports:
+        if not all(map(isinstance, members, repeat(_INTEGER_TYPES))):
             return None
-        state.reports[sender] = tuple(member_ids)
+        member_ids = tuple(map(int, members))
+        if len(set(member_ids)) != len(member_ids) or len(member_ids) != self.quorum:
+            return None
+        if not all(map(self.process_ids.__contains__, member_ids)):
+            return None
+        if state is None:
+            # Only a well-formed report opens a round's state.
+            state = self._round(round_index)
+        state.reports[sender] = member_ids
         self._reevaluate_witnesses(state)
         return self._maybe_complete(round_index, state)
 
     def _reevaluate_witnesses(self, state: _RoundState) -> None:
+        delivered = state.delivered.__contains__
         for reporter, members in state.reports.items():
-            if reporter in state.witnesses:
-                continue
-            if all(member in state.delivered for member in members):
+            if reporter not in state.witnesses and all(map(delivered, members)):
                 state.witnesses.add(reporter)
 
     def _maybe_complete(self, round_index: int, state: _RoundState) -> RoundExchangeResult | None:

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import abc
 import copy
+from itertools import repeat
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.network.message import Message
+from repro.network.message import Message, message_from_fields, next_message_sequence
 from repro.processes.process import AsyncProcess, SyncProcess
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "ByzantineSyncProcess",
     "ByzantineAsyncProcess",
     "is_float_like",
+    "is_float_vector",
     "mutate_numeric_leaves",
     "replace_payload",
     "STRUCTURAL_KEYS",
@@ -56,9 +58,17 @@ def _detached(value: Any) -> Any:
     return copy.deepcopy(value)
 
 
+_FLOAT_TYPES = (float, np.floating)
+
+
 def is_float_like(value: Any) -> bool:
     """True for scalar float leaves (bools are ints in Python, so excluded)."""
-    return isinstance(value, (float, np.floating)) and not isinstance(value, bool)
+    return isinstance(value, _FLOAT_TYPES)
+
+
+def is_float_vector(value: Sequence[Any]) -> bool:
+    """True for a non-empty list or tuple whose every item :func:`is_float_like` accepts."""
+    return bool(value) and all(map(isinstance, value, repeat(_FLOAT_TYPES)))
 
 
 def replace_payload(message: Message, payload: Any) -> Message:
@@ -68,14 +78,15 @@ def replace_payload(message: Message, payload: Any) -> Message:
     except the payload are preserved, so a corrupted message stays
     attributable to the same (sender, recipient, protocol, round).
     """
-    return Message(
+    return message_from_fields((
         message.sender,
         message.recipient,
         message.protocol,
         message.kind,
         payload,
         message.round_index,
-    )
+        next_message_sequence(),
+    ))
 
 
 def mutate_numeric_leaves(
@@ -102,21 +113,20 @@ def _walk(
     # Module level, not nested in mutate_numeric_leaves: a nested function
     # that calls itself is a reference cycle per corrupted message.
     if isinstance(value, dict):
-        return {
-            key: (
-                _detached(item)
-                if key in STRUCTURAL_KEYS
-                else _walk(item, corrupt_scalar, corrupt_vector)
-            )
-            for key, item in value.items()
-        }
+        walked = {}
+        for key, item in value.items():
+            if key in STRUCTURAL_KEYS:
+                walked[key] = _detached(item)
+            else:
+                walked[key] = _walk(item, corrupt_scalar, corrupt_vector)
+        return walked
     if isinstance(value, np.ndarray):
         return np.asarray(corrupt_vector(np.asarray(value, dtype=float)), dtype=float)
     if isinstance(value, (list, tuple)):
-        if value and all(is_float_like(item) for item in value):
-            vector = np.asarray(value, dtype=float)
-            corrupted = np.asarray(corrupt_vector(vector), dtype=float)
-            result = [float(item) for item in corrupted]
+        if is_float_vector(value):
+            # A float vector: one numpy round-trip, back to Python floats.
+            corrupted = corrupt_vector(np.asarray(value, dtype=float))
+            result = np.asarray(corrupted, dtype=float).tolist()
             return tuple(result) if isinstance(value, tuple) else result
         walked = [_walk(item, corrupt_scalar, corrupt_vector) for item in value]
         return tuple(walked) if isinstance(value, tuple) else walked
@@ -172,6 +182,8 @@ class ByzantineAsyncProcess(AsyncProcess):
         super().__init__(inner.process_id)
         self.inner = inner
         self.mutator = mutator
+        # Deliveries go straight to the honest core: no forwarding frame.
+        self.on_message = inner.on_message
 
     def bind_transport(self, send: Callable[[Message], None]) -> None:
         super().bind_transport(send)

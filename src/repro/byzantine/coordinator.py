@@ -54,7 +54,7 @@ import numpy as np
 from repro.byzantine.adversary import (
     STRUCTURAL_KEYS,
     MessageMutator,
-    is_float_like,
+    is_float_vector,
     mutate_numeric_leaves,
     replace_payload,
 )
@@ -111,7 +111,7 @@ def _collect_leaves(value: Any, dimension: int, leaves: list[np.ndarray]) -> Non
             leaves.append(np.asarray(value, dtype=float))
         return
     if isinstance(value, (list, tuple)):
-        if value and all(is_float_like(item) for item in value):
+        if is_float_vector(value):
             if len(value) == dimension:
                 leaves.append(np.asarray(value, dtype=float))
             return

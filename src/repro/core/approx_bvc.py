@@ -34,7 +34,7 @@ from repro.core.round_ops import approx_round_step, approx_subset_families
 from repro.core.safe_area import SafeAreaCalculator
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.network.async_runtime import AsynchronousRuntime, AsyncRunResult
-from repro.network.message import Message
+from repro.network.message import Message, message_from_fields, next_message_sequence
 from repro.network.scheduler import DeliveryScheduler
 from repro.processes.process import AsyncProcess
 from repro.processes.registry import ProcessRegistry
@@ -84,28 +84,38 @@ def round_threshold(value_range: float, epsilon: float, gamma: float) -> int:
 
 
 class _Outbox:
-    """The exchange's ``send``: one protocol message per recipient, tagged with the round.
+    """The exchange's ``send_all``: one protocol message per peer, tagged with the round.
 
     ``round_index`` is the process's current round (0 before it starts);
     the process advances it and keeps ``transport`` current.  The outbox
-    holds no reference to its process, so handing ``send`` to the exchange
-    makes no reference cycle.
+    holds no reference to its process, so handing ``send_all`` to the
+    exchange makes no reference cycle.
     """
 
-    __slots__ = ("sender", "protocol", "round_index", "transport")
+    __slots__ = ("sender", "protocol", "recipients", "round_index", "transport")
 
-    def __init__(self, sender: int, protocol: str, transport: Callable[[Message], None]) -> None:
+    def __init__(
+        self,
+        sender: int,
+        protocol: str,
+        recipients: tuple[int, ...],
+        transport: Callable[[Message], None],
+    ) -> None:
         self.sender = sender
         self.protocol = protocol
+        self.recipients = recipients
         self.round_index = 0
         self.transport = transport
 
-    def send(self, recipient: int, kind: str, payload: dict[str, Any]) -> None:
-        # One call per recipient of every echo and ready: positional fields,
-        # straight to the bound transport.
-        self.transport(
-            Message(self.sender, recipient, self.protocol, kind, payload, self.round_index)
-        )
+    def send_all(self, kind: str, payload: dict[str, Any]) -> None:
+        # One call per echo, ready or report: the n - 1 messages, in
+        # recipient order, straight to the bound transport.
+        transport = self.transport
+        sender, protocol, round_index = self.sender, self.protocol, self.round_index
+        for recipient in self.recipients:
+            transport(message_from_fields(
+                (sender, recipient, protocol, kind, payload, round_index, next_message_sequence())
+            ))
 
 
 class ApproxBVCProcess(AsyncProcess):
@@ -151,14 +161,21 @@ class ApproxBVCProcess(AsyncProcess):
         self.state_history: list[np.ndarray] = [self._state.copy()]
         self._decided = False
         self._decision: np.ndarray | None = None
-        self._outbox = _Outbox(process_id, self.PROTOCOL, self._send)
+        process_ids = tuple(range(configuration.process_count))
+        self._outbox = _Outbox(
+            process_id,
+            self.PROTOCOL,
+            tuple(pid for pid in process_ids if pid != process_id),
+            self._send,
+        )
         self._exchange = WitnessExchange(
             owner_id=process_id,
-            process_ids=tuple(range(configuration.process_count)),
+            process_ids=process_ids,
             fault_bound=configuration.fault_bound,
             dimension=configuration.dimension,
-            send=self._outbox.send,
+            send_all=self._outbox.send_all,
         )
+        self._handle_broadcast = self._exchange.reliable_broadcast.handle
 
     # -- transport plumbing ----------------------------------------------------------
 
@@ -175,7 +192,16 @@ class ApproxBVCProcess(AsyncProcess):
         payload = message.payload
         if message.protocol != self.PROTOCOL or not isinstance(payload, dict):
             return
-        completed = self._exchange.handle(message.sender, message.kind, payload)
+        kind = message.kind
+        if kind == WitnessExchange.KIND_REPORT:
+            completed = self._exchange.on_report(message.sender, payload)
+        else:
+            # The engine ignores every kind that is not its own; the exchange
+            # hears only what it delivers.
+            delivery = self._handle_broadcast(message.sender, kind, payload)
+            if delivery is None:
+                return
+            completed = self._exchange.on_delivery(delivery)
         if completed is not None:
             self._on_round_complete(completed)
 

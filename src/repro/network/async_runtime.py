@@ -20,10 +20,11 @@ produce exactly the "slow process" executions the lower-bound arguments use.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from repro.exceptions import TerminationError
+from repro.exceptions import SchedulerError, TerminationError
 from repro.network.message import Message
 from repro.network.network import TrafficStats
 from repro.network.runtime_core import RuntimeCore
@@ -90,7 +91,8 @@ class AsynchronousRuntime:
         self._start_processes()
         processes = core.processes
         network = core.network
-        busy = network.busy_channels()  # live: read, and drawn against, once per delivery
+        # Live: busy is read, and drawn against, once per delivery.
+        channels, busy, rank_of = network.busy_index()
         choose = self._scheduler.choose
         budget = self._max_deliveries
         # A process changes state only in its own on_start/on_message, so after
@@ -108,9 +110,20 @@ class AsynchronousRuntime:
                     raise TerminationError(
                         f"asynchronous run exceeded the {budget}-delivery budget"
                     )
-                sender, recipient = choose(busy)
-                message = network.deliver_from(sender, recipient)
+                key = choose(busy)
+                channel = channels.get(key)
+                if channel is None or not channel._queue:
+                    network.channel(*key)  # raises: no such channel
+                    raise SchedulerError(f"channel {key[0]} -> {key[1]} has no message in flight")
+                # Pop the oldest message; unmark the channel when that empties it (see BusyIndex).
+                queue = channel._queue
+                message = queue.popleft()
+                if not queue:
+                    del busy[bisect_left(busy, rank_of(key), key=rank_of)]
+                channel.delivered_count += 1
+                network.messages_delivered += 1
                 deliveries += 1
+                recipient = key[1]
                 process = processes[recipient]
                 process.on_message(message)
                 if recipient in undecided and process.has_decided():

@@ -14,9 +14,10 @@ arbitrary ``payload`` plus two routing tags the algorithms rely on:
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Any, NamedTuple
 
-__all__ = ["Message", "next_message_sequence"]
+__all__ = ["Message", "message_from_fields", "next_message_sequence"]
 
 #: Return a process-wide monotonically increasing message sequence number.
 #: Used only to give every message a unique identity for logging and for
@@ -74,3 +75,9 @@ class Message(_MessageFields):
         """Return a compact human-readable description (for logs and errors)."""
         tag = f"@r{self.round_index}" if self.round_index is not None else ""
         return f"[{self.protocol}:{self.kind}{tag}] {self.sender} -> {self.recipient}"
+
+
+#: Build a :class:`Message` from all seven fields, ``sequence`` included, in
+#: one C call: the fan-out sends build one per recipient of every echo and
+#: ready, and ``Message(...)`` costs a Python frame each.
+message_from_fields = partial(_tuple_new, Message)

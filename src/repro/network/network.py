@@ -13,21 +13,23 @@ channel) that the benchmarks report as the message-complexity measurements.
 The non-empty channels are kept listed in channel construction order (the
 order a scan of the channel table gives; schedulers index into it, sort it and
 filter it) and the list changes only when a channel turns non-empty or empty.
+:class:`BusyIndex` states the format once; the two hot paths keep it in their
+own frame (``RuntimeCore.route`` enqueues, ``AsynchronousRuntime.run`` pops).
 The invariants are in ``docs/ARCHITECTURE.md``, "The asynchronous delivery loop".
 """
 
 from __future__ import annotations
 
 import weakref
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 from repro.exceptions import ConfigurationError, SchedulerError
 from repro.network.channel import FifoChannel
 from repro.network.message import Message
 
-__all__ = ["CompleteGraphNetwork", "TrafficStats"]
+__all__ = ["BusyIndex", "CompleteGraphNetwork", "TrafficStats"]
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,25 @@ class TrafficStats:
     messages_dropped: int = 0
 
 
+class BusyIndex(NamedTuple):
+    """A network's channel table and busy index, for the paths that update them inline.
+
+    ``busy`` lists the keys of the non-empty ``channels``, sorted by
+    ``rank_of`` (a key's position in ``channels``); it is the one live list
+    schedulers choose from.  A path that turns a channel non-empty inserts its
+    key with ``insort(busy, key, key=rank_of)`` (``RuntimeCore.route``, the
+    only enqueue); one that empties it deletes the key at
+    ``bisect_left(busy, rank_of(key), key=rank_of)`` (the asynchronous loop's
+    pop, a channel's ``drain``) or clears ``busy`` with every queue
+    (``drain_all``).  Each also counts the message in the network's and the
+    channel's counters.
+    """
+
+    channels: dict[tuple[int, int], FifoChannel]
+    busy: list[tuple[int, int]]
+    rank_of: Callable[[tuple[int, int]], int]
+
+
 class _NetworkChannel(FifoChannel):
     """A channel owned by a network: mutating it goes through the network's bookkeeping.
 
@@ -57,8 +78,10 @@ class _NetworkChannel(FifoChannel):
         self._network = weakref.proxy(network)
 
     def send(self, message: Message) -> None:
-        self._require_route(message)
-        self._network.send(message)
+        # A plain enqueue would bypass the busy index.
+        raise SchedulerError(
+            f"message {message.describe()}: a network's channels are filled by RuntimeCore.route"
+        )
 
     def drain(self) -> list[Message]:
         return self._network._drain_channel(self.sender, self.recipient)
@@ -85,15 +108,9 @@ class CompleteGraphNetwork:
         self._rank_of = {key: rank for rank, key in enumerate(self._channels)}.__getitem__
         self._busy: list[tuple[int, int]] = []
 
-    def _mark(self, key: tuple[int, int], busy: bool) -> None:
-        """Record that channel ``key`` just turned non-empty (``busy``) or empty."""
-        rank_of = self._rank_of
-        if busy:
-            insort(self._busy, key, key=rank_of)
-        else:
-            del self._busy[bisect_left(self._busy, rank_of(key), key=rank_of)]
-
-    # -- sending --------------------------------------------------------------
+    def busy_index(self) -> BusyIndex:
+        """The live channel table and busy index (update them as :class:`BusyIndex` says)."""
+        return BusyIndex(self._channels, self._busy, self._rank_of)
 
     def channel(self, sender: int, recipient: int) -> FifoChannel:
         """Return the directed channel ``sender -> recipient``."""
@@ -102,49 +119,7 @@ class CompleteGraphNetwork:
         except KeyError as error:
             raise SchedulerError(f"no channel {sender} -> {recipient} in this network") from error
 
-    def send(self, message: Message) -> None:
-        """Put a message in flight on its channel."""
-        key = (message.sender, message.recipient)
-        channel = self._channels.get(key)
-        if channel is None:
-            if message.recipient == message.sender:
-                raise SchedulerError(f"self-addressed message: {message.describe()}")
-            channel = self.channel(*key)  # raises: no such channel
-        queue = channel._queue
-        if not queue:
-            self._mark(key, True)
-        queue.append(message)
-        self.messages_sent += 1
-
-    def broadcast(self, messages: Iterable[Message]) -> None:
-        """Send every message in ``messages``."""
-        for message in messages:
-            self.send(message)
-
     # -- delivery -------------------------------------------------------------
-
-    def busy_channels(self) -> Sequence[tuple[int, int]]:
-        """Return the (sender, recipient) pairs that currently have messages in flight.
-
-        The list is live: it follows later sends and deliveries.  Read it, or copy it.
-        """
-        return self._busy
-
-    def deliver_from(self, sender: int, recipient: int) -> Message:
-        """Deliver (pop) the oldest message on the given channel."""
-        key = (sender, recipient)
-        channel = self._channels.get(key)
-        if channel is None:
-            channel = self.channel(sender, recipient)  # raises: no such channel
-        queue = channel._queue
-        if not queue:
-            raise SchedulerError(f"channel {sender} -> {recipient} has no message in flight")
-        message = queue.popleft()
-        if not queue:
-            self._mark(key, False)
-        channel.delivered_count += 1
-        self.messages_delivered += 1
-        return message
 
     def _take_all(self, key: tuple[int, int]) -> list[Message]:
         channel = self._channels[key]
@@ -155,9 +130,10 @@ class CompleteGraphNetwork:
         return messages
 
     def _drain_channel(self, sender: int, recipient: int) -> list[Message]:
+        key, rank_of = (sender, recipient), self._rank_of
         if self.channel(sender, recipient)._queue:
-            self._mark((sender, recipient), False)
-        return self._take_all((sender, recipient))
+            del self._busy[bisect_left(self._busy, rank_of(key), key=rank_of)]
+        return self._take_all(key)
 
     def drain_all(self) -> dict[int, list[Message]]:
         """Deliver every in-flight message, grouped by recipient (the synchronous round step)."""

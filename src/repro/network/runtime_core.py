@@ -23,11 +23,13 @@ Routing lives on a :class:`_Router` that holds the network, the registered
 ids and the observer but no process, so binding every process to
 ``RuntimeCore.route`` points one way: a finished run's objects are freed
 by reference counting (``docs/ARCHITECTURE.md``, "The asynchronous delivery
-loop").
+loop").  ``route`` is one frame per message and the network's only enqueue:
+it puts the message on its channel and marks the busy index itself.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Callable, Mapping
 
 from repro.exceptions import ConfigurationError
@@ -51,9 +53,9 @@ _MESSAGES = get_registry().counter(
 
 
 class _Router:
-    """The tap, the drop check and the send of ``RuntimeCore.route``."""
+    """``RuntimeCore.route`` in one frame: tap, drop check, enqueue, busy-index mark."""
 
-    __slots__ = ("network", "recipients", "observer", "dropped")
+    __slots__ = ("network", "channels", "busy", "rank_of", "recipients", "observer", "dropped")
 
     def __init__(
         self,
@@ -62,6 +64,7 @@ class _Router:
         observer: Callable[[Message], None] | None,
     ) -> None:
         self.network = network
+        self.channels, self.busy, self.rank_of = network.busy_index()
         self.recipients = recipients
         self.observer = observer
         self.dropped = 0
@@ -69,11 +72,19 @@ class _Router:
     def route(self, message: Message) -> bool:
         if self.observer is not None:
             self.observer(message)
-        recipient = message.recipient
-        if recipient == message.sender or recipient not in self.recipients:
-            self.dropped += 1
-            return False
-        self.network.send(message)
+        key = (message.sender, message.recipient)
+        channel = self.channels.get(key)
+        if channel is None:
+            if key[1] == key[0] or key[1] not in self.recipients:
+                self.dropped += 1
+                return False
+            self.network.channel(*key)  # raises: the sender is not registered
+        # Enqueue, marking a channel that was empty busy (see BusyIndex).
+        queue = channel._queue
+        if not queue:
+            insort(self.busy, key, key=self.rank_of)
+        queue.append(message)
+        self.network.messages_sent += 1
         return True
 
 

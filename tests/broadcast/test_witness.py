@@ -21,7 +21,10 @@ class RecordingExchange(WitnessExchange):
         return self._record(super().start_round(round_index, state_vector))
 
     def handle(self, sender, kind, payload):
-        return self._record(super().handle(sender, kind, payload))
+        """Dispatch one message as ``ApproxBVCProcess.on_message`` does."""
+        if kind == self.KIND_REPORT:
+            return self._record(self.on_report(sender, payload))
+        return self._record(self.on_delivery(self.reliable_broadcast.handle(sender, kind, payload)))
 
     def _record(self, result):
         if result is not None:
@@ -47,13 +50,15 @@ class ExchangeHarness:
                 process_ids=self.process_ids,
                 fault_bound=fault_bound,
                 dimension=2,
-                send=self._make_send(pid),
+                send_all=self._make_send_all(pid),
             )
 
-    def _make_send(self, sender: int):
-        def send(recipient: int, kind: str, payload: dict) -> None:
-            self.queue.append((sender, recipient, kind, dict(payload)))
-        return send
+    def _make_send_all(self, sender: int):
+        def send_all(kind: str, payload: dict) -> None:
+            for recipient in self.process_ids:
+                if recipient != sender:
+                    self.queue.append((sender, recipient, kind, dict(payload)))
+        return send_all
 
     def start_round(self, round_index: int, states: dict[int, np.ndarray], skip: set[int] | None = None):
         skip = skip or set()
@@ -171,8 +176,9 @@ class TestFaultyExchange:
         exchange.handle(1, WitnessExchange.KIND_REPORT, {"round": 1, "members": [0, 1]})
         exchange.handle(1, WitnessExchange.KIND_REPORT, {"round": 1, "members": [0, 1, 2, 99]})
         exchange.handle(1, WitnessExchange.KIND_REPORT, "garbage")
-        # None of these should have registered a report.
+        # None of these should have registered a report, or opened a round.
         assert harness.completed[0] == {}
+        assert not exchange._rounds
 
     def test_property1_with_byzantine_equivocation_in_broadcast(self):
         harness = ExchangeHarness(5, 1, byzantine={4})

@@ -7,10 +7,14 @@ honest process, once per delivery — lives on here as :func:`reference_run`,
 and the two must be indistinguishable: same delivery sequence, same traffic
 counters, same decisions, same observer tap, same error text.
 
-Also here: the index as a property of arbitrary operation sequences
+The runtime pops the chosen channel and unmarks it itself;
+:class:`IndexCheckedScheduler` compares its index with a scan before every
+choice.  Also here: the index as a property of arbitrary operation sequences
 (:class:`TestBusyIndexMatchesScan`) and the cost of a delivery as a *count* of
-Python calls that must not grow with ``n``
-(:func:`test_calls_per_delivery_do_not_grow_with_the_network`).
+Python calls: one that must not grow with ``n``
+(:func:`test_calls_per_delivery_do_not_grow_with_the_network`) and one
+bounded on a fixed ``approx`` grid
+(:func:`test_python_calls_per_approx_delivery`).
 """
 
 from __future__ import annotations
@@ -21,12 +25,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.byzantine.adversary import ByzantineAsyncProcess, MessageMutator
+from repro.engine.campaign import Campaign
+from repro.engine.factories import STRATEGY_NAMES
+from repro.engine.trial import run_trial
 from repro.exceptions import SchedulerError, TerminationError
 from repro.network.async_runtime import AsynchronousRuntime, AsyncRunResult
 from repro.network.message import Message
 from repro.network.network import CompleteGraphNetwork
 from repro.network.runtime_core import RuntimeCore
-from repro.network.scheduler import LaggingScheduler, RandomScheduler, RoundRobinScheduler
+from repro.network.scheduler import (
+    DeliveryScheduler,
+    LaggingScheduler,
+    RandomScheduler,
+    RoundRobinScheduler,
+)
 from repro.processes.process import AsyncProcess
 
 
@@ -37,6 +49,35 @@ from repro.processes.process import AsyncProcess
 def scan_busy_channels(network: CompleteGraphNetwork) -> list[tuple[int, int]]:
     """Every non-empty channel, found by looking at all of them."""
     return [key for key, channel in network._channels.items() if not channel.is_empty()]
+
+
+def pop_oldest(network: CompleteGraphNetwork, sender: int, recipient: int) -> Message:
+    """One delivery the way the oracle makes it: pop the channel, then fix the index.
+
+    ``route`` inserts into the same index, so the oracle keeps it too: by
+    value, not by the runtime's bisection.
+    """
+    channel = network.channel(sender, recipient)
+    if not channel._queue:
+        raise SchedulerError(f"channel {sender} -> {recipient} has no message in flight")
+    message = channel._queue.popleft()
+    if not channel._queue:
+        network.busy_index().busy.remove((sender, recipient))
+    channel.delivered_count += 1
+    network.messages_delivered += 1
+    return message
+
+
+class IndexCheckedScheduler(DeliveryScheduler):
+    """A scheduler that first checks the live index against a scan of the channels."""
+
+    def __init__(self, inner: DeliveryScheduler) -> None:
+        self.inner = inner
+        self.network: CompleteGraphNetwork | None = None
+
+    def choose(self, busy_channels):
+        assert list(busy_channels) == scan_busy_channels(self.network)
+        return self.inner.choose(busy_channels)
 
 
 def reference_run(processes, honest_ids, scheduler, max_deliveries, observer) -> AsyncRunResult:
@@ -59,7 +100,7 @@ def reference_run(processes, honest_ids, scheduler, max_deliveries, observer) ->
                 f"asynchronous run exceeded the {max_deliveries}-delivery budget"
             )
         sender, recipient = scheduler.choose(busy)
-        message = core.network.deliver_from(sender, recipient)
+        message = pop_oldest(core.network, sender, recipient)
         deliveries += 1
         core.processes[recipient].on_message(message)
     return AsyncRunResult(
@@ -223,10 +264,18 @@ def test_runtime_matches_the_reference_loop(scenario):
     expected = side(lambda processes, scheduler, observer: reference_run(
         processes, scenario["honest_ids"], scheduler, scenario["max_deliveries"], observer
     ))
-    actual = side(lambda processes, scheduler, observer: AsynchronousRuntime(
-        processes, honest_ids=scenario["honest_ids"], scheduler=scheduler,
-        max_deliveries=scenario["max_deliveries"], traffic_observer=observer,
-    ).run())
+    def checked_run(processes, scheduler, observer):
+        # The runtime pops and unmarks channels itself: check its index
+        # against a scan before every choice.
+        checked = IndexCheckedScheduler(scheduler)
+        runtime = AsynchronousRuntime(
+            processes, honest_ids=scenario["honest_ids"], scheduler=checked,
+            max_deliveries=scenario["max_deliveries"], traffic_observer=observer,
+        )
+        checked.network = runtime.network
+        return runtime.run()
+
+    actual = side(checked_run)
     assert actual[1] == expected[1], "delivery sequences differ"
     assert actual[2] == expected[2], "observer taps differ"
     assert actual[0] == expected[0]
@@ -252,63 +301,151 @@ def test_scenarios_reach_every_ending():
     )
 
 
+def test_a_choice_without_a_message_is_refused():
+    class Idle(AsyncProcess):
+        def on_start(self):
+            pass
+
+        def on_message(self, message):
+            pass
+
+        def has_decided(self):
+            return False
+
+        def decision(self):
+            return None
+
+    class Pinger(Idle):
+        def on_start(self):
+            self.send(Message(0, 1, "p", "PING", None))
+
+    class WrongChannel(DeliveryScheduler):
+        def __init__(self, key):
+            self.key = key
+
+        def choose(self, busy_channels):
+            return self.key
+
+    def refusal(key):
+        runtime = AsynchronousRuntime({0: Pinger(0), 1: Idle(1)}, scheduler=WrongChannel(key))
+        return outcome_of(runtime.run)
+
+    assert refusal((1, 0)) == (SchedulerError, "channel 1 -> 0 has no message in flight")
+    assert refusal((0, 9)) == (SchedulerError, "no channel 0 -> 9 in this network")
+
+
 # ---------------------------------------------------------------------------
 # The index as a property of operation sequences
 # ---------------------------------------------------------------------------
 
 def check_index(network, model):
     scanned = scan_busy_channels(network)
-    assert list(network.busy_channels()) == scanned
+    assert list(network.busy_index().busy) == scanned
     assert scanned == [key for key in network._channels if model[key]]
     assert network.in_flight_count() == sum(len(queue) for queue in model.values())
     assert network.stats().messages_in_flight == network.in_flight_count()
 
 
+class Listener(AsyncProcess):
+    """Never decides; keeps every message it is handed."""
+
+    def __init__(self, process_id):
+        super().__init__(process_id)
+        self.heard = []
+
+    def on_start(self):
+        pass
+
+    def on_message(self, message):
+        self.heard.append(message.payload)
+
+    def has_decided(self):
+        return False
+
+    def decision(self):
+        return None
+
+
+class ScriptedChoice(DeliveryScheduler):
+    """Choose whatever channel the test names, busy or not."""
+
+    key = None
+
+    def choose(self, busy_channels):
+        return self.key
+
+
 @st.composite
 def operation_sequences(draw):
-    ids = draw(st.lists(st.integers(0, 40), min_size=2, max_size=6, unique=True))  # unsorted
+    # A runtime builds its network over the sorted ids.
+    ids = sorted(draw(st.lists(st.integers(0, 40), min_size=2, max_size=6, unique=True)))
     position = st.integers(0, len(ids) - 1)
     operation = st.one_of(
-        st.tuples(st.sampled_from(("send", "channel_send")), position, position),
-        st.tuples(st.sampled_from(("deliver_from", "channel_drain")), position, position),
+        st.tuples(st.sampled_from(("route", "channel_send")), position, position),
+        st.tuples(st.sampled_from(("pop_at", "channel_drain")), position, position),
+        st.tuples(st.just("pop"), st.integers(0, 40)),  # a loaded channel, if any
         st.tuples(st.just("drain_all")),
     )
     return ids, draw(st.lists(operation, max_size=60))
 
 
 class TestBusyIndexMatchesScan:
+    """The product's enqueue (``RuntimeCore.route``) and pop (the runtime's loop,
+    one delivery per ``run()`` at ``max_deliveries=1``) against a model."""
+
     @settings(max_examples=200, deadline=None)
     @given(operation_sequences())
     def test_after_every_operation(self, sequence):
         ids, operations = sequence
-        network = CompleteGraphNetwork(ids)
+        processes = {pid: Listener(pid) for pid in ids}
+        scheduler = ScriptedChoice()
+        runtime = AsynchronousRuntime(processes, scheduler=scheduler, max_deliveries=1)
+        quiescent = "asynchronous run went quiescent with undecided honest processes"
+        # The first run binds every process to route and finds nothing to deliver.
+        assert outcome_of(runtime.run)[0] is TerminationError
+        network = runtime.network
         model = {key: [] for key in network._channels}
         assert list(model) == [(s, r) for s in ids for r in ids if s != r]
-        live = network.busy_channels()
-        sent = delivered = 0
+        live = network.busy_index().busy
+        sent = delivered = dropped = 0
         for serial, (name, *where) in enumerate(operations):
-            places = [ids[index] for index in where]
-            if name in ("send", "channel_send"):
+            if name == "pop":
+                loaded = [key for key, queue in model.items() if queue] or [(ids[0], ids[1])]
+                places = loaded[where[0] % len(loaded)]
+            else:
+                places = [ids[index] for index in where]
+            if name == "route":
                 sender, recipient = places
-                message = Message(sender, recipient, "p", "K", serial)
+                processes[sender].send(Message(sender, recipient, "p", "K", serial))
                 if sender == recipient:
-                    with pytest.raises(SchedulerError):
-                        network.send(message)
-                    continue
-                if name == "send":
-                    network.send(message)
+                    dropped += 1
                 else:
-                    network.channel(sender, recipient).send(message)
-                model[(sender, recipient)].append(serial)
-                sent += 1
-            elif name == "deliver_from":
+                    model[(sender, recipient)].append(serial)
+                    sent += 1
+            elif name == "channel_send":
+                # A network's channel takes a message only through route.
                 sender, recipient = places
-                if sender == recipient or not model[(sender, recipient)]:
-                    with pytest.raises(SchedulerError):
-                        network.deliver_from(sender, recipient)
+                with pytest.raises(SchedulerError):
+                    network.channel(sender, recipient).send(
+                        Message(sender, recipient, "p", "K", serial)
+                    )
+            elif name in ("pop", "pop_at"):
+                sender, recipient = scheduler.key = tuple(places)
+                kind, text = outcome_of(runtime.run)
+                if not any(model.values()):
+                    assert (kind, text.startswith(quiescent)) == (TerminationError, True)
+                elif sender == recipient:
+                    assert (kind, text) == (
+                        SchedulerError, f"no channel {sender} -> {sender} in this network"
+                    )
+                elif not model[(sender, recipient)]:
+                    assert (kind, text) == (
+                        SchedulerError, f"channel {sender} -> {recipient} has no message in flight"
+                    )
                 else:
-                    message = network.deliver_from(sender, recipient)
-                    assert message.payload == model[(sender, recipient)].pop(0)
+                    # One delivery, then the budget (or quiescence) stops the run.
+                    assert kind is TerminationError
+                    assert processes[recipient].heard[-1] == model[(sender, recipient)].pop(0)
                     delivered += 1
             elif name == "channel_drain":
                 sender, recipient = places
@@ -329,8 +466,9 @@ class TestBusyIndexMatchesScan:
                 for queue in model.values():
                     queue.clear()
             check_index(network, model)
-            assert network.busy_channels() is live
+            assert network.busy_index().busy is live
             assert (network.messages_sent, network.messages_delivered) == (sent, delivered)
+            assert runtime._core.messages_dropped == dropped
 
     def test_channel_rejects_a_message_for_another_route(self):
         network = CompleteGraphNetwork([0, 1, 2])
@@ -396,3 +534,44 @@ def test_calls_per_delivery_do_not_grow_with_the_network():
     small = python_calls_per_delivery(4)
     large = python_calls_per_delivery(24)
     assert large <= 1.25 * small, (small, large)
+
+
+def python_calls_per_approx_delivery() -> float:
+    """Python calls per delivery over a fixed ``approx`` grid, whole trials included.
+
+    The grid is the ``async_object`` ledger block's shape: the random
+    scheduler, d in {1, 2} and the four independent adversaries (33 108
+    deliveries at ``base_seed=11``).
+    """
+    campaign = Campaign.from_grid(
+        "calls",
+        protocols=("approx",),
+        adversaries=STRATEGY_NAMES,
+        schedulers=("random",),
+        dimensions=(1, 2),
+        base_seed=11,
+    )
+    calls = deliveries = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    for spec in campaign:
+        sys.setprofile(profiler)
+        try:
+            result = run_trial(spec)
+        finally:
+            sys.setprofile(None)
+        assert result.status == "ok", result.error
+        deliveries += result.deliveries
+    assert deliveries == 33_108  # same traffic, so the ratio compares like with like
+    return calls / deliveries
+
+
+def test_python_calls_per_approx_delivery():
+    # No timing: one fan-out send per relay, one routing frame per message,
+    # an inlined pop and one broadcast-handling frame per delivery.  The
+    # per-recipient send, three-frame route and separate pop read 23.3.
+    assert python_calls_per_approx_delivery() <= 14

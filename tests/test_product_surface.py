@@ -193,7 +193,7 @@ NAME_EXEMPT = {
     "repro.engine.spec:strip_timing":
         "CI's store-smoke and benchmarks/ledger compare rows with it",
     "repro.geometry.kernel:halfspace_depth":
-        "depth oracle the kernel suites certify Gamma points with (ROADMAP item 1)",
+        "depth oracle the kernel suites certify Gamma points with (ROADMAP item 2)",
     "repro.geometry.kernel:GammaKernel.clear_cache":
         "tests isolate the shared default kernel with it",
     "repro.obs.trace:TraceRecorder.span":
