@@ -29,7 +29,7 @@ from repro.byzantine.adversary import ByzantineAsyncProcess, MessageMutator
 from repro.core.approx_bvc import round_threshold
 from repro.core.conditions import SystemConfiguration, check_restricted_async
 from repro.core.restricted_sync import RestrictedRoundOutcome
-from repro.core.round_ops import restricted_round_step
+from repro.core.round_ops import coerce_state, restricted_round_step
 from repro.core.safe_area import SafeAreaCalculator
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.network.async_runtime import AsynchronousRuntime, AsyncRunResult
@@ -120,7 +120,7 @@ class RestrictedAsyncProcess(AsyncProcess):
         if not isinstance(message.payload, dict):
             return
         round_index = message.payload.get("round")
-        vector = self._coerce_state(message.payload.get("state"))
+        vector = coerce_state(message.payload.get("state"), self.configuration.dimension)
         if not isinstance(round_index, int) or vector is None:
             return
         if round_index < self._current_round:
@@ -181,8 +181,7 @@ class RestrictedAsyncProcess(AsyncProcess):
 
         The sorted senders' states go through
         :func:`~repro.core.round_ops.restricted_round_step` at quorum
-        ``max(1, n - 3f)``.  Pure: the columnar engine replays recorded
-        rounds through it.
+        ``max(1, n - 3f)``.
         """
         members = sorted(collected)
         return restricted_round_step(
@@ -191,16 +190,6 @@ class RestrictedAsyncProcess(AsyncProcess):
             self._quorum,
             choose_all=self._choose_all,
         )
-
-    def _coerce_state(self, value: object) -> np.ndarray | None:
-        try:
-            vector = np.asarray(value, dtype=float).reshape(-1)
-        except (TypeError, ValueError):
-            return None
-        if vector.shape != (self.configuration.dimension,) or not np.all(np.isfinite(vector)):
-            return None
-        return vector
-
 
 def run_restricted_async_bvc(
     registry: ProcessRegistry,

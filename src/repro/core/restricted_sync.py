@@ -33,7 +33,7 @@ import numpy as np
 from repro.byzantine.adversary import ByzantineSyncProcess, MessageMutator
 from repro.core.approx_bvc import contraction_factor, round_threshold
 from repro.core.conditions import SystemConfiguration, check_restricted_sync
-from repro.core.round_ops import restricted_round_step
+from repro.core.round_ops import coerce_state, restricted_round_step
 from repro.core.safe_area import SafeAreaCalculator
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.network.message import Message
@@ -112,7 +112,7 @@ class RestrictedSyncProcess(SyncProcess):
                 continue
             if not isinstance(message.payload, dict):
                 continue
-            vector = self._coerce_state(message.payload.get("state"))
+            vector = coerce_state(message.payload.get("state"), self.configuration.dimension)
             if vector is not None:
                 received[message.sender] = vector
         for process_id in range(self.configuration.process_count):
@@ -129,15 +129,6 @@ class RestrictedSyncProcess(SyncProcess):
         if round_index >= self.total_rounds:
             self._decision = self._state.copy()
             self._decided = True
-
-    def _coerce_state(self, value: object) -> np.ndarray | None:
-        try:
-            vector = np.asarray(value, dtype=float).reshape(-1)
-        except (TypeError, ValueError):
-            return None
-        if vector.shape != (self.configuration.dimension,) or not np.all(np.isfinite(vector)):
-            return None
-        return vector
 
     def has_decided(self) -> bool:
         return self._decided

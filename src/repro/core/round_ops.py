@@ -42,6 +42,7 @@ from repro.exceptions import ProtocolError
 from repro.geometry.multisets import PointMultiset
 
 __all__ = [
+    "coerce_state",
     "quorum_families",
     "restricted_round_clouds",
     "restricted_round_reduce",
@@ -60,6 +61,22 @@ ChooseAllFn = Callable[[np.ndarray], Sequence[np.ndarray]]
 # ---------------------------------------------------------------------------
 # Restricted-round synchronous update (Section 4, Step 2 of Section 3.2)
 # ---------------------------------------------------------------------------
+
+def coerce_state(value: object, dimension: int) -> np.ndarray | None:
+    """A received ``STATE`` payload as a finite ``(dimension,)`` vector, or None.
+
+    The receive filter of both restricted-round processes (and of the
+    columnar engine's faulty senders): anything that does not flatten to
+    ``dimension`` finite floats is ignored, as if it had not arrived.
+    """
+    try:
+        vector = np.asarray(value, dtype=float).reshape(-1)
+    except (TypeError, ValueError):
+        return None
+    if vector.shape != (dimension,) or not np.all(np.isfinite(vector)):
+        return None
+    return vector
+
 
 def quorum_families(member_count: int, quorum: int) -> list[tuple[int, ...]]:
     """All index subsets of ``{0..member_count-1}`` of size ``quorum``, in order.

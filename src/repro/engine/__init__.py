@@ -77,7 +77,6 @@ from repro.engine.spec import (
 )
 from repro.engine.trial import run_trial
 from repro.engine.vectorized import (
-    VECTORIZED_ASYNC_SCHEDULERS,
     VECTORIZED_RESTRICTED_ADVERSARIES,
     FallbackReason,
     run_specs_vectorized,
@@ -96,7 +95,6 @@ __all__ = [
     "PROTOCOLS",
     "SCHEDULER_NAMES",
     "STRATEGY_NAMES",
-    "VECTORIZED_ASYNC_SCHEDULERS",
     "VECTORIZED_RESTRICTED_ADVERSARIES",
     "WORKLOAD_NAMES",
     "SESSION_STATES",

@@ -42,14 +42,6 @@ pre-seeding the ``hull_collapse`` targets of a whole group through one
 ``theorem4_scenario`` reduces to per-process crash faults and runs through
 the generic mutator-driven path.
 
-The restricted *asynchronous* protocol is batched when its delivery order is
-deterministic: a trial's event structure (which process aggregates which
-senders' round-``t`` states, in which order) depends only on the scheduler
-decision sequence, never on the state values, so trials sharing a scheduler
-signature share one recorded event skeleton and replay their own values
-through it (one real scheduler-driven run per signature; repeated ``Gamma``
-choices are served by the kernel's answer memo).
-
 Eligibility (:func:`vectorization_fallback` names the reason for everything
 that must fall back to ``run_trial``):
 
@@ -59,12 +51,11 @@ that must fall back to ``run_trial``):
   (``adversary == "none"``): their round traffic is EIG relay trees, which
   the columnar substrate collapses to the known fault-free resolution —
   under an active adversary that shortcut would not be faithful;
-* ``restricted_async`` is supported fault-free under the deterministic
-  schedulers (:data:`VECTORIZED_ASYNC_SCHEDULERS`); the ``random`` scheduler
-  has no reusable decision sequence, and adversaries would make the event
-  structure value-dependent;
-* ``approx`` (witness-based asynchronous) always falls back: its per-process
-  witness bookkeeping has no columnar equivalent.
+* the asynchronous protocols (``approx`` and ``restricted_async``) always
+  fall back: their per-process delivery order is the scheduler's, and the
+  restricted-round update is geometry-bound, so a columnar replay of the
+  delivery skeleton saves too little to keep (``docs/PERFORMANCE.md``,
+  "Retiring the skeleton replay").
 """
 
 from __future__ import annotations
@@ -80,8 +71,8 @@ import numpy as np
 from repro.byzantine.coordinator import AdversaryCoordinator
 from repro.core.approx_bvc import contraction_factor, round_threshold
 from repro.core.conditions import check_exact_sync, check_restricted_sync
-from repro.core.restricted_async import RestrictedAsyncProcess
 from repro.core.round_ops import (
+    coerce_state,
     coordinatewise_decision,
     restricted_round_clouds,
     restricted_round_reduce,
@@ -92,7 +83,7 @@ from repro.core.validity import (
     check_approximate_outcome,
     check_exact_outcome,
 )
-from repro.engine.factories import build_registry, build_scheduler, make_adversaries
+from repro.engine.factories import build_registry, make_adversaries
 from repro.engine.spec import TrialResult, TrialSpec
 from repro.exceptions import (
     ConfigurationError,
@@ -100,13 +91,11 @@ from repro.exceptions import (
     TerminationError,
 )
 from repro.geometry.kernel import default_kernel
-from repro.network.async_runtime import AsynchronousRuntime
 from repro.network.message import Message
 from repro.processes.registry import ProcessRegistry
 
 __all__ = [
     "VECTORIZED_RESTRICTED_ADVERSARIES",
-    "VECTORIZED_ASYNC_SCHEDULERS",
     "FallbackReason",
     "vectorization_fallback",
     "spec_is_vectorizable",
@@ -139,14 +128,6 @@ VECTORIZED_RESTRICTED_ADVERSARIES = frozenset(
 #: crash faults, which the generic mutator-driven path already handles.
 _BATCHED_COORDINATED = frozenset({"split_world", "hull_collapse", "adaptive_extreme"})
 
-#: Deterministic delivery schedulers whose decision sequence depends only on
-#: the event structure — the property that lets restricted-async trials share
-#: one recorded skeleton.  ``random`` consumes its RNG per *choice*, which is
-#: still deterministic per trial, but its stream is seed-specific, so there is
-#: nothing to share; more importantly its decisions are not reconstructible
-#: from the structure alone once the group batches trials.
-VECTORIZED_ASYNC_SCHEDULERS = frozenset({"round_robin", "lagging"})
-
 # Process-lifetime cache, shared *across* execution units: a persistent pool
 # worker runs many units back to back, so choosers survive from one unit to
 # the next instead of being re-derived per call.
@@ -174,10 +155,8 @@ class FallbackReason(str, Enum):
     SINGLETON_GROUP = "singleton_group"
     #: The protocol/adversary combination has no faithful columnar program.
     ADVERSARY_NOT_COLUMNAR = "adversary_not_columnar"
-    #: ``restricted_async`` under a scheduler with no shareable decision
-    #: sequence (``random``).
-    SCHEDULER_NOT_DETERMINISTIC = "scheduler_not_deterministic"
-    #: The witness-based asynchronous protocol (``approx``) is never columnar.
+    #: The asynchronous protocols (``approx``, ``restricted_async``) always
+    #: run on the object runtime.
     ASYNC_PROTOCOL_NOT_COLUMNAR = "async_protocol_not_columnar"
 
 
@@ -191,12 +170,6 @@ def vectorization_fallback(spec: TrialSpec) -> FallbackReason | None:
         if spec.adversary == "none":
             return None
         return FallbackReason.ADVERSARY_NOT_COLUMNAR
-    if spec.protocol == "restricted_async":
-        if spec.adversary != "none":
-            return FallbackReason.ADVERSARY_NOT_COLUMNAR
-        if spec.scheduler not in VECTORIZED_ASYNC_SCHEDULERS:
-            return FallbackReason.SCHEDULER_NOT_DETERMINISTIC
-        return None
     return FallbackReason.ASYNC_PROTOCOL_NOT_COLUMNAR
 
 
@@ -245,8 +218,6 @@ def run_specs_vectorized(specs: Sequence[TrialSpec]) -> list[TrialResult]:
     start = time.perf_counter()
     if specs[0].protocol == "restricted_sync":
         results = _run_restricted_group(specs)
-    elif specs[0].protocol == "restricted_async":
-        results = _run_async_group(specs)
     else:
         results = _run_broadcast_group(specs)
     elapsed_ms = (time.perf_counter() - start) * 1e3 / len(specs)
@@ -470,20 +441,9 @@ def _faulty_reports(
                 continue
             if not isinstance(message.payload, dict):
                 continue
-            vector = _coerce_state(message.payload.get("state"), dimension)
+            vector = coerce_state(message.payload.get("state"), dimension)
             if vector is not None:
                 reports[recipient, message.sender] = vector
-
-
-def _coerce_state(value: object, dimension: int) -> np.ndarray | None:
-    """Mirror of ``RestrictedSyncProcess._coerce_state``."""
-    try:
-        vector = np.asarray(value, dtype=float).reshape(-1)
-    except (TypeError, ValueError):
-        return None
-    if vector.shape != (dimension,) or not np.all(np.isfinite(vector)):
-        return None
-    return vector
 
 
 def _coordinated_reports(
@@ -741,189 +701,3 @@ def _finish_restricted_trial(trial: _LiveTrial) -> TrialResult:
         state_histories=trial.histories if trial.spec.record_history else None,
     )
 
-
-# ---------------------------------------------------------------------------
-# Restricted-round asynchronous protocol (deterministic schedulers)
-# ---------------------------------------------------------------------------
-#
-# A restricted-async execution's *event structure* — which (process, round)
-# aggregates which senders' states, in which chronological order, and how
-# many messages hit the network — is a pure function of the configuration and
-# the scheduler decision sequence.  The state values never feed back into it:
-# honest payload states are always finite ``(d,)`` vectors, so every receive
-# filter (`_coerce_state`, round tags, first-per-sender) resolves identically
-# whatever the values are, and the deterministic schedulers read only the
-# busy-channel structure (plus, for ``lagging``, a values-blind RNG stream
-# seeded per trial).  The engine therefore records the structure once per
-# scheduler signature by running the *real* runtime with value-free recorder
-# cores, and replays each trial's actual inputs through the recorded event
-# list with the real cores' ``next_state`` — identical clouds, identical
-# ``Gamma`` choices, identical first exception, byte-identical rows.
-
-@dataclass
-class _AsyncSkeleton:
-    """The value-free structure shared by every trial of one signature.
-
-    ``events`` is the chronological aggregate log: one ``(process, round,
-    members)`` entry per completed state update, where ``members`` are the
-    sender ids (self included) whose round states fed the update.
-    """
-
-    events: list[tuple[int, int, tuple[int, ...]]]
-    messages_sent: int
-    messages_dropped: int
-
-
-class _SkeletonRecorder(RestrictedAsyncProcess):
-    """A restricted-async core whose update logs the event and returns zeros."""
-
-    def __init__(self, events: list, **core_arguments) -> None:
-        super().__init__(**core_arguments)
-        self._events = events
-
-    def next_state(self, collected: Mapping[int, np.ndarray]) -> np.ndarray:
-        self._events.append((self.process_id, self._current_round, tuple(sorted(collected))))
-        return np.zeros(self.configuration.dimension)
-
-
-def _run_async_group(specs: Sequence[TrialSpec]) -> list[TrialResult]:
-    """Columnar execution of a deterministic-scheduler restricted-async batch."""
-    results: dict[int, TrialResult] = {}
-    skeletons: dict[tuple, _AsyncSkeleton | Exception] = {}
-    for position, spec in enumerate(specs):
-        try:
-            results[position] = _execute_async_trial(spec, skeletons)
-        except Exception as error:  # noqa: BLE001 — failures are campaign data
-            results[position] = _error_result(spec, error)
-    return [results[position] for position in range(len(specs))]
-
-
-def _execute_async_trial(
-    spec: TrialSpec,
-    skeletons: dict[tuple, "_AsyncSkeleton | Exception"],
-) -> TrialResult:
-    """One restricted-async trial: shared skeleton, per-trial value replay.
-
-    The prologue runs the object runtime's validation calls in its exact
-    order (workload, adversary, scheduler, process construction, runtime
-    size), so error rows raise identically.
-    """
-    registry = build_registry(spec)
-    make_adversaries(spec, registry)  # adversary == "none": validation no-op
-    scheduler = build_scheduler(spec, registry)
-    configuration = registry.configuration
-    value_lower, value_upper = registry.value_bounds()
-    cores: dict[int, RestrictedAsyncProcess] = {}
-    for process_id in registry.process_ids:
-        cores[process_id] = RestrictedAsyncProcess(
-            process_id=process_id,
-            configuration=configuration,
-            input_vector=registry.input_of(process_id),
-            epsilon=spec.epsilon,
-            value_lower=value_lower,
-            value_upper=value_upper,
-            max_rounds_override=spec.max_rounds_override,
-        )
-    if len(cores) < 2:
-        # RuntimeCore's size check, raised with its exact message.
-        raise ConfigurationError("a asynchronous run needs at least two processes")
-    total_rounds = max(cores[pid].total_rounds for pid in registry.honest_ids)
-
-    if spec.scheduler == "round_robin":
-        scheduler_signature: tuple = ("round_robin",)
-    else:  # lagging: the RNG stream is seed- and slow-set-specific
-        _, _, scheduler_seed = spec.resolved_seeds()
-        scheduler_signature = (
-            "lagging",
-            scheduler_seed,
-            tuple(sorted(scheduler.slow_processes)),
-        )
-    key = (
-        tuple(registry.process_ids),
-        tuple(sorted(registry.faulty_ids)),
-        total_rounds,
-        scheduler_signature,
-    )
-    skeleton = skeletons.get(key)
-    if skeleton is None:
-        try:
-            skeleton = _async_skeleton(registry, scheduler, total_rounds)
-        except (TerminationError, ConfigurationError) as error:
-            skeleton = error
-        skeletons[key] = skeleton
-    if isinstance(skeleton, Exception):
-        raise skeleton
-
-    states: dict[int, list[np.ndarray]] = {
-        process_id: [np.asarray(registry.input_of(process_id), dtype=float)]
-        for process_id in registry.process_ids
-    }
-    for process_id, round_index, members in skeleton.events:
-        # Sender ``m``'s round-``r`` payload carries its state after ``r - 1``
-        # updates; the recorded chronology guarantees that state exists.
-        collected = {member: states[member][round_index - 1] for member in members}
-        states[process_id].append(cores[process_id].next_state(collected))
-
-    # The decision is the state after the *last* aggregate, which is round
-    # ``total_rounds`` on every normal run but round 1 under a zero-round
-    # override (a process only checks its budget after finishing a round).
-    decisions = {
-        process_id: np.asarray(states[process_id][-1], dtype=float)
-        for process_id in registry.honest_ids
-    }
-    report = check_approximate_outcome(registry, decisions, epsilon=spec.epsilon)
-    return _result_row(
-        spec,
-        registry,
-        decisions,
-        report,
-        rounds=total_rounds,
-        messages_sent=skeleton.messages_sent,
-        messages_dropped=skeleton.messages_dropped,
-        state_histories=(
-            {process_id: states[process_id] for process_id in registry.honest_ids}
-            if spec.record_history
-            else None
-        ),
-    )
-
-
-def _async_skeleton(
-    registry: ProcessRegistry,
-    scheduler: object,
-    total_rounds: int,
-) -> _AsyncSkeleton:
-    """Record one scheduler signature's event structure with the real runtime.
-
-    The recorder cores are real :class:`RestrictedAsyncProcess` objects with
-    zero inputs whose ``next_state`` logs the event, driven by
-    the real :class:`AsynchronousRuntime` and the real scheduler — so the
-    delivery order, traffic counters and any :class:`TerminationError`
-    (budget, quiescence) are exactly the object runtime's.
-    """
-    configuration = registry.configuration
-    events: list[tuple[int, int, tuple[int, ...]]] = []
-    zero = np.zeros(configuration.dimension)
-    processes: dict[int, RestrictedAsyncProcess] = {}
-    for process_id in registry.process_ids:
-        processes[process_id] = _SkeletonRecorder(
-            events,
-            process_id=process_id,
-            configuration=configuration,
-            input_vector=zero,
-            epsilon=1.0,
-            value_lower=0.0,
-            value_upper=0.0,
-            max_rounds_override=total_rounds,
-        )
-    runtime = AsynchronousRuntime(
-        processes,
-        honest_ids=registry.honest_ids,
-        scheduler=scheduler,
-    )
-    result = runtime.run()
-    return _AsyncSkeleton(
-        events=events,
-        messages_sent=result.traffic.messages_sent,
-        messages_dropped=result.traffic.messages_dropped,
-    )

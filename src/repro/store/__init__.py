@@ -3,9 +3,9 @@
 The deterministic engine (PRs 2–4) makes every trial a pure function of its
 :class:`~repro.engine.spec.TrialSpec`.  This package turns that guarantee
 into a serving substrate: trial rows are warehoused under a content address
-derived from the spec itself (:mod:`repro.store.keys`), behind one
-:class:`~repro.store.backend.ResultStore` interface implemented over a
-single SQLite file (:mod:`repro.store.backend`), and queried without
+derived from the spec itself (:mod:`repro.store.keys`), in one
+:class:`~repro.store.backend.ResultStore` over a single SQLite file
+(:mod:`repro.store.backend`), and queried without
 re-execution through :mod:`repro.store.query`.
 
 A campaign session (:mod:`repro.engine.session`) consults a store before planning
@@ -18,7 +18,6 @@ is what makes interrupted campaigns resumable and repeated grids cheap.  The
 from repro.store.backend import (
     INDEXED_COLUMNS,
     ResultStore,
-    SqliteResultStore,
     StoreEntry,
     open_store,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "INDEXED_COLUMNS",
     "VOLATILE_SPEC_FIELDS",
     "ResultStore",
-    "SqliteResultStore",
     "StoreEntry",
     "StoredTrial",
     "TrialFilter",

@@ -1,4 +1,4 @@
-"""The result store: a ``ResultStore`` interface and its SQLite implementation.
+"""The result store: one ``ResultStore`` class over one SQLite file.
 
 A :class:`ResultStore` is an append-mostly warehouse of trial rows keyed by
 :func:`~repro.store.keys.trial_key` content addresses, with the durability
@@ -17,8 +17,8 @@ contract the campaign session's resume path relies on:
   caches (ETag digests, response bodies) can validate in O(1): equal
   generations bracket an unchanged result set, across processes.
 
-:class:`SqliteResultStore` is the one implementation: a single SQLite file
-with the spec's shape columns mirrored into indexed columns, so the query
+:class:`ResultStore` keeps the rows in a single SQLite file, with the
+spec's shape columns mirrored into indexed columns, so the query
 layer can push ``WHERE`` clauses into the database (atomic transactions,
 cheap point lookups at millions of rows).  The greppable, merge-friendly
 form of a store is its JSONL export (``repro store export`` /
@@ -30,7 +30,6 @@ from __future__ import annotations
 import json
 import sqlite3
 import time
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -44,7 +43,6 @@ __all__ = [
     "INDEXED_COLUMNS",
     "StoreEntry",
     "ResultStore",
-    "SqliteResultStore",
     "open_store",
 ]
 
@@ -135,35 +133,116 @@ def _count_claims(granted: int, requested: int) -> None:
         _STORE_CLAIMS.labels(outcome="denied").inc(requested - granted)
 
 
-class ResultStore(ABC):
-    """Content-addressed warehouse of trial rows (see module docstring)."""
+def _indexed_values(row: Mapping[str, Any]) -> tuple[Any, ...]:
+    return tuple(row.get(_ROW_FIELD[column]) for column in _ROW_FIELD)
+
+
+_SQLITE_SCHEMA = f"""
+CREATE TABLE IF NOT EXISTS trials (
+    key TEXT PRIMARY KEY,
+    engine_version TEXT NOT NULL,
+    {", ".join(f"{column} {'INTEGER' if column in ('process_count', 'dimension', 'fault_bound') else 'TEXT'}" for column in _ROW_FIELD)},
+    created_at REAL NOT NULL,
+    row TEXT NOT NULL
+);
+CREATE INDEX IF NOT EXISTS idx_trials_shape
+    ON trials (protocol, dimension, fault_bound, adversary);
+CREATE INDEX IF NOT EXISTS idx_trials_version ON trials (engine_version);
+CREATE TABLE IF NOT EXISTS claims (
+    key TEXT PRIMARY KEY,
+    owner TEXT NOT NULL,
+    claimed_at REAL NOT NULL
+);
+CREATE TABLE IF NOT EXISTS meta (
+    name TEXT PRIMARY KEY,
+    value INTEGER NOT NULL
+);
+INSERT OR IGNORE INTO meta (name, value) VALUES ('generation', 0);
+"""
+
+_BUMP_GENERATION = "UPDATE meta SET value = value + 1 WHERE name = 'generation'"
+
+# SQLite caps bound parameters per statement; stay well under the historic
+# 999 default.
+_SQLITE_KEY_CHUNK = 500
+
+
+class ResultStore:
+    """Content-addressed warehouse of trial rows (see module docstring).
+
+    One SQLite file with the spec's shape columns mirrored into indexed
+    columns.
+    """
 
     #: Human-readable backend name (the ``backend`` metric label and the
     #: ``backend`` field of :meth:`stats`).
-    backend_name: str
+    backend_name = "sqlite"
 
     #: Seconds after which an unreleased claim expires (a crashed claimant
     #: must not block other processes forever).
     CLAIM_TTL_SECONDS = 300.0
 
-    def __init__(self, path: str | Path) -> None:
+    def __init__(self, path: str | Path, check_same_thread: bool = True) -> None:
+        # ``check_same_thread=False`` is for pooled handles whose owner
+        # guarantees one-thread-at-a-time use but closes them from a
+        # different thread at shutdown (the serving layer's per-thread pool).
         self.path = Path(path)
+        if self.path.is_dir():
+            raise ConfigurationError(
+                f"{self.path} is a directory; a result store is a single SQLite file "
+                "(JSONL shard directories are no longer read — `repro store export` / "
+                "`repro store import` is the greppable format)"
+            )
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            self._connection = sqlite3.connect(
+                str(self.path), check_same_thread=check_same_thread
+            )
+        except sqlite3.Error as error:
+            raise ConfigurationError(
+                f"{self.path} is not a usable SQLite result store: {error}"
+            ) from error
+        try:
+            # Concurrent campaigns over one store serialise their claim and
+            # commit transactions; wait for the lock instead of failing.
+            self._connection.execute("PRAGMA busy_timeout = 30000")
+            self._connection.executescript(_SQLITE_SCHEMA)
+            self._connection.commit()
+        except sqlite3.DatabaseError as error:
+            self._connection.close()
+            raise ConfigurationError(
+                f"{self.path} is not a usable SQLite result store: {error}"
+            ) from error
 
-    # -- rows ------------------------------------------------------------------
-
-    @abstractmethod
     def get_rows(self, keys: Sequence[str]) -> dict[str, dict[str, Any]]:
         """Return ``{key: row}`` for every requested key present in the store."""
+        found: dict[str, dict[str, Any]] = {}
+        for start in range(0, len(keys), _SQLITE_KEY_CHUNK):
+            chunk = list(keys[start : start + _SQLITE_KEY_CHUNK])
+            placeholders = ",".join("?" for _ in chunk)
+            cursor = self._connection.execute(
+                f"SELECT key, row FROM trials WHERE key IN ({placeholders})", chunk
+            )
+            for key, row_text in cursor:
+                found[key] = json.loads(row_text)
+        return found
 
-    @abstractmethod
     def contains_keys(self, keys: Sequence[str]) -> set[str]:
         """Return the subset of ``keys`` present in the store (index-only).
 
         The session uses this for its cache-hit census so that a warm run
         never has to materialise every cached row at once.
         """
+        present: set[str] = set()
+        for start in range(0, len(keys), _SQLITE_KEY_CHUNK):
+            chunk = list(keys[start : start + _SQLITE_KEY_CHUNK])
+            placeholders = ",".join("?" for _ in chunk)
+            cursor = self._connection.execute(
+                f"SELECT key FROM trials WHERE key IN ({placeholders})", chunk
+            )
+            present.update(key for (key,) in cursor)
+        return present
 
-    @abstractmethod
     def put_rows(
         self,
         entries: Sequence[tuple[str, dict[str, Any]]],
@@ -175,8 +254,117 @@ class ResultStore(ABC):
         recorded on each row (tests and importers may backdate it; the
         session always writes the current revision).
         """
+        now = time.time()
+        records = [
+            (key, engine_version, *_indexed_values(row), now, json.dumps(row, sort_keys=True))
+            for key, row in entries
+        ]
+        columns = ", ".join(_ROW_FIELD)
+        placeholders = ",".join("?" for _ in range(len(_ROW_FIELD) + 4))
+        with self._connection:  # one transaction per call — the unit-commit contract
+            self._connection.executemany(
+                f"INSERT OR REPLACE INTO trials (key, engine_version, {columns}, created_at, row) "
+                f"VALUES ({placeholders})",
+                records,
+            )
+            # A committed row settles its claim in the same transaction, so
+            # concurrent claimants polling for it see claim-gone and
+            # row-present atomically.
+            self._connection.executemany(
+                "DELETE FROM claims WHERE key = ?", [(key,) for key, _ in entries]
+            )
+            if records:
+                self._connection.execute(_BUMP_GENERATION)
+        if records:
+            _STORE_ROWS_WRITTEN.labels(backend=self.backend_name).inc(len(records))
+            _STORE_GENERATION_BUMPS.labels(backend=self.backend_name).inc()
+        return len(records)
 
-    @abstractmethod
+    def put_results(self, pairs: Iterable[tuple[str, TrialResult]]) -> int:
+        """Store ``(key, result)`` pairs as one transactional batch."""
+        return self.put_rows([(key, result.to_row()) for key, result in pairs])
+
+    def claim_keys(self, keys: Sequence[str], owner: str) -> set[str]:
+        """Try to claim ``keys`` for ``owner``; return the granted subset.
+
+        The session claims its cache misses before running them so that
+        several processes sharing one store split the work instead of
+        duplicating it: a denied key means another live owner is computing
+        that trial, and the caller should poll for its committed row.
+        Claims are advisory — they coordinate work, they do not gate writes
+        (commits stay last-write-wins, which keeps crash recovery trivial).
+        """
+        now = time.time()
+        granted: set[str] = set()
+        # BEGIN IMMEDIATE takes the write lock up front: two processes
+        # claiming the same keys serialise here instead of deadlocking on a
+        # shared-to-exclusive lock upgrade mid-transaction.
+        self._connection.execute("BEGIN IMMEDIATE")
+        try:
+            self._connection.execute(
+                "DELETE FROM claims WHERE claimed_at < ?", (now - self.CLAIM_TTL_SECONDS,)
+            )
+            for start in range(0, len(keys), _SQLITE_KEY_CHUNK):
+                chunk = list(keys[start : start + _SQLITE_KEY_CHUNK])
+                markers = ",".join("?" for _ in chunk)
+                committed = {
+                    key
+                    for (key,) in self._connection.execute(
+                        f"SELECT key FROM trials WHERE key IN ({markers})", chunk
+                    )
+                }
+                # Keys already committed are cache hits, not work — deny
+                # them so the caller re-checks the store.
+                candidates = [key for key in chunk if key not in committed]
+                self._connection.executemany(
+                    "INSERT OR IGNORE INTO claims (key, owner, claimed_at) VALUES (?, ?, ?)",
+                    [(key, owner, now) for key in candidates],
+                )
+                granted.update(
+                    key
+                    for (key,) in self._connection.execute(
+                        f"SELECT key FROM claims WHERE owner = ? AND key IN ({markers})",
+                        [owner, *chunk],
+                    )
+                )
+            self._connection.commit()
+        except BaseException:
+            self._connection.rollback()
+            raise
+        _count_claims(granted=len(granted), requested=len(keys))
+        return granted
+
+    def release_claims(self, keys: Sequence[str], owner: str) -> int:
+        """Drop ``owner``'s claims on ``keys`` (committed rows already drop
+        theirs); returns the number released."""
+        released = 0
+        with self._connection:
+            for start in range(0, len(keys), _SQLITE_KEY_CHUNK):
+                chunk = list(keys[start : start + _SQLITE_KEY_CHUNK])
+                markers = ",".join("?" for _ in chunk)
+                cursor = self._connection.execute(
+                    f"DELETE FROM claims WHERE owner = ? AND key IN ({markers})",
+                    [owner, *chunk],
+                )
+                released += cursor.rowcount
+        return released
+
+    @staticmethod
+    def _scan_clauses(
+        filters: Mapping[str, Any], after_key: str | None, limit: int | None
+    ) -> tuple[str, str, list[Any]]:
+        conditions = [f"{column} = ?" for column in filters]
+        values: list[Any] = list(filters.values())
+        if after_key is not None:
+            conditions.append("key > ?")
+            values.append(after_key)
+        clause = f" WHERE {' AND '.join(conditions)}" if conditions else ""
+        tail = " ORDER BY key"
+        if limit is not None:
+            tail += " LIMIT ?"
+            values.append(limit)
+        return clause, tail, values
+
     def iter_entries(
         self,
         where: Mapping[str, Any] | None = None,
@@ -191,16 +379,27 @@ class ResultStore(ABC):
         bounded slices (the HTTP export stream) without holding a cursor, and
         without the backend materialising anything beyond the requested page.
         """
+        clause, tail, values = self._scan_clauses(_check_where(where), after_key, limit)
+        cursor = self._connection.execute(
+            f"SELECT key, engine_version, created_at, row FROM trials{clause}{tail}",
+            values,
+        )
+        for key, engine_version, created_at, row_text in cursor:
+            yield StoreEntry(key, engine_version, created_at, json.loads(row_text))
 
-    @abstractmethod
     def iter_keys(self, where: Mapping[str, Any] | None = None) -> Iterator[str]:
         """Yield matching content keys in sorted order, rows never deserialised.
 
         The ETag digest is computed from this index-only scan, so
         revalidation cost is bounded by key count, not row payload size.
         """
+        # Index-only scan: the ETag digest never touches the row TEXT column.
+        clause, tail, values = self._scan_clauses(_check_where(where), None, None)
+        for (key,) in self._connection.execute(
+            f"SELECT key FROM trials{clause}{tail}", values
+        ):
+            yield key
 
-    @abstractmethod
     def generation(self) -> int:
         """Monotonic content generation: bumped by every mutating commit.
 
@@ -213,63 +412,18 @@ class ResultStore(ABC):
         concurrent writers invalidate each other's caches.  Claims do not
         bump it: they coordinate work, not content.
         """
+        (value,) = self._connection.execute(
+            "SELECT value FROM meta WHERE name = 'generation'"
+        ).fetchone()
+        return int(value)
 
-    @abstractmethod
-    def __len__(self) -> int: ...
-
-    @abstractmethod
-    def close(self) -> None:
-        """Release backend resources (idempotent)."""
+    def __len__(self) -> int:
+        (count,) = self._connection.execute("SELECT COUNT(*) FROM trials").fetchone()
+        return int(count)
 
     def __contains__(self, key: str) -> bool:
         return bool(self.contains_keys([key]))
 
-    def __enter__(self) -> "ResultStore":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def put_results(self, pairs: Iterable[tuple[str, TrialResult]]) -> int:
-        """Store ``(key, result)`` pairs as one transactional batch."""
-        return self.put_rows([(key, result.to_row()) for key, result in pairs])
-
-    # -- cross-process claim coordination --------------------------------------
-
-    @abstractmethod
-    def claim_keys(self, keys: Sequence[str], owner: str) -> set[str]:
-        """Try to claim ``keys`` for ``owner``; return the granted subset.
-
-        The session claims its cache misses before running them so that
-        several processes sharing one store split the work instead of
-        duplicating it: a denied key means another live owner is computing
-        that trial, and the caller should poll for its committed row.
-        Claims are advisory — they coordinate work, they do not gate writes
-        (commits stay last-write-wins, which keeps crash recovery trivial).
-        """
-
-    @abstractmethod
-    def release_claims(self, keys: Sequence[str], owner: str) -> int:
-        """Drop ``owner``'s claims on ``keys`` (committed rows already drop
-        theirs); returns the number released."""
-
-    @abstractmethod
-    def list_claims(self) -> list[dict[str, Any]]:
-        """Outstanding claims as ``{key, owner, claimed_at, age_seconds, expired}``.
-
-        Diagnostic surface for stuck concurrent campaigns (``repro store
-        claims``): a long-lived *live* claim is a session still computing;
-        an *expired* one is a crashed claimant whose keys the next session
-        will re-claim.
-        """
-
-    @abstractmethod
-    def claim_stats(self) -> dict[str, int]:
-        """Live/expired claim counts (``{"live": n, "expired": n}``)."""
-
-    # -- maintenance -----------------------------------------------------------
-
-    @abstractmethod
     def gc(self, engine_version: str = ENGINE_VERSION, dry_run: bool = False) -> int:
         """Delete (or with ``dry_run`` just count) rows under any other engine salt.
 
@@ -277,10 +431,52 @@ class ResultStore(ABC):
         a salt no current :func:`~repro.store.keys.trial_key` call uses — so
         removing them only reclaims space, never cache hits.
         """
+        # engine_version is an indexed column, so neither the count nor the
+        # delete needs to parse a single row.
+        if dry_run:
+            (stale,) = self._connection.execute(
+                "SELECT COUNT(*) FROM trials WHERE engine_version != ?", (engine_version,)
+            ).fetchone()
+            return int(stale)
+        with self._connection:
+            cursor = self._connection.execute(
+                "DELETE FROM trials WHERE engine_version != ?", (engine_version,)
+            )
+            if cursor.rowcount:
+                self._connection.execute(_BUMP_GENERATION)
+        if cursor.rowcount:
+            _STORE_GENERATION_BUMPS.labels(backend=self.backend_name).inc()
+        return cursor.rowcount
 
-    @abstractmethod
     def stats(self) -> dict[str, Any]:
         """Aggregate view for the CLI: counts by engine version and status."""
+        # Grouped over the indexed columns, without deserialising any row.
+        by_version = {
+            version: int(count)
+            for version, count in self._connection.execute(
+                "SELECT engine_version, COUNT(*) FROM trials "
+                "GROUP BY engine_version ORDER BY engine_version"
+            )
+        }
+        by_status = {
+            status: int(count)
+            for status, count in self._connection.execute(
+                "SELECT status, COUNT(*) FROM trials GROUP BY status ORDER BY status"
+            )
+        }
+        total = sum(by_version.values())
+        claims = self.claim_stats()
+        return {
+            "backend": self.backend_name,
+            "path": str(self.path),
+            "trials": total,
+            "current_engine_version": ENGINE_VERSION,
+            "stale_trials": total - by_version.get(ENGINE_VERSION, 0),
+            "engine_versions": by_version,
+            "statuses": by_status,
+            "claims_live": claims["live"],
+            "claims_expired": claims["expired"],
+        }
 
     def import_jsonl(
         self,
@@ -325,282 +521,14 @@ class ResultStore(ABC):
             ingested += self.put_rows(batch, engine_version=engine_version)
         return ingested
 
-
-def _indexed_values(row: Mapping[str, Any]) -> tuple[Any, ...]:
-    return tuple(row.get(_ROW_FIELD[column]) for column in _ROW_FIELD)
-
-
-_SQLITE_SCHEMA = f"""
-CREATE TABLE IF NOT EXISTS trials (
-    key TEXT PRIMARY KEY,
-    engine_version TEXT NOT NULL,
-    {", ".join(f"{column} {'INTEGER' if column in ('process_count', 'dimension', 'fault_bound') else 'TEXT'}" for column in _ROW_FIELD)},
-    created_at REAL NOT NULL,
-    row TEXT NOT NULL
-);
-CREATE INDEX IF NOT EXISTS idx_trials_shape
-    ON trials (protocol, dimension, fault_bound, adversary);
-CREATE INDEX IF NOT EXISTS idx_trials_version ON trials (engine_version);
-CREATE TABLE IF NOT EXISTS claims (
-    key TEXT PRIMARY KEY,
-    owner TEXT NOT NULL,
-    claimed_at REAL NOT NULL
-);
-CREATE TABLE IF NOT EXISTS meta (
-    name TEXT PRIMARY KEY,
-    value INTEGER NOT NULL
-);
-INSERT OR IGNORE INTO meta (name, value) VALUES ('generation', 0);
-"""
-
-_BUMP_GENERATION = "UPDATE meta SET value = value + 1 WHERE name = 'generation'"
-
-# SQLite caps bound parameters per statement; stay well under the historic
-# 999 default.
-_SQLITE_KEY_CHUNK = 500
-
-
-class SqliteResultStore(ResultStore):
-    """Single-file SQLite warehouse with indexed shape columns."""
-
-    backend_name = "sqlite"
-
-    def __init__(self, path: str | Path, check_same_thread: bool = True) -> None:
-        # ``check_same_thread=False`` is for pooled handles whose owner
-        # guarantees one-thread-at-a-time use but closes them from a
-        # different thread at shutdown (the serving layer's per-thread pool).
-        super().__init__(path)
-        if self.path.is_dir():
-            raise ConfigurationError(
-                f"{self.path} is a directory; a result store is a single SQLite file "
-                "(JSONL shard directories are no longer read — `repro store export` / "
-                "`repro store import` is the greppable format)"
-            )
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            self._connection = sqlite3.connect(
-                str(self.path), check_same_thread=check_same_thread
-            )
-        except sqlite3.Error as error:
-            raise ConfigurationError(
-                f"{self.path} is not a usable SQLite result store: {error}"
-            ) from error
-        try:
-            # Concurrent campaigns over one store serialise their claim and
-            # commit transactions; wait for the lock instead of failing.
-            self._connection.execute("PRAGMA busy_timeout = 30000")
-            self._connection.executescript(_SQLITE_SCHEMA)
-            self._connection.commit()
-        except sqlite3.DatabaseError as error:
-            self._connection.close()
-            raise ConfigurationError(
-                f"{self.path} is not a usable SQLite result store: {error}"
-            ) from error
-
-    def get_rows(self, keys: Sequence[str]) -> dict[str, dict[str, Any]]:
-        found: dict[str, dict[str, Any]] = {}
-        for start in range(0, len(keys), _SQLITE_KEY_CHUNK):
-            chunk = list(keys[start : start + _SQLITE_KEY_CHUNK])
-            placeholders = ",".join("?" for _ in chunk)
-            cursor = self._connection.execute(
-                f"SELECT key, row FROM trials WHERE key IN ({placeholders})", chunk
-            )
-            for key, row_text in cursor:
-                found[key] = json.loads(row_text)
-        return found
-
-    def contains_keys(self, keys: Sequence[str]) -> set[str]:
-        present: set[str] = set()
-        for start in range(0, len(keys), _SQLITE_KEY_CHUNK):
-            chunk = list(keys[start : start + _SQLITE_KEY_CHUNK])
-            placeholders = ",".join("?" for _ in chunk)
-            cursor = self._connection.execute(
-                f"SELECT key FROM trials WHERE key IN ({placeholders})", chunk
-            )
-            present.update(key for (key,) in cursor)
-        return present
-
-    def put_rows(
-        self,
-        entries: Sequence[tuple[str, dict[str, Any]]],
-        engine_version: str = ENGINE_VERSION,
-    ) -> int:
-        now = time.time()
-        records = [
-            (key, engine_version, *_indexed_values(row), now, json.dumps(row, sort_keys=True))
-            for key, row in entries
-        ]
-        columns = ", ".join(_ROW_FIELD)
-        placeholders = ",".join("?" for _ in range(len(_ROW_FIELD) + 4))
-        with self._connection:  # one transaction per call — the unit-commit contract
-            self._connection.executemany(
-                f"INSERT OR REPLACE INTO trials (key, engine_version, {columns}, created_at, row) "
-                f"VALUES ({placeholders})",
-                records,
-            )
-            # A committed row settles its claim in the same transaction, so
-            # concurrent claimants polling for it see claim-gone and
-            # row-present atomically.
-            self._connection.executemany(
-                "DELETE FROM claims WHERE key = ?", [(key,) for key, _ in entries]
-            )
-            if records:
-                self._connection.execute(_BUMP_GENERATION)
-        if records:
-            _STORE_ROWS_WRITTEN.labels(backend=self.backend_name).inc(len(records))
-            _STORE_GENERATION_BUMPS.labels(backend=self.backend_name).inc()
-        return len(records)
-
-    def claim_keys(self, keys: Sequence[str], owner: str) -> set[str]:
-        now = time.time()
-        granted: set[str] = set()
-        # BEGIN IMMEDIATE takes the write lock up front: two processes
-        # claiming the same keys serialise here instead of deadlocking on a
-        # shared-to-exclusive lock upgrade mid-transaction.
-        self._connection.execute("BEGIN IMMEDIATE")
-        try:
-            self._connection.execute(
-                "DELETE FROM claims WHERE claimed_at < ?", (now - self.CLAIM_TTL_SECONDS,)
-            )
-            for start in range(0, len(keys), _SQLITE_KEY_CHUNK):
-                chunk = list(keys[start : start + _SQLITE_KEY_CHUNK])
-                markers = ",".join("?" for _ in chunk)
-                committed = {
-                    key
-                    for (key,) in self._connection.execute(
-                        f"SELECT key FROM trials WHERE key IN ({markers})", chunk
-                    )
-                }
-                # Keys already committed are cache hits, not work — deny
-                # them so the caller re-checks the store.
-                candidates = [key for key in chunk if key not in committed]
-                self._connection.executemany(
-                    "INSERT OR IGNORE INTO claims (key, owner, claimed_at) VALUES (?, ?, ?)",
-                    [(key, owner, now) for key in candidates],
-                )
-                granted.update(
-                    key
-                    for (key,) in self._connection.execute(
-                        f"SELECT key FROM claims WHERE owner = ? AND key IN ({markers})",
-                        [owner, *chunk],
-                    )
-                )
-            self._connection.commit()
-        except BaseException:
-            self._connection.rollback()
-            raise
-        _count_claims(granted=len(granted), requested=len(keys))
-        return granted
-
-    def release_claims(self, keys: Sequence[str], owner: str) -> int:
-        released = 0
-        with self._connection:
-            for start in range(0, len(keys), _SQLITE_KEY_CHUNK):
-                chunk = list(keys[start : start + _SQLITE_KEY_CHUNK])
-                markers = ",".join("?" for _ in chunk)
-                cursor = self._connection.execute(
-                    f"DELETE FROM claims WHERE owner = ? AND key IN ({markers})",
-                    [owner, *chunk],
-                )
-                released += cursor.rowcount
-        return released
-
-    @staticmethod
-    def _scan_clauses(
-        filters: Mapping[str, Any], after_key: str | None, limit: int | None
-    ) -> tuple[str, str, list[Any]]:
-        conditions = [f"{column} = ?" for column in filters]
-        values: list[Any] = list(filters.values())
-        if after_key is not None:
-            conditions.append("key > ?")
-            values.append(after_key)
-        clause = f" WHERE {' AND '.join(conditions)}" if conditions else ""
-        tail = " ORDER BY key"
-        if limit is not None:
-            tail += " LIMIT ?"
-            values.append(limit)
-        return clause, tail, values
-
-    def iter_entries(
-        self,
-        where: Mapping[str, Any] | None = None,
-        after_key: str | None = None,
-        limit: int | None = None,
-    ) -> Iterator[StoreEntry]:
-        clause, tail, values = self._scan_clauses(_check_where(where), after_key, limit)
-        cursor = self._connection.execute(
-            f"SELECT key, engine_version, created_at, row FROM trials{clause}{tail}",
-            values,
-        )
-        for key, engine_version, created_at, row_text in cursor:
-            yield StoreEntry(key, engine_version, created_at, json.loads(row_text))
-
-    def iter_keys(self, where: Mapping[str, Any] | None = None) -> Iterator[str]:
-        # Index-only scan: the ETag digest never touches the row TEXT column.
-        clause, tail, values = self._scan_clauses(_check_where(where), None, None)
-        for (key,) in self._connection.execute(
-            f"SELECT key FROM trials{clause}{tail}", values
-        ):
-            yield key
-
-    def generation(self) -> int:
-        (value,) = self._connection.execute(
-            "SELECT value FROM meta WHERE name = 'generation'"
-        ).fetchone()
-        return int(value)
-
-    def __len__(self) -> int:
-        (count,) = self._connection.execute("SELECT COUNT(*) FROM trials").fetchone()
-        return int(count)
-
-    def gc(self, engine_version: str = ENGINE_VERSION, dry_run: bool = False) -> int:
-        # engine_version is an indexed column, so neither the count nor the
-        # delete needs to parse a single row.
-        if dry_run:
-            (stale,) = self._connection.execute(
-                "SELECT COUNT(*) FROM trials WHERE engine_version != ?", (engine_version,)
-            ).fetchone()
-            return int(stale)
-        with self._connection:
-            cursor = self._connection.execute(
-                "DELETE FROM trials WHERE engine_version != ?", (engine_version,)
-            )
-            if cursor.rowcount:
-                self._connection.execute(_BUMP_GENERATION)
-        if cursor.rowcount:
-            _STORE_GENERATION_BUMPS.labels(backend=self.backend_name).inc()
-        return cursor.rowcount
-
-    def stats(self) -> dict[str, Any]:
-        # Grouped over the indexed columns, without deserialising any row.
-        by_version = {
-            version: int(count)
-            for version, count in self._connection.execute(
-                "SELECT engine_version, COUNT(*) FROM trials "
-                "GROUP BY engine_version ORDER BY engine_version"
-            )
-        }
-        by_status = {
-            status: int(count)
-            for status, count in self._connection.execute(
-                "SELECT status, COUNT(*) FROM trials GROUP BY status ORDER BY status"
-            )
-        }
-        total = sum(by_version.values())
-        claims = self.claim_stats()
-        return {
-            "backend": self.backend_name,
-            "path": str(self.path),
-            "trials": total,
-            "current_engine_version": ENGINE_VERSION,
-            "stale_trials": total - by_version.get(ENGINE_VERSION, 0),
-            "engine_versions": by_version,
-            "statuses": by_status,
-            "claims_live": claims["live"],
-            "claims_expired": claims["expired"],
-        }
-
     def list_claims(self) -> list[dict[str, Any]]:
+        """Outstanding claims as ``{key, owner, claimed_at, age_seconds, expired}``.
+
+        Diagnostic surface for stuck concurrent campaigns (``repro store
+        claims``): a long-lived *live* claim is a session still computing;
+        an *expired* one is a crashed claimant whose keys the next session
+        will re-claim.
+        """
         now = time.time()
         return [
             {
@@ -616,6 +544,7 @@ class SqliteResultStore(ResultStore):
         ]
 
     def claim_stats(self) -> dict[str, int]:
+        """Live/expired claim counts (``{"live": n, "expired": n}``)."""
         cutoff = time.time() - self.CLAIM_TTL_SECONDS
         (live,) = self._connection.execute(
             "SELECT COUNT(*) FROM claims WHERE claimed_at >= ?", (cutoff,)
@@ -626,13 +555,25 @@ class SqliteResultStore(ResultStore):
         return {"live": int(live), "expired": int(expired)}
 
     def close(self) -> None:
+        """Release backend resources (idempotent)."""
         self._connection.close()
+
+    def __enter__(self) -> "ResultStore":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+
+# The ledger's span patcher (benchmarks/ledger/spans.py) wraps store
+# methods through this name.
+SqliteResultStore = ResultStore
 
 
 def open_store(path: str | Path, check_same_thread: bool = True) -> ResultStore:
     """Open (creating if needed) the SQLite result store at ``path``.
 
     ``check_same_thread=False`` relaxes SQLite's thread pinning for pooled
-    handles (see :class:`SqliteResultStore`).
+    handles (see :class:`ResultStore`).
     """
-    return SqliteResultStore(path, check_same_thread=check_same_thread)
+    return ResultStore(path, check_same_thread=check_same_thread)

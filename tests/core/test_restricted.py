@@ -19,6 +19,7 @@ from repro.core.restricted_async import (
 from repro.core.restricted_sync import RestrictedSyncProcess, run_restricted_sync_bvc
 from repro.core.validity import check_approximate_outcome
 from repro.exceptions import ConfigurationError, ResilienceError
+from repro.network.message import Message
 from repro.network.scheduler import RandomScheduler
 from repro.workloads.generators import uniform_box_registry
 
@@ -132,3 +133,83 @@ class TestRestrictedAsync:
         )
         report = check_approximate_outcome(registry, outcome.decisions, epsilon=0.3)
         assert report.validity_ok
+
+
+#: STATE payloads that are not ``d`` finite floats (here ``d = 2``).
+MALFORMED_STATES = [
+    pytest.param(None, id="none"),
+    pytest.param((0.1, 0.2, 0.3), id="wrong-shape"),
+    pytest.param((float("nan"), 0.2), id="nan"),
+    pytest.param((float("inf"), 0.2), id="inf"),
+    pytest.param("0.1 0.2", id="string"),
+]
+
+
+def _with_state(message: Message, state) -> Message:
+    return Message(
+        sender=message.sender, recipient=message.recipient, protocol=message.protocol,
+        kind=message.kind, payload={**message.payload, "state": state},
+        round_index=message.round_index,
+    )
+
+
+class TestMalformedState:
+    """Both restricted processes read a malformed STATE payload as no message."""
+
+    @pytest.mark.parametrize("state", MALFORMED_STATES)
+    def test_sync_process_reads_silence(self, state):
+        registry = sync_registry(dimension=2, seed=31)
+        n = registry.configuration.process_count
+
+        def process(pid):
+            return RestrictedSyncProcess(
+                process_id=pid, configuration=registry.configuration,
+                input_vector=registry.input_of(pid), epsilon=0.3,
+                value_lower=-1.0, value_upper=1.0, max_rounds_override=1,
+            )
+
+        inbox = [
+            message
+            for sender in range(1, n)
+            for message in process(sender).outgoing(1)
+            if message.recipient == 0
+        ]
+        malformed, silent = process(0), process(0)
+        malformed.deliver(1, [_with_state(inbox[0], state), *inbox[1:]])
+        silent.deliver(1, inbox[1:])
+        assert np.array_equal(malformed.decision(), silent.decision())
+
+    @pytest.mark.parametrize("state", MALFORMED_STATES)
+    def test_async_process_reads_silence(self, state):
+        registry = async_registry(dimension=2, seed=32)
+        configuration = registry.configuration
+        wait_for = configuration.process_count - configuration.fault_bound - 1
+
+        def started(pid):
+            core = RestrictedAsyncProcess(
+                process_id=pid, configuration=configuration,
+                input_vector=registry.input_of(pid), epsilon=0.3,
+                value_lower=-1.0, value_upper=1.0, max_rounds_override=1,
+            )
+            sent: list[Message] = []
+            core.bind_transport(sent.append)
+            core.on_start()
+            return core, sent
+
+        messages = []
+        for sender in range(1, wait_for + 1):
+            _, sent = started(sender)
+            messages.extend(message for message in sent if message.recipient == 0)
+        malformed, _ = started(0)
+        silent, _ = started(0)
+        for message in messages[:-1]:
+            malformed.on_message(message)
+            silent.on_message(message)
+        # A malformed report neither completes the round nor takes the
+        # sender's one slot: its valid report still counts afterwards.
+        malformed.on_message(_with_state(messages[-1], state))
+        assert not malformed.has_decided()
+        malformed.on_message(messages[-1])
+        silent.on_message(messages[-1])
+        assert malformed.has_decided() and silent.has_decided()
+        assert np.array_equal(malformed.decision(), silent.decision())

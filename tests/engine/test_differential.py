@@ -1,13 +1,13 @@
-"""Differential-oracle harness for the newly columnar scenario classes.
+"""Differential-oracle harness for the coordinated columnar scenario class.
 
-The object runtime is the oracle.  Every scenario class that PR 6 made
-eligible for the vectorized engine — coordinated restricted-sync adversaries
-and deterministic-scheduler restricted-async runs — is executed through both
-engines here, asserting byte-identical JSONL rows (after
-:func:`~repro.engine.spec.strip_timing`): decisions, verdicts, round and
-traffic counters, recorded state histories, and error rows alike.  A
+The object runtime is the oracle.  Coordinated restricted-sync adversaries
+are executed through both engines here, asserting byte-identical JSONL rows
+(after :func:`~repro.engine.spec.strip_timing`): decisions, verdicts, round
+and traffic counters, recorded state histories, and error rows alike.  A
 divergence anywhere in this file means the columnar path changed trial
-*semantics*, not just trial *speed*.
+*semantics*, not just trial *speed*.  Restricted-async runs always take the
+object runtime; the file also pins that they are pure functions of their
+specs under ``engine="auto"``.
 """
 
 from __future__ import annotations
@@ -132,55 +132,8 @@ class TestCoordinatedDifferential:
                 assert np.array_equal(object_state, vectorized_state)
 
 
-class TestAsyncDifferential:
-    """Deterministic-scheduler restricted-async runs: skeleton replay vs object."""
-
-    def _specs(self, scheduler, *, seeds=(5, 6, 7), rounds=4):
-        specs = []
-        for process_count, dimension, fault_bound in ((6, 1, 1), (7, 2, 1), (8, 3, 1)):
-            for seed in seeds:
-                specs.append(TrialSpec(
-                    protocol="restricted_async", workload="uniform_box",
-                    scheduler=scheduler, process_count=process_count,
-                    dimension=dimension, fault_bound=fault_bound,
-                    max_rounds_override=rounds, seed=seed,
-                    trial_index=len(specs),
-                ))
-        return specs
-
-    @pytest.mark.parametrize("scheduler", DETERMINISTIC_SCHEDULERS)
-    def test_scheduler_grid_matches_oracle(self, scheduler):
-        rows = _assert_rows_identical(self._specs(scheduler))
-        statuses = {json.loads(row)["status"] for row in rows}
-        assert statuses == {"ok"}
-
-    @pytest.mark.parametrize("scheduler", DETERMINISTIC_SCHEDULERS)
-    def test_zero_round_budget_matches_oracle(self, scheduler):
-        _assert_rows_identical(self._specs(scheduler, seeds=(9,), rounds=0))
-
-    def test_async_histories_match_oracle(self):
-        spec = TrialSpec(
-            protocol="restricted_async", workload="uniform_box",
-            scheduler="round_robin", process_count=6, dimension=1,
-            fault_bound=1, max_rounds_override=3, seed=21,
-            record_history=True,
-        )
-        object_result = run_trial(spec)
-        (vectorized_result,) = run_specs_vectorized([spec])
-        assert object_result.ok and vectorized_result.ok
-        assert (
-            object_result.state_histories.keys()
-            == vectorized_result.state_histories.keys()
-        )
-        for process_id, object_history in object_result.state_histories.items():
-            vectorized_history = vectorized_result.state_histories[process_id]
-            assert len(object_history) == len(vectorized_history)
-            for object_state, vectorized_state in zip(object_history, vectorized_history):
-                assert np.array_equal(object_state, vectorized_state)
-
-
 class TestAsyncDeterminism:
-    """Batched-async runs are pure functions of their specs."""
+    """Restricted-async runs are pure functions of their specs."""
 
     def _specs(self, scheduler):
         return [
@@ -194,14 +147,13 @@ class TestAsyncDeterminism:
         ]
 
     @pytest.mark.parametrize("scheduler", DETERMINISTIC_SCHEDULERS)
-    def test_repeated_vectorized_runs_are_byte_identical(self, scheduler):
+    def test_repeated_runs_are_byte_identical(self, scheduler):
         specs = self._specs(scheduler)
-        first = _rows(CampaignSession(specs, engine="vectorized").rows())
-        second = _rows(CampaignSession(specs, engine="vectorized").rows())
+        first = _rows(CampaignSession(specs, engine="auto").rows())
+        second = _rows(CampaignSession(specs, engine="auto").rows())
         assert first == second
         # Identical specs at different positions produce identical rows
-        # modulo the trial index: the skeleton cache cannot leak state
-        # between the trials that share it.
+        # modulo the trial index: no state leaks from one trial to the next.
         first_row = json.loads(first[0])
         repeat_row = json.loads(first[2])
         first_row.pop("spec_trial_index"), repeat_row.pop("spec_trial_index")
@@ -210,14 +162,13 @@ class TestAsyncDeterminism:
     @pytest.mark.parametrize("scheduler", DETERMINISTIC_SCHEDULERS)
     def test_worker_count_invariance(self, scheduler):
         specs = self._specs(scheduler)
-        inline = _rows(CampaignSession(specs, engine="vectorized", workers=1).rows())
-        pooled = _rows(CampaignSession(specs, engine="vectorized", workers=2).rows())
+        inline = _rows(CampaignSession(specs, engine="auto", workers=1).rows())
+        pooled = _rows(CampaignSession(specs, engine="auto", workers=2).rows())
         assert inline == pooled
 
     def test_lagging_scheduler_seed_flows_from_trial_seed(self):
-        # The lagging scheduler consumes a structure-only RNG stream keyed by
-        # the trial's scheduler seed; two different trial seeds must each
-        # still match the oracle (covered above) *and* be reproducible here.
+        # The lagging scheduler draws from a stream keyed by the trial's
+        # scheduler seed; each trial seed must reproduce its own row.
         base = TrialSpec(
             protocol="restricted_async", workload="uniform_box",
             scheduler="lagging", process_count=6, dimension=1,
@@ -225,8 +176,6 @@ class TestAsyncDeterminism:
         )
         other = dataclasses.replace(base, seed=12)
         for spec in (base, other):
-            (first,) = run_specs_vectorized([spec])
-            (second,) = run_specs_vectorized([spec])
-            object_result = run_trial(spec)
-            assert strip_timing([first.to_row()]) == strip_timing([second.to_row()])
-            assert strip_timing([first.to_row()]) == strip_timing([object_result.to_row()])
+            first = _rows(CampaignSession([spec], engine="auto").rows())
+            second = _rows(CampaignSession([spec], engine="auto").rows())
+            assert first == second == _rows([run_trial(spec)])

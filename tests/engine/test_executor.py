@@ -49,6 +49,32 @@ class TestRunTrial:
         assert len(result.decision) == 2
         assert result.elapsed_ms > 0
 
+    @pytest.mark.parametrize("scheduler", ["round_robin", "lagging"])
+    def test_restricted_async_zero_round_budget(self, scheduler):
+        # A process checks its budget only after finishing a round, so a
+        # zero-round override still runs one update: the decision is the
+        # state after it, and the row reports the override as its rounds.
+        result = run_trial(
+            TrialSpec(
+                protocol="restricted_async",
+                workload="uniform_box",
+                scheduler=scheduler,
+                process_count=6,
+                dimension=1,
+                fault_bound=1,
+                max_rounds_override=0,
+                seed=9,
+                record_history=True,
+            )
+        )
+        assert result.ok
+        assert result.to_row()["rounds"] == 0
+        first_honest = min(result.state_histories)
+        for history in result.state_histories.values():
+            assert len(history) == 2  # the input, then one update
+        assert result.decision == tuple(float(x) for x in result.state_histories[first_honest][1])
+        assert result.decision != tuple(float(x) for x in result.state_histories[first_honest][0])
+
     def test_approx_trial_reports_async_counters(self):
         result = run_trial(
             TrialSpec(

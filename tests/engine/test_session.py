@@ -37,7 +37,7 @@ from repro.engine import (
 )
 from repro.engine import session as session_module
 from repro.engine.session import STORE_COMMIT_CHUNK
-from repro.store.backend import SqliteResultStore
+from repro.store.backend import ResultStore
 from repro.store.keys import trial_key
 
 
@@ -128,7 +128,7 @@ class TestEventStream:
 
         # With a store: the row's whole group has run and is already stored.
         ran.clear()
-        with SqliteResultStore(tmp_path / "store.db") as store:
+        with ResultStore(tmp_path / "store.db") as store:
             session = CampaignSession(specs, engine=engine, store=store)
             for consumed, result in enumerate(session.rows(), start=1):
                 groups = -(-consumed // STORE_COMMIT_CHUNK)
@@ -139,7 +139,7 @@ class TestEventStream:
         """On the pool the commit group is the pool task, not a 4-trial slice."""
         specs = _object_specs(24)
         options = {"engine": "object", "chunksize": 8}
-        with SqliteResultStore(tmp_path / "store.db") as store:
+        with ResultStore(tmp_path / "store.db") as store:
             start = store.generation()
             session = CampaignSession(specs, store=store, workers=2, **options)
             committed: set[int] = set()
@@ -177,7 +177,7 @@ class TestOneLoop:
             list(CampaignSession(specs, store=store_path).rows())
         elif store_state == "contended":
             # A crashed owner: holds two claims it will never commit.
-            with SqliteResultStore(store_path) as ghost:
+            with ResultStore(store_path) as ghost:
                 ghost.claim_keys([trial_key(specs[3]), trial_key(specs[4])], "ghost")
             options["claim_wait_timeout"] = 1.0
 
@@ -204,7 +204,7 @@ class TestOneLoop:
             elif isinstance(event, RowEvent) and event.source == "executed":
                 assert planned and event.position in committed
         if store_path is not None:
-            with SqliteResultStore(store_path) as store:
+            with ResultStore(store_path) as store:
                 assert len(store) == len(specs)
                 assert store.claim_stats() == {"live": 0, "expired": 0}
 
@@ -259,7 +259,7 @@ class TestCancellation:
                 session.cancel()
         assert session.state == "cancelled"
         assert len(consumed) < len(specs)
-        with SqliteResultStore(store_path) as store:
+        with ResultStore(store_path) as store:
             assert store.claim_stats() == {"live": 0, "expired": 0}
 
     def test_generator_close_is_client_disconnect(self, tmp_path):
@@ -270,7 +270,7 @@ class TestCancellation:
         next(rows), next(rows)
         rows.close()
         assert session.state == "cancelled"
-        with SqliteResultStore(store_path) as store:
+        with ResultStore(store_path) as store:
             assert store.claim_stats() == {"live": 0, "expired": 0}
 
     def test_multiworker_cancel_halts_promptly_and_releases_claims(self, tmp_path):
@@ -286,7 +286,7 @@ class TestCancellation:
                 session.cancel()
         assert session.state == "cancelled"
         assert session.status().emitted == received
-        with SqliteResultStore(store_path) as store:
+        with ResultStore(store_path) as store:
             assert store.claim_stats() == {"live": 0, "expired": 0}
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -309,7 +309,7 @@ class TestCancellation:
                 first.cancel()
         assert first.state == "cancelled"
 
-        committed = len(SqliteResultStore(store_path))
+        committed = len(ResultStore(store_path))
         # Commit-then-emit: every consumed row is durably in the store.
         assert committed >= consumed
 

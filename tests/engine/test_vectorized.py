@@ -78,30 +78,26 @@ class TestEligibility:
             assert spec_is_vectorizable(spec)
             assert vectorization_fallback(spec) is None
 
-    def test_deterministic_async_schedulers_are_eligible(self):
-        for scheduler in ("round_robin", "lagging"):
-            spec = TrialSpec(
-                protocol="restricted_async", workload="uniform_box", scheduler=scheduler
-            )
-            assert spec_is_vectorizable(spec)
-            assert vectorization_fallback(spec) is None
-
-    def test_random_async_scheduler_falls_back(self):
-        # TrialSpec defaults to the random scheduler, whose decision stream
-        # consumes an RNG per delivery — no shared skeleton across trials.
-        spec = TrialSpec(protocol="restricted_async", workload="uniform_box")
-        assert not spec_is_vectorizable(spec)
-        assert vectorization_fallback(spec) is FallbackReason.SCHEDULER_NOT_DETERMINISTIC
-
-    def test_faulty_async_runs_fall_back(self):
+    @pytest.mark.parametrize(
+        "scheduler, adversary",
+        [
+            ("random", "none"),
+            ("round_robin", "none"),
+            ("lagging", "none"),
+            ("round_robin", "crash"),
+        ],
+    )
+    def test_restricted_async_falls_back(self, scheduler, adversary):
+        # Every asynchronous spec runs on the object runtime, whatever its
+        # scheduler or adversary.
         spec = TrialSpec(
             protocol="restricted_async",
             workload="uniform_box",
-            adversary="crash",
-            scheduler="round_robin",
+            scheduler=scheduler,
+            adversary=adversary,
         )
         assert not spec_is_vectorizable(spec)
-        assert vectorization_fallback(spec) is FallbackReason.ADVERSARY_NOT_COLUMNAR
+        assert vectorization_fallback(spec) is FallbackReason.ASYNC_PROTOCOL_NOT_COLUMNAR
 
 
 class TestPlanner:
@@ -167,10 +163,10 @@ class TestPlanner:
             FallbackReason.SINGLETON_GROUP.value: 1,
         }
 
-    def test_widened_eligibility_set_reports_no_fallback(self):
-        # Every scenario class the tentpole made columnar — independent and
-        # coordinated restricted-sync adversaries plus deterministic-scheduler
-        # async runs — must plan without a single fallback.
+    def test_mixed_grid_plans_async_specs_as_fallbacks(self):
+        # Every restricted-sync adversary, independent and coordinated, plans
+        # columnar; the restricted-async specs, under either deterministic
+        # scheduler, fall back to the object runtime.
         specs = []
         for adversary in ("none", "crash", "equivocate", "outside_hull",
                           "random_noise", "coordinate_attack",
@@ -181,6 +177,7 @@ class TestPlanner:
                     adversary=adversary, process_count=7, dimension=2,
                     fault_bound=1, seed=len(specs), trial_index=len(specs),
                 ))
+        sync_positions = set(range(len(specs)))
         for scheduler in ("round_robin", "lagging"):
             for repeat in range(2):
                 specs.append(TrialSpec(
@@ -190,8 +187,14 @@ class TestPlanner:
                 ))
         reasons: dict[str, int] = {}
         units = plan_specs(specs, engine="auto", fallback_reasons=reasons)
-        assert reasons == {}
-        assert all(unit.kind == "columnar" for unit in units)
+        assert reasons == {FallbackReason.ASYNC_PROTOCOL_NOT_COLUMNAR.value: 4}
+        columnar = {
+            position
+            for unit in units
+            if unit.kind == "columnar"
+            for position in unit.positions
+        }
+        assert columnar == sync_positions
 
 
 class TestEquivalenceGrid:

@@ -33,7 +33,7 @@ import threading
 
 from repro.engine import Campaign, CampaignSession
 from repro.server import CampaignService, serve
-from repro.store.backend import SqliteResultStore
+from repro.store.backend import ResultStore
 
 KEEPALIVE_REQUESTS = 120  # acceptance floor is 100 sequential requests
 
@@ -166,7 +166,7 @@ class TestKeepAlive:
                 assert headers["transfer-encoding"] == "chunked"
                 assert headers["connection"] == "keep-alive"
                 sock = conn.sock
-                with SqliteResultStore(store_path) as store:
+                with ResultStore(store_path) as store:
                     expected = "".join(
                         json.dumps(entry.row, sort_keys=True) + "\n"
                         for entry in store.iter_entries()

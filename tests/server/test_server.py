@@ -38,7 +38,7 @@ from repro.server import (
     UnknownRun,
     serve,
 )
-from repro.store.backend import SqliteResultStore
+from repro.store.backend import ResultStore
 from repro.store.keys import trial_key
 from repro.store.query import TrialFilter
 
@@ -81,20 +81,20 @@ def _precache(store_path, specs) -> None:
 def _ghost_claim(store_path, specs) -> list[str]:
     """Claim the keys of ``specs`` under an owner that will never commit."""
     keys = [trial_key(spec) for spec in specs]
-    with SqliteResultStore(store_path) as store:
+    with ResultStore(store_path) as store:
         granted = store.claim_keys(keys, GHOST)
     assert granted == set(keys)
     return keys
 
 
 def _release_ghost(store_path, keys) -> None:
-    with SqliteResultStore(store_path) as store:
+    with ResultStore(store_path) as store:
         store.release_claims(keys, GHOST)
 
 
 def _stored_lines(store_path) -> list[str]:
     """Every stored row in key order, serialised as ``repro store export`` writes it."""
-    with SqliteResultStore(store_path) as store:
+    with ResultStore(store_path) as store:
         return [json.dumps(entry.row, sort_keys=True) for entry in store.iter_entries()]
 
 
@@ -276,8 +276,8 @@ class TestCampaignService:
             def _no_scan(self, *args, **kwargs):
                 raise AssertionError("cached ETag path must not scan rows")
 
-            monkeypatch.setattr(SqliteResultStore, "iter_entries", _no_scan)
-            monkeypatch.setattr(SqliteResultStore, "iter_keys", _no_scan)
+            monkeypatch.setattr(ResultStore, "iter_entries", _no_scan)
+            monkeypatch.setattr(ResultStore, "iter_keys", _no_scan)
             assert service.etag_for() == warm
             assert service.etag_for({"protocol": "exact"}) == filtered
         finally:

@@ -10,13 +10,13 @@ from repro.engine import TrialResult, TrialSpec, run_trial
 from repro.exceptions import ConfigurationError
 from repro.store import (
     ENGINE_VERSION,
-    SqliteResultStore,
+    ResultStore,
     open_store,
     trial_key,
 )
 
 def _make_store(tmp_path):
-    return SqliteResultStore(tmp_path / "store.db")
+    return ResultStore(tmp_path / "store.db")
 
 
 def _result(seed: int = 1, process_count: int = 5) -> TrialResult:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import threading
 
 from repro.engine import CampaignSession, TrialSpec, run_trial, strip_timing
-from repro.store.backend import SqliteResultStore
+from repro.store.backend import ResultStore
 
 
 def _specs(count: int = 8) -> list[TrialSpec]:
@@ -31,7 +31,7 @@ def _uncached_rows(specs: list[TrialSpec]) -> list[str]:
 class TestSqliteClaims:
     def test_first_owner_wins_and_second_is_denied(self, tmp_path):
         path = tmp_path / "store.db"
-        first, second = SqliteResultStore(path), SqliteResultStore(path)
+        first, second = ResultStore(path), ResultStore(path)
         keys = [f"k{index}" for index in range(6)]
         assert first.claim_keys(keys, "A") == set(keys)
         assert second.claim_keys(keys, "B") == set()
@@ -40,14 +40,14 @@ class TestSqliteClaims:
         first.close(), second.close()
 
     def test_reclaim_by_same_owner_is_idempotent(self, tmp_path):
-        store = SqliteResultStore(tmp_path / "store.db")
+        store = ResultStore(tmp_path / "store.db")
         assert store.claim_keys(["k"], "A") == {"k"}
         assert store.claim_keys(["k"], "A") == {"k"}
         store.close()
 
     def test_commit_settles_the_claim_and_denies_future_claims(self, tmp_path):
         path = tmp_path / "store.db"
-        first, second = SqliteResultStore(path), SqliteResultStore(path)
+        first, second = ResultStore(path), ResultStore(path)
         first.claim_keys(["k"], "A")
         result = run_trial(_specs(1)[0])
         first.put_rows([("k", result.to_row())])
@@ -59,21 +59,21 @@ class TestSqliteClaims:
 
     def test_release_frees_keys_for_other_owners(self, tmp_path):
         path = tmp_path / "store.db"
-        first, second = SqliteResultStore(path), SqliteResultStore(path)
+        first, second = ResultStore(path), ResultStore(path)
         first.claim_keys(["k1", "k2"], "A")
         assert first.release_claims(["k1"], "A") == 1
         assert second.claim_keys(["k1", "k2"], "B") == {"k1"}
         first.close(), second.close()
 
     def test_release_requires_ownership(self, tmp_path):
-        store = SqliteResultStore(tmp_path / "store.db")
+        store = ResultStore(tmp_path / "store.db")
         store.claim_keys(["k"], "A")
         assert store.release_claims(["k"], "B") == 0
         assert store.claim_keys(["k"], "C") == set()
         store.close()
 
     def test_expired_claims_are_reclaimable(self, tmp_path):
-        store = SqliteResultStore(tmp_path / "store.db")
+        store = ResultStore(tmp_path / "store.db")
         store.claim_keys(["k"], "A")
         # Backdate the claim past the TTL: a crashed owner must not block
         # other processes forever.
@@ -98,7 +98,7 @@ class TestConcurrentCampaigns:
         errors: list[BaseException] = []
 
         def campaign(name: str) -> None:
-            store = SqliteResultStore(path)  # one connection per "process"
+            store = ResultStore(path)  # one connection per "process"
             try:
                 session = CampaignSession(specs, store=store, claim_wait_timeout=120.0)
                 rows = [result.to_row() for result in session.rows()]
@@ -127,11 +127,11 @@ class TestConcurrentCampaigns:
         specs = _specs(4)
         from repro.store.keys import trial_key
 
-        saboteur = SqliteResultStore(path)
+        saboteur = ResultStore(path)
         # A "crashed process": claims two trials, never commits them.
         saboteur.claim_keys([trial_key(specs[1]), trial_key(specs[2])], "ghost")
 
-        store = SqliteResultStore(path)
+        store = ResultStore(path)
         session = CampaignSession(specs, store=store, claim_wait_timeout=1.0)
         rows = [result.to_row() for result in session.rows()]
         assert strip_timing(rows) == _uncached_rows(specs)
@@ -144,13 +144,13 @@ class TestInterruptResumeUnderPersistentPool:
     def test_interrupted_pooled_run_resumes_without_recompute(self, tmp_path):
         store_path = tmp_path / "store.db"
         specs = _specs(12)
-        store = SqliteResultStore(store_path)
+        store = ResultStore(store_path)
         stream = CampaignSession(specs, store=store, workers=2, chunksize=2).rows()
         consumed = [next(stream) for _ in range(3)]
         stream.close()  # interrupt mid-campaign; emitted rows are committed
         store.close()
 
-        store = SqliteResultStore(store_path)
+        store = ResultStore(store_path)
         resumed = CampaignSession(specs, store=store, workers=2)
         results = list(resumed.rows())
         store.close()

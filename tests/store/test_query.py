@@ -7,7 +7,7 @@ import pytest
 from repro.engine import Campaign, run_campaign
 from repro.exceptions import ConfigurationError
 from repro.store import (
-    SqliteResultStore,
+    ResultStore,
     TrialFilter,
     aggregate_store,
     query_store,
@@ -17,7 +17,7 @@ from repro.store import (
 @pytest.fixture
 def populated_store(tmp_path):
     """A store holding a small mixed grid (two protocols, two adversaries)."""
-    store = SqliteResultStore(tmp_path / "store.db")
+    store = ResultStore(tmp_path / "store.db")
     campaign = Campaign.from_grid(
         "query-grid",
         protocols=("exact", "restricted_sync"),

@@ -24,7 +24,7 @@ from repro.engine import (
     strip_timing,
 )
 from repro.exceptions import ConfigurationError
-from repro.store import SqliteResultStore, open_store, trial_key
+from repro.store import ResultStore, open_store, trial_key
 
 
 def _mixed_campaign() -> Campaign:
@@ -167,7 +167,7 @@ class TestResume:
                       trial_index=index)
             for index, seed in enumerate(range(40))
         ]
-        store = SqliteResultStore(tmp_path / "store.db")
+        store = ResultStore(tmp_path / "store.db")
         # engine="object": under "auto" these same-shape specs would form one
         # columnar unit and commit all 40 rows in its single transaction.
         iterator = CampaignSession(specs, store=store, engine="object").rows()
