@@ -37,7 +37,7 @@ def main() -> None:
     registry = gradient_registry(
         process_count=5, dimension=2, fault_bound=1, gradient_scale=1.0, noise_scale=0.05, seed=13
     )
-    honest_cloud = registry.honest_input_multiset().points
+    honest_cloud = registry.honest_input_multiset()
     honest_centroid = honest_cloud.mean(axis=0)
 
     # The Byzantine worker sends large random junk, different in every message.

@@ -45,7 +45,6 @@ from repro.engine import (
     run_campaign,
 )
 from repro.geometry.kernel import pruned_subset_family
-from repro.geometry.multisets import PointMultiset
 from repro.geometry.tverberg import figure1_instance, find_tverberg_partition, verify_tverberg_partition
 from repro.workloads.generators import intro_counterexample_registry
 
@@ -231,12 +230,11 @@ def experiment_safe_area_existence(
         tverberg_agree = 0
         for _ in range(samples):
             cloud = rng.uniform(-1.0, 1.0, size=(size, dimension))
-            multiset = PointMultiset(cloud)
-            gamma_point = safe_area_point(multiset, fault_bound)
+            gamma_point = safe_area_point(cloud, fault_bound)
             if gamma_point is not None:
                 non_empty += 1
             if dimension <= 2 and size <= 7:
-                partition = find_tverberg_partition(multiset, parts=fault_bound + 1)
+                partition = find_tverberg_partition(cloud, parts=fault_bound + 1)
                 if partition is not None:
                     tverberg_agree += 1
         rows.append(
@@ -262,7 +260,7 @@ def experiment_safe_area_cost(
     for point in parameter_grid(configuration=configurations):
         process_count, dimension, fault_bound = point["configuration"]
         cloud = rng.uniform(0.0, 1.0, size=(process_count, dimension))
-        gamma_point = safe_area_point(PointMultiset(cloud), fault_bound)
+        gamma_point = safe_area_point(cloud, fault_bound)
         pruned_blocks = len(pruned_subset_family(cloud, fault_bound))
         rows.append(
             {
@@ -314,7 +312,7 @@ def experiment_figure1_tverberg() -> list[dict[str, object]]:
     rows.append(
         {
             "points": len(multiset),
-            "dimension": multiset.dimension,
+            "dimension": multiset.shape[1],
             "parts": parts,
             "found": True,
             "block_sizes": tuple(len(block) for block in partition.blocks),

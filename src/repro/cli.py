@@ -4,7 +4,7 @@ Usage (after ``pip install -e .``)::
 
     python -m repro.cli list                      # list experiment ids and descriptions
     python -m repro.cli run E2                    # run one experiment, print its table
-    python -m repro.cli run E3 E6 E10             # several: the benchmarks/reference/ tables
+    python -m repro.cli run E1 E2 E3 E4 E6 E10    # several: the benchmarks/reference/ tables
     python -m repro.cli run all                   # run every experiment
     python -m repro.cli run E8 --output out.txt   # also write the table to a file
     python -m repro.cli bounds --dimension 3 --faults 2   # query the resilience bounds
@@ -146,7 +146,7 @@ _EPILOG = """\
 examples:
   python -m repro.cli list                    show every experiment id with a description
   python -m repro.cli run E3                  Lemma 1: Gamma non-empty at (d+1)f+1 points
-  python -m repro.cli run E3 E6 E10           the safe-area tables in benchmarks/reference/
+  python -m repro.cli run E1 E2 E3 E4 E6 E10  the seeded tables in benchmarks/reference/
   python -m repro.cli run all --output out.txt
   python -m repro.cli bounds --dimension 3 --faults 2
   python -m repro.cli campaign --repeats 25 --workers 4 --jsonl sweep.jsonl

@@ -24,7 +24,6 @@ from repro.network.message import Message
 from repro.core.exact_bvc import BroadcastMode, ExactBVCOutcome, ExactBVCProcess
 from repro.core.round_ops import coordinatewise_decision
 from repro.exceptions import ConfigurationError
-from repro.geometry.multisets import PointMultiset
 from repro.network.sync_runtime import SynchronousRuntime
 from repro.processes.process import SyncProcess
 from repro.processes.registry import ProcessRegistry
@@ -54,9 +53,9 @@ class CoordinateWiseConsensusProcess(ExactBVCProcess):
     but vector validity does not in general — which is the point.
     """
 
-    def _step_two(self, agreed: PointMultiset) -> np.ndarray:
+    def _step_two(self, agreed: np.ndarray) -> np.ndarray:
         """The strawman's decision rule: the coordinate-wise lower median of ``S``."""
-        return coordinatewise_median(agreed.cloud)
+        return coordinatewise_median(agreed)
 
 
 def run_coordinatewise_consensus(

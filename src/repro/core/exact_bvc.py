@@ -32,10 +32,9 @@ import numpy as np
 from repro.byzantine.adversary import ByzantineSyncProcess, MessageMutator
 from repro.consensus.eig import EigTable, eig_round_count
 from repro.core.conditions import SystemConfiguration, check_exact_sync
-from repro.core.round_ops import exact_decision
 from repro.core.safe_area import SafeAreaCalculator
 from repro.exceptions import ProtocolError
-from repro.geometry.multisets import PointMultiset
+from repro.geometry.points import as_cloud
 from repro.network.message import Message
 from repro.network.sync_runtime import SynchronousRuntime, SyncRunResult
 from repro.processes.process import SyncProcess
@@ -89,7 +88,7 @@ class ExactBVCProcess(SyncProcess):
         self._chooser = SafeAreaCalculator(fault_bound=configuration.fault_bound)
         self._decided = False
         self._decision: np.ndarray | None = None
-        self._received_multiset: PointMultiset | None = None
+        self._received_multiset: np.ndarray | None = None
         process_ids = tuple(range(configuration.process_count))
         self._table = EigTable(process_id, process_ids, configuration.fault_bound)
         own = self.input_vector.tolist()
@@ -148,9 +147,9 @@ class ExactBVCProcess(SyncProcess):
             rows = [self._coerce_vector(resolve(originator)) for originator in originators]
         return np.array(rows, dtype=float)
 
-    def _step_two(self, agreed: PointMultiset) -> np.ndarray:
+    def _step_two(self, agreed: np.ndarray) -> np.ndarray:
         """The decision rule applied to ``S``: the deterministic ``Gamma`` point."""
-        return exact_decision(agreed, self._chooser)
+        return self._chooser.choose(agreed)
 
     def _coerce_scalar(self, value: object) -> float:
         try:
@@ -184,10 +183,13 @@ class ExactBVCProcess(SyncProcess):
         return self._decision
 
     @property
-    def agreed_multiset(self) -> PointMultiset | None:
-        """The multiset ``S`` this process reconstructed in Step 1 (after deciding)."""
+    def agreed_multiset(self) -> np.ndarray | None:
+        """The multiset ``S`` this process reconstructed in Step 1 (after deciding).
+
+        A read-only ``(n, d)`` cloud, row ``j`` the value agreed for process ``j``.
+        """
         if self._received_multiset is None and self._decided:
-            self._received_multiset = PointMultiset(self._agreed_cloud())
+            self._received_multiset = as_cloud(self._agreed_cloud())
         return self._received_multiset
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from repro.core.safe_area import safe_area_is_empty, safe_area_point
 from repro.exceptions import ConfigurationError
 from repro.geometry.convex_hull import hulls_intersection_point
-from repro.geometry.multisets import PointMultiset
+from repro.geometry.points import as_cloud
 
 __all__ = [
     "SyncImpossibilityWitness",
@@ -43,12 +43,11 @@ __all__ = [
 ]
 
 
-def theorem1_construction(dimension: int) -> PointMultiset:
+def theorem1_construction(dimension: int) -> np.ndarray:
     """Return the Theorem 1 input multiset: the ``d`` standard basis vectors plus the origin."""
     if dimension < 1:
         raise ConfigurationError("dimension must be at least 1")
-    cloud = np.vstack([np.eye(dimension), np.zeros((1, dimension))])
-    return PointMultiset(cloud)
+    return as_cloud(np.vstack([np.eye(dimension), np.zeros((1, dimension))]))
 
 
 @dataclass(frozen=True)
@@ -79,17 +78,15 @@ def analyze_sync_necessity(dimension: int, process_count: int | None = None) -> 
     copies of the origin and demonstrates the obstruction disappears at the
     bound.
     """
-    base = theorem1_construction(dimension)
+    cloud = theorem1_construction(dimension)
     if process_count is None:
         process_count = dimension + 1
     if process_count < dimension + 1:
         raise ConfigurationError("the construction needs at least d + 1 processes")
-    cloud = base.points
     while cloud.shape[0] < process_count:
         cloud = np.vstack([cloud, np.zeros((1, dimension))])
-    multiset = PointMultiset(cloud)
-    empty = safe_area_is_empty(multiset, fault_bound=1)
-    witness = None if empty else safe_area_point(multiset, fault_bound=1)
+    empty = safe_area_is_empty(cloud, fault_bound=1)
+    witness = None if empty else safe_area_point(cloud, fault_bound=1)
     return SyncImpossibilityWitness(
         dimension=dimension,
         process_count=process_count,
@@ -98,14 +95,13 @@ def analyze_sync_necessity(dimension: int, process_count: int | None = None) -> 
     )
 
 
-def theorem4_construction(dimension: int, epsilon: float) -> PointMultiset:
+def theorem4_construction(dimension: int, epsilon: float) -> np.ndarray:
     """Return the Theorem 4 input multiset: ``4 eps * e_i`` for ``i <= d`` plus two origins."""
     if dimension < 1:
         raise ConfigurationError("dimension must be at least 1")
     if epsilon <= 0:
         raise ConfigurationError("epsilon must be positive")
-    cloud = np.vstack([4.0 * epsilon * np.eye(dimension), np.zeros((2, dimension))])
-    return PointMultiset(cloud)
+    return as_cloud(np.vstack([4.0 * epsilon * np.eye(dimension), np.zeros((2, dimension))]))
 
 
 @dataclass(frozen=True)
@@ -142,8 +138,7 @@ def analyze_async_necessity(dimension: int, epsilon: float = 0.25) -> AsyncImpos
     construction makes unique, namely ``x_i``) and reports the resulting
     pairwise gaps.
     """
-    multiset = theorem4_construction(dimension, epsilon)
-    cloud = multiset.points
+    cloud = theorem4_construction(dimension, epsilon)
     participant_count = dimension + 1  # p_1 .. p_{d+1}; p_{d+2} never takes a step.
     forced: list[np.ndarray] = []
     for i in range(participant_count):

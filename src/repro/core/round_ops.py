@@ -1,9 +1,9 @@
 """Pure round/decision functions shared by the object and columnar runtimes.
 
-The three synchronous-model protocols (Exact BVC, the coordinate-wise
-baseline, restricted-round approximate BVC) and the asynchronous Approximate
-BVC all bottom out in small *pure* state transitions: "given what a process
-received this round, what is its next state / decision?".  Historically those
+The coordinate-wise baseline, restricted-round approximate BVC and the
+asynchronous Approximate BVC all bottom out in small *pure* state
+transitions: "given what a process received this round, what is its next
+state / decision?".  Historically those
 transitions lived inside the per-process classes, interleaved with message
 parsing — which meant an alternative execution substrate (the columnar
 engine in :mod:`repro.engine.vectorized`) would have had to re-implement the
@@ -39,7 +39,6 @@ import numpy as np
 
 from repro.core.safe_area import SafeAreaCalculator
 from repro.exceptions import ProtocolError
-from repro.geometry.multisets import PointMultiset
 
 __all__ = [
     "coerce_state",
@@ -48,7 +47,6 @@ __all__ = [
     "restricted_round_reduce",
     "safe_average",
     "restricted_round_step",
-    "exact_decision",
     "lower_median",
     "coordinatewise_decision",
     "approx_subset_families",
@@ -143,13 +141,8 @@ def restricted_round_step(
 
 
 # ---------------------------------------------------------------------------
-# Exact BVC / coordinate-wise baseline decisions (Section 2.2 Step 2)
+# Coordinate-wise baseline decision (Section 2.2 Step 2's strawman)
 # ---------------------------------------------------------------------------
-
-def exact_decision(points: PointMultiset | np.ndarray, chooser: SafeAreaCalculator) -> np.ndarray:
-    """The Exact BVC decision: the deterministic ``Gamma`` point of ``S``."""
-    return chooser.choose(points)
-
 
 def lower_median(values: np.ndarray) -> float:
     """Return the lower median (element at index ``(k - 1) // 2`` of the sorted values)."""

@@ -48,8 +48,7 @@ from repro.exceptions import EmptyIntersectionError, GeometryError, LinearProgra
 from repro.geometry.convex_hull import distance_to_hull
 from repro.geometry.kernel import default_kernel
 from repro.geometry.linprog import solve_linear_program
-from repro.geometry.multisets import PointMultiset
-from repro.geometry.points import as_cloud
+from repro.geometry.points import as_cloud, centroid
 from repro.geometry.tverberg import find_tverberg_partition
 
 __all__ = [
@@ -61,26 +60,20 @@ __all__ = [
     "SafeAreaCalculator",
 ]
 
-def _as_multiset(points: PointMultiset | np.ndarray | Iterable[Sequence[float]]) -> PointMultiset:
-    if isinstance(points, PointMultiset):
-        return points
-    return PointMultiset(as_cloud(points))
-
-
 def _query_clouds(
-    point_sets: Sequence[PointMultiset | np.ndarray | Iterable[Sequence[float]]] | np.ndarray,
+    point_sets: Sequence[np.ndarray | Iterable[Sequence[float]]] | np.ndarray,
 ) -> list[np.ndarray]:
-    """Many queries as ``(m, d)`` arrays, checked as :class:`PointMultiset` checks one.
+    """Many queries as ``(m, d)`` arrays, each checked as :func:`as_cloud` checks one.
 
     A ``(Q, m, d)`` array — a round's clouds, stacked — is checked in one
-    pass instead of one multiset per query.
+    pass instead of one :func:`as_cloud` per query.
     """
     if isinstance(point_sets, np.ndarray) and point_sets.ndim == 3:
         clouds = point_sets.astype(float, copy=False)
         if not np.isfinite(clouds).all():
             raise GeometryError("point cloud contains non-finite coordinates")
         return list(clouds)
-    return [_as_multiset(points).points for points in point_sets]
+    return [as_cloud(points) for points in point_sets]
 
 
 def safe_area_subset_count(point_count: int, fault_bound: int) -> int:
@@ -117,7 +110,7 @@ def _subset_index_families(
 
 
 def safe_area_point(
-    points: PointMultiset | np.ndarray | Iterable[Sequence[float]],
+    points: np.ndarray | Iterable[Sequence[float]],
     fault_bound: int,
     *,
     subset_indices: Sequence[Sequence[int]] | None = None,
@@ -140,8 +133,7 @@ def safe_area_point(
             objective makes the choice deterministic in a caller-controlled way
             (e.g. lexicographic minimisation).
     """
-    multiset = _as_multiset(points)
-    cloud = multiset.points
+    cloud = as_cloud(points)
     point_count, dimension = cloud.shape
     if fault_bound < 0:
         raise GeometryError("fault bound must be non-negative")
@@ -149,7 +141,7 @@ def safe_area_point(
         return None
     if fault_bound == 0:
         # Gamma(Y) = H(Y); the centroid is a canonical interior choice.
-        return multiset.centroid()
+        return centroid(cloud)
     if point_count - fault_bound <= 0:
         return None
 
@@ -281,7 +273,7 @@ def _relaxed_safe_area_point(
 
 
 def safe_area_point_via_tverberg(
-    points: PointMultiset | np.ndarray | Iterable[Sequence[float]],
+    points: np.ndarray | Iterable[Sequence[float]],
     fault_bound: int,
 ) -> np.ndarray | None:
     """Return a point of ``Gamma(points)`` obtained as a Tverberg point.
@@ -290,17 +282,17 @@ def safe_area_point_via_tverberg(
     ``f + 1`` parts) lies in ``Gamma``.  The partition search is exponential,
     so this is a validation tool for small instances, not the production path.
     """
-    multiset = _as_multiset(points)
+    cloud = as_cloud(points)
     if fault_bound == 0:
-        return multiset.centroid() if len(multiset) else None
-    partition = find_tverberg_partition(multiset, parts=fault_bound + 1)
+        return centroid(cloud) if len(cloud) else None
+    partition = find_tverberg_partition(cloud, parts=fault_bound + 1)
     if partition is None:
         return None
     return partition.witness
 
 
 def safe_area_contains(
-    points: PointMultiset | np.ndarray | Iterable[Sequence[float]],
+    points: np.ndarray | Iterable[Sequence[float]],
     fault_bound: int,
     candidate: Sequence[float],
     tolerance: float = 1e-6,
@@ -314,8 +306,7 @@ def safe_area_contains(
     boundary points (the common case, since ``Gamma`` often has an empty
     interior).
     """
-    multiset = _as_multiset(points)
-    cloud = multiset.points
+    cloud = as_cloud(points)
     point_count = cloud.shape[0]
     if point_count == 0 or point_count - fault_bound <= 0:
         return False
@@ -326,7 +317,7 @@ def safe_area_contains(
 
 
 def safe_area_is_empty(
-    points: PointMultiset | np.ndarray | Iterable[Sequence[float]],
+    points: np.ndarray | Iterable[Sequence[float]],
     fault_bound: int,
 ) -> bool:
     """Return True when ``Gamma(points)`` is empty.
@@ -334,7 +325,7 @@ def safe_area_is_empty(
     Decided by the kernel: the pruned family has the same intersection as the
     full one, so the answer is the literal enumeration's.
     """
-    return default_kernel.point(_as_multiset(points).points, fault_bound) is None
+    return default_kernel.point(as_cloud(points), fault_bound) is None
 
 
 @dataclass(frozen=True)
@@ -369,27 +360,23 @@ class SafeAreaCalculator:
             return objective
         return None
 
-    def choose(
-        self, points: PointMultiset | np.ndarray | Iterable[Sequence[float]]
-    ) -> np.ndarray:
+    def choose(self, points: np.ndarray | Iterable[Sequence[float]]) -> np.ndarray:
         """Return the deterministic point of ``Gamma(points)``.
 
         Raises :class:`EmptyIntersectionError` when the safe area is empty,
         which Lemma 1 guarantees cannot happen for ``|points| >= (d+1)f + 1``.
         """
-        multiset = _as_multiset(points)
+        cloud = as_cloud(points)
         point = default_kernel.point(
-            multiset.points,
-            self.fault_bound,
-            objective=self._objective_for(multiset.dimension),
+            cloud, self.fault_bound, objective=self._objective_for(cloud.shape[1])
         )
         if point is None:
-            raise self._empty(multiset.points)
+            raise self._empty(cloud)
         return point
 
     def choose_all(
         self,
-        point_sets: Sequence[PointMultiset | np.ndarray | Iterable[Sequence[float]]] | np.ndarray,
+        point_sets: Sequence[np.ndarray | Iterable[Sequence[float]]] | np.ndarray,
     ) -> list[np.ndarray]:
         """Each query's :meth:`choose` answer, asked as one kernel batch.
 
@@ -416,7 +403,7 @@ class SafeAreaCalculator:
 
     def resolve_multi(
         self,
-        point_sets: Sequence[PointMultiset | np.ndarray | Iterable[Sequence[float]]] | np.ndarray,
+        point_sets: Sequence[np.ndarray | Iterable[Sequence[float]]] | np.ndarray,
     ) -> list[np.ndarray | None]:
         """Answer many independent ``Gamma`` queries, ``None`` for empty ones.
 

@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.exceptions import AgreementViolation
 from repro.geometry.convex_hull import distance_to_hull
-from repro.geometry.multisets import PointMultiset
 from repro.geometry.points import as_point
 from repro.processes.registry import ProcessRegistry
 
@@ -69,7 +68,7 @@ def _max_disagreement(cloud: np.ndarray) -> float:
     return float(np.max(cloud.max(axis=0) - cloud.min(axis=0))) if cloud.shape[0] else 0.0
 
 
-def _max_hull_distance(honest_inputs: PointMultiset, cloud: np.ndarray) -> float:
+def _max_hull_distance(honest_inputs: np.ndarray, cloud: np.ndarray) -> float:
     """Largest hull distance over the decision rows, one per distinct row.
 
     Bitwise-identical rows (exact consensus makes all of them so) have the

@@ -1,4 +1,7 @@
-"""Geometric substrate: points, multisets, convex hulls, Tverberg partitions.
+"""Geometric substrate: point clouds, convex hulls, Tverberg partitions.
+
+A multiset of points is a read-only ``(k, d)`` array made by
+:func:`~repro.geometry.points.as_cloud`; its rows are the members.
 
 Everything the BVC algorithms need from computational geometry lives here and
 is phrased, wherever possible, as small linear programs so that degenerate
@@ -7,7 +10,6 @@ handled exactly.
 """
 
 from repro.geometry.points import as_point, as_cloud, centroid
-from repro.geometry.multisets import PointMultiset, iter_index_partitions
 from repro.geometry.linprog import LinearProgramResult, solve_linear_program, feasibility_program
 from repro.geometry.kernel import (
     GammaKernel,
@@ -26,6 +28,7 @@ from repro.geometry.convex_hull import (
 from repro.geometry.tverberg import (
     TverbergPartition,
     figure1_instance,
+    iter_index_partitions,
     find_tverberg_partition,
     radon_partition,
     verify_tverberg_partition,
@@ -35,7 +38,6 @@ __all__ = [
     "as_point",
     "as_cloud",
     "centroid",
-    "PointMultiset",
     "iter_index_partitions",
     "LinearProgramResult",
     "solve_linear_program",

@@ -26,7 +26,6 @@ import numpy as np
 from repro.exceptions import GeometryError
 from repro.geometry.kernel import _planar_sweep
 from repro.geometry.linprog import feasibility_program, solve_linear_program
-from repro.geometry.multisets import PointMultiset
 from repro.geometry.points import as_cloud, as_point
 
 __all__ = [
@@ -39,14 +38,8 @@ __all__ = [
 _DEFAULT_TOLERANCE = 1e-7
 
 
-def _cloud_of(points: PointMultiset | np.ndarray | Iterable[Sequence[float]]) -> np.ndarray:
-    if isinstance(points, PointMultiset):
-        return points.points
-    return as_cloud(points)
-
-
 def convex_combination_weights(
-    points: PointMultiset | np.ndarray | Iterable[Sequence[float]],
+    points: np.ndarray | Iterable[Sequence[float]],
     target: Sequence[float],
     tolerance: float = _DEFAULT_TOLERANCE,
 ) -> np.ndarray | None:
@@ -56,7 +49,7 @@ def convex_combination_weights(
     sum to one, are non-negative, and ``weights @ points == target`` up to the
     solver tolerance.
     """
-    cloud = _cloud_of(points)
+    cloud = as_cloud(points)
     if cloud.shape[0] == 0:
         return None
     target = as_point(target, dimension=cloud.shape[1])
@@ -87,7 +80,7 @@ def convex_combination_weights(
 
 
 def contains_point(
-    points: PointMultiset | np.ndarray | Iterable[Sequence[float]],
+    points: np.ndarray | Iterable[Sequence[float]],
     target: Sequence[float],
     tolerance: float = _DEFAULT_TOLERANCE,
 ) -> bool:
@@ -96,7 +89,7 @@ def contains_point(
 
 
 def hulls_intersection_point(
-    point_sets: Sequence[PointMultiset | np.ndarray | Iterable[Sequence[float]]],
+    point_sets: Sequence[np.ndarray | Iterable[Sequence[float]]],
     tolerance: float = _DEFAULT_TOLERANCE,
 ) -> np.ndarray | None:
     """Return a point common to the convex hulls of every set, or ``None``.
@@ -106,7 +99,7 @@ def hulls_intersection_point(
     work-horse behind ``Gamma`` emptiness testing and the impossibility
     constructions (Theorem 1 / Theorem 4 in the paper).
     """
-    clouds = [_cloud_of(point_set) for point_set in point_sets]
+    clouds = [as_cloud(point_set) for point_set in point_sets]
     if not clouds:
         raise GeometryError("need at least one hull to intersect")
     dimensions = {cloud.shape[1] for cloud in clouds}
@@ -160,7 +153,7 @@ def hulls_intersection_point(
 
 
 def distance_to_hull(
-    points: PointMultiset | np.ndarray | Iterable[Sequence[float]],
+    points: np.ndarray | Iterable[Sequence[float]],
     target: Sequence[float],
 ) -> float:
     """Return the Chebyshev distance from ``target`` to the convex hull of ``points``.
@@ -170,7 +163,7 @@ def distance_to_hull(
     distance to an edge of the hull polygon (:func:`_planar_hull_distance`);
     from three dimensions on it is the LP of :func:`_hull_distance_program`.
     """
-    cloud = _cloud_of(points)
+    cloud = as_cloud(points)
     if cloud.shape[0] == 0:
         raise GeometryError("distance to the hull of an empty set is undefined")
     target = as_point(target, dimension=cloud.shape[1])

@@ -156,9 +156,8 @@ def _private_copy(answer: np.ndarray | None) -> np.ndarray | None:
 # ---------------------------------------------------------------------------
 
 def _as_cloud_array(points: object) -> np.ndarray:
-    """Coerce a PointMultiset / array / nested sequence to a ``(k, d)`` array."""
-    cloud = getattr(points, "points", points)
-    cloud = np.asarray(cloud, dtype=float)
+    """An array or nested sequence as a ``(k, d)`` float array; a float array is not copied."""
+    cloud = np.asarray(points, dtype=float)
     if cloud.ndim == 1:
         cloud = cloud.reshape(-1, 1) if cloud.size else cloud.reshape(0, 1)
     if cloud.ndim != 2:

@@ -22,17 +22,17 @@ Tverberg points in general dimension.  This module therefore provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.exceptions import GeometryError
 from repro.geometry.convex_hull import hulls_intersection_point
-from repro.geometry.multisets import PointMultiset, iter_index_partitions
-from repro.geometry.points import as_cloud
+from repro.geometry.points import as_cloud, centroid
 
 __all__ = [
     "TverbergPartition",
+    "iter_index_partitions",
     "radon_partition",
     "find_tverberg_partition",
     "verify_tverberg_partition",
@@ -40,17 +40,50 @@ __all__ = [
 ]
 
 
+def iter_index_partitions(size: int, parts: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Yield all partitions of ``{0..size-1}`` into exactly ``parts`` non-empty blocks.
+
+    Partitions are yielded as tuples of index-tuples.  Blocks are unordered
+    (each set partition appears once), and indices within a block are sorted.
+    This is the restricted-growth-string enumeration of set partitions,
+    filtered to the requested number of blocks.
+    """
+    if parts <= 0 or parts > size:
+        return
+
+    def generate(index: int, blocks: list[list[int]]) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if index == size:
+            if len(blocks) == parts:
+                yield tuple(tuple(block) for block in blocks)
+            return
+        remaining = size - index
+        # Prune: we can never reach `parts` blocks if even putting every
+        # remaining element in its own new block falls short.
+        if len(blocks) + remaining < parts:
+            return
+        for block in blocks:
+            block.append(index)
+            yield from generate(index + 1, blocks)
+            block.pop()
+        if len(blocks) < parts:
+            blocks.append([index])
+            yield from generate(index + 1, blocks)
+            blocks.pop()
+
+    yield from generate(0, [])
+
+
 @dataclass(frozen=True)
 class TverbergPartition:
     """A verified Tverberg partition of a point multiset.
 
     Attributes:
-        multiset: the partitioned points.
-        blocks: tuple of index-tuples, one per part (indices into ``multiset``).
+        multiset: the partitioned points, a read-only ``(k, d)`` cloud.
+        blocks: tuple of index-tuples, one per part (row indices into ``multiset``).
         witness: a point contained in the convex hull of every part.
     """
 
-    multiset: PointMultiset
+    multiset: np.ndarray
     blocks: tuple[tuple[int, ...], ...]
     witness: np.ndarray
 
@@ -60,7 +93,7 @@ class TverbergPartition:
         return len(self.blocks)
 
 
-def radon_partition(points: PointMultiset | np.ndarray | Sequence[Sequence[float]]) -> TverbergPartition:
+def radon_partition(points: np.ndarray | Sequence[Sequence[float]]) -> TverbergPartition:
     """Return a Radon partition of ``d + 2`` (or more) points in ``R^d``.
 
     Radon's theorem is the ``parts = 2`` case of Tverberg's theorem: any
@@ -69,8 +102,7 @@ def radon_partition(points: PointMultiset | np.ndarray | Sequence[Sequence[float
     and negative coefficients define the two blocks and the normalised
     positive part gives the witness point directly — no LP needed.
     """
-    multiset = points if isinstance(points, PointMultiset) else PointMultiset(points)
-    cloud = multiset.points
+    cloud = as_cloud(points)
     count, dimension = cloud.shape
     if count < dimension + 2:
         raise GeometryError(
@@ -88,7 +120,7 @@ def radon_partition(points: PointMultiset | np.ndarray | Sequence[Sequence[float
     negative = coefficients < -1e-12
     if not positive.any() or not negative.any():
         # Degenerate numerical case (e.g. duplicated points); fall back to search.
-        partition = find_tverberg_partition(multiset, parts=2)
+        partition = find_tverberg_partition(cloud, parts=2)
         if partition is None:
             raise GeometryError("failed to find a Radon partition")
         return partition
@@ -99,32 +131,32 @@ def radon_partition(points: PointMultiset | np.ndarray | Sequence[Sequence[float
     block_positive = tuple(int(index) for index in np.nonzero(positive)[0])
     block_rest = tuple(int(index) for index in np.nonzero(~positive)[0])
     return TverbergPartition(
-        multiset=multiset,
+        multiset=cloud,
         blocks=(block_positive, block_rest),
         witness=np.asarray(witness, dtype=float),
     )
 
 
 def verify_tverberg_partition(
-    multiset: PointMultiset,
+    multiset: np.ndarray,
     blocks: Sequence[Sequence[int]],
 ) -> np.ndarray | None:
     """Return a witness point if the blocks' hulls intersect, else ``None``.
 
-    Also validates that the blocks really form a partition of the multiset's
-    index set; a malformed partition raises :class:`GeometryError`.
+    Also validates that the blocks really form a partition of the cloud's
+    row indices; a malformed partition (a repeated, missing or out-of-range
+    index, or an empty block) raises :class:`GeometryError`.
     """
     flattened = sorted(index for block in blocks for index in block)
     if flattened != list(range(len(multiset))):
         raise GeometryError("blocks do not form a partition of the multiset indices")
     if any(len(block) == 0 for block in blocks):
         raise GeometryError("Tverberg partition blocks must be non-empty")
-    clouds = [multiset.select(list(block)).points for block in blocks]
-    return hulls_intersection_point(clouds)
+    return hulls_intersection_point([multiset[list(block)] for block in blocks])
 
 
 def find_tverberg_partition(
-    points: PointMultiset | np.ndarray | Sequence[Sequence[float]],
+    points: np.ndarray | Sequence[Sequence[float]],
     parts: int,
 ) -> TverbergPartition | None:
     """Search for a Tverberg partition of ``points`` into ``parts`` blocks.
@@ -135,16 +167,16 @@ def find_tverberg_partition(
     requested size has intersecting hulls — which Tverberg's theorem rules out
     whenever ``len(points) >= (d + 1)(parts - 1) + 1``.
     """
-    multiset = points if isinstance(points, PointMultiset) else PointMultiset(points)
+    multiset = as_cloud(points)
     if parts < 1:
         raise GeometryError("a Tverberg partition needs at least one part")
     if parts == 1:
-        witness = multiset.centroid()
+        witness = centroid(multiset)
         return TverbergPartition(multiset, (tuple(range(len(multiset))),), witness)
     if parts > len(multiset):
         return None
 
-    if parts == 2 and len(multiset) >= multiset.dimension + 2:
+    if parts == 2 and len(multiset) >= multiset.shape[1] + 2:
         try:
             return radon_partition(multiset)
         except GeometryError:
@@ -159,14 +191,14 @@ def find_tverberg_partition(
     return best
 
 
-def figure1_instance() -> tuple[PointMultiset, int]:
+def figure1_instance() -> tuple[np.ndarray, int]:
     """Return the paper's Figure 1 instance: a regular heptagon in the plane.
 
     Seven points (``n = 7``) in dimension ``d = 2`` with ``f = 2`` satisfy
     ``n = (d + 1) f + 1``, so Tverberg's theorem guarantees a partition into
-    ``f + 1 = 3`` parts with intersecting hulls.  Returns the multiset and the
+    ``f + 1 = 3`` parts with intersecting hulls.  Returns the cloud and the
     number of parts (3).
     """
     angles = 2.0 * np.pi * np.arange(7) / 7.0
     cloud = np.column_stack([np.cos(angles), np.sin(angles)])
-    return PointMultiset(as_cloud(cloud)), 3
+    return as_cloud(cloud), 3

@@ -50,7 +50,3 @@ class FifoChannel:
         self._queue.clear()
         self.delivered_count += len(messages)
         return messages
-
-    def is_empty(self) -> bool:
-        """Return True when no message is in flight."""
-        return not self._queue

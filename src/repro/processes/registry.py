@@ -16,8 +16,7 @@ import numpy as np
 
 from repro.core.conditions import SystemConfiguration
 from repro.exceptions import ConfigurationError
-from repro.geometry.multisets import PointMultiset
-from repro.geometry.points import as_point
+from repro.geometry.points import as_cloud, as_point
 
 __all__ = ["ProcessRegistry"]
 
@@ -96,9 +95,9 @@ class ProcessRegistry:
         """Return the inputs of the non-faulty processes keyed by id."""
         return {pid: self.inputs[pid] for pid in self.honest_ids}
 
-    def honest_input_multiset(self) -> PointMultiset:
-        """Return the honest inputs as a multiset (the validity hull's generators)."""
-        return PointMultiset([self.inputs[pid] for pid in self.honest_ids])
+    def honest_input_multiset(self) -> np.ndarray:
+        """Return the honest inputs as a read-only cloud (the validity hull's generators)."""
+        return as_cloud([self.inputs[pid] for pid in self.honest_ids])
 
     # -- derived quantities ---------------------------------------------------------
 
@@ -108,5 +107,5 @@ class ProcessRegistry:
         These play the role of the paper's a-priori bounds ``nu`` and ``U`` used
         by the static termination rule of the asynchronous algorithm.
         """
-        cloud = self.honest_input_multiset().points
+        cloud = self.honest_input_multiset()
         return float(cloud.min()), float(cloud.max())

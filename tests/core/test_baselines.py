@@ -56,7 +56,7 @@ class TestIntroCounterexample:
         registry = intro_counterexample_registry()
         outcome = run_coordinatewise_consensus(registry, adversary_mutators=self.attack(registry))
         decision = outcome.decisions[registry.honest_ids[0]]
-        honest = registry.honest_input_multiset().points
+        honest = registry.honest_input_multiset()
         for coordinate in range(3):
             assert honest[:, coordinate].min() - 1e-9 <= decision[coordinate]
             assert decision[coordinate] <= honest[:, coordinate].max() + 1e-9

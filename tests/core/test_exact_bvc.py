@@ -16,7 +16,6 @@ from repro.core.conditions import SystemConfiguration, minimum_processes_exact_s
 from repro.core.exact_bvc import ExactBVCProcess, run_exact_bvc
 from repro.core.validity import check_exact_outcome
 from repro.exceptions import ProtocolError, ResilienceError
-from repro.geometry.multisets import PointMultiset
 from repro.network.sync_runtime import SynchronousRuntime
 from repro.processes.registry import ProcessRegistry
 from repro.workloads.generators import uniform_box_registry
@@ -78,20 +77,31 @@ class TestFaultFreeRuns:
         outcome = run_exact_bvc(fault_free_registry)
         # In a fault-free run the reconstructed multiset is exactly the inputs.
         assert outcome.decisions  # run completed
-        all_inputs = PointMultiset(
+        all_inputs = np.array(
             [fault_free_registry.input_of(pid) for pid in fault_free_registry.process_ids]
         )
         # Re-run with direct access to a process to inspect its multiset.
-        from repro.network.sync_runtime import SynchronousRuntime
+        for process in decided_processes(fault_free_registry):
+            # Fault-free Step 1 relays every input unchanged: bit-exact rows.
+            assert np.array_equal(process.agreed_multiset, all_inputs)
 
-        processes = {
-            pid: ExactBVCProcess(pid, fault_free_registry.configuration,
-                                 fault_free_registry.input_of(pid))
-            for pid in fault_free_registry.process_ids
-        }
-        SynchronousRuntime(processes).run()
-        for process in processes.values():
-            assert process.agreed_multiset == all_inputs
+    def test_shared_multisets_are_read_only(self, fault_free_registry):
+        clouds = [process.agreed_multiset for process in decided_processes(fault_free_registry)]
+        clouds.append(fault_free_registry.honest_input_multiset())
+        for cloud in clouds:
+            assert not cloud.flags.writeable
+            with pytest.raises(ValueError):
+                cloud[0, 0] = 5.0
+
+
+def decided_processes(registry):
+    """Every process of a fault-free Exact BVC run, after it decided."""
+    processes = {
+        pid: ExactBVCProcess(pid, registry.configuration, registry.input_of(pid))
+        for pid in registry.process_ids
+    }
+    SynchronousRuntime(processes).run()
+    return list(processes.values())
 
 
 @pytest.mark.parametrize("dimension,fault_bound", [(1, 1), (2, 1), (3, 1), (2, 2)])

@@ -18,7 +18,7 @@ class TestTheorem1Construction:
     def test_construction_shape(self):
         multiset = theorem1_construction(4)
         assert len(multiset) == 5
-        assert multiset.dimension == 4
+        assert multiset.shape[1] == 4
 
     @pytest.mark.parametrize("dimension", [1, 2, 3, 4, 5])
     def test_gamma_empty_below_the_bound(self, dimension):

@@ -17,7 +17,6 @@ from repro.core.safe_area import (
 )
 from repro.exceptions import EmptyIntersectionError, GeometryError
 from repro.geometry.convex_hull import distance_to_hull
-from repro.geometry.multisets import PointMultiset
 
 SQUARE_PLUS_CENTER = np.asarray([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5]])
 BASIS_PLUS_ORIGIN_3D = np.vstack([np.eye(3), np.zeros((1, 3))])
@@ -43,10 +42,10 @@ class TestSafeAreaPoint:
         assert safe_area_contains(SQUARE_PLUS_CENTER, 1, point, tolerance=1e-5)
 
     def test_point_is_in_every_leave_f_out_hull(self):
-        multiset = PointMultiset(SQUARE_PLUS_CENTER)
-        point = safe_area_point(multiset, fault_bound=1)
-        for indices in combinations(range(len(multiset)), len(multiset) - 1):
-            assert distance_to_hull(multiset.select(indices), point) < 1e-5
+        cloud = np.asarray(SQUARE_PLUS_CENTER)
+        point = safe_area_point(cloud, fault_bound=1)
+        for indices in combinations(range(len(cloud)), len(cloud) - 1):
+            assert distance_to_hull(cloud[list(indices)], point) < 1e-5
 
     def test_empty_below_the_bound(self):
         # The Theorem 1 construction: d+1 points in R^d make Gamma empty for f=1.

@@ -24,7 +24,6 @@ from repro.geometry.convex_hull import (
     convex_combination_weights,
     distance_to_hull,
 )
-from repro.geometry.multisets import PointMultiset
 from repro.geometry.tverberg import radon_partition
 
 # Bounded, well-scaled coordinates keep the LPs numerically tame and the
@@ -84,7 +83,7 @@ def test_distance_zero_iff_contained(cloud):
 @settings(max_examples=30, deadline=None)
 @given(cloud=cloud_strategy(4, 6, 2))
 def test_radon_witness_lies_in_both_blocks(cloud):
-    partition = radon_partition(PointMultiset(cloud))
+    partition = radon_partition(cloud)
     for block in partition.blocks:
         assert contains_point(cloud[list(block)], partition.witness, tolerance=1e-5)
 
@@ -93,16 +92,15 @@ def test_radon_witness_lies_in_both_blocks(cloud):
 @given(cloud=cloud_strategy(4, 7, 2))
 def test_lemma1_gamma_nonempty_for_f1(cloud):
     # |Y| >= 4 = (d+1)*1 + 1 in the plane, so Gamma with f = 1 is never empty.
-    point = safe_area_point(PointMultiset(cloud), fault_bound=1)
+    point = safe_area_point(cloud, fault_bound=1)
     assert point is not None
-    assert safe_area_contains(PointMultiset(cloud), 1, point, tolerance=1e-5)
+    assert safe_area_contains(cloud, 1, point, tolerance=1e-5)
 
 
 @settings(max_examples=25, deadline=None)
 @given(cloud=cloud_strategy(4, 6, 1))
 def test_gamma_point_in_every_leave_f_out_hull_1d(cloud):
-    multiset = PointMultiset(cloud)
-    point = safe_area_point(multiset, fault_bound=1)
+    point = safe_area_point(cloud, fault_bound=1)
     assert point is not None
-    for indices in combinations(range(len(multiset)), len(multiset) - 1):
-        assert distance_to_hull(multiset.select(indices), point) < 1e-5
+    for indices in combinations(range(len(cloud)), len(cloud) - 1):
+        assert distance_to_hull(cloud[list(indices)], point) < 1e-5

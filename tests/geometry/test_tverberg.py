@@ -7,13 +7,32 @@ import pytest
 
 from repro.exceptions import GeometryError
 from repro.geometry.convex_hull import contains_point
-from repro.geometry.multisets import PointMultiset
 from repro.geometry.tverberg import (
     figure1_instance,
     find_tverberg_partition,
+    iter_index_partitions,
     radon_partition,
     verify_tverberg_partition,
 )
+
+
+class TestIndexEnumeration:
+    def test_partition_counts_match_stirling_numbers(self):
+        # Stirling numbers of the second kind: S(4, 2) = 7, S(5, 3) = 25.
+        assert len(list(iter_index_partitions(4, 2))) == 7
+        assert len(list(iter_index_partitions(5, 3))) == 25
+
+    def test_partitions_cover_all_indices(self):
+        for blocks in iter_index_partitions(5, 2):
+            flattened = sorted(index for block in blocks for index in block)
+            assert flattened == list(range(5))
+
+    def test_partitions_blocks_nonempty(self):
+        for blocks in iter_index_partitions(4, 3):
+            assert all(len(block) >= 1 for block in blocks)
+
+    def test_partition_into_more_parts_than_elements_is_empty(self):
+        assert list(iter_index_partitions(2, 3)) == []
 
 
 class TestRadonPartition:
@@ -64,7 +83,7 @@ class TestFindTverbergPartition:
         assert witness is not None
         for index in range(partition.parts):
             assert contains_point(
-                partition.multiset.select(partition.blocks[index]), partition.witness, tolerance=1e-6
+                partition.multiset[list(partition.blocks[index])], partition.witness, tolerance=1e-6
             )
 
     def test_one_dimensional_three_parts(self):
@@ -80,29 +99,34 @@ class TestFindTverbergPartition:
 
 class TestVerifyPartition:
     def test_rejects_non_partition(self):
-        multiset = PointMultiset([[0.0], [1.0], [2.0]])
+        multiset = np.array([[0.0], [1.0], [2.0]])
         with pytest.raises(GeometryError):
             verify_tverberg_partition(multiset, [(0, 1), (1, 2)])
 
+    def test_rejects_out_of_range_index(self):
+        multiset = np.array([[0.0], [1.0], [2.0]])
+        with pytest.raises(GeometryError):
+            verify_tverberg_partition(multiset, [(0, 1), (3,)])
+
     def test_rejects_empty_block(self):
-        multiset = PointMultiset([[0.0], [1.0]])
+        multiset = np.array([[0.0], [1.0]])
         with pytest.raises(GeometryError):
             verify_tverberg_partition(multiset, [(0, 1), ()])
 
     def test_returns_none_for_disjoint_hulls(self):
-        multiset = PointMultiset([[0.0], [1.0], [10.0], [11.0]])
+        multiset = np.array([[0.0], [1.0], [10.0], [11.0]])
         assert verify_tverberg_partition(multiset, [(0, 1), (2, 3)]) is None
 
 
 class TestFigure1:
     def test_instance_shape(self):
         multiset, parts = figure1_instance()
-        assert len(multiset) == 7
-        assert multiset.dimension == 2
+        assert multiset.shape == (7, 2)
+        assert not multiset.flags.writeable
         assert parts == 3
 
     def test_matches_paper_parameters(self):
         # n = 7, d = 2, f = 2  =>  n = (d + 1) f + 1 exactly.
         multiset, parts = figure1_instance()
         fault_bound = parts - 1
-        assert len(multiset) == (multiset.dimension + 1) * fault_bound + 1
+        assert len(multiset) == (multiset.shape[1] + 1) * fault_bound + 1

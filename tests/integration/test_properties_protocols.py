@@ -17,7 +17,7 @@ from repro.core.exact_bvc import run_exact_bvc
 from repro.core.restricted_sync import run_restricted_sync_bvc
 from repro.core.safe_area import SafeAreaCalculator
 from repro.core.validity import check_approximate_outcome, check_exact_outcome
-from repro.geometry.multisets import PointMultiset
+from repro.geometry.points import as_cloud
 from repro.processes.registry import ProcessRegistry
 
 coordinate = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False)
@@ -72,7 +72,7 @@ def test_restricted_sync_stays_in_honest_hull(inputs):
 @given(inputs=vector_list(5, 2))
 def test_safe_area_choice_is_deterministic_across_processes(inputs):
     # Agreement in Step 2 of the exact algorithm rests on this determinism.
-    cloud = PointMultiset(np.asarray(inputs, dtype=float))
+    cloud = as_cloud(inputs)
     chooser_a = SafeAreaCalculator(fault_bound=1)
     chooser_b = SafeAreaCalculator(fault_bound=1)
     assert np.allclose(chooser_a.choose(cloud), chooser_b.choose(cloud), atol=1e-9)

@@ -45,7 +45,7 @@ class TestFifoChannel:
             channel.send(make_message(payload=index))
         drained = channel.drain()
         assert [message.payload for message in drained] == [0, 1, 2, 3, 4]
-        assert channel.is_empty()
+        assert channel.drain() == []
 
     def test_wrong_route_rejected(self):
         channel = FifoChannel(0, 1)

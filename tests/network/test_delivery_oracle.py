@@ -48,7 +48,7 @@ from repro.processes.process import AsyncProcess
 
 def scan_busy_channels(network: CompleteGraphNetwork) -> list[tuple[int, int]]:
     """Every non-empty channel, found by looking at all of them."""
-    return [key for key, channel in network._channels.items() if not channel.is_empty()]
+    return [key for key, channel in network._channels.items() if channel._queue]
 
 
 def pop_oldest(network: CompleteGraphNetwork, sender: int, recipient: int) -> Message:

@@ -81,7 +81,7 @@ class TestProcessRegistry:
     def test_honest_input_multiset(self):
         registry = make_registry()
         multiset = registry.honest_input_multiset()
-        assert len(multiset) == 3
+        assert multiset.shape == (3, 2)
         assert np.allclose(multiset[0], [0.0, 1.0])
 
     def test_value_bounds_cover_honest_inputs_only(self):

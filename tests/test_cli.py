@@ -114,12 +114,19 @@ class TestMain:
         assert ", ".join(_ordered_experiment_ids()) in captured.err
 
     def test_reference_tables_are_what_run_prints(self, capsys):
-        # The committed safe-area tables are seeded and carry no timing, so
-        # they cannot drift from the code that prints them.
+        # The committed tables are seeded and carry no timing, so they
+        # cannot drift from the code that prints them.
         reference = Path(__file__).resolve().parents[1] / "benchmarks" / "reference"
-        names = ["E3_safe_area_existence.txt", "E6_safe_area_cost.txt", "E10_appendix_f.txt"]
+        names = [
+            "E1_intro_counterexample.txt",
+            "E2_theorem1_necessity.txt",
+            "E3_safe_area_existence.txt",
+            "E4_figure1_tverberg.txt",
+            "E6_safe_area_cost.txt",
+            "E10_appendix_f.txt",
+        ]
         assert sorted(path.name for path in reference.iterdir()) == sorted(names)
-        assert main(["run", "E3", "E6", "E10"]) == 0
+        assert main(["run", "E1", "E2", "E3", "E4", "E6", "E10"]) == 0
         committed = "\n".join((reference / name).read_text() for name in names)
         assert capsys.readouterr().out == committed
 
@@ -151,7 +158,7 @@ class TestMain:
         assert excinfo.value.code == 0
         output = capsys.readouterr().out
         assert "examples:" in output
-        assert "python -m repro.cli run E3 E6 E10" in output
+        assert "python -m repro.cli run E1 E2 E3 E4 E6 E10" in output
         assert "docs/ARCHITECTURE.md" in output
         assert "docs/PERFORMANCE.md" in output
         assert "PYTHONPATH=src python -m pytest -x -q" in output
