@@ -36,11 +36,9 @@ Quick start::
 """
 
 from repro.core import (
-    ApproxBVCOutcome,
     ApproxBVCProcess,
-    ExactBVCOutcome,
     ExactBVCProcess,
-    RestrictedRoundOutcome,
+    ProtocolOutcome,
     SafeAreaCalculator,
     Setting,
     SystemConfiguration,
@@ -65,11 +63,9 @@ from repro.processes import ProcessRegistry
 from repro.store.keys import PACKAGE_VERSION as __version__
 
 __all__ = [
-    "ApproxBVCOutcome",
     "ApproxBVCProcess",
-    "ExactBVCOutcome",
     "ExactBVCProcess",
-    "RestrictedRoundOutcome",
+    "ProtocolOutcome",
     "SafeAreaCalculator",
     "Setting",
     "SystemConfiguration",

@@ -7,7 +7,6 @@ from repro.core.conditions import (
     check_exact_sync,
     check_restricted_async,
     check_restricted_sync,
-    minimum_processes,
     minimum_processes_approx_async,
     minimum_processes_exact_sync,
     minimum_processes_restricted_async,
@@ -23,19 +22,15 @@ from repro.core.safe_area import (
     safe_area_point_via_tverberg,
     safe_area_subset_count,
 )
-from repro.core.exact_bvc import ExactBVCOutcome, ExactBVCProcess, run_exact_bvc
+from repro.core.driver import ProtocolOutcome, run_protocol
+from repro.core.exact_bvc import ExactBVCProcess, run_exact_bvc
 from repro.core.approx_bvc import (
-    ApproxBVCOutcome,
     ApproxBVCProcess,
     contraction_factor,
     round_threshold,
     run_approx_bvc,
 )
-from repro.core.restricted_sync import (
-    RestrictedRoundOutcome,
-    RestrictedSyncProcess,
-    run_restricted_sync_bvc,
-)
+from repro.core.restricted_sync import RestrictedSyncProcess, run_restricted_sync_bvc
 from repro.core.restricted_async import (
     RestrictedAsyncProcess,
     restricted_async_contraction_factor,
@@ -63,7 +58,6 @@ __all__ = [
     "check_exact_sync",
     "check_restricted_async",
     "check_restricted_sync",
-    "minimum_processes",
     "minimum_processes_approx_async",
     "minimum_processes_exact_sync",
     "minimum_processes_restricted_async",
@@ -76,15 +70,14 @@ __all__ = [
     "safe_area_point",
     "safe_area_point_via_tverberg",
     "safe_area_subset_count",
-    "ExactBVCOutcome",
+    "ProtocolOutcome",
+    "run_protocol",
     "ExactBVCProcess",
     "run_exact_bvc",
-    "ApproxBVCOutcome",
     "ApproxBVCProcess",
     "contraction_factor",
     "round_threshold",
     "run_approx_bvc",
-    "RestrictedRoundOutcome",
     "RestrictedSyncProcess",
     "run_restricted_sync_bvc",
     "RestrictedAsyncProcess",

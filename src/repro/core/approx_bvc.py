@@ -21,19 +21,19 @@ across honest processes contracts by at least ``1 - gamma`` per round
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 from math import ceil, comb, log
 from typing import Any, Callable, Literal
 
 import numpy as np
 
 from repro.broadcast.witness import RoundExchangeResult, WitnessExchange
-from repro.byzantine.adversary import ByzantineAsyncProcess, MessageMutator
+from repro.byzantine.adversary import MessageMutator
 from repro.core.conditions import SystemConfiguration, check_approx_async
+from repro.core.driver import ProtocolOutcome, run_protocol
 from repro.core.round_ops import approx_round_step, approx_subset_families
 from repro.core.safe_area import SafeAreaCalculator
 from repro.exceptions import ConfigurationError, ProtocolError
-from repro.network.async_runtime import AsynchronousRuntime, AsyncRunResult
 from repro.network.message import Message, message_from_fields, next_message_sequence
 from repro.network.scheduler import DeliveryScheduler
 from repro.processes.process import AsyncProcess
@@ -43,8 +43,8 @@ __all__ = [
     "SubsetMode",
     "contraction_factor",
     "round_threshold",
+    "plan_rounds",
     "ApproxBVCProcess",
-    "ApproxBVCOutcome",
     "run_approx_bvc",
 ]
 
@@ -81,6 +81,36 @@ def round_threshold(value_range: float, epsilon: float, gamma: float) -> int:
     if value_range <= epsilon:
         return 1
     return 1 + ceil(log(value_range / epsilon) / log(1.0 / (1.0 - gamma)))
+
+
+def plan_rounds(
+    configuration: SystemConfiguration,
+    input_vector: np.ndarray,
+    value_bounds: tuple[float, float],
+    epsilon: float,
+    contraction: Callable[[int, int], float],
+    max_rounds_override: int | None,
+) -> tuple[np.ndarray, float, int]:
+    """The round-based algorithms' prologue: the checked input, ``gamma`` and the round count.
+
+    In order: the input must be a ``(d,)`` vector and ``value_bounds`` an
+    ordered ``(nu, U)`` pair; ``gamma = contraction(n, f)``; the static
+    threshold of :func:`round_threshold` — computed, and able to raise,
+    even when ``max_rounds_override`` replaces it.
+    """
+    vector = np.asarray(input_vector, dtype=float)
+    if vector.shape != (configuration.dimension,):
+        raise ProtocolError(
+            f"input vector has shape {vector.shape}, expected ({configuration.dimension},)"
+        )
+    value_lower, value_upper = value_bounds
+    if value_upper < value_lower:
+        raise ConfigurationError("value_upper must be at least value_lower")
+    epsilon = float(epsilon)
+    gamma = contraction(configuration.process_count, configuration.fault_bound)
+    computed_rounds = round_threshold(value_upper - value_lower, epsilon, gamma)
+    total_rounds = computed_rounds if max_rounds_override is None else max_rounds_override
+    return vector, gamma, total_rounds
 
 
 class _Outbox:
@@ -138,22 +168,16 @@ class ApproxBVCProcess(AsyncProcess):
         super().__init__(process_id)
         check_approx_async(configuration, allow_insufficient=allow_insufficient)
         self.configuration = configuration
-        self.input_vector = np.asarray(input_vector, dtype=float)
-        if self.input_vector.shape != (configuration.dimension,):
-            raise ProtocolError(
-                f"input vector has shape {self.input_vector.shape}, expected ({configuration.dimension},)"
-            )
-        if value_upper < value_lower:
-            raise ConfigurationError("value_upper must be at least value_lower")
+        self.input_vector, self.gamma, self.total_rounds = plan_rounds(
+            configuration,
+            input_vector,
+            (value_lower, value_upper),
+            epsilon,
+            partial(contraction_factor, subset_mode=subset_mode),
+            max_rounds_override,
+        )
         self.epsilon = float(epsilon)
         self.subset_mode: SubsetMode = subset_mode
-        self.gamma = contraction_factor(
-            configuration.process_count, configuration.fault_bound, subset_mode
-        )
-        computed_rounds = round_threshold(value_upper - value_lower, self.epsilon, self.gamma)
-        self.total_rounds = (
-            max_rounds_override if max_rounds_override is not None else computed_rounds
-        )
         if self.total_rounds < 1:
             raise ConfigurationError("the algorithm must run at least one round")
         self._chooser = SafeAreaCalculator(fault_bound=configuration.fault_bound)
@@ -249,34 +273,6 @@ class ApproxBVCProcess(AsyncProcess):
         )
 
 
-@dataclass(frozen=True)
-class ApproxBVCOutcome:
-    """Result of a complete Approximate BVC execution.
-
-    Attributes:
-        registry: the experiment cast.
-        decisions: decision vector per honest process id.
-        epsilon: the agreement parameter used.
-        rounds_executed: asynchronous rounds each honest process ran (identical
-            across processes under the static termination rule).
-        deliveries: total message deliveries performed by the runtime.
-        messages_sent: total messages put on the network.
-        state_histories: per honest process, its state after every round
-            (index 0 is the input) — the raw series behind the convergence
-            figures.
-        messages_dropped: undeliverable messages refused by the runtime.
-    """
-
-    registry: ProcessRegistry
-    decisions: dict[int, np.ndarray]
-    epsilon: float
-    rounds_executed: int
-    deliveries: int
-    messages_sent: int
-    state_histories: dict[int, list[np.ndarray]]
-    messages_dropped: int = 0
-
-
 def run_approx_bvc(
     registry: ProcessRegistry,
     epsilon: float,
@@ -286,9 +282,8 @@ def run_approx_bvc(
     value_bounds: tuple[float, float] | None = None,
     max_rounds_override: int | None = None,
     allow_insufficient: bool = False,
-    max_deliveries: int = 2_000_000,
     traffic_observer: Callable[[Message], None] | None = None,
-) -> ApproxBVCOutcome:
+) -> ProtocolOutcome:
     """Run the Approximate BVC algorithm end-to-end on a simulated asynchronous system.
 
     Args:
@@ -304,53 +299,19 @@ def run_approx_bvc(
         max_rounds_override: run exactly this many rounds instead of the static
             threshold (used by convergence-rate experiments).
         allow_insufficient: run even when ``n`` is below the resilience bound.
-        max_deliveries: safety budget for the asynchronous runtime.
         traffic_observer: optional callback that sees every routed message
             (the coordinated adversary's full-information tap).
     """
-    adversary_mutators = adversary_mutators or {}
-    configuration = registry.configuration
-    if value_bounds is None:
-        value_bounds = registry.value_bounds()
-    value_lower, value_upper = value_bounds
-
-    processes: dict[int, AsyncProcess] = {}
-    cores: dict[int, ApproxBVCProcess] = {}
-    for process_id in registry.process_ids:
-        core = ApproxBVCProcess(
-            process_id=process_id,
-            configuration=configuration,
-            input_vector=registry.input_of(process_id),
-            epsilon=epsilon,
-            value_lower=value_lower,
-            value_upper=value_upper,
-            subset_mode=subset_mode,
-            max_rounds_override=max_rounds_override,
-            allow_insufficient=allow_insufficient,
-        )
-        cores[process_id] = core
-        if registry.is_faulty(process_id) and process_id in adversary_mutators:
-            processes[process_id] = ByzantineAsyncProcess(core, adversary_mutators[process_id])
-        else:
-            processes[process_id] = core
-
-    runtime = AsynchronousRuntime(
-        processes,
-        honest_ids=registry.honest_ids,
-        scheduler=scheduler,
-        max_deliveries=max_deliveries,
-        traffic_observer=traffic_observer,
-    )
-    result: AsyncRunResult = runtime.run()
-    decisions = {pid: np.asarray(result.decisions[pid], dtype=float) for pid in registry.honest_ids}
-    rounds_executed = max(cores[pid].total_rounds for pid in registry.honest_ids)
-    return ApproxBVCOutcome(
-        registry=registry,
-        decisions=decisions,
+    value_lower, value_upper = value_bounds if value_bounds is not None else registry.value_bounds()
+    core = partial(
+        ApproxBVCProcess,
         epsilon=epsilon,
-        rounds_executed=rounds_executed,
-        deliveries=result.deliveries,
-        messages_sent=result.traffic.messages_sent,
-        state_histories={pid: cores[pid].state_history for pid in registry.honest_ids},
-        messages_dropped=result.traffic.messages_dropped,
+        value_lower=value_lower,
+        value_upper=value_upper,
+        subset_mode=subset_mode,
+        max_rounds_override=max_rounds_override,
+        allow_insufficient=allow_insufficient,
+    )
+    return run_protocol(
+        registry, core, adversary_mutators, scheduler=scheduler, traffic_observer=traffic_observer
     )

@@ -15,17 +15,17 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from repro.byzantine.adversary import ByzantineSyncProcess, MessageMutator
-from repro.network.message import Message
-from repro.core.exact_bvc import BroadcastMode, ExactBVCOutcome, ExactBVCProcess
+from repro.byzantine.adversary import MessageMutator
+from repro.core.driver import ProtocolOutcome, run_protocol
+from repro.core.exact_bvc import BroadcastMode, ExactBVCProcess
 from repro.core.round_ops import coordinatewise_decision
 from repro.exceptions import ConfigurationError
-from repro.network.sync_runtime import SynchronousRuntime
-from repro.processes.process import SyncProcess
+from repro.network.message import Message
 from repro.processes.registry import ProcessRegistry
 
 __all__ = [
@@ -64,7 +64,7 @@ def run_coordinatewise_consensus(
     broadcast_mode: BroadcastMode = "per_coordinate",
     max_rounds: int | None = None,
     traffic_observer: "Callable[[Message], None] | None" = None,
-) -> ExactBVCOutcome:
+) -> ProtocolOutcome:
     """Run the coordinate-wise scalar-consensus baseline end-to-end.
 
     The baseline only needs ``n >= 3f + 1`` (scalar resilience), so the
@@ -72,33 +72,9 @@ def run_coordinatewise_consensus(
     demonstrate is that even when it runs, its decision may violate vector
     validity.
     """
-    adversary_mutators = adversary_mutators or {}
-    configuration = registry.configuration
-    processes: dict[int, SyncProcess] = {}
-    for process_id in registry.process_ids:
-        core = CoordinateWiseConsensusProcess(
-            process_id=process_id,
-            configuration=configuration,
-            input_vector=registry.input_of(process_id),
-            broadcast_mode=broadcast_mode,
-            allow_insufficient=True,
-        )
-        if registry.is_faulty(process_id) and process_id in adversary_mutators:
-            processes[process_id] = ByzantineSyncProcess(core, adversary_mutators[process_id])
-        else:
-            processes[process_id] = core
-    runtime = SynchronousRuntime(
-        processes,
-        honest_ids=registry.honest_ids,
-        max_rounds=max_rounds if max_rounds is not None else configuration.fault_bound + 2,
-        traffic_observer=traffic_observer,
+    core = partial(
+        CoordinateWiseConsensusProcess, broadcast_mode=broadcast_mode, allow_insufficient=True
     )
-    result = runtime.run()
-    decisions = {pid: np.asarray(result.decisions[pid], dtype=float) for pid in registry.honest_ids}
-    return ExactBVCOutcome(
-        registry=registry,
-        decisions=decisions,
-        rounds_executed=result.rounds_executed,
-        messages_sent=result.traffic.messages_sent,
-        messages_dropped=result.traffic.messages_dropped,
+    return run_protocol(
+        registry, core, adversary_mutators, max_rounds=max_rounds, traffic_observer=traffic_observer
     )

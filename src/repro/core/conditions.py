@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from repro.exceptions import ConfigurationError, ResilienceError
 
@@ -130,23 +131,13 @@ def minimum_processes_scalar(fault_bound: int) -> int:
     return 3 * fault_bound + 1
 
 
-_MINIMUMS = {
-    Setting.EXACT_SYNC: minimum_processes_exact_sync,
-    Setting.APPROX_ASYNC: minimum_processes_approx_async,
-    Setting.RESTRICTED_SYNC: minimum_processes_restricted_sync,
-    Setting.RESTRICTED_ASYNC: minimum_processes_restricted_async,
-}
-
-
-def minimum_processes(setting: Setting, dimension: int, fault_bound: int) -> int:
-    """Dispatch to the minimum-``n`` function for ``setting``."""
-    if setting == Setting.SCALAR:
-        return minimum_processes_scalar(fault_bound)
-    return _MINIMUMS[setting](dimension, fault_bound)
-
-
-def _check(setting: Setting, configuration: SystemConfiguration, allow_insufficient: bool) -> None:
-    required = minimum_processes(setting, configuration.dimension, configuration.fault_bound)
+def _check(
+    setting: Setting,
+    minimum: Callable[[int, int], int],
+    configuration: SystemConfiguration,
+    allow_insufficient: bool,
+) -> None:
+    required = minimum(configuration.dimension, configuration.fault_bound)
     if configuration.process_count < required and not allow_insufficient:
         raise ResilienceError(
             f"{setting.value}: n={configuration.process_count} is below the required "
@@ -156,22 +147,22 @@ def _check(setting: Setting, configuration: SystemConfiguration, allow_insuffici
 
 def check_exact_sync(configuration: SystemConfiguration, allow_insufficient: bool = False) -> None:
     """Raise :class:`ResilienceError` unless ``n >= max(3f+1, (d+1)f+1)``."""
-    _check(Setting.EXACT_SYNC, configuration, allow_insufficient)
+    _check(Setting.EXACT_SYNC, minimum_processes_exact_sync, configuration, allow_insufficient)
 
 
 def check_approx_async(configuration: SystemConfiguration, allow_insufficient: bool = False) -> None:
     """Raise :class:`ResilienceError` unless ``n >= (d+2)f + 1``."""
-    _check(Setting.APPROX_ASYNC, configuration, allow_insufficient)
+    _check(Setting.APPROX_ASYNC, minimum_processes_approx_async, configuration, allow_insufficient)
 
 
 def check_restricted_sync(configuration: SystemConfiguration, allow_insufficient: bool = False) -> None:
     """Raise :class:`ResilienceError` unless ``n >= (d+2)f + 1``."""
-    _check(Setting.RESTRICTED_SYNC, configuration, allow_insufficient)
+    _check(Setting.RESTRICTED_SYNC, minimum_processes_restricted_sync, configuration, allow_insufficient)
 
 
 def check_restricted_async(configuration: SystemConfiguration, allow_insufficient: bool = False) -> None:
     """Raise :class:`ResilienceError` unless ``n >= (d+4)f + 1``."""
-    _check(Setting.RESTRICTED_ASYNC, configuration, allow_insufficient)
+    _check(Setting.RESTRICTED_ASYNC, minimum_processes_restricted_async, configuration, allow_insufficient)
 
 
 def resilience_table(dimensions: list[int], fault_bounds: list[int]) -> list[dict[str, int]]:

@@ -24,23 +24,23 @@ the one-call driver used by examples, tests and benchmarks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from repro.byzantine.adversary import ByzantineSyncProcess, MessageMutator
+from repro.byzantine.adversary import MessageMutator
 from repro.consensus.eig import EigTable, eig_round_count
 from repro.core.conditions import SystemConfiguration, check_exact_sync
+from repro.core.driver import ProtocolOutcome, run_protocol
 from repro.core.safe_area import SafeAreaCalculator
 from repro.exceptions import ProtocolError
 from repro.geometry.points import as_cloud
 from repro.network.message import Message
-from repro.network.sync_runtime import SynchronousRuntime, SyncRunResult
 from repro.processes.process import SyncProcess
 from repro.processes.registry import ProcessRegistry
 
-__all__ = ["BroadcastMode", "ExactBVCProcess", "ExactBVCOutcome", "run_exact_bvc"]
+__all__ = ["BroadcastMode", "ExactBVCProcess", "run_exact_bvc"]
 
 BroadcastMode = Literal["per_coordinate", "whole_vector"]
 
@@ -193,26 +193,6 @@ class ExactBVCProcess(SyncProcess):
         return self._received_multiset
 
 
-@dataclass(frozen=True)
-class ExactBVCOutcome:
-    """Result of a complete Exact BVC execution.
-
-    Attributes:
-        registry: the experiment cast (who was honest, with which inputs).
-        decisions: decision vector per honest process id.
-        rounds_executed: synchronous rounds used.
-        messages_sent: total messages put on the network.
-        messages_dropped: undeliverable messages (self-addressed or unknown
-            recipient, typically Byzantine output) refused by the runtime.
-    """
-
-    registry: ProcessRegistry
-    decisions: dict[int, np.ndarray]
-    rounds_executed: int
-    messages_sent: int
-    messages_dropped: int = 0
-
-
 def run_exact_bvc(
     registry: ProcessRegistry,
     adversary_mutators: dict[int, MessageMutator] | None = None,
@@ -220,7 +200,7 @@ def run_exact_bvc(
     allow_insufficient: bool = False,
     max_rounds: int | None = None,
     traffic_observer: "Callable[[Message], None] | None" = None,
-) -> ExactBVCOutcome:
+) -> ProtocolOutcome:
     """Run the Exact BVC algorithm end-to-end on a simulated synchronous system.
 
     Args:
@@ -230,37 +210,13 @@ def run_exact_bvc(
         broadcast_mode: per-coordinate (paper-literal) or whole-vector broadcasts.
         allow_insufficient: run even when ``n`` is below the resilience bound
             (for impossibility experiments).
-        max_rounds: optional override of the runtime's round budget.
+        max_rounds: optional override of the runtime's round budget (``f + 2``).
         traffic_observer: optional callback that sees every routed message
             (the coordinated adversary's full-information tap).
     """
-    adversary_mutators = adversary_mutators or {}
-    configuration = registry.configuration
-    processes: dict[int, SyncProcess] = {}
-    for process_id in registry.process_ids:
-        core = ExactBVCProcess(
-            process_id=process_id,
-            configuration=configuration,
-            input_vector=registry.input_of(process_id),
-            broadcast_mode=broadcast_mode,
-            allow_insufficient=allow_insufficient,
-        )
-        if registry.is_faulty(process_id) and process_id in adversary_mutators:
-            processes[process_id] = ByzantineSyncProcess(core, adversary_mutators[process_id])
-        else:
-            processes[process_id] = core
-    runtime = SynchronousRuntime(
-        processes,
-        honest_ids=registry.honest_ids,
-        max_rounds=max_rounds if max_rounds is not None else configuration.fault_bound + 2,
-        traffic_observer=traffic_observer,
+    core = partial(
+        ExactBVCProcess, broadcast_mode=broadcast_mode, allow_insufficient=allow_insufficient
     )
-    result: SyncRunResult = runtime.run()
-    decisions = {pid: np.asarray(result.decisions[pid], dtype=float) for pid in registry.honest_ids}
-    return ExactBVCOutcome(
-        registry=registry,
-        decisions=decisions,
-        rounds_executed=result.rounds_executed,
-        messages_sent=result.traffic.messages_sent,
-        messages_dropped=result.traffic.messages_dropped,
+    return run_protocol(
+        registry, core, adversary_mutators, max_rounds=max_rounds, traffic_observer=traffic_observer
     )

@@ -20,19 +20,19 @@ argument with ``gamma = 1 / (n * C(n - f, n - 3f))``.
 
 from __future__ import annotations
 
+from functools import partial
 from math import comb
 from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.byzantine.adversary import ByzantineAsyncProcess, MessageMutator
-from repro.core.approx_bvc import round_threshold
+from repro.byzantine.adversary import MessageMutator
+from repro.core.approx_bvc import plan_rounds
 from repro.core.conditions import SystemConfiguration, check_restricted_async
-from repro.core.restricted_sync import RestrictedRoundOutcome
+from repro.core.driver import ProtocolOutcome, run_protocol
 from repro.core.round_ops import coerce_state, restricted_round_step
 from repro.core.safe_area import SafeAreaCalculator
 from repro.exceptions import ConfigurationError, ProtocolError
-from repro.network.async_runtime import AsynchronousRuntime, AsyncRunResult
 from repro.network.message import Message
 from repro.network.scheduler import DeliveryScheduler
 from repro.processes.process import AsyncProcess
@@ -59,6 +59,13 @@ def restricted_async_contraction_factor(process_count: int, fault_bound: int) ->
     return 1.0 / (process_count * comb(collected, quorum))
 
 
+def _contraction(process_count: int, fault_bound: int) -> float:
+    """The core's ``gamma``: ``1 / n^2`` below the structure's ``n - 3f >= 1`` floor."""
+    if process_count - 3 * fault_bound >= 1:
+        return restricted_async_contraction_factor(process_count, fault_bound)
+    return 1.0 / (process_count * process_count)
+
+
 class RestrictedAsyncProcess(AsyncProcess):
     """One process of the restricted-round asynchronous approximate BVC algorithm."""
 
@@ -78,26 +85,18 @@ class RestrictedAsyncProcess(AsyncProcess):
         super().__init__(process_id)
         check_restricted_async(configuration, allow_insufficient=allow_insufficient)
         self.configuration = configuration
-        self.input_vector = np.asarray(input_vector, dtype=float)
-        if self.input_vector.shape != (configuration.dimension,):
-            raise ProtocolError(
-                f"input vector has shape {self.input_vector.shape}, expected ({configuration.dimension},)"
-            )
-        if value_upper < value_lower:
-            raise ConfigurationError("value_upper must be at least value_lower")
+        self.input_vector, self.gamma, self.total_rounds = plan_rounds(
+            configuration,
+            input_vector,
+            (value_lower, value_upper),
+            epsilon,
+            _contraction,
+            max_rounds_override,
+        )
         self.epsilon = float(epsilon)
         fault_bound = configuration.fault_bound
         process_count = configuration.process_count
         self._quorum = max(1, process_count - 3 * fault_bound)
-        self.gamma = (
-            restricted_async_contraction_factor(process_count, fault_bound)
-            if process_count - 3 * fault_bound >= 1
-            else 1.0 / (process_count * process_count)
-        )
-        computed_rounds = round_threshold(value_upper - value_lower, self.epsilon, self.gamma)
-        self.total_rounds = (
-            max_rounds_override if max_rounds_override is not None else computed_rounds
-        )
         self._choose_all = SafeAreaCalculator(fault_bound=fault_bound).choose_all
         self._wait_for = process_count - fault_bound - 1
         self._state = self.input_vector.copy()
@@ -191,6 +190,7 @@ class RestrictedAsyncProcess(AsyncProcess):
             choose_all=self._choose_all,
         )
 
+
 def run_restricted_async_bvc(
     registry: ProcessRegistry,
     epsilon: float,
@@ -199,51 +199,18 @@ def run_restricted_async_bvc(
     value_bounds: tuple[float, float] | None = None,
     max_rounds_override: int | None = None,
     allow_insufficient: bool = False,
-    max_deliveries: int = 2_000_000,
     traffic_observer: Callable[[Message], None] | None = None,
-) -> RestrictedRoundOutcome:
+) -> ProtocolOutcome:
     """Run the restricted-round asynchronous approximate BVC algorithm end-to-end."""
-    adversary_mutators = adversary_mutators or {}
-    configuration = registry.configuration
-    if value_bounds is None:
-        value_bounds = registry.value_bounds()
-    value_lower, value_upper = value_bounds
-
-    processes: dict[int, AsyncProcess] = {}
-    cores: dict[int, RestrictedAsyncProcess] = {}
-    for process_id in registry.process_ids:
-        core = RestrictedAsyncProcess(
-            process_id=process_id,
-            configuration=configuration,
-            input_vector=registry.input_of(process_id),
-            epsilon=epsilon,
-            value_lower=value_lower,
-            value_upper=value_upper,
-            max_rounds_override=max_rounds_override,
-            allow_insufficient=allow_insufficient,
-        )
-        cores[process_id] = core
-        if registry.is_faulty(process_id) and process_id in adversary_mutators:
-            processes[process_id] = ByzantineAsyncProcess(core, adversary_mutators[process_id])
-        else:
-            processes[process_id] = core
-
-    runtime = AsynchronousRuntime(
-        processes,
-        honest_ids=registry.honest_ids,
-        scheduler=scheduler,
-        max_deliveries=max_deliveries,
-        traffic_observer=traffic_observer,
-    )
-    result: AsyncRunResult = runtime.run()
-    decisions = {pid: np.asarray(result.decisions[pid], dtype=float) for pid in registry.honest_ids}
-    rounds_executed = max(cores[pid].total_rounds for pid in registry.honest_ids)
-    return RestrictedRoundOutcome(
-        registry=registry,
-        decisions=decisions,
+    value_lower, value_upper = value_bounds if value_bounds is not None else registry.value_bounds()
+    core = partial(
+        RestrictedAsyncProcess,
         epsilon=epsilon,
-        rounds_executed=rounds_executed,
-        messages_sent=result.traffic.messages_sent,
-        state_histories={pid: cores[pid].state_history for pid in registry.honest_ids},
-        messages_dropped=result.traffic.messages_dropped,
+        value_lower=value_lower,
+        value_upper=value_upper,
+        max_rounds_override=max_rounds_override,
+        allow_insufficient=allow_insufficient,
+    )
+    return run_protocol(
+        registry, core, adversary_mutators, scheduler=scheduler, traffic_observer=traffic_observer
     )

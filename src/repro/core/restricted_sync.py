@@ -25,23 +25,23 @@ algorithm).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from repro.byzantine.adversary import ByzantineSyncProcess, MessageMutator
-from repro.core.approx_bvc import contraction_factor, round_threshold
+from repro.byzantine.adversary import MessageMutator
+from repro.core.approx_bvc import contraction_factor, plan_rounds
 from repro.core.conditions import SystemConfiguration, check_restricted_sync
+from repro.core.driver import ProtocolOutcome, run_protocol
 from repro.core.round_ops import coerce_state, restricted_round_step
 from repro.core.safe_area import SafeAreaCalculator
-from repro.exceptions import ConfigurationError, ProtocolError
+from repro.exceptions import ProtocolError
 from repro.network.message import Message
-from repro.network.sync_runtime import SynchronousRuntime, SyncRunResult
 from repro.processes.process import SyncProcess
 from repro.processes.registry import ProcessRegistry
 
-__all__ = ["RestrictedSyncProcess", "RestrictedRoundOutcome", "run_restricted_sync_bvc"]
+__all__ = ["RestrictedSyncProcess", "run_restricted_sync_bvc"]
 
 
 class RestrictedSyncProcess(SyncProcess):
@@ -63,21 +63,15 @@ class RestrictedSyncProcess(SyncProcess):
         super().__init__(process_id)
         check_restricted_sync(configuration, allow_insufficient=allow_insufficient)
         self.configuration = configuration
-        self.input_vector = np.asarray(input_vector, dtype=float)
-        if self.input_vector.shape != (configuration.dimension,):
-            raise ProtocolError(
-                f"input vector has shape {self.input_vector.shape}, expected ({configuration.dimension},)"
-            )
-        if value_upper < value_lower:
-            raise ConfigurationError("value_upper must be at least value_lower")
+        self.input_vector, self.gamma, self.total_rounds = plan_rounds(
+            configuration,
+            input_vector,
+            (value_lower, value_upper),
+            epsilon,
+            contraction_factor,
+            max_rounds_override,
+        )
         self.epsilon = float(epsilon)
-        self.gamma = contraction_factor(
-            configuration.process_count, configuration.fault_bound, "all_subsets"
-        )
-        computed_rounds = round_threshold(value_upper - value_lower, self.epsilon, self.gamma)
-        self.total_rounds = (
-            max_rounds_override if max_rounds_override is not None else computed_rounds
-        )
         self._quorum = configuration.process_count - configuration.fault_bound
         self._choose_all = SafeAreaCalculator(fault_bound=configuration.fault_bound).choose_all
         self._state = self.input_vector.copy()
@@ -139,29 +133,6 @@ class RestrictedSyncProcess(SyncProcess):
         return self._decision
 
 
-@dataclass(frozen=True)
-class RestrictedRoundOutcome:
-    """Result of a restricted-round execution (synchronous or asynchronous).
-
-    Attributes:
-        registry: the experiment cast.
-        decisions: decision vector per honest process id.
-        epsilon: the agreement parameter used.
-        rounds_executed: rounds each honest process ran.
-        messages_sent: total messages put on the network.
-        state_histories: per honest process, its state after every round.
-        messages_dropped: undeliverable messages refused by the runtime.
-    """
-
-    registry: ProcessRegistry
-    decisions: dict[int, np.ndarray]
-    epsilon: float
-    rounds_executed: int
-    messages_sent: int
-    state_histories: dict[int, list[np.ndarray]]
-    messages_dropped: int = 0
-
-
 def run_restricted_sync_bvc(
     registry: ProcessRegistry,
     epsilon: float,
@@ -170,48 +141,15 @@ def run_restricted_sync_bvc(
     max_rounds_override: int | None = None,
     allow_insufficient: bool = False,
     traffic_observer: Callable[[Message], None] | None = None,
-) -> RestrictedRoundOutcome:
+) -> ProtocolOutcome:
     """Run the restricted-round synchronous approximate BVC algorithm end-to-end."""
-    adversary_mutators = adversary_mutators or {}
-    configuration = registry.configuration
-    if value_bounds is None:
-        value_bounds = registry.value_bounds()
-    value_lower, value_upper = value_bounds
-
-    processes: dict[int, SyncProcess] = {}
-    cores: dict[int, RestrictedSyncProcess] = {}
-    for process_id in registry.process_ids:
-        core = RestrictedSyncProcess(
-            process_id=process_id,
-            configuration=configuration,
-            input_vector=registry.input_of(process_id),
-            epsilon=epsilon,
-            value_lower=value_lower,
-            value_upper=value_upper,
-            max_rounds_override=max_rounds_override,
-            allow_insufficient=allow_insufficient,
-        )
-        cores[process_id] = core
-        if registry.is_faulty(process_id) and process_id in adversary_mutators:
-            processes[process_id] = ByzantineSyncProcess(core, adversary_mutators[process_id])
-        else:
-            processes[process_id] = core
-
-    max_rounds = max(cores[pid].total_rounds for pid in registry.honest_ids) + 1
-    runtime = SynchronousRuntime(
-        processes,
-        honest_ids=registry.honest_ids,
-        max_rounds=max_rounds,
-        traffic_observer=traffic_observer,
-    )
-    result: SyncRunResult = runtime.run()
-    decisions = {pid: np.asarray(result.decisions[pid], dtype=float) for pid in registry.honest_ids}
-    return RestrictedRoundOutcome(
-        registry=registry,
-        decisions=decisions,
+    value_lower, value_upper = value_bounds if value_bounds is not None else registry.value_bounds()
+    core = partial(
+        RestrictedSyncProcess,
         epsilon=epsilon,
-        rounds_executed=result.rounds_executed,
-        messages_sent=result.traffic.messages_sent,
-        state_histories={pid: cores[pid].state_history for pid in registry.honest_ids},
-        messages_dropped=result.traffic.messages_dropped,
+        value_lower=value_lower,
+        value_upper=value_upper,
+        max_rounds_override=max_rounds_override,
+        allow_insufficient=allow_insufficient,
     )
+    return run_protocol(registry, core, adversary_mutators, traffic_observer=traffic_observer)

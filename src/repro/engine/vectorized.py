@@ -69,8 +69,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.byzantine.coordinator import AdversaryCoordinator
-from repro.core.approx_bvc import contraction_factor, round_threshold
+from repro.core.approx_bvc import contraction_factor, plan_rounds
 from repro.core.conditions import check_exact_sync, check_restricted_sync
+from repro.core.driver import ProtocolOutcome
 from repro.core.round_ops import (
     coerce_state,
     coordinatewise_decision,
@@ -78,13 +79,10 @@ from repro.core.round_ops import (
     restricted_round_reduce,
 )
 from repro.core.safe_area import SafeAreaCalculator
-from repro.core.validity import (
-    ValidityReport,
-    check_approximate_outcome,
-    check_exact_outcome,
-)
+from repro.core.validity import check_approximate_outcome, check_exact_outcome
 from repro.engine.factories import build_registry, make_adversaries
 from repro.engine.spec import TrialResult, TrialSpec
+from repro.engine.trial import error_row, ok_row
 from repro.exceptions import (
     ConfigurationError,
     EmptyIntersectionError,
@@ -224,38 +222,6 @@ def run_specs_vectorized(specs: Sequence[TrialSpec]) -> list[TrialResult]:
     return [dataclasses.replace(result, elapsed_ms=elapsed_ms) for result in results]
 
 
-def _error_result(spec: TrialSpec, error: Exception) -> TrialResult:
-    """Mirror run_trial's failure capture: failures are campaign data."""
-    return TrialResult(spec=spec, status="error", error=f"{type(error).__name__}: {error}")
-
-
-def _result_row(
-    spec: TrialSpec,
-    registry: ProcessRegistry,
-    decisions: dict[int, np.ndarray],
-    report: ValidityReport,
-    rounds: int,
-    messages_sent: int,
-    messages_dropped: int,
-    state_histories: dict[int, list[np.ndarray]] | None = None,
-) -> TrialResult:
-    first_honest = registry.honest_ids[0]
-    return TrialResult(
-        spec=spec,
-        status="ok",
-        agreement=report.agreement_ok,
-        validity=report.validity_ok,
-        max_disagreement=float(report.max_disagreement),
-        max_hull_distance=float(report.max_hull_distance),
-        rounds=rounds,
-        deliveries=None,
-        messages_sent=messages_sent,
-        messages_dropped=messages_dropped,
-        decision=tuple(float(x) for x in decisions[first_honest]),
-        state_histories=state_histories,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Fault-free broadcast protocols (exact, coordinatewise)
 # ---------------------------------------------------------------------------
@@ -276,7 +242,7 @@ def _run_broadcast_group(specs: Sequence[TrialSpec]) -> list[TrialResult]:
         try:
             results.append(_execute_broadcast_trial(spec, protocol, chooser))
         except Exception as error:  # noqa: BLE001 — failures are campaign data
-            results.append(_error_result(spec, error))
+            results.append(error_row(spec, error))
     return results
 
 
@@ -291,8 +257,6 @@ def _execute_broadcast_trial(
     n = configuration.process_count
     if protocol == "exact":
         check_exact_sync(configuration)
-    if n < 2:
-        raise ConfigurationError("a synchronous run needs at least two processes")
     total_rounds = configuration.fault_bound + 1  # EIG needs f + 1 rounds
     max_rounds = (
         spec.max_rounds_override
@@ -316,11 +280,13 @@ def _execute_broadcast_trial(
     report = check_exact_outcome(registry, decisions)
     # Every process bundles its (non-empty, fault-free) relays into one
     # message per recipient per round.
-    messages_sent = total_rounds * n * (n - 1)
-    return _result_row(
-        spec, registry, decisions, report,
-        rounds=total_rounds, messages_sent=messages_sent, messages_dropped=0,
+    outcome = ProtocolOutcome(
+        decisions=decisions,
+        rounds_executed=total_rounds,
+        messages_sent=total_rounds * n * (n - 1),
+        messages_dropped=0,
     )
+    return ok_row(spec, registry, outcome, report)
 
 
 # ---------------------------------------------------------------------------
@@ -353,29 +319,30 @@ def _prepare_restricted_trial(position: int, spec: TrialSpec) -> _LiveTrial:
     """Per-trial prologue, raising exactly what the object runtime would.
 
     The validation calls run in the object runtime's order: workload
-    construction, adversary construction, resilience check, contraction /
-    round-threshold computation, runtime-size check, round budget.
+    construction, adversary construction, resilience check, the round-based
+    prologue (:func:`~repro.core.approx_bvc.plan_rounds`), round budget.
     """
     registry = build_registry(spec)
     bundle = make_adversaries(spec, registry)
     configuration = registry.configuration
     n = configuration.process_count
     check_restricted_sync(configuration)
-    value_lower, value_upper = registry.value_bounds()
-    gamma = contraction_factor(n, configuration.fault_bound, "all_subsets")
-    computed_rounds = round_threshold(value_upper - value_lower, spec.epsilon, gamma)
-    total_rounds = (
-        spec.max_rounds_override if spec.max_rounds_override is not None else computed_rounds
+    state = np.vstack([registry.input_of(process_id) for process_id in range(n)])
+    # The object runtime's first core runs the same prologue.
+    _, _, total_rounds = plan_rounds(
+        configuration,
+        state[0],
+        registry.value_bounds(),
+        spec.epsilon,
+        contraction_factor,
+        spec.max_rounds_override,
     )
-    if n < 2:
-        raise ConfigurationError("a synchronous run needs at least two processes")
     if total_rounds < 1:
         # The object runtime would run out of its (total_rounds + 1) budget
         # before any process decides.
         raise TerminationError(
             f"synchronous run exceeded the {total_rounds + 1}-round budget"
         )
-    state = np.vstack([registry.input_of(process_id) for process_id in range(n)])
     histories = None
     if spec.record_history:
         histories = {
@@ -550,7 +517,7 @@ def _run_restricted_group(specs: Sequence[TrialSpec]) -> list[TrialResult]:
         try:
             live.append(_prepare_restricted_trial(position, spec))
         except Exception as error:  # noqa: BLE001 — failures are campaign data
-            results[position] = _error_result(spec, error)
+            results[position] = error_row(spec, error)
     if specs[0].adversary == "hull_collapse":
         _seed_collapse_points(live, fault_bound)
 
@@ -606,7 +573,7 @@ def _run_restricted_group(specs: Sequence[TrialSpec]) -> list[TrialResult]:
                     trial.state = new_state
                     trial.record_history()
             if trial.failure is not None:
-                results[trial.position] = _error_result(trial.spec, trial.failure)
+                results[trial.position] = error_row(trial.spec, trial.failure)
                 continue
             if round_index >= trial.total_rounds:
                 results[trial.position] = _finish_restricted_trial(trial)
@@ -689,15 +656,13 @@ def _finish_restricted_trial(trial: _LiveTrial) -> TrialResult:
     try:
         report = check_approximate_outcome(registry, decisions, epsilon=trial.spec.epsilon)
     except Exception as error:  # noqa: BLE001 — failures are campaign data
-        return _error_result(trial.spec, error)
-    return _result_row(
-        trial.spec,
-        registry,
-        decisions,
-        report,
-        rounds=trial.total_rounds,
+        return error_row(trial.spec, error)
+    outcome = ProtocolOutcome(
+        decisions=decisions,
+        rounds_executed=trial.total_rounds,
         messages_sent=trial.messages_sent,
         messages_dropped=trial.messages_dropped,
-        state_histories=trial.histories if trial.spec.record_history else None,
+        state_histories=trial.histories,
     )
+    return ok_row(trial.spec, registry, outcome, report)
 

@@ -5,13 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core.conditions import (
-    Setting,
     SystemConfiguration,
     check_approx_async,
     check_exact_sync,
     check_restricted_async,
     check_restricted_sync,
-    minimum_processes,
     minimum_processes_approx_async,
     minimum_processes_exact_sync,
     minimum_processes_restricted_async,
@@ -19,6 +17,7 @@ from repro.core.conditions import (
     minimum_processes_scalar,
     resilience_table,
 )
+from repro.engine.factories import minimum_processes_for
 from repro.exceptions import ConfigurationError, ResilienceError
 
 
@@ -67,8 +66,8 @@ class TestMinimumProcesses:
         assert minimum_processes_scalar(0) == 2
 
     def test_dispatch(self):
-        assert minimum_processes(Setting.EXACT_SYNC, 3, 1) == 5
-        assert minimum_processes(Setting.SCALAR, 3, 1) == 4
+        assert minimum_processes_for("exact", 3, 1) == 5
+        assert minimum_processes_for("coordinatewise", 3, 1) == 4
 
     def test_invalid_arguments(self):
         with pytest.raises(ConfigurationError):
