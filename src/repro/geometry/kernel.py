@@ -117,20 +117,25 @@ _ROUNDING = 8.0 * np.finfo(float).eps
 
 _AXES = np.asarray([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 
-#: How many vertices on the dual bound a planar query checks against every
-#: halfplane at once, strongest bound first (:func:`_planar_program`).  The
-#: first block almost always holds the optimum; the next is checked only for
-#: the queries whose block had none (duplicate-heavy grids stack many
-#: near-equal bounds on one line).
+#: How many vertices on the dual bound make one block of a planar query's
+#: check against every halfplane, strongest bound first
+#: (:func:`_planar_program`); the pick is the lexicographically smallest
+#: vertex that passes in the first block where any does.  The first block
+#: almost always holds the optimum; the next is reached only by the queries
+#: whose block had none (duplicate-heavy grids stack many near-equal bounds
+#: on one line).
 _CANDIDATES = 16
 
 #: Bound on one planar program's work, in member projections (``Q x P x m``
 #: for ``Q`` clouds of ``m`` members and ``P`` halfplanes): a longer stack is
-#: cut into chunks of at most this many.  Measured on 300 clouds: 40-query
-#: chunks at ``m = 12`` peak at 2.4 MB of temporaries (80-query ones at 4.5,
-#: one unchunked program at 16.8), and the per-query cost is flat from 20 to
-#: 160 queries a chunk.
-_CHUNK_ELEMENTS = 1 << 16
+#: cut into chunks of at most this many.  Measured on calls of 150 to 300
+#: clouds at ``f = 1``, chunk sizes interleaved: at ``m = 16`` this bound's
+#: 33-query chunks cost 14-22 % less per query than 16-query ones and no
+#: more than 67-query ones; at ``m = 12`` its 80-query chunks cost what 40-
+#: and 160-query ones do (within 5 %), 20-query ones 15-31 % more.  A
+#: 300-cloud call at ``m = 12`` peaks at 2.5 MB of temporaries (1.4 MB in
+#: 40-query chunks, 4.6 in 160-query ones, 9.3 unchunked).
+_CHUNK_ELEMENTS = 1 << 17
 
 #: Bound on the answer memo, in entries (one per distinct query).  The
 #: repeats it serves sit inside one trial — the census in
@@ -284,17 +289,6 @@ def _family_2d(cloud: np.ndarray, fault_bound: int) -> tuple[tuple[int, ...], ..
     return tuple(sorted(map(tuple, members.tolist())))
 
 
-@lru_cache(maxsize=64)
-def _halfplane_members(point_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two members behind each pair normal of :func:`_planar_program`.
-
-    Normal ``h < C(m, 2)`` is pair ``h`` of :func:`_upper_pairs` turned by
-    ``+π/2``, normal ``C(m, 2) + h`` the same pair turned by ``-π/2``.
-    """
-    first, second = _upper_pairs(point_count)
-    return np.concatenate((first, first)), np.concatenate((second, second))
-
-
 def _compact(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the column indices where ``mask`` holds, in order, padded.
 
@@ -303,9 +297,9 @@ def _compact(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and read ``False`` in ``valid``.  A row's valid slots never depend on
     the other rows.
     """
-    counts = mask.sum(axis=1)
-    width = max(int(counts.max(initial=0)), 1)
-    columns = np.argsort(~mask, axis=1, kind="stable")[:, :width]
+    counts = np.add.reduce(mask, axis=1, dtype=np.intp)
+    width = np.maximum.reduce(counts, initial=1)
+    columns = (~mask).argsort(axis=1, kind="stable")[:, :width]
     return columns, np.arange(width) < counts[:, None]
 
 
@@ -365,10 +359,14 @@ def _planar_program(
     against every halfplane, the strongest bounds (largest ``(c.v, x, y)``)
     first, :data:`_CANDIDATES` at a time; in the first block where any
     passes, the lexicographically smallest that passes is the optimum: the
-    dual bound plus primal feasibility certify it.  Both checks allow each
-    vertex its own rounding on top of :data:`_CERTIFICATE_TOLERANCE` of the
-    cloud's spread about its centroid, the frame everything is computed in
-    (a tight cluster far from the origin keeps its precision).
+    dual bound plus primal feasibility certify it.  A block is checked in
+    that pick order, ``(c.v, x, y)`` and then block position, so the first
+    vertex to pass is the pick: every query's first vertex alone, then the
+    rest of the block at once for the few queries whose first one failed.
+    Both checks allow each vertex its own rounding on top of
+    :data:`_CERTIFICATE_TOLERANCE` of the cloud's spread about its centroid,
+    the frame everything is computed in (a tight cluster far from the origin
+    keeps its precision).
 
     Every step is elementwise, or a reduction or sort along one query's own
     axes — no matrix product, whose summation could depend on the layout —
@@ -377,26 +375,26 @@ def _planar_program(
     query_count, point_count, _ = clouds.shape
     queries = np.arange(query_count)
     rows = queries[:, None]
-    # The centroid by sequential adds: a reduction's summation order may
-    # depend on the stack's shape.
-    centre = clouds[:, 0].copy()
-    for member in range(1, point_count):
-        centre += clouds[:, member]
+    # The centroid by sequential adds (the last running sum): a reduction's
+    # summation order may depend on the stack's shape.
+    centre = np.add.accumulate(clouds, axis=1)[:, -1]
     centre /= point_count
     local = clouds - centre[:, None, :]
     local_x, local_y = local[..., 0].copy(), local[..., 1].copy()
-    scale = np.abs(local).max(axis=(1, 2))
+    scale = np.maximum.reduce(np.abs(local), axis=(1, 2))
 
     # The halfplanes: every usable pair's unit normal in both orientations,
-    # then the axes.
+    # then the axes.  A pair's members are equal exactly when their
+    # difference is zero.
     first, second = _upper_pairs(point_count)
     pair_count = first.shape[0]
     x, y = clouds[..., 0], clouds[..., 1]
     delta_x, delta_y = x[:, second] - x[:, first], y[:, second] - y[:, first]
     length = np.sqrt(delta_x * delta_x + delta_y * delta_y)
-    equal = (x[:, :, None] == x[:, None, :]) & (y[:, :, None] == y[:, None, :])
-    repeated = np.tril(equal, k=-1).any(axis=2)  # equal to an earlier member
-    usable = (length > 0.0) & ~repeated[:, first] & ~repeated[:, second]
+    coincide = np.zeros((query_count, point_count, point_count), dtype=bool)
+    coincide[:, first, second] = (delta_x == 0.0) & (delta_y == 0.0)
+    fresh = ~np.logical_or.reduce(coincide, axis=1)  # equal to no earlier member
+    usable = (length > 0.0) & fresh[:, first] & fresh[:, second]
     length = np.where(usable, length, 1.0)
     normal_count = 2 * pair_count + _AXES.shape[0]
     normal_x, normal_y = np.empty((2, query_count, normal_count))
@@ -408,40 +406,71 @@ def _planar_program(
     normal_y[:, 2 * pair_count :] = _AXES[:, 1]
 
     # The offsets: per normal, the (f+1)-th largest member projection, kept
-    # as a running top f+1 (max and min pick one of the products exactly).
-    top = [np.full((query_count, normal_count), -np.inf) for _ in range(fault_bound + 1)]
+    # as a running top f+1 (max and min pick one of the products exactly) in
+    # reused buffers.  While the top is short, the member fills its first
+    # empty place: max(-inf, v) is v.
+    *top, value, spare = np.empty((fault_bound + 3, query_count, normal_count))
     for member in range(point_count):
-        value = local_x[:, member, None] * normal_x + local_y[:, member, None] * normal_y
-        for place, held in enumerate(top):
-            top[place] = np.maximum(held, value)
-            np.minimum(held, value, out=value)
+        np.multiply(local_x[:, member, None], normal_x, out=value)
+        np.multiply(local_y[:, member, None], normal_y, out=spare)
+        np.add(value, spare, out=value)
+        for place in range(fault_bound + 1):
+            if place == member:
+                top[place], value = value, top[place]
+                break
+            held = top[place]
+            np.maximum(held, value, out=spare)
+            if place < fault_bound:  # what the last place drops goes nowhere
+                np.minimum(held, value, out=value)
+            top[place], spare = spare, held
     offsets = top[-1]
 
-    # The dual side: turn normals plus the axes.
-    member_a, member_b = _halfplane_members(point_count)
-    own = offsets[:, : 2 * pair_count]
-    pair_x, pair_y = normal_x[:, : 2 * pair_count], normal_y[:, : 2 * pair_count]
-    turn = np.tile(usable, 2) & (
-        (own == local_x[:, member_a] * pair_x + local_y[:, member_a] * pair_y)
-        | (own == local_x[:, member_b] * pair_x + local_y[:, member_b] * pair_y)
-    )
-    dual = np.concatenate((turn, np.ones((query_count, _AXES.shape[0]), dtype=bool)), axis=1)
+    # The dual side: turn normals plus the axes.  A pair's opposite normal is
+    # its normal negated, so its projections are the pair's own negated,
+    # exactly: one equality test (blind to a zero's sign) serves both.
+    pair_x, pair_y = normal_x[:, :pair_count], normal_y[:, :pair_count]
+    ahead = local_x[:, first] * pair_x + local_y[:, first] * pair_y
+    behind = local_x[:, second] * pair_x + local_y[:, second] * pair_y
+    dual = np.empty((query_count, normal_count), dtype=bool)
+    for turn, own in (
+        (dual[:, :pair_count], offsets[:, :pair_count]),
+        (dual[:, pair_count : 2 * pair_count], -offsets[:, pair_count : 2 * pair_count]),
+    ):
+        np.equal(own, ahead, out=turn)
+        turn |= own == behind
+        turn &= usable
+    dual[:, 2 * pair_count :] = True
 
     # Which side of -c each normal lies on: the sign of cross(-c, normal),
     # or, for a normal parallel to -c up to rounding, the side of -e1, then
     # of -e2.
-    if not objective.any():
+    if objective[0] == 0.0 and objective[1] == 0.0:
         objective = _AXES[0]  # the same sides and the same order
-    size = max(abs(objective[0]), abs(objective[1]))
+    size = np.maximum.reduce(np.abs(objective))
     lean = normal_x * objective[1] - normal_y * objective[0]
     tilt = np.where(np.abs(normal_y) > _PARALLEL_TOLERANCE, -normal_y, normal_x)
     below = np.where(np.abs(lean) <= _PARALLEL_TOLERANCE * size, tilt, lean) < 0.0
     # -c = a * u + b * w with a, b > 0: u on the negative side, w on the
-    # positive side and less than π after it.
-    u_index, u_valid = _compact(dual & below)
-    w_index, w_valid = _compact(dual & ~below)
-    u_x, u_y, offset_u = (array[rows, u_index][:, :, None] for array in (normal_x, normal_y, offsets))
-    w_x, w_y, offset_w = (array[rows, w_index][:, None, :] for array in (normal_x, normal_y, offsets))
+    # positive side and less than π after it.  One stable sort of each row
+    # puts its u normals first and its w normals last, each in order (two
+    # of the four axes lie on either side, so neither is ever empty).
+    u_side = dual & below
+    w_side = dual & ~below
+    side = dual.view(np.int8) + np.int8(1)  # 0 for u, 2 for w, 1 for neither
+    side -= u_side.view(np.int8) << np.int8(1)
+    arranged = side.argsort(axis=1, kind="stable")
+    u_count = np.add.reduce(u_side, axis=1, dtype=np.intp)
+    w_count = np.add.reduce(w_side, axis=1, dtype=np.intp)
+    u_width, w_width = np.maximum.reduce(u_count), np.maximum.reduce(w_count)
+    u_index, w_index = arranged[:, :u_width], arranged[:, normal_count - w_width :]
+    u_valid = np.arange(u_width) < u_count[:, None]
+    w_valid = np.arange(w_width) >= w_width - w_count[:, None]
+    u_x = normal_x[rows, u_index][:, :, None]
+    u_y = normal_y[rows, u_index][:, :, None]
+    offset_u = offsets[rows, u_index][:, :, None]
+    w_x = normal_x[rows, w_index][:, None, :]
+    w_y = normal_y[rows, w_index][:, None, :]
+    offset_w = offsets[rows, w_index][:, None, :]
     sines = u_x * w_y - u_y * w_x
     bracket = u_valid[:, :, None] & w_valid[:, None, :] & (sines >= _MIN_BRACKET_SINE)
     sines = np.where(bracket, sines, 1.0)
@@ -455,54 +484,84 @@ def _planar_program(
         _ROUNDING * (scale[:, None, None] + np.maximum(np.abs(vertex_x), np.abs(vertex_y))) / sines
     )
     slack = size * error
-    bound = np.where(bracket, values - slack, -np.inf).max(axis=(1, 2))
+    bound = np.maximum.reduce(np.where(bracket, values - slack, -np.inf), axis=(1, 2))
     on_bound = bracket & (values >= bound[:, None, None] - slack)
 
     # The primal side: the vertices on the bound against every halfplane,
     # strongest bound first, :data:`_CANDIDATES` at a time; in the first
     # block where any passes, the lexicographically smallest that passes.
+    # One sort puts every block in that pick order (valid slots first, then
+    # c.v, x, y, then the slot, as the strongest-first order breaks ties),
+    # so the first vertex to pass is the pick: each query's first vertex is
+    # checked alone, then the rest of its block at once for the few queries
+    # whose first one failed.
     slots, slot_valid = _compact(on_bound.reshape(query_count, -1))
-    values, vertex_x, vertex_y, error = (
-        array.reshape(query_count, -1)[rows, slots] for array in (values, vertex_x, vertex_y, error)
-    )
-    order = np.lexsort((-vertex_y, -vertex_x, np.where(slot_valid, -values, np.inf)), axis=1)
-    remaining = slot_valid.sum(axis=1)
+    values = values.reshape(query_count, -1)[rows, slots]
+    vertex_x = vertex_x.reshape(query_count, -1)[rows, slots]
+    vertex_y = vertex_y.reshape(query_count, -1)[rows, slots]
+    error = error.reshape(query_count, -1)[rows, slots]
+    padded = ~slot_valid
+    error[padded] = -np.inf  # a padded slot never passes
+    width = slots.shape[1]
+    keys = [vertex_y, vertex_x, values, padded]
+    if width > _CANDIDATES:
+        strongest = np.lexsort((-vertex_y, -vertex_x, np.where(slot_valid, -values, np.inf)), axis=1)
+        rank = np.empty_like(strongest)
+        rank[rows, strongest] = np.arange(width)
+        keys.append(rank // _CANDIDATES)
+    order = np.lexsort(keys, axis=1)
+    remaining = np.add.reduce(slot_valid, axis=1, dtype=np.intp)
     certified = np.zeros(query_count, dtype=bool)
-    vertex = np.zeros((query_count, 2))
-    margin, residual = np.zeros(query_count), np.zeros(query_count)
+    chosen = np.zeros(query_count, dtype=np.intp)
+    residual = np.zeros(query_count)
     pending = queries
-    for start in range(0, order.shape[1], _CANDIDATES):
+    for start in range(0, width, _CANDIDATES):
         block = order[pending, start : start + _CANDIDATES]
-        at = pending[:, None]
-        candidate_x, candidate_y = vertex_x[at, block], vertex_y[at, block]
-        violation = (
-            candidate_x[:, :, None] * normal_x[at]
-            + candidate_y[:, :, None] * normal_y[at]
-            - offsets[at]
-        ).max(axis=2)
-        passed = slot_valid[at, block] & (violation <= error[at, block])
-        key = np.where(passed, values[at, block], np.inf)
-        pick = np.lexsort((candidate_y, candidate_x, key), axis=1)[:, 0]
-        within = np.arange(pending.shape[0])
-        hit = passed[within, pick]
-        done, pick, within = pending[hit], pick[hit], within[hit]
-        certified[done] = True
-        vertex[done, 0], vertex[done, 1] = candidate_x[within, pick], candidate_y[within, pick]
-        margin[done] = error[at, block][within, pick]
-        residual[done] = violation[within, pick]
-        pending = pending[~hit & (remaining[pending] > start + _CANDIDATES)]
+        in_block = remaining[pending] - start
+        for columns in (slice(0, 1), slice(1, _CANDIDATES)):
+            left = (~certified[pending] & (in_block > columns.start)).nonzero()[0]
+            if left.shape[0] == 0:
+                continue
+            asked, held = pending[left], block[left, columns]
+            at = asked[:, None]
+            if asked.shape[0] == query_count:
+                against_x, against_y, against = normal_x, normal_y, offsets
+            else:
+                against_x, against_y, against = normal_x[asked], normal_y[asked], offsets[asked]
+            violation = np.maximum.reduce(
+                vertex_x[at, held][:, :, None] * against_x[:, None, :]
+                + vertex_y[at, held][:, :, None] * against_y[:, None, :]
+                - against[:, None, :],
+                axis=2,
+            )
+            passed = violation <= error[at, held]
+            pick = passed.argmax(axis=1)
+            hit = passed[np.arange(left.shape[0]), pick]
+            done, pick = asked[hit], pick[hit]
+            certified[done] = True
+            chosen[done] = held[hit, pick]
+            residual[done] = violation[hit, pick]
+        pending = pending[~certified[pending] & (remaining[pending] > start + _CANDIDATES)]
         if pending.shape[0] == 0:
             break
+    # An uncertified row keeps the origin of the local frame and no margin.
+    vertex = np.zeros((query_count, 2))
+    margin = np.zeros(query_count)
+    settled = certified.nonzero()[0]
+    chosen = chosen[settled]
+    vertex[settled, 0], vertex[settled, 1] = vertex_x[settled, chosen], vertex_y[settled, chosen]
+    margin[settled] = error[settled, chosen]
 
     # Many vertices of Gamma are members: a member within the vertex's own
     # error that passes the same check is that vertex, without the rounding.
     gaps = np.maximum(np.abs(local_x - vertex[:, :1]), np.abs(local_y - vertex[:, 1:]))
     nearest = gaps.argmin(axis=1)
-    member_violation = (
+    member_violation = np.maximum.reduce(
         local_x[queries, nearest, None] * normal_x
         + local_y[queries, nearest, None] * normal_y
-        - offsets
-    ).max(axis=1)
+        - offsets,
+        axis=1,
+    )
     snap = (gaps[queries, nearest] <= margin) & (member_violation <= margin)
     points = np.where(snap[:, None], clouds[queries, nearest], centre + vertex)
     residual = np.where(snap, member_violation, residual) / np.where(scale > 0.0, scale, 1.0)
@@ -899,16 +958,19 @@ class GammaKernel:
         clouds: Sequence[np.ndarray],
         fault_bound: int,
         objective: np.ndarray | Sequence[float] | None,
+        blobs: Sequence[bytes] | None = None,
     ) -> list[np.ndarray | None]:
         """The queries, counted by the caller: edge cases, memo, then solves.
 
-        The memo misses are solved together (:meth:`_solve_misses`).  A
-        repeat of a query still unanswered waits for the next pass, where the
-        memo serves it, so the events count as if each query had been asked
-        alone, in order.
+        ``blobs``, when given, holds each cloud's bytes (a caller that
+        deduped on them passes them on), so no cloud is turned into bytes
+        twice.  The memo misses are solved together (:meth:`_solve_misses`).
+        A repeat of a query still unanswered waits for the next pass, where
+        the memo serves it, so the events count as if each query had been
+        asked alone, in order.
         """
         answers: list[np.ndarray | None] = [None] * len(clouds)
-        heads: dict[int, np.ndarray] = {}
+        heads: dict[int, tuple[np.ndarray, bytes]] = {}
         pending: list[tuple[int, tuple, np.ndarray, np.ndarray]] = []
         for index, cloud in enumerate(clouds):
             point_count, dimension = cloud.shape
@@ -920,23 +982,26 @@ class GammaKernel:
             if point_count - fault_bound <= 0:
                 continue
             if dimension not in heads:
-                heads[dimension] = self._objective_head(objective, dimension)
-            head = heads[dimension]
-            key = (fault_bound, cloud.shape, cloud.tobytes(), head.tobytes())
-            pending.append((index, key, cloud, head))
+                head = self._objective_head(objective, dimension)
+                heads[dimension] = head, head.tobytes()
+            head, head_bytes = heads[dimension]
+            blob = cloud.tobytes() if blobs is None else blobs[index]
+            pending.append((index, (fault_bound, cloud.shape, blob, head_bytes), cloud, head))
 
         while pending:
             misses, waiting, asked = [], [], set()
+            hits = 0
             for query in pending:
                 cached = self._memo.get(query[1], _MISS)
                 if cached is not _MISS:
-                    _EVENTS["memo_hits"].inc()
+                    hits += 1
                     answers[query[0]] = _private_copy(cached)
                 elif query[1] in asked:
                     waiting.append(query)
                 else:
                     asked.add(query[1])
                     misses.append(query)
+            _EVENTS["memo_hits"].inc(hits)
             for (index, key, _, _), answer in zip(misses, self._solve_misses(misses, fault_bound)):
                 self._memo_store(key, _private_copy(answer))
                 answers[index] = answer
@@ -988,8 +1053,7 @@ class GammaKernel:
             return [None if interval is None else np.asarray([interval[end]]) for interval in intervals]
         points, certified, residuals = _planar_gamma_points(clouds, fault_bound, objective_head)
         answers: list[np.ndarray | None] = list(points)
-        for residual in residuals[certified].tolist():
-            _CERTIFICATE_RESIDUAL.observe(residual)
+        _CERTIFICATE_RESIDUAL.observe_many(residuals[certified].tolist())
         for position in np.flatnonzero(~certified).tolist():
             cloud = clouds[position]
             families = np.asarray(pruned_subset_family(cloud, fault_bound), dtype=np.int64)
@@ -1121,14 +1185,15 @@ class GammaKernel:
         representatives: dict[tuple[tuple[int, int], bytes], int] = {}
         for index, array in enumerate(arrays):
             key = (array.shape, array.tobytes())
-            if key in representatives:
-                _EVENTS["multi_dedup_hits"].inc()
-            else:
-                representatives[key] = index
+            representatives.setdefault(key, index)
             order.append(key)
+        _EVENTS["multi_dedup_hits"].inc(len(arrays) - len(representatives))
 
         answers = self._answer_all(
-            [arrays[index] for index in representatives.values()], fault_bound, objective
+            [arrays[index] for index in representatives.values()],
+            fault_bound,
+            objective,
+            [blob for _, blob in representatives],
         )
         solved = dict(zip(representatives, answers))
         return [solved[key] for key in order]
@@ -1250,7 +1315,9 @@ def _register_kernel_metrics() -> dict[str, Any]:
 
 
 #: ``kind`` -> bound ``repro_kernel_events_total`` child.  ``memo_hits /
-#: (single_queries + batch_queries)`` is the share of queries that repeated,
+#: (single_queries + batch_queries + multi_queries - multi_dedup_hits)`` is
+#: the share of queries that repeated (:meth:`GammaKernel.points_multi` hands
+#: its distinct queries to the memo),
 #: ``memo_evictions`` counts whole-table flushes at the bound, and
 #: ``closed_form_answers`` counts queries at ``d <= 2`` answered without the
 #: Section 2.2 LP (each one whose certificate failed is also a

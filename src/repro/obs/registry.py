@@ -191,6 +191,17 @@ class Histogram(_Family):
                 self.sum += value
                 self.count += 1
 
+        def observe_many(self, values: Iterable[float]) -> None:
+            """:meth:`observe` each of ``values`` in turn, under one lock."""
+            if not self._registry.enabled:
+                return
+            bounds, counts = self._bounds, self.counts
+            with self._registry._lock:
+                for value in values:
+                    counts[_bucket_index(bounds, value)] += 1
+                    self.sum += value
+                    self.count += 1
+
         def quantile(self, q: float) -> float:
             """Estimated ``q``-quantile (linear interpolation within buckets)."""
             with self._registry._lock:
@@ -216,6 +227,9 @@ class Histogram(_Family):
 
     def observe(self, value: float) -> None:
         self._default_child().observe(value)
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        self._default_child().observe_many(values)
 
 
 def _bucket_index(bounds: tuple[float, ...], value: float) -> int:

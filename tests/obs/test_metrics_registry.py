@@ -77,6 +77,17 @@ class TestHistogramBuckets:
         assert sample["count"] == len(values)
         assert sample["sum"] == pytest.approx(sum(values))
 
+    def test_observing_many_is_observing_each_in_turn(self):
+        values = [0.0, 0.1, 0.3, 1.0, 1e-17, 7.5, 10.0, 12.0, 0.7, 0.2]
+        one_by_one, at_once = MetricsRegistry(), MetricsRegistry()
+        for value in values:
+            one_by_one.histogram("h", buckets=BOUNDS).observe(value)
+        at_once.histogram("h", buckets=BOUNDS).observe_many(values)
+        assert _hist_sample(at_once) == _hist_sample(one_by_one)  # the sum bitwise too
+        disabled = MetricsRegistry(enabled=False)
+        disabled.histogram("h", buckets=BOUNDS).observe_many(values)
+        assert _hist_sample(disabled)["count"] == 0
+
     def test_buckets_must_be_ascending_and_non_empty(self):
         registry = MetricsRegistry()
         with pytest.raises(ValueError):
