@@ -37,8 +37,11 @@ an ETag derived from the matching rows' content keys; the service caches the
 digest per store generation, so an unchanged store answers repeated polls
 with bodyless 304s in O(1).  Blocking store and service calls run in the
 default executor (on pooled per-thread store handles), keeping the event
-loop free to accept traffic while sessions compute; the accounting counters
-are a plain in-memory lock and are bumped inline on the loop.
+loop free to accept traffic while sessions compute; ``/store/query``,
+``/store/aggregate`` and ``/store/stats`` make one executor call each, which
+returns the ETag and the encoded body, so a cached read does no JSON work on
+the loop.  The accounting counters are a plain in-memory lock and are bumped
+inline on the loop.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.exceptions import ConfigurationError
 from repro.obs.registry import get_registry
-from repro.server.service import CampaignService, ServiceError
+from repro.server.service import CampaignService, ServiceError, encode_json
 from repro.store.keys import ENGINE_VERSION
 from repro.store.query import TrialFilter
 
@@ -73,6 +76,8 @@ MAX_REQUESTS_PER_CONNECTION = 1000
 STREAM_WAIT_FALLBACK_SECONDS = 5.0
 
 _MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Integer query parameters reach SQLite, whose INTEGER is a signed 64-bit.
+_SQLITE_INT_MIN, _SQLITE_INT_MAX = -(2**63), 2**63 - 1
 _MAX_HEADER_LINES = 100
 
 _STATUS_TEXT = {
@@ -227,9 +232,14 @@ class Request:
         if raw is None:
             return default
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError:
             raise HttpError(400, f"query parameter {name!r} must be an integer, got {raw!r}")
+        if not _SQLITE_INT_MIN <= value <= _SQLITE_INT_MAX:
+            raise HttpError(
+                400, f"query parameter {name!r} must fit in a signed 64-bit integer, got {raw!r}"
+            )
+        return value
 
     def json_body(self) -> Any:
         if not self.body:
@@ -311,7 +321,17 @@ async def _send_json(
     extra_headers: Mapping[str, str] | None = None,
     close: bool = True,
 ) -> None:
-    body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+    await _send_json_body(writer, status, encode_json(payload), extra_headers, close)
+
+
+async def _send_json_body(
+    writer: asyncio.StreamWriter,
+    status: int,
+    body: bytes,
+    extra_headers: Mapping[str, str] | None = None,
+    close: bool = True,
+) -> None:
+    """Write an already-encoded JSON body (see :func:`encode_json`)."""
     headers = {
         "content-type": "application/json",
         "content-length": str(len(body)),
@@ -319,6 +339,17 @@ async def _send_json(
     }
     writer.write(_response_head(status, headers, close) + body)
     await writer.drain()
+
+
+async def _send_tagged(
+    writer: asyncio.StreamWriter, route: str, etag: str, body: bytes | None, close: bool
+) -> None:
+    """A tagged read's reply: a bodyless 304 when ``body`` is ``None``, else 200."""
+    if body is None:
+        _HTTP_NOT_MODIFIED.labels(route=route).inc()
+        await _send_empty(writer, 304, {"etag": etag}, close=close)
+        return
+    await _send_json_body(writer, 200, body, {"etag": etag}, close=close)
 
 
 async def _send_empty(
@@ -498,12 +529,8 @@ class RequestHandler:
             )
             return
         if method == "GET" and path == "/store/stats":
-            await _send_json(
-                writer,
-                200,
-                await asyncio.to_thread(service.store_stats),
-                close=state.close,
-            )
+            body = await asyncio.to_thread(service.read_stats)
+            await _send_json_body(writer, 200, body, close=state.close)
             return
         if method == "GET" and path == "/store/claims":
             claims = await asyncio.to_thread(service.store_claims)
@@ -554,17 +581,6 @@ class RequestHandler:
         except ConfigurationError as error:
             raise HttpError(400, str(error))
 
-    async def _revalidate(
-        self, request: Request, where: Mapping[str, Any] | None
-    ) -> tuple[str, bool]:
-        """Compute the ETag for ``where``; True means the client's copy is current.
-
-        Amortised O(1): the service caches digests per store generation, so
-        while the store is unchanged this is a dictionary hit — no row scan.
-        """
-        etag = await asyncio.to_thread(self.service.etag_for, where)
-        return etag, request.headers.get("if-none-match") == etag
-
     async def _handle_query(
         self, request: Request, writer: asyncio.StreamWriter, state: _ConnectionState
     ) -> None:
@@ -572,19 +588,10 @@ class RequestHandler:
         limit = request.int_param("limit")
         if limit is not None and limit < 1:
             raise HttpError(400, "limit must be a positive integer")
-        etag, current = await self._revalidate(request, trial_filter.to_where())
-        if current:
-            _HTTP_NOT_MODIFIED.labels(route="/store/query").inc()
-            await _send_empty(writer, 304, {"etag": etag}, close=state.close)
-            return
-        rows = await asyncio.to_thread(self.service.query_rows, trial_filter, limit)
-        await _send_json(
-            writer,
-            200,
-            {"rows": rows, "count": len(rows)},
-            {"etag": etag},
-            close=state.close,
+        etag, body = await asyncio.to_thread(
+            self.service.read_query, trial_filter, limit, request.headers.get("if-none-match")
         )
+        await _send_tagged(writer, "/store/query", etag, body, state.close)
 
     async def _handle_aggregate(
         self, request: Request, writer: asyncio.StreamWriter, state: _ConnectionState
@@ -594,22 +601,16 @@ class RequestHandler:
         if not group_by:
             raise HttpError(400, "group_by must name at least one column")
         trial_filter = self._trial_filter(request)
-        etag, current = await self._revalidate(request, trial_filter.to_where())
-        if current:
-            _HTTP_NOT_MODIFIED.labels(route="/store/aggregate").inc()
-            await _send_empty(writer, 304, {"etag": etag}, close=state.close)
-            return
         try:
-            rows = await asyncio.to_thread(self.service.aggregate, group_by, trial_filter)
+            etag, body = await asyncio.to_thread(
+                self.service.read_aggregate,
+                group_by,
+                trial_filter,
+                request.headers.get("if-none-match"),
+            )
         except ConfigurationError as error:
             raise HttpError(400, str(error))
-        await _send_json(
-            writer,
-            200,
-            {"rows": rows, "count": len(rows)},
-            {"etag": etag},
-            close=state.close,
-        )
+        await _send_tagged(writer, "/store/aggregate", etag, body, state.close)
 
     async def _handle_export(
         self, request: Request, writer: asyncio.StreamWriter, state: _ConnectionState
@@ -618,10 +619,9 @@ class RequestHandler:
         time-to-first-byte, no store cursor held across socket writes."""
         where = self._trial_filter(request).to_where()
         where["engine_version"] = request.param("engine_version", ENGINE_VERSION)
-        etag, current = await self._revalidate(request, where)
-        if current:
-            _HTTP_NOT_MODIFIED.labels(route="/store/export").inc()
-            await _send_empty(writer, 304, {"etag": etag}, close=state.close)
+        etag = await asyncio.to_thread(self.service.etag_for, where)
+        if request.headers.get("if-none-match") == etag:
+            await _send_tagged(writer, "/store/export", etag, None, state.close)
             return
         stream = _ChunkedWriter(writer, state)
         await stream.start({"etag": etag})

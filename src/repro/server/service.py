@@ -25,9 +25,13 @@ Responsibilities:
   :meth:`export_batch`, :meth:`store_stats`, :meth:`store_claims` run on
   **pooled per-thread store handles** (one long-lived connection per reader
   thread, closed at shutdown) instead of opening a fresh store per call,
-  and query/aggregate bodies are served from a bounded LRU keyed by the
-  store's **generation counter** — any commit bumps the generation, so
-  stale cached bodies are unreachable rather than explicitly invalidated.
+  and query/aggregate results and the stats' trial counts are served from
+  a bounded LRU keyed by the store's **generation counter** — any commit
+  bumps the generation, so stale entries are unreachable rather than
+  explicitly invalidated.  :meth:`read_query`, :meth:`read_aggregate` and
+  :meth:`read_stats` answer a whole HTTP read in one call (one executor
+  hop): the ETag and the response body as ``bytes``, encoded once per cache
+  entry, so a cached read costs no JSON encoding.
 * **Validation** — :meth:`etag_for` derives an entity tag from the sorted
   content keys matching a filter.  Keys are content hashes of the trial
   specs (salted with the engine version), so the tag changes exactly when
@@ -68,6 +72,36 @@ __all__ = [
     "ServiceError",
     "UnknownRun",
 ]
+
+
+_READ_CACHE = get_registry().counter(
+    "repro_service_read_cache_total",
+    "Store reads looked up in the service's generation-keyed response cache.",
+    labelnames=("route", "outcome"),
+)
+
+#: ``ResultStore.stats`` fields that change without a generation bump.
+_CLAIM_FIELDS = ("claims_live", "claims_expired")
+
+
+def encode_json(payload: Any) -> bytes:
+    """The wire form of every JSON response: sorted keys, one trailing newline."""
+    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+
+
+class _CachedRead:
+    """One response-cache entry: the read's value and, once asked, its body."""
+
+    __slots__ = ("value", "body")
+
+    def __init__(self, value: Any) -> None:
+        self.value = value
+        self.body: bytes | None = None
+
+
+def _trial_counts(store) -> dict[str, Any]:
+    stats = store.stats()
+    return {name: value for name, value in stats.items() if name not in _CLAIM_FIELDS}
 
 
 class ServiceError(Exception):
@@ -177,8 +211,9 @@ class CampaignService:
 
     #: Bound on cached ``(generation, filter) → ETag`` digests.
     ETAG_CACHE_SIZE = 256
-    #: Bound on cached query/aggregate response bodies (entry count, not
-    #: bytes — entries die with the generation that keyed them anyway).
+    #: Bound on cached query/aggregate/stats reads, each held as its value
+    #: and its encoded body (entry count, not bytes — entries die with the
+    #: generation that keyed them anyway).
     RESPONSE_CACHE_SIZE = 64
     #: Rows per export page (one pooled-store round trip each).
     EXPORT_BATCH = 512
@@ -220,7 +255,7 @@ class CampaignService:
         # Generation-keyed read caches (see etag_for / _cached_read).
         self._read_cache_lock = threading.Lock()
         self._etag_cache: "OrderedDict[tuple, str]" = OrderedDict()
-        self._response_cache: "OrderedDict[tuple, Any]" = OrderedDict()
+        self._response_cache: "OrderedDict[tuple, _CachedRead]" = OrderedDict()
         # Create the store eagerly so the first query does not race the first
         # submission on schema creation, and a bad path fails at startup.
         open_store(self.store_path).close()
@@ -418,37 +453,54 @@ class CampaignService:
                 self._pooled_stores.append(store)
         return store
 
-    def _cached_read(self, cache_key_tail: tuple, compute) -> Any:
+    def _cached_read(
+        self, store, generation: int, route: str, params: tuple, compute
+    ) -> _CachedRead:
         """Serve ``compute(store)`` through the generation-keyed LRU.
 
-        The cache key is ``(generation, *cache_key_tail)``: any commit bumps
-        the generation (in the writer's transaction), so stale bodies are
+        The cache key is ``(generation, route, *params)``: any commit bumps
+        the generation (in the writer's transaction), so stale entries are
         simply unreachable — no explicit invalidation, correct across
         processes.  A result is only cached when the generation did not move
         during the read, so a racing write can never pin newer content under
         an older generation.
         """
-        store = self._pooled_store()
-        generation = store.generation()
-        cache_key = (generation, *cache_key_tail)
+        cache_key = (generation, route, *params)
         with self._read_cache_lock:
-            if cache_key in self._response_cache:
+            entry = self._response_cache.get(cache_key)
+            if entry is not None:
                 self._response_cache.move_to_end(cache_key)
-                return self._response_cache[cache_key]
-        value = compute(store)
+        _READ_CACHE.labels(route=route, outcome="miss" if entry is None else "hit").inc()
+        if entry is not None:
+            return entry
+        entry = _CachedRead(compute(store))
         if store.generation() == generation:
             with self._read_cache_lock:
-                self._response_cache[cache_key] = value
+                self._response_cache[cache_key] = entry
                 while len(self._response_cache) > self.RESPONSE_CACHE_SIZE:
                     self._response_cache.popitem(last=False)
-        return value
+        return entry
 
     @staticmethod
     def _where_key(where: Mapping[str, Any] | None) -> tuple:
         return tuple(sorted((where or {}).items()))
 
     def store_stats(self) -> dict[str, Any]:
-        return self._pooled_store().stats()
+        """The store's counters: trial counts cached per generation, claims live.
+
+        Claims come and go without a generation bump, so only the trial
+        counts (by engine version and by status) are served from the cache.
+        """
+        store = self._pooled_store()
+        counts = self._cached_read(
+            store, store.generation(), "stats", (), _trial_counts
+        ).value
+        claims = store.claim_stats()
+        return {**counts, "claims_live": claims["live"], "claims_expired": claims["expired"]}
+
+    def read_stats(self) -> bytes:
+        """``/store/stats`` in one call: the JSON body of :meth:`store_stats`."""
+        return encode_json(self.store_stats())
 
     def store_claims(self) -> list[dict[str, Any]]:
         return self._pooled_store().list_claims()
@@ -470,7 +522,9 @@ class CampaignService:
         invalidation.
         """
         store = self._pooled_store()
-        generation = store.generation()
+        return self._etag(store, store.generation(), where)
+
+    def _etag(self, store, generation: int, where: Mapping[str, Any] | None) -> str:
         cache_key = (generation, self._where_key(where))
         with self._read_cache_lock:
             cached = self._etag_cache.get(cache_key)
@@ -489,23 +543,84 @@ class CampaignService:
                     self._etag_cache.popitem(last=False)
         return etag
 
+    def _read_rows(
+        self, trial_filter: TrialFilter, if_none_match: str | None, entry_at
+    ) -> tuple[str, bytes | None]:
+        """One tagged read at one store generation: ``(etag, body)``.
+
+        ``entry_at(store, generation)`` is the read's cache entry; its body
+        is ``{"rows": ..., "count": ...}``, encoded once per entry.  ``body``
+        is ``None`` when ``if_none_match`` is the current tag.
+        """
+        store = self._pooled_store()
+        generation = store.generation()
+        etag = self._etag(store, generation, trial_filter.to_where())
+        if if_none_match == etag:
+            return etag, None
+        entry = entry_at(store, generation)
+        if entry.body is None:  # two racing readers encode equal bytes; either may win
+            entry.body = encode_json({"rows": entry.value, "count": len(entry.value)})
+        return etag, entry.body
+
+    def _query_entry(
+        self, store, generation: int, trial_filter: TrialFilter, limit: int | None
+    ) -> _CachedRead:
+        return self._cached_read(
+            store,
+            generation,
+            "query",
+            (self._where_key(trial_filter.to_where()), limit),
+            lambda store: [hit.to_row() for hit in query_store(store, trial_filter, limit=limit)],
+        )
+
+    def _aggregate_entry(
+        self, store, generation: int, group_by: tuple[str, ...], trial_filter: TrialFilter
+    ) -> _CachedRead:
+        return self._cached_read(
+            store,
+            generation,
+            "aggregate",
+            (self._where_key(trial_filter.to_where()), group_by),
+            lambda store: aggregate_store(store, group_by=group_by, trial_filter=trial_filter),
+        )
+
     def query_rows(
         self, trial_filter: TrialFilter, limit: int | None = None
     ) -> list[dict[str, Any]]:
-        return self._cached_read(
-            ("query", self._where_key(trial_filter.to_where()), limit),
-            lambda store: [
-                hit.to_row() for hit in query_store(store, trial_filter, limit=limit)
-            ],
+        store = self._pooled_store()
+        return self._query_entry(store, store.generation(), trial_filter, limit).value
+
+    def read_query(
+        self,
+        trial_filter: TrialFilter,
+        limit: int | None = None,
+        if_none_match: str | None = None,
+    ) -> tuple[str, bytes | None]:
+        """``/store/query`` in one call: the ETag and the JSON body (or ``None``)."""
+        return self._read_rows(
+            trial_filter,
+            if_none_match,
+            lambda store, generation: self._query_entry(store, generation, trial_filter, limit),
         )
 
     def aggregate(
         self, group_by: tuple[str, ...], trial_filter: TrialFilter
     ) -> list[dict[str, Any]]:
-        return self._cached_read(
-            ("aggregate", group_by, self._where_key(trial_filter.to_where())),
-            lambda store: aggregate_store(
-                store, group_by=group_by, trial_filter=trial_filter
+        store = self._pooled_store()
+        return self._aggregate_entry(store, store.generation(), group_by, trial_filter).value
+
+    def read_aggregate(
+        self,
+        group_by: tuple[str, ...],
+        trial_filter: TrialFilter,
+        if_none_match: str | None = None,
+    ) -> tuple[str, bytes | None]:
+        """``/store/aggregate`` in one call: the ETag and the JSON body (or ``None``)."""
+        return self._read_rows(
+            trial_filter,
+            if_none_match,
+            lambda store, generation: self._aggregate_entry(
+                store, generation, group_by, trial_filter
             ),
         )
 

@@ -198,6 +198,8 @@ NAME_EXEMPT = {
         "tests isolate the shared default kernel with it",
     "repro.obs.trace:TraceRecorder.span":
         "benchmarks/ledger opens its root span with it",
+    "repro.server.service:CampaignService.query_rows":
+        "direct-call read API: benchmarks/ledger's serve_mixed times it (HTTP uses read_query)",
     "repro.workloads.generators:basis_counterexample_registry":
         "paper-claims reference: tests/integration/test_paper_claims.py",
 }
