@@ -49,9 +49,9 @@ def main() -> None:
     # the worst-case contraction gamma = 1/n^2 and the full arena as the value
     # range); we print that bound but run a shorter, fixed number of rounds and
     # verify epsilon-agreement on the measured decisions instead.
-    from repro.core.approx_bvc import contraction_factor, round_threshold
+    from repro.core.approx_bvc import round_threshold, witness_contraction_factor
 
-    gamma = contraction_factor(registry.configuration.process_count, 1, "witness_subsets")
+    gamma = witness_contraction_factor(registry.configuration.process_count, 1)
     static_rounds = round_threshold(ARENA_SIZE, EPSILON, gamma)
     outcome = run_approx_bvc(
         registry,

@@ -46,6 +46,7 @@ from repro.core import (
     check_approximate_outcome,
     check_exact_outcome,
     contraction_factor,
+    witness_contraction_factor,
     minimum_processes_approx_async,
     minimum_processes_exact_sync,
     minimum_processes_restricted_async,
@@ -73,6 +74,7 @@ __all__ = [
     "check_approximate_outcome",
     "check_exact_outcome",
     "contraction_factor",
+    "witness_contraction_factor",
     "minimum_processes_approx_async",
     "minimum_processes_exact_sync",
     "minimum_processes_restricted_async",

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.approx_bvc import contraction_factor
+from repro.core.approx_bvc import witness_contraction_factor
 from repro.core.conditions import (
     minimum_processes_approx_async,
     minimum_processes_exact_sync,
@@ -449,7 +449,7 @@ def experiment_contraction_rate(
         ],
     )
     (result,) = _run(campaign)
-    gamma = contraction_factor(process_count, fault_bound, "witness_subsets")
+    gamma = witness_contraction_factor(process_count, fault_bound)
     ranges = max_range_per_round(result.state_histories)
     factors = measured_contraction_factors(result.state_histories)
     rows = []

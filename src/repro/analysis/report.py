@@ -12,15 +12,18 @@ from typing import Iterable, Mapping, Sequence
 
 __all__ = ["format_value", "render_table", "render_series"]
 
+#: Significant digits of every rendered float.
+_PRECISION = 4
 
-def format_value(value: object, precision: int = 4) -> str:
-    """Render one cell: floats with fixed precision, booleans as yes/no, rest via ``str``."""
+
+def format_value(value: object) -> str:
+    """Render one cell: floats to :data:`_PRECISION` digits, booleans as yes/no, rest via ``str``."""
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):
         if value != value:  # NaN
             return "nan"
-        return f"{value:.{precision}g}"
+        return f"{value:.{_PRECISION}g}"
     if value is None:
         return "-"
     return str(value)
@@ -28,22 +31,17 @@ def format_value(value: object, precision: int = 4) -> str:
 
 def render_table(
     rows: Sequence[Mapping[str, object]],
-    columns: Sequence[str] | None = None,
     title: str | None = None,
-    precision: int = 4,
 ) -> str:
     """Render rows (dictionaries) as an aligned text table.
 
-    Column order follows ``columns`` when given, otherwise the key order of the
-    first row.  Missing cells render as ``-``.
+    Columns follow the key order of the first row.  Missing cells render as
+    ``-``.
     """
     if not rows:
         return (title + "\n" if title else "") + "(no rows)"
-    if columns is None:
-        columns = list(rows[0].keys())
-    rendered_rows = [
-        [format_value(row.get(column), precision) for column in columns] for row in rows
-    ]
+    columns = list(rows[0].keys())
+    rendered_rows = [[format_value(row.get(column)) for column in columns] for row in rows]
     widths = [
         max(len(str(column)), *(len(rendered[index]) for rendered in rendered_rows))
         for index, column in enumerate(columns)
@@ -59,7 +57,7 @@ def render_table(
     return "\n".join(lines)
 
 
-def render_series(values: Iterable[float], label: str, precision: int = 4) -> str:
+def render_series(values: Iterable[float], label: str) -> str:
     """Render a numeric series on one line: ``label: v0, v1, ...``."""
-    rendered = ", ".join(format_value(float(value), precision) for value in values)
+    rendered = ", ".join(format_value(float(value)) for value in values)
     return f"{label}: {rendered}"

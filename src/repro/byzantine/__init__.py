@@ -18,7 +18,6 @@ from repro.byzantine.strategies import (
     CoordinateAttackStrategy,
     CrashStrategy,
     EquivocationStrategy,
-    HonestStrategy,
     OutsideHullStrategy,
     RandomNoiseStrategy,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "CoordinateAttackStrategy",
     "CrashStrategy",
     "EquivocationStrategy",
-    "HonestStrategy",
     "OutsideHullStrategy",
     "RandomNoiseStrategy",
 ]

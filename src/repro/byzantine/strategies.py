@@ -17,9 +17,6 @@ the paper's proofs implicitly reason about:
 * :class:`CoordinateAttackStrategy` — the process pushes one chosen
   coordinate to an extreme while leaving the others plausible, the attack
   that breaks coordinate-wise scalar consensus (intro counterexample).
-* :class:`HonestStrategy` — no corruption at all; a "faulty" process that
-  behaves correctly (useful as a control: algorithms must also work when the
-  adversary does not use its budget).
 
 All strategies are deterministic given their seed so that every experiment is
 reproducible.
@@ -40,20 +37,12 @@ from repro.exceptions import ByzantineBehaviorError, ConfigurationError
 from repro.network.message import Message
 
 __all__ = [
-    "HonestStrategy",
     "CrashStrategy",
     "EquivocationStrategy",
     "OutsideHullStrategy",
     "RandomNoiseStrategy",
     "CoordinateAttackStrategy",
 ]
-
-
-class HonestStrategy(MessageMutator):
-    """No corruption: the faulty process follows the protocol faithfully."""
-
-    def mutate(self, message: Message) -> Sequence[Message]:
-        return [message]
 
 
 class CrashStrategy(MessageMutator):

@@ -27,6 +27,7 @@ from repro.core.exact_bvc import ExactBVCProcess, run_exact_bvc
 from repro.core.approx_bvc import (
     ApproxBVCProcess,
     contraction_factor,
+    witness_contraction_factor,
     round_threshold,
     run_approx_bvc,
 )
@@ -76,6 +77,7 @@ __all__ = [
     "run_exact_bvc",
     "ApproxBVCProcess",
     "contraction_factor",
+    "witness_contraction_factor",
     "round_threshold",
     "run_approx_bvc",
     "RestrictedSyncProcess",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import partial
 from math import ceil, comb, log
-from typing import Any, Callable, Literal
+from typing import Any, Callable
 
 import numpy as np
 
@@ -40,31 +40,41 @@ from repro.processes.process import AsyncProcess
 from repro.processes.registry import ProcessRegistry
 
 __all__ = [
-    "SubsetMode",
     "contraction_factor",
+    "witness_contraction_factor",
     "round_threshold",
     "plan_rounds",
     "ApproxBVCProcess",
     "run_approx_bvc",
 ]
 
-SubsetMode = Literal["all_subsets", "witness_subsets"]
 
+def contraction_factor(process_count: int, fault_bound: int) -> float:
+    """Return Equation (11)'s per-round weight ``gamma = 1 / (n * C(n, n - f))``.
 
-def contraction_factor(process_count: int, fault_bound: int, subset_mode: SubsetMode = "all_subsets") -> float:
-    """Return the paper's per-round contraction weight ``gamma``.
-
-    Equation (11) gives ``gamma = 1 / (n * C(n, n - f))`` for the algorithm
-    that enumerates all subsets; Appendix F shows that with the witness-based
-    subset selection ``gamma = 1 / n^2`` suffices.
+    This is the weight of an update that averages over every ``(n - f)``-subset
+    (the synchronous restricted-round algorithm);
+    :func:`witness_contraction_factor` is the asynchronous algorithm's.
     """
+    _check_counts(process_count, fault_bound)
+    return 1.0 / (process_count * comb(process_count, process_count - fault_bound))
+
+
+def witness_contraction_factor(process_count: int, fault_bound: int) -> float:
+    """Return Appendix F's per-round weight ``gamma = 1 / n^2``.
+
+    Step 2 of the asynchronous algorithm averages over the witnesses' reported
+    member sets, at most ``n`` subsets, so ``1 / n^2`` suffices.
+    """
+    _check_counts(process_count, fault_bound)
+    return 1.0 / (process_count * process_count)
+
+
+def _check_counts(process_count: int, fault_bound: int) -> None:
     if process_count < 2:
         raise ConfigurationError("consensus is trivial for fewer than 2 processes")
     if fault_bound < 0 or fault_bound >= process_count:
         raise ConfigurationError("fault bound must satisfy 0 <= f < n")
-    if subset_mode == "witness_subsets":
-        return 1.0 / (process_count * process_count)
-    return 1.0 / (process_count * comb(process_count, process_count - fault_bound))
 
 
 def round_threshold(value_range: float, epsilon: float, gamma: float) -> int:
@@ -161,23 +171,20 @@ class ApproxBVCProcess(AsyncProcess):
         epsilon: float,
         value_lower: float,
         value_upper: float,
-        subset_mode: SubsetMode = "witness_subsets",
         max_rounds_override: int | None = None,
-        allow_insufficient: bool = False,
     ) -> None:
         super().__init__(process_id)
-        check_approx_async(configuration, allow_insufficient=allow_insufficient)
+        check_approx_async(configuration)
         self.configuration = configuration
         self.input_vector, self.gamma, self.total_rounds = plan_rounds(
             configuration,
             input_vector,
             (value_lower, value_upper),
             epsilon,
-            partial(contraction_factor, subset_mode=subset_mode),
+            witness_contraction_factor,
             max_rounds_override,
         )
         self.epsilon = float(epsilon)
-        self.subset_mode: SubsetMode = subset_mode
         if self.total_rounds < 1:
             raise ConfigurationError("the algorithm must run at least one round")
         self._chooser = SafeAreaCalculator(fault_bound=configuration.fault_bound)
@@ -268,20 +275,16 @@ class ApproxBVCProcess(AsyncProcess):
 
     def _subset_families(self, result: RoundExchangeResult, quorum: int) -> list[tuple[int, ...]]:
         """Return the subsets ``C`` of ``B_i[t]`` used in Step 2 of the algorithm."""
-        return approx_subset_families(
-            list(result.tuples), result.witness_reports, quorum, self.subset_mode
-        )
+        return approx_subset_families(list(result.tuples), result.witness_reports, quorum)
 
 
 def run_approx_bvc(
     registry: ProcessRegistry,
     epsilon: float,
     adversary_mutators: dict[int, MessageMutator] | None = None,
-    subset_mode: SubsetMode = "witness_subsets",
     scheduler: DeliveryScheduler | None = None,
     value_bounds: tuple[float, float] | None = None,
     max_rounds_override: int | None = None,
-    allow_insufficient: bool = False,
     traffic_observer: Callable[[Message], None] | None = None,
 ) -> ProtocolOutcome:
     """Run the Approximate BVC algorithm end-to-end on a simulated asynchronous system.
@@ -290,15 +293,12 @@ def run_approx_bvc(
         registry: process cast, inputs and fault set.
         epsilon: the epsilon-agreement parameter.
         adversary_mutators: mutator per faulty process id (missing ids behave honestly).
-        subset_mode: Step 2 subset selection — ``"witness_subsets"`` (Appendix F)
-            or ``"all_subsets"`` (the literal algorithm).
         scheduler: message-delivery scheduler (defaults to a seeded random one).
         value_bounds: the a-priori bounds ``(nu, U)``; defaults to the bounds of
             the honest inputs, matching the paper's assumption that they are
             known in advance.
         max_rounds_override: run exactly this many rounds instead of the static
             threshold (used by convergence-rate experiments).
-        allow_insufficient: run even when ``n`` is below the resilience bound.
         traffic_observer: optional callback that sees every routed message
             (the coordinated adversary's full-information tap).
     """
@@ -308,9 +308,7 @@ def run_approx_bvc(
         epsilon=epsilon,
         value_lower=value_lower,
         value_upper=value_upper,
-        subset_mode=subset_mode,
         max_rounds_override=max_rounds_override,
-        allow_insufficient=allow_insufficient,
     )
     return run_protocol(
         registry, core, adversary_mutators, scheduler=scheduler, traffic_observer=traffic_observer

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.byzantine.adversary import MessageMutator
 from repro.core.driver import ProtocolOutcome, run_protocol
-from repro.core.exact_bvc import BroadcastMode, ExactBVCProcess
+from repro.core.exact_bvc import ExactBVCProcess
 from repro.core.round_ops import coordinatewise_decision
 from repro.exceptions import ConfigurationError
 from repro.network.message import Message
@@ -61,7 +61,6 @@ class CoordinateWiseConsensusProcess(ExactBVCProcess):
 def run_coordinatewise_consensus(
     registry: ProcessRegistry,
     adversary_mutators: dict[int, MessageMutator] | None = None,
-    broadcast_mode: BroadcastMode = "per_coordinate",
     max_rounds: int | None = None,
     traffic_observer: "Callable[[Message], None] | None" = None,
 ) -> ProtocolOutcome:
@@ -73,7 +72,7 @@ def run_coordinatewise_consensus(
     validity.
     """
     core = partial(
-        CoordinateWiseConsensusProcess, broadcast_mode=broadcast_mode, allow_insufficient=True
+        CoordinateWiseConsensusProcess, broadcast_mode="per_coordinate", allow_insufficient=True
     )
     return run_protocol(
         registry, core, adversary_mutators, max_rounds=max_rounds, traffic_observer=traffic_observer

@@ -77,11 +77,6 @@ class SystemConfiguration:
                 f"fault bound {self.fault_bound} must be smaller than process count {self.process_count}"
             )
 
-    @property
-    def n(self) -> int:
-        """Alias matching the paper's notation."""
-        return self.process_count
-
 
 def _validate(dimension: int, fault_bound: int) -> None:
     if dimension < 1:
@@ -150,19 +145,19 @@ def check_exact_sync(configuration: SystemConfiguration, allow_insufficient: boo
     _check(Setting.EXACT_SYNC, minimum_processes_exact_sync, configuration, allow_insufficient)
 
 
-def check_approx_async(configuration: SystemConfiguration, allow_insufficient: bool = False) -> None:
+def check_approx_async(configuration: SystemConfiguration) -> None:
     """Raise :class:`ResilienceError` unless ``n >= (d+2)f + 1``."""
-    _check(Setting.APPROX_ASYNC, minimum_processes_approx_async, configuration, allow_insufficient)
+    _check(Setting.APPROX_ASYNC, minimum_processes_approx_async, configuration, False)
 
 
-def check_restricted_sync(configuration: SystemConfiguration, allow_insufficient: bool = False) -> None:
+def check_restricted_sync(configuration: SystemConfiguration) -> None:
     """Raise :class:`ResilienceError` unless ``n >= (d+2)f + 1``."""
-    _check(Setting.RESTRICTED_SYNC, minimum_processes_restricted_sync, configuration, allow_insufficient)
+    _check(Setting.RESTRICTED_SYNC, minimum_processes_restricted_sync, configuration, False)
 
 
-def check_restricted_async(configuration: SystemConfiguration, allow_insufficient: bool = False) -> None:
+def check_restricted_async(configuration: SystemConfiguration) -> None:
     """Raise :class:`ResilienceError` unless ``n >= (d+4)f + 1``."""
-    _check(Setting.RESTRICTED_ASYNC, minimum_processes_restricted_async, configuration, allow_insufficient)
+    _check(Setting.RESTRICTED_ASYNC, minimum_processes_restricted_async, configuration, False)
 
 
 def resilience_table(dimensions: list[int], fault_bounds: list[int]) -> list[dict[str, int]]:

@@ -24,7 +24,6 @@ the one-call driver used by examples, tests and benchmarks.
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -60,8 +59,8 @@ class ExactBVCProcess(SyncProcess):
             (originator, coordinate) pair — the literal algorithm in the paper;
             ``"whole_vector"`` runs one EIG broadcast per originator carrying
             the full vector, which exchanges fewer, larger messages.
-        allow_insufficient: skip the resilience check (used only by the
-            impossibility experiments).
+        allow_insufficient: skip the resilience check (the coordinate-wise
+            baseline needs only ``n >= 3f + 1``).
     """
 
     PROTOCOL = "exact_bvc"
@@ -196,8 +195,6 @@ class ExactBVCProcess(SyncProcess):
 def run_exact_bvc(
     registry: ProcessRegistry,
     adversary_mutators: dict[int, MessageMutator] | None = None,
-    broadcast_mode: BroadcastMode = "whole_vector",
-    allow_insufficient: bool = False,
     max_rounds: int | None = None,
     traffic_observer: "Callable[[Message], None] | None" = None,
 ) -> ProtocolOutcome:
@@ -207,16 +204,10 @@ def run_exact_bvc(
         registry: process cast, inputs and fault set.
         adversary_mutators: mutator per faulty process id; faulty ids without a
             mutator behave honestly (the adversary may choose not to attack).
-        broadcast_mode: per-coordinate (paper-literal) or whole-vector broadcasts.
-        allow_insufficient: run even when ``n`` is below the resilience bound
-            (for impossibility experiments).
         max_rounds: optional override of the runtime's round budget (``f + 2``).
         traffic_observer: optional callback that sees every routed message
             (the coordinated adversary's full-information tap).
     """
-    core = partial(
-        ExactBVCProcess, broadcast_mode=broadcast_mode, allow_insufficient=allow_insufficient
-    )
     return run_protocol(
-        registry, core, adversary_mutators, max_rounds=max_rounds, traffic_observer=traffic_observer
+        registry, ExactBVCProcess, adversary_mutators, max_rounds=max_rounds, traffic_observer=traffic_observer
     )

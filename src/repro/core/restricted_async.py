@@ -80,10 +80,9 @@ class RestrictedAsyncProcess(AsyncProcess):
         value_lower: float,
         value_upper: float,
         max_rounds_override: int | None = None,
-        allow_insufficient: bool = False,
     ) -> None:
         super().__init__(process_id)
-        check_restricted_async(configuration, allow_insufficient=allow_insufficient)
+        check_restricted_async(configuration)
         self.configuration = configuration
         self.input_vector, self.gamma, self.total_rounds = plan_rounds(
             configuration,
@@ -196,20 +195,20 @@ def run_restricted_async_bvc(
     epsilon: float,
     adversary_mutators: dict[int, MessageMutator] | None = None,
     scheduler: DeliveryScheduler | None = None,
-    value_bounds: tuple[float, float] | None = None,
     max_rounds_override: int | None = None,
-    allow_insufficient: bool = False,
     traffic_observer: Callable[[Message], None] | None = None,
 ) -> ProtocolOutcome:
-    """Run the restricted-round asynchronous approximate BVC algorithm end-to-end."""
-    value_lower, value_upper = value_bounds if value_bounds is not None else registry.value_bounds()
+    """Run the restricted-round asynchronous approximate BVC algorithm end-to-end.
+
+    The value bounds ``(nu, U)`` are the honest inputs' (``registry.value_bounds()``).
+    """
+    value_lower, value_upper = registry.value_bounds()
     core = partial(
         RestrictedAsyncProcess,
         epsilon=epsilon,
         value_lower=value_lower,
         value_upper=value_upper,
         max_rounds_override=max_rounds_override,
-        allow_insufficient=allow_insufficient,
     )
     return run_protocol(
         registry, core, adversary_mutators, scheduler=scheduler, traffic_observer=traffic_observer

@@ -58,10 +58,9 @@ class RestrictedSyncProcess(SyncProcess):
         value_lower: float,
         value_upper: float,
         max_rounds_override: int | None = None,
-        allow_insufficient: bool = False,
     ) -> None:
         super().__init__(process_id)
-        check_restricted_sync(configuration, allow_insufficient=allow_insufficient)
+        check_restricted_sync(configuration)
         self.configuration = configuration
         self.input_vector, self.gamma, self.total_rounds = plan_rounds(
             configuration,
@@ -139,7 +138,6 @@ def run_restricted_sync_bvc(
     adversary_mutators: dict[int, MessageMutator] | None = None,
     value_bounds: tuple[float, float] | None = None,
     max_rounds_override: int | None = None,
-    allow_insufficient: bool = False,
     traffic_observer: Callable[[Message], None] | None = None,
 ) -> ProtocolOutcome:
     """Run the restricted-round synchronous approximate BVC algorithm end-to-end."""
@@ -150,6 +148,5 @@ def run_restricted_sync_bvc(
         value_lower=value_lower,
         value_upper=value_upper,
         max_rounds_override=max_rounds_override,
-        allow_insufficient=allow_insufficient,
     )
     return run_protocol(registry, core, adversary_mutators, traffic_observer=traffic_observer)

@@ -168,18 +168,14 @@ def approx_subset_families(
     members: Sequence[int],
     witness_reports: Mapping[int, Sequence[int]],
     quorum: int,
-    subset_mode: str,
 ) -> list[tuple[int, ...]]:
     """Return the subsets ``C`` of ``B_i[t]`` used in Step 2 of the algorithm.
 
-    ``"all_subsets"`` enumerates every ``quorum``-subset of ``members`` (the
-    literal algorithm); ``"witness_subsets"`` uses each witness's reported
-    member set (the Appendix F optimisation), deduplicated, falling back to
-    the full enumeration if no witness family qualifies.
+    Each witness's reported member set (the Appendix F optimisation),
+    deduplicated, falling back to every ``quorum``-subset of ``members`` (the
+    literal algorithm) if no witness family qualifies.
     """
     members = list(members)
-    if subset_mode == "all_subsets":
-        return [tuple(sorted(family)) for family in combinations(members, quorum)]
     member_set = set(members)
     families: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()

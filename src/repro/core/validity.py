@@ -81,16 +81,14 @@ def _max_hull_distance(honest_inputs: np.ndarray, cloud: np.ndarray) -> float:
 def check_exact_outcome(
     registry: ProcessRegistry,
     decisions: Mapping[int, Sequence[float]],
-    agreement_tolerance: float = _AGREEMENT_TOLERANCE,
-    validity_tolerance: float = _VALIDITY_TOLERANCE,
 ) -> ValidityReport:
     """Verify the Exact BVC conditions for a finished synchronous run."""
     cloud = _decisions_as_cloud(decisions, registry.configuration.dimension)
     disagreement = _max_disagreement(cloud)
     hull_distance = _max_hull_distance(registry.honest_input_multiset(), cloud)
     return ValidityReport(
-        agreement_ok=disagreement <= agreement_tolerance,
-        validity_ok=hull_distance <= validity_tolerance,
+        agreement_ok=disagreement <= _AGREEMENT_TOLERANCE,
+        validity_ok=hull_distance <= _VALIDITY_TOLERANCE,
         max_disagreement=disagreement,
         max_hull_distance=hull_distance,
         epsilon=None,
@@ -101,7 +99,6 @@ def check_approximate_outcome(
     registry: ProcessRegistry,
     decisions: Mapping[int, Sequence[float]],
     epsilon: float,
-    validity_tolerance: float = _VALIDITY_TOLERANCE,
 ) -> ValidityReport:
     """Verify the Approximate BVC conditions (epsilon-agreement + validity)."""
     if epsilon <= 0:
@@ -111,7 +108,7 @@ def check_approximate_outcome(
     hull_distance = _max_hull_distance(registry.honest_input_multiset(), cloud)
     return ValidityReport(
         agreement_ok=disagreement <= epsilon,
-        validity_ok=hull_distance <= validity_tolerance,
+        validity_ok=hull_distance <= _VALIDITY_TOLERANCE,
         max_disagreement=disagreement,
         max_hull_distance=hull_distance,
         epsilon=epsilon,

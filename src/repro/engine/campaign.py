@@ -66,9 +66,6 @@ class Campaign:
     def __len__(self) -> int:
         return len(self.specs)
 
-    def __iter__(self):
-        return iter(self.specs)
-
     # -- construction ----------------------------------------------------------
 
     @classmethod

@@ -30,7 +30,6 @@ from repro.byzantine.strategies import (
     CoordinateAttackStrategy,
     CrashStrategy,
     EquivocationStrategy,
-    HonestStrategy,
     OutsideHullStrategy,
     RandomNoiseStrategy,
 )
@@ -104,8 +103,6 @@ def make_strategy(
 ) -> MessageMutator:
     """Build one of the named adversary strategies against the given registry."""
     params = params or {}
-    if name == "none" or name == "honest":
-        return HonestStrategy()
     if name == "crash":
         return CrashStrategy(crash_round=int(params.get("crash_round", 1)))
     if name == "equivocate":

@@ -505,9 +505,6 @@ class WorkerPool:
 
     def _observe_unit(self, task: _Task, seconds: float) -> None:
         """Fold one completed unit into the process metrics registry."""
-        registry = get_registry()
-        if not registry.enabled:
-            return
         _POOL_UNITS.labels(kind=task.kind).inc()
         _POOL_TRIALS.labels(kind=task.kind).inc(len(task.positions))
         _POOL_UNIT_SECONDS.labels(kind=task.kind).observe(seconds)

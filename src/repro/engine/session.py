@@ -216,9 +216,6 @@ class SessionEvent:
 
     type = "event"
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"type": self.type}
-
 
 @dataclass(frozen=True)
 class PlannedEvent(SessionEvent):
@@ -306,9 +303,6 @@ class RowEvent(SessionEvent):
 
     type = "row"
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"type": self.type, "position": self.position, "source": self.source}
-
 
 @dataclass(frozen=True)
 class FinishedEvent(SessionEvent):
@@ -365,10 +359,6 @@ class CampaignStatus:
         JSON and breaks downstream row consumers.
         """
         return self.emitted / self.elapsed_seconds if self.elapsed_seconds > 0 else 0.0
-
-    @property
-    def done(self) -> bool:
-        return self.state in ("finished", "cancelled", "failed")
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-serialisable view (the server's status resource body)."""
@@ -648,7 +638,7 @@ class CampaignSession:
 
     def _trace_instant(self, event: SessionEvent) -> None:
         if self.trace is not None:
-            self.trace.instant(event.type, category="session", args=event.to_dict())
+            self.trace.instant(event.type, event.to_dict())
 
     def _traced(self, source: Iterator[SessionEvent]) -> Iterator[SessionEvent]:
         """Mirror every non-row typed event into the trace as an instant marker."""

@@ -147,6 +147,11 @@ _CHUNK_ELEMENTS = 1 << 17
 #: a full table is flushed whole rather than aged out.
 _MEMO_LIMIT = 8192
 
+#: Bound on distinct LP constraint templates kept alive, evicted least
+#: recently used first: the protocols only ever touch a handful of shapes;
+#: the bound guards sweeps over many configurations.
+_TEMPLATE_LIMIT = 64
+
 #: Lookup sentinel: ``None`` is a memoised answer (an empty ``Gamma``).
 _MISS = object()
 
@@ -860,23 +865,18 @@ class GammaKernel:
     * the table holds at most :data:`_MEMO_LIMIT` entries, is flushed whole
       when full, and is emptied by :meth:`clear_cache`.
 
+    LP constraint templates are cached per shape, at most
+    :data:`_TEMPLATE_LIMIT` of them.
+
     The memo takes no lock: every step is a single atomic dict operation on
     values nobody mutates, so threads sharing one kernel (the server's
     campaign threads share :data:`default_kernel`) can at worst both solve a
     query neither had stored yet, or overshoot the bound by one entry per
     racing thread — whereas a lock could be inherited held by a pool worker
     forked mid-store.
-
-    Args:
-        max_cached_templates: bound on distinct LP shapes kept alive (the
-            protocols only ever touch a handful; the bound guards pathological
-            sweeps over many configurations).
     """
 
-    def __init__(self, max_cached_templates: int = 64) -> None:
-        if max_cached_templates < 1:
-            raise GeometryError("the template cache must hold at least one shape")
-        self._max_cached_templates = max_cached_templates
+    def __init__(self) -> None:
         self._templates: dict[tuple[int, int, int], _ConstraintTemplate] = {}
         self._memo: dict[tuple, np.ndarray | None] = {}
 
@@ -913,7 +913,7 @@ class GammaKernel:
             return template
         _EVENTS["template_misses"].inc()
         template = _build_template(block_count, block_size, dimension)
-        if len(self._templates) >= self._max_cached_templates:
+        if len(self._templates) >= _TEMPLATE_LIMIT:
             self._templates.pop(next(iter(self._templates)))
         self._templates[key] = template
         return template

@@ -42,12 +42,11 @@ def as_point(value: Sequence[float] | np.ndarray, dimension: int | None = None) 
     return point
 
 
-def as_cloud(values: Iterable[Sequence[float]] | np.ndarray, dimension: int | None = None) -> np.ndarray:
+def as_cloud(values: Iterable[Sequence[float]] | np.ndarray) -> np.ndarray:
     """Return ``values`` as a read-only 2-D ``(k, d)`` float array of points.
 
     Accepts any iterable of point-like rows; the result never shares memory
-    with ``values``.  An empty iterable is an error unless ``dimension`` is
-    given, in which case an empty ``(0, dimension)`` array is returned.
+    with ``values``.  An empty cloud is an error: its dimension is unknown.
     """
     if isinstance(values, np.ndarray) and values.ndim == 2:
         cloud = values.astype(float, copy=True)
@@ -56,13 +55,9 @@ def as_cloud(values: Iterable[Sequence[float]] | np.ndarray, dimension: int | No
         lengths = {row.shape[0] for row in rows}
         if len(lengths) > 1:
             raise GeometryError(f"points have inconsistent dimensions: {sorted(lengths)}")
-        cloud = np.vstack(rows) if rows else np.empty((0, dimension or 0), dtype=float)
-    if cloud.shape[0] == 0 and dimension is None:
+        cloud = np.vstack(rows) if rows else np.empty((0, 0), dtype=float)
+    if cloud.shape[0] == 0:
         raise GeometryError("cannot infer dimension of an empty point cloud")
-    if dimension is not None and cloud.shape[1] != dimension:
-        raise GeometryError(
-            f"point cloud has dimension {cloud.shape[1]}, expected {dimension}"
-        )
     if not np.all(np.isfinite(cloud)):
         raise GeometryError("point cloud contains non-finite coordinates")
     cloud.setflags(write=False)

@@ -87,11 +87,6 @@ class TverbergPartition:
     blocks: tuple[tuple[int, ...], ...]
     witness: np.ndarray
 
-    @property
-    def parts(self) -> int:
-        """Number of blocks in the partition."""
-        return len(self.blocks)
-
 
 def radon_partition(points: np.ndarray | Sequence[Sequence[float]]) -> TverbergPartition:
     """Return a Radon partition of ``d + 2`` (or more) points in ``R^d``.

@@ -20,8 +20,6 @@ The invariants are in ``docs/ARCHITECTURE.md``, "The asynchronous delivery loop"
 
 from __future__ import annotations
 
-import weakref
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
@@ -56,35 +54,13 @@ class BusyIndex(NamedTuple):
     key with ``insort(busy, key, key=rank_of)`` (``RuntimeCore.route``, the
     only enqueue); one that empties it deletes the key at
     ``bisect_left(busy, rank_of(key), key=rank_of)`` (the asynchronous loop's
-    pop, a channel's ``drain``) or clears ``busy`` with every queue
-    (``drain_all``).  Each also counts the message in the network's and the
-    channel's counters.
+    pop) or clears ``busy`` with every queue (``drain_all``).  Each also
+    counts the message in the network's and the channel's counters.
     """
 
     channels: dict[tuple[int, int], FifoChannel]
     busy: list[tuple[int, int]]
     rank_of: Callable[[tuple[int, int]], int]
-
-
-class _NetworkChannel(FifoChannel):
-    """A channel owned by a network: mutating it goes through the network's bookkeeping.
-
-    The channel refers to its network weakly: the network owns its channels,
-    so a strong reference back would make every network a reference cycle.
-    """
-
-    def __init__(self, network: "CompleteGraphNetwork", sender: int, recipient: int) -> None:
-        super().__init__(sender, recipient)
-        self._network = weakref.proxy(network)
-
-    def send(self, message: Message) -> None:
-        # A plain enqueue would bypass the busy index.
-        raise SchedulerError(
-            f"message {message.describe()}: a network's channels are filled by RuntimeCore.route"
-        )
-
-    def drain(self) -> list[Message]:
-        return self._network._drain_channel(self.sender, self.recipient)
 
 
 class CompleteGraphNetwork:
@@ -99,11 +75,11 @@ class CompleteGraphNetwork:
         self.process_ids = ids
         self.messages_sent = 0
         self.messages_delivered = 0
-        self._channels: dict[tuple[int, int], _NetworkChannel] = {}
+        self._channels: dict[tuple[int, int], FifoChannel] = {}
         for sender in ids:
             for recipient in ids:
                 if sender != recipient:
-                    self._channels[(sender, recipient)] = _NetworkChannel(self, sender, recipient)
+                    self._channels[(sender, recipient)] = FifoChannel(sender, recipient)
         # The busy index: keys of the non-empty channels, by construction rank.
         self._rank_of = {key: rank for rank, key in enumerate(self._channels)}.__getitem__
         self._busy: list[tuple[int, int]] = []
@@ -128,12 +104,6 @@ class CompleteGraphNetwork:
         channel.delivered_count += len(messages)
         self.messages_delivered += len(messages)
         return messages
-
-    def _drain_channel(self, sender: int, recipient: int) -> list[Message]:
-        key, rank_of = (sender, recipient), self._rank_of
-        if self.channel(sender, recipient)._queue:
-            del self._busy[bisect_left(self._busy, rank_of(key), key=rank_of)]
-        return self._take_all(key)
 
     def drain_all(self) -> dict[int, list[Message]]:
         """Deliver every in-flight message, grouped by recipient (the synchronous round step)."""

@@ -136,11 +136,6 @@ class LaggingScheduler(DeliveryScheduler):
         self._slow = frozenset(int(process_id) for process_id in slow_processes)
         self._below = UniformDraws(seed).below
 
-    @property
-    def slow_processes(self) -> frozenset[int]:
-        """The ids being starved."""
-        return self._slow
-
     def choose(self, busy_channels: Sequence[tuple[int, int]]) -> tuple[int, int]:
         if not busy_channels:
             raise SchedulerError("no busy channel to choose from")

@@ -14,7 +14,6 @@ from repro.obs.registry import (
     Histogram,
     MetricsRegistry,
     get_registry,
-    quantile_from_histogram,
     render_prometheus,
     snapshot_delta,
     snapshot_jsonable,
@@ -36,7 +35,6 @@ __all__ = [
     "format_trace_summary",
     "get_registry",
     "load_trace",
-    "quantile_from_histogram",
     "render_prometheus",
     "snapshot_delta",
     "snapshot_jsonable",

@@ -5,8 +5,7 @@ singleton) collects telemetry from every layer of the stack — geometry kernel,
 vectorized engine, worker pool, results store, HTTP server.  The design goals,
 in order:
 
-* **Stdlib only, low overhead.**  An increment is one attribute check plus one
-  locked float add; with the registry disabled it is a single attribute check.
+* **Stdlib only, low overhead.**  An increment is one locked float add.
   Nothing here imports numpy or any other layer of ``repro`` (so every layer
   may import *this* module without cycles).
 * **Mergeable.**  :meth:`MetricsRegistry.snapshot` produces a plain picklable
@@ -42,7 +41,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "get_registry",
-    "quantile_from_histogram",
     "render_prometheus",
     "snapshot_delta",
     "snapshot_jsonable",
@@ -114,8 +112,6 @@ class Counter(_Family):
             self.value = 0.0
 
         def inc(self, amount: float = 1.0) -> None:
-            if not self._registry.enabled:
-                return
             with self._registry._lock:
                 self.value += amount
 
@@ -139,25 +135,14 @@ class Gauge(_Family):
             self.value = 0.0
 
         def set(self, value: float) -> None:
-            if not self._registry.enabled:
-                return
             with self._registry._lock:
                 self.value = float(value)
-
-        def inc(self, amount: float = 1.0) -> None:
-            if not self._registry.enabled:
-                return
-            with self._registry._lock:
-                self.value += amount
 
     def _make_child(self) -> "Gauge._Child":
         return Gauge._Child(self._registry)
 
     def set(self, value: float) -> None:
         self._default_child().set(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._default_child().inc(amount)
 
 
 class Histogram(_Family):
@@ -183,8 +168,6 @@ class Histogram(_Family):
             self.count = 0
 
         def observe(self, value: float) -> None:
-            if not self._registry.enabled:
-                return
             index = _bucket_index(self._bounds, value)
             with self._registry._lock:
                 self.counts[index] += 1
@@ -193,20 +176,12 @@ class Histogram(_Family):
 
         def observe_many(self, values: Iterable[float]) -> None:
             """:meth:`observe` each of ``values`` in turn, under one lock."""
-            if not self._registry.enabled:
-                return
             bounds, counts = self._bounds, self.counts
             with self._registry._lock:
                 for value in values:
                     counts[_bucket_index(bounds, value)] += 1
                     self.sum += value
                     self.count += 1
-
-        def quantile(self, q: float) -> float:
-            """Estimated ``q``-quantile (linear interpolation within buckets)."""
-            with self._registry._lock:
-                counts = list(self.counts)
-            return quantile_from_histogram(self._bounds, counts, q)
 
     def __init__(
         self,
@@ -244,36 +219,6 @@ def _bucket_index(bounds: tuple[float, ...], value: float) -> int:
     return lo
 
 
-def quantile_from_histogram(
-    bounds: Sequence[float], counts: Sequence[int], q: float
-) -> float:
-    """Estimate the ``q``-quantile from per-bucket counts.
-
-    Linear interpolation inside the bucket containing the target rank, with
-    the first bucket anchored at 0 and the overflow bucket clamped to the
-    highest finite bound (the estimate cannot exceed what the buckets
-    resolve).  Returns ``nan`` for an empty histogram.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile must be in [0, 1], got {q}")
-    total = sum(counts)
-    if total == 0:
-        return float("nan")
-    rank = q * total
-    cumulative = 0.0
-    for index, bucket_count in enumerate(counts):
-        previous = cumulative
-        cumulative += bucket_count
-        if cumulative >= rank and bucket_count > 0:
-            upper = bounds[index] if index < len(bounds) else bounds[-1]
-            if index >= len(bounds):
-                return float(bounds[-1])
-            lower = bounds[index - 1] if index > 0 else 0.0
-            fraction = (rank - previous) / bucket_count
-            return float(lower + (upper - lower) * min(1.0, max(0.0, fraction)))
-    return float(bounds[-1])
-
-
 class MetricsRegistry:
     """Thread-safe registry of named metric families.
 
@@ -282,8 +227,7 @@ class MetricsRegistry:
     call site can declare its metrics locally without import-order dances.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._lock = threading.RLock()
         self._families: dict[str, _Family] = {}
         self._collectors: list[Callable[[], None]] = []
@@ -332,8 +276,6 @@ class MetricsRegistry:
 
     def collect(self) -> None:
         """Run every registered collector (sets the gauges they own)."""
-        if not self.enabled:
-            return
         with self._lock:
             collectors = list(self._collectors)
         for collector in collectors:

@@ -22,9 +22,8 @@ import json
 import os
 import threading
 import time
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 __all__ = [
     "TraceRecorder",
@@ -37,12 +36,10 @@ __all__ = [
 class TraceRecorder:
     """Thread-safe collector of Chrome trace events for one campaign/session.
 
-    ``path`` (optional) is where :meth:`write` saves by default; recorders
-    are also usable purely in memory (tests, the server's per-run traces).
+    Events stay in memory until :meth:`write` saves them.
     """
 
-    def __init__(self, path: str | Path | None = None) -> None:
-        self.path = Path(path) if path is not None else None
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._events: list[dict[str, Any]] = []
         self._tids: dict[str, int] = {}
@@ -83,41 +80,15 @@ class TraceRecorder:
                 "args": dict(args) if args else {},
             })
 
-    def instant(
-        self,
-        name: str,
-        *,
-        track: str = "main",
-        category: str = "session",
-        args: Mapping[str, Any] | None = None,
-    ) -> None:
-        """Record a zero-duration marker (scope ``t`` = thread)."""
+    def instant(self, name: str, args: Mapping[str, Any]) -> None:
+        """Record a zero-duration session marker on the main track (scope ``t`` = thread)."""
         with self._lock:
             self._events.append({
-                "name": name, "ph": "i", "s": "t", "cat": category,
+                "name": name, "ph": "i", "s": "t", "cat": "session",
                 "ts": self._ts(time.time()),
-                "pid": self._pid, "tid": self._tid(track),
-                "args": dict(args) if args else {},
+                "pid": self._pid, "tid": self._tid("main"),
+                "args": dict(args),
             })
-
-    @contextmanager
-    def span(
-        self,
-        name: str,
-        *,
-        track: str = "main",
-        category: str = "session",
-        args: Mapping[str, Any] | None = None,
-    ) -> Iterator[None]:
-        """Time a block and record it as a complete span."""
-        start = time.time()
-        try:
-            yield
-        finally:
-            self.complete(
-                name, start, time.time() - start,
-                track=track, category=category, args=args,
-            )
 
     # -- output --------------------------------------------------------------
 
@@ -125,11 +96,9 @@ class TraceRecorder:
         with self._lock:
             return [dict(event) for event in self._events]
 
-    def write(self, path: str | Path | None = None) -> Path:
+    def write(self, path: str | Path) -> Path:
         """Write the trace file (pretty enough for diffing, valid for Perfetto)."""
-        target = Path(path) if path is not None else self.path
-        if target is None:
-            raise ValueError("trace recorder has no output path")
+        target = Path(path)
         target.parent.mkdir(parents=True, exist_ok=True)
         document = {"traceEvents": self.events(), "displayTimeUnit": "ms"}
         target.write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")

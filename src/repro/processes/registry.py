@@ -91,10 +91,6 @@ class ProcessRegistry:
         """Return the nominal input vector of ``process_id``."""
         return self.inputs[process_id]
 
-    def honest_inputs(self) -> dict[int, np.ndarray]:
-        """Return the inputs of the non-faulty processes keyed by id."""
-        return {pid: self.inputs[pid] for pid in self.honest_ids}
-
     def honest_input_multiset(self) -> np.ndarray:
         """Return the honest inputs as a read-only cloud (the validity hull's generators)."""
         return as_cloud([self.inputs[pid] for pid in self.honest_ids])

@@ -227,10 +227,10 @@ class Request:
         values = self.query.get(name)
         return values[0] if values else default
 
-    def int_param(self, name: str, default: int | None = None) -> int | None:
+    def int_param(self, name: str) -> int | None:
         raw = self.param(name)
         if raw is None:
-            return default
+            return None
         try:
             value = int(raw)
         except ValueError:
@@ -318,10 +318,9 @@ async def _send_json(
     writer: asyncio.StreamWriter,
     status: int,
     payload: Any,
-    extra_headers: Mapping[str, str] | None = None,
     close: bool = True,
 ) -> None:
-    await _send_json_body(writer, status, encode_json(payload), extra_headers, close)
+    await _send_json_body(writer, status, encode_json(payload), close=close)
 
 
 async def _send_json_body(

@@ -262,8 +262,8 @@ class CampaignService:
 
     # -- accounting ----------------------------------------------------------
 
-    def record_request(self, api_key: str, *, rows: int = 0, campaigns: int = 0) -> None:
-        """Bump the per-key counters (``api_key`` is already normalised).
+    def record_request(self, api_key: str) -> None:
+        """Count one request for ``api_key`` (already normalised).
 
         Cheap by design — a dict update under a dedicated lock — so the HTTP
         layer calls it inline on the event loop instead of paying two
@@ -274,8 +274,6 @@ class CampaignService:
                 api_key, {"requests": 0, "campaigns": 0, "rows_streamed": 0}
             )
             counters["requests"] += 1
-            counters["campaigns"] += campaigns
-            counters["rows_streamed"] += rows
 
     def record_rows(self, api_key: str, rows: int) -> None:
         with self._accounting_lock:
@@ -284,12 +282,12 @@ class CampaignService:
             )
             counters["rows_streamed"] += rows
 
-    def record_campaigns(self, api_key: str, campaigns: int = 1) -> None:
+    def record_campaigns(self, api_key: str) -> None:
         with self._accounting_lock:
             counters = self._accounting.setdefault(
                 api_key, {"requests": 0, "campaigns": 0, "rows_streamed": 0}
             )
-            counters["campaigns"] += campaigns
+            counters["campaigns"] += 1
 
     def metrics(self) -> dict[str, Any]:
         with self._accounting_lock:
@@ -414,13 +412,12 @@ class CampaignService:
             handles = list(self._runs.values())
         return [handle.status_dict() for handle in handles]
 
-    def shutdown(self, cancel_runs: bool = True) -> None:
+    def shutdown(self) -> None:
         """Cancel in-flight sessions and retire the thread pool."""
-        if cancel_runs:
-            with self._lock:
-                handles = list(self._runs.values())
-            for handle in handles:
-                handle.session.cancel()
+        with self._lock:
+            handles = list(self._runs.values())
+        for handle in handles:
+            handle.session.cancel()
         self._executor.shutdown(wait=True)
         shutdown_pools()
         # Pooled read handles were opened with check_same_thread=False

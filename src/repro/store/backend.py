@@ -84,11 +84,6 @@ class StoreEntry:
     created_at: float
     row: dict[str, Any]
 
-    @property
-    def stale(self) -> bool:
-        """True when the row was written under a different engine revision."""
-        return self.engine_version != ENGINE_VERSION
-
     def result(self) -> TrialResult:
         """Materialise the row back into a :class:`TrialResult`."""
         return TrialResult.from_row(self.row)
@@ -107,7 +102,7 @@ def _check_where(where: Mapping[str, Any] | None) -> dict[str, Any]:
 
 
 # Store-layer telemetry (see docs/OBSERVABILITY.md).  Families are created at
-# import; every instrumented site is a no-op when the registry is disabled.
+# import.
 _STORE_ROWS_WRITTEN = get_registry().counter(
     "repro_store_rows_written_total",
     "Trial rows committed to a result store, by backend.",

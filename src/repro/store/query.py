@@ -21,7 +21,6 @@ from typing import Any, Iterator, Sequence
 from repro.engine.spec import TrialResult
 from repro.exceptions import ConfigurationError
 from repro.store.backend import ResultStore, StoreEntry
-from repro.store.keys import ENGINE_VERSION
 
 __all__ = ["AGGREGATE_COLUMNS", "StoredTrial", "TrialFilter", "query_store", "aggregate_store"]
 
@@ -68,11 +67,6 @@ class StoredTrial:
     engine_version: str
     created_at: float
     result: TrialResult
-
-    @property
-    def stale(self) -> bool:
-        """True when the row predates the current engine revision."""
-        return self.engine_version != ENGINE_VERSION
 
     def to_row(self) -> dict[str, Any]:
         """One summary table row for the CLI (key abbreviated, outcome inline)."""

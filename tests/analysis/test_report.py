@@ -10,7 +10,7 @@ class TestReport:
         assert format_value(True) == "yes"
         assert format_value(False) == "no"
         assert format_value(None) == "-"
-        assert format_value(0.123456, precision=3) == "0.123"
+        assert format_value(0.123456) == "0.1235"
         assert format_value(float("nan")) == "nan"
         assert format_value("text") == "text"
 
@@ -21,10 +21,10 @@ class TestReport:
         assert lines[0].startswith("a")
         assert "-" in lines[-1]  # missing "b" cell rendered as -
 
-    def test_render_table_with_title_and_columns(self):
-        text = render_table([{"a": 1, "b": 2}], columns=["b", "a"], title="T")
+    def test_render_table_with_title_keeps_the_first_rows_key_order(self):
+        text = render_table([{"b": 1, "a": 2}, {"a": 3, "b": 4}], title="T")
         assert text.splitlines()[0] == "T"
-        assert text.splitlines()[1].startswith("b")
+        assert text.splitlines()[1].split() == ["b", "a"]
 
     def test_render_empty_table(self):
         assert "(no rows)" in render_table([])

@@ -9,7 +9,6 @@ from repro.byzantine.strategies import (
     CoordinateAttackStrategy,
     CrashStrategy,
     EquivocationStrategy,
-    HonestStrategy,
     OutsideHullStrategy,
     RandomNoiseStrategy,
 )
@@ -22,12 +21,6 @@ def make_message(recipient=1, payload=None, round_index=1):
         payload = {"value": (0.25, 0.75)}
     return Message(sender=9, recipient=recipient, protocol="p", kind="K",
                    payload=payload, round_index=round_index)
-
-
-class TestHonestStrategy:
-    def test_passes_message_unchanged(self):
-        message = make_message()
-        assert HonestStrategy().mutate(message) == [message]
 
 
 class TestCrashStrategy:

@@ -12,6 +12,7 @@ from repro.core.approx_bvc import (
     contraction_factor,
     round_threshold,
     run_approx_bvc,
+    witness_contraction_factor,
 )
 from repro.core.conditions import SystemConfiguration, minimum_processes_approx_async
 from repro.core.validity import check_approximate_outcome
@@ -28,13 +29,13 @@ def registry_at_bound(dimension, fault_bound, seed=0):
 class TestContractionAndRounds:
     def test_gamma_formula_all_subsets(self):
         # gamma = 1 / (n * C(n, n-f))
-        assert contraction_factor(4, 1, "all_subsets") == pytest.approx(1 / (4 * 4))
-        assert contraction_factor(5, 1, "all_subsets") == pytest.approx(1 / (5 * 5))
-        assert contraction_factor(7, 2, "all_subsets") == pytest.approx(1 / (7 * 21))
+        assert contraction_factor(4, 1) == pytest.approx(1 / (4 * 4))
+        assert contraction_factor(5, 1) == pytest.approx(1 / (5 * 5))
+        assert contraction_factor(7, 2) == pytest.approx(1 / (7 * 21))
 
     def test_gamma_formula_witness_subsets(self):
         # Appendix F: gamma = 1 / n^2.
-        assert contraction_factor(5, 1, "witness_subsets") == pytest.approx(1 / 25)
+        assert witness_contraction_factor(5, 1) == pytest.approx(1 / 25)
 
     def test_round_threshold_matches_paper_formula(self):
         gamma = 0.04
@@ -52,6 +53,8 @@ class TestContractionAndRounds:
             round_threshold(1.0, 0.1, 1.5)
         with pytest.raises(ConfigurationError):
             contraction_factor(1, 0)
+        with pytest.raises(ConfigurationError):
+            witness_contraction_factor(4, 4)
 
 
 class TestProcessConstruction:
@@ -175,15 +178,6 @@ class TestSchedulersAndModes:
         report = check_approximate_outcome(registry, outcome.decisions, epsilon=0.3)
         assert report.agreement_ok and report.validity_ok
 
-    def test_all_subsets_mode(self):
-        registry = registry_at_bound(1, 1, seed=14)
-        outcome = run_approx_bvc(
-            registry, epsilon=0.3, subset_mode="all_subsets", scheduler=RandomScheduler(5),
-            max_rounds_override=6,
-        )
-        report = check_approximate_outcome(registry, outcome.decisions, epsilon=1.0)
-        assert report.validity_ok
-
     def test_rounds_override(self):
         registry = registry_at_bound(1, 1, seed=15)
         outcome = run_approx_bvc(
@@ -201,6 +195,6 @@ class TestSchedulersAndModes:
             registry, epsilon=0.1, adversary_mutators=mutators,
             max_rounds_override=5, scheduler=RandomScheduler(9),
         )
-        gamma = contraction_factor(registry.configuration.process_count, 1, "witness_subsets")
+        gamma = witness_contraction_factor(registry.configuration.process_count, 1)
         factors = measured_contraction_factors(outcome.state_histories)
         assert np.all(factors <= 1.0 - gamma + 1e-9)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,17 @@ from repro.byzantine.strategies import (
     RandomNoiseStrategy,
 )
 from repro.core.conditions import SystemConfiguration, minimum_processes_exact_sync
+from repro.core.driver import run_protocol
 from repro.core.exact_bvc import ExactBVCProcess, run_exact_bvc
 from repro.core.validity import check_exact_outcome
 from repro.exceptions import ProtocolError, ResilienceError
 from repro.network.sync_runtime import SynchronousRuntime
 from repro.processes.registry import ProcessRegistry
 from repro.workloads.generators import uniform_box_registry
+
+
+#: The paper-literal Step 1: one scalar EIG broadcast per (originator, coordinate).
+PER_COORDINATE = partial(ExactBVCProcess, broadcast_mode="per_coordinate")
 
 
 def registry_at_bound(dimension, fault_bound, seed=0):
@@ -69,7 +76,7 @@ class TestFaultFreeRuns:
             assert np.allclose(decision, [0.25, 0.75], atol=1e-6)
 
     def test_per_coordinate_broadcast_mode(self, fault_free_registry):
-        outcome = run_exact_bvc(fault_free_registry, broadcast_mode="per_coordinate")
+        outcome = run_protocol(fault_free_registry, PER_COORDINATE)
         report = check_exact_outcome(fault_free_registry, outcome.decisions)
         assert report.agreement_ok and report.validity_ok
 
@@ -140,7 +147,7 @@ class TestAttackDetails:
     def test_per_coordinate_mode_under_attack(self):
         registry = registry_at_bound(2, 1, seed=5)
         mutators = {pid: OutsideHullStrategy(offset=50.0) for pid in registry.faulty_ids}
-        outcome = run_exact_bvc(registry, adversary_mutators=mutators, broadcast_mode="per_coordinate")
+        outcome = run_protocol(registry, PER_COORDINATE, mutators)
         report = check_exact_outcome(registry, outcome.decisions)
         assert report.agreement_ok and report.validity_ok
 

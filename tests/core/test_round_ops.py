@@ -127,7 +127,7 @@ class TestApproxRoundStep:
         rng = np.random.default_rng(11)
         tuples = {member: rng.uniform(size=2) for member in (4, 0, 3, 1, 2)}
         families = approx_subset_families(
-            list(tuples), {7: (3, 4, 0, 1), 8: (2, 1, 0, 4)}, 4, "witness_subsets"
+            list(tuples), {7: (3, 4, 0, 1), 8: (2, 1, 0, 4)}, 4
         )
         events = kernel_events()
         update = approx_round_step(tuples, families, SafeAreaCalculator(fault_bound=1))
@@ -167,8 +167,8 @@ class TestCoordinatewiseDecision:
 
 
 class TestApproxSubsetFamilies:
-    def test_all_subsets_mode(self):
-        families = approx_subset_families([3, 1, 2], {}, quorum=2, subset_mode="all_subsets")
+    def test_without_witness_reports_every_subset_in_member_order(self):
+        families = approx_subset_families([3, 1, 2], {}, quorum=2)
         assert families == [(1, 3), (2, 3), (1, 2)]  # member order, sorted within
 
     def test_witness_mode_filters_and_dedupes(self):
@@ -182,12 +182,9 @@ class TestApproxSubsetFamilies:
                 14: (2, 3),       # valid
             },
             quorum=2,
-            subset_mode="witness_subsets",
         )
         assert families == [(0, 1), (2, 3)]
 
     def test_witness_mode_falls_back_to_enumeration(self):
-        families = approx_subset_families(
-            [0, 1, 2], {10: (0, 9)}, quorum=2, subset_mode="witness_subsets"
-        )
+        families = approx_subset_families([0, 1, 2], {10: (0, 9)}, quorum=2)
         assert families == [(0, 1), (0, 2), (1, 2)]

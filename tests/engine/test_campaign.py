@@ -36,13 +36,13 @@ class TestCampaignFromGrid:
             repeats=3,
         )
         assert len(campaign) == 2 * 2 * 3
-        assert [spec.trial_index for spec in campaign] == list(range(len(campaign)))
+        assert [spec.trial_index for spec in campaign.specs] == list(range(len(campaign)))
 
     def test_default_process_count_is_protocol_minimum(self):
         campaign = Campaign.from_grid(
             "bounds", protocols=("exact", "approx"), dimensions=(3,), fault_bounds=(2,)
         )
-        by_protocol = {spec.protocol: spec.process_count for spec in campaign}
+        by_protocol = {spec.protocol: spec.process_count for spec in campaign.specs}
         assert by_protocol["exact"] == minimum_processes_for("exact", 3, 2)
         assert by_protocol["approx"] == minimum_processes_for("approx", 3, 2)
 
@@ -57,7 +57,7 @@ class TestCampaignFromGrid:
             "mixed-eps", protocols=("exact", "approx"), epsilons=(0.1, 0.2, 0.4)
         )
         by_protocol: dict[str, list[float]] = {}
-        for spec in campaign:
+        for spec in campaign.specs:
             by_protocol.setdefault(spec.protocol, []).append(spec.epsilon)
         assert by_protocol["exact"] == [0.1]  # first value only, never consulted
         assert by_protocol["approx"] == [0.1, 0.2, 0.4]
@@ -66,12 +66,12 @@ class TestCampaignFromGrid:
         first = Campaign.from_grid("a", protocols=("exact",), repeats=50, base_seed=9)
         second = Campaign.from_grid("a", protocols=("exact",), repeats=50, base_seed=9)
         assert first.specs == second.specs
-        seeds = [spec.seed for spec in first]
+        seeds = [spec.seed for spec in first.specs]
         assert len(set(seeds)) == len(seeds)
 
     def test_different_base_seed_changes_trial_seeds(self):
-        seeds_a = [spec.seed for spec in Campaign.from_grid("a", repeats=5, base_seed=1)]
-        seeds_b = [spec.seed for spec in Campaign.from_grid("a", repeats=5, base_seed=2)]
+        seeds_a = [spec.seed for spec in Campaign.from_grid("a", repeats=5, base_seed=1).specs]
+        seeds_b = [spec.seed for spec in Campaign.from_grid("a", repeats=5, base_seed=2).specs]
         assert seeds_a != seeds_b
 
     def test_rejects_unknown_protocol_and_bad_repeats(self):

@@ -140,13 +140,13 @@ class TestTheorem4SchedulerCoupling:
         registry = build_registry(spec)
         scheduler = build_scheduler(spec, registry)
         assert isinstance(scheduler, LaggingScheduler)
-        assert scheduler.slow_processes == {registry.honest_ids[-1]}
+        assert scheduler._slow == {registry.honest_ids[-1]}
 
     def test_theorem4_slow_process_override(self):
         spec = self._spec(adversary_params={"slow_processes": (0,)})
         registry = build_registry(spec)
         scheduler = build_scheduler(spec, registry)
-        assert scheduler.slow_processes == {0}
+        assert scheduler._slow == {0}
 
     def test_other_adversaries_keep_their_scheduler(self):
         spec = self._spec(adversary="crash")

@@ -223,7 +223,7 @@ class TestStatus:
         final = session.status()
         assert final.state == "finished"
         assert final.emitted == final.ok == 6
-        assert final.done and final.elapsed_seconds > 0
+        assert final.state == "finished" and final.elapsed_seconds > 0
 
     def test_summary_carries_run_id_and_fallbacks(self):
         specs = _specs(4)

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csc_matrix
 
+import repro.geometry.kernel as kernel_module
 import repro.geometry.linprog as linprog_module
 from repro.core.safe_area import (
     SafeAreaCalculator,
@@ -382,14 +383,15 @@ class TestTemplateCacheAndStats:
         kernel.point(np.repeat(rng.uniform(size=(4, 3)), 2, axis=0), 2)
         assert events.blocks_pruned_away > 0
 
-    def test_cache_eviction_is_bounded(self):
+    def test_cache_eviction_is_bounded(self, monkeypatch, kernel_events):
+        monkeypatch.setattr(kernel_module, "_TEMPLATE_LIMIT", 2)
         rng = np.random.default_rng(12)
-        kernel = GammaKernel(max_cached_templates=2)
+        kernel = GammaKernel()
+        events = kernel_events()
         for point_count in (5, 6, 7, 8):
-            kernel.point(rng.uniform(size=(point_count, 2)), 1)
-        assert kernel.template_cache_size <= 2
-        with pytest.raises(GeometryError):
-            GammaKernel(max_cached_templates=0)
+            kernel.point(rng.uniform(size=(point_count, 3)), 1)
+        assert events.template_misses > 2
+        assert kernel.template_cache_size == 2
 
     def test_clear_cache(self):
         rng = np.random.default_rng(13)

@@ -77,14 +77,9 @@ class TestAsCloud:
         with pytest.raises(GeometryError):
             points.as_cloud([])
 
-    def test_empty_with_dimension_gives_zero_rows(self):
-        cloud = points.as_cloud([], dimension=3)
-        assert cloud.shape == (0, 3)
-        assert not cloud.flags.writeable
-
-    def test_dimension_mismatch_raises(self):
+    def test_empty_array_raises(self):
         with pytest.raises(GeometryError):
-            points.as_cloud([[1.0, 2.0]], dimension=3)
+            points.as_cloud(np.empty((0, 3)))
 
 
 class TestSummaries:

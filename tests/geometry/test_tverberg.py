@@ -39,7 +39,7 @@ class TestRadonPartition:
     def test_square_plus_nothing(self):
         # 4 points in the plane always admit a Radon partition.
         partition = radon_partition([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        assert partition.parts == 2
+        assert len(partition.blocks) == 2
         witness = verify_tverberg_partition(partition.multiset, partition.blocks)
         assert witness is not None
 
@@ -62,7 +62,7 @@ class TestRadonPartition:
 
     def test_one_dimensional_radon(self):
         partition = radon_partition([[0.0], [1.0], [3.0]])
-        assert partition.parts == 2
+        assert len(partition.blocks) == 2
 
 
 class TestFindTverbergPartition:
@@ -78,10 +78,10 @@ class TestFindTverbergPartition:
         multiset, parts = figure1_instance()
         partition = find_tverberg_partition(multiset, parts)
         assert partition is not None
-        assert partition.parts == 3
+        assert len(partition.blocks) == 3
         witness = verify_tverberg_partition(partition.multiset, partition.blocks)
         assert witness is not None
-        for index in range(partition.parts):
+        for index in range(len(partition.blocks)):
             assert contains_point(
                 partition.multiset[list(partition.blocks[index])], partition.witness, tolerance=1e-6
             )

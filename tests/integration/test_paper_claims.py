@@ -66,7 +66,11 @@ class TestTheorem1And3ExactBVC:
         assert safe_area_is_empty(inputs, fault_bound=1)
 
     def test_exact_bvc_raises_below_bound_when_forced(self):
+        from functools import partial
+
         from repro.core.conditions import SystemConfiguration
+        from repro.core.driver import run_protocol
+        from repro.core.exact_bvc import ExactBVCProcess
         from repro.processes.registry import ProcessRegistry
 
         # n = d + 1 = 3 with the standard-basis construction and one (silent)
@@ -76,7 +80,7 @@ class TestTheorem1And3ExactBVC:
         inputs = {0: [1.0, 0.0], 1: [0.0, 1.0], 2: [0.0, 0.0]}
         registry = ProcessRegistry(configuration, inputs, faulty_ids=frozenset())
         with pytest.raises(EmptyIntersectionError):
-            run_exact_bvc(registry, allow_insufficient=True)
+            run_protocol(registry, partial(ExactBVCProcess, allow_insufficient=True))
 
 
 class TestTheorem4And5ApproxBVC:
@@ -103,10 +107,10 @@ class TestTheorem4And5ApproxBVC:
         n = minimum_processes_approx_async(1, 1)
         registry = uniform_box_registry(n, 1, 1, seed=34)
         outcome = run_approx_bvc(registry, epsilon=0.25, scheduler=RandomScheduler(1))
-        from repro.core.approx_bvc import contraction_factor, round_threshold
+        from repro.core.approx_bvc import round_threshold, witness_contraction_factor
 
         lower, upper = registry.value_bounds()
-        expected = round_threshold(upper - lower, 0.25, contraction_factor(n, 1, "witness_subsets"))
+        expected = round_threshold(upper - lower, 0.25, witness_contraction_factor(n, 1))
         assert outcome.rounds_executed == expected
 
 

@@ -1,11 +1,9 @@
-"""Unit tests for repro.network.channel and repro.network.message."""
+"""Unit tests for repro.network.message."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import SchedulerError
-from repro.network.channel import FifoChannel
 from repro.network.message import Message
 
 
@@ -37,24 +35,3 @@ class TestMessage:
         with pytest.raises(AttributeError):
             message.payload = "other"
 
-
-class TestFifoChannel:
-    def test_drain_returns_all_in_order(self):
-        channel = FifoChannel(0, 1)
-        for index in range(5):
-            channel.send(make_message(payload=index))
-        drained = channel.drain()
-        assert [message.payload for message in drained] == [0, 1, 2, 3, 4]
-        assert channel.drain() == []
-
-    def test_wrong_route_rejected(self):
-        channel = FifoChannel(0, 1)
-        with pytest.raises(SchedulerError):
-            channel.send(make_message(sender=2, recipient=1))
-
-    def test_delivered_count(self):
-        channel = FifoChannel(0, 1)
-        channel.send(make_message())
-        channel.send(make_message())
-        channel.drain()
-        assert channel.delivered_count == 2

@@ -381,8 +381,8 @@ def operation_sequences(draw):
     ids = sorted(draw(st.lists(st.integers(0, 40), min_size=2, max_size=6, unique=True)))
     position = st.integers(0, len(ids) - 1)
     operation = st.one_of(
-        st.tuples(st.sampled_from(("route", "channel_send")), position, position),
-        st.tuples(st.sampled_from(("pop_at", "channel_drain")), position, position),
+        st.tuples(st.just("route"), position, position),
+        st.tuples(st.just("pop_at"), position, position),
         st.tuples(st.just("pop"), st.integers(0, 40)),  # a loaded channel, if any
         st.tuples(st.just("drain_all")),
     )
@@ -422,13 +422,6 @@ class TestBusyIndexMatchesScan:
                 else:
                     model[(sender, recipient)].append(serial)
                     sent += 1
-            elif name == "channel_send":
-                # A network's channel takes a message only through route.
-                sender, recipient = places
-                with pytest.raises(SchedulerError):
-                    network.channel(sender, recipient).send(
-                        Message(sender, recipient, "p", "K", serial)
-                    )
             elif name in ("pop", "pop_at"):
                 sender, recipient = scheduler.key = tuple(places)
                 kind, text = outcome_of(runtime.run)
@@ -447,14 +440,6 @@ class TestBusyIndexMatchesScan:
                     assert kind is TerminationError
                     assert processes[recipient].heard[-1] == model[(sender, recipient)].pop(0)
                     delivered += 1
-            elif name == "channel_drain":
-                sender, recipient = places
-                if sender == recipient:
-                    continue
-                drained = network.channel(sender, recipient).drain()
-                assert [message.payload for message in drained] == model[(sender, recipient)]
-                delivered += len(drained)
-                model[(sender, recipient)].clear()
             else:
                 inboxes = network.drain_all()
                 assert list(inboxes) == ids
@@ -469,12 +454,6 @@ class TestBusyIndexMatchesScan:
             assert network.busy_index().busy is live
             assert (network.messages_sent, network.messages_delivered) == (sent, delivered)
             assert runtime._core.messages_dropped == dropped
-
-    def test_channel_rejects_a_message_for_another_route(self):
-        network = CompleteGraphNetwork([0, 1, 2])
-        with pytest.raises(SchedulerError):
-            network.channel(0, 1).send(Message(0, 2, "p", "K", None))
-        assert network.in_flight_count() == 0
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +537,7 @@ def python_calls_per_approx_delivery() -> float:
         if event == "call":
             calls += 1
 
-    for spec in campaign:
+    for spec in campaign.specs:
         sys.setprofile(profiler)
         try:
             result = run_trial(spec)

@@ -332,9 +332,3 @@ class TestRuntimeTelemetry:
             ("repro_runtime_deliveries_total", ("asynchronous",)): 50,
             ("repro_runtime_messages_total", ("asynchronous", "sent")): 52,
         }
-
-    def test_disabled_registry_publishes_nothing(self, monkeypatch):
-        monkeypatch.setattr(get_registry(), "enabled", False)
-        ids = (0, 1, 2)
-        processes = {pid: GossipSyncProcess(pid, ids) for pid in ids}
-        assert self._moved(SynchronousRuntime(processes).run) == {}

@@ -19,7 +19,7 @@ def make_registry(fault_ids=(3,)):
 class TestSystemConfiguration:
     def test_aliases_match_paper_notation(self):
         configuration = SystemConfiguration(5, 2, 1)
-        assert (configuration.n, configuration.dimension, configuration.fault_bound) == (5, 2, 1)
+        assert (configuration.process_count, configuration.dimension, configuration.fault_bound) == (5, 2, 1)
 
     def test_single_process_rejected(self):
         with pytest.raises(ConfigurationError):

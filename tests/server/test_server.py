@@ -359,7 +359,8 @@ class TestCampaignService:
     def test_metrics_accounts_per_key_and_run_states(self, tmp_path):
         service = CampaignService(tmp_path / "store.db")
         try:
-            service.record_request("alice", campaigns=1)
+            service.record_request("alice")
+            service.record_campaigns("alice")
             service.record_request("alice")
             service.record_rows("alice", 7)
             service.record_request("bob")

@@ -7,6 +7,7 @@ import pytest
 from repro.engine import Campaign, run_campaign
 from repro.exceptions import ConfigurationError
 from repro.store import (
+    ENGINE_VERSION,
     ResultStore,
     TrialFilter,
     aggregate_store,
@@ -39,7 +40,7 @@ class TestQueryStore:
         assert len(hits) == total
         assert [hit.key for hit in hits] == sorted(hit.key for hit in hits)
         assert all(hit.result.ok for hit in hits)
-        assert all(not hit.stale for hit in hits)
+        assert all(hit.engine_version == ENGINE_VERSION for hit in hits)
 
     def test_shape_filters_match_spec_fields(self, populated_store):
         store, _ = populated_store

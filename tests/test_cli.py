@@ -230,6 +230,84 @@ class TestFuzzCommand:
         assert all(row["status"] == "ok" for row in rows)
 
 
+
+class TestFuzzViolations:
+    """The violation path of ``repro fuzz``: report rows, the table and exit status 1."""
+
+    ARGS = ["fuzz", "--count", "4", "--seed", "19", "--protocols", "exact"]
+
+    def test_each_broken_invariant_is_a_violation_row(self, monkeypatch, capsys):
+        import dataclasses
+
+        import repro.engine.fuzz as fuzz_module
+
+        real_run_campaign = fuzz_module.run_campaign
+        injected = {
+            0: {"status": "error", "error": "RuntimeError: injected"},
+            1: {"agreement": False, "max_disagreement": 0.5},
+            2: {"validity": False, "max_hull_distance": 0.25},
+        }
+
+        def run_campaign_breaking_three(campaign, *, on_result, **kwargs):
+            def corrupt(result):
+                change = injected.get(result.spec.trial_index)
+                on_result(result if change is None else dataclasses.replace(result, **change))
+
+            return real_run_campaign(campaign, on_result=corrupt, **kwargs)
+
+        monkeypatch.setattr(fuzz_module, "run_campaign", run_campaign_breaking_three)
+        assert main(self.ARGS + ["--summary-json", "-"]) == 1
+        output = capsys.readouterr().out
+        assert "Invariant violations" in output
+        assert "all scenarios upheld" not in output
+        summary = json.loads(next(line for line in output.splitlines() if line.startswith("{")))
+        assert summary["violations"] == 3
+        table = output[output.index("Invariant violations"):]
+        for reason, detail in (("error", "RuntimeError: injected"),
+                               ("agreement", "max_disagreement=5.000e-01"),
+                               ("validity", "max_hull_distance=2.500e-01")):
+            assert reason in table and detail in table
+
+    def test_violation_row_names_the_scenario(self):
+        from repro.engine.fuzz import _violation_of, sample_specs
+        from repro.engine.spec import TrialResult
+
+        (spec,) = sample_specs(1, seed=19, protocols=["exact"])
+        violation = _violation_of(TrialResult(spec=spec, status="error", error=None))
+        assert violation.to_row() == {
+            "trial": spec.trial_index, "reason": "error", "protocol": "exact",
+            "workload": spec.workload, "adversary": spec.adversary,
+            "scheduler": spec.scheduler, "n": spec.process_count, "d": spec.dimension,
+            "f": spec.fault_bound, "detail": "unknown error",
+        }
+        assert _violation_of(TrialResult(spec=spec, status="ok", agreement=True,
+                                         validity=True)) is None
+
+
+class TestSummaryJson:
+    """``--summary-json -`` prints one JSON line on stdout; a path gets the same line."""
+
+    COMMANDS = {
+        "campaign": ["campaign", "--repeats", "1", "--adversaries", "crash", "--seed", "3"],
+        "fuzz": ["fuzz", "--count", "2", "--seed", "19", "--protocols", "exact"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_stdout_and_file_carry_the_same_summary(self, command, tmp_path, capsys):
+        arguments = self.COMMANDS[command]
+        assert main(arguments + ["--summary-json", "-"]) == 0
+        printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("{")]
+        assert len(printed) == 1
+        target = tmp_path / "summary.json"
+        assert main(arguments + ["--summary-json", str(target)]) == 0
+        assert not any(line.startswith("{") for line in capsys.readouterr().out.splitlines())
+        (written,) = target.read_text(encoding="utf-8").splitlines()
+        first, second = json.loads(printed[0]), json.loads(written)
+        assert first.keys() == second.keys()
+        assert {"run_id", "fallback_reasons", "errors"} <= first.keys()
+        assert first["run_id"] != second["run_id"]
+        assert first["errors"] == second["errors"] == 0
+
 class TestStoreFlags:
     ARGS = ["campaign", "--protocols", "restricted_sync", "--adversaries", "none", "crash",
             "--dimensions", "1", "--repeats", "2", "--seed", "17", "--max-rounds", "2"]
@@ -305,6 +383,29 @@ class TestStoreCommand:
                      "--store", str(store), "--jsonl", str(jsonl)]) == 0
         capsys.readouterr()
         return store, jsonl
+
+    def test_claims_lists_a_live_and_an_expired_claim(self, tmp_path, capsys, monkeypatch):
+        import repro.store.backend as backend
+        from repro.store import open_store
+
+        store = tmp_path / "claims.db"
+        with open_store(store) as opened:
+            assert opened.claim_keys(["a" * 64], "live-owner") == {"a" * 64}
+            now = backend.time.time()
+            monkeypatch.setattr(backend.time, "time", lambda: now - opened.CLAIM_TTL_SECONDS - 60)
+            assert opened.claim_keys(["b" * 64], "crashed-owner") == {"b" * 64}
+            monkeypatch.undo()
+        assert main(["store", "claims", "--store", str(store)]) == 0
+        output = capsys.readouterr().out
+        assert "Outstanding claims (2)" in output
+        states = {cells[1]: cells[3] for cells in map(str.split, output.splitlines())
+                  if len(cells) == 4 and cells[1].endswith("-owner")}
+        assert states == {"live-owner": "live", "crashed-owner": "expired"}
+
+    def test_claims_on_a_store_without_claims(self, tmp_path, capsys):
+        store, _ = self._populate(tmp_path, capsys)
+        assert main(["store", "claims", "--store", str(store)]) == 0
+        assert "no outstanding claims" in capsys.readouterr().out
 
     def test_stats(self, tmp_path, capsys):
         store, _ = self._populate(tmp_path, capsys)

@@ -15,6 +15,12 @@ in the product outside its own definition.  Uses are matched by spelling (a
 bare name or an attribute name), and a package ``__init__``'s re-export is
 not a use.  :data:`NAME_EXEMPT` lists the names kept without a product
 caller, each with its reason.
+
+Matching by spelling cannot tell a method from a local variable or another
+class's attribute of the same name (``ProcessRegistry.honest_inputs`` hid
+behind a local ``honest_inputs``, ``StoreEntry.stale`` behind query hits'
+``.stale``); ``tests/tools/surface_sweep.py`` records which functions the
+product actually enters and catches those.
 """
 
 from __future__ import annotations
@@ -196,8 +202,6 @@ NAME_EXEMPT = {
         "depth oracle the kernel suites certify Gamma points with (ROADMAP item 2)",
     "repro.geometry.kernel:GammaKernel.clear_cache":
         "tests isolate the shared default kernel with it",
-    "repro.obs.trace:TraceRecorder.span":
-        "benchmarks/ledger opens its root span with it",
     "repro.server.service:CampaignService.query_rows":
         "direct-call read API: benchmarks/ledger's serve_mixed times it (HTTP uses read_query)",
     "repro.workloads.generators:basis_counterexample_registry":
