@@ -56,6 +56,22 @@ class TestContractionAndRounds:
         with pytest.raises(ConfigurationError):
             witness_contraction_factor(4, 4)
 
+    @pytest.mark.parametrize("process_count, fault_bound", [(4, 1), (5, 1), (7, 2), (10, 3)])
+    def test_witness_gamma_ignores_f_and_is_never_below_equation_11s(self, process_count, fault_bound):
+        # Appendix F averages over at most n witness subsets instead of all
+        # C(n, n - f) of them, so its weight is 1 / n^2 whatever f is, and
+        # never smaller than Equation (11)'s weight once f >= 1.
+        witness = witness_contraction_factor(process_count, fault_bound)
+        assert witness == pytest.approx(1 / process_count**2)
+        assert witness == witness_contraction_factor(process_count, 0)
+        assert witness >= contraction_factor(process_count, fault_bound)
+
+    @pytest.mark.parametrize("factor", [contraction_factor, witness_contraction_factor])
+    @pytest.mark.parametrize("process_count, fault_bound", [(1, 0), (4, -1), (4, 4)])
+    def test_both_gamma_forms_reject_invalid_counts(self, factor, process_count, fault_bound):
+        with pytest.raises(ConfigurationError):
+            factor(process_count, fault_bound)
+
 
 class TestProcessConstruction:
     def test_resilience_enforced(self):
@@ -72,6 +88,11 @@ class TestProcessConstruction:
         configuration = SystemConfiguration(5, 2, 1)
         process = ApproxBVCProcess(0, configuration, np.zeros(2), 0.25, 0.0, 1.0)
         assert process.total_rounds == round_threshold(1.0, 0.25, process.gamma)
+
+    def test_process_uses_the_witness_gamma(self):
+        configuration = SystemConfiguration(5, 2, 1)
+        process = ApproxBVCProcess(0, configuration, np.zeros(2), 0.25, 0.0, 1.0)
+        assert process.gamma == witness_contraction_factor(5, 1)
 
 
 class TestFaultFreeConvergence:
