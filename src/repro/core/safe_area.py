@@ -25,10 +25,10 @@ This module implements:
   the protocol code (all non-faulty processes must pick the *same* point, so
   determinism is part of the algorithm's correctness argument).
 
-Every protocol query goes through the cached
+Every protocol query goes through the memoising
 :class:`~repro.geometry.kernel.GammaKernel`, which answers ``d <= 2`` without
-an LP and otherwise prunes the subset family and reuses cached sparse
-constraint templates across rounds;
+an LP and otherwise prunes the subset family and assembles the LP straight
+into sparse form;
 :func:`safe_area_point` here remains the literal, unoptimised Section 2.2
 program.  No protocol execution calls it: it is the oracle the kernel's
 equivalence tests compare against and the baseline the cost experiments

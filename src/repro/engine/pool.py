@@ -3,13 +3,13 @@
 The one-shot ``ProcessPoolExecutor`` the engine used to spawn per campaign
 made parallelism a pessimization: every campaign run paid worker
 start-up, every unit re-pickled its ``TrialSpec`` objects, and every worker
-re-derived the :class:`~repro.geometry.kernel.GammaKernel` template cache
-from scratch.  This module replaces that with a process-lifetime pool:
+started the :class:`~repro.geometry.kernel.GammaKernel` answer memo empty.
+This module replaces that with a process-lifetime pool:
 
 * **Persistent workers** — spawned once per ``(workers)`` size via
   :func:`get_pool` and reused across campaign sessions and campaign
-  phases, so the kernel's template cache and answer memo and the columnar
-  engine's safe-area choosers stay warm from one unit to the next.
+  phases, so the kernel's answer memo and the columnar engine's
+  safe-area choosers stay warm from one unit to the next.
 * **Demand-driven dispatch** — the pool pulls sized work units from a lazy
   task iterator the moment a worker goes idle (a logical shared queue:
   fast workers steal the remaining tail instead of waiting on ``pool.map``
@@ -545,7 +545,7 @@ class WorkerPool:
 
 #: Live pools by worker count.  ``execute_plan`` reuses these across calls —
 #: that reuse (not the pipes) is where the speedup
-#: lives: warm kernel template caches, warm Gamma memos, calibrated cost
+#: lives: warm Gamma memos, calibrated cost
 #: model, zero spawn latency.
 _POOLS: dict[int, WorkerPool] = {}
 #: Guards :data:`_POOLS`, so sessions asking for one size at once share one pool.

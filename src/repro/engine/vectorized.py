@@ -21,7 +21,7 @@ This module executes whole same-shape groups of trials as array programs:
   the batch — are answered by one
   :meth:`~repro.geometry.kernel.GammaKernel.points_multi` pass, which dedupes
   bitwise-identical clouds and solves each distinct cloud through the same
-  cached-template program a single :meth:`point` call would use;
+  program a single :meth:`point` call would use;
 * the state transitions themselves are the pure functions of
   :mod:`repro.core.round_ops`, shared with the per-process classes.
 

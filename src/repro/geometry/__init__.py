@@ -10,7 +10,7 @@ handled exactly.
 """
 
 from repro.geometry.points import as_point, as_cloud, centroid
-from repro.geometry.linprog import LinearProgramResult, solve_linear_program, feasibility_program
+from repro.geometry.linprog import LinearProgramResult, solve_linear_program
 from repro.geometry.kernel import (
     GammaKernel,
     default_kernel,
@@ -21,7 +21,6 @@ from repro.geometry.kernel import (
 )
 from repro.geometry.convex_hull import (
     contains_point,
-    convex_combination_weights,
     distance_to_hull,
     hulls_intersection_point,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "iter_index_partitions",
     "LinearProgramResult",
     "solve_linear_program",
-    "feasibility_program",
     "GammaKernel",
     "default_kernel",
     "full_subset_family",
@@ -49,7 +47,6 @@ __all__ = [
     "pruned_subset_family",
     "safe_area_interval_1d",
     "contains_point",
-    "convex_combination_weights",
     "distance_to_hull",
     "hulls_intersection_point",
     "TverbergPartition",

@@ -2,14 +2,16 @@
 
 The constructions in the paper routinely involve convex hulls of *fewer* than
 ``d + 1`` points (segments, triangles and lower-dimensional faces embedded in
-``R^d``), which vertex-enumeration libraries handle poorly.  Membership and
-intersection questions are therefore answered with linear programs over convex
-combination weights, which are exact up to solver tolerance regardless of
-degeneracy.
+``R^d``), which vertex-enumeration libraries handle poorly.  Intersection
+questions are therefore answered with linear programs over convex combination
+weights, which are exact up to solver tolerance regardless of degeneracy, and
+membership is a distance to the hull: in closed form on the line and in the
+plane, a linear program from three dimensions on.
 
 The central objects are:
 
-* :func:`contains_point` — is a point inside ``H(Y)``?
+* :func:`contains_point` — is a point inside ``H(Y)``, up to a tolerance on
+  :func:`distance_to_hull`?
 * :func:`hulls_intersection_point` — a common point of several hulls, if any.
 * :func:`distance_to_hull` — Chebyshev distance from a point to a hull, used by
   the validity checker to report how badly a decision misses the honest hull
@@ -24,80 +26,37 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.exceptions import GeometryError
-from repro.geometry.kernel import _planar_sweep
-from repro.geometry.linprog import feasibility_program, solve_linear_program
+from repro.geometry.kernel import _hull_intersection_system, _planar_sweep
+from repro.geometry.linprog import solve_linear_program
 from repro.geometry.points import as_cloud, as_point
 
 __all__ = [
     "contains_point",
-    "convex_combination_weights",
     "hulls_intersection_point",
     "distance_to_hull",
 ]
-
-_DEFAULT_TOLERANCE = 1e-7
-
-
-def convex_combination_weights(
-    points: np.ndarray | Iterable[Sequence[float]],
-    target: Sequence[float],
-    tolerance: float = _DEFAULT_TOLERANCE,
-) -> np.ndarray | None:
-    """Return weights expressing ``target`` as a convex combination of ``points``.
-
-    Returns ``None`` when ``target`` is not in the convex hull.  The weights
-    sum to one, are non-negative, and ``weights @ points == target`` up to the
-    solver tolerance.
-    """
-    cloud = as_cloud(points)
-    if cloud.shape[0] == 0:
-        return None
-    target = as_point(target, dimension=cloud.shape[1])
-    point_count, dimension = cloud.shape
-
-    # Variables: the convex-combination weights alpha_1..alpha_k.
-    # Equalities: sum(alpha) == 1 and cloud.T @ alpha == target.
-    equality_matrix = np.vstack([np.ones((1, point_count)), cloud.T])
-    equality_rhs = np.concatenate([[1.0], target])
-
-    result = feasibility_program(
-        variable_count=point_count,
-        equality_matrix=equality_matrix,
-        equality_rhs=equality_rhs,
-        bounds=(0, None),
-    )
-    if not result.feasible or result.solution is None:
-        return None
-    weights = np.clip(result.solution, 0.0, None)
-    total = float(weights.sum())
-    if total <= 0:
-        return None
-    weights = weights / total
-    reconstructed = weights @ cloud
-    if np.max(np.abs(reconstructed - target)) > max(tolerance, 1e-6):
-        return None
-    return weights
 
 
 def contains_point(
     points: np.ndarray | Iterable[Sequence[float]],
     target: Sequence[float],
-    tolerance: float = _DEFAULT_TOLERANCE,
+    tolerance: float = 1e-6,
 ) -> bool:
-    """Return True when ``target`` lies in the convex hull of ``points``."""
-    return convex_combination_weights(points, target, tolerance) is not None
+    """Return True when ``target`` lies within ``max(tolerance, 1e-6)`` of the
+    convex hull of ``points`` (Chebyshev distance, :func:`distance_to_hull`)."""
+    return distance_to_hull(points, target) <= max(tolerance, 1e-6)
 
 
 def hulls_intersection_point(
     point_sets: Sequence[np.ndarray | Iterable[Sequence[float]]],
-    tolerance: float = _DEFAULT_TOLERANCE,
 ) -> np.ndarray | None:
     """Return a point common to the convex hulls of every set, or ``None``.
 
     This is a single feasibility LP: one block of convex-combination weights
-    per hull, all constrained to reproduce the same point ``z``.  It is the
-    work-horse behind ``Gamma`` emptiness testing and the impossibility
-    constructions (Theorem 1 / Theorem 4 in the paper).
+    per hull, all constrained to reproduce the same point ``z`` (the system
+    the kernel solves for ``Gamma``, :func:`_hull_intersection_system`).  It
+    is the work-horse behind the impossibility constructions (Theorem 1 /
+    Theorem 4 in the paper) and the Tverberg witness.
     """
     clouds = [as_cloud(point_set) for point_set in point_sets]
     if not clouds:
@@ -109,45 +68,18 @@ def hulls_intersection_point(
         return None
     dimension = dimensions.pop()
 
-    # Variable layout: [z (free, length d)] ++ [alpha block per hull].
-    weight_counts = [cloud.shape[0] for cloud in clouds]
-    total_weights = sum(weight_counts)
-    variable_count = dimension + total_weights
-
-    equality_rows: list[np.ndarray] = []
-    equality_rhs: list[float] = []
-
-    offset = dimension
-    for cloud, count in zip(clouds, weight_counts):
-        # z - cloud.T @ alpha_block == 0   (d rows)
-        for coordinate in range(dimension):
-            row = np.zeros(variable_count)
-            row[coordinate] = 1.0
-            row[offset : offset + count] = -cloud[:, coordinate]
-            equality_rows.append(row)
-            equality_rhs.append(0.0)
-        # sum(alpha_block) == 1
-        row = np.zeros(variable_count)
-        row[offset : offset + count] = 1.0
-        equality_rows.append(row)
-        equality_rhs.append(1.0)
-        offset += count
-
-    bounds: list[tuple[float | None, float | None]] = [(None, None)] * dimension
-    bounds.extend([(0, None)] * total_weights)
-
-    result = feasibility_program(
-        variable_count=variable_count,
-        equality_matrix=np.vstack(equality_rows),
-        equality_rhs=np.asarray(equality_rhs),
-        bounds=bounds,
+    matrix, rhs, bounds = _hull_intersection_system(
+        np.concatenate(clouds), np.asarray([cloud.shape[0] for cloud in clouds])
+    )
+    result = solve_linear_program(
+        np.zeros(matrix.shape[1]), equality_matrix=matrix, equality_rhs=rhs, bounds=bounds
     )
     if not result.feasible or result.solution is None:
         return None
     candidate = result.solution[:dimension]
     # Sanity re-check: the candidate must be in every hull individually.
     for cloud in clouds:
-        if not contains_point(cloud, candidate, tolerance=max(tolerance, 1e-6)):
+        if not contains_point(cloud, candidate):
             return None
     return candidate
 

@@ -4,12 +4,12 @@ Every protocol in this repository bottoms out in the same computation: pick a
 point of the safe area ``Gamma(Y)`` of Equation (1), the intersection of the
 convex hulls of all ``(|Y| - f)``-subsets of a multiset ``Y``.  The literal
 Section 2.2 linear program enumerates all ``C(|Y|, |Y| - f)`` subsets and
-assembles one dense constraint block per subset, which is both exponential in
-``f`` and rebuilt from scratch on every call.  This module is the production
-path around that bottleneck; :func:`repro.core.safe_area.safe_area_point`
-remains the unoptimised oracle it is validated against.
+assembles one dense constraint block per subset, which is exponential in
+``f``.  This module is the production path around that bottleneck;
+:func:`repro.core.safe_area.safe_area_point` remains the unoptimised oracle
+it is validated against.
 
-Four independent optimisations, composed by :class:`GammaKernel`:
+Three independent optimisations, composed by :class:`GammaKernel`:
 
 * **No LP at** ``d <= 2``.  ``Gamma`` is the Tukey-depth-``(f+1)`` region of
   ``Y``.  On the line that is the trimmed interval; in the plane it is the
@@ -43,14 +43,10 @@ Four independent optimisations, composed by :class:`GammaKernel`:
 
   All three prunings preserve ``Gamma`` exactly — they remove constraint
   blocks whose hull provably contains a remaining block's hull.  The LP runs
-  on the pruned family at ``d >= 3``; the relaxed program uses it at every
-  ``d``.
-
-* **Constraint-template caching**.  The sparsity pattern of the Section 2.2
-  LP depends only on the shape ``(block count, block size, dimension)`` — not
-  on the coordinates.  The kernel assembles the CSC index structure once per
-  shape, caches it, and on subsequent calls only scatters the fresh
-  coordinates into the cached template's data vector.
+  on the pruned family at ``d >= 3``, assembled straight into sparse form
+  (:func:`_hull_intersection_system`, which
+  :func:`repro.geometry.convex_hull.hulls_intersection_point` shares); the
+  relaxed program uses the family at every ``d``.
 
 * **Answer memoisation**.  The paper's algorithms have every non-faulty
   process apply the same deterministic rule to the same multiset, so a
@@ -68,7 +64,6 @@ the certificate's tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -146,11 +141,6 @@ _CHUNK_ELEMENTS = 1 << 17
 #: holds many trials' worth (measured ~0.6 KB per entry at protocol sizes);
 #: a full table is flushed whole rather than aged out.
 _MEMO_LIMIT = 8192
-
-#: Bound on distinct LP constraint templates kept alive, evicted least
-#: recently used first: the protocols only ever touch a handful of shapes;
-#: the bound guards sweeps over many configurations.
-_TEMPLATE_LIMIT = 64
 
 #: Lookup sentinel: ``None`` is a memoised answer (an empty ``Gamma``).
 _MISS = object()
@@ -714,52 +704,8 @@ def halfspace_depth(cloud: np.ndarray | Sequence[Sequence[float]], candidate: Se
 
 
 # ---------------------------------------------------------------------------
-# Constraint templates (cached per LP shape)
+# The Section 2.2 equality system
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _ConstraintTemplate:
-    """Pre-assembled CSC structure of the Section 2.2 LP for one shape.
-
-    The LP's variables are ``z`` (``dimension`` free coordinates) followed by
-    one non-negative convex-weight block of ``block_size`` entries per subset.
-    Per subset the equality rows are ``z - Y_T^T alpha = 0`` (``dimension``
-    rows) and ``sum(alpha) = 1`` (one row).  Everything below is coordinate
-    independent; only the ``-Y_T`` entries change between calls, and their
-    positions in COO order are recorded in ``cloud_slots``.
-    """
-
-    block_count: int
-    block_size: int
-    dimension: int
-    shape: tuple[int, int]
-    indices: np.ndarray  # CSC row indices
-    indptr: np.ndarray  # CSC column pointers
-    permutation: np.ndarray  # COO-order -> CSC-order data permutation
-    static_data: np.ndarray  # COO-order data with zeros at cloud slots
-    cloud_slots: np.ndarray  # COO-order positions of the -Y_T entries
-    rhs: np.ndarray
-    col_lower: np.ndarray  # -inf for z, 0 for the convex weights
-    col_upper: np.ndarray  # +inf throughout
-
-    @property
-    def variable_count(self) -> int:
-        return self.shape[1]
-
-    def matrix_for(self, cloud: np.ndarray, families_flat: np.ndarray) -> csc_matrix:
-        """Scatter ``cloud`` into the cached structure and return ``A_eq``.
-
-        ``families_flat`` is the ``(block_count, block_size)`` integer array of
-        member indices; the COO data order per block is ``d`` coordinate rows
-        of ``(1.0, -Y_T[:, c])`` followed by the ``sum(alpha) = 1`` row.
-        """
-        data = self.static_data.copy()
-        # (B, s, d) gather -> (B, d, s) to match the per-coordinate row order.
-        data[self.cloud_slots] = -cloud[families_flat].transpose(0, 2, 1).ravel()
-        return csc_matrix(
-            (data[self.permutation], self.indices, self.indptr), shape=self.shape
-        )
-
 
 def _variable_bounds(dimension: int, weight_count: int) -> tuple[np.ndarray, np.ndarray]:
     """Column bounds of the Section 2.2 LP: free ``z``, non-negative weights."""
@@ -768,72 +714,42 @@ def _variable_bounds(dimension: int, weight_count: int) -> tuple[np.ndarray, np.
     return lower, np.full(dimension + weight_count, np.inf)
 
 
-def _build_template(block_count: int, block_size: int, dimension: int) -> _ConstraintTemplate:
-    """Assemble the COO/CSC index structure for one ``(B, s, d)`` LP shape."""
-    entries_per_block = dimension * (1 + block_size) + block_size
-    total_entries = block_count * entries_per_block
-    rows = np.empty(total_entries, dtype=np.int64)
-    cols = np.empty(total_entries, dtype=np.int64)
-    static = np.zeros(total_entries, dtype=float)
-    cloud_slot_mask = np.zeros(total_entries, dtype=bool)
+def _hull_intersection_system(
+    members: np.ndarray, sizes: np.ndarray
+) -> tuple[csc_matrix, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """``z`` lies in the hull of every block: ``(A_eq, b_eq, bounds)``.
 
-    block_slot = np.arange(block_size)
-    cursor = 0
-    # One COO segment layout per block, vectorised over blocks below.
-    segment_rows = np.empty(entries_per_block, dtype=np.int64)
-    segment_cols = np.empty(entries_per_block, dtype=np.int64)
-    segment_static = np.zeros(entries_per_block, dtype=float)
-    segment_cloud = np.zeros(entries_per_block, dtype=bool)
-    position = 0
-    for coordinate in range(dimension):
-        segment_rows[position] = coordinate
-        segment_cols[position] = coordinate  # z coefficient (column set per block: constant)
-        segment_static[position] = 1.0
-        position += 1
-        segment_rows[position : position + block_size] = coordinate
-        segment_cols[position : position + block_size] = block_slot  # offset added per block
-        segment_cloud[position : position + block_size] = True
-        position += block_size
-    segment_rows[position : position + block_size] = dimension
-    segment_cols[position : position + block_size] = block_slot
-    segment_static[position : position + block_size] = 1.0
-    position += block_size
-
-    alpha_entry = segment_cloud | (segment_rows == dimension)
-    for block in range(block_count):
-        row_base = block * (dimension + 1)
-        col_base = dimension + block * block_size
-        view = slice(cursor, cursor + entries_per_block)
-        rows[view] = segment_rows + row_base
-        cols[view] = np.where(alpha_entry, segment_cols + col_base, segment_cols)
-        static[view] = segment_static
-        cloud_slot_mask[view] = segment_cloud
-        cursor += entries_per_block
-
-    row_count = block_count * (dimension + 1)
-    variable_count = dimension + block_count * block_size
-    shape = (row_count, variable_count)
-
-    # Derive the COO -> CSC permutation once: convert index-valued data.
-    tracker = csc_matrix((np.arange(total_entries, dtype=float), (rows, cols)), shape=shape)
-    permutation = tracker.data.astype(np.int64)
-
-    rhs = np.tile(np.concatenate([np.zeros(dimension), [1.0]]), block_count)
-    col_lower, col_upper = _variable_bounds(dimension, block_count * block_size)
-    return _ConstraintTemplate(
-        block_count=block_count,
-        block_size=block_size,
-        dimension=dimension,
-        shape=shape,
-        indices=tracker.indices.copy(),
-        indptr=tracker.indptr.copy(),
-        permutation=permutation,
-        static_data=static,
-        cloud_slots=np.flatnonzero(cloud_slot_mask),
-        rhs=rhs,
-        col_lower=col_lower,
-        col_upper=col_upper,
+    ``members`` stacks the blocks' members, ``(sum(sizes), d)``; block ``b``
+    is the next ``sizes[b]`` rows.  The variables are ``z`` (``d`` free
+    columns) and then one non-negative weight per member, whose column holds
+    ``(-y, 1)``.  Block ``b`` owns ``d + 1`` rows: ``z - Y_b^T alpha_b = 0``,
+    one per coordinate, then ``sum(alpha_b) = 1``.  The matrix is assembled
+    in canonical CSC form, explicit zeros kept, which HiGHS takes as it is.
+    """
+    weight_count, dimension = members.shape
+    block_count = sizes.shape[0]
+    block_rows = dimension + 1
+    z_entries = dimension * block_count
+    indptr = np.empty(dimension + weight_count + 1, dtype=np.int32)
+    indptr[: dimension + 1] = np.arange(dimension + 1) * block_count
+    indptr[dimension + 1 :] = z_entries + block_rows * np.arange(1, weight_count + 1)
+    first_row = np.arange(block_count, dtype=np.int32) * block_rows
+    indices = np.empty(z_entries + weight_count * block_rows, dtype=np.int32)
+    indices[:z_entries] = (np.arange(dimension, dtype=np.int32)[:, None] + first_row).ravel()
+    indices[z_entries:] = (
+        np.repeat(first_row, sizes)[:, None] + np.arange(block_rows, dtype=np.int32)
+    ).ravel()
+    data = np.empty(z_entries + weight_count * block_rows)
+    data[:z_entries] = 1.0
+    weights = data[z_entries:].reshape(weight_count, block_rows)
+    np.negative(members, out=weights[:, :dimension])
+    weights[:, dimension] = 1.0
+    matrix = csc_matrix(
+        (data, indices, indptr), shape=(block_count * block_rows, dimension + weight_count)
     )
+    rhs = np.zeros((block_count, block_rows))
+    rhs[:, dimension] = 1.0
+    return matrix, rhs.ravel(), _variable_bounds(dimension, weight_count)
 
 
 # ---------------------------------------------------------------------------
@@ -843,8 +759,7 @@ def _build_template(block_count: int, block_size: int, dimension: int) -> _Const
 class GammaKernel:
     """Batched, cached solver for safe-area queries.
 
-    A kernel instance owns a bounded template cache and a bounded answer
-    memo, and counts its events into ``repro_kernel_events_total``; the
+    A kernel instance owns a bounded answer memo, and counts its events into ``repro_kernel_events_total``; the
     module-level :data:`default_kernel` is shared by the protocol code.  All
     methods are deterministic: the same inputs produce the same outputs on
     every process, which the consensus algorithms require for agreement.
@@ -865,9 +780,6 @@ class GammaKernel:
     * the table holds at most :data:`_MEMO_LIMIT` entries, is flushed whole
       when full, and is emptied by :meth:`clear_cache`.
 
-    LP constraint templates are cached per shape, at most
-    :data:`_TEMPLATE_LIMIT` of them.
-
     The memo takes no lock: every step is a single atomic dict operation on
     values nobody mutates, so threads sharing one kernel (the server's
     campaign threads share :data:`default_kernel`) can at worst both solve a
@@ -877,15 +789,9 @@ class GammaKernel:
     """
 
     def __init__(self) -> None:
-        self._templates: dict[tuple[int, int, int], _ConstraintTemplate] = {}
         self._memo: dict[tuple, np.ndarray | None] = {}
 
     # -- cache -------------------------------------------------------------------
-
-    @property
-    def template_cache_size(self) -> int:
-        """Number of LP constraint templates currently cached."""
-        return len(self._templates)
 
     @property
     def memo_size(self) -> int:
@@ -893,7 +799,6 @@ class GammaKernel:
         return len(self._memo)
 
     def clear_cache(self) -> None:
-        self._templates.clear()
         self._memo.clear()
 
     def _memo_store(self, key: tuple, answer: object) -> None:
@@ -902,21 +807,6 @@ class GammaKernel:
             self._memo.clear()
             _EVENTS["memo_evictions"].inc()
         self._memo[key] = answer
-
-    def _template(self, block_count: int, block_size: int, dimension: int) -> _ConstraintTemplate:
-        key = (block_count, block_size, dimension)
-        template = self._templates.get(key)
-        if template is not None:
-            _EVENTS["template_hits"].inc()
-            # Move-to-end so eviction below is least-recently-used.
-            self._templates[key] = self._templates.pop(key)
-            return template
-        _EVENTS["template_misses"].inc()
-        template = _build_template(block_count, block_size, dimension)
-        if len(self._templates) >= _TEMPLATE_LIMIT:
-            self._templates.pop(next(iter(self._templates)))
-        self._templates[key] = template
-        return template
 
     # -- family selection --------------------------------------------------------
 
@@ -1079,11 +969,12 @@ class GammaKernel:
         from repro.geometry.linprog import solve_linear_program
 
         dimension = cloud.shape[1]
-        block_size = len(families[0])
         families_flat = np.asarray(families, dtype=np.int64)
-        template = self._template(len(families), block_size, dimension)
-        matrix = template.matrix_for(cloud, families_flat)
-        objective = np.zeros(template.variable_count)
+        block_count, block_size = families_flat.shape
+        matrix, rhs, bounds = _hull_intersection_system(
+            cloud[families_flat].reshape(-1, dimension), np.full(block_count, block_size)
+        )
+        objective = np.zeros(matrix.shape[1])
         objective[:dimension] = objective_head
 
         _EVENTS["lp_solves"].inc()
@@ -1092,8 +983,8 @@ class GammaKernel:
             result = solve_linear_program(
                 objective,
                 equality_matrix=matrix,
-                equality_rhs=template.rhs,
-                bounds=(template.col_lower, template.col_upper),
+                equality_rhs=rhs,
+                bounds=bounds,
             )
         except LinearProgramError as error:
             # Clusters of near-coincident points (honest states late in a
@@ -1278,7 +1169,7 @@ default_kernel = GammaKernel()
 
 
 def _register_kernel_metrics() -> dict[str, Any]:
-    """Bind one event counter child per kind; publish the shared kernel's cache sizes.
+    """Bind one event counter child per kind; publish the shared kernel's memo size.
 
     Every kernel counts at the event into the process registry, in the
     parent and in every pool worker alike (worker registries ship their
@@ -1291,24 +1182,15 @@ def _register_kernel_metrics() -> dict[str, Any]:
         "Gamma kernel events (queries, solves, cache hits) by kind.",
         labelnames=("kind",),
     )
-    templates = registry.gauge(
-        "repro_kernel_template_cache_size",
-        "LP constraint templates currently cached by the shared kernel.",
-    )
     memo = registry.gauge(
         "repro_kernel_memo_size",
         "Answers currently held by the shared kernel's query memo.",
     )
-    registry.register_collector(
-        lambda: (
-            templates.set(default_kernel.template_cache_size),
-            memo.set(default_kernel.memo_size),
-        )
-    )
+    registry.register_collector(lambda: memo.set(default_kernel.memo_size))
     return {kind: events.labels(kind=kind) for kind in (
         "single_queries", "batch_queries", "batch_calls",
         "multi_queries", "multi_calls", "multi_dedup_hits", "lp_solves",
-        "relaxed_solves", "template_hits", "template_misses",
+        "relaxed_solves",
         "blocks_assembled", "blocks_pruned_away",
         "memo_hits", "memo_evictions", "closed_form_answers", "closed_form_batches",
     )}

@@ -45,7 +45,6 @@ __all__ = [
     "LP_BACKEND",
     "LinearProgramResult",
     "solve_linear_program",
-    "feasibility_program",
 ]
 
 #: The accepted ``bounds`` forms (see :func:`_column_bounds`).
@@ -431,7 +430,7 @@ def _constraint_rows(
     follow with both sides equal — the layout ``linprog`` hands to HiGHS.
     """
     if a_ub is None and issparse(a_eq) and a_eq.format == "csc" and a_eq.has_canonical_format:
-        # The kernel's cached templates arrive in exactly the form HiGHS takes.
+        # The kernel's Section 2.2 systems arrive in exactly the form HiGHS takes.
         return a_eq, b_eq, b_eq
     blocks = [block for block in (a_ub, a_eq) if block is not None]
     if not blocks:
@@ -540,24 +539,4 @@ def solve_linear_program(
     raise LinearProgramError(
         f"linear program terminated abnormally (status {status}): {message}",
         status=status,
-    )
-
-
-def feasibility_program(
-    *,
-    variable_count: int,
-    inequality_matrix: np.ndarray | Sequence[Sequence[float]] | None = None,
-    inequality_rhs: np.ndarray | Sequence[float] | None = None,
-    equality_matrix: np.ndarray | Sequence[Sequence[float]] | None = None,
-    equality_rhs: np.ndarray | Sequence[float] | None = None,
-    bounds: Bounds = (0, None),
-) -> LinearProgramResult:
-    """Solve a pure feasibility problem (zero objective) over the constraints."""
-    return solve_linear_program(
-        np.zeros(variable_count),
-        inequality_matrix=inequality_matrix,
-        inequality_rhs=inequality_rhs,
-        equality_matrix=equality_matrix,
-        equality_rhs=equality_rhs,
-        bounds=bounds,
     )

@@ -8,8 +8,9 @@ what the resources need — ``GET``/``POST``, JSON bodies, query strings,
 **keep-alive** connection semantics: each connection serves a loop of
 requests until the client sends ``Connection: close`` (or speaks HTTP/1.0
 without ``keep-alive``), the idle timeout expires between requests, the
-per-connection request cap is reached, or an error leaves the stream in an
-unknown framing state.  Chunked responses are self-delimiting, so even
+per-connection request cap is reached, the server shuts down (a connection
+idle between requests is closed at once), or an error leaves the stream in
+an unknown framing state.  Chunked responses are self-delimiting, so even
 NDJSON streams hand the socket back for the next request when they finish
 cleanly.
 
@@ -421,13 +422,30 @@ class RequestHandler:
     ) -> None:
         self.service = service
         self.idle_timeout = idle_timeout
+        #: Connections waiting for their next request, by handler task.
+        self._idle: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        self._closing = False
+
+    async def close_idle(self) -> None:
+        """Shutdown: close every connection waiting for a request, and wait
+        for its handler to return.
+
+        Left to the event loop, an idle handler would be cancelled, and
+        asyncio's stream callback logs a cancelled handler as an error.
+        """
+        self._closing = True
+        for writer in self._idle.values():
+            writer.close()
+        await asyncio.gather(*self._idle, return_exceptions=True)
 
     async def handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
         try:
             served = 0
-            while served < MAX_REQUESTS_PER_CONNECTION:
+            while served < MAX_REQUESTS_PER_CONNECTION and not self._closing:
+                self._idle[task] = writer
                 try:
                     request = await _read_request(reader, self.idle_timeout)
                 except HttpError as error:
@@ -438,8 +456,10 @@ class RequestHandler:
                             writer, error.status, {"error": str(error)}, close=True
                         )
                     return
-                if request is None:
-                    return  # EOF or idle timeout — close quietly
+                finally:
+                    del self._idle[task]
+                if request is None or self._closing:
+                    return  # EOF, idle timeout or shutdown — close quietly
                 served += 1
                 if served > 1:
                     _HTTP_KEEPALIVE_REUSE.inc()
@@ -765,10 +785,17 @@ async def serve(
     if ready is not None:
         ready(bound[0], bound[1])
     try:
-        async with server:
-            await server.serve_forever()
+        # Not ``serve_forever()``: from Python 3.12 it waits for every
+        # connection to close before it lets the cancellation through, so an
+        # idle keep-alive connection would hold shutdown for its idle timeout.
+        await asyncio.get_running_loop().create_future()
     finally:
-        service.shutdown()
+        try:
+            server.close()
+            await handler.close_idle()
+            await server.wait_closed()
+        finally:
+            service.shutdown()
 
 
 def run_server(

@@ -9,7 +9,6 @@ from repro.exceptions import GeometryError
 from repro.geometry.convex_hull import (
     _hull_distance_program,
     contains_point,
-    convex_combination_weights,
     distance_to_hull,
     hulls_intersection_point,
 )
@@ -42,14 +41,33 @@ class TestContainment:
         assert not contains_point([[2.0, 2.0]], [2.0, 2.1])
 
     def test_weights_reconstruct_target(self):
-        weights = convex_combination_weights(TRIANGLE, [0.5, 0.5])
-        assert weights is not None
-        assert weights.sum() == pytest.approx(1.0)
-        reconstructed = weights @ np.asarray(TRIANGLE)
-        assert np.allclose(reconstructed, [0.5, 0.5], atol=1e-6)
+        # The weight-feasibility program: sum(alpha) = 1, Y^T alpha = target.
+        cloud = np.asarray(TRIANGLE)
+        result = solve_linear_program(
+            np.zeros(3),
+            equality_matrix=np.vstack([np.ones((1, 3)), cloud.T]),
+            equality_rhs=[1.0, 0.5, 0.5],
+        )
+        assert result.feasible
+        assert result.solution.sum() == pytest.approx(1.0)
+        assert np.allclose(result.solution @ cloud, [0.5, 0.5], atol=1e-6)
 
     def test_weights_none_outside(self):
-        assert convex_combination_weights(TRIANGLE, [5.0, 5.0]) is None
+        assert not contains_point(TRIANGLE, [5.0, 5.0])
+        assert not contains_point(TRIANGLE, [1.0 + 1e-5, 1.0])
+
+    def test_tolerance_is_a_distance_floored_at_1e_6(self):
+        assert contains_point(UNIT_SQUARE, [1.0 + 5e-7, 0.5], tolerance=0.0)
+        assert not contains_point(UNIT_SQUARE, [1.0 + 2e-6, 0.5])
+        assert contains_point(UNIT_SQUARE, [1.0 + 2e-6, 0.5], tolerance=1e-5)
+
+    def test_midpoint_of_a_near_degenerate_segment(self):
+        # The weight-feasibility program called this midpoint outside: HiGHS
+        # reported it infeasible even without presolve, at distance 0.0.
+        segment = np.asarray([[1e-06, 2.0], [1.0463535684904082e-13, 0.0]])
+        assert contains_point(segment, segment.mean(axis=0), tolerance=1e-6)
+        lifted = np.column_stack([segment, np.zeros(2)])
+        assert contains_point(lifted, lifted.mean(axis=0), tolerance=1e-6)
 
 
 class TestIntersection:

@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 from scipy.sparse import csc_matrix
 
-import repro.geometry.kernel as kernel_module
 import repro.geometry.linprog as linprog_module
 from repro.core.safe_area import (
     SafeAreaCalculator,
@@ -366,40 +365,27 @@ class TestRelaxedProgram:
                 assert getattr(built, part).tobytes() == getattr(expected, part).tobytes(), part
 
 
-class TestTemplateCacheAndStats:
-    def test_templates_are_reused_across_rounds(self, kernel_events):
+class TestCacheAndStats:
+    def test_each_lp_counts_its_blocks(self, kernel_events):
         rng = np.random.default_rng(11)
         kernel, events = GammaKernel(), kernel_events()
-        # Unpruned queries share the exact (C(7,5), 5, 2) LP shape, so after
-        # the first assembly every later round hits the cached template.
+        families = full_subset_family(7, 2)
         for _ in range(5):
-            kernel_lp(kernel, rng.uniform(size=(7, 2)), full_subset_family(7, 2))
-        assert events.template_misses == 1
-        assert events.template_hits == 4
+            kernel_lp(kernel, rng.uniform(size=(7, 2)), families)
         assert events.lp_solves == 5
-        assert events.dense_solves == 0
-        # Pruned queries may land on per-cloud shapes, but always record the
-        # number of constraint blocks they avoided assembling.
+        assert events.blocks_assembled == 5 * len(families)
+        # Pruned queries record the number of constraint blocks they avoided
+        # assembling.
         kernel.point(np.repeat(rng.uniform(size=(4, 3)), 2, axis=0), 2)
         assert events.blocks_pruned_away > 0
-
-    def test_cache_eviction_is_bounded(self, monkeypatch, kernel_events):
-        monkeypatch.setattr(kernel_module, "_TEMPLATE_LIMIT", 2)
-        rng = np.random.default_rng(12)
-        kernel = GammaKernel()
-        events = kernel_events()
-        for point_count in (5, 6, 7, 8):
-            kernel.point(rng.uniform(size=(point_count, 3)), 1)
-        assert events.template_misses > 2
-        assert kernel.template_cache_size == 2
 
     def test_clear_cache(self):
         rng = np.random.default_rng(13)
         kernel = GammaKernel()
         kernel.point(rng.uniform(size=(5, 3)), 1)
-        assert kernel.template_cache_size == 1 and kernel.memo_size == 1
+        assert kernel.memo_size == 1
         kernel.clear_cache()
-        assert kernel.template_cache_size == 0 and kernel.memo_size == 0
+        assert kernel.memo_size == 0
 
     def test_a_query_counts_into_the_registry_without_a_collect(self, kernel_events):
         events = kernel_events()

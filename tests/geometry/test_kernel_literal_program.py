@@ -1,9 +1,11 @@
 """The kernel against the literal Section 2.2 program: the oracle harness.
 
 :class:`~repro.geometry.kernel.GammaKernel` answers ``d <= 2`` queries
-without an LP and ``d = 3`` queries with a template-assembled LP.  The
-literal dense program :func:`~repro.core.safe_area.safe_area_point`, handed
-the same pruned subset family, is the oracle for both:
+without an LP and ``d = 3`` queries with an LP assembled straight into
+sparse form, the system :func:`~repro.geometry.convex_hull.hulls_intersection_point`
+shares.  The literal dense program
+:func:`~repro.core.safe_area.safe_area_point`, handed the same pruned subset
+family, is the oracle for all three:
 
 * at ``d = 3`` it describes the identical equality system row for row, so
   HiGHS must resolve both to the same vertex — bit for bit, across the
@@ -27,7 +29,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.safe_area import safe_area_point
-from repro.geometry.kernel import GammaKernel, halfspace_depth, pruned_subset_family
+from repro.geometry.convex_hull import distance_to_hull, hulls_intersection_point
+from repro.geometry.kernel import (
+    GammaKernel,
+    full_subset_family,
+    halfspace_depth,
+    pruned_subset_family,
+)
 
 CLOUD_KINDS = ("uniform", "exact_zeros", "tiny", "integer_grid")
 
@@ -144,9 +152,8 @@ class TestKernelMatchesLiteralProgram:
                 kernel.point(cloud, fault_bound, objective=objective),
                 _literal(cloud, fault_bound, objective),
             )
-        # Every solve went through a template: there is no other route.
-        assert events.dense_solves == 0 and events.closed_form_answers == 0
-        assert events.template_hits + events.template_misses == events.lp_solves
+        # One LP per distinct query (the two objectives), and no other route.
+        assert events.lp_solves == 2 and events.closed_form_answers == 0
 
     @pytest.mark.parametrize("kind", CLOUD_KINDS)
     @pytest.mark.parametrize("point_count", range(4, 14))
@@ -197,6 +204,40 @@ class TestKernelMatchesLiteralProgram:
             assert halfspace_depth(cloud, point) >= 2
         zero = GammaKernel().point(cloud, 1, objective=[0.0, 0.0])
         assert np.array_equal(GammaKernel().point(cloud, 1), zero)
+
+    @pytest.mark.parametrize("kind", CLOUD_KINDS)
+    @pytest.mark.parametrize("fault_bound", (1, 2))
+    def test_equal_hulls_intersect_bitwise_as_the_literal_program(self, fault_bound, kind):
+        # The blocks of Equation (1), stacked: the oracle's subset family is
+        # each block's run of rows, and its f leaves one block's size.
+        for point_count in range(4 * fault_bound + 1, 4 * fault_bound + 4):
+            cloud = _cloud(point_count, 3, 500 + point_count * 10 + fault_bound, kind)
+            families = full_subset_family(point_count, fault_bound)
+            blocks = [cloud[list(family)] for family in families]
+            block_size = point_count - fault_bound
+            stacked = np.concatenate(blocks)
+            runs = [range(start, start + block_size) for start in range(0, len(stacked), block_size)]
+            literal = safe_area_point(
+                stacked, len(stacked) - block_size, subset_indices=runs
+            )
+            assert literal is not None  # Lemma 1: Gamma is non-empty at this size
+            _assert_bitwise(hulls_intersection_point(blocks), literal)
+
+    @pytest.mark.parametrize("kind", CLOUD_KINDS)
+    @pytest.mark.parametrize("dimension", (1, 2, 3, 4))
+    def test_ragged_hulls_meet_in_a_point_of_every_hull(self, dimension, kind):
+        rng = np.random.default_rng(600 + dimension)
+        for case in range(6):
+            # Every block holds one shared member, so the hulls do meet.
+            shared = _cloud(1, dimension, 700 + 10 * dimension + case, kind)
+            blocks = [
+                np.vstack([_cloud(int(size), dimension, 800 + 10 * case + block, kind), shared])
+                for block, size in enumerate(rng.integers(1, 7, size=int(rng.integers(2, 5))))
+            ]
+            point = hulls_intersection_point(blocks)
+            assert point is not None
+            for block in blocks:
+                assert distance_to_hull(block, point) <= 1e-6
 
     def test_one_dimension_takes_an_interval_end(self, kernel_events):
         cloud = np.asarray([[3.0], [-1.0], [7.0], [0.5], [2.0]])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import LinearProgramError
-from repro.geometry.linprog import feasibility_program, solve_linear_program
+from repro.geometry.linprog import solve_linear_program
 
 
 class TestSolveLinearProgram:
@@ -70,16 +70,16 @@ class TestSolveLinearProgram:
 
 class TestFeasibilityProgram:
     def test_feasible(self):
-        result = feasibility_program(
-            variable_count=2,
+        result = solve_linear_program(
+            np.zeros(2),
             equality_matrix=[[1.0, 1.0]],
             equality_rhs=[1.0],
         )
         assert result.feasible
 
     def test_infeasible(self):
-        result = feasibility_program(
-            variable_count=1,
+        result = solve_linear_program(
+            np.zeros(1),
             equality_matrix=[[1.0]],
             equality_rhs=[-2.0],
             bounds=(0, None),
@@ -91,8 +91,8 @@ class TestFeasibilityProgram:
         # presolve; the wrapper must still answer feasible.
         column = np.asarray([1.0, -2.0])
         matrix = np.column_stack([column, column, column])
-        result = feasibility_program(
-            variable_count=3,
+        result = solve_linear_program(
+            np.zeros(3),
             equality_matrix=np.vstack([matrix, np.ones((1, 3))]),
             equality_rhs=np.asarray([1.0, -2.0, 1.0]),
         )
@@ -107,8 +107,8 @@ class TestFeasibilityProgram:
         # it.
         cloud = np.asarray([[0.0, 0.001953125], [0.0, 0.001953125], [1.0, 1e-09]])
         target = cloud.mean(axis=0)
-        result = feasibility_program(
-            variable_count=3,
+        result = solve_linear_program(
+            np.zeros(3),
             equality_matrix=np.vstack([cloud.T, np.ones((1, 3))]),
             equality_rhs=np.concatenate([target, [1.0]]),
             bounds=(0, None),

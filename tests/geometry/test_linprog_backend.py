@@ -30,7 +30,7 @@ from scipy.sparse import csc_array
 import repro.geometry.convex_hull as convex_hull_module
 import repro.geometry.linprog as linprog_module
 from repro.exceptions import LinearProgramError
-from repro.geometry.convex_hull import _hull_distance_program, contains_point
+from repro.geometry.convex_hull import _hull_distance_program, hulls_intersection_point
 from repro.geometry.kernel import GammaKernel, pruned_subset_family
 from repro.geometry.linprog import solve_linear_program
 from repro.obs.registry import get_registry
@@ -271,27 +271,42 @@ HALFSPACE_PROGRAMS = (
 
 #: Programs in :func:`hull_and_halfspace_programs`: three per random cloud
 #: (one distance, two memberships) over six clouds, the skewed membership,
-#: and the three halfspace programs.  The planar distances are the LP that
-#: ``distance_to_hull`` solves from three dimensions on.
-HULL_AND_HALFSPACE_PROGRAM_COUNT = 22
+#: two hull intersections and the three halfspace programs.  The planar
+#: distances are the LP that ``distance_to_hull`` solves from three
+#: dimensions on.
+HULL_AND_HALFSPACE_PROGRAM_COUNT = 24
+
+
+def membership_program(cloud: np.ndarray, target: np.ndarray) -> dict[str, Any]:
+    """Hull membership as weight feasibility: ``sum(alpha) = 1``, ``Y^T alpha = target``."""
+    return {
+        "objective": np.zeros(cloud.shape[0]),
+        "equality_matrix": np.vstack([np.ones((1, cloud.shape[0])), cloud.T]),
+        "equality_rhs": np.concatenate([[1.0], target]),
+        "bounds": (0, None),
+    }
 
 
 def hull_and_halfspace_programs() -> list[dict[str, Any]]:
-    """Mixed inequality + equality programs, dense, with scalar and listed bounds."""
+    """Mixed inequality + equality programs, dense and sparse, with scalar and listed bounds."""
     rng = np.random.default_rng(7)
+    memberships = []
     with captured_programs() as programs:
         for _ in range(6):
             cloud = rng.normal(size=(6, 2))
             convex_hull_module.solve_linear_program(
                 **_hull_distance_program(cloud, rng.normal(size=2) * 2.0)
             )
-            contains_point(cloud, cloud.mean(axis=0))
-            contains_point(cloud, np.asarray([9.0, 9.0]))
-        # Duplicated points with coordinates spanning orders of magnitude:
-        # presolve's false "infeasible", overruled by the confirmation rung.
-        skewed = np.asarray([[0.0, 0.001953125], [0.0, 0.001953125], [1.0, 1e-09]])
-        contains_point(skewed, skewed.mean(axis=0))
-    return programs + [dict(program) for program in HALFSPACE_PROGRAMS]
+            memberships.append(membership_program(cloud, cloud.mean(axis=0)))
+            memberships.append(membership_program(cloud, np.asarray([9.0, 9.0])))
+        # Ragged hulls that meet, and two that do not.
+        hulls_intersection_point([cloud[:3], cloud[2:]])
+        hulls_intersection_point([cloud, cloud + 20.0])
+    # Duplicated points with coordinates spanning orders of magnitude:
+    # presolve's false "infeasible", overruled by the confirmation rung.
+    skewed = np.asarray([[0.0, 0.001953125], [0.0, 0.001953125], [1.0, 1e-09]])
+    memberships.append(membership_program(skewed, skewed.mean(axis=0)))
+    return programs + memberships + [dict(program) for program in HALFSPACE_PROGRAMS]
 
 
 def bounds_form_programs() -> list[dict[str, Any]]:
@@ -519,7 +534,8 @@ SEAM_OPTIONS = ({}, {"presolve": False}, {"solver": "ipm"}, {"tolerances": 1e-6}
 def reuse_corpus() -> list[tuple[int, tuple[Any, ...], dict[str, Any], tuple[Any, ...]]]:
     """``(program id, program, options, fresh-instance answer)`` in a seeded shuffled order.
 
-    Γ templates (strict and relaxed), hull distances and memberships,
+    Γ programs (strict and relaxed), hull distances, memberships and
+    intersections,
     halfspace programs, infeasible and unbounded programs — each under every
     option set, so a default solve often follows a retry rung's.
     """

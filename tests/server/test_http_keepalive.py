@@ -28,8 +28,13 @@ import asyncio
 import contextlib
 import http.client
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 from repro.engine import Campaign, CampaignSession
 from repro.server import CampaignService, serve
@@ -282,6 +287,37 @@ class TestKeepAlive:
                 assert status == 304 and body == b""
             finally:
                 conn.close()
+
+
+class TestShutdown:
+    def test_sigint_with_an_idle_keep_alive_connection_is_quiet(self, tmp_path):
+        repository = Path(__file__).resolve().parents[2]
+        server = subprocess.Popen(
+            # An idle timeout past the wait below: shutdown must close the
+            # idle connection, not wait for it to time out.
+            [sys.executable, "-m", "repro.cli", "serve", "--store", str(tmp_path / "store.db"),
+             "--port", "0", "--idle-timeout", "300"],
+            env={**os.environ, "PYTHONPATH": str(repository / "src")},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            # A parent started in the background may ignore SIGINT; the
+            # server must see it.
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
+        try:
+            port = int(server.stdout.readline().rsplit(":", 1)[1])
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nhost: x\r\n\r\n")
+                assert sock.recv(65536).startswith(b"HTTP/1.1 200")
+                # The connection now sits idle, waiting for its next request.
+                server.send_signal(signal.SIGINT)
+                _, stderr = server.communicate(timeout=60)
+                assert sock.recv(1) == b""
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        assert server.returncode == 0
+        assert "Traceback" not in stderr and "Exception in callback" not in stderr, stderr
 
 
 class TestRequestFraming:
