@@ -10,7 +10,7 @@ plane, a linear program from three dimensions on.
 
 The central objects are:
 
-* :func:`contains_point` — is a point inside ``H(Y)``, up to a tolerance on
+* :func:`contains_point` — is a point within ``1e-6`` of ``H(Y)``, by
   :func:`distance_to_hull`?
 * :func:`hulls_intersection_point` — a common point of several hulls, if any.
 * :func:`distance_to_hull` — Chebyshev distance from a point to a hull, used by
@@ -36,15 +36,17 @@ __all__ = [
     "distance_to_hull",
 ]
 
+#: :func:`contains_point` counts a target this close to the hull as inside.
+_MEMBERSHIP_TOLERANCE = 1e-6
+
 
 def contains_point(
     points: np.ndarray | Iterable[Sequence[float]],
     target: Sequence[float],
-    tolerance: float = 1e-6,
 ) -> bool:
-    """Return True when ``target`` lies within ``max(tolerance, 1e-6)`` of the
-    convex hull of ``points`` (Chebyshev distance, :func:`distance_to_hull`)."""
-    return distance_to_hull(points, target) <= max(tolerance, 1e-6)
+    """Return True when ``target`` lies within ``1e-6`` of the convex hull of
+    ``points`` (Chebyshev distance, :func:`distance_to_hull`)."""
+    return distance_to_hull(points, target) <= _MEMBERSHIP_TOLERANCE
 
 
 def hulls_intersection_point(

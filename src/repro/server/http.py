@@ -9,10 +9,10 @@ what the resources need — ``GET``/``POST``, JSON bodies, query strings,
 requests until the client sends ``Connection: close`` (or speaks HTTP/1.0
 without ``keep-alive``), the idle timeout expires between requests, the
 per-connection request cap is reached, the server shuts down (a connection
-idle between requests is closed at once), or an error leaves the stream in
-an unknown framing state.  Chunked responses are self-delimiting, so even
-NDJSON streams hand the socket back for the next request when they finish
-cleanly.
+idle between requests is closed at once, a ``/rows`` stream ends with its
+cancelled run), or an error leaves the stream in an unknown framing state.
+Chunked responses are self-delimiting, so even NDJSON streams hand the
+socket back for the next request when they finish cleanly.
 
 Resources::
 
@@ -75,6 +75,11 @@ MAX_REQUESTS_PER_CONNECTION = 1000
 #: so this only bounds the stall after a lost wakeup — it is a safety net,
 #: not a poll interval.
 STREAM_WAIT_FALLBACK_SECONDS = 5.0
+
+#: Seconds shutdown waits for connections mid-response (a ``/rows`` stream
+#: ends once its cancelled run stops) before it drops the ones still open,
+#: such as a client that stopped reading.
+SHUTDOWN_GRACE_SECONDS = 10.0
 
 _MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Integer query parameters reach SQLite, whose INTEGER is a signed 64-bit.
@@ -422,30 +427,40 @@ class RequestHandler:
     ) -> None:
         self.service = service
         self.idle_timeout = idle_timeout
-        #: Connections waiting for their next request, by handler task.
-        self._idle: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        #: Every open connection's writer, by handler task, and the handler
+        #: tasks waiting for their connection's next request.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        self._idle: set[asyncio.Task] = set()
         self._closing = False
 
-    async def close_idle(self) -> None:
+    async def close(self) -> None:
         """Shutdown: close every connection waiting for a request, and wait
-        for its handler to return.
+        for every handler to return.
 
-        Left to the event loop, an idle handler would be cancelled, and
-        asyncio's stream callback logs a cancelled handler as an error.
+        A handler mid-response finishes it and then closes; one still open
+        after :data:`SHUTDOWN_GRACE_SECONDS` has its connection dropped.
+        Left to the event loop, a handler would be cancelled, and asyncio's
+        stream callback logs a cancelled handler as an error.
         """
         self._closing = True
-        for writer in self._idle.values():
-            writer.close()
-        await asyncio.gather(*self._idle, return_exceptions=True)
+        for task in self._idle:
+            self._connections[task].close()
+        if not self._connections:
+            return
+        _, stuck = await asyncio.wait(list(self._connections), timeout=SHUTDOWN_GRACE_SECONDS)
+        for task in stuck:
+            self._connections[task].transport.abort()
+        await asyncio.gather(*stuck, return_exceptions=True)
 
     async def handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             served = 0
             while served < MAX_REQUESTS_PER_CONNECTION and not self._closing:
-                self._idle[task] = writer
+                self._idle.add(task)
                 try:
                     request = await _read_request(reader, self.idle_timeout)
                 except HttpError as error:
@@ -457,7 +472,7 @@ class RequestHandler:
                         )
                     return
                 finally:
-                    del self._idle[task]
+                    self._idle.discard(task)
                 if request is None or self._closing:
                     return  # EOF, idle timeout or shutdown — close quietly
                 served += 1
@@ -497,6 +512,8 @@ class RequestHandler:
                 await writer.wait_closed()
             except (ConnectionError, RuntimeError):
                 pass
+            finally:
+                del self._connections[task]
 
     async def dispatch(
         self, request: Request, writer: asyncio.StreamWriter, state: _ConnectionState
@@ -792,7 +809,8 @@ async def serve(
     finally:
         try:
             server.close()
-            await handler.close_idle()
+            service.cancel_runs()  # ends every /rows stream with its run
+            await handler.close()
             await server.wait_closed()
         finally:
             service.shutdown()

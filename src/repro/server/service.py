@@ -412,12 +412,16 @@ class CampaignService:
             handles = list(self._runs.values())
         return [handle.status_dict() for handle in handles]
 
-    def shutdown(self) -> None:
-        """Cancel in-flight sessions and retire the thread pool."""
+    def cancel_runs(self) -> None:
+        """Cancel every in-flight session."""
         with self._lock:
             handles = list(self._runs.values())
         for handle in handles:
             handle.session.cancel()
+
+    def shutdown(self) -> None:
+        """Cancel in-flight sessions and retire the thread pool."""
+        self.cancel_runs()
         self._executor.shutdown(wait=True)
         shutdown_pools()
         # Pooled read handles were opened with check_same_thread=False

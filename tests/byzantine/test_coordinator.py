@@ -91,7 +91,7 @@ class TestHullCollapse:
         coordinator = AdversaryCoordinator("hull_collapse", registry)
         payload = coordinator.mutator_for(5).mutate(make_message(sender=5))[0].payload
         point = np.asarray(payload["value"])
-        assert contains_point(registry.honest_input_multiset(), point, tolerance=1e-6)
+        assert contains_point(registry.honest_input_multiset(), point)
 
     def test_explicit_target_used_everywhere(self):
         registry = make_registry()

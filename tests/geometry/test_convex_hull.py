@@ -40,34 +40,21 @@ class TestContainment:
         assert contains_point([[2.0, 2.0]], [2.0, 2.0])
         assert not contains_point([[2.0, 2.0]], [2.0, 2.1])
 
-    def test_weights_reconstruct_target(self):
-        # The weight-feasibility program: sum(alpha) = 1, Y^T alpha = target.
-        cloud = np.asarray(TRIANGLE)
-        result = solve_linear_program(
-            np.zeros(3),
-            equality_matrix=np.vstack([np.ones((1, 3)), cloud.T]),
-            equality_rhs=[1.0, 0.5, 0.5],
-        )
-        assert result.feasible
-        assert result.solution.sum() == pytest.approx(1.0)
-        assert np.allclose(result.solution @ cloud, [0.5, 0.5], atol=1e-6)
-
-    def test_weights_none_outside(self):
+    def test_near_and_far_misses_are_outside(self):
         assert not contains_point(TRIANGLE, [5.0, 5.0])
         assert not contains_point(TRIANGLE, [1.0 + 1e-5, 1.0])
 
-    def test_tolerance_is_a_distance_floored_at_1e_6(self):
-        assert contains_point(UNIT_SQUARE, [1.0 + 5e-7, 0.5], tolerance=0.0)
+    def test_membership_tolerance_is_1e_6(self):
+        assert contains_point(UNIT_SQUARE, [1.0 + 5e-7, 0.5])
         assert not contains_point(UNIT_SQUARE, [1.0 + 2e-6, 0.5])
-        assert contains_point(UNIT_SQUARE, [1.0 + 2e-6, 0.5], tolerance=1e-5)
 
     def test_midpoint_of_a_near_degenerate_segment(self):
         # The weight-feasibility program called this midpoint outside: HiGHS
         # reported it infeasible even without presolve, at distance 0.0.
         segment = np.asarray([[1e-06, 2.0], [1.0463535684904082e-13, 0.0]])
-        assert contains_point(segment, segment.mean(axis=0), tolerance=1e-6)
+        assert contains_point(segment, segment.mean(axis=0))
         lifted = np.column_stack([segment, np.zeros(2)])
-        assert contains_point(lifted, lifted.mean(axis=0), tolerance=1e-6)
+        assert contains_point(lifted, lifted.mean(axis=0))
 
 
 class TestIntersection:
@@ -75,8 +62,8 @@ class TestIntersection:
         shifted = [[0.5, 0.5], [1.5, 0.5], [0.5, 1.5], [1.5, 1.5]]
         point = hulls_intersection_point([UNIT_SQUARE, shifted])
         assert point is not None
-        assert contains_point(UNIT_SQUARE, point, tolerance=1e-6)
-        assert contains_point(shifted, point, tolerance=1e-6)
+        assert contains_point(UNIT_SQUARE, point)
+        assert contains_point(shifted, point)
 
     def test_disjoint_hulls(self):
         far = [[10.0, 10.0], [11.0, 10.0], [10.0, 11.0]]
@@ -99,8 +86,8 @@ class TestIntersection:
         segment = [[0.5, 0.5], [2.0, 2.0]]
         point = hulls_intersection_point([UNIT_SQUARE, segment])
         assert point is not None
-        assert contains_point(UNIT_SQUARE, point, tolerance=1e-6)
-        assert contains_point(segment, point, tolerance=1e-6)
+        assert contains_point(UNIT_SQUARE, point)
+        assert contains_point(segment, point)
 
     def test_mismatched_dimensions_raise(self):
         with pytest.raises(GeometryError):

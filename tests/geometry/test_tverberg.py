@@ -48,13 +48,13 @@ class TestRadonPartition:
         # One block must be the interior point alone; the witness is that point.
         sizes = sorted(len(block) for block in partition.blocks)
         assert sizes == [1, 3]
-        assert contains_point([[1.0, 1.0]], partition.witness, tolerance=1e-6)
+        assert contains_point([[1.0, 1.0]], partition.witness)
 
     def test_witness_in_both_hulls(self):
         cloud = np.asarray([[0.0, 0.0], [2.0, 0.0], [1.0, 2.0], [1.0, 0.5]])
         partition = radon_partition(cloud)
         for block in partition.blocks:
-            assert contains_point(cloud[list(block)], partition.witness, tolerance=1e-6)
+            assert contains_point(cloud[list(block)], partition.witness)
 
     def test_too_few_points_raises(self):
         with pytest.raises(GeometryError):
@@ -82,9 +82,8 @@ class TestFindTverbergPartition:
         witness = verify_tverberg_partition(partition.multiset, partition.blocks)
         assert witness is not None
         for index in range(len(partition.blocks)):
-            assert contains_point(
-                partition.multiset[list(partition.blocks[index])], partition.witness, tolerance=1e-6
-            )
+            block = partition.multiset[list(partition.blocks[index])]
+            assert contains_point(block, partition.witness)
 
     def test_one_dimensional_three_parts(self):
         # 5 points on a line admit a partition into 3 parts with a common point.

@@ -36,8 +36,11 @@ import sys
 import threading
 from pathlib import Path
 
+import pytest
+
 from repro.engine import Campaign, CampaignSession
 from repro.server import CampaignService, serve
+from repro.server import http as http_module
 from repro.store.backend import ResultStore
 
 KEEPALIVE_REQUESTS = 120  # acceptance floor is 100 sequential requests
@@ -289,35 +292,89 @@ class TestKeepAlive:
                 conn.close()
 
 
+@contextlib.contextmanager
+def _serve_child(store_path):
+    """``repro serve`` as a child process, and the port it bound."""
+    repository = Path(__file__).resolve().parents[2]
+    server = subprocess.Popen(
+        # An idle timeout past every wait below: shutdown must end each
+        # connection itself, not wait for it to time out.
+        [sys.executable, "-m", "repro.cli", "serve", "--store", str(store_path),
+         "--port", "0", "--idle-timeout", "300"],
+        env={**os.environ, "PYTHONPATH": str(repository / "src")},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        # A parent started in the background may ignore SIGINT; the
+        # server must see it.
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    )
+    try:
+        yield server, int(server.stdout.readline().rsplit(":", 1)[1])
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.communicate()
+
+
+def _interrupt(server) -> None:
+    """SIGINT the child and wait for a quiet, successful exit."""
+    server.send_signal(signal.SIGINT)
+    _, stderr = server.communicate(timeout=60)
+    assert server.returncode == 0
+    assert "Traceback" not in stderr and "Exception in callback" not in stderr, stderr
+
+
 class TestShutdown:
     def test_sigint_with_an_idle_keep_alive_connection_is_quiet(self, tmp_path):
-        repository = Path(__file__).resolve().parents[2]
-        server = subprocess.Popen(
-            # An idle timeout past the wait below: shutdown must close the
-            # idle connection, not wait for it to time out.
-            [sys.executable, "-m", "repro.cli", "serve", "--store", str(tmp_path / "store.db"),
-             "--port", "0", "--idle-timeout", "300"],
-            env={**os.environ, "PYTHONPATH": str(repository / "src")},
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            # A parent started in the background may ignore SIGINT; the
-            # server must see it.
-            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
-        )
-        try:
-            port = int(server.stdout.readline().rsplit(":", 1)[1])
+        with _serve_child(tmp_path / "store.db") as (server, port):
             with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
                 sock.sendall(b"GET /healthz HTTP/1.1\r\nhost: x\r\n\r\n")
                 assert sock.recv(65536).startswith(b"HTTP/1.1 200")
                 # The connection now sits idle, waiting for its next request.
-                server.send_signal(signal.SIGINT)
-                _, stderr = server.communicate(timeout=60)
+                _interrupt(server)
                 assert sock.recv(1) == b""
+
+    def test_sigint_ends_a_live_rows_stream(self, tmp_path):
+        # The object engine streams row by row, about a thousand a second:
+        # the stream ends short of the run only if shutdown cancels it.
+        trials = 20_000
+        payload = {"campaign": _declaration(trials=trials, name="long"), "engine": "object"}
+        with _serve_child(tmp_path / "store.db") as (server, port):
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+            conn.request("POST", "/campaigns", body=json.dumps(payload).encode())
+            submitted = conn.getresponse()
+            assert submitted.status == 202
+            run_id = json.loads(submitted.read())["run_id"]
+            conn.request("GET", f"/campaigns/{run_id}/rows")
+            stream = conn.getresponse()
+            assert stream.status == 200
+            assert json.loads(stream.readline())  # the run is live
+            _interrupt(server)
+            # The stream ends with its terminating chunk, short of the run.
+            assert len(stream.read().splitlines()) < trials - 1
+            conn.close()
+
+    def test_a_connection_open_past_the_grace_is_dropped_quietly(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        # With no grace, shutdown drops a live stream at once, as it drops
+        # one whose client stopped reading after SHUTDOWN_GRACE_SECONDS.
+        monkeypatch.setattr(http_module, "SHUTDOWN_GRACE_SECONDS", 0.0)
+        payload = {"campaign": _declaration(trials=20_000, name="long"), "engine": "object"}
+        server = _Server(CampaignService(tmp_path / "store.db"))
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=60)
+        try:
+            conn.request("POST", "/campaigns", body=json.dumps(payload).encode())
+            run_id = json.loads(conn.getresponse().read())["run_id"]
+            conn.request("GET", f"/campaigns/{run_id}/rows")
+            stream = conn.getresponse()
+            assert json.loads(stream.readline())  # the run is live
         finally:
-            if server.poll() is None:
-                server.kill()
-                server.communicate()
-        assert server.returncode == 0
-        assert "Traceback" not in stderr and "Exception in callback" not in stderr, stderr
+            server.close()
+        assert not server._thread.is_alive()
+        with pytest.raises(http.client.IncompleteRead):
+            stream.read()  # cut off: no terminating chunk
+        conn.close()
+        assert not [r for r in caplog.records if r.name == "asyncio"], caplog.text
 
 
 class TestRequestFraming:
