@@ -51,6 +51,7 @@ from repro.engine.spec import TrialResult, TrialSpec
 from repro.engine.trial import run_trials
 from repro.engine.vectorized import run_specs_vectorized
 from repro.exceptions import ConfigurationError
+from repro.geometry.linprog import resolve_seam
 from repro.obs.registry import get_registry, snapshot_delta
 
 __all__ = [
@@ -387,6 +388,9 @@ class WorkerPool:
         self._context = multiprocessing.get_context(
             "fork" if "fork" in start_methods else start_methods[0]
         )
+        # Import scipy here, once: every seat forks with the LP seam bound, so
+        # no unit's measured seconds (and no cost-model estimate) include it.
+        resolve_seam()
         self._slots: list[_Slot] = []
         for _ in range(workers):
             self._slots.append(self._spawn_slot())

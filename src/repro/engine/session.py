@@ -13,10 +13,11 @@ harness and the experiments ride:
 * :meth:`CampaignSession.rows` — that stream filtered down to its
   :class:`~repro.engine.spec.TrialResult` rows.
 * :meth:`CampaignSession.cancel` — cooperative, thread-safe cancellation:
-  the session stops dispatching new work units at the next unit boundary,
-  releases its store claims, and leaves the store at a clean committed-unit
-  boundary so a later ``--resume`` run recomputes nothing that was already
-  acknowledged.  Abandoning the ``events()``/``rows()`` generator (a client
+  the session stops dispatching new work units at the next unit boundary
+  (an inline columnar unit stops between its trials or rounds and is
+  dropped whole), releases its store claims, and leaves the store at a
+  clean committed-unit boundary so a later ``--resume`` run recomputes
+  nothing that was already acknowledged.  Abandoning the ``events()``/``rows()`` generator (a client
   disconnect, a ``break``) cancels the same way — the generator's ``finally``
   blocks run on close.
 * :meth:`CampaignSession.status` — a :class:`CampaignStatus` snapshot
@@ -169,9 +170,12 @@ def plan_specs(
     return units
 
 
-def _execute_unit(unit: ExecutionUnit, specs: Sequence[TrialSpec]) -> list[TrialResult]:
+def _execute_unit(
+    unit: ExecutionUnit, specs: Sequence[TrialSpec], stop: Callable[[], bool]
+) -> list[TrialResult] | None:
+    """Run one unit inline; ``None`` when ``stop`` cut a columnar unit short."""
     if unit.kind == "columnar":
-        return run_specs_vectorized([specs[position] for position in unit.positions])
+        return run_specs_vectorized([specs[position] for position in unit.positions], stop)
     return [run_trial(specs[position]) for position in unit.positions]
 
 
@@ -502,10 +506,11 @@ class CampaignSession:
     def cancel(self) -> None:
         """Request cooperative cancellation (thread-safe, idempotent).
 
-        The session stops dispatching work at the next unit boundary,
-        releases its claims, and ends in state ``"cancelled"``.  Rows already
-        committed to the store stay committed — a later resume serves them as
-        cache hits and recomputes nothing.
+        The session stops dispatching work at the next unit boundary (an
+        inline columnar unit stops at its next trial or round and commits
+        nothing), releases its claims, and ends in state ``"cancelled"``.
+        Rows already committed to the store stay committed — a later resume
+        serves them as cache hits and recomputes nothing.
         """
         self._cancel.set()
 
@@ -799,15 +804,18 @@ class CampaignSession:
         """Yield ``(kind, positions, results)`` per finished unit or pool task.
 
         Cancellation takes effect at these boundaries: no unit starts after
-        it, and closing the pool loop closes ``execute_plan``, which drains
-        in-flight tasks without dispatching new ones.
+        it, an inline columnar unit it cuts short yields nothing, and closing
+        the pool loop closes ``execute_plan``, which drains in-flight tasks
+        without dispatching new ones.
         """
         if inline:
             for unit in units:
                 if self._cancel.is_set():
                     return
                 start = time.time()
-                results = _execute_unit(unit, specs)
+                results = _execute_unit(unit, specs, self._cancel.is_set)
+                if results is None:
+                    return  # cancelled part-way: nothing to commit or emit
                 if self.trace is not None:
                     self.trace.complete(
                         f"unit:{unit.kind}", start, time.time() - start,

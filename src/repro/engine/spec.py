@@ -27,6 +27,11 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+# A name from ``numpy.random``, so importing the engine loads it: numpy loads
+# that subpackage on first use (~17 ms), which ``repro serve`` would otherwise
+# pay inside the first campaign it runs.
+from numpy.random import SeedSequence
+
 from repro.exceptions import ConfigurationError
 
 __all__ = [
@@ -63,7 +68,7 @@ def _freeze_params(params: Mapping[str, Any] | tuple | None) -> tuple[tuple[str,
 @lru_cache(maxsize=4096, typed=True)
 def _derived_seeds(seed: int) -> tuple[int, int, int]:
     """The seeds ``SeedSequence(seed).spawn(3)`` derives, cached per seed and type (``5.0`` fails)."""
-    children = np.random.SeedSequence(seed).spawn(3)
+    children = SeedSequence(seed).spawn(3)
     return tuple(int(child.generate_state(1, dtype=np.uint32)[0]) for child in children)  # type: ignore[return-value]
 
 

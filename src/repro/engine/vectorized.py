@@ -64,7 +64,7 @@ import dataclasses
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -193,12 +193,20 @@ def vectorized_group_key(spec: TrialSpec) -> tuple:
     )
 
 
-def run_specs_vectorized(specs: Sequence[TrialSpec]) -> list[TrialResult]:
+def _never() -> bool:
+    return False
+
+
+def run_specs_vectorized(
+    specs: Sequence[TrialSpec], stop: Callable[[], bool] = _never
+) -> list[TrialResult] | None:
     """Execute one same-shape group of eligible specs on the columnar substrate.
 
     Returns one result per spec, in input order.  ``elapsed_ms`` is the
     trial's amortised share of the group's wall-clock time (timing is the one
-    field determinism comparisons strip).
+    field determinism comparisons strip).  ``stop`` is polled between trials
+    (fault-free broadcast groups) or rounds (restricted groups); once it
+    returns true the group is abandoned and ``None`` returned.
     """
     if not specs:
         return []
@@ -215,9 +223,11 @@ def run_specs_vectorized(specs: Sequence[TrialSpec]) -> list[TrialResult]:
             )
     start = time.perf_counter()
     if specs[0].protocol == "restricted_sync":
-        results = _run_restricted_group(specs)
+        results = _run_restricted_group(specs, stop)
     else:
-        results = _run_broadcast_group(specs)
+        results = _run_broadcast_group(specs, stop)
+    if results is None:
+        return None
     elapsed_ms = (time.perf_counter() - start) * 1e3 / len(specs)
     return [dataclasses.replace(result, elapsed_ms=elapsed_ms) for result in results]
 
@@ -226,7 +236,9 @@ def run_specs_vectorized(specs: Sequence[TrialSpec]) -> list[TrialResult]:
 # Fault-free broadcast protocols (exact, coordinatewise)
 # ---------------------------------------------------------------------------
 
-def _run_broadcast_group(specs: Sequence[TrialSpec]) -> list[TrialResult]:
+def _run_broadcast_group(
+    specs: Sequence[TrialSpec], stop: Callable[[], bool]
+) -> list[TrialResult] | None:
     """Columnar execution of fault-free ``exact`` / ``coordinatewise`` trials.
 
     With no active adversary, every EIG broadcast resolves to the sender's
@@ -239,6 +251,8 @@ def _run_broadcast_group(specs: Sequence[TrialSpec]) -> list[TrialResult]:
     chooser = _shared_chooser(fault_bound)
     results: list[TrialResult] = []
     for spec in specs:
+        if stop():
+            return None
         try:
             results.append(_execute_broadcast_trial(spec, protocol, chooser))
         except Exception as error:  # noqa: BLE001 — failures are campaign data
@@ -503,7 +517,9 @@ def _seed_collapse_points(trials: list[_LiveTrial], fault_bound: int) -> None:
         trial.coordinator.seed_collapse_point(point)
 
 
-def _run_restricted_group(specs: Sequence[TrialSpec]) -> list[TrialResult]:
+def _run_restricted_group(
+    specs: Sequence[TrialSpec], stop: Callable[[], bool]
+) -> list[TrialResult] | None:
     """Columnar execution of a restricted-round synchronous trial batch."""
     n = specs[0].process_count
     dimension = specs[0].dimension
@@ -523,6 +539,8 @@ def _run_restricted_group(specs: Sequence[TrialSpec]) -> list[TrialResult]:
 
     round_index = 0
     while live:
+        if stop():
+            return None
         round_index += 1
         active = [trial for trial in live if trial.failure is None]
         # 1. Columnar report tensors: honest senders are one array broadcast.

@@ -70,9 +70,9 @@ from math import comb
 from typing import Any, Sequence
 
 import numpy as np
-from scipy.sparse import csc_matrix
 
 from repro.exceptions import GeometryError, LinearProgramError
+from repro.geometry.linprog import csc_matrix
 from repro.geometry.points import as_cloud, as_point
 from repro.obs.registry import get_registry
 
@@ -716,7 +716,7 @@ def _variable_bounds(dimension: int, weight_count: int) -> tuple[np.ndarray, np.
 
 def _hull_intersection_system(
     members: np.ndarray, sizes: np.ndarray
-) -> tuple[csc_matrix, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+) -> tuple[Any, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """``z`` lies in the hull of every block: ``(A_eq, b_eq, bounds)``.
 
     ``members`` stacks the blocks' members, ``(sum(sizes), d)``; block ``b``

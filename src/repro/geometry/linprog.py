@@ -18,8 +18,14 @@ post-solve residual check, so the status and the returned vertex are bitwise
 the ones ``linprog`` reports — only its per-call Python front end (input
 cleaning, block stacking, option round trips, dual extraction) is gone.  The
 binding is a private scipy module; where it is missing (scipy < 1.15) the
-same seam is implemented by ``linprog`` itself.  The choice is made once, at
-import, and published as :data:`LP_BACKEND`; nothing selects it at run time.
+same seam is implemented by ``linprog`` itself.  The choice is made once per
+process, at its first solve (:func:`resolve_seam`), and published as
+:data:`LP_BACKEND`; nothing selects it at run time.
+
+This is the one module that imports scipy, and it does so in
+:func:`resolve_seam`: a process that never builds a program (store reads,
+``repro serve``, every ``d <= 2`` campaign, whose geometry is closed form)
+never loads ``scipy.sparse`` or the HiGHS binding.
 """
 
 from __future__ import annotations
@@ -28,18 +34,12 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
-from scipy.sparse import csc_array, issparse, vstack
 
 from repro.exceptions import LinearProgramError
 from repro.obs.registry import get_registry
-
-try:
-    from scipy.optimize._highspy import _core as _highs
-except ImportError:  # pragma: no cover — scipy < 1.15
-    _highs = None
 
 __all__ = [
     "LP_BACKEND",
@@ -289,7 +289,7 @@ def _binding_is_usable() -> bool:
     """True when the vendored binding offers everything the direct seam touches.
 
     A scipy release that moves or reshapes the private module must resolve to
-    the fallback here, at import, instead of failing in the middle of a solve.
+    the fallback here, before the first solve, instead of failing in one.
     """
     if _highs is None:
         return False
@@ -302,11 +302,45 @@ def _binding_is_usable() -> bool:
     return True
 
 
-#: Resolved once, here; reported as ``repro_kernel_lp_backend``; not selectable.
-if _binding_is_usable():
-    LP_BACKEND, _run_highs = "highs_core", _run_highs_core
-else:  # pragma: no cover — scipy < 1.15
-    LP_BACKEND, _run_highs = "linprog", _run_scipy_front_end
+#: ``scipy.sparse`` and the vendored binding (``None`` under scipy < 1.15),
+#: imported by :func:`resolve_seam`.
+_sparse: Any = None
+_highs: Any = None
+#: The seam and the name it is reported under (``repro_kernel_lp_backend``),
+#: bound by :func:`resolve_seam`: ``None`` until the process's first solve.
+LP_BACKEND: str | None = None
+_run_highs: Callable[..., tuple[int, np.ndarray | None, float | None]] | None = None
+
+
+def resolve_seam() -> None:
+    """Import scipy and bind the seam, once per process (cheap afterwards).
+
+    Every program assembly calls it, and the worker pool calls it before it
+    forks, so each seat inherits the seam instead of importing scipy inside
+    a timed unit.  A seam bound beforehand (a test's stand-in) is kept.
+    """
+    global _sparse, _highs, LP_BACKEND, _run_highs
+    if LP_BACKEND is None:
+        import scipy.sparse
+
+        try:
+            from scipy.optimize._highspy import _core as highs
+        except ImportError:  # pragma: no cover — scipy < 1.15
+            highs = None
+        _sparse, _highs = scipy.sparse, highs
+        LP_BACKEND = "highs_core" if _binding_is_usable() else "linprog"
+    if _run_highs is None:
+        _run_highs = _run_highs_core if LP_BACKEND == "highs_core" else _run_scipy_front_end
+
+
+def csc_matrix(arg: Any, shape: tuple[int, int]) -> Any:
+    """``scipy.sparse.csc_matrix(arg, shape=shape)``, the seam resolved first.
+
+    The kernel builds its programs' matrices through this, so scipy is
+    loaded by the first program a process builds, not by an import.
+    """
+    resolve_seam()
+    return _sparse.csc_matrix(arg, shape=shape)
 
 
 def _register_lp_metrics() -> dict[str, Any]:
@@ -314,11 +348,16 @@ def _register_lp_metrics() -> dict[str, Any]:
     registry = get_registry()
     backend = registry.gauge(
         "repro_kernel_lp_backend",
-        "LP solver seam resolved at import: 1 for the active backend.",
+        "LP solver seam resolved at the process's first solve: 1 for the active backend.",
         labelnames=("backend",),
     )
+
+    def publish_backend() -> None:
+        if LP_BACKEND is not None:
+            backend.labels(backend=LP_BACKEND).set(1)
+
     # Set at collection time, so the sample survives a registry reset.
-    registry.register_collector(lambda: backend.labels(backend=LP_BACKEND).set(1))
+    registry.register_collector(publish_backend)
     fallbacks = registry.counter(
         "repro_kernel_lp_fallback_total",
         "LP solves beyond the first attempt, by rung of the retry ladder.",
@@ -351,7 +390,7 @@ def _normalise_block(
         return None, None
     if matrix is None or vector is None:
         raise LinearProgramError(f"{label}: matrix and vector must be given together")
-    if not issparse(matrix):
+    if not _sparse.issparse(matrix):
         matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     vector = np.atleast_1d(np.asarray(vector, dtype=float))
     if matrix.shape[0] == 0:
@@ -364,7 +403,7 @@ def _normalise_block(
         raise LinearProgramError(
             f"{label}: {matrix.shape[0]} rows but {vector.shape[0]} right-hand sides"
         )
-    values = matrix.data if issparse(matrix) else matrix
+    values = matrix.data if _sparse.issparse(matrix) else matrix
     if not (np.isfinite(values).all() and np.isfinite(vector).all()):
         raise ValueError(f"{label}: coefficients must not contain inf or nan")
     return matrix, vector
@@ -412,13 +451,13 @@ def _column_bounds(bounds: Bounds, variable_count: int) -> tuple[np.ndarray, np.
     return lower, upper
 
 
-def _dense_csc(matrix: np.ndarray) -> csc_array:
+def _dense_csc(matrix: np.ndarray) -> Any:
     """``csc_array(matrix)`` built from the non-zeros directly: the same arrays at half the cost."""
     nonzero = matrix.T != 0.0
     indptr = np.zeros(matrix.shape[1] + 1, dtype=np.int32)
     np.cumsum(nonzero.sum(axis=1), out=indptr[1:])
     indices = np.nonzero(nonzero)[1].astype(np.int32)
-    return csc_array((matrix.T[nonzero], indices, indptr), shape=matrix.shape)
+    return _sparse.csc_array((matrix.T[nonzero], indices, indptr), shape=matrix.shape)
 
 
 def _constraint_rows(
@@ -429,14 +468,19 @@ def _constraint_rows(
     Inequality rows come first with a ``-inf`` lower side, equality rows
     follow with both sides equal — the layout ``linprog`` hands to HiGHS.
     """
-    if a_ub is None and issparse(a_eq) and a_eq.format == "csc" and a_eq.has_canonical_format:
+    if (
+        a_ub is None
+        and _sparse.issparse(a_eq)
+        and a_eq.format == "csc"
+        and a_eq.has_canonical_format
+    ):
         # The kernel's Section 2.2 systems arrive in exactly the form HiGHS takes.
         return a_eq, b_eq, b_eq
     blocks = [block for block in (a_ub, a_eq) if block is not None]
     if not blocks:
-        matrix = csc_array((0, variable_count), dtype=float)
-    elif any(issparse(block) for block in blocks):
-        matrix = csc_array(vstack(blocks), dtype=float)
+        matrix = _sparse.csc_array((0, variable_count), dtype=float)
+    elif any(_sparse.issparse(block) for block in blocks):
+        matrix = _sparse.csc_array(_sparse.vstack(blocks), dtype=float)
         matrix.sum_duplicates()
     else:
         matrix = _dense_csc(np.vstack(blocks))
@@ -457,6 +501,7 @@ def _assemble_program(
     bounds: Bounds,
 ) -> tuple[np.ndarray, Any, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Validate the caller's blocks and return the seam's six positional arguments."""
+    resolve_seam()
     objective = np.asarray(objective, dtype=float)
     if objective.ndim != 1:
         raise LinearProgramError(f"objective must be a vector, got shape {objective.shape}")

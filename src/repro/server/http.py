@@ -51,7 +51,7 @@ import asyncio
 import contextlib
 import json
 import time
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 from urllib.parse import parse_qs, urlsplit
 
 from repro.exceptions import ConfigurationError
@@ -404,9 +404,12 @@ class _ChunkedWriter:
         self._writer.write(_response_head(200, headers, self._state.close))
         await self._writer.drain()
 
-    async def send_line(self, line: str) -> None:
-        data = (line + "\n").encode("utf-8")
-        self._writer.write(f"{len(data):x}\r\n".encode("ascii") + data + b"\r\n")
+    async def send_lines(self, lines: Sequence[str]) -> None:
+        """Write ``lines`` as one chunk, one NDJSON line each, and drain once."""
+        if not lines:
+            return  # an empty chunk would be the terminating one
+        data = "".join([line + "\n" for line in lines]).encode("utf-8")
+        self._writer.write(b"%x\r\n%s\r\n" % (len(data), data))
         await self._writer.drain()
 
     async def finish(self) -> None:
@@ -670,8 +673,7 @@ class RequestHandler:
             )
             if not lines:
                 break
-            for line in lines:
-                await stream.send_line(line)
+            await stream.send_lines(lines)
             sent += len(lines)
         await stream.finish()
         self.service.record_rows(request.api_key, sent)
@@ -748,6 +750,7 @@ class RequestHandler:
         ``loop.call_soon_threadsafe`` the moment the session commits a row,
         so there is no poll interval between a commit and the bytes leaving
         the socket (a bounded fallback timeout guards against lost wakeups).
+        The rows a wake-up finds go out as one chunk with one drain.
         ``?cancel_on_disconnect=1`` ties the session's lifetime to this
         stream: if the client goes away, the run is cancelled (claims
         released, store left resumable).
@@ -767,8 +770,7 @@ class RequestHandler:
                 handle.add_waiter(loop, event)
                 try:
                     lines, done = handle.snapshot(sent)
-                    for line in lines:
-                        await stream.send_line(line)
+                    await stream.send_lines(lines)
                     sent += len(lines)
                     if done and not lines:
                         break

@@ -18,6 +18,8 @@ tests pin its contract directly:
 
 from __future__ import annotations
 
+import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -319,6 +321,39 @@ class TestCancellation:
         # Zero duplicate computation: everything the first run committed is
         # served from the store, only the remainder executes.
         assert resumed.status().cache_hits == committed
+
+    def test_cancel_inside_an_inline_columnar_unit(self, tmp_path):
+        """A 20,000-trial columnar batch (~4 s) stops within a second of the
+        cancel, commits nothing, and a resume equals an uncancelled run."""
+        store_path = tmp_path / "store.db"
+        specs = _specs(20_000)
+        session = CampaignSession(specs, store=store_path, engine="auto")
+        cancelled_at: list[float] = []
+
+        def cancel() -> None:
+            cancelled_at.append(time.perf_counter())
+            session.cancel()
+
+        timer = threading.Timer(0.5, cancel)
+        rows = 0
+        try:
+            for event in session.events():
+                if isinstance(event, PlannedEvent):
+                    assert event.columnar_units == 1 and event.object_units == 0
+                    timer.start()  # the next pull runs the unit
+                rows += isinstance(event, RowEvent)
+        finally:
+            timer.cancel()
+        ended_at = time.perf_counter()
+        assert cancelled_at and ended_at - cancelled_at[0] < 1.0
+        assert session.state == "cancelled"
+        assert rows == 0
+        with ResultStore(store_path) as store:
+            assert len(store) == 0
+
+        resumed = CampaignSession(specs, store=store_path, engine="auto")
+        assert _rows(resumed.rows()) == _rows(CampaignSession(specs, engine="auto").rows())
+        assert resumed.status().cache_hits == 0
 
     def test_cancel_before_start_emits_nothing(self):
         session = CampaignSession(_specs(4))

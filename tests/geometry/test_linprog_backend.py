@@ -337,13 +337,31 @@ def fallback_totals() -> Counter:
 # ---------------------------------------------------------------------------
 
 class TestBackendResolution:
+    """The seam resolves at a process's first solve (see ``tests/test_import_surface.py``)."""
+
     def test_the_vendored_binding_is_the_active_backend(self):
+        linprog_module.resolve_seam()
         assert linprog_module.LP_BACKEND == "highs_core"
         assert linprog_module._run_highs is linprog_module._run_highs_core
 
     def test_backend_is_reported_as_a_gauge(self):
+        linprog_module.resolve_seam()
         samples = get_registry().snapshot()["repro_kernel_lp_backend"]["samples"]
         assert samples == {("highs_core",): 1.0}
+
+    def test_a_seam_bound_before_the_first_solve_is_kept(self, monkeypatch):
+        calls = []
+
+        def stand_in(*assembled: Any, **options: Any) -> tuple[int, Any, Any]:
+            calls.append(options)
+            return 0, np.zeros(1), 0.0
+
+        monkeypatch.setattr(linprog_module, "LP_BACKEND", None)
+        monkeypatch.setattr(linprog_module, "_run_highs", stand_in)
+        assert solve_linear_program([1.0], bounds=(0.0, 1.0)).feasible
+        assert calls == [{}]
+        assert linprog_module.LP_BACKEND == "highs_core"
+        assert linprog_module._run_highs is stand_in
 
 
 class TestBitwiseOracle:

@@ -34,6 +34,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -353,6 +354,32 @@ class TestShutdown:
             assert len(stream.read().splitlines()) < trials - 1
             conn.close()
 
+    def test_sigint_cuts_a_columnar_batch_short(self, tmp_path):
+        # Under the default engine the grid is one columnar unit of about 4 s,
+        # whose rows all arrive when it ends: shutdown must stop the unit
+        # between trials, not wait it out.
+        payload = {"campaign": _declaration(trials=20_000, name="long")}
+        with _serve_child(tmp_path / "store.db") as (server, port):
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+            conn.request("POST", "/campaigns", body=json.dumps(payload).encode())
+            submitted = conn.getresponse()
+            assert submitted.status == 202
+            run_id = json.loads(submitted.read())["run_id"]
+            state = "pending"
+            while state == "pending":
+                conn.request("GET", f"/campaigns/{run_id}")
+                state = json.loads(conn.getresponse().read())["state"]
+            assert state == "running"
+            time.sleep(1.0)  # past the census and the claims: the unit runs
+            conn.request("GET", f"/campaigns/{run_id}/rows")
+            stream = conn.getresponse()
+            assert stream.status == 200
+            interrupted = time.perf_counter()
+            _interrupt(server)
+            assert time.perf_counter() - interrupted < 2.0
+            assert stream.read() == b""  # ended before its first row
+            conn.close()
+
     def test_a_connection_open_past_the_grace_is_dropped_quietly(
         self, tmp_path, monkeypatch, caplog
     ):
@@ -375,6 +402,64 @@ class TestShutdown:
             stream.read()  # cut off: no terminating chunk
         conn.close()
         assert not [r for r in caplog.records if r.name == "asyncio"], caplog.text
+
+
+class _RecordingWriter:
+    """The writer half of a connection: records every write and drain."""
+
+    def __init__(self) -> None:
+        self.writes: list[bytes] = []
+        self.drains = 0
+
+    def write(self, data: bytes) -> None:
+        self.writes.append(bytes(data))
+
+    async def drain(self) -> None:
+        self.drains += 1
+
+    def close(self) -> None:
+        pass
+
+    async def wait_closed(self) -> None:
+        pass
+
+
+def _dechunk(body: bytes) -> bytes:
+    """A chunked body's payload; the body must end with the terminating chunk."""
+    payload = bytearray()
+    while True:
+        size_line, body = body.split(b"\r\n", 1)
+        size = int(size_line, 16)
+        if size == 0:
+            assert body == b"\r\n"
+            return bytes(payload)
+        assert body[size : size + 2] == b"\r\n"
+        payload += body[:size]
+        body = body[size + 2 :]
+
+
+class TestRowStreamChunks:
+    def test_a_replay_is_one_chunk_and_one_drain(self, tmp_path):
+        service = CampaignService(tmp_path / "store.db")
+        try:
+            handle = service.submit({"campaign": _declaration(trials=100, name="replay")})
+            assert handle.finished.wait(60)
+            lines, done = handle.snapshot()
+            assert done and len(lines) == 100
+            reader = asyncio.StreamReader()
+            reader.feed_data(
+                f"GET /campaigns/{handle.run_id}/rows HTTP/1.1\r\nhost: x\r\n\r\n".encode()
+            )
+            reader.feed_eof()
+            writer = _RecordingWriter()
+            asyncio.run(http_module.RequestHandler(service).handle_connection(reader, writer))
+        finally:
+            service.shutdown()
+        head, rows, end = writer.writes
+        assert head.startswith(b"HTTP/1.1 200") and b"transfer-encoding: chunked" in head
+        assert end == b"0\r\n\r\n"
+        assert writer.drains == 3  # the head, the rows, the end
+        assert _dechunk(rows + end) == "".join(line + "\n" for line in lines).encode()
 
 
 class TestRequestFraming:

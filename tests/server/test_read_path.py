@@ -33,7 +33,7 @@ from repro.store.backend import ResultStore
 from repro.store.keys import trial_key
 from repro.store.query import TrialFilter
 
-from test_http_keepalive import _get, _serving
+from test_http_keepalive import _get, _RecordingWriter, _serving
 
 QUERY = "/store/query?protocol=exact&limit=50"
 AGGREGATE = "/store/aggregate?group_by=protocol,dimension"
@@ -163,25 +163,6 @@ class TestStatsCache:
                 conn.close()
 
 
-class _Sink:
-    """The writer half of a connection, collecting the response bytes."""
-
-    def __init__(self) -> None:
-        self.data = bytearray()
-
-    def write(self, data: bytes) -> None:
-        self.data += data
-
-    async def drain(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-    async def wait_closed(self) -> None:
-        pass
-
-
 class TestWorkPerRead:
     """Executor hops and JSON encodes per read: counts, no timing."""
 
@@ -217,9 +198,9 @@ class TestWorkPerRead:
             reader = asyncio.StreamReader()
             reader.feed_data((head + "\r\n").encode("latin-1"))
             reader.feed_eof()
-            writer = _Sink()
+            writer = _RecordingWriter()
             await handler.handle_connection(reader, writer)
-            return bytes(writer.data)
+            return b"".join(writer.writes)
 
         async def main() -> None:
             etag = None
