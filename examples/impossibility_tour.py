@@ -12,7 +12,8 @@ necessity halves of Theorems 1 and 4 with the library's LP machinery:
   those inputs are ``4 * epsilon`` apart — epsilon-agreement is unreachable.
 
 It also prints the resilience landscape (minimum ``n`` for every setting),
-which is the content of the paper's summary table of bounds.
+which is the content of the paper's summary table of bounds.  The three
+tables are the fixed E2, E7 and E13 tables of ``python -m repro.cli run``.
 
 Run with:  python examples/impossibility_tour.py
 """
@@ -29,17 +30,17 @@ from repro.analysis.report import render_table
 
 def main() -> None:
     print(render_table(
-        experiment_sync_impossibility(dimensions=(1, 2, 3, 4, 5)),
+        experiment_sync_impossibility(),
         title="Theorem 1 necessity: Gamma emptiness below vs at the bound (f = 1)",
     ))
     print()
     print(render_table(
-        experiment_async_impossibility(dimensions=(1, 2, 3, 4, 5), epsilon=0.25),
+        experiment_async_impossibility(),
         title="Theorem 4 necessity: forced decision gap at n = d + 2 (f = 1)",
     ))
     print()
     print(render_table(
-        experiment_resilience_landscape(dimensions=(1, 2, 3, 4, 5), fault_bounds=(1, 2, 3)),
+        experiment_resilience_landscape(),
         title="Resilience landscape: minimum n per setting",
     ))
 

@@ -2,19 +2,19 @@
 
 Each function declares its experiment against the unified simulation engine
 (:mod:`repro.engine`) and reduces the results to a list of row dictionaries;
-``python -m repro.cli run`` prints them, ``benchmarks/reference/`` keeps the
-seeded safe-area tables (E3, E6, E10), and ``EXPERIMENTS.md`` records the
-expected shape.
+``python -m repro.cli run`` prints them and ``benchmarks/reference/`` pins
+every table.
 
 Protocol experiments (E1, E5, E8, E9, E11, E14, E16) are
 :class:`~repro.engine.Campaign` declarations — lists of
 :class:`~repro.engine.TrialSpec` whose results are mapped to table rows.
 Analytic experiments (the impossibility constructions, safe-area geometry and
 bound tables) declare their sweeps with
-:func:`~repro.engine.parameter_grid` and compute each row directly.  Default
-parameters are sized so that every experiment completes in seconds on a
-laptop; ``python -m repro.cli campaign`` scales the same trial shape to
-arbitrary grids.
+:func:`~repro.engine.parameter_grid` and compute each row directly.  Every
+table is one fixed instance: runners take no arguments, and each table's
+grid, seeds, epsilon and round cap are the ``E<n>_*`` constants below.
+``python -m repro.cli campaign`` scales the same trial shapes to arbitrary
+grids.
 """
 
 from __future__ import annotations
@@ -31,7 +31,11 @@ from repro.core.conditions import (
     minimum_processes_restricted_sync,
     resilience_table,
 )
-from repro.core.impossibility import analyze_async_necessity, analyze_sync_necessity
+from repro.core.impossibility import (
+    THEOREM4_EPSILON,
+    analyze_async_necessity,
+    analyze_sync_necessity,
+)
 from repro.core.safe_area import safe_area_point, safe_area_subset_count
 from repro.analysis.convergence import measured_contraction_factors, max_range_per_round
 from repro.engine import (
@@ -66,6 +70,45 @@ __all__ = [
     "experiment_applications",
     "experiment_adversary_coordination",
 ]
+
+
+# The fixed instance behind each table.
+E2_DIMENSIONS = (1, 2, 3, 4, 5)
+E3_DIMENSIONS = (1, 2, 3)
+E3_FAULT_BOUNDS = (1, 2)
+E3_SAMPLES = 5
+E3_SEED = 7
+E5_CONFIGURATIONS = ((2, 1), (3, 1), (2, 2))  # (d, f)
+E5_SEED = 3
+E6_CONFIGURATIONS = ((4, 1, 1), (5, 2, 1), (6, 3, 1), (7, 2, 2), (9, 2, 2))  # (n, d, f)
+E6_SEED = 11
+E7_DIMENSIONS = (1, 2, 3, 4, 5)
+E8_CONFIGURATIONS = ((1, 1), (2, 1))  # (d, f)
+E8_STRATEGIES = ("crash", "outside_hull")
+E8_EPSILON = 0.2
+E8_SEED = 5
+E9_DIMENSION = 2
+E9_FAULT_BOUND = 1
+E9_ROUNDS = 6
+E9_EPSILON = 0.05
+E9_SEED = 9
+E10_CONFIGURATIONS = ((5, 2, 1), (7, 2, 2), (9, 2, 2))  # (n, d, f)
+E11_DIMENSION = 2
+E11_FAULT_BOUND = 1
+E11_EPSILON = 0.2
+E11_STRATEGIES = ("crash", "outside_hull")
+E11_SEED = 13
+# The restricted-async static round rule is extremely conservative; the
+# table caps it and checks epsilon-agreement on the measured decisions.
+E11_ASYNC_ROUNDS = 12
+E13_DIMENSIONS = (1, 2, 3, 4, 5, 6, 7, 8)
+E13_FAULT_BOUNDS = (1, 2, 3, 4)
+E14_EPSILON = 0.2
+E14_SEED = 21
+E16_DIMENSION = 2
+E16_FAULT_BOUND = 1
+E16_EPSILON = 0.25
+E16_SEED = 29
 
 
 # Process-wide results store for campaign-backed experiments (None = run
@@ -169,10 +212,10 @@ def experiment_baseline_validity() -> list[dict[str, object]]:
 # E2 / E7 — impossibility constructions
 # ---------------------------------------------------------------------------
 
-def experiment_sync_impossibility(dimensions: Sequence[int] = (1, 2, 3, 4, 5)) -> list[dict[str, object]]:
+def experiment_sync_impossibility() -> list[dict[str, object]]:
     """Theorem 1 necessity: Gamma emptiness at n = d + 1 versus n = d + 2 (f = 1)."""
     rows = []
-    for point in parameter_grid(dimension=dimensions):
+    for point in parameter_grid(dimension=E2_DIMENSIONS):
         dimension = point["dimension"]
         below = analyze_sync_necessity(dimension, process_count=dimension + 1)
         at_bound = analyze_sync_necessity(dimension, process_count=dimension + 2)
@@ -189,19 +232,17 @@ def experiment_sync_impossibility(dimensions: Sequence[int] = (1, 2, 3, 4, 5)) -
     return rows
 
 
-def experiment_async_impossibility(
-    dimensions: Sequence[int] = (1, 2, 3, 4, 5), epsilon: float = 0.25
-) -> list[dict[str, object]]:
+def experiment_async_impossibility() -> list[dict[str, object]]:
     """Theorem 4 necessity: forced decisions 4*epsilon apart at n = d + 2 (f = 1)."""
     rows = []
-    for point in parameter_grid(dimension=dimensions):
+    for point in parameter_grid(dimension=E7_DIMENSIONS):
         dimension = point["dimension"]
-        witness = analyze_async_necessity(dimension, epsilon=epsilon)
+        witness = analyze_async_necessity(dimension)
         rows.append(
             {
                 "dimension": dimension,
                 "n_analyzed": dimension + 2,
-                "epsilon": epsilon,
+                "epsilon": THEOREM4_EPSILON,
                 "max_forced_gap": witness.max_forced_gap,
                 "violates_epsilon_agreement": witness.violates_epsilon_agreement,
                 "required_n": minimum_processes_approx_async(dimension, 1),
@@ -214,21 +255,16 @@ def experiment_async_impossibility(
 # E3 / E6 / E10 — safe area existence and cost
 # ---------------------------------------------------------------------------
 
-def experiment_safe_area_existence(
-    dimensions: Sequence[int] = (1, 2, 3),
-    fault_bounds: Sequence[int] = (1, 2),
-    samples: int = 5,
-    seed: int = 7,
-) -> list[dict[str, object]]:
+def experiment_safe_area_existence() -> list[dict[str, object]]:
     """Lemma 1: Gamma is non-empty on random multisets of size (d+1)f + 1."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(E3_SEED)
     rows = []
-    for point in parameter_grid(dimension=dimensions, fault_bound=fault_bounds):
+    for point in parameter_grid(dimension=E3_DIMENSIONS, fault_bound=E3_FAULT_BOUNDS):
         dimension, fault_bound = point["dimension"], point["fault_bound"]
         size = (dimension + 1) * fault_bound + 1
         non_empty = 0
         tverberg_agree = 0
-        for _ in range(samples):
+        for _ in range(E3_SAMPLES):
             cloud = rng.uniform(-1.0, 1.0, size=(size, dimension))
             gamma_point = safe_area_point(cloud, fault_bound)
             if gamma_point is not None:
@@ -242,7 +278,7 @@ def experiment_safe_area_existence(
                 "dimension": dimension,
                 "fault_bound": fault_bound,
                 "multiset_size": size,
-                "samples": samples,
+                "samples": E3_SAMPLES,
                 "gamma_nonempty": non_empty,
                 "tverberg_partition_found": tverberg_agree if dimension <= 2 and size <= 7 else None,
             }
@@ -250,12 +286,14 @@ def experiment_safe_area_existence(
     return rows
 
 
-def experiment_safe_area_cost(
-    configurations: Sequence[tuple[int, int, int]] = ((4, 1, 1), (5, 2, 1), (6, 3, 1), (7, 2, 2), (9, 2, 2)),
-    seed: int = 11,
-) -> list[dict[str, object]]:
+def experiment_safe_area_cost() -> list[dict[str, object]]:
     """Section 2.2 LP cost: subset count, pruned block count, LP feasibility."""
-    rng = np.random.default_rng(seed)
+    return _safe_area_costs(E6_CONFIGURATIONS)
+
+
+def _safe_area_costs(configurations: Sequence[tuple[int, int, int]]) -> list[dict[str, object]]:
+    """E6's rows over ``(n, d, f)`` configurations, clouds drawn from one ``E6_SEED`` stream."""
+    rng = np.random.default_rng(E6_SEED)
     rows = []
     for point in parameter_grid(configuration=configurations):
         process_count, dimension, fault_bound = point["configuration"]
@@ -275,12 +313,10 @@ def experiment_safe_area_cost(
     return rows
 
 
-def experiment_appendix_f(
-    configurations: Sequence[tuple[int, int, int]] = ((5, 2, 1), (7, 2, 2), (9, 2, 2)),
-) -> list[dict[str, object]]:
+def experiment_appendix_f() -> list[dict[str, object]]:
     """Appendix F: at most ``n`` witness-derived subsets instead of all ``C(n, n-f)``."""
     rows = []
-    for cost in experiment_safe_area_cost(configurations):
+    for cost in _safe_area_costs(E10_CONFIGURATIONS):
         witness_bound = min(cost["n"], cost["subsets_in_gamma"])
         rows.append(
             {
@@ -328,11 +364,7 @@ def experiment_figure1_tverberg() -> list[dict[str, object]]:
 # E5 — Exact BVC under attack, at the bound
 # ---------------------------------------------------------------------------
 
-def experiment_exact_bvc(
-    configurations: Sequence[tuple[int, int]] = ((2, 1), (3, 1), (2, 2)),
-    strategies: Sequence[str] = STRATEGY_NAMES,
-    seed: int = 3,
-) -> list[dict[str, object]]:
+def experiment_exact_bvc() -> list[dict[str, object]]:
     """Theorem 3: Exact BVC satisfies agreement + validity at n = max(3f+1,(d+1)f+1)."""
     campaign = Campaign.from_specs(
         "E5-exact-bvc",
@@ -344,11 +376,11 @@ def experiment_exact_bvc(
                 process_count=minimum_processes_exact_sync(dimension, fault_bound),
                 dimension=dimension,
                 fault_bound=fault_bound,
-                workload_seed=seed + dimension * 10 + fault_bound,
-                adversary_seed=seed,
+                workload_seed=E5_SEED + dimension * 10 + fault_bound,
+                adversary_seed=E5_SEED,
             )
-            for dimension, fault_bound in configurations
-            for strategy_name in strategies
+            for dimension, fault_bound in E5_CONFIGURATIONS
+            for strategy_name in STRATEGY_NAMES
         ],
     )
     return [
@@ -370,13 +402,7 @@ def experiment_exact_bvc(
 # E8 — Approximate BVC: epsilon-agreement, validity, rounds vs the bound
 # ---------------------------------------------------------------------------
 
-def experiment_approx_bvc(
-    configurations: Sequence[tuple[int, int]] = ((1, 1), (2, 1)),
-    strategies: Sequence[str] = ("crash", "outside_hull"),
-    epsilon: float = 0.2,
-    seed: int = 5,
-    lagging: bool = False,
-) -> list[dict[str, object]]:
+def experiment_approx_bvc() -> list[dict[str, object]]:
     """Theorem 5: the asynchronous algorithm achieves epsilon-agreement and validity."""
     campaign = Campaign.from_specs(
         "E8-approx-bvc",
@@ -385,17 +411,17 @@ def experiment_approx_bvc(
                 protocol="approx",
                 workload="uniform_box",
                 adversary=strategy_name,
-                scheduler="lagging" if lagging else "random",
+                scheduler="random",
                 process_count=minimum_processes_approx_async(dimension, fault_bound),
                 dimension=dimension,
                 fault_bound=fault_bound,
-                epsilon=epsilon,
-                workload_seed=seed + dimension * 10 + fault_bound,
-                adversary_seed=seed,
-                scheduler_seed=seed,
+                epsilon=E8_EPSILON,
+                workload_seed=E8_SEED + dimension * 10 + fault_bound,
+                adversary_seed=E8_SEED,
+                scheduler_seed=E8_SEED,
             )
-            for dimension, fault_bound in configurations
-            for strategy_name in strategies
+            for dimension, fault_bound in E8_CONFIGURATIONS
+            for strategy_name in E8_STRATEGIES
         ],
     )
     return [
@@ -404,7 +430,7 @@ def experiment_approx_bvc(
             "d": result.spec.dimension,
             "f": result.spec.fault_bound,
             "attack": result.spec.adversary,
-            "epsilon": epsilon,
+            "epsilon": E8_EPSILON,
             "eps_agreement": result.agreement,
             "validity": result.validity,
             "max_disagreement": result.max_disagreement,
@@ -419,15 +445,9 @@ def experiment_approx_bvc(
 # E9 — per-round contraction versus the (1 - gamma) bound
 # ---------------------------------------------------------------------------
 
-def experiment_contraction_rate(
-    dimension: int = 2,
-    fault_bound: int = 1,
-    rounds: int = 6,
-    epsilon: float = 0.05,
-    seed: int = 9,
-) -> list[dict[str, object]]:
+def experiment_contraction_rate() -> list[dict[str, object]]:
     """Equation (12): measured per-round contraction of the honest-state range."""
-    process_count = minimum_processes_approx_async(dimension, fault_bound)
+    process_count = minimum_processes_approx_async(E9_DIMENSION, E9_FAULT_BOUND)
     campaign = Campaign.from_specs(
         "E9-contraction-rate",
         [
@@ -437,19 +457,19 @@ def experiment_contraction_rate(
                 adversary="outside_hull",
                 scheduler="random",
                 process_count=process_count,
-                dimension=dimension,
-                fault_bound=fault_bound,
-                epsilon=epsilon,
-                max_rounds_override=rounds,
-                workload_seed=seed,
-                adversary_seed=seed,
-                scheduler_seed=seed,
+                dimension=E9_DIMENSION,
+                fault_bound=E9_FAULT_BOUND,
+                epsilon=E9_EPSILON,
+                max_rounds_override=E9_ROUNDS,
+                workload_seed=E9_SEED,
+                adversary_seed=E9_SEED,
+                scheduler_seed=E9_SEED,
                 record_history=True,
             )
         ],
     )
     (result,) = _run(campaign)
-    gamma = witness_contraction_factor(process_count, fault_bound)
+    gamma = witness_contraction_factor(process_count, E9_FAULT_BOUND)
     ranges = max_range_per_round(result.state_histories)
     factors = measured_contraction_factors(result.state_histories)
     rows = []
@@ -471,25 +491,16 @@ def experiment_contraction_rate(
 # E11 / E12 — restricted round structures at their bounds
 # ---------------------------------------------------------------------------
 
-def experiment_restricted_rounds(
-    dimension: int = 2,
-    fault_bound: int = 1,
-    epsilon: float = 0.2,
-    strategies: Sequence[str] = ("crash", "outside_hull"),
-    seed: int = 13,
-    sync_rounds_override: int | None = None,
-    async_rounds_override: int | None = 12,
-) -> list[dict[str, object]]:
+def experiment_restricted_rounds() -> list[dict[str, object]]:
     """Theorem 6: restricted-round algorithms at n = (d+2)f+1 (sync) and (d+4)f+1 (async).
 
     The asynchronous variant's static round threshold is extremely conservative
-    (``gamma = 1/(n * C(n-f, n-3f))``); by default it is capped at 12 rounds and
-    epsilon-agreement is verified on the measured decisions, which is what the
-    benchmark reports.  Pass ``async_rounds_override=None`` to run the full
-    static rule.
+    (``gamma = 1/(n * C(n-f, n-3f))``); it is capped at ``E11_ASYNC_ROUNDS``
+    rounds and epsilon-agreement is verified on the measured decisions, which
+    is what the table reports.  The synchronous variant runs its static rule.
     """
-    sync_n = minimum_processes_restricted_sync(dimension, fault_bound)
-    async_n = minimum_processes_restricted_async(dimension, fault_bound)
+    sync_n = minimum_processes_restricted_sync(E11_DIMENSION, E11_FAULT_BOUND)
+    async_n = minimum_processes_restricted_async(E11_DIMENSION, E11_FAULT_BOUND)
 
     def restricted_spec(structure: str, strategy_name: str) -> TrialSpec:
         synchronous = structure == "restricted synchronous"
@@ -499,13 +510,13 @@ def experiment_restricted_rounds(
             adversary=strategy_name,
             scheduler="random",
             process_count=sync_n if synchronous else async_n,
-            dimension=dimension,
-            fault_bound=fault_bound,
-            epsilon=epsilon,
-            max_rounds_override=sync_rounds_override if synchronous else async_rounds_override,
-            workload_seed=seed if synchronous else seed + 1,
-            adversary_seed=seed,
-            scheduler_seed=seed,
+            dimension=E11_DIMENSION,
+            fault_bound=E11_FAULT_BOUND,
+            epsilon=E11_EPSILON,
+            max_rounds_override=None if synchronous else E11_ASYNC_ROUNDS,
+            workload_seed=E11_SEED if synchronous else E11_SEED + 1,
+            adversary_seed=E11_SEED,
+            scheduler_seed=E11_SEED,
         )
 
     structures = ("restricted synchronous", "restricted asynchronous")
@@ -514,7 +525,7 @@ def experiment_restricted_rounds(
         [
             restricted_spec(structure, strategy_name)
             for structure in structures
-            for strategy_name in strategies
+            for strategy_name in E11_STRATEGIES
         ],
     )
     results = _run(campaign)
@@ -522,15 +533,15 @@ def experiment_restricted_rounds(
         {
             "structure": structure,
             "n": result.spec.process_count,
-            "d": dimension,
-            "f": fault_bound,
+            "d": E11_DIMENSION,
+            "f": E11_FAULT_BOUND,
             "attack": result.spec.adversary,
             "eps_agreement": result.agreement,
             "validity": result.validity,
             "rounds": result.rounds,
         }
         for structure, result in zip(
-            [structure for structure in structures for _ in strategies], results
+            [structure for structure in structures for _ in E11_STRATEGIES], results
         )
     ]
 
@@ -539,24 +550,16 @@ def experiment_restricted_rounds(
 # E13 — resilience landscape
 # ---------------------------------------------------------------------------
 
-def experiment_resilience_landscape(
-    dimensions: Sequence[int] = (1, 2, 3, 4, 5, 6, 7, 8),
-    fault_bounds: Sequence[int] = (1, 2, 3, 4),
-) -> list[dict[str, object]]:
+def experiment_resilience_landscape() -> list[dict[str, object]]:
     """Minimum n for every setting across (d, f) — the paper's bounds as a table."""
-    return [dict(row) for row in resilience_table(list(dimensions), list(fault_bounds))]
+    return [dict(row) for row in resilience_table(list(E13_DIMENSIONS), list(E13_FAULT_BOUNDS))]
 
 
 # ---------------------------------------------------------------------------
 # E16 — independent vs coordinated adversaries at the bound
 # ---------------------------------------------------------------------------
 
-def experiment_adversary_coordination(
-    dimension: int = 2,
-    fault_bound: int = 1,
-    epsilon: float = 0.25,
-    seed: int = 29,
-) -> list[dict[str, object]]:
+def experiment_adversary_coordination() -> list[dict[str, object]]:
     """Independent vs coordinated attack success at the resilience bound.
 
     One row per adversary strategy: the four classic independent strategies
@@ -580,9 +583,9 @@ def experiment_adversary_coordination(
         asynchronous = strategy_name == "theorem4_scenario"
         protocol = "approx" if asynchronous else "exact"
         bound = (
-            minimum_processes_approx_async(dimension, fault_bound)
+            minimum_processes_approx_async(E16_DIMENSION, E16_FAULT_BOUND)
             if asynchronous
-            else minimum_processes_exact_sync(dimension, fault_bound)
+            else minimum_processes_exact_sync(E16_DIMENSION, E16_FAULT_BOUND)
         )
         params: dict[str, object] = {}
         if strategy_name == "coordinate_attack":
@@ -592,13 +595,13 @@ def experiment_adversary_coordination(
             workload="uniform_box",
             adversary=strategy_name,
             process_count=bound,
-            dimension=dimension,
-            fault_bound=fault_bound,
-            epsilon=epsilon,
+            dimension=E16_DIMENSION,
+            fault_bound=E16_FAULT_BOUND,
+            epsilon=E16_EPSILON,
             adversary_params=params,
-            workload_seed=seed,
-            adversary_seed=seed,
-            scheduler_seed=seed,
+            workload_seed=E16_SEED,
+            adversary_seed=E16_SEED,
+            scheduler_seed=E16_SEED,
         )
 
     strategies = independent + COORDINATED_STRATEGY_NAMES
@@ -626,7 +629,7 @@ def experiment_adversary_coordination(
 # E14 — application workloads
 # ---------------------------------------------------------------------------
 
-def experiment_applications(epsilon: float = 0.2, seed: int = 21) -> list[dict[str, object]]:
+def experiment_applications() -> list[dict[str, object]]:
     """The intro's application workloads run end-to-end under attack."""
     campaign = Campaign.from_specs(
         "E14-applications",
@@ -639,8 +642,8 @@ def experiment_applications(epsilon: float = 0.2, seed: int = 21) -> list[dict[s
                 process_count=5,
                 dimension=3,
                 fault_bound=1,
-                workload_seed=seed,
-                adversary_seed=seed,
+                workload_seed=E14_SEED,
+                adversary_seed=E14_SEED,
             ),
             # Robot rendezvous: approximate asynchronous agreement on a meeting
             # point; n = (d+2)f + 1 = 6 for d = 3, f = 1.  The static round
@@ -655,11 +658,11 @@ def experiment_applications(epsilon: float = 0.2, seed: int = 21) -> list[dict[s
                 process_count=6,
                 dimension=3,
                 fault_bound=1,
-                epsilon=epsilon,
+                epsilon=E14_EPSILON,
                 max_rounds_override=15,
-                workload_seed=seed,
-                adversary_seed=seed,
-                scheduler_seed=seed,
+                workload_seed=E14_SEED,
+                adversary_seed=E14_SEED,
+                scheduler_seed=E14_SEED,
             ),
             # Gradient aggregation: restricted synchronous rounds, larger n.
             TrialSpec(
@@ -669,10 +672,10 @@ def experiment_applications(epsilon: float = 0.2, seed: int = 21) -> list[dict[s
                 process_count=5,
                 dimension=2,
                 fault_bound=1,
-                epsilon=epsilon,
+                epsilon=E14_EPSILON,
                 max_rounds_override=8,
-                workload_seed=seed,
-                adversary_seed=seed,
+                workload_seed=E14_SEED,
+                adversary_seed=E14_SEED,
             ),
         ],
     )

@@ -34,6 +34,7 @@ from repro.geometry.convex_hull import hulls_intersection_point
 from repro.geometry.points import as_cloud
 
 __all__ = [
+    "THEOREM4_EPSILON",
     "SyncImpossibilityWitness",
     "AsyncImpossibilityWitness",
     "theorem1_construction",
@@ -41,6 +42,9 @@ __all__ = [
     "theorem4_construction",
     "analyze_async_necessity",
 ]
+
+#: The epsilon of the analysed Theorem 4 construction (E7's table).
+THEOREM4_EPSILON = 0.25
 
 
 def theorem1_construction(dimension: int) -> np.ndarray:
@@ -127,8 +131,8 @@ class AsyncImpossibilityWitness:
     violates_epsilon_agreement: bool
 
 
-def analyze_async_necessity(dimension: int, epsilon: float = 0.25) -> AsyncImpossibilityWitness:
-    """Analyse the Theorem 4 construction for ``f = 1`` and ``n = d + 2``.
+def analyze_async_necessity(dimension: int) -> AsyncImpossibilityWitness:
+    """Analyse the Theorem 4 construction for ``f = 1``, ``n = d + 2`` and ``THEOREM4_EPSILON``.
 
     For each process ``p_i`` (``1 <= i <= d + 1`` in the paper's numbering,
     ``0``-based here) the decision must lie in the intersection of the hulls of
@@ -138,6 +142,7 @@ def analyze_async_necessity(dimension: int, epsilon: float = 0.25) -> AsyncImpos
     construction makes unique, namely ``x_i``) and reports the resulting
     pairwise gaps.
     """
+    epsilon = THEOREM4_EPSILON
     cloud = theorem4_construction(dimension, epsilon)
     participant_count = dimension + 1  # p_1 .. p_{d+1}; p_{d+2} never takes a step.
     forced: list[np.ndarray] = []

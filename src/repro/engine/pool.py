@@ -24,7 +24,7 @@ This module replaces that with a process-lifetime pool:
 * **Measured cost model** — :class:`CostModel` sizes units from observed
   per-trial seconds (seeded by a tiny calibration probe, refined online via
   EWMA), replacing the two duplicated ``len(specs) // (workers * 4)``
-  heuristics.  An explicit ``chunksize`` always wins.
+  heuristics.
 * **Crash recovery** — each worker owns a private duplex pipe; a killed
   worker surfaces as EOF on its pipe, its in-flight unit is requeued and a
   replacement worker is spawned (trials are pure functions of their specs,
@@ -110,6 +110,7 @@ TARGET_UNIT_SECONDS = 0.25
 PROBE_TRIALS = 2
 
 #: Hard ceiling on trials per dispatched unit (bounds transport block size).
+#: Read each time a unit is cut, so tests that need many small units lower it.
 MAX_UNIT_TRIALS = 4096
 
 _EWMA_ALPHA = 0.5
@@ -153,26 +154,17 @@ class CostModel:
         """Best latency estimate for the shape class (``None`` = never seen)."""
         return self._per_trial.get(key, self._kind_default.get(key[0]))
 
-    def unit_trials(
-        self,
-        key: tuple,
-        remaining: int,
-        workers: int,
-        chunksize: int | None = None,
-    ) -> int:
+    def unit_trials(self, key: tuple, remaining: int, workers: int) -> int:
         """Number of trials the next dispatched unit should carry.
 
-        An explicit ``chunksize`` always wins (capped only by ``remaining``).
-        Otherwise the size targets :data:`TARGET_UNIT_SECONDS` of estimated
-        work, capped at an even ``remaining / workers`` split so the last
-        units never leave workers idle.  An unseen shape gets a
-        :data:`PROBE_TRIALS` calibration unit, whose observed latency sizes
-        the units after it.
+        The size targets :data:`TARGET_UNIT_SECONDS` of estimated work,
+        capped at an even ``remaining / workers`` split so the last units
+        never leave workers idle, and at :data:`MAX_UNIT_TRIALS`.  An unseen
+        shape gets a :data:`PROBE_TRIALS` calibration unit, whose observed
+        latency sizes the units after it.
         """
         if remaining <= 0:
             return 0
-        if chunksize is not None:
-            return max(1, min(chunksize, remaining))
         per = self.per_trial_seconds(key)
         if per is None:
             _POOL_PROBES.inc()
@@ -638,7 +630,6 @@ def _cut_tasks(
     units: Sequence[ExecutionUnit],
     cost_model: CostModel,
     workers: int,
-    chunksize: int | None,
 ) -> Iterator[_Task]:
     """Lazily slice plan units into cost-model-sized dispatchable tasks.
 
@@ -654,7 +645,7 @@ def _cut_tasks(
         while start < len(positions):
             remaining = len(positions) - start
             key = CostModel.shape_key(unit.kind, specs[positions[start]])
-            size = cost_model.unit_trials(key, remaining, workers, chunksize)
+            size = cost_model.unit_trials(key, remaining, workers)
             chunk = positions[start : start + size]
             yield _Task(
                 task_id=next(_task_ids),
@@ -670,7 +661,6 @@ def execute_plan(
     specs: Sequence[TrialSpec],
     units: Sequence[ExecutionUnit],
     workers: int,
-    chunksize: int | None = None,
     on_unit: "Callable[[UnitObservation], None] | None" = None,
 ) -> Iterator[tuple[tuple[int, ...], list[TrialResult]]]:
     """Execute a campaign plan across workers, yielding units as they finish.
@@ -684,7 +674,7 @@ def execute_plan(
     if not units:
         return
     worker_pool = get_pool(workers)
-    tasks = _cut_tasks(specs, units, worker_pool.cost_model, workers, chunksize)
+    tasks = _cut_tasks(specs, units, worker_pool.cost_model, workers)
     for task, seconds, stripped in worker_pool.run_tasks(tasks):
         if on_unit is not None:
             on_unit(UnitObservation(

@@ -192,6 +192,10 @@ STORE_COMMIT_CHUNK = 4
 #: the reorder window) instead of the campaign size.
 _SERVE_BATCH = 1024
 
+#: Seconds a run waits for rows another session has claimed before it
+#: recomputes them itself (the owner may have crashed).
+CLAIM_WAIT_SECONDS = 60.0
+
 
 def _split_object_units(units: list[ExecutionUnit], cap: int) -> list[ExecutionUnit]:
     """Cap object units at ``cap`` trials, the most a finished row waits for.
@@ -413,18 +417,18 @@ class CampaignSession:
     """One observable campaign execution (see module docstring).
 
     ``campaign`` is a :class:`~repro.engine.campaign.Campaign` or a plain
-    spec sequence (kept verbatim — positions and ``trial_index`` values are
-    never rewritten here, so rows stay byte-identical to the specs given).
+    spec sequence, named ``session`` (kept verbatim — positions and
+    ``trial_index`` values are never rewritten here, so rows stay
+    byte-identical to the specs given).
     ``store`` is a :class:`~repro.store.backend.ResultStore`, a path (opened
     on start and closed when the session ends), or ``None`` for uncached
     execution.  With a store, execution is a write-through cache: cached rows
     are served without running anything (unless ``reuse_cached`` is False,
     which forces recomputation while still recording) and misses commit
-    before they are emitted; ``claim_wait_timeout`` bounds how long the run
-    waits for rows another session has claimed before recomputing them
+    before they are emitted; :data:`CLAIM_WAIT_SECONDS` bounds how long the
+    run waits for rows another session has claimed before recomputing them
     itself.  ``workers <= 1`` runs inline; otherwise units are cut into
-    cost-model-sized tasks on the persistent pool (an explicit ``chunksize``
-    overrides the cost model's sizing).  The session is single-shot:
+    cost-model-sized tasks on the persistent pool.  The session is single-shot:
     :meth:`events` (or :meth:`rows`) may be consumed once.
     """
 
@@ -432,14 +436,10 @@ class CampaignSession:
         self,
         campaign: Union[Campaign, Sequence[TrialSpec]],
         *,
-        name: str | None = None,
         workers: int = 1,
-        chunksize: int | None = None,
         engine: str = "auto",
         store: "ResultStore | str | Path | None" = None,
         reuse_cached: bool = True,
-        claim_wait_timeout: float = 60.0,
-        run_id: str | None = None,
         trace: TraceRecorder | None = None,
     ) -> None:
         if engine not in ENGINE_CHOICES:
@@ -448,19 +448,17 @@ class CampaignSession:
             )
         if isinstance(campaign, Campaign):
             self.specs: tuple[TrialSpec, ...] = campaign.specs
-            self.name = name if name is not None else campaign.name
+            self.name = campaign.name
         else:
             self.specs = tuple(campaign)
-            self.name = name if name is not None else "session"
+            self.name = "session"
         self.workers = workers
-        self.chunksize = chunksize
         self.engine = engine
         self.reuse_cached = reuse_cached
-        self.claim_wait_timeout = claim_wait_timeout
         #: Session identity: names the run in summaries and the HTTP API, and
         #: doubles as the claim owner id, so ``repro store claims`` attributes
         #: outstanding claims to the session that holds them.
-        self.run_id = run_id if run_id is not None else uuid.uuid4().hex[:16]
+        self.run_id = uuid.uuid4().hex[:16]
         #: Executed trials the planner routed to the object engine, per reason.
         self.fallback_reasons: dict[str, int] = {}
         #: Optional per-session trace recorder: the session records phase and
@@ -673,9 +671,9 @@ class CampaignSession:
         and keys another session already holds are *deferred* — this run
         polls for the owner's committed rows and serves them as cache hits
         instead of recomputing.  A deferred trial whose owner never commits
-        (crash, timeout) is recomputed locally after ``claim_wait_timeout``
-        seconds, so the campaign always completes.  Without a store every
-        position simply runs.
+        (crash, timeout) is recomputed locally after
+        :data:`CLAIM_WAIT_SECONDS`, so the campaign always completes.  Without
+        a store every position simply runs.
         """
         run_positions: Sequence[int] = range(len(self.specs))
         claimed: list[str] = []
@@ -829,7 +827,7 @@ class CampaignSession:
         # into cost-model-sized tasks and yields them in completion order;
         # the reorder buffer restores spec order.
         for task_positions, results in execute_plan(
-            specs, units, self.workers, self.chunksize,
+            specs, units, self.workers,
             on_unit=self._on_pool_unit if self.trace is not None else None,
         ):
             yield "task", task_positions, results
@@ -883,7 +881,7 @@ class CampaignSession:
     def _await_deferred(self) -> Iterator[RowEvent]:
         """Poll for rows other sessions claimed until they land or the wait times out."""
         wait_start = time.monotonic()
-        deadline = wait_start + self.claim_wait_timeout
+        deadline = wait_start + CLAIM_WAIT_SECONDS
         delay = 0.05
         try:
             while self._deferred and time.monotonic() < deadline:
@@ -907,17 +905,16 @@ def run_campaign(
     engine: str = "auto",
     store: "ResultStore | str | Path | None" = None,
     reuse_cached: bool = True,
-    chunksize: int | None = None,
     trace: TraceRecorder | None = None,
 ) -> tuple[CampaignStatus, list[TrialResult]]:
     """Run every trial of the campaign, streaming rows to the optional sink.
 
     The blocking form of a :class:`CampaignSession` (same ``workers`` /
-    ``engine`` / ``store`` / ``reuse_cached`` / ``chunksize`` / ``trace``
-    meaning).  Each row, in spec order, is written to ``jsonl_path``, passed
-    to ``on_result`` (an exception raised there aborts the run) and — only
-    when ``collect=True`` — kept for the returned list; large sweeps should
-    rely on the JSONL sink and keep ``collect`` off.  Returns the final
+    ``engine`` / ``store`` / ``reuse_cached`` / ``trace`` meaning).  Each
+    row, in spec order, is written to ``jsonl_path``, passed to ``on_result``
+    (an exception raised there aborts the run) and — only when
+    ``collect=True`` — kept for the returned list; large sweeps should rely
+    on the JSONL sink and keep ``collect`` off.  Returns the final
     :class:`CampaignStatus` (``cache_hits`` reports the store's share) and the
     collected rows.  The caller owns writing a recorded ``trace`` out
     (``trace.write(path)``).
@@ -925,7 +922,6 @@ def run_campaign(
     session = CampaignSession(
         campaign,
         workers=workers,
-        chunksize=chunksize,
         engine=engine,
         store=store,
         reuse_cached=reuse_cached,

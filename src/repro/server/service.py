@@ -224,14 +224,12 @@ class CampaignService:
         workers: int = 1,
         max_active: int = 2,
         max_pending: int = 8,
-        claim_wait_timeout: float = 60.0,
         trace_dir: str | Path | None = None,
     ) -> None:
         self.store_path = Path(store_path)
         self.default_workers = workers
         self.max_active = max_active
         self.max_pending = max_pending
-        self.claim_wait_timeout = claim_wait_timeout
         #: When set, every submitted run records a Chrome trace written to
         #: ``<trace_dir>/<run_id>.json`` as the run retires.
         self.trace_dir = Path(trace_dir) if trace_dir is not None else None
@@ -361,7 +359,6 @@ class CampaignService:
                 engine=engine,
                 store=self.store_path,
                 reuse_cached=resume,
-                claim_wait_timeout=self.claim_wait_timeout,
                 trace=TraceRecorder() if self.trace_dir is not None else None,
             )
             handle = RunHandle(
@@ -629,22 +626,21 @@ class CampaignService:
         self,
         where: Mapping[str, Any] | None = None,
         after_key: str | None = None,
-        batch_size: int | None = None,
     ) -> tuple[list[str], str | None]:
         """One page of the NDJSON export: ``(lines, last_key_seen)``.
 
-        Key-ordered pagination: pass the returned ``last_key_seen`` back as
-        ``after_key`` until an empty page signals the end.  Each page is an
-        independent bounded read, so the HTTP export streams with constant
-        memory and immediate time-to-first-byte, and never holds a store
-        cursor (or its locks) across socket writes.
+        Key-ordered pagination, at most :attr:`EXPORT_BATCH` rows a page:
+        pass the returned ``last_key_seen`` back as ``after_key`` until an
+        empty page signals the end.  Each page is an independent bounded
+        read, so the HTTP export streams with constant memory and immediate
+        time-to-first-byte, and never holds a store cursor (or its locks)
+        across socket writes.
         """
         store = self._pooled_store()
-        limit = batch_size if batch_size is not None else self.EXPORT_BATCH
         lines: list[str] = []
         last_key = after_key
         for entry in store.iter_entries(
-            where=dict(where) if where else None, after_key=after_key, limit=limit
+            where=dict(where) if where else None, after_key=after_key, limit=self.EXPORT_BATCH
         ):
             lines.append(json.dumps(entry.row, sort_keys=True))
             last_key = entry.key

@@ -161,6 +161,9 @@ _BUMP_GENERATION = "UPDATE meta SET value = value + 1 WHERE name = 'generation'"
 # 999 default.
 _SQLITE_KEY_CHUNK = 500
 
+# Rows per transaction when import_jsonl ingests a file.
+_IMPORT_BATCH = 256
+
 
 class ResultStore:
     """Content-addressed warehouse of trial rows (see module docstring).
@@ -419,8 +422,8 @@ class ResultStore:
     def __contains__(self, key: str) -> bool:
         return bool(self.contains_keys([key]))
 
-    def gc(self, engine_version: str = ENGINE_VERSION, dry_run: bool = False) -> int:
-        """Delete (or with ``dry_run`` just count) rows under any other engine salt.
+    def gc(self, dry_run: bool = False) -> int:
+        """Delete (or with ``dry_run`` just count) rows under any salt but ``ENGINE_VERSION``.
 
         Those rows are unreachable by lookup — their keys were derived under
         a salt no current :func:`~repro.store.keys.trial_key` call uses — so
@@ -430,12 +433,12 @@ class ResultStore:
         # delete needs to parse a single row.
         if dry_run:
             (stale,) = self._connection.execute(
-                "SELECT COUNT(*) FROM trials WHERE engine_version != ?", (engine_version,)
+                "SELECT COUNT(*) FROM trials WHERE engine_version != ?", (ENGINE_VERSION,)
             ).fetchone()
             return int(stale)
         with self._connection:
             cursor = self._connection.execute(
-                "DELETE FROM trials WHERE engine_version != ?", (engine_version,)
+                "DELETE FROM trials WHERE engine_version != ?", (ENGINE_VERSION,)
             )
             if cursor.rowcount:
                 self._connection.execute(_BUMP_GENERATION)
@@ -476,7 +479,6 @@ class ResultStore:
     def import_jsonl(
         self,
         path: str | Path,
-        batch_size: int = 256,
         engine_version: str = ENGINE_VERSION,
     ) -> int:
         """Ingest a campaign/fuzz JSONL export, re-deriving each row's key.
@@ -509,7 +511,7 @@ class ResultStore:
         for row in iter_jsonl(path):
             result = TrialResult.from_row(row)
             batch.append((trial_key(result.spec, engine_version=engine_version), result.to_row()))
-            if len(batch) >= batch_size:
+            if len(batch) >= _IMPORT_BATCH:
                 ingested += self.put_rows(batch, engine_version=engine_version)
                 batch.clear()
         if batch:

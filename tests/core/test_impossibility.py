@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.impossibility import (
+    THEOREM4_EPSILON,
     analyze_async_necessity,
     analyze_sync_necessity,
     theorem1_construction,
@@ -51,15 +52,14 @@ class TestTheorem4Construction:
 
     @pytest.mark.parametrize("dimension", [1, 2, 3, 4])
     def test_forced_gap_is_four_epsilon(self, dimension):
-        epsilon = 0.25
-        witness = analyze_async_necessity(dimension, epsilon=epsilon)
-        assert witness.max_forced_gap == pytest.approx(4.0 * epsilon, abs=1e-6)
+        witness = analyze_async_necessity(dimension)
+        assert witness.epsilon == THEOREM4_EPSILON
+        assert witness.max_forced_gap == pytest.approx(4.0 * THEOREM4_EPSILON, abs=1e-6)
         assert witness.violates_epsilon_agreement
 
     def test_forced_decisions_equal_own_inputs(self):
-        epsilon = 0.5
-        witness = analyze_async_necessity(2, epsilon=epsilon)
-        construction = theorem4_construction(2, epsilon=epsilon)
+        witness = analyze_async_necessity(2)
+        construction = theorem4_construction(2, epsilon=THEOREM4_EPSILON)
         for index, decision in enumerate(witness.forced_decisions):
             assert np.allclose(decision, construction[index], atol=1e-6)
 

@@ -29,11 +29,13 @@ from repro.engine import (
     shutdown_pools,
     strip_timing,
 )
+from repro.engine import pool as pool_module
 from repro.engine.pool import (
     MAX_UNIT_TRIALS,
     PROBE_TRIALS,
     CostModel,
     ExecutionUnit,
+    _cut_tasks,
     decode_unit,
     encode_unit,
     execute_plan,
@@ -129,12 +131,13 @@ class TestCostModel:
         other = ("object", "approx", 7, 1, 2, "crash")
         assert model.per_trial_seconds(other) == pytest.approx(0.01)
 
-    def test_explicit_chunksize_always_wins(self):
+    def test_the_hard_cap_is_read_when_a_unit_is_cut(self, monkeypatch):
         model = CostModel()
-        model.observe(self.KEY, trials=10, seconds=100.0)  # model would say 1
-        assert model.unit_trials(self.KEY, remaining=50, workers=4, chunksize=7) == 7
-        # ... capped only by the remaining work.
-        assert model.unit_trials(self.KEY, remaining=3, workers=4, chunksize=7) == 3
+        model.observe(self.KEY, trials=1000, seconds=0.001)  # model would say thousands
+        monkeypatch.setattr(pool_module, "MAX_UNIT_TRIALS", 7)
+        assert model.unit_trials(self.KEY, remaining=50, workers=1) == 7
+        # ... and the remaining work still caps it.
+        assert model.unit_trials(self.KEY, remaining=3, workers=1) == 3
 
     def test_tail_splits_across_workers(self):
         model = CostModel()
@@ -155,13 +158,41 @@ class TestExecutePlan:
         for index in range(10)
     ]
 
-    def test_explicit_chunksize_shapes_every_task(self):
+    def test_a_lowered_cap_bounds_every_task(self, monkeypatch):
         units = [ExecutionUnit("object", tuple(range(len(self.SPECS))))]
-        sizes = sorted(
-            len(positions)
-            for positions, _ in execute_plan(self.SPECS, units, workers=2, chunksize=3)
+        monkeypatch.setattr(pool_module, "MAX_UNIT_TRIALS", 3)
+        tasks = [positions for positions, _ in execute_plan(self.SPECS, units, workers=2)]
+        assert max(len(positions) for positions in tasks) <= 3
+        assert sorted(position for positions in tasks for position in positions) == list(
+            range(len(self.SPECS))
         )
-        assert sizes == [1, 3, 3, 3]
+
+    @pytest.mark.parametrize(
+        ("trials", "workers", "per_trial_seconds", "sizes"),
+        [
+            # An unseen shape: probe-sized units until an observation lands.
+            (7, 2, None, [2, 2, 2, 1]),
+            # ~15 ms exact trials on two workers (the pooled_exact_store shape).
+            (200, 2, 0.015, [17] * 10 + [15, 8, 4, 2, 1]),
+            # Cheap trials: the even split across workers caps every unit.
+            (5000, 2, 0.0001, [2500, 1250, 625, 313, 156, 78, 39, 20, 10, 5, 2, 1, 1]),
+            (100, 4, 0.01, [25, 19, 14, 11, 8, 6, 5, 3, 3, 2, 1, 1, 1, 1]),
+        ],
+    )
+    def test_product_task_sizes_are_pinned(self, trials, workers, per_trial_seconds, sizes):
+        # No caller sets a unit size: these cuts are what every pooled
+        # campaign ships, so a change here shows up in the pool's latency.
+        specs = [
+            TrialSpec(protocol="exact", workload="uniform_box", seed=index, trial_index=index)
+            for index in range(trials)
+        ]
+        model = CostModel()
+        if per_trial_seconds is not None:
+            key = CostModel.shape_key("object", specs[0])
+            model.observe(key, trials=10, seconds=10 * per_trial_seconds)
+        units = [ExecutionUnit("object", tuple(range(trials)))]
+        tasks = _cut_tasks(specs, units, model, workers)
+        assert [len(task.positions) for task in tasks] == sizes
 
 
 class TestPersistentPoolLifecycle:
@@ -190,7 +221,7 @@ class TestPersistentPoolLifecycle:
         list(CampaignSession(specs, workers=2).rows())
         assert set(_worker_pids(get_pool(2))) == first_pids
 
-    def test_worker_crash_mid_campaign_recovers(self):
+    def test_worker_crash_mid_campaign_recovers(self, monkeypatch):
         specs = [
             TrialSpec(protocol="exact", workload="uniform_box", process_count=5,
                       dimension=2, fault_bound=1, seed=index, trial_index=index)
@@ -199,9 +230,10 @@ class TestPersistentPoolLifecycle:
         expected = strip_timing(
             result.to_row() for result in CampaignSession(specs, workers=1).rows()
         )
-        # chunksize=2 forces many dispatches, so the killed seat is certain
-        # to be involved again after the kill.
-        stream = CampaignSession(specs, workers=2, chunksize=2).rows()
+        # Two-trial units force many dispatches, so the killed seat is
+        # certain to be involved again after the kill.
+        monkeypatch.setattr(pool_module, "MAX_UNIT_TRIALS", 2)
+        stream = CampaignSession(specs, workers=2).rows()
         results = [next(stream)]
         recoveries_before = _pool_counter("repro_pool_crash_recoveries_total")
         os.kill(_worker_pids(get_pool(2))[0], signal.SIGKILL)
@@ -209,16 +241,18 @@ class TestPersistentPoolLifecycle:
         assert strip_timing(result.to_row() for result in results) == expected
         assert _pool_counter("repro_pool_crash_recoveries_total") > recoveries_before
 
-    def test_interrupted_run_leaves_pool_reusable(self):
+    def test_interrupted_run_leaves_pool_reusable(self, monkeypatch):
         specs = TestExecutePlan.SPECS
-        stream = CampaignSession(specs, workers=2, chunksize=2).rows()
+        monkeypatch.setattr(pool_module, "MAX_UNIT_TRIALS", 2)
+        stream = CampaignSession(specs, workers=2).rows()
         next(stream)
         stream.close()  # abandon mid-campaign (in-flight units are drained)
+        monkeypatch.undo()
         results = list(CampaignSession(specs, workers=2).rows())
         assert len(results) == len(specs)
         assert [result.spec.trial_index for result in results] == list(range(len(specs)))
 
-    def test_two_sessions_sharing_one_pool_take_turns(self, tmp_path):
+    def test_two_sessions_sharing_one_pool_take_turns(self, tmp_path, monkeypatch):
         # The server runs two sessions at once, and both workers=2 sessions
         # ride one pool: each must get its own replies, and neither may hang.
         grids = {
@@ -237,12 +271,13 @@ class TestPersistentPoolLifecycle:
         def run(name: str) -> None:
             try:
                 run_campaign(
-                    grids[name], workers=2, engine="object", chunksize=1,
+                    grids[name], workers=2, engine="object",
                     jsonl_path=tmp_path / f"{name}-2.jsonl",
                 )
             except BaseException as error:  # noqa: BLE001 — surface in the main thread
                 errors.append(error)
 
+        monkeypatch.setattr(pool_module, "MAX_UNIT_TRIALS", 1)  # many turns each
         shutdown_pools()  # both sessions also race to create the pool
         threads = [threading.Thread(target=run, args=(name,), daemon=True) for name in grids]
         for thread in threads:
@@ -335,8 +370,10 @@ class TestColumnarFanout:
 
         units = plan_specs(specs, "auto")
         assert [unit.kind for unit in units] == ["columnar"]
-        tasks = list(execute_plan(specs, units, workers=2, chunksize=2))
-        assert len(tasks) == 4  # cut into chunksize-sized sub-groups
+        tasks = list(execute_plan(specs, units, workers=2))
+        # Cut into sub-groups, none larger than the even split across workers.
+        assert len(tasks) > 1
+        assert max(len(positions) for positions, _ in tasks) <= len(specs) // 2
         rows = {}
         for positions, results in tasks:
             for position, result in zip(positions, results):

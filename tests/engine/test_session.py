@@ -37,6 +37,7 @@ from repro.engine import (
     run_trial,
     strip_timing,
 )
+from repro.engine import pool as pool_module
 from repro.engine import session as session_module
 from repro.engine.session import STORE_COMMIT_CHUNK
 from repro.store.backend import ResultStore
@@ -140,24 +141,27 @@ class TestEventStream:
     def test_pooled_store_commits_once_per_pool_task(self, tmp_path):
         """On the pool the commit group is the pool task, not a 4-trial slice."""
         specs = _object_specs(24)
-        options = {"engine": "object", "chunksize": 8}
         with ResultStore(tmp_path / "store.db") as store:
             start = store.generation()
-            session = CampaignSession(specs, store=store, workers=2, **options)
+            session = CampaignSession(specs, store=store, workers=2, engine="object")
             committed: set[int] = set()
+            tasks = []
             pooled = []
             for event in session.events():
                 if isinstance(event, UnitCommittedEvent):
                     assert all(trial_key(specs[p]) in store for p in event.positions)
+                    assert committed.isdisjoint(event.positions)
                     committed.update(event.positions)
+                    tasks.append(event.positions)
                 elif isinstance(event, RowEvent):
                     assert event.position in committed
                     pooled.append(event.result)
-            # 24 trials in chunks of 8: three tasks, three commits.
-            assert store.generation() - start == 3
+            # One commit per cost-model-sized pool task, whatever its size.
+            assert committed == set(range(len(specs)))
+            assert store.generation() - start == len(tasks) > 1
 
-        no_store = CampaignSession(specs, workers=2, **options).rows()
-        inline = CampaignSession(specs, store=tmp_path / "inline.db", **options).rows()
+        no_store = CampaignSession(specs, workers=2, engine="object").rows()
+        inline = CampaignSession(specs, store=tmp_path / "inline.db", engine="object").rows()
         assert _rows(pooled) == _rows(no_store) == _rows(inline)
 
 
@@ -166,7 +170,7 @@ class TestOneLoop:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("store_state", ["none", "fresh", "warm", "contended"])
     def test_every_store_state_rides_the_same_loop(
-        self, store_state, workers, engine, tmp_path
+        self, store_state, workers, engine, tmp_path, monkeypatch
     ):
         # Columnar-eligible and object-only trials, interleaved.
         specs = [
@@ -174,17 +178,16 @@ class TestOneLoop:
             for index, spec in enumerate(_specs(10))
         ]
         store_path = None if store_state == "none" else tmp_path / "store.db"
-        options = {}
         if store_state == "warm":
             list(CampaignSession(specs, store=store_path).rows())
         elif store_state == "contended":
             # A crashed owner: holds two claims it will never commit.
             with ResultStore(store_path) as ghost:
                 ghost.claim_keys([trial_key(specs[3]), trial_key(specs[4])], "ghost")
-            options["claim_wait_timeout"] = 1.0
+            monkeypatch.setattr(session_module, "CLAIM_WAIT_SECONDS", 1.0)
 
         session = CampaignSession(
-            specs, store=store_path, workers=workers, engine=engine, **options
+            specs, store=store_path, workers=workers, engine=engine
         )
         events = list(session.events())
 
@@ -229,7 +232,7 @@ class TestStatus:
 
     def test_summary_carries_run_id_and_fallbacks(self):
         specs = _specs(4)
-        session = CampaignSession(specs, name="pinned", engine="object")
+        session = CampaignSession(Campaign.from_specs("pinned", specs), engine="object")
         list(session.rows())
         summary = session.summary()
         assert summary.state == "finished"
@@ -275,12 +278,11 @@ class TestCancellation:
         with ResultStore(store_path) as store:
             assert store.claim_stats() == {"live": 0, "expired": 0}
 
-    def test_multiworker_cancel_halts_promptly_and_releases_claims(self, tmp_path):
+    def test_multiworker_cancel_halts_promptly_and_releases_claims(self, tmp_path, monkeypatch):
         store_path = tmp_path / "store.db"
         specs = _specs(16)
-        session = CampaignSession(
-            specs, store=store_path, workers=2, chunksize=2, engine="object"
-        )
+        monkeypatch.setattr(pool_module, "MAX_UNIT_TRIALS", 2)
+        session = CampaignSession(specs, store=store_path, workers=2, engine="object")
         received = 0
         for _ in session.rows():
             received += 1
@@ -293,7 +295,7 @@ class TestCancellation:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_resume_after_cancel_is_byte_identical_with_zero_recompute(
-        self, tmp_path, workers
+        self, tmp_path, workers, monkeypatch
     ):
         """The satellite contract: cancel -> resume completes, recomputing
         nothing that was committed, and exports byte-identical rows."""
@@ -301,9 +303,8 @@ class TestCancellation:
         specs = _specs(12)
         expected = _oracle_rows(specs)
 
-        first = CampaignSession(
-            specs, store=store_path, workers=workers, chunksize=2, engine="object"
-        )
+        monkeypatch.setattr(pool_module, "MAX_UNIT_TRIALS", 2)
+        first = CampaignSession(specs, store=store_path, workers=workers, engine="object")
         consumed = 0
         for _ in first.rows():
             consumed += 1

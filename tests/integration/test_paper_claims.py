@@ -17,7 +17,11 @@ from repro.core.conditions import (
     minimum_processes_exact_sync,
 )
 from repro.core.exact_bvc import run_exact_bvc
-from repro.core.impossibility import analyze_async_necessity, analyze_sync_necessity
+from repro.core.impossibility import (
+    THEOREM4_EPSILON,
+    analyze_async_necessity,
+    analyze_sync_necessity,
+)
 from repro.core.restricted_sync import run_restricted_sync_bvc
 from repro.core.safe_area import safe_area_is_empty
 from repro.core.validity import check_approximate_outcome, check_exact_outcome
@@ -88,9 +92,9 @@ class TestTheorem4And5ApproxBVC:
 
     @pytest.mark.parametrize("dimension", [1, 2, 3])
     def test_necessity_forced_gap_below_the_bound(self, dimension):
-        witness = analyze_async_necessity(dimension, epsilon=0.2)
+        witness = analyze_async_necessity(dimension)
         assert witness.violates_epsilon_agreement
-        assert witness.max_forced_gap == pytest.approx(0.8, abs=1e-6)
+        assert witness.max_forced_gap == pytest.approx(4 * THEOREM4_EPSILON, abs=1e-6)
 
     def test_sufficiency_at_the_bound_with_slow_process_and_attack(self):
         n = minimum_processes_approx_async(2, 1)
@@ -134,7 +138,7 @@ class TestSynchronousVsAsynchronousGap:
         assert report.agreement_ok and report.validity_ok
         # ... while the asynchronous necessity construction shows no algorithm
         # with n = d + 2 = 4 can achieve epsilon-agreement.
-        witness = analyze_async_necessity(2, epsilon=0.2)
+        witness = analyze_async_necessity(2)
         assert witness.violates_epsilon_agreement
 
 

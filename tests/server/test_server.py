@@ -12,9 +12,10 @@ Two levels, matching the package split:
 
 Streaming determinism trick: the campaign's cache-hit prefix streams
 immediately, while the suffix keys are claimed by a "ghost" owner that never
-commits — the session provably stays in ``running`` for its whole
-``claim_wait_timeout``, giving the tests a wide, deterministic window to
-observe rows before completion.
+commits — the session provably stays in ``running`` for its whole claim wait
+(``CLAIM_WAIT_SECONDS``, lowered by the tests that need the run to finish),
+giving the tests a wide, deterministic window to observe rows before
+completion.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import urllib.request
 import pytest
 
 from repro.engine import Campaign, CampaignSession, strip_timing
+from repro.engine import session as session_module
 from repro.server import (
     CampaignService,
     ServiceBusy,
@@ -177,9 +179,7 @@ class TestCampaignService:
         store_path = tmp_path / "store.db"
         declaration = _declaration(4, name="stalled")
         ghost_keys = _ghost_claim(store_path, _specs_of(declaration))
-        service = CampaignService(
-            store_path, max_active=1, max_pending=0, claim_wait_timeout=30.0
-        )
+        service = CampaignService(store_path, max_active=1, max_pending=0)
         try:
             stalled = service.submit({"campaign": declaration})
             with pytest.raises(ServiceBusy, match="in flight"):
@@ -199,7 +199,7 @@ class TestCampaignService:
         store_path = tmp_path / "store.db"
         declaration = _declaration(3, name="blocked")
         ghost_keys = _ghost_claim(store_path, _specs_of(declaration))
-        service = CampaignService(store_path, claim_wait_timeout=60.0)
+        service = CampaignService(store_path)
         try:
             handle = service.submit({"campaign": declaration})
             deadline = time.monotonic() + 10
@@ -214,14 +214,15 @@ class TestCampaignService:
             _release_ghost(store_path, ghost_keys)
             service.shutdown()
 
-    def test_rows_stream_before_completion(self, tmp_path):
+    def test_rows_stream_before_completion(self, tmp_path, monkeypatch):
         """Cached prefix rows are observable while the suffix is still deferred."""
         store_path = tmp_path / "store.db"
         declaration = _declaration(6, name="mixed")
         specs = _specs_of(declaration)
         _precache(store_path, specs[:3])
         ghost_keys = _ghost_claim(store_path, specs[3:])
-        service = CampaignService(store_path, claim_wait_timeout=3.0)
+        monkeypatch.setattr(session_module, "CLAIM_WAIT_SECONDS", 3.0)
+        service = CampaignService(store_path)
         try:
             handle = service.submit({"campaign": declaration})
             deadline = time.monotonic() + 10
@@ -316,7 +317,8 @@ class TestCampaignService:
         finally:
             service.shutdown()
 
-    def test_export_batch_paginates_in_key_order(self, tmp_path):
+    def test_export_batch_paginates_in_key_order(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(CampaignService, "EXPORT_BATCH", 2)
         service = CampaignService(tmp_path / "store.db")
         try:
             handle = service.submit({"campaign": _declaration(5)})
@@ -325,7 +327,7 @@ class TestCampaignService:
             after = None
             pages = 0
             while True:
-                lines, after = service.export_batch(after_key=after, batch_size=2)
+                lines, after = service.export_batch(after_key=after)
                 if not lines:
                     break
                 assert len(lines) <= 2
@@ -347,7 +349,7 @@ class TestCampaignService:
             assert service.query_rows(TrialFilter(protocol="exact"), limit=2)
             groups = service.aggregate(("protocol",), TrialFilter())
             assert len(groups) == 1 and groups[0]["trials"] == 4
-            lines, _ = service.export_batch(after_key=None, batch_size=10)
+            lines, _ = service.export_batch(after_key=None)
             assert lines == _stored_lines(tmp_path / "store.db") and len(lines) == 4
             stats = service.store_stats()
             assert stats["trials"] == 4
@@ -568,7 +570,7 @@ class TestHttpServer:
             )
             assert status == 304 and body == b""
 
-    def test_submit_then_stream_rows_arrive_before_completion(self, tmp_path):
+    def test_submit_then_stream_rows_arrive_before_completion(self, tmp_path, monkeypatch):
         """The acceptance path: mixed hit/miss campaign over HTTP, NDJSON rows
         observable while the run is still provably in ``running``."""
         store_path = tmp_path / "store.db"
@@ -576,8 +578,9 @@ class TestHttpServer:
         specs = _specs_of(declaration)
         _precache(store_path, specs[:3])
         ghost_keys = _ghost_claim(store_path, specs[3:])
+        monkeypatch.setattr(session_module, "CLAIM_WAIT_SECONDS", 3.0)
         try:
-            with _serving(store_path, claim_wait_timeout=3.0) as server:
+            with _serving(store_path) as server:
                 status, _, accepted = _get_json_from_post(
                     server.url("/campaigns"), {"campaign": declaration}
                 )
@@ -617,9 +620,7 @@ class TestHttpServer:
         declaration = _declaration(3, name="stalled")
         ghost_keys = _ghost_claim(store_path, _specs_of(declaration))
         try:
-            with _serving(
-                store_path, max_active=1, max_pending=0, claim_wait_timeout=60.0
-            ) as server:
+            with _serving(store_path, max_active=1, max_pending=0) as server:
                 status, _, accepted = _get_json_from_post(
                     server.url("/campaigns"), {"campaign": declaration}
                 )

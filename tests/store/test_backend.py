@@ -14,6 +14,8 @@ from repro.store import (
     open_store,
     trial_key,
 )
+from repro.store import backend as backend_module
+
 
 def _make_store(tmp_path):
     return ResultStore(tmp_path / "store.db")
@@ -128,7 +130,7 @@ class TestResultStoreContract:
         ],
     )
     def test_import_commits_nothing_when_a_later_row_is_malformed(
-        self, tmp_path, tail, message
+        self, tmp_path, monkeypatch, tail, message
     ):
         # Validation runs over the whole file before the first commit, so a
         # bad row 4 must not leave rows 1-3 servable in the store.
@@ -136,8 +138,9 @@ class TestResultStoreContract:
         jsonl = tmp_path / "tail-bad.jsonl"
         jsonl.write_text("".join(result.to_json() + "\n" for result in results) + tail)
         store = _make_store(tmp_path)
+        monkeypatch.setattr(backend_module, "_IMPORT_BATCH", 2)  # batches smaller than the file
         with pytest.raises(ConfigurationError, match=message):
-            store.import_jsonl(jsonl, batch_size=2)  # batches smaller than the file
+            store.import_jsonl(jsonl)
         assert len(store) == 0
 
     def test_import_under_old_engine_version_stays_unreachable(self, tmp_path):

@@ -13,6 +13,8 @@ from __future__ import annotations
 import threading
 
 from repro.engine import CampaignSession, TrialSpec, run_trial, strip_timing
+from repro.engine import pool as pool_module
+from repro.engine import session as session_module
 from repro.store.backend import ResultStore
 
 
@@ -100,7 +102,7 @@ class TestConcurrentCampaigns:
         def campaign(name: str) -> None:
             store = ResultStore(path)  # one connection per "process"
             try:
-                session = CampaignSession(specs, store=store, claim_wait_timeout=120.0)
+                session = CampaignSession(specs, store=store)
                 rows = [result.to_row() for result in session.rows()]
                 outputs[name] = strip_timing(rows)
                 executed[name] = len(specs) - session.status().cache_hits
@@ -122,7 +124,7 @@ class TestConcurrentCampaigns:
         # from the other run's commits count as hits.
         assert executed["A"] + executed["B"] == len(specs)
 
-    def test_abandoned_claims_are_recomputed_after_timeout(self, tmp_path):
+    def test_abandoned_claims_are_recomputed_after_timeout(self, tmp_path, monkeypatch):
         path = tmp_path / "store.db"
         specs = _specs(4)
         from repro.store.keys import trial_key
@@ -132,7 +134,8 @@ class TestConcurrentCampaigns:
         saboteur.claim_keys([trial_key(specs[1]), trial_key(specs[2])], "ghost")
 
         store = ResultStore(path)
-        session = CampaignSession(specs, store=store, claim_wait_timeout=1.0)
+        monkeypatch.setattr(session_module, "CLAIM_WAIT_SECONDS", 1.0)
+        session = CampaignSession(specs, store=store)
         rows = [result.to_row() for result in session.rows()]
         assert strip_timing(rows) == _uncached_rows(specs)
         # The ghost's trials were recomputed locally: nothing was served.
@@ -141,11 +144,12 @@ class TestConcurrentCampaigns:
 
 
 class TestInterruptResumeUnderPersistentPool:
-    def test_interrupted_pooled_run_resumes_without_recompute(self, tmp_path):
+    def test_interrupted_pooled_run_resumes_without_recompute(self, tmp_path, monkeypatch):
         store_path = tmp_path / "store.db"
         specs = _specs(12)
         store = ResultStore(store_path)
-        stream = CampaignSession(specs, store=store, workers=2, chunksize=2).rows()
+        monkeypatch.setattr(pool_module, "MAX_UNIT_TRIALS", 2)
+        stream = CampaignSession(specs, store=store, workers=2).rows()
         consumed = [next(stream) for _ in range(3)]
         stream.close()  # interrupt mid-campaign; emitted rows are committed
         store.close()

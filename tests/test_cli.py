@@ -122,11 +122,20 @@ class TestMain:
             "E2_theorem1_necessity.txt",
             "E3_safe_area_existence.txt",
             "E4_figure1_tverberg.txt",
+            "E5_theorem3_exact_bvc.txt",
             "E6_safe_area_cost.txt",
+            "E7_theorem4_necessity.txt",
+            "E8_theorem5_approx_bvc.txt",
+            "E9_equation12_contraction.txt",
             "E10_appendix_f.txt",
+            "E11_theorem6_restricted_rounds.txt",
+            "E13_resilience_landscape.txt",
+            "E14_applications.txt",
+            "E16_adversary_coordination.txt",
         ]
+        assert [name.split("_")[0] for name in names] == _ordered_experiment_ids()
         assert sorted(path.name for path in reference.iterdir()) == sorted(names)
-        assert main(["run", "E1", "E2", "E3", "E4", "E6", "E10"]) == 0
+        assert main(["run", "all"]) == 0
         committed = "\n".join((reference / name).read_text() for name in names)
         assert capsys.readouterr().out == committed
 
@@ -158,7 +167,7 @@ class TestMain:
         assert excinfo.value.code == 0
         output = capsys.readouterr().out
         assert "examples:" in output
-        assert "python -m repro.cli run E1 E2 E3 E4 E6 E10" in output
+        assert "python -m repro.cli run all                 the fourteen tables" in output
         assert "docs/ARCHITECTURE.md" in output
         assert "docs/PERFORMANCE.md" in output
         assert "PYTHONPATH=src python -m pytest -x -q" in output

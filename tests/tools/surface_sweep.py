@@ -16,11 +16,13 @@ they start.  It prints, and writes to ``.surface_sweep/report.json``:
 * every function no product driver enters, and why it stays
   (:data:`BRANCH_EXEMPT`);
 * every defaulted parameter of a product-entered function that no product
-  call set to another value.
+  call set to another value, and why it stays (:data:`PARAMETER_EXEMPT`).
 
 It exits 1 when a ``src/`` function is entered by no product driver and is
-not in :data:`BRANCH_EXEMPT`, when an exemption names a function that is
-gone, or when a driver exits with a status it should not.  The verdict is
+not in :data:`BRANCH_EXEMPT`, when a defaulted parameter no product call sets
+is not in :data:`PARAMETER_EXEMPT`, when an exemption of either kind is
+stale (its function is gone; its parameter is gone or a product call now
+sets it), or when a driver exits with a status it should not.  The verdict is
 per function, so lines that depend on scheduling cannot flip it.
 
 Two interpreters escape the recorder: children started with their own
@@ -53,6 +55,8 @@ from sitecustomize import executable_lines  # noqa: E402  (the recorder's own li
 _ABSTRACT = "abstract: every product subclass overrides it"
 _FAULTY = "required by the process interface; runtimes never ask a faulty process"
 _INSPECTION = "test inspection: tests read the live object through it"
+_DECLARED = "declared input: engine/factories.py passes a campaign's workload params through"
+_DEPLOYMENT = "deployment setting: repro serve's --host / --workers; the sweep uses the default"
 
 #: ``module:qualname`` -> why the function stays although no product driver enters it.
 #: Only test oracles and test inspection, fault and concurrency handling,
@@ -116,6 +120,50 @@ BRANCH_EXEMPT: dict[str, str] = {
         "fault handling: a process that sends before a runtime binds it",
 }
 
+#: ``module:qualname(parameter)`` -> why the defaulted parameter stays although
+#: no product call sets it to another value.  Only input from outside the
+#: program (campaign declarations, requests, deployment settings), fault
+#: handling, test oracles and interface conventions qualify; a knob only
+#: tests set becomes a module constant instead.
+PARAMETER_EXEMPT: dict[str, str] = {
+    # Input from outside the program.
+    "repro.workloads.generators:gradient_registry(fault_count)": _DECLARED,
+    "repro.workloads.generators:gradient_registry(gradient_scale)": _DECLARED,
+    "repro.workloads.generators:probability_vector_registry(concentration)": _DECLARED,
+    "repro.workloads.generators:probability_vector_registry(fault_count)": _DECLARED,
+    "repro.workloads.generators:robot_position_registry(arena_size)": _DECLARED,
+    "repro.workloads.generators:robot_position_registry(cluster_spread)": _DECLARED,
+    "repro.workloads.generators:robot_position_registry(fault_count)": _DECLARED,
+    "repro.workloads.generators:uniform_box_registry(fault_count)": _DECLARED,
+    "repro.workloads.generators:uniform_box_registry(lower)": _DECLARED,
+    "repro.workloads.generators:uniform_box_registry(upper)": _DECLARED,
+    "repro.core.restricted_async:run_restricted_async_bvc(traffic_observer)":
+        "declared input: a campaign pairing restricted_async with a coordinated adversary sets it",
+    "repro.server.service:CampaignService.submit(api_key)":
+        "request input: each request's X-Api-Key header; the sweep's requests send none",
+    "repro.server.http:run_server(host)": _DEPLOYMENT,
+    "repro.server.http:run_server(workers)": _DEPLOYMENT,
+    "repro.server.http:serve(host)": _DEPLOYMENT,
+    "repro.server.service:CampaignService.__init__(workers)": _DEPLOYMENT,
+    # Fault handling.
+    "repro.geometry.linprog:_run_highs_core(solver)":
+        "fault handling: the HiGHS retry ladder's next solver after a failed solve",
+    "repro.geometry.linprog:_run_highs_core(tolerances)":
+        "fault handling: the HiGHS retry ladder's looser tolerances after a failed solve",
+    "repro.network.async_runtime:AsynchronousRuntime.__init__(max_deliveries)":
+        "fault handling: the delivery cap that stops an asynchronous run that never terminates",
+    # Test oracles and interface conventions.
+    "repro.core.safe_area:safe_area_point(objective)":
+        "test oracle: the literal Section 2.2 LP's objective, which the kernel suites vary",
+    "repro.core.safe_area:safe_area_point(subset_indices)":
+        "test oracle: the literal Section 2.2 LP over an explicit subset family",
+    "repro.cli:main(argv)": "interface: the console entry point reads sys.argv; tests pass argv",
+    "repro.network.message:Message.__new__(sequence)":
+        "interface: pickle and copy rebuild a message through __new__ with all seven fields",
+    "repro.obs.registry:Counter.inc(amount)":
+        "interface: the Prometheus counter API; every product increment is by one",
+}
+
 _FUNCTION = 0x0001  # CO_OPTIMIZED
 
 
@@ -153,6 +201,20 @@ def source_inventory(root: Path = SOURCE) -> tuple[dict[str, set[int]], dict[str
     return lines, functions
 
 
+def parameter_inventory(root: Path = SOURCE) -> set[str]:
+    """``module:qualname(parameter)`` for every parameter of every named function."""
+    names: set[str] = set()
+    for path in sorted(root.rglob("*.py")):
+        module = _module_of(path, root)
+        code = compile(path.read_text(encoding="utf-8"), os.path.realpath(path), "exec")
+        for nested in _code_objects(code):
+            if nested.co_flags & _FUNCTION and not nested.co_name.startswith("<"):
+                count = nested.co_argcount + nested.co_kwonlyargcount
+                names.update(f"{module}:{nested.co_qualname}({name})"
+                             for name in nested.co_varnames[:count])
+    return names
+
+
 # ---------------------------------------------------------------------------
 # The recorded side: what did run
 # ---------------------------------------------------------------------------
@@ -180,7 +242,9 @@ def _function_key(recorded: str, root: Path) -> str:
     return f"{_module_of(Path(filename + '.py'), Path(os.path.realpath(root)))}:{qualname}"
 
 
-def classify(root: Path, product: dict, tests: dict, exempt: dict[str, str]) -> dict:
+def classify(
+    root: Path, product: dict, tests: dict, exempt: dict[str, str], parameter_exempt: dict[str, str]
+) -> dict:
     """Line counts, per-function verdicts and unset parameters from two merged recordings."""
     lines, functions = source_inventory(root)
     counts = {"executable": 0, "product": 0, "test_only": 0, "unreached": 0}
@@ -214,6 +278,8 @@ def classify(root: Path, product: dict, tests: dict, exempt: dict[str, str]) -> 
         "stale_exemptions": sorted(key for key in exempt if key not in known),
         "exempt_but_entered": sorted(key for key in exempt if key in known and key not in verdicts),
         "unset_parameters": unset,
+        "parameter_violations": sorted(name for name in unset if name not in parameter_exempt),
+        "stale_parameter_exemptions": sorted(set(parameter_exempt) - set(unset)),
     }
 
 
@@ -487,7 +553,7 @@ def run_tests(out: Path) -> int:
     return subprocess.run(command, cwd=ROOT, env=env, stdout=subprocess.DEVNULL).returncode
 
 
-def report(result: dict, exempt: dict[str, str]) -> str:
+def report(result: dict, exempt: dict[str, str], parameter_exempt: dict[str, str]) -> str:
     counts = result["counts"]
     lines = [
         "src/ executable lines: {executable}, product-reached {product}, test-only {test_only}, "
@@ -502,8 +568,15 @@ def report(result: dict, exempt: dict[str, str]) -> str:
         lines.append(f"  STALE EXEMPTION  {key}: no such function in src/")
     for key in result["exempt_but_entered"]:
         lines.append(f"  note: exempt {key} was entered by a product driver this time")
-    lines.append(f"defaulted parameters no product call set: {len(result['unset_parameters'])}")
-    lines.extend(f"  {name}" for name in result["unset_parameters"])
+    lines.append(f"defaulted parameters no product call set: {len(result['unset_parameters'])} "
+                 f"({len(result['parameter_violations'])} without an exemption)")
+    for name in result["unset_parameters"]:
+        reason = parameter_exempt.get(
+            name, "NOT EXEMPT: make it a module constant, give it a product caller, or exempt it"
+        )
+        lines.append(f"  {name}  -- {reason}")
+    for name in result["stale_parameter_exemptions"]:
+        lines.append(f"  STALE EXEMPTION  {name}: no product-entered function leaves it unset")
     return "\n".join(lines)
 
 
@@ -516,17 +589,25 @@ def main() -> int:
     print("tier-1 suite under the recorder ...", flush=True)
     status = run_tests(OUT)
     result = classify(SOURCE, merge_records(OUT / "product"), merge_records(OUT / "tests"),
-                      BRANCH_EXEMPT)
+                      BRANCH_EXEMPT, PARAMETER_EXEMPT)
     result["tier1_status"] = status
     result["driver_problems"] = problems
     (OUT / "report.json").write_text(json.dumps(result, indent=1, sort_keys=True), encoding="utf-8")
-    print(report(result, BRANCH_EXEMPT))
+    print(report(result, BRANCH_EXEMPT, PARAMETER_EXEMPT))
     if status:
         print(f"warning: the tier-1 suite exited {status} under the recorder; "
               "test-only counts may read low")
     for problem in problems:
         print(f"DRIVER FAILED: {problem}")
-    return int(bool(result["violations"] or result["stale_exemptions"] or problems))
+    return verdict(result, problems)
+
+
+def verdict(result: dict, problems: list[str]) -> int:
+    """The sweep's exit status: 1 when anything in ``result`` or ``problems`` needs attention."""
+    return int(bool(
+        result["violations"] or result["stale_exemptions"] or result["parameter_violations"]
+        or result["stale_parameter_exemptions"] or problems
+    ))
 
 
 if __name__ == "__main__":

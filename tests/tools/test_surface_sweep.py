@@ -57,7 +57,7 @@ def swept(tmp_path_factory):
                    env=env, cwd=root, check=True)
     product = surface_sweep.merge_records(records)
     nothing = surface_sweep.merge_records(root / "no-records")
-    result = surface_sweep.classify(source, product, nothing, {})
+    result = surface_sweep.classify(source, product, nothing, {}, {})
     return source, product, result
 
 
@@ -90,13 +90,31 @@ def test_an_untaken_branch_and_an_uncalled_function_are_unreached(swept):
 def test_a_defaulted_parameter_no_call_sets_is_reported(swept):
     _, _, result = swept
     assert result["unset_parameters"] == ["toy.tool:shared(scale)"]
+    assert result["parameter_violations"] == ["toy.tool:shared(scale)"]
+    assert surface_sweep.verdict(result, []) == 1
+
+
+def test_a_parameter_exemption_silences_it_and_a_stale_one_is_named(swept):
+    source, product, _ = swept
+    nothing = {"lines": {}, "entered": set(), "arguments": {}}
+    exempt = {"toy.tool:never_called": "kept for the test"}
+    parameter_exempt = {"toy.tool:shared(scale)": "kept for the test"}
+    result = surface_sweep.classify(source, product, nothing, exempt, parameter_exempt)
+    assert result["parameter_violations"] == []
+    assert result["stale_parameter_exemptions"] == []
+    assert surface_sweep.verdict(result, []) == 0
+    # An exemption for a parameter every product call sets (or that is gone) is stale.
+    parameter_exempt["toy.tool:shared(flag)"] = "set by every call"
+    result = surface_sweep.classify(source, product, nothing, exempt, parameter_exempt)
+    assert result["stale_parameter_exemptions"] == ["toy.tool:shared(flag)"]
+    assert surface_sweep.verdict(result, []) == 1
 
 
 def test_an_exemption_silences_a_function_and_a_stale_one_is_named(swept):
     source, product, _ = swept
     nothing = {"lines": {}, "entered": set(), "arguments": {}}
     exempt = {"toy.tool:never_called": "kept for the test", "toy.tool:gone": "deleted"}
-    result = surface_sweep.classify(source, product, nothing, exempt)
+    result = surface_sweep.classify(source, product, nothing, exempt, {})
     assert result["violations"] == []
     assert result["stale_exemptions"] == ["toy.tool:gone"]
 
@@ -106,4 +124,11 @@ def test_branch_exemptions_name_live_functions_with_a_reason():
     known = {f"{module}:{name}" for module, names in functions.items() for name in names}
     assert sorted(surface_sweep.BRANCH_EXEMPT.keys() - known) == []
     reasons = surface_sweep.BRANCH_EXEMPT.values()
+    assert all(reason.strip() and "\n" not in reason for reason in reasons)
+
+
+def test_parameter_exemptions_name_live_parameters_with_a_reason():
+    known = surface_sweep.parameter_inventory()
+    assert sorted(surface_sweep.PARAMETER_EXEMPT.keys() - known) == []
+    reasons = surface_sweep.PARAMETER_EXEMPT.values()
     assert all(reason.strip() and "\n" not in reason for reason in reasons)
