@@ -12,10 +12,11 @@ distance from :mod:`repro.geometry` (closed form at ``d <= 2``, an LP above):
 * Termination — reported by the runtimes (a raised
   :class:`~repro.exceptions.TerminationError` means a liveness failure).
 
-:func:`check_exact_outcome` and :func:`check_approximate_outcome` return a
-:class:`ValidityReport` summarising the verdicts together with quantitative
-margins (hull distance of the worst decision, largest coordinate disagreement)
-that the benchmarks report as measured series.
+:func:`check_exact_outcome` (and :func:`check_shared_decision`, its form for
+one decision every honest process shares) and :func:`check_approximate_outcome`
+return a :class:`ValidityReport` summarising the verdicts together with
+quantitative margins (hull distance of the worst decision, largest coordinate
+disagreement) that the benchmarks report as measured series.
 """
 
 from __future__ import annotations
@@ -30,7 +31,12 @@ from repro.geometry.convex_hull import distance_to_hull
 from repro.geometry.points import as_point
 from repro.processes.registry import ProcessRegistry
 
-__all__ = ["ValidityReport", "check_exact_outcome", "check_approximate_outcome"]
+__all__ = [
+    "ValidityReport",
+    "check_exact_outcome",
+    "check_shared_decision",
+    "check_approximate_outcome",
+]
 
 _AGREEMENT_TOLERANCE = 1e-7
 _VALIDITY_TOLERANCE = 1e-6
@@ -90,6 +96,23 @@ def check_exact_outcome(
         agreement_ok=disagreement <= _AGREEMENT_TOLERANCE,
         validity_ok=hull_distance <= _VALIDITY_TOLERANCE,
         max_disagreement=disagreement,
+        max_hull_distance=hull_distance,
+        epsilon=None,
+    )
+
+
+def check_shared_decision(honest_inputs: np.ndarray, decision: Sequence[float]) -> ValidityReport:
+    """:func:`check_exact_outcome` for a run whose honest processes all decided ``decision``.
+
+    ``honest_inputs`` is the honest ``(h, d)`` input stack.  Identical
+    decisions disagree by ``0.0`` and share one hull distance, so the report
+    needs neither the per-process decisions nor their cloud.
+    """
+    hull_distance = distance_to_hull(honest_inputs, decision)
+    return ValidityReport(
+        agreement_ok=True,
+        validity_ok=hull_distance <= _VALIDITY_TOLERANCE,
+        max_disagreement=0.0,
         max_hull_distance=hull_distance,
         epsilon=None,
     )

@@ -494,6 +494,9 @@ class WorkerPool:
                         task.worker = slot.process.name
                         self.cost_model.observe(task.shape_key, len(task.positions), seconds)
                         self._observe_unit(task, seconds)
+                        # Refill the freed seat first: it works while the
+                        # consumer commits and emits this task's rows.
+                        fill_idle()
                         yield task, seconds, body
                     fill_idle()
             finally:

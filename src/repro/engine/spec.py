@@ -67,9 +67,15 @@ def _freeze_params(params: Mapping[str, Any] | tuple | None) -> tuple[tuple[str,
 
 @lru_cache(maxsize=4096, typed=True)
 def _derived_seeds(seed: int) -> tuple[int, int, int]:
-    """The seeds ``SeedSequence(seed).spawn(3)`` derives, cached per seed and type (``5.0`` fails)."""
-    children = SeedSequence(seed).spawn(3)
-    return tuple(int(child.generate_state(1, dtype=np.uint32)[0]) for child in children)  # type: ignore[return-value]
+    """The seeds ``SeedSequence(seed).spawn(3)`` derives, cached per seed and type (``5.0`` fails).
+
+    Child ``i`` of a spawn is ``SeedSequence(seed, spawn_key=(i,))``; building
+    the three children directly skips the parent sequence.
+    """
+    return tuple(  # type: ignore[return-value]
+        int(SeedSequence(seed, spawn_key=(child,)).generate_state(1, dtype=np.uint32)[0])
+        for child in range(3)
+    )
 
 
 @dataclass(frozen=True)
@@ -276,9 +282,20 @@ class TrialResult:
             row[name] = _jsonify(getattr(self, name))
         return row
 
-    def to_json(self) -> str:
-        """One deterministic JSONL line (keys sorted, timing field included)."""
-        return json.dumps(self.to_row(), sort_keys=True)
+    def to_json(self, keep: bool = False) -> str:
+        """One deterministic JSONL line (keys sorted, timing field included).
+
+        A kept line is returned by every later call instead of encoding the
+        row again: the store keeps the line it writes, so a committed row is
+        served (``/rows``, a JSONL sink) as the same string.  The result is
+        frozen, so the line cannot go stale.
+        """
+        line = self.__dict__.get("_json_line")
+        if line is None:
+            line = json.dumps(self.to_row(), sort_keys=True)
+            if keep:
+                self.__dict__["_json_line"] = line
+        return line
 
     @classmethod
     def from_row(cls, row: Mapping[str, Any], spec: TrialSpec | None = None) -> "TrialResult":

@@ -79,7 +79,7 @@ from repro.core.round_ops import (
     restricted_round_reduce,
 )
 from repro.core.safe_area import SafeAreaCalculator
-from repro.core.validity import check_approximate_outcome, check_exact_outcome
+from repro.core.validity import check_approximate_outcome, check_shared_decision
 from repro.engine.factories import build_registry, make_adversaries
 from repro.engine.spec import TrialResult, TrialSpec
 from repro.engine.trial import error_row, ok_row
@@ -236,6 +236,21 @@ def run_specs_vectorized(
 # Fault-free broadcast protocols (exact, coordinatewise)
 # ---------------------------------------------------------------------------
 
+#: Fault-free broadcast groups run in slices of this many trials: one pass
+#: builds the slice's registries, one kernel pass answers its Gamma queries.
+_BROADCAST_SLICE = 64
+
+
+@dataclass
+class _BroadcastTrial:
+    """One fault-free broadcast trial past its prologue."""
+
+    spec: TrialSpec
+    registry: ProcessRegistry
+    inputs: np.ndarray  # (n, d): the Step 1 resolution every process holds
+    total_rounds: int
+
+
 def _run_broadcast_group(
     specs: Sequence[TrialSpec], stop: Callable[[], bool]
 ) -> list[TrialResult] | None:
@@ -244,32 +259,51 @@ def _run_broadcast_group(
     With no active adversary, every EIG broadcast resolves to the sender's
     true value, so after Step 1 each process holds exactly the stacked input
     matrix — the decision step collapses to one deterministic reduction per
-    trial, deduplicated across the identical honest processes.
+    trial, shared by the identical honest processes.  The group runs in
+    :data:`_BROADCAST_SLICE`-trial slices, so rows never depend on where a
+    slice ends.
     """
-    protocol = specs[0].protocol
-    fault_bound = specs[0].fault_bound
-    chooser = _shared_chooser(fault_bound)
+    chooser = _shared_chooser(specs[0].fault_bound)
     results: list[TrialResult] = []
+    for start in range(0, len(specs), _BROADCAST_SLICE):
+        chunk = _run_broadcast_slice(specs[start : start + _BROADCAST_SLICE], chooser, stop)
+        if chunk is None:
+            return None
+        results.extend(chunk)
+    return results
+
+
+def _run_broadcast_slice(
+    specs: Sequence[TrialSpec],
+    chooser: SafeAreaCalculator,
+    stop: Callable[[], bool],
+) -> list[TrialResult] | None:
+    """Prologues, one Gamma pass (``exact``), then one report per trial."""
+    prepared: list[_BroadcastTrial | TrialResult] = []
     for spec in specs:
         if stop():
             return None
         try:
-            results.append(_execute_broadcast_trial(spec, protocol, chooser))
+            prepared.append(_prepare_broadcast_trial(spec))
         except Exception as error:  # noqa: BLE001 — failures are campaign data
-            results.append(error_row(spec, error))
-    return results
+            prepared.append(error_row(spec, error))
+    trials = [trial for trial in prepared if isinstance(trial, _BroadcastTrial)]
+    if specs[0].protocol == "exact":
+        decisions = _gamma_points([trial.inputs for trial in trials], chooser)
+    else:
+        decisions = [None] * len(trials)
+    finished = iter(
+        [_finish_broadcast_trial(trial, decision) for trial, decision in zip(trials, decisions)]
+    )
+    return [row if isinstance(row, TrialResult) else next(finished) for row in prepared]
 
 
-def _execute_broadcast_trial(
-    spec: TrialSpec,
-    protocol: str,
-    chooser: SafeAreaCalculator,
-) -> TrialResult:
+def _prepare_broadcast_trial(spec: TrialSpec) -> _BroadcastTrial:
+    """The per-trial prologue, raising exactly what the object runtime would."""
     registry = build_registry(spec)
     make_adversaries(spec, registry)  # adversary == "none": validation no-op
     configuration = registry.configuration
-    n = configuration.process_count
-    if protocol == "exact":
+    if spec.protocol == "exact":
         check_exact_sync(configuration)
     total_rounds = configuration.fault_bound + 1  # EIG needs f + 1 rounds
     max_rounds = (
@@ -283,21 +317,59 @@ def _execute_broadcast_trial(
         )
     # Step 1 resolution, fault-free: every process reconstructs exactly the
     # stacked nominal inputs, in process-id order.
-    cloud = np.vstack([registry.input_of(process_id) for process_id in range(n)])
-    if protocol == "exact":
-        decision = chooser.choose(cloud)
-    else:
-        decision = coordinatewise_decision(cloud)
-    decisions = {
-        process_id: np.asarray(decision, dtype=float) for process_id in registry.honest_ids
-    }
-    report = check_exact_outcome(registry, decisions)
+    inputs = np.vstack([registry.input_of(process_id) for process_id in registry.process_ids])
+    return _BroadcastTrial(spec, registry, inputs, total_rounds)
+
+
+def _gamma_points(
+    clouds: list[np.ndarray], chooser: SafeAreaCalculator
+) -> list[np.ndarray | Exception]:
+    """Each cloud's :meth:`SafeAreaCalculator.choose` answer, or what it raises.
+
+    The queries go to the kernel as one ``(Q, n, d)`` stack, whose answers
+    are bitwise the single queries'.  A query that comes back empty, or a
+    pass that raises, is asked again alone, so the error a trial records is
+    the one its own ``choose`` raises.
+    """
+    if not clouds:
+        return []
+    try:
+        answers: list[np.ndarray | None] = chooser.resolve_multi(np.stack(clouds))
+    except Exception:  # noqa: BLE001 — re-asked one by one for attribution
+        answers = [None] * len(clouds)
+    points: list[np.ndarray | Exception] = []
+    for cloud, answer in zip(clouds, answers):
+        if answer is None:
+            try:
+                answer = chooser.choose(cloud)
+            except Exception as error:  # noqa: BLE001 — failures are campaign data
+                answer = error
+        points.append(answer)
+    return points
+
+
+def _finish_broadcast_trial(
+    trial: _BroadcastTrial, decision: np.ndarray | Exception | None
+) -> TrialResult:
+    """The trial's row from its Gamma answer (``exact``) or, given ``None``,
+    the coordinate-wise baseline decision it computes here."""
+    spec, registry = trial.spec, trial.registry
+    try:
+        if isinstance(decision, Exception):
+            raise decision
+        if decision is None:
+            decision = coordinatewise_decision(trial.inputs)
+        decision = np.asarray(decision, dtype=float)
+        report = check_shared_decision(trial.inputs[list(registry.honest_ids)], decision)
+    except Exception as error:  # noqa: BLE001 — failures are campaign data
+        return error_row(spec, error)
+    n = registry.configuration.process_count
     # Every process bundles its (non-empty, fault-free) relays into one
     # message per recipient per round.
     outcome = ProtocolOutcome(
-        decisions=decisions,
-        rounds_executed=total_rounds,
-        messages_sent=total_rounds * n * (n - 1),
+        decisions={process_id: decision for process_id in registry.honest_ids},
+        rounds_executed=trial.total_rounds,
+        messages_sent=trial.total_rounds * n * (n - 1),
         messages_dropped=0,
     )
     return ok_row(spec, registry, outcome, report)

@@ -21,6 +21,25 @@ from repro.geometry.points import as_cloud, as_point
 __all__ = ["ProcessRegistry"]
 
 
+def _stack_inputs(inputs: Mapping[int, Sequence[float]], dimension: int) -> np.ndarray:
+    """The input vectors as one finite ``(n, d)`` array, rows in ``inputs`` order.
+
+    The stack is checked once; when it is not a finite ``(n, d)`` array the
+    rows are checked one by one, so the first bad one raises
+    :func:`~repro.geometry.points.as_point`'s error for it.
+    """
+    vectors = list(inputs.values())
+    try:
+        stacked = np.asarray(vectors, dtype=float)
+    except (TypeError, ValueError):
+        stacked = None
+    shape = (len(vectors), dimension)
+    if stacked is None or stacked.shape != shape or not np.isfinite(stacked).all():
+        for vector in vectors:
+            as_point(vector, dimension=dimension)
+    return stacked
+
+
 @dataclass(frozen=True)
 class ProcessRegistry:
     """The cast of an experiment: process ids, fault set, honest inputs.
@@ -61,10 +80,8 @@ class ProcessRegistry:
             raise ConfigurationError(
                 f"{len(faulty)} faulty processes exceeds the fault bound f={configuration.fault_bound}"
             )
-        normalised = {
-            int(process_id): as_point(vector, dimension=configuration.dimension)
-            for process_id, vector in inputs.items()
-        }
+        stacked = _stack_inputs(inputs, configuration.dimension)
+        normalised = dict(zip((int(process_id) for process_id in inputs), stacked))
         object.__setattr__(self, "configuration", configuration)
         object.__setattr__(self, "faulty_ids", faulty)
         object.__setattr__(self, "inputs", normalised)

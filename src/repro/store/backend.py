@@ -243,20 +243,22 @@ class ResultStore:
 
     def put_rows(
         self,
-        entries: Sequence[tuple[str, dict[str, Any]]],
+        entries: Sequence[tuple[str, dict[str, Any]] | tuple[str, dict[str, Any], str]],
         engine_version: str = ENGINE_VERSION,
     ) -> int:
         """Write ``(key, row)`` pairs in **one transaction**; last write wins.
 
         Returns the number of rows written.  ``engine_version`` is the stamp
         recorded on each row (tests and importers may backdate it; the
-        session always writes the current revision).
+        session always writes the current revision).  An entry may carry the
+        row's text as a third item, ``(key, row, text)``, when the caller
+        already holds ``json.dumps(row, sort_keys=True)``.
         """
         now = time.time()
-        records = [
-            (key, engine_version, *_indexed_values(row), now, json.dumps(row, sort_keys=True))
-            for key, row in entries
-        ]
+        records = []
+        for key, row, *text in entries:
+            line = text[0] if text else json.dumps(row, sort_keys=True)
+            records.append((key, engine_version, *_indexed_values(row), now, line))
         columns = ", ".join(_ROW_FIELD)
         placeholders = ",".join("?" for _ in range(len(_ROW_FIELD) + 4))
         with self._connection:  # one transaction per call — the unit-commit contract
@@ -269,7 +271,7 @@ class ResultStore:
             # concurrent claimants polling for it see claim-gone and
             # row-present atomically.
             self._connection.executemany(
-                "DELETE FROM claims WHERE key = ?", [(key,) for key, _ in entries]
+                "DELETE FROM claims WHERE key = ?", [(record[0],) for record in records]
             )
             if records:
                 self._connection.execute(_BUMP_GENERATION)
@@ -279,8 +281,15 @@ class ResultStore:
         return len(records)
 
     def put_results(self, pairs: Iterable[tuple[str, TrialResult]]) -> int:
-        """Store ``(key, result)`` pairs as one transactional batch."""
-        return self.put_rows([(key, result.to_row()) for key, result in pairs])
+        """Store ``(key, result)`` pairs as one transactional batch.
+
+        The stored text is the result's :meth:`~TrialResult.to_json` line,
+        kept on the result, so serving the row afterwards (a ``/rows``
+        stream, a JSONL sink) encodes nothing again.
+        """
+        return self.put_rows(
+            [(key, result.to_row(), result.to_json(keep=True)) for key, result in pairs]
+        )
 
     def claim_keys(self, keys: Sequence[str], owner: str) -> set[str]:
         """Try to claim ``keys`` for ``owner``; return the granted subset.

@@ -58,10 +58,8 @@ def uniform_box_registry(
     rng = np.random.default_rng(seed)
     configuration = SystemConfiguration(process_count, dimension, fault_bound)
     fault_count = fault_bound if fault_count is None else fault_count
-    inputs = {
-        process_id: rng.uniform(lower, upper, size=dimension)
-        for process_id in range(process_count)
-    }
+    # One (n, d) draw: the same stream, row by row, as n draws of size d.
+    inputs = dict(enumerate(rng.uniform(lower, upper, size=(process_count, dimension))))
     return ProcessRegistry(configuration, inputs, _pick_faulty_ids(process_count, fault_count, rng))
 
 

@@ -382,3 +382,24 @@ class TestColumnarFanout:
             result.to_row() for result in CampaignSession(specs, workers=1).rows()
         )
         assert strip_timing(rows[index].to_row() for index in range(8)) == expected
+
+
+class TestPipelining:
+    def test_a_freed_seat_works_while_the_consumer_holds_its_task(self, monkeypatch):
+        # The consumer commits and emits a yielded task before it resumes the
+        # generator; the seat that task freed must already hold the next one.
+        monkeypatch.setattr(pool_module, "MAX_UNIT_TRIALS", 1)
+        specs = TestExecutePlan.SPECS
+        worker_pool = get_pool(2)
+        units = [ExecutionUnit("object", tuple(range(len(specs))))]
+        tasks = list(_cut_tasks(specs, units, worker_pool.cost_model, workers=2))
+        seats = len(worker_pool._slots)
+        busy_at_yield = [
+            sum(slot.task is not None for slot in worker_pool._slots)
+            for _ in worker_pool.run_tasks(tasks)
+        ]
+        assert len(busy_at_yield) == len(tasks) > seats
+        # While tasks remain undone, every seat is busy.
+        assert busy_at_yield == [
+            min(seats, len(tasks) - completed) for completed in range(1, len(tasks) + 1)
+        ]

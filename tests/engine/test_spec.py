@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
 from repro.engine import TrialResult, TrialSpec, run_trial, sample_specs
+from repro.engine.spec import _derived_seeds
 from repro.exceptions import ConfigurationError
 
 
@@ -73,6 +76,24 @@ class TestTrialSpec:
         seeds_a = TrialSpec(protocol="exact", workload="uniform_box", seed=1).resolved_seeds()
         seeds_b = TrialSpec(protocol="exact", workload="uniform_box", seed=2).resolved_seeds()
         assert seeds_a != seeds_b
+
+    def test_derived_seeds_are_the_spawned_childrens(self):
+        # The derivation builds child i as SeedSequence(seed, spawn_key=(i,));
+        # it must give what SeedSequence(seed).spawn(3) gives, wide seeds too.
+        sampler = random.Random(20)
+        seeds = (
+            list(range(8))
+            + [sampler.randrange(2**32) for _ in range(200)]
+            + [sampler.randrange(2**32, 2**64) for _ in range(100)]
+            + [sampler.randrange(2**64, 2**200) for _ in range(100)]
+            + [2**32 - 1, 2**32, 2**64 - 1, 2**64]
+        )
+        for seed in seeds:
+            spawned = tuple(
+                int(child.generate_state(1, dtype=np.uint32)[0])
+                for child in np.random.SeedSequence(seed).spawn(3)
+            )
+            assert _derived_seeds(seed) == spawned, seed
 
 
 class TestTrialResult:

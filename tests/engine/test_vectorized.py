@@ -466,3 +466,100 @@ class TestGroupKey:
         assert vectorized_group_key(base) != vectorized_group_key(
             dataclasses.replace(base, adversary="crash")
         )
+
+
+class TestBroadcastSlices:
+    """Fault-free ``exact`` / ``coordinatewise`` groups run in slices: one
+    registry pass, one Gamma pass and one report per trial each.  No row may
+    depend on the slicing or on a slice-mate's failure."""
+
+    WORKLOADS = ("uniform_box", "probability_vector", "robot_position", "gradient")
+
+    @pytest.fixture(autouse=True)
+    def fresh_kernel(self):
+        default_kernel.clear_cache()
+        yield
+        default_kernel.clear_cache()
+
+    @staticmethod
+    def _specs() -> list[TrialSpec]:
+        specs = list(
+            Campaign.from_grid(
+                "broadcast-slices",
+                protocols=("exact", "coordinatewise"),
+                workloads=TestBroadcastSlices.WORKLOADS,
+                dimensions=(1, 2, 3),
+                repeats=3,
+                base_seed=61,
+            ).specs
+        )
+        # Error rows: n below the bound (exact needs max(3f+1, (d+1)f+1)),
+        # and a round budget below the f + 1 rounds EIG takes.
+        for protocol in ("exact", "coordinatewise"):
+            for dimension in (1, 2, 3):
+                for workload in TestBroadcastSlices.WORKLOADS:
+                    specs.append(TrialSpec(
+                        protocol=protocol, workload=workload, process_count=3,
+                        dimension=dimension, fault_bound=1, seed=len(specs),
+                    ))
+                    specs.append(TrialSpec(
+                        protocol=protocol, workload=workload,
+                        process_count=minimum_processes_for(protocol, dimension, 2),
+                        dimension=dimension, fault_bound=2, max_rounds_override=2,
+                        seed=len(specs),
+                    ))
+        specs.append(TrialSpec(protocol="exact", workload="intro_counterexample",
+                               process_count=4, dimension=3, fault_bound=1, seed=5))
+        specs.append(TrialSpec(protocol="exact", workload="intro_counterexample",
+                               process_count=5, dimension=3, fault_bound=1, seed=6,
+                               workload_params={"extended": True}))
+        return [spec.with_index(index) for index, spec in enumerate(specs)]
+
+    @pytest.mark.parametrize("slice_trials", [1, 3, 64])
+    def test_rows_match_the_object_engine_at_any_slice_size(self, slice_trials, monkeypatch):
+        from repro.engine import vectorized
+
+        specs = self._specs()
+        object_rows = _rows(CampaignSession(specs, engine="object").rows())
+        statuses = [json.loads(row)["status"] for row in object_rows]
+        # exact below its bound (12), a 2-round budget at f = 2 (24) and the
+        # literal intro instance (n = 4 < 5 at d = 3); the coordinatewise
+        # baseline checks no bound, so its n = 3 trials run.
+        assert statuses.count("error") == 12 + 24 + 1
+        monkeypatch.setattr(vectorized, "_BROADCAST_SLICE", slice_trials)
+        default_kernel.clear_cache()
+        assert _rows(CampaignSession(specs, engine="vectorized").rows()) == object_rows
+
+    def test_a_failed_or_empty_query_is_its_own_trials_error_row(self, monkeypatch):
+        from repro.engine.factories import build_registry
+
+        specs = [
+            TrialSpec(protocol="exact", workload="uniform_box", process_count=4,
+                      dimension=2, fault_bound=1, seed=seed, trial_index=seed)
+            for seed in range(6)
+        ]
+
+        def cloud_of(spec):
+            registry = build_registry(spec)
+            return np.vstack([registry.input_of(pid) for pid in registry.process_ids]).tobytes()
+
+        raising, empty = cloud_of(specs[1]), cloud_of(specs[4])
+        closed_forms = GammaKernel._closed_forms
+
+        def sabotaged(self, clouds, fault_bound, objective_head):
+            if any(cloud.tobytes() == raising for cloud in clouds):
+                raise GeometryError("injected solver failure")
+            answers = closed_forms(self, clouds, fault_bound, objective_head)
+            return [
+                None if cloud.tobytes() == empty else answer
+                for cloud, answer in zip(clouds, answers)
+            ]
+
+        monkeypatch.setattr(GammaKernel, "_closed_forms", sabotaged)
+        object_rows = _rows(run_trial(spec) for spec in specs)
+        errors = [json.loads(row)["error"] for row in object_rows]
+        assert errors[1] == "GeometryError: injected solver failure"
+        assert errors[4] == "EmptyIntersectionError: Gamma is empty for |Y|=4, f=1, d=2"
+        assert [error is None for error in errors] == [True, False, True, True, False, True]
+        default_kernel.clear_cache()
+        assert _rows(run_specs_vectorized(specs)) == object_rows

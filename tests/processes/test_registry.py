@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.conditions import SystemConfiguration
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, GeometryError
 from repro.processes.registry import ProcessRegistry
 
 
@@ -50,6 +50,37 @@ class TestProcessRegistry:
         configuration = SystemConfiguration(2, 3, 0)
         with pytest.raises(Exception):
             ProcessRegistry(configuration, {0: [1.0, 2.0], 1: [1.0, 2.0, 3.0]})
+
+    @pytest.mark.parametrize(
+        ("inputs", "message"),
+        [
+            # The inputs are checked as one stack; a bad row is then named
+            # by the per-point check, so the texts are the per-point ones.
+            ({0: [1.0, 2.0], 1: [float("nan"), 0.0], 2: [0.0, float("inf")]},
+             "point contains non-finite coordinates: [nan  0.]"),
+            ({0: [1.0, 2.0], 1: [1.0, 2.0, 3.0], 2: [0.0, 0.0]},
+             "point has dimension 3, expected 2"),
+            ({0: [1.0, 2.0], 1: [1.0], 2: [0.0, 0.0]},
+             "point has dimension 1, expected 2"),
+            ({0: [[1.0, 2.0]], 1: [1.0, 2.0], 2: [0.0, 0.0]},
+             "a point must be one-dimensional, got shape (1, 2)"),
+            ({0: [1.0, 2.0], 1: [0.0, 0.0], 2: [0.0, -1e400]},
+             "point contains non-finite coordinates: [  0. -inf]"),
+        ],
+    )
+    def test_bad_input_is_named_by_the_point_check(self, inputs, message):
+        configuration = SystemConfiguration(3, 2, 1)
+        with pytest.raises(GeometryError) as raised:
+            ProcessRegistry(configuration, inputs)
+        assert str(raised.value) == message
+
+    def test_inputs_are_one_finite_stack(self):
+        inputs = {0: np.array([0.0, 1.0]), 1: [2, 3], 2: (4.0, 5.0)}
+        registry = ProcessRegistry(SystemConfiguration(3, 2, 1), inputs)
+        assert [registry.input_of(pid).tolist() for pid in range(3)] == [
+            [0.0, 1.0], [2.0, 3.0], [4.0, 5.0]
+        ]
+        assert all(registry.input_of(pid).dtype == np.float64 for pid in range(3))
 
     def test_missing_input_rejected(self):
         configuration = SystemConfiguration(3, 2, 1)

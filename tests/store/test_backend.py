@@ -41,6 +41,22 @@ class TestResultStoreContract:
         assert store.get_rows([key]) == {key: result.to_row()}
         assert store.get_rows(["0" * 64]) == {}
 
+    def test_a_stored_row_is_encoded_once(self, tmp_path, monkeypatch):
+        # The stored text is the result's JSONL line, kept on the result, so
+        # a /rows stream or sink serving the row afterwards encodes nothing.
+        store = _make_store(tmp_path)
+        results = [_result(seed=seed) for seed in (4, 5)]
+        encodes = []
+        dumps = json.dumps
+        monkeypatch.setattr(json, "dumps", lambda *a, **k: encodes.append(1) or dumps(*a, **k))
+        store.put_results([(trial_key(result.spec), result) for result in results])
+        lines = [result.to_json() for result in results]
+        assert len(encodes) == len(results)
+        monkeypatch.undo()
+        stored = dict(store._connection.execute("SELECT key, row FROM trials"))
+        for result, line in zip(results, lines):
+            assert stored[trial_key(result.spec)] == line == dumps(result.to_row(), sort_keys=True)
+
     def test_error_rows_store_like_any_other(self, tmp_path):
         store = _make_store(tmp_path)
         error_result = _result(seed=2, process_count=3)

@@ -36,6 +36,18 @@ class TestUniformBox:
         for pid in a.process_ids:
             assert np.allclose(a.input_of(pid), b.input_of(pid))
 
+    def test_one_draw_equals_the_per_process_draws(self):
+        # The generator draws the (n, d) box in one call; the stream is the
+        # one n draws of size d consume, so every input and fault set stays.
+        for seed in range(200):
+            n, d, f = 4 + seed % 9, 1 + seed % 4, 1 + seed % 3
+            registry = uniform_box_registry(n, d, f, lower=-1.5, upper=2.0, seed=seed)
+            rng = np.random.default_rng(seed)
+            for pid in range(n):
+                assert registry.input_of(pid).tobytes() == rng.uniform(-1.5, 2.0, size=d).tobytes()
+            chosen = rng.choice(n, size=f, replace=False)
+            assert registry.faulty_ids == frozenset(int(pid) for pid in chosen)
+
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ConfigurationError):
             uniform_box_registry(5, 2, 1, lower=1.0, upper=0.0)
