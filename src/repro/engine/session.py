@@ -98,6 +98,9 @@ _SESSION_ROWS = get_registry().counter(
     "Rows emitted by campaign sessions, by provenance (executed/cache/deferred).",
     labelnames=("source",),
 )
+_ROWS_BY_SOURCE = {
+    source: _SESSION_ROWS.labels(source=source) for source in ("executed", "cache", "deferred")
+}
 _STORE_CACHE_LOOKUPS = get_registry().counter(
     "repro_store_cache_lookups_total",
     "Store cache census outcomes across sessions (hit = served, not recomputed).",
@@ -636,7 +639,7 @@ class CampaignSession:
                     self._validity_failures += 1
             else:
                 self._errors += 1
-        _SESSION_ROWS.labels(source=source).inc()
+        _ROWS_BY_SOURCE[source].inc()
         return RowEvent(position=position, result=result, source=source)
 
     def _trace_instant(self, event: SessionEvent) -> None:

@@ -282,20 +282,24 @@ class TrialResult:
             row[name] = _jsonify(getattr(self, name))
         return row
 
-    def to_json(self, keep: bool = False) -> str:
+    def to_json(self) -> str:
         """One deterministic JSONL line (keys sorted, timing field included).
 
-        A kept line is returned by every later call instead of encoding the
+        The line :meth:`kept_row` kept is returned instead of encoding the
         row again: the store keeps the line it writes, so a committed row is
         served (``/rows``, a JSONL sink) as the same string.  The result is
         frozen, so the line cannot go stale.
         """
         line = self.__dict__.get("_json_line")
+        return json.dumps(self.to_row(), sort_keys=True) if line is None else line
+
+    def kept_row(self) -> tuple[dict[str, Any], str]:
+        """Return ``(row, line)``, the row built once and its line kept for :meth:`to_json`."""
+        row = self.to_row()
+        line = self.__dict__.get("_json_line")
         if line is None:
-            line = json.dumps(self.to_row(), sort_keys=True)
-            if keep:
-                self.__dict__["_json_line"] = line
-        return line
+            line = self.__dict__["_json_line"] = json.dumps(row, sort_keys=True)
+        return row, line
 
     @classmethod
     def from_row(cls, row: Mapping[str, Any], spec: TrialSpec | None = None) -> "TrialResult":

@@ -24,7 +24,6 @@ from repro.store.backend import (
 from repro.store.keys import (
     ENGINE_VERSION,
     VOLATILE_SPEC_FIELDS,
-    canonical_spec_payload,
     trial_key,
 )
 from repro.store.query import (
@@ -45,7 +44,6 @@ __all__ = [
     "StoredTrial",
     "TrialFilter",
     "aggregate_store",
-    "canonical_spec_payload",
     "open_store",
     "query_store",
     "trial_key",

@@ -287,9 +287,7 @@ class ResultStore:
         kept on the result, so serving the row afterwards (a ``/rows``
         stream, a JSONL sink) encodes nothing again.
         """
-        return self.put_rows(
-            [(key, result.to_row(), result.to_json(keep=True)) for key, result in pairs]
-        )
+        return self.put_rows([(key, *result.kept_row()) for key, result in pairs])
 
     def claim_keys(self, keys: Sequence[str], owner: str) -> set[str]:
         """Try to claim ``keys`` for ``owner``; return the granted subset.

@@ -57,6 +57,17 @@ class TestResultStoreContract:
         for result, line in zip(results, lines):
             assert stored[trial_key(result.spec)] == line == dumps(result.to_row(), sort_keys=True)
 
+    def test_a_committed_row_is_built_once(self, tmp_path, monkeypatch):
+        # put_results encodes the row it stores: a fresh result's row is not
+        # built a second time for its kept line.
+        store = _make_store(tmp_path)
+        results = [_result(seed=seed) for seed in (4, 5)]
+        built = []
+        to_row = TrialResult.to_row
+        monkeypatch.setattr(TrialResult, "to_row", lambda self: built.append(id(self)) or to_row(self))
+        store.put_results([(trial_key(result.spec), result) for result in results])
+        assert built == [id(result) for result in results]
+
     def test_error_rows_store_like_any_other(self, tmp_path):
         store = _make_store(tmp_path)
         error_result = _result(seed=2, process_count=3)

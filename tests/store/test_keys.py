@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from collections import OrderedDict
 from dataclasses import replace
 from types import MappingProxyType
@@ -13,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import TrialSpec
-from repro.engine.spec import _jsonify
+from repro.engine.spec import PROTOCOLS, _jsonify
 from repro.exceptions import ConfigurationError
-from repro.store import ENGINE_VERSION, VOLATILE_SPEC_FIELDS, canonical_spec_payload, trial_key
+from repro.store import ENGINE_VERSION, VOLATILE_SPEC_FIELDS, trial_key
 
 
 def _spec(**overrides) -> TrialSpec:
@@ -74,6 +76,23 @@ def _reference_jsonify(value: Any) -> Any:
     return value
 
 
+def _reference_payload(spec: TrialSpec) -> str:
+    """The canonical payload derived the plain way (the oracle ``trial_key`` must equal).
+
+    The spec's ``to_dict()`` minus the volatile fields, coerced by
+    ``_jsonify``, written as sorted-key compact JSON.
+    """
+    payload = spec.to_dict()
+    for name in VOLATILE_SPEC_FIELDS:
+        payload.pop(name, None)
+    return json.dumps(_jsonify(payload), sort_keys=True, separators=(",", ":"))
+
+
+def _reference_key(spec: TrialSpec) -> str:
+    salted = f"{ENGINE_VERSION}\n{_reference_payload(spec)}"
+    return hashlib.sha256(salted.encode("utf-8")).hexdigest()
+
+
 def _same_graph(left: Any, right: Any) -> bool:
     """Equal values of equal types all the way down (``True == 1`` does not count)."""
     if type(left) is not type(right):
@@ -117,17 +136,66 @@ _values = st.recursive(
 )
 
 
+# Spec fields as campaigns, fuzzers and hand-built specs spell them: plain
+# and numpy-typed scalars, bools where ints go, non-finite epsilons, names
+# that need escaping, and parameter mappings of every shape ``_values`` has.
+_names = st.one_of(st.sampled_from(["uniform_box", "crash", "random"]), st.text(max_size=6),
+                   st.sampled_from(['q"uote', "back\\slash", "ümlaut", "\u2603\n", "\ud800"]))
+_ints = st.one_of(st.integers(), st.booleans(), st.integers(-(2**63), 2**63 - 1).map(np.int64))
+_optional_ints = st.one_of(st.none(), _ints)
+_epsilons = st.one_of(
+    st.floats(), st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0]),
+    st.floats(width=64).map(np.float64), st.floats(width=32).map(np.float32), st.integers(),
+)
+_params = st.dictionaries(st.text(max_size=3), _values, max_size=3)
+_specs = st.builds(
+    TrialSpec,
+    protocol=st.sampled_from(sorted(PROTOCOLS)), workload=_names, adversary=_names,
+    scheduler=_names, process_count=_ints, dimension=_ints, fault_bound=_ints,
+    epsilon=_epsilons, seed=_ints, workload_seed=_optional_ints,
+    adversary_seed=_optional_ints, scheduler_seed=_optional_ints,
+    max_rounds_override=_optional_ints, workload_params=_params,
+    adversary_params=_params, scheduler_params=_params,
+    record_history=st.booleans(), trial_index=st.integers(0, 10**6),
+)
+# A value JSON cannot encode, at any depth of a parameter value.
+_opaque = st.recursive(
+    st.builds(object),
+    lambda children: st.one_of(
+        st.lists(children, min_size=1, max_size=2),
+        st.dictionaries(st.text(max_size=2), children, min_size=1, max_size=2),
+    ),
+    max_leaves=3,
+)
+
+
 class TestCanonicalEncoding:
     @pytest.mark.parametrize("name", sorted(GOLDEN_KEYS))
     def test_golden_digest(self, name):
         spec, digest = GOLDEN_KEYS[name]
         assert ENGINE_VERSION == "1.1.0/rows3"
-        assert trial_key(spec) == digest
+        assert trial_key(spec) == _reference_key(spec) == digest
 
     @settings(max_examples=300, deadline=None)
     @given(_values)
     def test_jsonify_matches_the_reference_coercion(self, value):
         assert _same_graph(_jsonify(value), _reference_jsonify(value))
+
+    @settings(max_examples=400, deadline=None)
+    @given(_specs)
+    def test_trial_key_matches_the_reference_derivation(self, spec):
+        assert trial_key(spec) == _reference_key(spec)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_specs, st.sampled_from(["workload_params", "adversary_params", "scheduler_params"]),
+           st.text(max_size=3), _opaque)
+    def test_a_non_json_parameter_is_never_addressed(self, spec, field_name, key, value):
+        spec = replace(spec, **{field_name: {**spec.params(field_name[: -len("_params")]),
+                                             key: value}})
+        with pytest.raises(TypeError):
+            _reference_payload(spec)
+        with pytest.raises(ConfigurationError, match="content-addressable"):
+            trial_key(spec)
 
 
 class TestTrialKey:
@@ -170,11 +238,12 @@ class TestTrialKey:
         assert trial_key(spec, engine_version="0.9.9/rows0") != trial_key(spec)
 
     def test_payload_excludes_volatile_fields_only(self):
-        payload = canonical_spec_payload(replace(_spec(), trial_index=3, record_history=True))
-        assert "trial_index" not in payload
-        assert "record_history" not in payload
+        spec = replace(_spec(), trial_index=3, record_history=True)
+        payload = json.loads(_reference_payload(spec))
+        assert sorted(payload) == sorted(set(TrialSpec.WIRE_FIELDS) - set(VOLATILE_SPEC_FIELDS))
         assert payload["protocol"] == "exact"
         assert payload["seed"] == 7
+        assert trial_key(spec) == _reference_key(spec)
 
     def test_non_json_parameter_value_is_rejected(self):
         spec = _spec(workload_params={"callback": object()})
